@@ -6,22 +6,15 @@
 //	bench                 # everything
 //	bench -only fig8      # a single experiment (fig2|fig7|fig8|fig9|fig10|table1|fig11|fig12|hybrid)
 //	bench -only hybrid -gpus 2 -cpu-aggs 4   # hybrid co-execution scaling
-//	bench -json           # machine-readable run record on stdout (see README)
-//	bench -json -short    # reduced workload, for CI smoke and quick checks
 //
-// The -json record is the unit of the repo's benchmark trajectory: one
-// BENCH_PR<n>.json per landed PR, committed at the root, lets throughput
-// regressions be spotted by diffing records instead of rerunning old
-// revisions.
+// These are the paper's tables, not the repo's performance record: that is
+// benchmark/ (see BENCHMARK.json), which drives real sccgd daemons.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -39,22 +32,7 @@ func main() {
 	only := flag.String("only", "", "run a single experiment")
 	gpus := flag.Int("gpus", 2, "hybrid experiment: simulated GPU count")
 	cpuAggs := flag.Int("cpu-aggs", 4, "hybrid experiment: PixelBox-CPU aggregator count")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable run record to stdout instead of tables")
-	short := flag.Bool("short", false, "with -json: reduced workload for smoke runs")
 	flag.Parse()
-
-	if *jsonOut {
-		rec, err := benchRecord(*short, *gpus, *cpuAggs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rec); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	want := func(name string) bool {
 		return *only == "" || strings.EqualFold(*only, name)
@@ -97,158 +75,6 @@ func main() {
 	if want("hybrid") {
 		runHybrid(rep, *gpus, *cpuAggs)
 	}
-}
-
-// runRecord is the machine-readable benchmark record emitted by -json: one
-// headline measurement set, stable across PRs, so committed BENCH_PR<n>.json
-// files form a comparable trajectory. Schema changes bump the version.
-type runRecord struct {
-	Schema      string             `json:"schema"`
-	CreatedAt   string             `json:"created_at"`
-	GoVersion   string             `json:"go_version"`
-	GOOS        string             `json:"goos"`
-	GOARCH      string             `json:"goarch"`
-	GOMAXPROCS  int                `json:"gomaxprocs"`
-	Short       bool               `json:"short"`
-	Dataset     string             `json:"dataset"`
-	Tiles       int                `json:"tiles"`
-	Experiments []experimentRecord `json:"experiments"`
-}
-
-// experimentRecord is one timed configuration inside a run record. Values
-// holds the experiment's headline scalars (pairs/sec, similarity, ...) keyed
-// by stable names.
-type experimentRecord struct {
-	Name     string             `json:"name"`
-	WallSecs float64            `json:"wall_secs"`
-	Values   map[string]float64 `json:"values"`
-}
-
-const benchSchema = "sccg-bench/1"
-
-// benchRecord times the pipeline's three canonical configurations (GPU-only,
-// CPU-only, hybrid work-stealing) over the representative dataset and the
-// bare PixelBox kernel over the §5.2 subset pairs. Similarity must be
-// bit-identical across pipeline configurations — the record carries it per
-// experiment plus a bit_identical flag so a trajectory diff catches both
-// performance and correctness drift.
-func benchRecord(short bool, gpus, cpuAggs int) (*runRecord, error) {
-	spec := pathology.Representative()
-	d := pathology.Generate(spec)
-	if short && len(d.Pairs) > 4 {
-		d.Pairs = d.Pairs[:4]
-	}
-	rec := &runRecord{
-		Schema:     benchSchema,
-		CreatedAt:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Short:      short,
-		Dataset:    spec.Name,
-		Tiles:      len(d.Pairs),
-	}
-	tasks := pipeline.EncodeDataset(d)
-
-	configs := []struct {
-		name string
-		cfg  pipeline.Config
-	}{
-		{"pipeline_gpu", pipeline.Config{Devices: gpu.NewDevices(1, gpu.GTX580())}},
-		{"pipeline_cpu", pipeline.Config{}},
-		{"pipeline_hybrid", pipeline.Config{
-			Devices:        gpu.NewDevices(gpus, gpu.GTX580()),
-			CPUAggregators: cpuAggs,
-			BatchPairs:     256,
-		}},
-	}
-	var baseSim float64
-	identical := 1.0
-	for i, c := range configs {
-		res, err := pipeline.Run(tasks, c.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", c.name, err)
-		}
-		secs := res.Stats.WallTime.Seconds()
-		if i == 0 {
-			baseSim = res.Similarity
-		} else if res.Similarity != baseSim {
-			identical = 0
-		}
-		rec.Experiments = append(rec.Experiments, experimentRecord{
-			Name:     c.name,
-			WallSecs: secs,
-			Values: map[string]float64{
-				"pairs_filtered": float64(res.Stats.PairsFiltered),
-				"pairs_per_sec":  float64(res.Stats.PairsFiltered) / secs,
-				"pairs_gpu":      float64(res.Stats.PairsOnGPU),
-				"pairs_cpu":      float64(res.Stats.PairsOnCPU),
-				"similarity":     res.Similarity,
-			},
-		})
-	}
-	rec.Experiments = append(rec.Experiments, experimentRecord{
-		Name:   "pipeline_invariants",
-		Values: map[string]float64{"similarity_bit_identical": identical},
-	})
-
-	// The bare kernel over the subset workload: PixelBox on the device model
-	// vs PixelBox-CPU, no pipeline around them.
-	subTiles := 3
-	if short {
-		subTiles = 2
-	}
-	pairs := subset(d, subTiles)
-	start := time.Now()
-	_, _, devSecs := pixelbox.RunGPU(gpu.NewDevice(gpu.GTX580()), pairs, pixelbox.Config{})
-	gpuSecs := time.Since(start).Seconds()
-	rec.Experiments = append(rec.Experiments, experimentRecord{
-		Name:     "kernel_pixelbox_gpu",
-		WallSecs: gpuSecs,
-		Values: map[string]float64{
-			"pairs":          float64(len(pairs)),
-			"pairs_per_sec":  float64(len(pairs)) / gpuSecs,
-			"device_seconds": devSecs,
-		},
-	})
-	start = time.Now()
-	pixelbox.RunCPUParallel(pairs, pixelbox.CPUConfig{})
-	cpuSecs := time.Since(start).Seconds()
-	rec.Experiments = append(rec.Experiments, experimentRecord{
-		Name:     "kernel_pixelbox_cpu",
-		WallSecs: cpuSecs,
-		Values: map[string]float64{
-			"pairs":         float64(len(pairs)),
-			"pairs_per_sec": float64(len(pairs)) / cpuSecs,
-		},
-	})
-
-	// Progressive matrix execution over a skewed corpus: how much exact work
-	// the plan-phase bounds avoid, with exactness cross-checked per cell.
-	prog, err := progressiveRecords(short)
-	if err != nil {
-		return nil, fmt.Errorf("matrix experiment: %w", err)
-	}
-	rec.Experiments = append(rec.Experiments, prog...)
-	clus, err := clusterRecords(short)
-	if err != nil {
-		return nil, fmt.Errorf("cluster experiment: %w", err)
-	}
-	rec.Experiments = append(rec.Experiments, clus...)
-	ovh, err := traceOverheadRecords(short)
-	if err != nil {
-		return nil, fmt.Errorf("trace overhead experiment: %w", err)
-	}
-	rec.Experiments = append(rec.Experiments, ovh...)
-	// Interactive isolation under a batch flood: the multi-tenant QoS
-	// scheduler's headline guarantee (PR 10 acceptance bound: p99 ratio < 5).
-	qos, err := qosIsolationRecords(short)
-	if err != nil {
-		return nil, fmt.Errorf("qos experiment: %w", err)
-	}
-	rec.Experiments = append(rec.Experiments, qos...)
-	return rec, nil
 }
 
 func subset(d *pathology.Dataset, tiles int) []pixelbox.Pair {

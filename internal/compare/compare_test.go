@@ -113,7 +113,7 @@ func TestCrossSelfBitIdentical(t *testing.T) {
 	defer sc.Close()
 
 	ds := openDataset(t, s, man.ID)
-	singleID, err := sc.SubmitSource("single", ds.Source())
+	singleID, err := sc.SubmitJob(ds.Source(), sched.JobOpts{Name: "single"})
 	if err != nil {
 		t.Fatalf("submit single: %v", err)
 	}
@@ -126,7 +126,7 @@ func TestCrossSelfBitIdentical(t *testing.T) {
 	if len(match.Pairs) != len(man.Tiles) || len(match.OnlyA) != 0 || len(match.OnlyB) != 0 {
 		t.Fatalf("self match = %d pairs, %d/%d unmatched", len(match.Pairs), len(match.OnlyA), len(match.OnlyB))
 	}
-	crossID, err := sc.SubmitSource("cross", src)
+	crossID, err := sc.SubmitJob(src, sched.JobOpts{Name: "cross"})
 	if err != nil {
 		t.Fatalf("submit cross: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestCrossPartialOverlapComparesIntersection(t *testing.T) {
 	if src.Len() != 2 {
 		t.Fatalf("source Len = %d, want the 2 matched pairs", src.Len())
 	}
-	crossID, err := sc.SubmitSource("partial", src)
+	crossID, err := sc.SubmitJob(src, sched.JobOpts{Name: "partial"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCrossPartialOverlapComparesIntersection(t *testing.T) {
 	// Oracle: the half dataset self-compared (its tiles are the
 	// intersection, and full's set A on those tiles is identical content).
 	halfDS := openDataset(t, s, manHalf.ID)
-	wantID, err := sc.SubmitSource("oracle", halfDS.Source())
+	wantID, err := sc.SubmitJob(halfDS.Source(), sched.JobOpts{Name: "oracle"})
 	if err != nil {
 		t.Fatal(err)
 	}

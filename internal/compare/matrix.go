@@ -656,8 +656,6 @@ func (r *Run) runCell(c *cell, cfg ManagerConfig) {
 			r.maybePrune()
 			return
 		}
-		c.state = CellRunning
-		r.bumpLocked()
 		r.mu.Unlock()
 
 		// Owned means submitted for this run: cache hits attach to a job
@@ -673,6 +671,13 @@ func (r *Run) runCell(c *cell, cfg ManagerConfig) {
 			r.setCellCanceled(c, "matrix canceled")
 			return
 		}
+		// Running is published only once the job is a group member:
+		// maybePrune cancels running cells through the group, and a cancel
+		// for a job the group does not know yet is silently dropped.
+		r.mu.Lock()
+		c.state = CellRunning
+		r.bumpLocked()
+		r.mu.Unlock()
 
 		st, err := cfg.Scheduler.Wait(r.ctx, out.JobID)
 		if err != nil {

@@ -26,7 +26,7 @@ func directSubmit(t *testing.T, s *store.Store, sc *sched.Scheduler, calls *int6
 			return SubmitOutcome{}, err
 		}
 		src, match := NewSource(dsA, dsB)
-		id, err := sc.SubmitSource("cell", src)
+		id, err := sc.SubmitJob(src, sched.JobOpts{Name: "cell"})
 		if err != nil {
 			return SubmitOutcome{}, err
 		}
@@ -104,7 +104,7 @@ func TestMatrixSymmetricAndExact(t *testing.T) {
 			dsA, _ := s.OpenDataset(ids[i])
 			dsB, _ := s.OpenDataset(ids[j])
 			src, _ := NewSource(dsA, dsB)
-			jobID, err := sc.SubmitSource("oracle", src)
+			jobID, err := sc.SubmitJob(src, sched.JobOpts{Name: "oracle"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,14 +216,14 @@ func TestMatrixCellResubmitsAfterExternalCancel(t *testing.T) {
 			if n == 1 {
 				// First attempt: a job that blocks until released, so the
 				// test can cancel it while the cell waits.
-				id, err := sc.SubmitSource("doomed", &gatedSource{release: release, task: task})
+				id, err := sc.SubmitJob(&gatedSource{release: release, task: task}, sched.JobOpts{Name: "doomed"})
 				if err != nil {
 					return SubmitOutcome{}, err
 				}
 				firstJob <- id
 				return SubmitOutcome{JobID: id, Tiles: 1}, nil
 			}
-			id, err := sc.SubmitSource("retry", ds.Source())
+			id, err := sc.SubmitJob(ds.Source(), sched.JobOpts{Name: "retry"})
 			if err != nil {
 				return SubmitOutcome{}, err
 			}
@@ -288,7 +288,7 @@ func TestMatrixCancelCancelsMembers(t *testing.T) {
 		Concurrency: 1, // cells 2 and 3 stay queued behind the gated cell
 		Submit: func(idA, idB, _ string) (SubmitOutcome, error) {
 			atomic.AddInt64(&submitted, 1)
-			id, err := sc.SubmitSource("gated", &gatedSource{release: release, task: task})
+			id, err := sc.SubmitJob(&gatedSource{release: release, task: task}, sched.JobOpts{Name: "gated"})
 			if err != nil {
 				return SubmitOutcome{}, err
 			}

@@ -102,9 +102,9 @@ func TestBoundPairSoundness(t *testing.T) {
 
 func mustSubmit(t *testing.T, sc *sched.Scheduler, src sched.TaskSource) string {
 	t.Helper()
-	id, err := sc.SubmitSource("oracle", src)
+	id, err := sc.SubmitJob(src, sched.JobOpts{Name: "oracle"})
 	if err != nil {
-		t.Fatalf("SubmitSource: %v", err)
+		t.Fatalf("SubmitJob: %v", err)
 	}
 	return id
 }
@@ -353,7 +353,7 @@ func TestMatrixPrunesInFlightCells(t *testing.T) {
 	// A gated blocker occupies the scheduler's single runner, so the
 	// victim's job stays Queued — and a queued job finalizes the moment the
 	// group cancels it, making the prune observable without draining races.
-	if _, err := sc.SubmitSource("blocker", &gatedSource{release: release, task: task}); err != nil {
+	if _, err := sc.SubmitJob(&gatedSource{release: release, task: task}, sched.JobOpts{Name: "blocker"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -372,7 +372,7 @@ func TestMatrixPrunesInFlightCells(t *testing.T) {
 			switch b {
 			case idC:
 				// The prune victim: queued behind the blocker.
-				id, err := sc.SubmitSource("victim", ds.Source())
+				id, err := sc.SubmitJob(ds.Source(), sched.JobOpts{Name: "victim"})
 				if err != nil {
 					return SubmitOutcome{}, err
 				}

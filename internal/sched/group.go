@@ -77,15 +77,11 @@ type GroupStatus struct {
 	Terminal bool `json:"terminal"`
 }
 
-// NewGroup creates an empty job group and registers it with the scheduler so
-// observers (the server's group-aware /metrics scrape) can enumerate groups
-// without holding the creator's handle. name is an optional label surfaced
-// in the status.
-func (s *Scheduler) NewGroup(name string) *Group { return s.NewGroupFor(name, "") }
-
-// NewGroupFor is NewGroup with a tenant identity: the group's member jobs
-// are the tenant's work, and the group status carries the name so dashboards
-// and the slow-query log can attribute a whole matrix run.
+// NewGroupFor creates an empty job group and registers it with the scheduler
+// so observers (the server's group-aware /metrics scrape) can enumerate
+// groups without holding the creator's handle. name is an optional label
+// surfaced in the status; tenant ("" for none) attributes the group's member
+// jobs, so dashboards and the slow-query log can attribute a whole matrix run.
 func (s *Scheduler) NewGroupFor(name, tenant string) *Group {
 	g := &Group{s: s, name: name, tenant: tenant, created: time.Now()}
 	g.id = fmt.Sprintf("grp-%06d", atomic.AddInt64(&s.nextGroup, 1))

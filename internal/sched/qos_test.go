@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pipeline"
 )
 
 // queueJob builds a minimal queued job for white-box banded-queue tests.
@@ -175,22 +177,34 @@ func TestReservedSlotDequeuesInteractiveOnly(t *testing.T) {
 	}
 }
 
-// startFiller submits a multi-tile job and blocks until it is running, so
-// subsequent submissions stay queued behind the busy slot.
-func startFiller(t *testing.T, s *Scheduler) string {
+// gatedSource serves real tiles but blocks every read until release is
+// closed, so a job over it holds its slot for exactly as long as a test needs.
+type gatedSource struct {
+	tasks   []pipeline.FileTask
+	release chan struct{}
+}
+
+func (g *gatedSource) Len() int           { return len(g.tasks) }
+func (g *gatedSource) Weight(i int) int64 { return 1 }
+func (g *gatedSource) Task(i int) (pipeline.FileTask, error) {
+	<-g.release
+	return g.tasks[i], nil
+}
+
+// startFiller submits a job and blocks until it is running, so subsequent
+// submissions stay queued behind the busy slot. The job cannot finish until
+// release is called (a real job could, mid-test, and free the slot).
+func startFiller(t *testing.T, s *Scheduler) (id string, release func()) {
 	t.Helper()
-	id, err := s.Submit("filler", testTasks(t, 4))
+	src := &gatedSource{tasks: testTasks(t, 1), release: make(chan struct{})}
+	id, err := s.SubmitJob(src, JobOpts{Name: "filler"})
 	if err != nil {
 		t.Fatalf("submit filler: %v", err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st, ok := s.Job(id)
-		if ok && st.State == Running {
-			return id
-		}
-		if ok && st.State.Terminal() {
-			t.Fatalf("filler finished (%s) before anything queued behind it", st.State)
+		if st, ok := s.Job(id); ok && st.State == Running {
+			return id, func() { close(src.release) }
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("filler never started running")
@@ -213,7 +227,8 @@ func TestTenantQueueQuotaExact(t *testing.T) {
 		},
 	})
 	defer s.Close()
-	startFiller(t, s)
+	_, release := startFiller(t, s)
+	defer release()
 
 	tasks := testTasks(t, 1)
 	for i := 0; i < 2; i++ {
@@ -247,7 +262,8 @@ func TestTenantQueueQuotaRace(t *testing.T) {
 		},
 	})
 	defer s.Close()
-	startFiller(t, s)
+	_, release := startFiller(t, s)
+	defer release()
 
 	tasks := testTasks(t, 1)
 	const racers = 8
@@ -294,7 +310,8 @@ func TestCancelQueuedSemantics(t *testing.T) {
 		},
 	})
 	defer s.Close()
-	filler := startFiller(t, s)
+	filler, release := startFiller(t, s)
+	defer release()
 
 	tasks := testTasks(t, 1)
 	queued, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "victim", Tenant: "acme"})

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/metrics"
-	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/pixelbox"
 	"repro/internal/trace"
@@ -85,11 +84,6 @@ type Config struct {
 	TenantQueueLimit func(tenant string) int
 	// Registry, when set, receives per-executor pipeline accounting.
 	Registry *metrics.Registry
-	// NoTrace disables per-job span recording: jobs submitted without a
-	// caller recorder run with no recorder at all (every trace.Recorder
-	// method is nil-safe). Exists to measure tracing's own overhead
-	// (cmd/bench trace_overhead); production keeps it off.
-	NoTrace bool
 }
 
 func (c Config) normalized() Config {
@@ -328,7 +322,7 @@ type job struct {
 }
 
 // Scheduler is the job service's execution core. Create with New, submit
-// with Submit/SubmitDataset, observe with Job/Jobs/DeviceStats, stop with
+// with SubmitJob, observe with Job/Jobs/DeviceStats, stop with
 // Close.
 type Scheduler struct {
 	cfg   Config
@@ -437,29 +431,6 @@ func New(cfg Config) *Scheduler {
 // Config returns the normalized configuration the scheduler runs with.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// Submit enqueues a cross-comparison job over the given tile tasks and
-// returns its ID. name is an optional label surfaced in job listings.
-func (s *Scheduler) Submit(name string, tasks []pipeline.FileTask) (string, error) {
-	if len(tasks) == 0 {
-		return "", ErrEmptyJob
-	}
-	return s.SubmitSource(name, memSource(tasks))
-}
-
-// SubmitSource enqueues a job whose tiles are materialized lazily from src
-// (e.g. handles into a stored dataset). Each shard reads only its own tiles.
-func (s *Scheduler) SubmitSource(name string, src TaskSource) (string, error) {
-	return s.SubmitSourceTraced(name, src, nil)
-}
-
-// SubmitSourceTraced is SubmitSource with a caller-provided span recorder,
-// for callers that already spent traceable time on the job before submission
-// (the server records pin/materialize spans while resolving stored datasets).
-// A nil recorder gets a fresh one, so every job carries a trace.
-func (s *Scheduler) SubmitSourceTraced(name string, src TaskSource, rec *trace.Recorder) (string, error) {
-	return s.SubmitJob(src, JobOpts{Name: name, Trace: rec})
-}
-
 // JobOpts qualifies a SubmitJob submission.
 type JobOpts struct {
 	// Name is an optional label surfaced in job listings.
@@ -468,15 +439,20 @@ type JobOpts struct {
 	Band Band
 	// Tenant is the accounting identity; empty means the default tenant.
 	Tenant string
-	// Trace is an optional caller-provided span recorder.
+	// Trace is an optional caller-provided span recorder, for callers that
+	// already spent traceable time on the job before submission (the server
+	// records pin/materialize spans while resolving stored datasets). A nil
+	// recorder gets a fresh one, so every job carries a trace.
 	Trace *trace.Recorder
 }
 
-// SubmitJob enqueues a job with explicit QoS placement: its band picks the
-// weighted-fair queue, its tenant is charged against the per-tenant
-// queued-job quota (ErrTenantQueue when at the cap — checked under the
-// queue lock, so concurrent submits racing one remaining slot resolve to
-// exactly one winner).
+// SubmitJob enqueues a cross-comparison job whose tiles are materialized
+// lazily from src (Tasks wraps in-memory tiles; a stored dataset hands out
+// handles, and each shard reads only its own tiles) and returns its ID. Its
+// band picks the weighted-fair queue, its tenant is charged against the
+// per-tenant queued-job quota (ErrTenantQueue when at the cap — checked
+// under the queue lock, so concurrent submits racing one remaining slot
+// resolve to exactly one winner).
 func (s *Scheduler) SubmitJob(src TaskSource, opts JobOpts) (string, error) {
 	if src == nil || src.Len() == 0 {
 		return "", ErrEmptyJob
@@ -488,7 +464,7 @@ func (s *Scheduler) SubmitJob(src TaskSource, opts JobOpts) (string, error) {
 		opts.Tenant = "default"
 	}
 	rec := opts.Trace
-	if rec == nil && !s.cfg.NoTrace {
+	if rec == nil {
 		rec = trace.NewRecorder()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -654,13 +630,6 @@ func (s *Scheduler) hasWorkLocked(interactiveOnly bool) bool {
 		}
 	}
 	return false
-}
-
-// SubmitDataset generates the dataset described by spec, encodes its tiles,
-// and submits them as one job.
-func (s *Scheduler) SubmitDataset(spec pathology.DatasetSpec) (string, error) {
-	d := pathology.Generate(spec)
-	return s.Submit(spec.Name, pipeline.EncodeDataset(d))
 }
 
 // Cancel requests cancellation of a queued or running job. A queued job is

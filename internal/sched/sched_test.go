@@ -32,7 +32,7 @@ func TestShardsAcrossDevices(t *testing.T) {
 
 	s := New(Config{Devices: 2})
 	defer s.Close()
-	id, err := s.Submit("rep", tasks)
+	id, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "rep"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -71,15 +71,19 @@ func TestShardsAcrossDevices(t *testing.T) {
 }
 
 // TestReportCountersArePerJob guards against leaking the pool devices'
-// cumulative counters into job reports: two identical jobs on one scheduler
-// must report identical launch counts and near-identical device seconds.
+// cumulative counters into job reports: each job's counters start at zero,
+// so a job reports exactly the launches and busy time the devices accrued
+// while it ran — never the first job's on top. (How many launches a job
+// takes depends on steal timing between the devices, so two identical jobs
+// need not report the same count.)
 func TestReportCountersArePerJob(t *testing.T) {
 	tasks := testTasks(t, 4)
 	s := New(Config{Devices: 2})
 	defer s.Close()
-	var reports []pipeline.Result
+	var launchesBefore int64
+	var busyBefore float64
 	for i := 0; i < 2; i++ {
-		id, err := s.Submit("again", tasks)
+		id, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "again"})
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -87,18 +91,25 @@ func TestReportCountersArePerJob(t *testing.T) {
 		if err != nil || st.State != Done {
 			t.Fatalf("Wait = %+v, %v", st.State, err)
 		}
-		reports = append(reports, st.Report)
-	}
-	if reports[0].Stats.KernelLaunches == 0 {
-		t.Fatal("first job reports zero kernel launches")
-	}
-	if reports[1].Stats.KernelLaunches != reports[0].Stats.KernelLaunches {
-		t.Errorf("second identical job reports %d launches, first %d — cumulative device counters leaked",
-			reports[1].Stats.KernelLaunches, reports[0].Stats.KernelLaunches)
-	}
-	if reports[1].Stats.DeviceSeconds > 2*reports[0].Stats.DeviceSeconds {
-		t.Errorf("second job device seconds %.6f vs first %.6f — cumulative busy time leaked",
-			reports[1].Stats.DeviceSeconds, reports[0].Stats.DeviceSeconds)
+		var launches int64
+		var busy float64
+		for _, d := range s.DeviceStats() {
+			launches += d.Launches
+			busy += d.BusySeconds
+		}
+		got := st.Report.Stats
+		if got.KernelLaunches == 0 {
+			t.Fatalf("job %d reports zero kernel launches", i)
+		}
+		if want := launches - launchesBefore; got.KernelLaunches != want {
+			t.Errorf("job %d reports %d launches, the devices ran %d during it — cumulative device counters leaked",
+				i, got.KernelLaunches, want)
+		}
+		if want := busy - busyBefore; math.Abs(got.DeviceSeconds-want) > 1e-9 {
+			t.Errorf("job %d reports %.9f device seconds, the devices were busy %.9f during it — cumulative busy time leaked",
+				i, got.DeviceSeconds, want)
+		}
+		launchesBefore, busyBefore = launches, busy
 	}
 }
 
@@ -106,7 +117,7 @@ func TestCPUOnlyScheduler(t *testing.T) {
 	tasks := testTasks(t, 2)
 	s := New(Config{Devices: 0})
 	defer s.Close()
-	id, err := s.Submit("cpu", tasks)
+	id, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "cpu"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -127,11 +138,11 @@ func TestCPUOnlyScheduler(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	s := New(Config{Devices: 1})
-	if _, err := s.Submit("empty", nil); err != ErrEmptyJob {
+	if _, err := s.SubmitJob(Tasks(nil), JobOpts{Name: "empty"}); err != ErrEmptyJob {
 		t.Errorf("Submit(nil) err = %v, want ErrEmptyJob", err)
 	}
 	s.Close()
-	if _, err := s.Submit("late", testTasks(t, 1)); err != ErrClosed {
+	if _, err := s.SubmitJob(Tasks(testTasks(t, 1)), JobOpts{Name: "late"}); err != ErrClosed {
 		t.Errorf("Submit after Close err = %v, want ErrClosed", err)
 	}
 }
@@ -141,11 +152,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	// (deliberately large) runs, so canceling it is race-free in practice.
 	s := New(Config{Devices: 1})
 	defer s.Close()
-	first, err := s.Submit("long", testTasks(t, 12))
+	first, err := s.SubmitJob(Tasks(testTasks(t, 12)), JobOpts{Name: "long"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	second, err := s.Submit("victim", testTasks(t, 2))
+	second, err := s.SubmitJob(Tasks(testTasks(t, 2)), JobOpts{Name: "victim"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -175,7 +186,7 @@ func TestJobsListingOrder(t *testing.T) {
 	defer s.Close()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := s.Submit("j", testTasks(t, 1))
+		id, err := s.SubmitJob(Tasks(testTasks(t, 1)), JobOpts{Name: "j"})
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -300,9 +311,9 @@ func TestJobsNotBlockedBySlowSharding(t *testing.T) {
 		started: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	id, err := s.SubmitSource("slow-shard", src)
+	id, err := s.SubmitJob(src, JobOpts{Name: "slow-shard"})
 	if err != nil {
-		t.Fatalf("SubmitSource: %v", err)
+		t.Fatalf("SubmitJob: %v", err)
 	}
 	select {
 	case <-src.started:
@@ -342,9 +353,9 @@ func TestCancelDuringSharding(t *testing.T) {
 		started: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	id, err := s.SubmitSource("cancel-shard", src)
+	id, err := s.SubmitJob(src, JobOpts{Name: "cancel-shard"})
 	if err != nil {
-		t.Fatalf("SubmitSource: %v", err)
+		t.Fatalf("SubmitJob: %v", err)
 	}
 	select {
 	case <-src.started:
@@ -374,19 +385,19 @@ func TestGroupCancelMember(t *testing.T) {
 	defer s.Close()
 	// A deliberately large first job keeps the later ones queued so their
 	// cancellation is race-free.
-	blocker, err := s.Submit("blocker", testTasks(t, 12))
+	blocker, err := s.SubmitJob(Tasks(testTasks(t, 12)), JobOpts{Name: "blocker"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	owned, err := s.Submit("owned", testTasks(t, 1))
+	owned, err := s.SubmitJob(Tasks(testTasks(t, 1)), JobOpts{Name: "owned"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	shared, err := s.Submit("shared", testTasks(t, 1))
+	shared, err := s.SubmitJob(Tasks(testTasks(t, 1)), JobOpts{Name: "shared"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	g := s.NewGroup("run")
+	g := s.NewGroupFor("run", "")
 	if err := g.Add(owned, true); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
@@ -420,7 +431,7 @@ func TestGroupCancelMember(t *testing.T) {
 func TestWarmStartCarriesThroughput(t *testing.T) {
 	s := New(Config{Devices: 1, Workers: 2})
 	defer s.Close()
-	id, err := s.Submit("warm", testTasks(t, 4))
+	id, err := s.SubmitJob(Tasks(testTasks(t, 4)), JobOpts{Name: "warm"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}

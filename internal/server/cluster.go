@@ -8,10 +8,10 @@ package server
 // Trust model: nothing a peer serves is taken at face value. Manifests must
 // fold back to their content address and segments are digest-verified
 // tile-by-tile before publish (both inside store.Import / cluster.Node);
-// result payloads must carry the expected cache key and pass the same
-// structural validation the persisted disk layer applies to its own entries
-// (validateEntry re-folds the tile partials exactly). An invalid answer is
-// treated as a peer failure: skipped, logged, never served.
+// result payloads enter through resultStore.adopt, which requires the
+// expected key and the exact tile-partial re-fold it requires of its own disk
+// files. An invalid answer is treated as a peer failure: skipped, logged,
+// never served.
 
 import (
 	"context"
@@ -25,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compare"
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
 	"repro/internal/querylog"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -44,23 +43,6 @@ const (
 	// per-tile partials, still far below this).
 	maxClusterResultBytes = 64 << 20
 )
-
-// clusterResult is the wire form of one finished comparison exchanged
-// between peers: the persisted-cache entry shape plus a cached flag, so the
-// receiver can validate it exactly like a local disk entry and adopt it into
-// its own cache layers.
-type clusterResult struct {
-	Key    string          `json:"key"`
-	Name   string          `json:"name,omitempty"`
-	Cross  *CrossPayload   `json:"cross,omitempty"`
-	Saved  time.Time       `json:"saved"`
-	Cached bool            `json:"cached,omitempty"`
-	Report pipeline.Result `json:"report"`
-	// Trace carries the serving node's spans for this request so the caller
-	// can splice them into its own picture. Validation ignores it — a trace
-	// is observability, never trusted data.
-	Trace *trace.Trace `json:"trace,omitempty"`
-}
 
 // clusterCompareRequest asks a peer to compute (or answer from cache) one
 // pairwise comparison on the caller's behalf.
@@ -137,9 +119,9 @@ func (s *Server) handleClusterSegment(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClusterResult answers a peer's cache probe from this node's own
-// result layers only — live LRU, then persisted reports. It never forwards
-// to other peers: the requester walks the owner ranking itself, so one probe
-// can never fan out into a cluster-wide recursion.
+// result store only. It never forwards to other peers: the requester walks
+// the owner ranking itself, so one probe can never fan out into a
+// cluster-wide recursion. A job still in flight is not an answer.
 func (s *Server) handleClusterResult(w http.ResponseWriter, r *http.Request) {
 	a, b := r.PathValue("a"), r.PathValue("b")
 	if !store.ValidateID(a) || !store.ValidateID(b) {
@@ -148,41 +130,20 @@ func (s *Server) handleClusterResult(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := peerRecorder(r)
 	start := time.Now()
-	res, ok := s.localResult(crossKey(a, b))
+	_, e, _ := s.results.lookup(crossKey(a, b))
 	rec.Add("serve_result", a[:12]+"/"+b[:12], start, time.Now())
-	if !ok {
+	if e == nil {
 		s.fail(w, http.StatusNotFound, errors.New("no cached result"))
 		return
 	}
 	// Only the probe's own serving spans travel back: the cached report's
 	// original compute trace belongs to a past job, not this call window.
-	res.Trace = rec.Snapshot()
-	writeJSON(w, http.StatusOK, res)
-}
-
-// localResult resolves a cache key against this node's layers without
-// computing or forwarding: a finished live job under the LRU key, or a
-// persisted entry.
-func (s *Server) localResult(key string) (clusterResult, bool) {
-	if id, ok := s.cache.get(key); ok {
-		if st, live := s.sched.Job(id); live && st.State == sched.Done {
-			s.crossMu.Lock()
-			cross := s.crossByJob[id]
-			s.crossMu.Unlock()
-			return clusterResult{Key: key, Name: st.Name, Cross: cross, Saved: st.Finished.UTC(), Cached: true, Report: st.Report}, true
-		}
-	}
-	if s.persist != nil {
-		if e, ok := s.persist.get(key); ok {
-			return clusterResult{Key: e.Key, Name: e.Name, Cross: e.Cross, Saved: e.Saved, Cached: true, Report: e.Report}, true
-		}
-	}
-	return clusterResult{}, false
+	writeJSON(w, http.StatusOK, peerResult{resultEntry: *e, Cached: true, Trace: rec.Snapshot()})
 }
 
 // handleClusterCompare computes — or answers from cache — one pairwise
 // comparison on behalf of a peer: the receiving end of matrix cell routing.
-// It runs the full submission path (cache layers, peer-pull of missing
+// It runs the full submission path (result store, peer-pull of missing
 // datasets, persistence) and blocks until the result is terminal.
 func (s *Server) handleClusterCompare(w http.ResponseWriter, r *http.Request) {
 	var req clusterCompareRequest
@@ -203,15 +164,15 @@ func (s *Server) handleClusterCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	key := crossKey(req.DatasetA, req.DatasetB)
 	if sub.report != nil {
-		// A cache layer answered terminal-immediately: synthesize the one
+		// The result store answered terminal-immediately: synthesize the one
 		// span that happened here (the cache probe) so the caller's splice
 		// still shows where the answer came from.
 		rec := trace.NewRecorderFrom(parent)
 		rec.Add("cache", sub.outcome, time.Now(), time.Now())
-		writeJSON(w, http.StatusOK, clusterResult{
-			Key: key, Name: sub.resp.Name, Cross: sub.cross,
-			Saved: time.Now().UTC(), Cached: true, Report: *sub.report,
-			Trace: rec.Snapshot(),
+		writeJSON(w, http.StatusOK, peerResult{
+			resultEntry: resultEntry{Key: key, Name: sub.resp.Name, Cross: sub.resp.Cross,
+				Saved: time.Now().UTC(), Report: *sub.report},
+			Cached: true, Trace: rec.Snapshot(),
 		})
 		return
 	}
@@ -228,25 +189,11 @@ func (s *Server) handleClusterCompare(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, errors.New(msg))
 		return
 	}
-	writeJSON(w, http.StatusOK, clusterResult{
-		Key: key, Name: st.Name, Cross: sub.cross,
-		Saved: st.Finished.UTC(), Cached: sub.resp.Cached, Report: st.Report,
-		Trace: st.Trace,
+	writeJSON(w, http.StatusOK, peerResult{
+		resultEntry: resultEntry{Key: key, Name: st.Name, Cross: sub.resp.Cross,
+			Saved: st.Finished.UTC(), Report: st.Report},
+		Cached: sub.resp.Cached, Trace: st.Trace,
 	})
-}
-
-// validateClusterResult holds a peer's result payload to the persisted
-// layer's standard: expected key, structural consistency, exact tile-partial
-// re-fold. Returns the entry ready for local adoption.
-func validateClusterResult(res *clusterResult, wantKey string) (*persistEntry, error) {
-	if res.Key != wantKey {
-		return nil, fmt.Errorf("peer result carries key for a different comparison")
-	}
-	e := &persistEntry{Key: res.Key, Name: res.Name, Cross: res.Cross, Saved: res.Saved, Report: res.Report}
-	if err := validateEntry(e); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // observeRemoteSpan times one cross-node leg (peer pull, remote compare,
@@ -313,9 +260,9 @@ func (s *Server) ensureLocal(rec *trace.Recorder, tenantName string, ids ...stri
 
 // remoteResult is the cluster-wide read-through layer beneath the local
 // cache: ask the live peers, owner-ranked, whether one already holds the
-// finished report for key. A hit is adopted into the local persisted layer
-// (best-effort; the keep gate may decline entries for datasets not held
-// here) and served exactly like a persisted hit.
+// finished report for key. A hit is adopted into the local result store
+// (best-effort; the liveness gate declines entries for datasets not held
+// here) and served exactly like a durable hit.
 func (s *Server) remoteResult(key, tenantName string, parent trace.Context) (submission, bool) {
 	ids := keyDatasetIDs(key)
 	if len(ids) == 0 {
@@ -330,16 +277,16 @@ func (s *Server) remoteResult(key, tenantName string, parent trace.Context) (sub
 		ctx, cancel := context.WithTimeout(tenant.WithContext(
 			trace.WithContext(context.Background(), rec.Context()), tenantName), clusterResultTimeout)
 		start := time.Now()
-		var res clusterResult
+		var res peerResult
 		err := s.cluster.GetJSON(ctx, hop.Peer, "/internal/results/"+a+"/"+b, &res, maxClusterResultBytes)
 		cancel()
 		end := time.Now()
 		if err != nil {
 			continue // miss or peer failure; a lower-ranked peer may still answer
 		}
-		e, verr := validateClusterResult(&res, key)
-		if verr != nil {
-			s.log.Warn("discarding invalid peer result", "peer", hop.Addr, "err", verr)
+		e, err := s.results.adopt(res.resultEntry, key)
+		if err != nil {
+			s.log.Warn("discarding invalid peer result", "peer", hop.Addr, "err", err)
 			continue
 		}
 		rec.Add("cluster", "remote result "+a[:12], start, end)
@@ -347,14 +294,10 @@ func (s *Server) remoteResult(key, tenantName string, parent trace.Context) (sub
 		s.observeRemoteSpan("remote_result", start)
 		s.cacheHits.Inc()
 		s.remoteHits.Inc()
-		s.touchKey(key)
-		if s.persist != nil {
-			_ = s.persist.put(e)
-		}
-		resp := persistedResponse(key, e)
-		resp.Trace = rec.Snapshot()
-		return submission{resp: resp, code: http.StatusOK, report: &e.Report, cross: e.Cross,
-			outcome: querylog.OutcomeCluster, peer: hop.Addr}, true
+		sub := entrySubmission(e, querylog.OutcomeCluster)
+		sub.resp.Trace = rec.Snapshot()
+		sub.peer = hop.Addr
+		return sub, true
 	}
 	return submission{}, false
 }
@@ -376,7 +319,7 @@ func (s *Server) remoteCell(idA, idB, tenantName string) (compare.SubmitOutcome,
 		ctx, cancel := context.WithTimeout(tenant.WithContext(
 			trace.WithContext(context.Background(), rec.Context()), tenantName), clusterCompareTimeout)
 		start := time.Now()
-		var res clusterResult
+		var res peerResult
 		err := s.cluster.PostJSON(ctx, hop.Peer, "/internal/compare",
 			clusterCompareRequest{DatasetA: idA, DatasetB: idB}, &res, maxClusterResultBytes)
 		cancel()
@@ -385,35 +328,26 @@ func (s *Server) remoteCell(idA, idB, tenantName string) (compare.SubmitOutcome,
 			s.log.Warn("routed cell failed on peer", "peer", hop.Addr, "err", err)
 			continue
 		}
-		e, verr := validateClusterResult(&res, key)
-		if verr != nil {
-			s.log.Warn("discarding invalid peer cell result", "peer", hop.Addr, "err", verr)
+		if res.Cross != nil && (res.Cross.DatasetA != idA || res.Cross.DatasetB != idB) {
+			s.log.Warn("peer cell result names wrong datasets", "peer", hop.Addr)
 			continue
 		}
-		if e.Cross != nil && (e.Cross.DatasetA != idA || e.Cross.DatasetB != idB) {
-			s.log.Warn("peer cell result names wrong datasets", "peer", hop.Addr)
+		e, err := s.results.adopt(res.resultEntry, key)
+		if err != nil {
+			s.log.Warn("discarding invalid peer cell result", "peer", hop.Addr, "err", err)
 			continue
 		}
 		rec.Add("cluster", "remote cell "+idA[:12]+"/"+idB[:12], start, end)
 		rec.Splice(hop.Addr, res.Trace, start, end)
 		s.observeRemoteSpan("remote_compare", start)
 		s.routedCells.Inc()
-		s.touchKey(key)
-		if s.persist != nil {
-			_ = s.persist.put(e)
+		outcome := querylog.OutcomeComputed
+		if res.Cached {
+			outcome = querylog.OutcomeCluster
 		}
-		out := compare.SubmitOutcome{Cached: res.Cached, Report: &e.Report,
-			Tiles: e.Report.Stats.TilesProcessed, Trace: rec.Snapshot()}
-		if e.Cross != nil {
-			out.Tiles = e.Cross.MatchedTiles
-			out.UnmatchedA = e.Cross.UnmatchedA
-			out.UnmatchedB = e.Cross.UnmatchedB
-		}
+		out := cellOutcome(entrySubmission(e, outcome))
+		out.Cached, out.Trace = res.Cached, rec.Snapshot()
 		if s.qlog != nil {
-			outcome := querylog.OutcomeComputed
-			if res.Cached {
-				outcome = querylog.OutcomeCluster
-			}
 			s.qlog.Append(querylog.Record{
 				Kind:    querylog.KindCell,
 				ID:      idA[:12] + "/" + idB[:12],

@@ -223,18 +223,10 @@ func TestPersistedCacheAcrossRestart(t *testing.T) {
 	if first.State != "done" {
 		t.Fatalf("job ended %s: %s", first.State, first.Error)
 	}
-	// The persister runs asynchronously after the job completes.
+	// The persister runs asynchronously after the job completes; only the
+	// renamed .json counts — its temp file appears in the directory first.
+	waitPersisted(t, dir, 1)
 	cacheDir := filepath.Join(dir, "cache")
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if entries, _ := os.ReadDir(cacheDir); len(entries) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no persisted cache entry appeared")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 
 	// "Restart": a fresh scheduler and server over the same directory.
 	st2 := testStoreAt(t, dir)

@@ -286,7 +286,7 @@ func (s *Server) handleReadTile(w http.ResponseWriter, r *http.Request) {
 // handleDeleteDataset removes a dataset. A dataset pinned by a queued or
 // running job conflicts (409); ?force=true deletes it anyway, failing the
 // jobs holding it with a clear "dataset deleted during job" error. Either
-// way the delete cascades through the result layers via the store's hook.
+// way the delete cascades through the result store via the store's hook.
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
 	if !s.requireStore(w) {
 		return

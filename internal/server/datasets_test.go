@@ -195,7 +195,7 @@ func TestSpecJobSharesContentCache(t *testing.T) {
 		t.Fatalf("dataset_id job = %d %+v, want content-hash cache hit on %s", resp.StatusCode, cached, job.ID)
 	}
 
-	// And so is a repeat of the spec itself (resolved through specIDs).
+	// And so is a repeat of the spec itself (resolved through the spec alias).
 	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
 	var repeat JobResponse
 	if err := json.Unmarshal(body, &repeat); err != nil {

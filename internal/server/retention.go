@@ -4,16 +4,16 @@ package server
 // retention engine into the request path.
 //
 //	POST   /gc      run one retention sweep now, report what it evicted
-//	DELETE /cache   empty the result cache (in-memory LRU + persisted layer)
+//	DELETE /cache   empty the result store (live + durable tiers)
 //
 // Two invariants are enforced here rather than in the engine, so they hold
 // for every delete path (HTTP DELETE, forced deletes, retention sweeps):
 //
 //   - Cascade: the store's delete hook routes through dropDatasetResults,
-//     which removes the dataset's live LRU entries, its persisted report
-//     entries (single and cross), and any spec alias resolving to it — a
-//     deleted dataset's results are never served again, and a re-submitted
-//     spec falls back to re-materialization.
+//     which has the result store drop everything referencing the dataset
+//     (resultStore.dropDataset) — a deleted dataset's results are never
+//     served again, and a re-submitted spec falls back to
+//     re-materialization.
 //   - Pinning: every store-backed job submission pins its datasets first
 //     (Pin fails if the dataset is already gone, closing the race with a
 //     concurrent sweep) and wraps the task source so the scheduler unpins
@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 
 	"repro/internal/compare"
@@ -33,38 +32,12 @@ import (
 	"repro/internal/store"
 )
 
-// keyDatasetIDs returns the dataset content IDs a result-cache key
-// references: one for a single-dataset key, two for a cross key, none for
-// request-hash keys (uploads, storeless spec jobs).
-func keyDatasetIDs(key string) []string {
-	if rest, ok := strings.CutPrefix(key, "dataset\x00"); ok {
-		return []string{rest}
-	}
-	if rest, ok := strings.CutPrefix(key, "cross\x00"); ok {
-		if a, b, ok := strings.Cut(rest, "\x00"); ok {
-			return []string{a, b}
-		}
-	}
-	return nil
-}
-
 // dropDatasetResults is the store's delete hook: cascade a dataset removal
-// through every result layer so no path — DELETE /datasets, a forced delete,
+// through the result store so no path — DELETE /datasets, a forced delete,
 // a retention eviction — leaves reports behind for data that no longer
 // exists.
 func (s *Server) dropDatasetResults(id string) {
-	n := s.cache.dropWhere(func(key, _ string) bool {
-		for _, ref := range keyDatasetIDs(key) {
-			if ref == id {
-				return true
-			}
-		}
-		return false
-	})
-	n += s.specIDs.dropWhere(func(_, dsID string) bool { return dsID == id })
-	if s.persist != nil {
-		n += s.persist.dropDataset(id)
-	}
+	n := s.results.dropDataset(id)
 	// Heat is an access rollup for data that exists; a deleted dataset's
 	// history goes with it (records in the query log itself remain — the log
 	// is an audit trail, not a cache).
@@ -189,15 +162,9 @@ func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sw)
 }
 
-// handleClearCache empties both result-cache layers: the in-memory LRU and
-// the persisted reports on disk. Spec aliases are kept — they point at live
-// datasets, and dataset deletion is what invalidates them.
+// handleClearCache empties the result store's live and durable tiers.
 func (s *Server) handleClearCache(w http.ResponseWriter, r *http.Request) {
-	lru := s.cache.clear()
-	persisted := 0
-	if s.persist != nil {
-		persisted = s.persist.clear()
-	}
+	lru, persisted := s.results.clear()
 	writeJSON(w, http.StatusOK, map[string]int{
 		"lru_dropped":       lru,
 		"persisted_dropped": persisted,

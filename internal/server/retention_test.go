@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -292,7 +293,7 @@ func TestForceDeleteMidJobFailsClearly(t *testing.T) {
 	if err := srv.pinDatasets(man.ID); err != nil {
 		t.Fatal(err)
 	}
-	id, err := sc.SubmitSource("doomed", wrapPinned(st, gated, man.ID))
+	id, err := sc.SubmitJob(wrapPinned(st, gated, man.ID), sched.JobOpts{Name: "doomed"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestConcurrentSweepVsRunningJob(t *testing.T) {
 	if err := srv.pinDatasets(man.ID); err != nil {
 		t.Fatal(err)
 	}
-	id, err := sc.SubmitSource("swept", wrapPinned(st, gated, man.ID))
+	id, err := sc.SubmitJob(wrapPinned(st, gated, man.ID), sched.JobOpts{Name: "swept"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,8 +492,8 @@ func TestCacheAdminAndGC(t *testing.T) {
 
 // TestPersistGateBlocksDeletedDataset: a report persister that loses the
 // race with a dataset delete (the job's pin releases at its terminal state,
-// *before* the report persists) must not insert behind the cascade — the
-// put gate checks dataset liveness under the same mutex the cascade takes.
+// *before* the report persists) must not insert behind the cascade — adopt's
+// gate checks dataset liveness under the same mutex the cascade takes.
 func TestPersistGateBlocksDeletedDataset(t *testing.T) {
 	dir := t.TempDir()
 	st := testStoreAt(t, dir)
@@ -502,69 +503,64 @@ func TestPersistGateBlocksDeletedDataset(t *testing.T) {
 	if err := st.Delete(man.ID); err != nil {
 		t.Fatal(err)
 	}
-	// What persistWhenDone would do after the delete won the race.
-	if err := srv.persist.put(&persistEntry{Key: datasetKey(man.ID), Saved: time.Now().UTC()}); err != nil {
+	// What finishWhenDone would do after the delete won the race.
+	key := datasetKey(man.ID)
+	if _, err := srv.results.adopt(resultEntry{Key: key, Saved: time.Now().UTC()}, key); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := srv.persist.get(datasetKey(man.ID)); ok {
-		t.Fatal("persist layer stored a report for a deleted dataset")
+	if _, _, ok := srv.results.lookup(key); ok {
+		t.Fatal("result store kept a report for a deleted dataset")
 	}
 	if n := persistedFiles(t, dir); n != 0 {
 		t.Fatalf("%d entry file(s) written for a deleted dataset", n)
 	}
 	// Cross keys referencing the deleted dataset are gated too.
 	other := ingestSpec(t, st, "gate-other", 32, 1)
-	if err := srv.persist.put(&persistEntry{Key: crossKey(other.ID, man.ID), Saved: time.Now().UTC()}); err != nil {
+	key = crossKey(other.ID, man.ID)
+	if _, err := srv.results.adopt(resultEntry{Key: key, Saved: time.Now().UTC()}, key); err != nil {
 		t.Fatal(err)
 	}
-	if srv.persist.len() != 0 {
+	if _, durable := srv.results.counts(); durable != 0 {
 		t.Fatal("cross entry referencing a deleted dataset was stored")
 	}
 }
 
-// TestReportDiskEntryBound: the persisted layer LRU-bounds its entries at
-// put time and re-enforces the cap over preexisting entries at boot.
+// TestReportDiskEntryBound: the durable tier LRU-bounds its entries at adopt
+// time and re-enforces the cap over preexisting entries at boot.
 func TestReportDiskEntryBound(t *testing.T) {
 	dir := t.TempDir()
-	rd, skipped := openReportDisk(dir, 2)
-	if rd == nil || len(skipped) != 0 {
-		t.Fatalf("openReportDisk: %v", skipped)
+	st := testStoreAt(t, dir)
+	rs := newResultStore(128, 2, st, nil, slog.Default())
+	if !rs.persistent() {
+		t.Fatal("no durable tier beside a store")
 	}
 	saved := time.Now().UTC()
 	for i, key := range []string{"k-old", "k-mid", "k-new"} {
-		if err := rd.put(&persistEntry{Key: key, Saved: saved.Add(time.Duration(i) * time.Second)}); err != nil {
+		if _, err := rs.adopt(resultEntry{Key: key, Saved: saved.Add(time.Duration(i) * time.Second)}, key); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond) // strictly ordered put recency
+		time.Sleep(2 * time.Millisecond) // strictly ordered adopt recency
 	}
-	if rd.len() != 2 {
-		t.Fatalf("bounded layer holds %d entries, want 2", rd.len())
+	if _, durable := rs.counts(); durable != 2 {
+		t.Fatalf("bounded tier holds %d entries, want 2", durable)
 	}
-	if _, ok := rd.get("k-old"); ok {
-		t.Error("oldest entry survived the put-time bound")
+	if _, _, ok := rs.lookup("k-old"); ok {
+		t.Error("oldest entry survived the adopt-time bound")
 	}
-	if _, ok := rd.get("k-new"); !ok {
+	if _, _, ok := rs.lookup("k-new"); !ok {
 		t.Error("newest entry was evicted")
 	}
 
-	// Boot over the same directory with a tighter cap: the server enforces
-	// it after loading (and after dropping orphans), which drops down to it.
-	rd2, skipped := openReportDisk(dir, 1)
-	if len(skipped) != 0 {
-		t.Fatalf("reopen skipped: %v", skipped)
+	// Boot over the same directory with a tighter cap: load enforces it after
+	// indexing the files (and after dropping orphans).
+	rs2 := newResultStore(128, 1, st, nil, slog.Default())
+	if _, durable := rs2.counts(); durable != 1 {
+		t.Fatalf("reopened tier holds %d entries, want 1", durable)
 	}
-	rd2.EnforceLimit(1)
-	if rd2.len() != 1 {
-		t.Fatalf("reopened layer holds %d entries, want 1", rd2.len())
+	if _, _, ok := rs2.lookup("k-new"); !ok {
+		t.Error("boot-time bound evicted the newest entry")
 	}
-	files, _ := os.ReadDir(dir)
-	count := 0
-	for _, f := range files {
-		if strings.HasSuffix(f.Name(), ".json") {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Fatalf("%d entry files on disk after bounded reopen, want 1", count)
+	if n := persistedFiles(t, dir); n != 1 {
+		t.Fatalf("%d entry files on disk after bounded reopen, want 1", n)
 	}
 }

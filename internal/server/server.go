@@ -1,9 +1,8 @@
 // Package server exposes the sched job scheduler over HTTP: the API surface
 // of the sccgd daemon. It provides job submission and polling, a synchronous
-// small-comparison endpoint, health and metrics endpoints, and an LRU result
-// cache keyed by dataset-spec hash so repeated cross-comparisons of the same
-// input are answered without recomputation (and without further GPU
-// launches).
+// small-comparison endpoint, health and metrics endpoints, and a result store
+// (results.go) so repeated cross-comparisons of the same input are answered
+// without recomputation (and without further GPU launches).
 //
 //	POST   /jobs                    submit a cross-comparison job
 //	GET    /jobs                    list all jobs
@@ -21,7 +20,7 @@
 //	DELETE /matrix/{id}             cancel a matrix run
 //	POST   /compare                 synchronous compare of two small polygon sets
 //	POST   /gc                      run one retention sweep now
-//	DELETE /cache                   empty the result cache (LRU + persisted)
+//	DELETE /cache                   empty the result store (live + durable tiers)
 //	GET    /metrics                 counters and gauges in Prometheus text format
 //	GET    /healthz                 liveness probe
 //
@@ -31,9 +30,9 @@
 // re-keyed to the content ID, so a later job submitted by dataset_id against
 // the very same polygons hits the same entry — and the ID's content
 // addressing makes the hit exact by construction. Completed cache-keyed
-// reports are additionally persisted as JSON beside the store's manifests
-// and reloaded on boot, so a restarted daemon answers repeats without
-// recompute (see persist.go).
+// reports are additionally written through to JSON files beside the store's
+// manifests and reloaded on boot, so a restarted daemon answers repeats
+// without recompute.
 //
 // Cross-dataset jobs ({"dataset_a", "dataset_b"}) compare dataset_a's set-A
 // polygons against dataset_b's set-B polygons over the tile keys the two
@@ -92,8 +91,8 @@ type CompareFunc func(rawA, rawB []byte) (CompareResult, error)
 
 // Options configures a Server.
 type Options struct {
-	// CacheSize is the LRU result-cache capacity in entries; 0 selects the
-	// default of 128, negative disables caching.
+	// CacheSize is the result store's live-tier (LRU) capacity in entries; 0
+	// selects the default of 128, negative disables caching.
 	CacheSize int
 	// Registry receives the server's counters; one is created when nil.
 	Registry *metrics.Registry
@@ -103,7 +102,7 @@ type Options struct {
 	MaxBodyBytes int64
 	// Store, when set, backs the /datasets endpoints, jobs by dataset_id,
 	// cross-dataset jobs, matrix runs, and content-hash result caching
-	// (including the persisted layer under <store>/cache). Nil disables
+	// (including the durable tier under <store>/cache). Nil disables
 	// them (the endpoints answer 501).
 	Store *store.Store
 	// MatrixConcurrency bounds how many cells of one matrix run are in
@@ -147,14 +146,10 @@ type Options struct {
 type Server struct {
 	sched *sched.Scheduler
 	store *store.Store
-	cache *resultCache
-	// specIDs remembers which content-addressed dataset a generated
-	// spec/corpus request materialized into, so repeats of the spec resolve
-	// to the content-hash cache key without regenerating anything.
-	specIDs *resultCache
-	// persist is the durable content-hash → report layer beneath the LRU;
-	// nil when no store is configured or caching is disabled.
-	persist *reportDisk
+	// results owns every "is this comparison already known?" answer: the
+	// live and durable tiers, spec aliases, and the delete cascade over them
+	// (see results.go).
+	results *resultStore
 	// matrix orchestrates K-way similarity matrix runs; nil without a store.
 	matrix *compare.Manager
 	// retention is the store GC policy engine; nil without a store. Its
@@ -194,13 +189,13 @@ type Server struct {
 	crossMu    sync.Mutex
 	crossByJob map[string]*CrossPayload
 
-	// persistWG tracks in-flight persistWhenDone goroutines so shutdown
-	// can drain them instead of losing half-written cache entries.
-	// persistMu serializes spawning against Drain: once draining, no new
-	// persister may Add from zero concurrently with Wait.
-	persistMu       sync.Mutex
-	persistDraining bool
-	persistWG       sync.WaitGroup
+	// watchWG tracks in-flight finishWhenDone goroutines so shutdown can
+	// drain them instead of losing half-written result entries. watchMu
+	// serializes spawning against Drain: once draining, no new watcher may
+	// Add from zero concurrently with Wait.
+	watchMu  sync.Mutex
+	draining bool
+	watchWG  sync.WaitGroup
 
 	requests    *metrics.Counter
 	submits     *metrics.Counter
@@ -239,8 +234,7 @@ func New(s *sched.Scheduler, opts Options) *Server {
 	srv := &Server{
 		sched:      s,
 		store:      opts.Store,
-		cache:      newResultCache(opts.CacheSize),
-		specIDs:    newResultCache(1024),
+		results:    newResultStore(opts.CacheSize, opts.Retention.CacheMaxEntries, opts.Store, s.Job, opts.Logger),
 		reg:        opts.Registry,
 		log:        opts.Logger,
 		compare:    opts.Compare,
@@ -265,11 +259,15 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		agedOut:     opts.Registry.Counter("sccgd_qos_aged_out_total"),
 		degradedUnc: opts.Registry.Counter("sccgd_qos_degraded_uncached_total"),
 	}
-	opts.Registry.GaugeFunc("sccgd_cache_entries", func() float64 { return float64(srv.cache.len()) })
-	// Scheduler and group metrics render from one snapshot per scrape (a
-	// gauge func per value would rebuild the snapshot for every line) and
-	// merge into the registry's sorted, typed exposition.
+	// Result-store, scheduler and group metrics render from one snapshot
+	// each per scrape (a gauge func per value would rebuild the snapshot for
+	// every line) and merge into the registry's sorted, typed exposition.
 	opts.Registry.OnScrape(func(e *metrics.Emitter) {
+		live, durable := srv.results.counts()
+		e.Gauge("sccgd_cache_entries", float64(live))
+		if srv.results.persistent() {
+			e.Gauge("sccgd_cache_persisted_entries", float64(durable))
+		}
 		st := srv.sched.Stats()
 		e.Gauge("sccgd_jobs_queued", float64(st.Queued))
 		e.Gauge("sccgd_jobs_running", float64(st.Running))
@@ -347,51 +345,12 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		// daemon still knows whose bytes are whose.
 		srv.tusage = tenant.NewRegistry(opts.Store.Dir())
 		opts.Registry.GaugeFunc("sccgd_datasets", func() float64 { return float64(srv.store.Len()) })
-		if opts.CacheSize > 0 {
-			// The durable cache layer lives beside the manifests; corrupt
-			// entries are skipped (and logged), never served.
-			rd, skipped := openReportDisk(filepath.Join(srv.store.Dir(), "cache"), opts.Retention.CacheMaxEntries)
-			for _, err := range skipped {
-				srv.log.Warn("skipped persisted result", "err", err)
-			}
-			srv.persist = rd
-			if rd != nil {
-				opts.Registry.GaugeFunc("sccgd_cache_persisted_entries", func() float64 { return float64(rd.len()) })
-				datasetsLive := func(key string) bool {
-					for _, id := range keyDatasetIDs(key) {
-						if _, ok := srv.store.Get(id); !ok {
-							return false
-						}
-					}
-					return true
-				}
-				// A restart must never resurrect reports for datasets that no
-				// longer exist (a crash can land between a dataset delete and
-				// its cache cascade): drop entries referencing unknown IDs.
-				if dropped := rd.retain(datasetsLive); dropped > 0 {
-					srv.log.Info("dropped persisted results referencing deleted datasets", "count", dropped)
-				}
-				// And gate writes the same way: a persister whose job outlived
-				// its dataset (the pin releases at the terminal state, before
-				// the report persists) must not re-insert behind the cascade.
-				rd.keep = datasetsLive
-				// Only now enforce the entry cap, so orphans never held cap
-				// slots at the expense of live entries.
-				if opts.Retention.CacheMaxEntries > 0 {
-					rd.EnforceLimit(opts.Retention.CacheMaxEntries)
-				}
-			}
-		}
 		// Every delete path — HTTP, forced, retention sweep — cascades
-		// through the result layers via the store's hook.
+		// through the result store via the store's hook.
 		srv.store.SetDeleteHook(srv.dropDatasetResults)
-		var cacheForGC retention.Cache
-		if srv.persist != nil {
-			cacheForGC = srv.persist
-		}
 		srv.retention = retention.New(retention.Config{
 			Store:    srv.store,
-			Cache:    cacheForGC,
+			Cache:    srv.results,
 			Policy:   opts.Retention,
 			Registry: opts.Registry,
 			// Pin-aware queue aging: when the sweep is blocked on pins held
@@ -438,10 +397,10 @@ func (s *Server) Close() {
 // closed (which finalizes every job) — otherwise a persister waiting on a
 // queued job would block Drain indefinitely.
 func (s *Server) Drain() {
-	s.persistMu.Lock()
-	s.persistDraining = true
-	s.persistMu.Unlock()
-	s.persistWG.Wait()
+	s.watchMu.Lock()
+	s.draining = true
+	s.watchMu.Unlock()
+	s.watchWG.Wait()
 	// Only after every in-flight recorder goroutine has appended its record:
 	// Close flushes the heat rollup beside the log so a restarted daemon
 	// answers /datasets/{id}/heat from history, not from zero.
@@ -677,14 +636,6 @@ type JobResponse struct {
 // jobResponse projects a job snapshot to the wire, attaching cross-dataset
 // pairing metadata when the job is a cross comparison.
 func (s *Server) jobResponse(st sched.JobStatus, cached bool) JobResponse {
-	resp := baseJobResponse(st, cached)
-	s.crossMu.Lock()
-	resp.Cross = s.crossByJob[st.ID]
-	s.crossMu.Unlock()
-	return resp
-}
-
-func baseJobResponse(st sched.JobStatus, cached bool) JobResponse {
 	resp := JobResponse{
 		ID:        st.ID,
 		Name:      st.Name,
@@ -710,6 +661,9 @@ func baseJobResponse(st sched.JobStatus, cached bool) JobResponse {
 		resp.Report = reportPayload(st.Report)
 	}
 	resp.Trace = st.Trace
+	s.crossMu.Lock()
+	resp.Cross = s.crossByJob[st.ID]
+	s.crossMu.Unlock()
 	return resp
 }
 
@@ -750,26 +704,18 @@ type submission struct {
 	jobID string
 	// report is the full pipeline result for persisted-cache answers.
 	report *pipeline.Result
-	// cross is the pairing metadata attached to resp, when any.
-	cross *CrossPayload
 	// outcome is the querylog classification of how this submission was
 	// answered (querylog.Outcome*); peer is set for cluster-cache answers.
 	outcome string
 	peer    string
 }
 
-// submitRequest resolves a job request through the cache layers or submits
-// it to the scheduler as the default tenant. On error, submission.code
-// carries the HTTP status.
-func (s *Server) submitRequest(req JobRequest) (submission, error) {
-	return s.submitRequestAs(req, s.tenants.Resolve(""), trace.Context{})
-}
-
-// submitRequestAs is submitRequest under an explicit tenant identity and an
-// incoming trace context: when parent is non-zero (a peer forwarded its
-// traceparent), the job's recorder joins that trace so the spans splice
-// back into the caller's picture. The tenant rides the whole lifecycle —
-// scheduler accounting, query-log records, cluster call headers.
+// submitRequestAs resolves a job request through the result store or submits
+// it to the scheduler under the given tenant identity. On error,
+// submission.code carries the HTTP status. When parent is non-zero (a peer
+// forwarded its traceparent), the job's recorder joins that trace so the
+// spans splice back into the caller's picture. The tenant rides the whole
+// lifecycle — scheduler accounting, query-log records, cluster call headers.
 func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.Context) (submission, error) {
 	reqStart := time.Now()
 	if err := checkRequest(req); err != nil {
@@ -847,31 +793,27 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 		s.crossMu.Unlock()
 	}
 	if key != "" {
-		s.cache.put(key, id)
+		s.results.record(key, id, cross)
 	}
 	// One completion watcher per computed job: it persists the report (when
 	// cache-keyed), appends the query-log record, flags slow queries, and
 	// drops the job's pin-tracking record. The draining check under the
 	// mutex keeps the Add from racing Drain's Wait.
-	if (key != "" && s.persist != nil) || s.qlog != nil || s.slowQuery > 0 || len(mat.pinned) > 0 {
-		persistKey := key
-		if s.persist == nil {
-			persistKey = ""
-		}
-		s.persistMu.Lock()
-		if !s.persistDraining {
-			s.persistWG.Add(1)
+	if (key != "" && s.results.persistent()) || s.qlog != nil || s.slowQuery > 0 || len(mat.pinned) > 0 {
+		s.watchMu.Lock()
+		if !s.draining {
+			s.watchWG.Add(1)
 			go func() {
-				defer s.persistWG.Done()
-				s.finishWhenDone(rec, persistKey, id, name, req, cross)
+				defer s.watchWG.Done()
+				s.finishWhenDone(rec, key, id, name, req, cross)
 			}()
 		}
-		s.persistMu.Unlock()
+		s.watchMu.Unlock()
 	}
 	st, _ := s.sched.Job(id)
 	resp := s.jobResponse(st, false)
 	resp.Degraded = mat.degraded
-	return submission{resp: resp, code: http.StatusAccepted, jobID: id, cross: cross}, nil
+	return submission{resp: resp, code: http.StatusAccepted, jobID: id}, nil
 }
 
 // recordJobSub appends a query-log record for a cache-answered submission
@@ -931,71 +873,53 @@ func traceIDOf(t *trace.Trace) string {
 	return t.TraceID
 }
 
-// resolveCached answers a cache key from the live LRU first, then the
-// persisted layer, then — in clustered mode — the cluster-wide read-through
-// layer (owner peers' caches, see cluster.go). A hit is a use of the
-// underlying datasets: their retention clocks advance, so repeatedly-hit
-// content never TTL-expires out from under its own cache entry.
+// resolveCached answers a cache key from this node's result store, then — in
+// clustered mode — the cluster-wide read-through layer (owner peers' stores,
+// see cluster.go).
 func (s *Server) resolveCached(key, tenantName string, parent trace.Context) (submission, bool) {
-	if sub, ok := s.resolveLocalCached(key); ok {
+	if sub, ok := s.resolveLocal(key); ok {
 		return sub, true
 	}
 	if s.cluster != nil {
-		if sub, ok := s.remoteResult(key, tenantName, parent); ok {
-			return sub, true
-		}
+		return s.remoteResult(key, tenantName, parent)
 	}
 	return submission{}, false
 }
 
-// resolveLocalCached is resolveCached minus the cluster layer: this node's
-// own live LRU and persisted reports.
-func (s *Server) resolveLocalCached(key string) (submission, bool) {
-	if resp, ok := s.cachedResponse(key); ok {
-		s.cacheHits.Inc()
-		s.touchKey(key)
-		return submission{resp: resp, code: http.StatusOK, jobID: resp.ID, cross: resp.Cross,
+// resolveLocal is resolveCached minus the cluster layer. A live-tier hit
+// answers as its job (finished or still in flight); a durable hit as a
+// synthesized done response.
+func (s *Server) resolveLocal(key string) (submission, bool) {
+	job, e, ok := s.results.lookup(key)
+	if !ok {
+		return submission{}, false
+	}
+	s.cacheHits.Inc()
+	if job.ID != "" {
+		return submission{resp: s.jobResponse(job, true), code: http.StatusOK, jobID: job.ID,
 			outcome: querylog.OutcomeCached}, true
 	}
-	if s.persist != nil {
-		if e, ok := s.persist.get(key); ok {
-			s.cacheHits.Inc()
-			s.persistHits.Inc()
-			s.touchKey(key)
-			return submission{resp: persistedResponse(key, e), code: http.StatusOK, report: &e.Report, cross: e.Cross,
-				outcome: querylog.OutcomePersisted}, true
-		}
-	}
-	return submission{}, false
+	s.persistHits.Inc()
+	return entrySubmission(e, querylog.OutcomePersisted), true
 }
 
-// touchKey advances the retention clock of every dataset a cache key
-// references.
-func (s *Server) touchKey(key string) {
-	if s.store == nil {
-		return
-	}
-	for _, id := range keyDatasetIDs(key) {
-		s.store.Touch(id)
-	}
-}
-
-// persistedResponse synthesizes a done job response from a persisted
-// report. The ID is stable for the key but not pollable — the response
-// already carries the full report.
-func persistedResponse(key string, e *persistEntry) JobResponse {
+// entrySubmission answers a submission from a finished entry with no live job
+// behind it (a durable or peer hit). The response ID is stable for the key
+// but not pollable — the response already carries the full report.
+func entrySubmission(e *resultEntry, outcome string) submission {
 	saved := e.Saved
-	return JobResponse{
-		ID:        "cached-" + entryFile(key)[:12],
-		Name:      e.Name,
-		State:     sched.Done.String(),
-		Cached:    true,
-		Submitted: saved,
-		Finished:  &saved,
-		Tiles:     e.Report.Stats.TilesProcessed,
-		Cross:     e.Cross,
-		Report:    reportPayload(e.Report),
-	}
+	return submission{code: http.StatusOK, report: &e.Report, outcome: outcome,
+		resp: JobResponse{
+			ID:        "cached-" + entryFile(e.Key)[:12],
+			Name:      e.Name,
+			State:     sched.Done.String(),
+			Cached:    true,
+			Submitted: saved,
+			Finished:  &saved,
+			Tiles:     e.Report.Stats.TilesProcessed,
+			Cross:     e.Cross,
+			Report:    reportPayload(e.Report),
+		}}
 }
 
 // finishWhenDone waits for a submitted job's terminal state and runs the
@@ -1010,13 +934,12 @@ func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID, name string, re
 	if err != nil {
 		return
 	}
-	if key != "" && st.State == sched.Done {
+	if key != "" && st.State == sched.Done && s.results.persistent() {
 		start := time.Now()
-		e := &persistEntry{Key: key, Name: name, Cross: cross, Saved: time.Now().UTC(), Report: st.Report}
-		perr := s.persist.put(e)
+		_, perr := s.results.adopt(resultEntry{Key: key, Name: name, Cross: cross, Saved: start.UTC(), Report: st.Report}, key)
 		rec.Add("persist", "", start, time.Now())
 		if perr != nil {
-			s.log.Warn("persist result failed", "job_id", jobID, "err", perr)
+			s.log.Warn("job report failed validation, not persisted", "job_id", jobID, "err", perr)
 		}
 	}
 	outcome := querylog.OutcomeComputed
@@ -1048,13 +971,13 @@ func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID, name string, re
 
 // submitCell is the matrix orchestrator's cell submitter: one pairwise
 // cross-dataset job through the full cache-aware submission path. In
-// clustered mode a cell that misses the local cache layers is first offered
+// clustered mode a cell that misses the local result store is first offered
 // to its owner peers (remoteCell), so matrix fan-out spreads across the
 // cluster; only when this node is the best live owner — or every peer
 // failed — does the cell compute locally.
 func (s *Server) submitCell(idA, idB, tenantName string) (compare.SubmitOutcome, error) {
 	if s.cluster != nil {
-		if sub, ok := s.resolveLocalCached(crossKey(idA, idB)); ok {
+		if sub, ok := s.resolveLocal(crossKey(idA, idB)); ok {
 			return cellOutcome(sub), nil
 		}
 		if out, ok := s.remoteCell(idA, idB, tenantName); ok {
@@ -1085,10 +1008,10 @@ func cellOutcome(sub submission) compare.SubmitOutcome {
 		Report: sub.report,
 		Tiles:  sub.resp.Tiles,
 	}
-	if sub.cross != nil {
-		out.Tiles = sub.cross.MatchedTiles
-		out.UnmatchedA = sub.cross.UnmatchedA
-		out.UnmatchedB = sub.cross.UnmatchedB
+	if cross := sub.resp.Cross; cross != nil {
+		out.Tiles = cross.MatchedTiles
+		out.UnmatchedA = cross.UnmatchedA
+		out.UnmatchedB = cross.UnmatchedB
 	}
 	return out
 }
@@ -1109,25 +1032,11 @@ func crossKey(idA, idB string) string {
 	return "cross\x00" + idA + "\x00" + idB
 }
 
-// cachedResponse resolves a cache key to a servable job response. A cached
-// job that failed, was canceled, or vanished is evicted and reported as a
-// miss so the caller recomputes.
-func (s *Server) cachedResponse(key string) (JobResponse, bool) {
-	id, ok := s.cache.get(key)
-	if !ok {
-		return JobResponse{}, false
-	}
-	if st, live := s.sched.Job(id); live && (st.State == sched.Done || !st.State.Terminal()) {
-		return s.jobResponse(st, true), true
-	}
-	s.cache.drop(key)
-	return JobResponse{}, false
-}
-
 // cacheKey resolves a request to its result-cache key without materializing
 // anything. Dataset jobs key on the content hash directly; generated
 // requests whose content address is already known (a previous submission
-// ingested them) resolve through specIDs to the same content key.
+// ingested them) resolve through the result store's spec aliases to the same
+// content key.
 func (s *Server) cacheKey(req JobRequest) string {
 	if req.DatasetID != "" {
 		return datasetKey(req.DatasetID)
@@ -1137,7 +1046,7 @@ func (s *Server) cacheKey(req JobRequest) string {
 	}
 	key := requestKey(req)
 	if s.store != nil && (req.Corpus != "" || req.Spec != nil) {
-		if dsID, ok := s.specIDs.get(key); ok {
+		if dsID, ok := s.results.alias(key); ok {
 			return datasetKey(dsID)
 		}
 	}
@@ -1523,7 +1432,7 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 		if s.store != nil {
 			specKey := requestKey(req)
 			dsID := ""
-			if known, ok := s.specIDs.get(specKey); ok {
+			if known, ok := s.results.alias(specKey); ok {
 				// This spec's content is already stored: skip the
 				// re-encode/re-write that Commit's dedup would discard. Pin
 				// doubles as the liveness check — success means the dataset
@@ -1551,7 +1460,7 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 					// Persist the generated content; on failure the job still
 					// runs, degrading to request-hash caching — but visibly.
 					s.ingests.Inc()
-					s.specIDs.put(specKey, man.ID)
+					s.results.setAlias(specKey, man.ID)
 					if s.tusage != nil {
 						s.tusage.Attribute(who.Name, man.ID, man.SegmentBytes)
 					}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -25,6 +26,9 @@ func newTestServer(t *testing.T, cfg sched.Config, opts Options) (*Server, *sche
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
+		// Completion watchers write result files into the test's TempDir;
+		// they must finish before its cleanup removes the directory.
+		srv.Drain()
 	})
 	return srv, s, ts
 }
@@ -384,32 +388,51 @@ func TestCompareEndpoint(t *testing.T) {
 	}
 }
 
+// TestCacheLRU: the result store's live tier is an LRU over job IDs — a
+// lookup refreshes recency, a slot whose job did not finish cleanly is
+// evicted by the lookup that finds it, and a non-positive capacity disables
+// the tier.
 func TestCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", "job-1")
-	c.put("b", "job-2")
-	c.put("c", "job-3") // evicts a
-	if _, ok := c.get("a"); ok {
+	failed := map[string]bool{}
+	job := func(id string) (sched.JobStatus, bool) {
+		st := sched.JobStatus{ID: id, State: sched.Done}
+		if failed[id] {
+			st.State = sched.Failed
+		}
+		return st, true
+	}
+	get := func(rs *resultStore, key string) (string, bool) {
+		job, _, ok := rs.lookup(key)
+		return job.ID, ok
+	}
+	c := newResultStore(2, 0, nil, job, slog.Default())
+	c.record("a", "job-1", nil)
+	c.record("b", "job-2", nil)
+	c.record("c", "job-3", nil) // evicts a
+	if _, ok := get(c, "a"); ok {
 		t.Error("a survived past capacity")
 	}
-	if id, ok := c.get("b"); !ok || id != "job-2" {
-		t.Errorf("get(b) = %q, %v", id, ok)
+	if id, ok := get(c, "b"); !ok || id != "job-2" {
+		t.Errorf("lookup(b) = %q, %v", id, ok)
 	}
-	c.put("d", "job-4") // evicts c (b was refreshed)
-	if _, ok := c.get("c"); ok {
+	c.record("d", "job-4", nil) // evicts c (b was refreshed)
+	if _, ok := get(c, "c"); ok {
 		t.Error("c survived, want LRU eviction after b refresh")
 	}
-	if _, ok := c.get("b"); !ok {
+	if _, ok := get(c, "b"); !ok {
 		t.Error("b evicted despite being most recently used")
 	}
-	c.drop("b")
-	if _, ok := c.get("b"); ok {
-		t.Error("b survived drop")
+	failed["job-2"] = true
+	if _, ok := get(c, "b"); ok {
+		t.Error("a failed job's slot was served")
 	}
-	disabled := newResultCache(-1)
-	disabled.put("x", "job-9")
-	if _, ok := disabled.get("x"); ok {
-		t.Error("disabled cache stored an entry")
+	if live, _ := c.counts(); live != 1 {
+		t.Errorf("%d live slots after the failed job's eviction, want 1", live)
+	}
+	disabled := newResultStore(-1, 0, nil, job, slog.Default())
+	disabled.record("x", "job-9", nil)
+	if _, ok := get(disabled, "x"); ok {
+		t.Error("disabled live tier stored a slot")
 	}
 }
 

@@ -242,9 +242,9 @@ func TestStoreBackedJobMatchesPipeline(t *testing.T) {
 
 	sc := sched.New(sched.Config{Devices: 2, Workers: 2})
 	defer sc.Close()
-	id, err := sc.SubmitSource(man.Name, ds.Source())
+	id, err := sc.SubmitJob(ds.Source(), sched.JobOpts{Name: man.Name})
 	if err != nil {
-		t.Fatalf("SubmitSource: %v", err)
+		t.Fatalf("SubmitJob: %v", err)
 	}
 	st, err := sc.Wait(context.Background(), id)
 	if err != nil {

@@ -373,9 +373,6 @@ type ServiceOptions struct {
 	// SlowQuery, when positive, logs a structured warning (with the job's
 	// trace summary) for any job slower than this threshold.
 	SlowQuery time.Duration
-	// NoTrace disables per-job span recording; only for measuring tracing's
-	// own overhead (cmd/bench trace_overhead).
-	NoTrace bool
 	// Tenants is the multi-tenant QoS configuration (token-keyed tenants
 	// with byte/dataset/queued-job quotas); the zero value runs everything
 	// as one unlimited default tenant.
@@ -423,7 +420,6 @@ func NewService(opts ServiceOptions) *Service {
 		MaxShards:    opts.MaxShards,
 		QueueDepth:   opts.QueueDepth,
 		Registry:     reg,
-		NoTrace:      opts.NoTrace,
 		BandWeights:  opts.BandWeights,
 		AgingBoost:   opts.AgingBoost,
 		// The scheduler enforces per-tenant queued-job quotas atomically at
@@ -500,7 +496,8 @@ func (s *Service) Scheduler() *sched.Scheduler { return s.sched }
 
 // SubmitDataset queues a corpus-style dataset job directly, bypassing HTTP.
 func (s *Service) SubmitDataset(spec DatasetSpec) (string, error) {
-	return s.sched.SubmitDataset(spec)
+	tasks := pipeline.EncodeDataset(pathology.Generate(spec))
+	return s.sched.SubmitJob(sched.Tasks(tasks), sched.JobOpts{Name: spec.Name})
 }
 
 // Store exposes the service's dataset store (nil when none is configured).
@@ -516,7 +513,7 @@ func (s *Service) SubmitStored(datasetID string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return s.sched.SubmitSource(ds.Manifest().DisplayName(), ds.Source())
+	return s.sched.SubmitJob(ds.Source(), sched.JobOpts{Name: ds.Manifest().DisplayName()})
 }
 
 // CompareStored queues a cross-dataset comparison job — dataset idA's set-A
@@ -532,7 +529,7 @@ func (s *Service) CompareStored(idA, idB string) (string, CrossMatch, error) {
 	if err != nil {
 		return "", match, fmt.Errorf("sccg: %w", err)
 	}
-	id, err := s.sched.SubmitSource(name, src)
+	id, err := s.sched.SubmitJob(src, sched.JobOpts{Name: name})
 	return id, match, err
 }
 
