@@ -67,19 +67,6 @@ type clusterTraceView struct {
 	} `json:"trace"`
 }
 
-// clusterHeatView decodes GET /datasets/{id}/heat.
-type clusterHeatView struct {
-	Dataset string `json:"dataset"`
-	Local   bool   `json:"local"`
-	Tiles   []struct {
-		Tile  int   `json:"tile"`
-		Reads int64 `json:"reads"`
-		Bytes int64 `json:"bytes"`
-	} `json:"tiles"`
-	TotalReads int64 `json:"total_reads"`
-	TotalBytes int64 `json:"total_bytes"`
-}
-
 // scrapeSeries fetches one node's Prometheus exposition and indexes it by
 // rendered series name.
 func scrapeSeries(t *testing.T, url string) map[string]float64 {
@@ -327,20 +314,12 @@ func TestClusterEndToEnd(t *testing.T) {
 	if _, ok := svcs[1].Store().Get(ids[0]); !ok {
 		t.Fatal("node B did not pull the dataset into its store")
 	}
-	// The heat rollup mirrors the access pattern exactly: the compute read
-	// each of the dataset's two tiles once; the peer pull (an import, not a
-	// verified read) contributed nothing.
-	var heat clusterHeatView
-	if code := clusterGet(t, addrs[1]+"/datasets/"+ids[0]+"/heat", &heat); code != http.StatusOK {
-		t.Fatalf("heat on B = %d", code)
-	}
-	if !heat.Local || len(heat.Tiles) != 2 {
-		t.Fatalf("heat on B = local=%v tiles=%d, want local with 2 tiles", heat.Local, len(heat.Tiles))
-	}
-	for _, th := range heat.Tiles {
-		if th.Reads != 1 || th.Bytes <= 0 {
-			t.Fatalf("tile %d heat = %d reads / %d bytes, want exactly one verified read", th.Tile, th.Reads, th.Bytes)
-		}
+	// The tile-read histogram mirrors the access pattern exactly: the compute
+	// read each of the dataset's two tiles once; the peer pull (an import,
+	// not a read through the store) contributed nothing.
+	const tileReads = "sccgd_store_tile_read_seconds_count"
+	if n := scrapeSeries(t, addrs[1]+"/metrics")[tileReads]; n != 2 {
+		t.Fatalf("node B observed %v tile reads after one 2-tile job, want exactly 2", n)
 	}
 	var bjr clusterJobReply
 	clusterPost(t, baseURL+"/jobs", map[string]any{"dataset_id": ids[0]}, &bjr)
@@ -359,6 +338,14 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if after := submittedSum(svcs, alive); after != before {
 		t.Fatalf("cluster cache hit still submitted jobs: %d -> %d", before, after)
+	}
+	// Nor did the cached answer read a tile anywhere: C never pulled the
+	// dataset, and B's count is still the one compute.
+	if n := scrapeSeries(t, addrs[2]+"/metrics")[tileReads]; n != 0 {
+		t.Fatalf("node C observed %v tile reads serving a cluster cache hit, want 0", n)
+	}
+	if n := scrapeSeries(t, addrs[1]+"/metrics")[tileReads]; n != 2 {
+		t.Fatalf("node B observed %v tile reads after C's cache hit, want still 2", n)
 	}
 
 	// Phase 2: K-way matrix on B, bit-identical to the single-node answer.
@@ -393,10 +380,12 @@ func TestClusterEndToEnd(t *testing.T) {
 	if after := submittedSum(svcs, alive); after != before {
 		t.Fatalf("restarted node recomputed %d cells", after-before)
 	}
+	if n := scrapeSeries(t, addrs[1]+"/metrics")[tileReads]; n != 0 {
+		t.Fatalf("restarted B observed %v tile reads answering the matrix from cache, want 0", n)
+	}
 
 	// The query log survived the restart: the phase-1 peer pull is still on
-	// record, attributed to node A and tied to a trace. So did the heat
-	// rollup, flushed on shutdown.
+	// record, attributed to node A and tied to a trace.
 	var qlr struct {
 		Schema  string `json:"schema"`
 		Records []struct {
@@ -434,13 +423,6 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if !foundPull {
 		t.Fatalf("no pull record for %s survived B's restart", ids[0])
-	}
-	var heat2 clusterHeatView
-	if code := clusterGet(t, addrs[1]+"/datasets/"+ids[0]+"/heat", &heat2); code != http.StatusOK {
-		t.Fatalf("heat after restart = %d", code)
-	}
-	if heat2.TotalReads < 2 {
-		t.Fatalf("heat after restart = %d total reads, want the pre-restart reads back", heat2.TotalReads)
 	}
 
 	// Phase 5: cross-node trace propagation. dA lives only on A, dB only on

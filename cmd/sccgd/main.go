@@ -71,8 +71,7 @@
 //
 // Observability: with -data-dir every job, matrix cell, ingest, and peer
 // pull appends to a rotation-bounded JSONL query log (GET /querylog serves
-// it filtered; GET /datasets/{id}/heat rolls up per-tile read frequency);
-// -querylog-max-bytes bounds it and -querylog-max-bytes off disables it.
+// it filtered); -querylog-max-bytes bounds it and -querylog-max-bytes off disables it.
 // -slow-query 2s warns (with the job's per-stage trace summary) on anything
 // slower. In clustered mode traces propagate across nodes — a job that
 // pulled a dataset or ran a cell remotely shows the serving peer's spans in
@@ -81,12 +80,11 @@
 //
 //	sccgd -data-dir /var/lib/sccgd -slow-query 2s -querylog-max-bytes 128MiB
 //	curl -s 'localhost:8080/querylog?outcome=computed&limit=50'
-//	curl -s localhost:8080/datasets/<id1>/heat
 //	curl -s 'localhost:8080/metrics?cluster=1'
 //
 // Multi-tenant QoS: jobs run in three priority bands — interactive (job
 // submissions), batch (matrix cells), ingest (spec/corpus generation) —
-// under weighted fair sharing with aging, so a K-way matrix flood cannot
+// under weighted fair sharing, so a K-way matrix flood cannot
 // starve an interactive submission. -tenants names token-keyed tenants
 // with per-tenant byte, dataset, and queued-job quotas (unknown tokens
 // fall into the default tenant); admission control consults the retention
@@ -96,7 +94,7 @@
 //	sccgd -data-dir /var/lib/sccgd -store-max-bytes 2GiB \
 //	      -tenants /etc/sccgd/tenants.json \
 //	      -band-weights interactive=8,batch=2,ingest=3 \
-//	      -reserve-interactive 1 -aging 30s -queue-pin-age 2m
+//	      -reserve-interactive 1 -queue-pin-age 2m
 //	curl -s -H 'Authorization: Bearer <token>' -X POST localhost:8080/jobs \
 //	     -d '{"dataset_id":"<id>","band":"batch"}'
 //	curl -s 'localhost:8080/querylog?tenant=alice'
@@ -256,7 +254,6 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		slowQuery = fs.Duration("slow-query", 0, "log a warning with the trace summary for jobs slower than this (0 = disabled)")
 		tenantsFl = fs.String("tenants", "", "multi-tenant config: a JSON file path or inline JSON ({\"default\":{...},\"tenants\":[...]}); empty = one unlimited tenant")
 		bandWts   = fs.String("band-weights", "", "per-band fair-share weights, e.g. interactive=8,batch=2,ingest=3 (unlisted bands keep defaults)")
-		aging     = fs.Duration("aging", 0, "queued-job aging boost: dispatch any job waiting this long ahead of fair share (0 = 30s default, negative disables)")
 		reserveIA = fs.Int("reserve-interactive", 0, "device slots reserved for interactive jobs (0 = auto: 1 when >1 slot; negative disables)")
 		pinAge    = fs.Duration("queue-pin-age", 2*time.Minute, "cancel QUEUED jobs older than this when their dataset pins block a retention sweep (0 = never)")
 	)
@@ -352,7 +349,6 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		SlowQuery:        *slowQuery,
 		Tenants:          tenantCfg,
 		BandWeights:      weights,
-		AgingBoost:       *aging,
 		ReservedSlots:    *reserveIA,
 		QueuePinAge:      *pinAge,
 	})

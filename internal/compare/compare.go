@@ -14,7 +14,7 @@
 // exactly — bit for bit — to the dataset's own embedded A-vs-B job.
 //
 // On top of pairwise jobs, matrix.go orchestrates K-way matrix runs: all
-// K·(K−1)/2 unordered dataset pairs as one cancellable scheduler job group,
+// K·(K−1)/2 unordered dataset pairs as one cancellable run,
 // deduplicated through the service's content-hash result cache and fanned
 // out with bounded concurrency, aggregated into a symmetric similarity
 // matrix with per-cell status.

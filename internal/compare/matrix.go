@@ -20,15 +20,17 @@ package compare
 // the objective is finished without a job: `skipped` when the bound falls
 // below min_similarity (or is zero), `bounded` when top_k exact results
 // already at or above its bound exist. New exact results also prune
-// in-flight cells: their owned jobs are canceled through the group
-// (group-aware early termination) and the cells finish `bounded`. Bounds
-// are upper bounds, so a skipped cell's true similarity never exceeds the
-// recorded bound — exact results are only ever elided, never approximated.
+// in-flight cells: their owned jobs are canceled and the cells finish
+// `bounded`. Bounds are upper bounds, so a skipped cell's true similarity
+// never exceeds the recorded bound — exact results are only ever elided,
+// never approximated.
 //
-// Each run is one scheduler job group: cell jobs submitted for the run are
-// owned members, cache-hit attachments are shared members, and cancelling
-// the run cancels the owned members while merely detaching from the shared
-// ones.
+// The run's cell table is the only record of which jobs belong to it: each
+// cell carries its job ID and whether the run owns that job (submitted it)
+// or merely attached to another submitter's job through a cache hit.
+// Cancelling the run, or pruning a cell, cancels owned jobs straight from the
+// table and leaves shared ones running for their other consumers; the
+// `group` aggregate in a status is computed from the same cells.
 
 import (
 	"context"
@@ -41,6 +43,7 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/sched"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -101,10 +104,18 @@ type BoundFunc func(idA, idB string) (CellBound, error)
 // (estimate.go behind the server's store).
 type EstimateFunc func(idA, idB string) (CellEstimate, error)
 
+// Scheduler is what a run needs of the job scheduler once the submitter has
+// handed it a job ID; *sched.Scheduler implements it.
+type Scheduler interface {
+	Job(id string) (sched.JobStatus, bool)
+	Wait(ctx context.Context, id string) (sched.JobStatus, error)
+	Cancel(id string) error
+}
+
 // ManagerConfig wires a matrix manager.
 type ManagerConfig struct {
-	// Scheduler is where cell jobs run and groups live.
-	Scheduler *sched.Scheduler
+	// Scheduler is where cell jobs run.
+	Scheduler Scheduler
 	// Submit is the cache-aware cell submitter (the HTTP server's job
 	// submission path).
 	Submit SubmitFunc
@@ -118,29 +129,79 @@ type ManagerConfig struct {
 	Concurrency int
 }
 
-// RunSpec describes one matrix run. Exactly one of Datasets (symmetric) or
-// SetA+SetB (bipartite) must be set.
+// RunSpec describes one matrix run; it is also the POST /matrix request body.
+// Exactly one of Datasets (symmetric) or SetA+SetB (bipartite) must be set.
 type RunSpec struct {
-	Name     string
-	Datasets []string
-	SetA     []string
-	SetB     []string
+	Datasets []string `json:"datasets,omitempty"`
+	SetA     []string `json:"set_a,omitempty"`
+	SetB     []string `json:"set_b,omitempty"`
+	Name     string   `json:"name,omitempty"`
 	// TopK, when positive, asks only for the K highest-similarity cells;
-	// the rest may finish `bounded`.
-	TopK int
+	// the rest may finish `bounded` (elided, with a sound upper bound).
+	TopK int `json:"top_k,omitempty"`
 	// MinSimilarity, in [0,1], statically skips cells whose bound falls
 	// below it.
-	MinSimilarity float64
+	MinSimilarity float64 `json:"min_similarity,omitempty"`
 	// Estimate asks the plan phase for Monte-Carlo ordering refinement.
-	Estimate bool
+	// Estimates never decide skips.
+	Estimate bool `json:"estimate,omitempty"`
 	// Tenant is the run's accounting identity: every owned cell job is
-	// submitted (batch band) and quota-charged under it, and the run's
-	// scheduler group carries it for dashboards.
-	Tenant string
+	// submitted (batch band) and quota-charged under it. Set by the server
+	// from the request's credentials, never from the body.
+	Tenant string `json:"-"`
 	// Prelude carries spans the caller recorded before starting the run —
 	// e.g. cluster pulls making the datasets resident on the coordinator.
 	// Its per-stage totals fold into the run's plan_trace rollup.
-	Prelude *trace.Trace
+	Prelude *trace.Trace `json:"-"`
+}
+
+// MaxAxis caps each axis; the cell count grows quadratically and 16 datasets
+// already mean 120 pairwise jobs.
+const MaxAxis = 16
+
+// Validate checks the spec without touching a store: axis shape, the axis
+// cap, ID syntax, duplicates within one axis (a duplicated dataset would make
+// two cells aliases of each other), and the objectives' ranges.
+func (sp RunSpec) Validate() error {
+	bipartite := len(sp.SetA) > 0 || len(sp.SetB) > 0
+	type axis struct {
+		field string
+		ids   []string
+	}
+	axes := []axis{{"datasets", sp.Datasets}}
+	switch {
+	case bipartite && len(sp.Datasets) > 0:
+		return errors.New("datasets and set_a/set_b are mutually exclusive")
+	case bipartite:
+		if len(sp.SetA) == 0 || len(sp.SetB) == 0 {
+			return errors.New("a bipartite matrix needs both set_a and set_b")
+		}
+		axes = []axis{{"set_a", sp.SetA}, {"set_b", sp.SetB}}
+	case len(sp.Datasets) < 2:
+		return fmt.Errorf("a matrix needs at least 2 datasets, got %d", len(sp.Datasets))
+	}
+	for _, ax := range axes {
+		if len(ax.ids) > MaxAxis {
+			return fmt.Errorf("at most %d %s per matrix", MaxAxis, ax.field)
+		}
+		seen := make(map[string]struct{}, len(ax.ids))
+		for i, id := range ax.ids {
+			if !store.ValidateID(id) {
+				return fmt.Errorf("%s[%d] %q is not a content hash (64 lowercase hex digits)", ax.field, i, id)
+			}
+			if _, dup := seen[id]; dup {
+				return fmt.Errorf("%s[%d] %s listed twice", ax.field, i, id)
+			}
+			seen[id] = struct{}{}
+		}
+	}
+	if sp.TopK < 0 {
+		return fmt.Errorf("top_k %d is negative", sp.TopK)
+	}
+	if sp.MinSimilarity < 0 || sp.MinSimilarity > 1 {
+		return fmt.Errorf("min_similarity %v outside [0, 1]", sp.MinSimilarity)
+	}
+	return nil
 }
 
 // progressive reports whether the spec carries an objective that permits
@@ -180,48 +241,19 @@ func NewManager(cfg ManagerConfig) *Manager {
 	return &Manager{cfg: cfg, runs: make(map[string]*Run)}
 }
 
-// Start plans and launches a symmetric matrix run over the dataset IDs.
-func (m *Manager) Start(name string, ids []string) (*Run, error) {
-	return m.StartSpec(RunSpec{Name: name, Datasets: ids}, nil)
-}
-
-// StartSpec plans and launches a run. The caller is expected to have
-// verified the IDs exist; duplicates within one axis are rejected here
-// because a duplicated dataset would make two cells aliases of each other.
-// release, if non-nil, is invoked exactly once when the run reaches a
-// terminal state (the server parks its dataset pins there); it is NOT
-// invoked when StartSpec itself fails.
+// StartSpec plans and launches a run. The spec is validated here; the
+// caller is expected to have verified the IDs exist. release, if non-nil, is
+// invoked exactly once when the run reaches a terminal state (the server
+// parks its dataset pins there); it is NOT invoked when StartSpec itself
+// fails.
 func (m *Manager) StartSpec(spec RunSpec, release func()) (*Run, error) {
-	bipartite := len(spec.SetA) > 0 || len(spec.SetB) > 0
-	if bipartite && len(spec.Datasets) > 0 {
-		return nil, errors.New("compare: datasets and set_a/set_b are mutually exclusive")
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("compare: %w", err)
 	}
-	if spec.TopK < 0 {
-		return nil, fmt.Errorf("compare: top_k %d is negative", spec.TopK)
-	}
-	if spec.MinSimilarity < 0 || spec.MinSimilarity > 1 {
-		return nil, fmt.Errorf("compare: min_similarity %v outside [0, 1]", spec.MinSimilarity)
-	}
-	var rows, cols []string
+	bipartite := len(spec.SetA) > 0
+	rows, cols := spec.Datasets, spec.Datasets
 	if bipartite {
-		if len(spec.SetA) == 0 || len(spec.SetB) == 0 {
-			return nil, errors.New("compare: a bipartite matrix needs both set_a and set_b")
-		}
-		if err := checkAxis("set_a", spec.SetA); err != nil {
-			return nil, err
-		}
-		if err := checkAxis("set_b", spec.SetB); err != nil {
-			return nil, err
-		}
 		rows, cols = spec.SetA, spec.SetB
-	} else {
-		if len(spec.Datasets) < 2 {
-			return nil, fmt.Errorf("compare: a matrix needs at least 2 datasets, got %d", len(spec.Datasets))
-		}
-		if err := checkAxis("datasets", spec.Datasets); err != nil {
-			return nil, err
-		}
-		rows, cols = spec.Datasets, spec.Datasets
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -263,24 +295,12 @@ func (m *Manager) StartSpec(spec RunSpec, release func()) (*Run, error) {
 		return nil, ErrClosed
 	}
 	r.id = fmt.Sprintf("mx-%06d", atomic.AddInt64(&m.nextID, 1))
-	r.group = m.cfg.Scheduler.NewGroupFor(r.id+": "+r.label(), spec.Tenant)
 	m.runs[r.id] = r
 	m.order = append(m.order, r.id)
 	m.mu.Unlock()
 
 	go r.execute(m.cfg)
 	return r, nil
-}
-
-func checkAxis(field string, ids []string) error {
-	seen := make(map[string]struct{}, len(ids))
-	for i, id := range ids {
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("compare: %s[%d] %s listed twice", field, i, id)
-		}
-		seen[id] = struct{}{}
-	}
-	return nil
 }
 
 // Get returns the run with the given ID.
@@ -302,8 +322,8 @@ func (m *Manager) Runs() []*Run {
 	return out
 }
 
-// Cancel cancels a running matrix: pending cells are abandoned, owned member
-// jobs are canceled through the run's job group.
+// Cancel cancels a running matrix: pending cells are abandoned, owned cell
+// jobs are canceled.
 func (m *Manager) Cancel(id string) error {
 	r, ok := m.Get(id)
 	if !ok {
@@ -328,9 +348,16 @@ func (m *Manager) Close() {
 
 // cell is one planned pairwise comparison; guarded by its run's mutex.
 type cell struct {
-	i, j       int
-	state      string
+	i, j  int
+	state string
+	// jobID is the scheduler job behind the cell's latest submission (empty
+	// when a cache layer answered without one); owned marks a job this run
+	// submitted, as opposed to one it attached to through a live-tier cache
+	// hit or runs as a caller-driven upgrade. Both are published in the
+	// critical section that publishes CellRunning, so Cancel and maybePrune
+	// never see a running cell whose job they cannot find.
 	jobID      string
+	owned      bool
 	cached     bool
 	errMsg     string
 	tiles      int
@@ -361,7 +388,6 @@ type Run struct {
 	rows      []string // row axis dataset IDs (set-A side of each cell)
 	cols      []string // column axis dataset IDs (set-B side)
 	created   time.Time
-	group     *sched.Group
 	ctx       context.Context
 	cancel    context.CancelFunc
 	done      chan struct{}
@@ -424,9 +450,9 @@ func (r *Run) WaitChange(ctx context.Context, since int64) (Status, error) {
 	}
 }
 
-// Cancel stops the run: no further cells are submitted and owned member
-// jobs are canceled. Idempotent on running runs; terminal runs report
-// ErrRunTerminal.
+// Cancel stops the run: no further cells are submitted and owned cell jobs
+// are canceled; shared jobs keep running for their other consumers.
+// Idempotent on running runs; terminal runs report ErrRunTerminal.
 func (r *Run) Cancel() error {
 	r.mu.Lock()
 	if r.state != RunRunning {
@@ -434,9 +460,20 @@ func (r *Run) Cancel() error {
 		return ErrRunTerminal
 	}
 	r.cancelRequested = true
-	r.mu.Unlock()
+	// Under the lock, so a cell that publishes its job afterwards finds both
+	// set: it cancels the job itself (submitAndWait) and, with the context
+	// already done, records the cancellation instead of resubmitting.
 	r.cancel()
-	r.group.Cancel()
+	var victims []string
+	for _, c := range r.cells {
+		if c.state == CellRunning && c.owned {
+			victims = append(victims, c.jobID)
+		}
+	}
+	r.mu.Unlock()
+	for _, id := range victims {
+		_ = r.m.cfg.Scheduler.Cancel(id) // already terminal is fine
+	}
 	return nil
 }
 
@@ -467,11 +504,10 @@ func (r *Run) execute(cfg ManagerConfig) {
 		go func(c *cell) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r.runCell(c, cfg)
+			r.runCell(c)
 		}(c)
 	}
 	wg.Wait()
-	r.group.Seal()
 	r.finalize()
 }
 
@@ -595,8 +631,8 @@ func (r *Run) kthBestLocked() (float64, int) {
 // maybePrune cancels in-flight cells a fresh exact result has excluded from
 // the top-k answer: their bound is strictly below the k-th best exact
 // similarity, so they cannot enter the answer no matter how they finish.
-// Owned jobs are canceled through the group (shared cache-attachments keep
-// running for their other consumers and simply finish exact).
+// Only owned jobs are canceled (shared cache-attachments keep running for
+// their other consumers and simply finish exact).
 func (r *Run) maybePrune() {
 	if r.spec.TopK <= 0 {
 		return
@@ -606,7 +642,7 @@ func (r *Run) maybePrune() {
 	var victims []string
 	if n >= r.spec.TopK {
 		for _, c := range r.cells {
-			if c.state == CellRunning && c.boundSet && c.bound < kth && !c.pruned && c.jobID != "" {
+			if c.state == CellRunning && c.owned && c.boundSet && c.bound < kth && !c.pruned {
 				c.pruned = true
 				victims = append(victims, c.jobID)
 			}
@@ -614,7 +650,7 @@ func (r *Run) maybePrune() {
 	}
 	r.mu.Unlock()
 	for _, id := range victims {
-		r.group.CancelMember(id)
+		_ = r.m.cfg.Scheduler.Cancel(id)
 	}
 }
 
@@ -623,97 +659,81 @@ func (r *Run) maybePrune() {
 // run, or a direct DELETE /jobs/{id}).
 const maxCellAttempts = 3
 
-// runCell submits one cell and tracks its job to a terminal state.
-func (r *Run) runCell(c *cell, cfg ManagerConfig) {
+// submitAndWait submits the cell once through the cache-aware submitter,
+// records the pairing it reports, publishes the job on the cell and waits on
+// ctx for its terminal snapshot. own says whether a freshly submitted job
+// belongs to the run's cancellation domain; a cache hit attaches to a job
+// some other submission created and is never owned, because cancelling this
+// matrix must not cancel a job others depend on. A cache layer that answers
+// without a job comes back as a synthesized Done snapshot.
+func (r *Run) submitAndWait(ctx context.Context, c *cell, own bool) (sched.JobStatus, error) {
+	out, err := r.m.cfg.Submit(r.rows[c.i], r.cols[c.j], r.spec.Tenant)
+	if err != nil {
+		return sched.JobStatus{}, err
+	}
+	r.mu.Lock()
+	c.cached = out.Cached
+	c.unmatchedA = out.UnmatchedA
+	c.unmatchedB = out.UnmatchedB
+	if out.Tiles != 0 {
+		c.tiles = out.Tiles
+	}
+	c.jobID = out.JobID
+	c.owned = own && !out.Cached && out.Report == nil
+	if out.Report != nil {
+		r.mu.Unlock()
+		return sched.JobStatus{State: sched.Done, Report: *out.Report, Trace: out.Trace}, nil
+	}
+	c.state = CellRunning
+	// Run.Cancel sweeps the cell table once; a job published after the sweep
+	// is canceled here instead (the run's context is already done by then).
+	missed := c.owned && r.cancelRequested
+	r.bumpLocked()
+	r.mu.Unlock()
+	if missed {
+		_ = r.m.cfg.Scheduler.Cancel(out.JobID)
+	}
+	return r.m.cfg.Scheduler.Wait(ctx, out.JobID)
+}
+
+// runCell submits one planned cell and tracks its job to a terminal state.
+func (r *Run) runCell(c *cell) {
 	for attempt := 1; ; attempt++ {
-		out, err := cfg.Submit(r.rows[c.i], r.cols[c.j], r.spec.Tenant)
-		if err != nil {
-			if r.ctx.Err() != nil {
-				r.setCellCanceled(c, "matrix canceled")
-				return
-			}
+		st, err := r.submitAndWait(r.ctx, c, true)
+		switch {
+		case err != nil && r.ctx.Err() == nil:
 			r.mu.Lock()
 			c.state = CellFailed
 			c.errMsg = err.Error()
 			r.bumpLocked()
 			r.mu.Unlock()
 			return
-		}
-
-		r.mu.Lock()
-		c.cached = out.Cached
-		c.tiles = out.Tiles
-		c.unmatchedA = out.UnmatchedA
-		c.unmatchedB = out.UnmatchedB
-		c.jobID = out.JobID
-		if out.Report != nil {
-			// Persisted-cache answer: terminal immediately, no live job.
-			c.state = CellDone
-			c.report = out.Report
-			c.trace = trace.Summarize(out.Trace)
-			r.bumpLocked()
+		case err != nil:
+			// Run canceled, before the submit or while waiting. Cancel already
+			// reached the job if it is owned; record the freshest snapshot
+			// without blocking on in-flight shards.
+			r.mu.Lock()
+			jobID := c.jobID
 			r.mu.Unlock()
-			r.maybePrune()
-			return
-		}
-		r.mu.Unlock()
-
-		// Owned means submitted for this run: cache hits attach to a job
-		// some other submission created, and cancelling this matrix must
-		// not cancel a job others depend on.
-		if addErr := r.group.Add(out.JobID, !out.Cached); addErr != nil {
-			// The run was canceled between submit and attach; the job
-			// escaped the group's cancel fan-out, so cancel it here if it
-			// is ours.
-			if !out.Cached {
-				_ = cfg.Scheduler.Cancel(out.JobID)
-			}
-			r.setCellCanceled(c, "matrix canceled")
-			return
-		}
-		// Running is published only once the job is a group member:
-		// maybePrune cancels running cells through the group, and a cancel
-		// for a job the group does not know yet is silently dropped.
-		r.mu.Lock()
-		c.state = CellRunning
-		r.bumpLocked()
-		r.mu.Unlock()
-
-		st, err := cfg.Scheduler.Wait(r.ctx, out.JobID)
-		if err != nil {
-			// Run canceled while waiting. The group cancel already reached
-			// the job if it is owned; record the freshest snapshot without
-			// blocking on in-flight shards.
-			if snap, ok := cfg.Scheduler.Job(out.JobID); ok && snap.State.Terminal() {
+			if snap, ok := r.m.cfg.Scheduler.Job(jobID); ok && snap.State.Terminal() {
 				r.recordFinal(c, snap)
-				return
+			} else {
+				r.setCellCanceled(c, "matrix canceled")
 			}
-			r.setCellCanceled(c, "matrix canceled")
 			return
 		}
-		if st.State == sched.Canceled && r.ctx.Err() == nil {
+		if st.State == sched.Canceled && r.ctx.Err() == nil && attempt < maxCellAttempts {
 			r.mu.Lock()
 			pruned := c.pruned
 			r.mu.Unlock()
-			if pruned {
-				// Top-k early termination canceled this job on purpose: the
-				// cell is excluded from the answer, not a casualty.
-				r.mu.Lock()
-				c.state = CellBounded
-				c.trace = trace.Summarize(st.Trace)
-				r.bumpLocked()
-				r.mu.Unlock()
-				return
-			}
-			if attempt < maxCellAttempts {
-				// The job was canceled but this run wasn't: the cell attached
-				// to another run's job that got canceled, or someone canceled
-				// the job directly. The cache evicts canceled jobs, so a
-				// resubmit computes the cell fresh instead of poisoning the
-				// whole run with a cancellation it never asked for. Drop the
-				// dead attempt from the group so it doesn't inflate the run's
-				// aggregates.
-				r.group.Remove(out.JobID)
+			if !pruned {
+				// The job was canceled but neither this run nor its objective
+				// did it: the cell attached to another run's job that got
+				// canceled, or someone canceled the job directly. The cache
+				// evicts canceled jobs, so a resubmit computes the cell fresh
+				// instead of poisoning the whole run with a cancellation it
+				// never asked for; the fresh job replaces the dead attempt on
+				// the cell.
 				continue
 			}
 		}
@@ -723,7 +743,7 @@ func (r *Run) runCell(c *cell, cfg ManagerConfig) {
 }
 
 // recordFinal maps a terminal job snapshot onto the cell.
-func (r *Run) recordFinal(c *cell, st sched.JobStatus) {
+func (r *Run) recordFinal(c *cell, st sched.JobStatus) CellView {
 	r.mu.Lock()
 	c.trace = trace.Summarize(st.Trace)
 	switch st.State {
@@ -739,13 +759,19 @@ func (r *Run) recordFinal(c *cell, st sched.JobStatus) {
 		c.errMsg = st.Error
 	default:
 		c.state = CellCanceled
+		if c.pruned && !r.cancelRequested {
+			// Top-k early termination canceled this job on purpose: the cell
+			// is excluded from the answer, not a casualty.
+			c.state = CellBounded
+		}
 	}
-	done := c.state == CellDone
+	v := r.viewLocked(c)
 	r.bumpLocked()
 	r.mu.Unlock()
-	if done {
+	if v.State == CellDone {
 		r.maybePrune()
 	}
+	return v
 }
 
 func (r *Run) setCellCanceled(c *cell, reason string) {
@@ -807,8 +833,36 @@ type CellView struct {
 	Trace *trace.Summary `json:"trace,omitempty"`
 }
 
+// GroupStatus aggregates a run's cell jobs: every cell with a job behind it
+// is a member, counted by the state its cell shows in the same snapshot.
+type GroupStatus struct {
+	ID       string    `json:"id"`
+	Name     string    `json:"name,omitempty"`
+	Tenant   string    `json:"tenant,omitempty"`
+	Created  time.Time `json:"created"`
+	Members  int       `json:"members"`
+	Sealed   bool      `json:"sealed"`
+	Canceled bool      `json:"canceled"`
+	// Per-state member counts. Queued and Running split the in-flight cells
+	// by what the scheduler says of their jobs; CanceledJobs counts canceled
+	// cells and cells pruned in flight (`bounded` with a job).
+	Queued       int `json:"queued"`
+	Running      int `json:"running"`
+	Done         int `json:"done"`
+	Failed       int `json:"failed"`
+	CanceledJobs int `json:"canceled_jobs"`
+	// Aggregated work accounting over member jobs (done cells contribute
+	// their report's device counters).
+	Tiles          int     `json:"tiles"`
+	KernelLaunches int64   `json:"kernel_launches"`
+	DeviceSeconds  float64 `json:"device_seconds"`
+	// Terminal reports whether the run has finished: no cell is left to
+	// submit and every member has settled.
+	Terminal bool `json:"terminal"`
+}
+
 // Status is a point-in-time snapshot of a matrix run: the cell grid plus the
-// run's job-group aggregate.
+// aggregate over its cell jobs.
 type Status struct {
 	ID       string     `json:"id"`
 	Name     string     `json:"name,omitempty"`
@@ -844,8 +898,8 @@ type Status struct {
 	SkippedCells  int `json:"skipped_cells,omitempty"`
 	BoundedCells  int `json:"bounded_cells,omitempty"`
 	// PlanTrace is the run-level plan-phase rollup (bound/estimate stages).
-	PlanTrace *trace.Summary    `json:"plan_trace,omitempty"`
-	Group     sched.GroupStatus `json:"group"`
+	PlanTrace *trace.Summary `json:"plan_trace,omitempty"`
+	Group     GroupStatus    `json:"group"`
 }
 
 // Status snapshots the run.
@@ -902,9 +956,58 @@ func (r *Run) Status() Status {
 			st.Cells[c.j][c.i] = v
 		}
 	}
+	st.Group = r.groupLocked()
 	r.mu.Unlock()
-	st.Group = r.group.Status()
 	return st
+}
+
+// Group returns the aggregate over the run's cell jobs alone — what a
+// /metrics scrape needs, without building the cell grid.
+func (r *Run) Group() GroupStatus {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.groupLocked()
+}
+
+// groupLocked computes the group aggregate from the cell table; r.mu must be
+// held. The scheduler is asked only to split the in-flight cells into queued
+// and running — at most Concurrency of them (plus caller-driven upgrades) —
+// so a finished run costs it nothing. Nothing in the scheduler calls back
+// into a run, so taking its lock under r.mu cannot invert.
+func (r *Run) groupLocked() GroupStatus {
+	g := GroupStatus{
+		ID:       r.id,
+		Name:     r.id + ": " + r.label(),
+		Tenant:   r.spec.Tenant,
+		Created:  r.created,
+		Sealed:   r.state != RunRunning || r.cancelRequested,
+		Canceled: r.cancelRequested,
+		Terminal: r.state != RunRunning,
+	}
+	for _, c := range r.cells {
+		if c.jobID == "" {
+			continue
+		}
+		g.Members++
+		g.Tiles += c.tiles
+		switch c.state {
+		case CellRunning:
+			if js, ok := r.m.cfg.Scheduler.Job(c.jobID); ok && js.State == sched.Queued {
+				g.Queued++
+			} else {
+				g.Running++
+			}
+		case CellDone:
+			g.Done++
+			g.KernelLaunches += c.report.Stats.KernelLaunches
+			g.DeviceSeconds += c.report.Stats.DeviceSeconds
+		case CellFailed:
+			g.Failed++
+		case CellCanceled, CellBounded:
+			g.CanceledJobs++
+		}
+	}
+	return g
 }
 
 // viewLocked builds the wire view of one cell; r.mu must be held.
@@ -975,13 +1078,13 @@ func (r *Run) Cell(i, j int) (CellView, error) {
 // demand, and patches it into the run as `done` — the lazy complement of
 // progressive execution: the objective elides cheaply up front, and a caller
 // who later needs one specific elided answer pays for exactly that cell. The
-// upgrade goes through the same cache-aware submitter as planned cells but
-// outside the run's job group and concurrency gate: it is caller-driven work
-// on a (typically finished) run and must not be pruned by the objective that
-// elided the cell in the first place — which maybePrune guarantees, since the
-// upgrading cell never records a job ID while running. Already-exact cells
-// return their view idempotently; other states report ErrCellBusy or
-// ErrCellNotElided alongside the current view.
+// upgrade goes through the same submit-and-wait path as planned cells but
+// outside the run's concurrency gate and cancellation domain: it is
+// caller-driven work on a (typically finished) run, so its job is never
+// owned — neither Cancel nor the objective that elided the cell in the first
+// place (maybePrune) touches it. Already-exact cells return their view
+// idempotently; other states report ErrCellBusy or ErrCellNotElided alongside
+// the current view. A failed upgrade leaves the cell as it was.
 func (r *Run) UpgradeCell(i, j int) (CellView, error) {
 	c, err := r.cellAt(i, j)
 	if errors.Is(err, ErrCellSelf) {
@@ -991,90 +1094,40 @@ func (r *Run) UpgradeCell(i, j int) (CellView, error) {
 		return CellView{}, err
 	}
 	r.mu.Lock()
-	prev := c.state
-	switch prev {
-	case CellDone:
+	prev := *c
+	if prev.state != CellSkipped && prev.state != CellBounded {
 		v := r.viewLocked(c)
 		r.mu.Unlock()
-		return v, nil
-	case CellSkipped, CellBounded:
-		// The states an upgrade exists for.
-	case CellRunning:
-		v := r.viewLocked(c)
-		r.mu.Unlock()
-		return v, ErrCellBusy
-	default:
-		v := r.viewLocked(c)
-		r.mu.Unlock()
-		return v, fmt.Errorf("%w (cell is %s)", ErrCellNotElided, prev)
+		switch prev.state {
+		case CellDone:
+			return v, nil
+		case CellRunning:
+			return v, ErrCellBusy
+		}
+		return v, fmt.Errorf("%w (cell is %s)", ErrCellNotElided, prev.state)
 	}
-	c.state = CellRunning
-	c.errMsg = ""
+	c.state, c.owned, c.errMsg = CellRunning, false, ""
 	r.bumpLocked()
-	r.mu.Unlock()
-
-	restore := func() {
-		r.mu.Lock()
-		c.state = prev
-		r.bumpLocked()
-		r.mu.Unlock()
-	}
-
-	out, err := r.m.cfg.Submit(r.rows[c.i], r.cols[c.j], r.spec.Tenant)
-	if err != nil {
-		restore()
-		return CellView{}, fmt.Errorf("compare: exact upgrade: %w", err)
-	}
-	r.mu.Lock()
-	c.cached = out.Cached
-	if out.Tiles != 0 {
-		c.tiles = out.Tiles
-	}
-	c.unmatchedA = out.UnmatchedA
-	c.unmatchedB = out.UnmatchedB
-	if out.Report != nil {
-		// A cache layer answered terminal-immediately: no live job to track.
-		c.state = CellDone
-		c.report = out.Report
-		c.trace = trace.Summarize(out.Trace)
-		c.jobID = out.JobID
-		v := r.viewLocked(c)
-		r.bumpLocked()
-		r.mu.Unlock()
-		r.maybePrune()
-		return v, nil
-	}
 	r.mu.Unlock()
 
 	// Wait with a background context: the run's own ctx is canceled once the
 	// run finishes, and an upgrade outlives the run lifecycle by design.
-	st, err := r.m.cfg.Scheduler.Wait(context.Background(), out.JobID)
-	if err != nil {
-		restore()
-		return CellView{}, fmt.Errorf("compare: exact upgrade: %w", err)
-	}
-	if st.State != sched.Done {
-		restore()
+	st, err := r.submitAndWait(context.Background(), c, false)
+	if err == nil && st.State != sched.Done {
 		msg := st.Error
 		if msg == "" {
 			msg = "job ended " + st.State.String()
 		}
-		return CellView{}, fmt.Errorf("compare: exact upgrade: %s", msg)
+		err = errors.New(msg)
 	}
-	r.mu.Lock()
-	c.state = CellDone
-	rep := st.Report
-	c.report = &rep
-	c.jobID = out.JobID
-	c.trace = trace.Summarize(st.Trace)
-	if c.tiles == 0 {
-		c.tiles = st.Tiles
+	if err != nil {
+		r.mu.Lock()
+		*c = prev
+		r.bumpLocked()
+		r.mu.Unlock()
+		return CellView{}, fmt.Errorf("compare: exact upgrade: %w", err)
 	}
-	v := r.viewLocked(c)
-	r.bumpLocked()
-	r.mu.Unlock()
-	r.maybePrune()
-	return v, nil
+	return r.recordFinal(c, st), nil
 }
 
 // SortRunsByID orders run snapshots deterministically (used by listings).

@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,7 @@ func waitRun(t *testing.T, r *Run) Status {
 
 // TestMatrixSymmetricAndExact: a K=3 run produces a symmetric 3×3 status
 // whose off-diagonal cells are bit-identical to independently submitted
-// pairwise jobs, with the diagonal marked self and the job group terminal.
+// pairwise jobs, with the diagonal marked self and the group aggregate terminal.
 func TestMatrixSymmetricAndExact(t *testing.T) {
 	s := testStore(t)
 	sc := sched.New(sched.Config{Devices: 2})
@@ -64,7 +65,7 @@ func TestMatrixSymmetricAndExact(t *testing.T) {
 	}
 
 	m := NewManager(ManagerConfig{Scheduler: sc, Submit: directSubmit(t, s, sc, nil), Concurrency: 2})
-	run, err := m.Start("exactness", ids)
+	run, err := m.StartSpec(RunSpec{Name: "exactness", Datasets: ids}, nil)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -139,7 +140,7 @@ func TestMatrixCachedCells(t *testing.T) {
 		},
 	})
 	ids := []string{testID('a'), testID('b'), testID('c')}
-	run, err := m.Start("cached", ids)
+	run, err := m.StartSpec(RunSpec{Name: "cached", Datasets: ids}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestMatrixCellResubmitsAfterExternalCancel(t *testing.T) {
 			return SubmitOutcome{JobID: id, Tiles: 1}, nil
 		},
 	})
-	run, err := m.Start("resubmit", []string{testID('4'), testID('5')})
+	run, err := m.StartSpec(RunSpec{Name: "resubmit", Datasets: []string{testID('4'), testID('5')}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +297,7 @@ func TestMatrixCancelCancelsMembers(t *testing.T) {
 			return SubmitOutcome{JobID: id, Tiles: 1}, nil
 		},
 	})
-	run, err := m.Start("cancelme", []string{testID('1'), testID('2'), testID('3')})
+	run, err := m.StartSpec(RunSpec{Name: "cancelme", Datasets: []string{testID('1'), testID('2'), testID('3')}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,5 +342,193 @@ func TestMatrixCancelCancelsMembers(t *testing.T) {
 	// A terminal run rejects a second cancel.
 	if err := run.Cancel(); err != ErrRunTerminal {
 		t.Errorf("second Cancel = %v, want ErrRunTerminal", err)
+	}
+}
+
+// countingSched counts Job lookups, the only scheduler call a status
+// snapshot may make.
+type countingSched struct {
+	*sched.Scheduler
+	jobCalls atomic.Int64
+}
+
+func (c *countingSched) Job(id string) (sched.JobStatus, bool) {
+	c.jobCalls.Add(1)
+	return c.Scheduler.Job(id)
+}
+
+// checkGroupMatchesCells asserts the group aggregate of one snapshot says
+// exactly what the snapshot's own cell grid shows.
+func checkGroupMatchesCells(t *testing.T, st Status) {
+	t.Helper()
+	var members, inFlight, done, failed, canceled int
+	for i := range st.Cells {
+		for j := i + 1; j < len(st.Cells[i]); j++ {
+			c := st.Cells[i][j]
+			if c.JobID == "" {
+				continue
+			}
+			members++
+			switch c.State {
+			case CellRunning:
+				inFlight++
+			case CellDone:
+				done++
+			case CellFailed:
+				failed++
+			case CellCanceled, CellBounded:
+				canceled++
+			}
+		}
+	}
+	g := st.Group
+	if g.Members != members || g.Queued+g.Running != inFlight || g.Done != done ||
+		g.Failed != failed || g.CanceledJobs != canceled {
+		t.Errorf("version %d: group %+v disagrees with its own cells (members %d, in flight %d, done %d, failed %d, canceled %d)",
+			st.Version, g, members, inFlight, done, failed, canceled)
+	}
+	if g.Terminal != (st.State != RunRunning) {
+		t.Errorf("version %d: group terminal=%v on a %s run", st.Version, g.Terminal, st.State)
+	}
+}
+
+// TestStatusSnapshotSelfConsistent: the group aggregate and the cell grid
+// come from one critical section, so no snapshot — streamed on every change
+// or polled in a tight loop while cells settle — can disagree with itself.
+// A finished run's snapshots then cost the scheduler nothing.
+func TestStatusSnapshotSelfConsistent(t *testing.T) {
+	s := testStore(t)
+	sc := &countingSched{Scheduler: sched.New(sched.Config{Devices: 2})}
+	t.Cleanup(sc.Close)
+	var ids []string
+	for seed := int64(1); seed <= 4; seed++ {
+		ids = append(ids, ingestVariant(t, s, "slideS", seed, 2).ID)
+	}
+	m := NewManager(ManagerConfig{Scheduler: sc, Submit: directSubmit(t, s, sc.Scheduler, nil), Concurrency: 3})
+	run, err := m.StartSpec(RunSpec{Name: "consistent", Datasets: ids}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the poller: snapshots between version bumps too
+		defer wg.Done()
+		for {
+			select {
+			case <-run.Done():
+				return
+			default:
+				checkGroupMatchesCells(t, run.Status())
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for since := int64(-1); ; { // the stream: one snapshot per change
+		st, err := run.WaitChange(ctx, since)
+		if err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		checkGroupMatchesCells(t, st)
+		if st.State != RunRunning {
+			break
+		}
+		since = st.Version
+	}
+	wg.Wait()
+
+	st := run.Status()
+	if st.State != RunDone || st.Group.Done != 6 || st.Group.Members != 6 {
+		t.Fatalf("run ended %s with group %+v, want 6 done members", st.State, st.Group)
+	}
+	before := sc.jobCalls.Load()
+	run.Status()
+	run.Group()
+	if after := sc.jobCalls.Load(); after != before {
+		t.Errorf("snapshots of a finished run made %d scheduler calls, want 0", after-before)
+	}
+}
+
+// TestCancelLeavesSharedJobsRunning: cancelling a run cancels the cell jobs
+// it submitted and not a job it merely attached to through a live-tier cache
+// hit — that job has other consumers.
+func TestCancelLeavesSharedJobsRunning(t *testing.T) {
+	s := testStore(t)
+	sc := sched.New(sched.Config{})
+	t.Cleanup(sc.Close)
+	release := make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
+
+	man := ingestVariant(t, s, "slideO", 7, 1)
+	ds, err := s.OpenDataset(man.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := ds.Source().Task(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Another submitter's job, gated on the scheduler's only runner, so the
+	// run's own job stays queued and a cancel finalizes it at once.
+	shared, err := sc.SubmitJob(&gatedSource{release: release, task: task}, sched.JobOpts{Name: "someone else's"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idA, idB, idC := testID('a'), testID('b'), testID('c')
+	ownedCh := make(chan string, 1)
+	m := NewManager(ManagerConfig{
+		Scheduler:   sc,
+		Concurrency: 2,
+		Submit: func(_, b, _ string) (SubmitOutcome, error) {
+			if b == idB {
+				return SubmitOutcome{JobID: shared, Cached: true, Tiles: 1}, nil
+			}
+			id, err := sc.SubmitJob(ds.Source(), sched.JobOpts{Name: "owned"})
+			if err != nil {
+				return SubmitOutcome{}, err
+			}
+			ownedCh <- id
+			return SubmitOutcome{JobID: id, Tiles: 1}, nil
+		},
+	})
+	run, err := m.StartSpec(RunSpec{SetA: []string{idA}, SetB: []string{idB, idC}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for since := int64(-1); ; {
+		st, err := run.WaitChange(ctx, since)
+		if err != nil {
+			t.Fatalf("cells never both in flight: %v", err)
+		}
+		if st.Cells[0][0].State == CellRunning && st.Cells[0][1].State == CellRunning {
+			if st.Group.Members != 2 {
+				t.Fatalf("group = %+v, want both the shared and the owned job as members", st.Group)
+			}
+			break
+		}
+		since = st.Version
+	}
+	owned := <-ownedCh
+
+	if err := run.Cancel(); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	st := waitRun(t, run)
+	if st.State != RunCanceled {
+		t.Fatalf("run ended %s, want canceled", st.State)
+	}
+	if js := waitJob(t, sc, owned); js.State != sched.Canceled {
+		t.Errorf("owned job ended %s, want canceled with its run", js.State)
+	}
+	if js, _ := sc.Job(shared); js.State.Terminal() {
+		t.Fatalf("shared job is %s after the run's cancel, want it still running for its owner", js.State)
+	}
+	once.Do(func() { close(release) })
+	if js := waitJob(t, sc, shared); js.State != sched.Done {
+		t.Errorf("shared job ended %s, want done", js.State)
 	}
 }

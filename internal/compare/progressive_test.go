@@ -130,7 +130,7 @@ func TestMatrixTopKDifferential(t *testing.T) {
 
 	// Oracle first: the full exact matrix, no objectives. Progressive runs
 	// plan bounds too, but without an objective nothing may be elided.
-	oracleRun, err := m.Start("oracle", all)
+	oracleRun, err := m.StartSpec(RunSpec{Name: "oracle", Datasets: all}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,9 +332,8 @@ func TestMatrixBipartite(t *testing.T) {
 }
 
 // TestMatrixPrunesInFlightCells: when an exact result proves an in-flight
-// cell cannot enter the top-k answer, its owned job is canceled through the
-// group and the cell finishes `bounded`, not `canceled` — and the run is
-// still a success.
+// cell cannot enter the top-k answer, its owned job is canceled and the cell
+// finishes `bounded`, not `canceled` — and the run is still a success.
 func TestMatrixPrunesInFlightCells(t *testing.T) {
 	s := testStore(t)
 	sc := sched.New(sched.Config{})
@@ -352,7 +351,7 @@ func TestMatrixPrunesInFlightCells(t *testing.T) {
 
 	// A gated blocker occupies the scheduler's single runner, so the
 	// victim's job stays Queued — and a queued job finalizes the moment the
-	// group cancels it, making the prune observable without draining races.
+	// run cancels it, making the prune observable without draining races.
 	if _, err := sc.SubmitJob(&gatedSource{release: release, task: task}, sched.JobOpts{Name: "blocker"}); err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +423,7 @@ func TestMatrixPrunesInFlightCells(t *testing.T) {
 	}
 	job := waitJob(t, sc, victim.JobID)
 	if job.State != sched.Canceled {
-		t.Errorf("victim job ended %s, want canceled through the group", job.State)
+		t.Errorf("victim job ended %s, want canceled by the prune", job.State)
 	}
 	if math.IsNaN(victim.Similarity) || victim.Similarity != 0 {
 		t.Errorf("bounded cell reports similarity %v, want 0 (no exact answer)", victim.Similarity)

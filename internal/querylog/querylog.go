@@ -1,11 +1,10 @@
 // Package querylog persists an append-only, rotation-bounded JSONL record
 // of everything the daemon actually did with data — jobs, matrix cells,
-// ingests, and peer pulls — plus a per-tile read-frequency rollup (heat)
-// fed by the store's read hook.
+// ingests, and peer pulls.
 //
 // The log is the instrument ROADMAP's workload-adaptive storage direction
-// consumes: which datasets are queried together, how often each tile is
-// actually read, and whether answers came from compute, cache, or a peer.
+// consumes: which datasets are queried together, and whether answers came
+// from compute, cache, or a peer.
 // Every line is a self-describing JSON object tagged "sccg-qlog/1"; corrupt
 // or truncated lines (a crash mid-append) are skipped with a counted reason,
 // never an error for the whole log.
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -121,26 +119,11 @@ func SkipReason(err error) string {
 const (
 	activeFile  = "querylog.jsonl"
 	rotatedFile = "querylog.1.jsonl"
-	heatFile    = "heat.json"
 	// DefaultMaxBytes bounds the two generations together at 64 MiB.
 	DefaultMaxBytes = 64 << 20
 )
 
-// heatEntry is one dataset's per-tile accounting. Slices are indexed by tile
-// and grown on demand; a tile never read stays zero.
-type heatEntry struct {
-	Reads []int64 `json:"reads"`
-	Bytes []int64 `json:"bytes"`
-}
-
-type heatState struct {
-	Schema   string                `json:"schema"`
-	Datasets map[string]*heatEntry `json:"datasets"`
-}
-
-const heatSchema = "sccg-heat/1"
-
-// Log is the append side plus the query/heat read side. Safe for concurrent
+// Log is the append side plus the query read side. Safe for concurrent
 // use; appends are serialized under one mutex (each append is a single
 // buffered write + newline, cheap next to the work being recorded).
 type Log struct {
@@ -152,16 +135,11 @@ type Log struct {
 
 	appended  int64
 	writeErrs int64
-
-	heatMu    sync.Mutex
-	heat      map[string]*heatEntry
-	heatDirty bool
 }
 
 // Open opens (creating if needed) the log rooted at dir. maxBytes bounds the
 // on-disk size across the active and one rotated generation; <= 0 uses
-// DefaultMaxBytes. A persisted heat rollup from a previous run is reloaded;
-// a corrupt one is discarded (heat is a rollup, not a source of truth).
+// DefaultMaxBytes.
 func Open(dir string, maxBytes int64) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("querylog: create %s: %w", dir, err)
@@ -178,9 +156,7 @@ func Open(dir string, maxBytes int64) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("querylog: stat: %w", err)
 	}
-	l := &Log{dir: dir, maxBytes: maxBytes, f: f, size: st.Size(), heat: make(map[string]*heatEntry)}
-	l.loadHeat()
-	return l, nil
+	return &Log{dir: dir, maxBytes: maxBytes, f: f, size: st.Size()}, nil
 }
 
 // Append writes one record, stamping schema and (when empty) time. Write
@@ -367,138 +343,12 @@ func matches(r Record, f Filter) bool {
 	return true
 }
 
-// ObserveRead accumulates one verified tile read into the heat rollup.
-// Wired to store.SetReadHook; must stay cheap (map lookup + two adds).
-func (l *Log) ObserveRead(id string, tile int, bytes int64) {
-	if l == nil || tile < 0 {
-		return
-	}
-	l.heatMu.Lock()
-	e := l.heat[id]
-	if e == nil {
-		e = &heatEntry{}
-		l.heat[id] = e
-	}
-	for len(e.Reads) <= tile {
-		e.Reads = append(e.Reads, 0)
-		e.Bytes = append(e.Bytes, 0)
-	}
-	e.Reads[tile]++
-	e.Bytes[tile] += bytes
-	l.heatDirty = true
-	l.heatMu.Unlock()
-}
-
-// TileHeat is one tile's read accounting in wire form.
-type TileHeat struct {
-	Tile  int   `json:"tile"`
-	Reads int64 `json:"reads"`
-	Bytes int64 `json:"bytes"`
-}
-
-// Heat returns the per-tile read counts for a dataset, tile-ordered, and
-// whether the dataset has any recorded reads.
-func (l *Log) Heat(id string) ([]TileHeat, bool) {
-	if l == nil {
-		return nil, false
-	}
-	l.heatMu.Lock()
-	defer l.heatMu.Unlock()
-	e := l.heat[id]
-	if e == nil {
-		return nil, false
-	}
-	out := make([]TileHeat, len(e.Reads))
-	for i := range e.Reads {
-		out[i] = TileHeat{Tile: i, Reads: e.Reads[i], Bytes: e.Bytes[i]}
-	}
-	return out, true
-}
-
-// HeatDatasets lists dataset IDs with recorded reads, sorted.
-func (l *Log) HeatDatasets() []string {
-	if l == nil {
-		return nil
-	}
-	l.heatMu.Lock()
-	ids := make([]string, 0, len(l.heat))
-	for id := range l.heat {
-		ids = append(ids, id)
-	}
-	l.heatMu.Unlock()
-	sort.Strings(ids)
-	return ids
-}
-
-// DropHeat forgets a dataset's rollup; wired into the delete cascade so a
-// removed dataset's heat cannot outlive it.
-func (l *Log) DropHeat(id string) {
-	if l == nil {
-		return
-	}
-	l.heatMu.Lock()
-	if _, ok := l.heat[id]; ok {
-		delete(l.heat, id)
-		l.heatDirty = true
-	}
-	l.heatMu.Unlock()
-}
-
-// SaveHeat persists the rollup (atomic rename). A no-op when nothing
-// changed since the last save.
-func (l *Log) SaveHeat() error {
-	if l == nil {
-		return nil
-	}
-	l.heatMu.Lock()
-	if !l.heatDirty {
-		l.heatMu.Unlock()
-		return nil
-	}
-	state := heatState{Schema: heatSchema, Datasets: l.heat}
-	data, err := json.Marshal(state)
-	l.heatDirty = false
-	l.heatMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("querylog: heat: %w", err)
-	}
-	tmp := filepath.Join(l.dir, heatFile+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("querylog: heat: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, heatFile)); err != nil {
-		return fmt.Errorf("querylog: heat: %w", err)
-	}
-	return nil
-}
-
-func (l *Log) loadHeat() {
-	data, err := os.ReadFile(filepath.Join(l.dir, heatFile))
-	if err != nil {
-		return
-	}
-	var state heatState
-	if json.Unmarshal(data, &state) != nil || state.Schema != heatSchema {
-		return
-	}
-	for id, e := range state.Datasets {
-		if e == nil || len(e.Reads) != len(e.Bytes) {
-			continue
-		}
-		l.heat[id] = e
-	}
-}
-
-// Close persists the heat rollup and closes the active file.
+// Close closes the active file.
 func (l *Log) Close() error {
 	if l == nil {
 		return nil
 	}
-	err := l.SaveHeat()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return l.f.Close()
 }

@@ -69,8 +69,6 @@ func TestReopenKeepsRecords(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir, 0)
 	l.Append(Record{Kind: KindIngest, ID: "d1", Outcome: OutcomeIngested})
-	l.ObserveRead("d1", 0, 10)
-	l.ObserveRead("d1", 2, 30)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +79,6 @@ func TestReopenKeepsRecords(t *testing.T) {
 	res, _ := l2.Query(Filter{})
 	if len(res.Records) != 2 {
 		t.Fatalf("restart lost records: %d", len(res.Records))
-	}
-	heat, ok := l2.Heat("d1")
-	if !ok || len(heat) != 3 {
-		t.Fatalf("restart lost heat: %v ok=%v", heat, ok)
-	}
-	if heat[0].Reads != 1 || heat[1].Reads != 0 || heat[2].Reads != 1 || heat[2].Bytes != 30 {
-		t.Fatalf("heat after restart: %+v", heat)
 	}
 }
 
@@ -148,35 +139,13 @@ func TestCorruptLinesSkippedWithReason(t *testing.T) {
 	}
 }
 
-func TestDropHeat(t *testing.T) {
-	l := openLog(t, t.TempDir(), 0)
-	defer l.Close()
-	l.ObserveRead("d1", 0, 1)
-	l.ObserveRead("d2", 0, 1)
-	l.DropHeat("d1")
-	if _, ok := l.Heat("d1"); ok {
-		t.Fatal("dropped dataset still hot")
-	}
-	if got := l.HeatDatasets(); len(got) != 1 || got[0] != "d2" {
-		t.Fatalf("HeatDatasets = %v", got)
-	}
-}
-
 func TestNilLogIsInert(t *testing.T) {
 	var l *Log
 	l.Append(Record{Kind: KindJob, Outcome: OutcomeComputed})
-	l.ObserveRead("d", 0, 1)
-	l.DropHeat("d")
-	if _, ok := l.Heat("d"); ok {
-		t.Fatal("nil log has heat")
-	}
 	if res, err := l.Query(Filter{}); err != nil || len(res.Records) != 0 {
 		t.Fatal("nil query")
 	}
 	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.SaveHeat(); err != nil {
 		t.Fatal(err)
 	}
 }

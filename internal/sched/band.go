@@ -3,7 +3,7 @@ package sched
 import "fmt"
 
 // Band is a job's QoS class. The scheduler runs one weighted-fair queue per
-// band (with aging) instead of a single FIFO, so a deep batch backlog — a
+// band instead of a single FIFO, so a deep batch backlog — a
 // large-K matrix fanning hundreds of cells — can no longer starve an ad-hoc
 // interactive job, and heavy ingest coexists with heavy analytics on one
 // daemon (the Polynesia HTAP framing, PAPERS.md).
@@ -14,7 +14,7 @@ const (
 	// optionally a reserved executor slot no other band may lease.
 	BandInteractive Band = iota
 	// BandBatch is bulk analytical work: matrix cells and anything a caller
-	// explicitly marks batch. Lowest weight; aging still bounds its wait.
+	// explicitly marks batch. Lowest weight, but positive: WFQ never starves it.
 	BandBatch
 	// BandIngest is generation + ingestion work (spec/corpus jobs): the
 	// "transactional" side of the HTAP split, weighted between the two.

@@ -62,7 +62,7 @@ func drainOrder(t *testing.T, s *Scheduler, js []*job) []Band {
 // band, interactive must dominate the head of the dispatch order while batch
 // still progresses (no strict priority, no starvation).
 func TestWFQInterleavesByWeight(t *testing.T) {
-	s := New(Config{Devices: 1, AgingBoost: -1, ReservedSlots: -1})
+	s := New(Config{Devices: 1, ReservedSlots: -1})
 	defer s.Close()
 
 	now := time.Now()
@@ -93,7 +93,7 @@ func TestWFQInterleavesByWeight(t *testing.T) {
 // that sat idle while another band consumed service must not bank credit and
 // burst ahead of its weight when it becomes active again.
 func TestWFQIdleBandCatchesUp(t *testing.T) {
-	s := New(Config{Devices: 1, AgingBoost: -1, ReservedSlots: -1})
+	s := New(Config{Devices: 1, ReservedSlots: -1})
 	defer s.Close()
 
 	s.mu.Lock()
@@ -121,36 +121,11 @@ func TestWFQIdleBandCatchesUp(t *testing.T) {
 	}
 }
 
-// TestAgingBoostBeatsWeight checks the starvation bound: a batch job whose
-// queue wait exceeds AgingBoost is dispatched ahead of weighted-fair order
-// even when the interactive band would otherwise win every dispatch.
-func TestAgingBoostBeatsWeight(t *testing.T) {
-	s := New(Config{Devices: 1, ReservedSlots: -1}) // default 30s AgingBoost
-	defer s.Close()
-
-	now := time.Now()
-	aged := queueJob(BandBatch, "default", now.Add(-time.Minute))
-	fresh := queueJob(BandInteractive, "default", now)
-
-	s.mu.Lock()
-	s.enqueueLocked(fresh)
-	s.enqueueLocked(aged)
-	first := s.dequeueLocked(false)
-	second := s.dequeueLocked(false)
-	s.mu.Unlock()
-	if first == nil || first.band != BandBatch {
-		t.Fatalf("first dispatch = %+v, want the aged batch job", first)
-	}
-	if second == nil || second.band != BandInteractive {
-		t.Fatalf("second dispatch = %+v, want the interactive job", second)
-	}
-}
-
 // TestReservedSlotDequeuesInteractiveOnly checks the reserved-runner
 // contract: it never serves batch or ingest work, and serving interactive
 // work does not charge the band's fair-share clock.
 func TestReservedSlotDequeuesInteractiveOnly(t *testing.T) {
-	s := New(Config{Devices: 1, AgingBoost: -1, ReservedSlots: -1})
+	s := New(Config{Devices: 1, ReservedSlots: -1})
 	defer s.Close()
 
 	s.mu.Lock()

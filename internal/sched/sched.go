@@ -67,10 +67,6 @@ type Config struct {
 	// an all-zero value selects DefaultBandWeights. Individual zero entries
 	// inherit their default; weights must be positive.
 	BandWeights [NumBands]int
-	// AgingBoost bounds cross-band starvation: a queued job older than this
-	// is dispatched ahead of weighted-fair order (oldest first), whatever
-	// its band's weight. 0 selects the 30s default; negative disables.
-	AgingBoost time.Duration
 	// ReservedSlots holds this many executor slots exclusively for
 	// interactive jobs — batch and ingest shards never lease them, so an
 	// interactive job admitted under a batch flood starts on reserved
@@ -109,9 +105,6 @@ func (c Config) normalized() Config {
 		if w <= 0 {
 			c.BandWeights[b] = DefaultBandWeights[b]
 		}
-	}
-	if c.AgingBoost == 0 {
-		c.AgingBoost = 30 * time.Second
 	}
 	switch {
 	case c.ReservedSlots == 0 && c.slots() > 1:
@@ -340,12 +333,10 @@ type Scheduler struct {
 	qcond  *sync.Cond // signaled on enqueue and Close; guards the fields below via mu
 	jobs   map[string]*job
 	order  []string
-	groups map[string]*Group
-	gorder []string
 	closed bool
 
 	// The banded ready queue: one FIFO per band under weighted fair sharing
-	// (virtual-time WFQ) with aging. Terminal jobs (canceled while queued)
+	// (virtual-time WFQ). Terminal jobs (canceled while queued)
 	// stay in their slice until a dequeue skips them; accounting drops them
 	// immediately via job.counted.
 	bands         [NumBands][]*job
@@ -362,7 +353,6 @@ type Scheduler struct {
 	histJobDuration   map[State]*metrics.Histogram
 
 	nextID    int64
-	nextGroup int64
 	submitted int64
 	completed int64
 	failed    int64
@@ -376,7 +366,6 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:           cfg,
 		jobs:          make(map[string]*job),
-		groups:        make(map[string]*Group),
 		queuedTenant:  make(map[string]int),
 		runningTenant: make(map[string]int),
 		warm:          pipeline.NewThroughputMemory(),
@@ -563,46 +552,27 @@ func (s *Scheduler) uncountLocked(j *job) {
 // Reserved-slot runners (interactiveOnly) serve only the interactive band
 // and don't charge its fair-share clock — reserved capacity is dedicated,
 // not part of the weighted split. General runners pick the band by
-// virtual-time WFQ, except that a head-of-line job older than AgingBoost is
-// served first (oldest head wins), bounding every band's wait under any
-// weight ratio.
+// virtual-time WFQ; weights are positive, so every non-empty band is served.
 func (s *Scheduler) dequeueLocked(interactiveOnly bool) *job {
 	for {
 		pick := Band(-1)
-		charge := false
 		if interactiveOnly {
 			if len(s.bands[BandInteractive]) == 0 {
 				return nil
 			}
 			pick = BandInteractive
 		} else {
-			if s.cfg.AgingBoost > 0 {
-				now := time.Now()
-				var oldest time.Time
-				for b := Band(0); b < NumBands; b++ {
-					if len(s.bands[b]) == 0 {
-						continue
-					}
-					h := s.bands[b][0]
-					if now.Sub(h.submitted) >= s.cfg.AgingBoost && (pick < 0 || h.submitted.Before(oldest)) {
-						pick, oldest = b, h.submitted
-					}
+			for b := Band(0); b < NumBands; b++ {
+				if len(s.bands[b]) == 0 {
+					continue
 				}
-			}
-			if pick < 0 {
-				for b := Band(0); b < NumBands; b++ {
-					if len(s.bands[b]) == 0 {
-						continue
-					}
-					if pick < 0 || s.vtime[b] < s.vtime[pick] {
-						pick = b
-					}
+				if pick < 0 || s.vtime[b] < s.vtime[pick] {
+					pick = b
 				}
 			}
 			if pick < 0 {
 				return nil
 			}
-			charge = true
 		}
 		j := s.bands[pick][0]
 		s.bands[pick] = s.bands[pick][1:]
@@ -611,7 +581,7 @@ func (s *Scheduler) dequeueLocked(interactiveOnly bool) *job {
 			// Canceled while queued; its slot in the FIFO dies here.
 			continue
 		}
-		if charge {
+		if !interactiveOnly {
 			s.vtime[pick] += 1 / float64(s.cfg.BandWeights[pick])
 		}
 		return j
@@ -868,7 +838,7 @@ func (s *Scheduler) runJob(j *job) {
 	s.mu.Unlock()
 
 	// Sharding scans every task's Weight — O(tiles) over a large stored
-	// dataset — so it must not run under s.mu: every Jobs/Job/Stats/Groups
+	// dataset — so it must not run under s.mu: every Jobs/Job/Stats
 	// snapshot (and through them /jobs, /metrics, /healthz) would stall
 	// behind it. Len/Weight are in-memory manifest reads on every source, so
 	// scanning outside the lock races nothing but the terminal re-check

@@ -378,52 +378,6 @@ func TestCancelDuringSharding(t *testing.T) {
 	}
 }
 
-// TestGroupCancelMember checks single-member early termination: owned members
-// cancel, shared (cache-hit) members and unknown IDs are left alone.
-func TestGroupCancelMember(t *testing.T) {
-	s := New(Config{Devices: 1})
-	defer s.Close()
-	// A deliberately large first job keeps the later ones queued so their
-	// cancellation is race-free.
-	blocker, err := s.SubmitJob(Tasks(testTasks(t, 12)), JobOpts{Name: "blocker"})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	owned, err := s.SubmitJob(Tasks(testTasks(t, 1)), JobOpts{Name: "owned"})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	shared, err := s.SubmitJob(Tasks(testTasks(t, 1)), JobOpts{Name: "shared"})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	g := s.NewGroupFor("run", "")
-	if err := g.Add(owned, true); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if err := g.Add(shared, false); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if !g.CancelMember(owned) {
-		t.Error("CancelMember(owned) = false, want cancel issued")
-	}
-	if g.CancelMember(shared) {
-		t.Error("CancelMember(shared) = true, want shared member untouched")
-	}
-	if g.CancelMember("job-999999") {
-		t.Error("CancelMember(unknown) = true, want false")
-	}
-	if st, err := s.Wait(context.Background(), owned); err != nil || st.State != Canceled {
-		t.Fatalf("owned member state = %v err = %v, want Canceled", st.State, err)
-	}
-	if st, err := s.Wait(context.Background(), shared); err != nil || st.State != Done {
-		t.Fatalf("shared member state = %v err = %v, want Done", st.State, err)
-	}
-	if st, err := s.Wait(context.Background(), blocker); err != nil || st.State != Done {
-		t.Fatalf("blocker state = %v err = %v, want Done", st.State, err)
-	}
-}
-
 // TestWarmStartCarriesThroughput checks the executor-pool warm start: after
 // a first job measures slot throughput, the scheduler's memory holds the
 // EWMA under the slot-labelled executor ID so the next job's executors seed

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compare"
 	"repro/internal/store"
 )
 
@@ -91,10 +92,12 @@ func FuzzJobRequest(f *testing.F) {
 }
 
 // FuzzMatrixRequest hardens the matrix surface: arbitrary dataset-ID lists,
-// bipartite axes, and progressive objectives must never panic validation,
-// and every accepted request satisfies the invariants the orchestrator
-// relies on (axes mutually exclusive, 2..max valid distinct IDs per axis —
-// or both bipartite axes non-empty — and objectives within range).
+// bipartite axes, and progressive objectives must never panic
+// compare.RunSpec.Validate (MatrixRequest is that spec), and every accepted
+// request satisfies the invariants the orchestrator relies on (axes mutually
+// exclusive, 2..max valid distinct IDs per axis — or both bipartite axes
+// non-empty — and objectives within range). The body can never set the
+// server-side fields (tenant, prelude).
 func FuzzMatrixRequest(f *testing.F) {
 	idA := strings.Repeat("ab", 32)
 	idB := strings.Repeat("cd", 32)
@@ -118,6 +121,7 @@ func FuzzMatrixRequest(f *testing.F) {
 	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"min_similarity":1.5}`))
 	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"min_similarity":-0.1}`))
 	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"min_similarity":1e308}`))
+	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"Tenant":"root","Prelude":{}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := json.NewDecoder(bytes.NewReader(data))
@@ -126,45 +130,48 @@ func FuzzMatrixRequest(f *testing.F) {
 		if err := dec.Decode(&req); err != nil {
 			return // rejected at the decode layer, as the handler would
 		}
+		if req.Tenant != "" || req.Prelude != nil {
+			t.Fatalf("request body set a server-side field: %+v", req)
+		}
 		// matrixIDs runs before validation succeeds in no path, but it must
 		// still tolerate anything that decodes (startMatrix calls it only
-		// after checkMatrixRequest; keep it panic-free regardless).
+		// after Validate; keep it panic-free regardless).
 		_ = matrixIDs(req)
-		if err := checkMatrixRequest(req); err != nil {
+		if err := req.Validate(); err != nil {
 			return
 		}
 		// Invariants of accepted requests.
 		bipartite := len(req.SetA) > 0 || len(req.SetB) > 0
 		if bipartite {
 			if len(req.Datasets) > 0 {
-				t.Fatalf("checkMatrixRequest accepted mixed axes: %+v", req)
+				t.Fatalf("Validate accepted mixed axes: %+v", req)
 			}
 			if len(req.SetA) == 0 || len(req.SetB) == 0 {
-				t.Fatalf("checkMatrixRequest accepted a one-sided bipartite request: %+v", req)
+				t.Fatalf("Validate accepted a one-sided bipartite request: %+v", req)
 			}
-		} else if len(req.Datasets) < 2 || len(req.Datasets) > maxMatrixDatasets {
-			t.Fatalf("checkMatrixRequest accepted %d datasets", len(req.Datasets))
+		} else if len(req.Datasets) < 2 || len(req.Datasets) > compare.MaxAxis {
+			t.Fatalf("Validate accepted %d datasets", len(req.Datasets))
 		}
 		for _, axis := range [][]string{req.Datasets, req.SetA, req.SetB} {
-			if len(axis) > maxMatrixDatasets {
-				t.Fatalf("checkMatrixRequest accepted a %d-wide axis", len(axis))
+			if len(axis) > compare.MaxAxis {
+				t.Fatalf("Validate accepted a %d-wide axis", len(axis))
 			}
 			seen := map[string]struct{}{}
 			for _, id := range axis {
 				if !store.ValidateID(id) {
-					t.Fatalf("checkMatrixRequest accepted malformed ID %q", id)
+					t.Fatalf("Validate accepted malformed ID %q", id)
 				}
 				if _, dup := seen[id]; dup {
-					t.Fatalf("checkMatrixRequest accepted duplicate ID %q", id)
+					t.Fatalf("Validate accepted duplicate ID %q", id)
 				}
 				seen[id] = struct{}{}
 			}
 		}
 		if req.TopK < 0 {
-			t.Fatalf("checkMatrixRequest accepted top_k %d", req.TopK)
+			t.Fatalf("Validate accepted top_k %d", req.TopK)
 		}
 		if req.MinSimilarity < 0 || req.MinSimilarity > 1 {
-			t.Fatalf("checkMatrixRequest accepted min_similarity %v", req.MinSimilarity)
+			t.Fatalf("Validate accepted min_similarity %v", req.MinSimilarity)
 		}
 	})
 }

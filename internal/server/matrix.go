@@ -23,8 +23,8 @@ package server
 //
 // A run resolves each cell through the cache-aware job submission path
 // (repeat content — including across daemon restarts, via the persisted
-// cache — is never recomputed) and fans the rest out as scheduler jobs under
-// one cancellable job group. Progressive runs first bound every cell from
+// cache — is never recomputed) and fans the rest out as scheduler jobs the
+// run can cancel as one. Progressive runs first bound every cell from
 // manifest stats and elide cells that cannot affect the answer; see
 // internal/compare. The run pins all its datasets for its lifetime, so a
 // retention sweep mid-run can never delete a dataset out from under a
@@ -45,77 +45,10 @@ import (
 	"repro/internal/trace"
 )
 
-// MatrixRequest starts a matrix run over stored datasets.
-type MatrixRequest struct {
-	Datasets []string `json:"datasets,omitempty"`
-	SetA     []string `json:"set_a,omitempty"`
-	SetB     []string `json:"set_b,omitempty"`
-	Name     string   `json:"name,omitempty"`
-	// TopK asks only for the K highest-similarity cells; remaining cells
-	// may finish "bounded" (elided, with a sound upper bound) instead of
-	// exact.
-	TopK int `json:"top_k,omitempty"`
-	// MinSimilarity, in [0,1], skips cells whose similarity provably falls
-	// below it.
-	MinSimilarity float64 `json:"min_similarity,omitempty"`
-	// Estimate turns on Monte-Carlo cell estimates to refine the order in
-	// which cells are computed. Estimates never decide skips.
-	Estimate bool `json:"estimate,omitempty"`
-}
-
-// maxMatrixDatasets caps each axis; the cell count grows quadratically and
-// 16 datasets already mean 120 pairwise jobs.
-const maxMatrixDatasets = 16
-
-// checkMatrixRequest validates a matrix request without touching the store.
-func checkMatrixRequest(req MatrixRequest) error {
-	bipartite := len(req.SetA) > 0 || len(req.SetB) > 0
-	switch {
-	case bipartite && len(req.Datasets) > 0:
-		return errors.New("datasets and set_a/set_b are mutually exclusive")
-	case bipartite:
-		if len(req.SetA) == 0 || len(req.SetB) == 0 {
-			return errors.New("a bipartite matrix needs both set_a and set_b")
-		}
-		if err := checkMatrixAxis("set_a", req.SetA); err != nil {
-			return err
-		}
-		if err := checkMatrixAxis("set_b", req.SetB); err != nil {
-			return err
-		}
-	default:
-		if len(req.Datasets) < 2 {
-			return errors.New("a matrix needs at least 2 datasets")
-		}
-		if err := checkMatrixAxis("datasets", req.Datasets); err != nil {
-			return err
-		}
-	}
-	if req.TopK < 0 {
-		return fmt.Errorf("top_k %d is negative", req.TopK)
-	}
-	if req.MinSimilarity < 0 || req.MinSimilarity > 1 {
-		return fmt.Errorf("min_similarity %v outside [0, 1]", req.MinSimilarity)
-	}
-	return nil
-}
-
-func checkMatrixAxis(field string, ids []string) error {
-	if len(ids) > maxMatrixDatasets {
-		return fmt.Errorf("at most %d %s per matrix", maxMatrixDatasets, field)
-	}
-	seen := make(map[string]struct{}, len(ids))
-	for i, id := range ids {
-		if !store.ValidateID(id) {
-			return fmt.Errorf("%s[%d] %q is not a content hash (64 lowercase hex digits)", field, i, id)
-		}
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("%s[%d] %s listed twice", field, i, id)
-		}
-		seen[id] = struct{}{}
-	}
-	return nil
-}
+// MatrixRequest starts a matrix run over stored datasets. It is the compare
+// subsystem's run spec: one struct describes a run from the wire to the
+// planner, and its Validate is the only request check.
+type MatrixRequest = compare.RunSpec
 
 // matrixIDs returns the distinct dataset IDs a request touches (set_a and
 // set_b may overlap across sides).
@@ -157,7 +90,7 @@ func (s *Server) startMatrix(req MatrixRequest, who tenant.Quota) (run *compare.
 		return nil, http.StatusNotImplemented,
 			errors.New("no dataset store configured (start sccgd with -data-dir)")
 	}
-	if err := checkMatrixRequest(req); err != nil {
+	if err := req.Validate(); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
 	ids := matrixIDs(req)
@@ -186,17 +119,8 @@ func (s *Server) startMatrix(req MatrixRequest, who tenant.Quota) (run *compare.
 			s.store.Unpin(id)
 		}
 	}
-	run, err = s.matrix.StartSpec(compare.RunSpec{
-		Name:          req.Name,
-		Tenant:        who.Name,
-		Datasets:      req.Datasets,
-		SetA:          req.SetA,
-		SetB:          req.SetB,
-		TopK:          req.TopK,
-		MinSimilarity: req.MinSimilarity,
-		Estimate:      req.Estimate,
-		Prelude:       rec.Snapshot(),
-	}, release)
+	req.Tenant, req.Prelude = who.Name, rec.Snapshot()
+	run, err = s.matrix.StartSpec(req, release)
 	if err != nil {
 		release()
 		return nil, http.StatusServiceUnavailable, err
@@ -205,19 +129,9 @@ func (s *Server) startMatrix(req MatrixRequest, who tenant.Quota) (run *compare.
 	return run, http.StatusAccepted, nil
 }
 
-// SubmitMatrix validates and starts a symmetric matrix run over the dataset
-// IDs, returning the run ID. It is the non-HTTP entry the facade uses.
-func (s *Server) SubmitMatrix(ids []string, name string) (string, error) {
-	run, _, err := s.startMatrix(MatrixRequest{Datasets: ids, Name: name}, s.tenants.Resolve(""))
-	if err != nil {
-		return "", err
-	}
-	return run.ID(), nil
-}
-
-// SubmitMatrixRequest starts a run from the full request form (progressive
-// objectives, bipartite axes). Facade entry.
-func (s *Server) SubmitMatrixRequest(req MatrixRequest) (string, error) {
+// SubmitMatrix validates and starts a matrix run as the default tenant,
+// returning the run ID. It is the non-HTTP entry the facade uses.
+func (s *Server) SubmitMatrix(req MatrixRequest) (string, error) {
 	run, _, err := s.startMatrix(req, s.tenants.Resolve(""))
 	if err != nil {
 		return "", err

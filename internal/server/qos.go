@@ -168,29 +168,29 @@ func (s *Server) failAdmission(w http.ResponseWriter, who tenant.Quota, aerr *ad
 	})
 }
 
-// jobPin records which datasets a queued-or-running job holds pins on, and
-// since when — the input to pin-aware queue aging.
-type jobPin struct {
-	ids       []string
+// jobRecord is what the server keeps about a submitted job beside the
+// scheduler's own state. Jobs with neither field set have no record.
+type jobRecord struct {
+	// cross is a cross-dataset job's tile pairing (matched/unmatched counts),
+	// attached to every response for the job, finished or not.
+	cross *CrossPayload
+	// pinned lists the datasets the job's source holds pins on and submitted
+	// says since when — the input to pin-aware queue aging. Cleared at the
+	// job's terminal state, when the source releases the pins.
+	pinned    []string
 	submitted time.Time
 }
 
-// trackJobPins registers a submitted job's dataset pins for the retention
-// engine's pinned-pressure callback. No-op for jobs that pin nothing.
-func (s *Server) trackJobPins(jobID string, ids []string) {
-	if len(ids) == 0 || jobID == "" {
-		return
+// dropJobPins forgets a terminal job's pins, and the whole record when
+// nothing else is on it.
+func (s *Server) dropJobPins(jobID string) {
+	s.jobsMu.Lock()
+	if jr := s.jobRecs[jobID]; jr != nil {
+		if jr.pinned = nil; jr.cross == nil {
+			delete(s.jobRecs, jobID)
+		}
 	}
-	s.pinsMu.Lock()
-	s.jobPins[jobID] = jobPin{ids: ids, submitted: time.Now()}
-	s.pinsMu.Unlock()
-}
-
-// untrackJobPins drops a terminal job's pin record.
-func (s *Server) untrackJobPins(jobID string) {
-	s.pinsMu.Lock()
-	delete(s.jobPins, jobID)
-	s.pinsMu.Unlock()
+	s.jobsMu.Unlock()
 }
 
 // pinnedPressure is the retention engine's escape hatch: a sweep that is
@@ -211,19 +211,19 @@ func (s *Server) pinnedPressure(blocked []string) int {
 	}
 	cutoff := time.Now().Add(-s.pinAge)
 	var victims []string
-	s.pinsMu.Lock()
-	for jobID, jp := range s.jobPins {
-		if jp.submitted.After(cutoff) {
+	s.jobsMu.Lock()
+	for jobID, jr := range s.jobRecs {
+		if jr.submitted.After(cutoff) {
 			continue
 		}
-		for _, id := range jp.ids {
+		for _, id := range jr.pinned {
 			if _, hit := blockedSet[id]; hit {
 				victims = append(victims, jobID)
 				break
 			}
 		}
 	}
-	s.pinsMu.Unlock()
+	s.jobsMu.Unlock()
 	aged := 0
 	for _, jobID := range victims {
 		// CancelQueued refuses running jobs: only work that never started —

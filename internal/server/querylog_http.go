@@ -1,10 +1,8 @@
 package server
 
 // HTTP read surface of the persisted query/access log (internal/querylog):
-// GET /querylog serves filtered records from the JSONL generations, and
-// GET /datasets/{id}/heat serves the per-tile read-frequency rollup the
-// store's read hook feeds. Both answer 501 when the log is disabled (no
-// store, or -querylog-max-bytes < 0).
+// GET /querylog serves filtered records from the JSONL generations. It
+// answers 501 when the log is disabled (no store, or -querylog-max-bytes < 0).
 
 import (
 	"errors"
@@ -14,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/querylog"
-	"repro/internal/store"
 )
 
 // querylogDefaultLimit bounds an unfiltered GET /querylog: the log may hold
@@ -78,50 +75,4 @@ func timeParam(v string) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("%q is not an RFC3339 timestamp", v)
 	}
 	return t, nil
-}
-
-// handleDatasetHeat serves a dataset's per-tile read counts. When the
-// dataset is resident locally the heat slice is padded out to the manifest's
-// tile count, so never-read tiles show as explicit zeros — the cold end of
-// the distribution is data, not absence.
-func (s *Server) handleDatasetHeat(w http.ResponseWriter, r *http.Request) {
-	if s.qlog == nil {
-		s.fail(w, http.StatusNotImplemented, errors.New("query log not enabled (start sccgd with -data-dir)"))
-		return
-	}
-	id := r.PathValue("id")
-	if !store.ValidateID(id) {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("%q is not a dataset ID", id))
-		return
-	}
-	heat, seen := s.qlog.Heat(id)
-	tiles := len(heat)
-	local := false
-	if s.store != nil {
-		if man, ok := s.store.Get(id); ok {
-			local = true
-			if len(man.Tiles) > tiles {
-				tiles = len(man.Tiles)
-			}
-		}
-	}
-	if !seen && !local {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("no reads recorded for dataset %.12s and it is not stored here", id))
-		return
-	}
-	for t := len(heat); t < tiles; t++ {
-		heat = append(heat, querylog.TileHeat{Tile: t})
-	}
-	var reads, bytes int64
-	for _, h := range heat {
-		reads += h.Reads
-		bytes += h.Bytes
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"dataset":     id,
-		"local":       local,
-		"tiles":       heat,
-		"total_reads": reads,
-		"total_bytes": bytes,
-	})
 }

@@ -38,10 +38,6 @@ import (
 // exists.
 func (s *Server) dropDatasetResults(id string) {
 	n := s.results.dropDataset(id)
-	// Heat is an access rollup for data that exists; a deleted dataset's
-	// history goes with it (records in the query log itself remain — the log
-	// is an audit trail, not a cache).
-	s.qlog.DropHeat(id)
 	// Tenant attribution releases with the dataset: the owning tenant's
 	// byte/dataset usage frees quota headroom the moment the delete lands.
 	if s.tusage != nil {

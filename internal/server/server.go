@@ -158,8 +158,8 @@ type Server struct {
 	retention *retention.Engine
 	// cluster is the peer layer; nil on a single-node daemon (see cluster.go).
 	cluster *cluster.Node
-	// qlog is the persisted query/access log plus per-tile heat rollup; nil
-	// without a store or when disabled (see querylog_http.go for the routes).
+	// qlog is the persisted query/access log; nil without a store or when
+	// disabled (see querylog_http.go for the routes).
 	qlog *querylog.Log
 	// fed caches peer metric scrapes for /metrics?cluster=1 and the /healthz
 	// rollup; nil on a single-node daemon (see federate.go).
@@ -179,15 +179,10 @@ type Server struct {
 	// pinAge is the pin-aware queue-aging threshold (Options.QueuePinAge).
 	pinAge time.Duration
 
-	// pinsMu guards jobPins: which datasets each live store-backed job holds
-	// pins on, feeding the retention engine's pinned-pressure callback.
-	pinsMu  sync.Mutex
-	jobPins map[string]jobPin
-
-	// crossMu guards crossByJob: per-job cross-dataset pairing metadata
-	// (matched/unmatched tile counts) attached to job responses.
-	crossMu    sync.Mutex
-	crossByJob map[string]*CrossPayload
+	// jobsMu guards jobRecs: the server's side record of each submitted job
+	// that has one (see jobRecord in qos.go).
+	jobsMu  sync.Mutex
+	jobRecs map[string]*jobRecord
 
 	// watchWG tracks in-flight finishWhenDone goroutines so shutdown can
 	// drain them instead of losing half-written result entries. watchMu
@@ -232,18 +227,17 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		opts.Logger = slog.Default()
 	}
 	srv := &Server{
-		sched:      s,
-		store:      opts.Store,
-		results:    newResultStore(opts.CacheSize, opts.Retention.CacheMaxEntries, opts.Store, s.Job, opts.Logger),
-		reg:        opts.Registry,
-		log:        opts.Logger,
-		compare:    opts.Compare,
-		maxBody:    opts.MaxBodyBytes,
-		started:    time.Now(),
-		tenants:    opts.Tenants,
-		pinAge:     opts.QueuePinAge,
-		crossByJob: make(map[string]*CrossPayload),
-		jobPins:    make(map[string]jobPin),
+		sched:   s,
+		store:   opts.Store,
+		results: newResultStore(opts.CacheSize, opts.Retention.CacheMaxEntries, opts.Store, s.Job, opts.Logger),
+		reg:     opts.Registry,
+		log:     opts.Logger,
+		compare: opts.Compare,
+		maxBody: opts.MaxBodyBytes,
+		started: time.Now(),
+		tenants: opts.Tenants,
+		pinAge:  opts.QueuePinAge,
+		jobRecs: make(map[string]*jobRecord),
 
 		requests:    opts.Registry.Counter("sccgd_http_requests_total"),
 		submits:     opts.Registry.Counter("sccgd_jobs_submitted_total"),
@@ -281,15 +275,22 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			e.Counter(metrics.Label("sccgd_device_shards_total", "device", dev), float64(d.Shards))
 		}
 		// Per-group progress series are emitted only for live (non-terminal)
-		// groups: a matrix run is distinguishable from ad-hoc jobs while it
-		// runs, and finished groups stop occupying scrape cardinality.
-		groups := srv.sched.Groups()
+		// matrix runs, labelled with the run ID: a run is distinguishable
+		// from ad-hoc jobs while it runs, and finished runs stop occupying
+		// scrape cardinality (and cost the scheduler nothing).
+		var runs []*compare.Run
+		if srv.matrix != nil {
+			runs = srv.matrix.Runs()
+		}
 		active := 0
-		for _, g := range groups {
-			if g.Terminal {
+		for _, run := range runs {
+			select {
+			case <-run.Done():
 				continue
+			default:
 			}
 			active++
+			g := run.Group()
 			e.Gauge(metrics.Label("sccgd_group_members", "group", g.ID), float64(g.Members))
 			e.Gauge(metrics.Label("sccgd_group_jobs_queued", "group", g.ID), float64(g.Queued))
 			e.Gauge(metrics.Label("sccgd_group_jobs_running", "group", g.ID), float64(g.Running))
@@ -297,7 +298,7 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			e.Gauge(metrics.Label("sccgd_group_jobs_failed", "group", g.ID), float64(g.Failed))
 		}
 		e.Gauge("sccgd_groups_active", float64(active))
-		e.Counter("sccgd_groups_total", float64(len(groups)))
+		e.Counter("sccgd_groups_total", float64(len(runs)))
 		// QoS series: per-band and per-tenant queue/run occupancy from the
 		// same scheduler snapshot, plus per-tenant store attribution. Labels
 		// are band names and configured tenant names — bounded cardinality,
@@ -332,7 +333,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			srv.log.Warn("query log disabled", "err", err)
 		} else {
 			srv.qlog = ql
-			opts.Store.SetReadHook(ql.ObserveRead)
 			opts.Registry.OnScrape(func(e *metrics.Emitter) {
 				e.Counter("sccgd_querylog_records_total", float64(ql.Appended()))
 				e.Counter("sccgd_querylog_write_errors_total", float64(ql.WriteErrors()))
@@ -401,9 +401,7 @@ func (s *Server) Drain() {
 	s.draining = true
 	s.watchMu.Unlock()
 	s.watchWG.Wait()
-	// Only after every in-flight recorder goroutine has appended its record:
-	// Close flushes the heat rollup beside the log so a restarted daemon
-	// answers /datasets/{id}/heat from history, not from zero.
+	// Only after every in-flight recorder goroutine has appended its record.
 	if err := s.qlog.Close(); err != nil {
 		s.log.Warn("query log close", "err", err)
 	}
@@ -439,7 +437,6 @@ func (s *Server) Handler() http.Handler {
 	handle("POST /gc", s.handleGC)
 	handle("DELETE /cache", s.handleClearCache)
 	handle("GET /querylog", s.handleQuerylog)
-	handle("GET /datasets/{id}/heat", s.handleDatasetHeat)
 	handle("GET /metrics", s.handleMetrics)
 	handle("GET /healthz", s.handleHealthz)
 	if s.cluster != nil {
@@ -661,9 +658,11 @@ func (s *Server) jobResponse(st sched.JobStatus, cached bool) JobResponse {
 		resp.Report = reportPayload(st.Report)
 	}
 	resp.Trace = st.Trace
-	s.crossMu.Lock()
-	resp.Cross = s.crossByJob[st.ID]
-	s.crossMu.Unlock()
+	s.jobsMu.Lock()
+	if jr := s.jobRecs[st.ID]; jr != nil {
+		resp.Cross = jr.cross
+	}
+	s.jobsMu.Unlock()
 	return resp
 }
 
@@ -784,14 +783,13 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 		return submission{code: submitErrorCode(err)}, err
 	}
 	s.submits.Inc()
-	s.trackJobPins(id, mat.pinned)
+	if cross != nil || len(mat.pinned) > 0 {
+		s.jobsMu.Lock()
+		s.jobRecs[id] = &jobRecord{cross: cross, pinned: mat.pinned, submitted: time.Now()}
+		s.jobsMu.Unlock()
+	}
 	s.log.Info("job submitted", "job_id", id, "name", name, "form", requestForm(req),
 		"band", band.String(), "tenant", who.Name)
-	if cross != nil {
-		s.crossMu.Lock()
-		s.crossByJob[id] = cross
-		s.crossMu.Unlock()
-	}
 	if key != "" {
 		s.results.record(key, id, cross)
 	}
@@ -837,8 +835,7 @@ func (s *Server) recordJobSub(req JobRequest, sub submission, start time.Time, w
 }
 
 // requestIO lists the datasets a request touches, with tile counts resolved
-// from local manifests when available. Byte counts are left to the store's
-// read hook (heat), which sees actual reads rather than request shapes.
+// from local manifests when available.
 func (s *Server) requestIO(req JobRequest) []querylog.DatasetIO {
 	var ids []string
 	switch {
@@ -930,7 +927,7 @@ func entrySubmission(e *resultEntry, outcome string) submission {
 // warning.
 func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID, name string, req JobRequest, cross *CrossPayload) {
 	st, err := s.sched.Wait(context.Background(), jobID)
-	s.untrackJobPins(jobID)
+	s.dropJobPins(jobID)
 	if err != nil {
 		return
 	}
@@ -1196,7 +1193,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"tenants":        len(s.tenants.Tenants),
 		"band_weights":   weights,
 		"reserved_slots": cfg.ReservedSlots,
-		"aging_boost":    cfg.AgingBoost.String(),
 		"queue_pin_age":  s.pinAge.String(),
 	}
 	if rev := buildRevision(); rev != "" {

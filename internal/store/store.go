@@ -201,10 +201,6 @@ type Store struct {
 	// tileReadHist, when set via SetMetrics, observes every verified tile
 	// read's wall latency (open + range reads + digest + WKB decode).
 	tileReadHist *metrics.Histogram
-	// onRead, when set, is called after every digest-verified tile read
-	// (ReadTile and both sides of CrossReader.ReadPair) with the dataset ID,
-	// tile index, and bytes read — the feed for per-tile heat accounting.
-	onRead func(id string, tile int, bytes int64)
 }
 
 // Open opens (creating if needed) the store rooted at dir and recovers its
@@ -373,24 +369,6 @@ func (s *Store) tileHist() *metrics.Histogram {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tileReadHist
-}
-
-// SetReadHook registers fn to run after every digest-verified tile read with
-// the dataset ID, tile index, and total bytes read. Both the single-dataset
-// and cross-dataset read paths route through it — the server hooks it to
-// maintain the per-tile read-frequency rollup behind /datasets/{id}/heat.
-// fn must be cheap and must not call back into the store.
-func (s *Store) SetReadHook(fn func(id string, tile int, bytes int64)) {
-	s.mu.Lock()
-	s.onRead = fn
-	s.mu.Unlock()
-}
-
-// readHook returns the read hook, nil when unset.
-func (s *Store) readHook() func(id string, tile int, bytes int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.onRead
 }
 
 // Pin marks the dataset as referenced by a queued or running job. While the
@@ -1014,11 +992,6 @@ func (d *Dataset) readVerified(i int) (ti TileInfo, segA, segB []byte, err error
 	if hex.EncodeToString(sum[:]) != ti.Digest {
 		return TileInfo{}, nil, nil, fmt.Errorf("store: dataset %s tile %s/%d corrupt: content digest mismatch",
 			d.man.ID, ti.Image, ti.Tile)
-	}
-	if d.st != nil {
-		if hook := d.st.readHook(); hook != nil {
-			hook(d.man.ID, i, int64(len(segA)+len(segB)))
-		}
 	}
 	return ti, segA, segB, nil
 }

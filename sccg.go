@@ -77,7 +77,7 @@ type (
 	// byte layout).
 	DatasetManifest = store.Manifest
 	// MatrixStatus is a K-way similarity matrix run's snapshot: the K×K
-	// cell grid plus the run's scheduler job-group aggregate.
+	// cell grid plus the aggregate over the run's cell jobs.
 	MatrixStatus = compare.Status
 	// MatrixCell is one cell of a matrix status.
 	MatrixCell = compare.CellView
@@ -381,9 +381,6 @@ type ServiceOptions struct {
 	// scheduler's priority queues; zero entries select the defaults
 	// (interactive 8, batch 2, ingest 3).
 	BandWeights [sched.NumBands]int
-	// AgingBoost is how long a queued job may wait before it is dispatched
-	// ahead of fair share; 0 selects the 30s default, negative disables.
-	AgingBoost time.Duration
 	// ReservedSlots reserves device slots for interactive jobs; 0
 	// auto-reserves one when more than one slot exists, negative disables.
 	ReservedSlots int
@@ -421,7 +418,6 @@ func NewService(opts ServiceOptions) *Service {
 		QueueDepth:   opts.QueueDepth,
 		Registry:     reg,
 		BandWeights:  opts.BandWeights,
-		AgingBoost:   opts.AgingBoost,
 		// The scheduler enforces per-tenant queued-job quotas atomically at
 		// enqueue; the closure keeps the scheduler tenant-config-agnostic.
 		ReservedSlots:    opts.ReservedSlots,
@@ -534,10 +530,10 @@ func (s *Service) CompareStored(idA, idB string) (string, CrossMatch, error) {
 }
 
 // SubmitMatrix starts a K-way similarity matrix run over stored dataset
-// IDs: all K·(K−1)/2 pairwise cells as one cancellable job group,
+// IDs: all K·(K−1)/2 pairwise cells as one cancellable run,
 // deduplicated through the service's result cache. Poll with Matrix.
 func (s *Service) SubmitMatrix(ids []string) (string, error) {
-	return s.srv.SubmitMatrix(ids, "")
+	return s.srv.SubmitMatrix(MatrixQuery{Datasets: ids})
 }
 
 // SubmitMatrixQuery starts a matrix run from the full request form: a
@@ -548,7 +544,7 @@ func (s *Service) SubmitMatrix(ids []string) (string, error) {
 // exact report), Estimate refines the computation order with Monte-Carlo
 // sampling. Poll with Matrix or long-poll with WaitMatrix.
 func (s *Service) SubmitMatrixQuery(req MatrixQuery) (string, error) {
-	return s.srv.SubmitMatrixRequest(req)
+	return s.srv.SubmitMatrix(req)
 }
 
 // Matrix returns a matrix run's status snapshot by ID.
