@@ -153,9 +153,10 @@ func measure(f func()) float64 {
 }
 
 // Calibrate measures the per-tile pipeline service times for a dataset:
-// parse/build/filter and PixelBox-CPU wall-clock on the host core, PixelBox
-// device time from the simulator, and GPU-Parser time at parity with a
-// 4-worker CPU parser stage (the paper's comparability finding).
+// parse/build/filter and the paper's PixelBox-CPU port (LiteralCPU)
+// wall-clock on the host core, PixelBox device time from the simulator, and
+// GPU-Parser time at parity with a 4-worker CPU parser stage (the paper's
+// comparability finding).
 func Calibrate(d *pathology.Dataset) Calibration {
 	var cal Calibration
 	var totalBytes int64
@@ -197,7 +198,7 @@ func Calibrate(d *pathology.Dataset) Calibration {
 		allPairs = append(allPairs, pairs...)
 
 		cpuSec := measure(func() {
-			pixelbox.RunCPU(pairs, pixelbox.CPUConfig{})
+			LiteralCPU(pairs)
 		})
 
 		cal.Tiles = append(cal.Tiles, pipesim.TileCost{

@@ -68,7 +68,7 @@ func (r Fig2Result) Render() string {
 type Fig7Result struct {
 	Pairs            int
 	GEOSSecs         float64 // single-core sweep overlay (GEOS role)
-	PixelBoxCPUSSecs float64 // PixelBox-CPU on one core
+	PixelBoxCPUSSecs float64 // the paper's literal PixelBox-CPU port on one core
 	PixelBoxSecs     float64 // simulated GTX 580 incl. transfers
 }
 
@@ -89,7 +89,7 @@ func Fig7(d *pathology.Dataset) Fig7Result {
 	out.GEOSSecs = sw.ElapsedSeconds()
 
 	sw = metrics.Start()
-	pixelbox.RunCPU(pairs, pixelbox.CPUConfig{})
+	LiteralCPU(pairs)
 	out.PixelBoxCPUSSecs = sw.ElapsedSeconds()
 
 	out.PixelBoxSecs = GPUSeconds(pairs, pixelbox.Config{})

@@ -8,12 +8,25 @@
 // boundaries follow the pixel grid of the source raster image. A polygon is
 // interpreted as the set of unit pixels enclosed by its boundary; the shoelace
 // area of such a polygon equals its pixel count exactly.
+//
+// Every Polygon carries an edge table beside its vertex loop: its vertical
+// edges as (X, Y1<Y2) sorted by X then Y1, and its horizontal edges as
+// (Y, X1<X2) sorted by Y then X1. The constructor paths (NewPolygon, Scale,
+// Translate) build it once, and it is what the hot code reads — the ray cast
+// of ContainsPixel, the Lemma-1 test of BoxPosition, the simplicity check of
+// NewPolygon, and the row-run pixel counter of internal/pixelbox — so none of
+// them re-derives an edge's orientation or direction from the vertex loop.
+// The sort order is part of the contract: the vertical edges covering a pixel
+// row, read in table order, are that row's boundary crossings from left to
+// right.
 package geom
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Point is an integer-valued vertex on the pixel grid of a source image.
@@ -164,7 +177,9 @@ type VEdge struct {
 type Polygon struct {
 	vertices []Point
 	mbr      MBR
-	area     int64 // pixel count; cached at construction
+	area     int64   // pixel count; cached at construction
+	vedges   []VEdge // sorted by (X, Y1)
+	hedges   []HEdge // sorted by (Y, X1)
 }
 
 // Validation errors returned by NewPolygon.
@@ -191,10 +206,19 @@ func NewPolygon(vertices []Point) (*Polygon, error) {
 	if n%2 != 0 {
 		return nil, ErrOddVertexCount
 	}
-	mbr := EmptyMBR()
+	p := &Polygon{
+		vertices: vertices,
+		mbr:      EmptyMBR(),
+		vedges:   make([]VEdge, 0, n/2),
+		hedges:   make([]HEdge, 0, n/2),
+	}
 	prevHorizontal := false
+	a := vertices[0]
 	for i := 0; i < n; i++ {
-		a, b := vertices[i], vertices[(i+1)%n]
+		b := vertices[0]
+		if i+1 < n {
+			b = vertices[i+1]
+		}
 		dx, dy := b.X-a.X, b.Y-a.Y
 		switch {
 		case dx == 0 && dy == 0:
@@ -207,7 +231,13 @@ func NewPolygon(vertices []Point) (*Polygon, error) {
 			return nil, ErrNotAlternating
 		}
 		prevHorizontal = horizontal
-		mbr = mbr.Extend(a)
+		if horizontal {
+			p.hedges = append(p.hedges, HEdge{Y: a.Y, X1: min32(a.X, b.X), X2: max32(a.X, b.X)})
+		} else {
+			p.vedges = append(p.vedges, VEdge{X: a.X, Y1: min32(a.Y, b.Y), Y2: max32(a.Y, b.Y)})
+		}
+		p.mbr = p.mbr.Extend(a)
+		a = b
 	}
 	// The closing edge (n-1 -> 0) and the first edge (0 -> 1) must also
 	// alternate; since n is even and edges alternate pairwise this is
@@ -217,11 +247,22 @@ func NewPolygon(vertices []Point) (*Polygon, error) {
 	if last == first {
 		return nil, ErrNotAlternating
 	}
-	p := &Polygon{vertices: vertices, mbr: mbr}
 	p.area = shoelace(vertices)
 	if p.area == 0 {
 		return nil, ErrZeroArea
 	}
+	slices.SortFunc(p.vedges, func(a, b VEdge) int {
+		if a.X != b.X {
+			return cmp.Compare(a.X, b.X)
+		}
+		return cmp.Compare(a.Y1, b.Y1)
+	})
+	slices.SortFunc(p.hedges, func(a, b HEdge) int {
+		if a.Y != b.Y {
+			return cmp.Compare(a.Y, b.Y)
+		}
+		return cmp.Compare(a.X1, b.X1)
+	})
 	if err := p.checkSimple(); err != nil {
 		return nil, err
 	}
@@ -245,10 +286,10 @@ func edgeHorizontal(a, b Point) bool { return a.Y == b.Y }
 // the sum is always even and the result equals the enclosed pixel count.
 func shoelace(vs []Point) int64 {
 	var sum int64
-	n := len(vs)
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		sum += int64(vs[i].X)*int64(vs[j].Y) - int64(vs[j].X)*int64(vs[i].Y)
+	a := vs[len(vs)-1]
+	for _, b := range vs {
+		sum += int64(a.X)*int64(b.Y) - int64(b.X)*int64(a.Y)
+		a = b
 	}
 	if sum < 0 {
 		sum = -sum
@@ -256,46 +297,76 @@ func shoelace(vs []Point) int64 {
 	return sum / 2
 }
 
-// checkSimple verifies that no two non-adjacent edges intersect and no vertex
-// repeats. It is O(e^2) on the edge count, which is fine for the small
-// polygons of this domain; construction is off the hot path.
+// checkSimple verifies on the sorted edge table that no vertex repeats and
+// no two edges meet anywhere but at the corner joining consecutive edges.
+//
+// Every vertex ends exactly one vertical edge, so a repeated vertex is two
+// vertical edges of one column sharing an endpoint; sorted by Y1, the edges of
+// a column either run strictly apart, each ending below the next one's start,
+// or some adjacent pair touches or overlaps. The same holds for the rows of
+// horizontal edges. A horizontal edge can only be crossed by the verticals
+// whose X lies strictly inside its span, a contiguous range of the table.
+//
+// Which sentinel a broken polygon gets depends on whether any vertex repeats
+// anywhere, so that question is settled separately, on the failure path only.
 func (p *Polygon) checkSimple() error {
-	n := len(p.vertices)
-	seen := make(map[Point]struct{}, n)
-	for _, v := range p.vertices {
-		if _, dup := seen[v]; dup {
-			return ErrRepeatedVertex
-		}
-		seen[v] = struct{}{}
+	if p.simple() {
+		return nil
 	}
-	hs := p.HorizontalEdges()
-	vs := p.VerticalEdges()
-	// Horizontal-horizontal overlap on the same row.
-	for i := 0; i < len(hs); i++ {
-		for j := i + 1; j < len(hs); j++ {
-			if hs[i].Y == hs[j].Y && hs[i].X1 < hs[j].X2 && hs[j].X1 < hs[i].X2 {
-				return ErrSelfIntersecting
-			}
+	if hasRepeatedVertex(p.vertices) {
+		return ErrRepeatedVertex
+	}
+	return ErrSelfIntersecting
+}
+
+func (p *Polygon) simple() bool {
+	vs, hs := p.vedges, p.hedges
+	for i := 1; i < len(vs); i++ {
+		if vs[i-1].X == vs[i].X && vs[i-1].Y2 >= vs[i].Y1 {
+			return false
 		}
 	}
-	// Vertical-vertical overlap on the same column.
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if vs[i].X == vs[j].X && vs[i].Y1 < vs[j].Y2 && vs[j].Y1 < vs[i].Y2 {
-				return ErrSelfIntersecting
-			}
+	for i := 1; i < len(hs); i++ {
+		if hs[i-1].Y == hs[i].Y && hs[i-1].X2 >= hs[i].X1 {
+			return false
 		}
 	}
-	// Horizontal-vertical proper crossings (shared endpoints are fine: that
-	// is how consecutive edges join).
 	for _, h := range hs {
-		for _, v := range vs {
-			if h.X1 < v.X && v.X < h.X2 && v.Y1 < h.Y && h.Y < v.Y2 {
-				return ErrSelfIntersecting
+		if h.X1+1 >= h.X2 {
+			continue // no grid line lies strictly inside a unit-wide span
+		}
+		// First vertical with X > h.X1, by binary search on the sorted table.
+		lo, hi := 0, len(vs)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); vs[mid].X <= h.X1 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		for _, v := range vs[lo:] {
+			if v.X >= h.X2 {
+				break
+			}
+			if v.Y1 < h.Y && h.Y < v.Y2 {
+				return false
 			}
 		}
 	}
-	return nil
+	return true
+}
+
+func hasRepeatedVertex(vertices []Point) bool {
+	vs := slices.Clone(vertices)
+	slices.SortFunc(vs, func(a, b Point) int {
+		return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y))
+	})
+	for i := 1; i < len(vs); i++ {
+		if vs[i-1] == vs[i] {
+			return true
+		}
+	}
+	return false
 }
 
 // Vertices returns the polygon's vertex loop. Callers must not modify it.
@@ -310,39 +381,14 @@ func (p *Polygon) MBR() MBR { return p.mbr }
 // Area returns the enclosed pixel count (exact).
 func (p *Polygon) Area() int64 { return p.area }
 
-// VerticalEdges returns all vertical edges, each normalised so Y1 < Y2.
-func (p *Polygon) VerticalEdges() []VEdge {
-	n := len(p.vertices)
-	out := make([]VEdge, 0, n/2)
-	for i := 0; i < n; i++ {
-		a, b := p.vertices[i], p.vertices[(i+1)%n]
-		if a.X == b.X {
-			y1, y2 := a.Y, b.Y
-			if y1 > y2 {
-				y1, y2 = y2, y1
-			}
-			out = append(out, VEdge{X: a.X, Y1: y1, Y2: y2})
-		}
-	}
-	return out
-}
+// VerticalEdges returns the vertical half of the edge table: every vertical
+// edge normalised so Y1 < Y2, sorted by X then Y1. Callers must not modify it.
+func (p *Polygon) VerticalEdges() []VEdge { return p.vedges }
 
-// HorizontalEdges returns all horizontal edges, each normalised so X1 < X2.
-func (p *Polygon) HorizontalEdges() []HEdge {
-	n := len(p.vertices)
-	out := make([]HEdge, 0, n/2)
-	for i := 0; i < n; i++ {
-		a, b := p.vertices[i], p.vertices[(i+1)%n]
-		if a.Y == b.Y {
-			x1, x2 := a.X, b.X
-			if x1 > x2 {
-				x1, x2 = x2, x1
-			}
-			out = append(out, HEdge{Y: a.Y, X1: x1, X2: x2})
-		}
-	}
-	return out
-}
+// HorizontalEdges returns the horizontal half of the edge table: every
+// horizontal edge normalised so X1 < X2, sorted by Y then X1. Callers must not
+// modify it.
+func (p *Polygon) HorizontalEdges() []HEdge { return p.hedges }
 
 // ContainsPixel reports whether the unit pixel at (x, y) — the square
 // [x,x+1) x [y,y+1) — lies inside the polygon. The test casts a horizontal
@@ -354,24 +400,18 @@ func (p *Polygon) ContainsPixel(x, y int32) bool {
 	if !p.mbr.ContainsPixel(x, y) {
 		return false
 	}
-	crossings := 0
-	n := len(p.vertices)
-	for i := 0; i < n; i++ {
-		a, b := p.vertices[i], p.vertices[(i+1)%n]
-		if a.X != b.X {
-			continue // horizontal edge: parallel to the ray
+	inside := false
+	for _, e := range p.vedges {
+		if e.X > x {
+			break // sorted by X: every later edge lies right of the pixel centre
 		}
-		y1, y2 := a.Y, b.Y
-		if y1 > y2 {
-			y1, y2 = y2, y1
-		}
-		// Edge at abscissa a.X crosses the ray y = y+0.5, x' < x+0.5
-		// iff a.X <= x and y1 <= y < y2.
-		if a.X <= x && y1 <= y && y < y2 {
-			crossings++
+		// Edge at abscissa e.X crosses the ray y' = y+0.5, x' < x+0.5
+		// iff e.X <= x and Y1 <= y < Y2.
+		if e.Y1 <= y && y < e.Y2 {
+			inside = !inside
 		}
 	}
-	return crossings%2 == 1
+	return inside
 }
 
 // ContainsCenter2 reports whether the point (cx2/2, cy2/2), given in doubled
@@ -379,22 +419,16 @@ func (p *Polygon) ContainsPixel(x, y int32) bool {
 // point does not lie exactly on the boundary (odd doubled coordinates are
 // always safe). Used by the Lemma-1 sampling-box position test.
 func (p *Polygon) ContainsCenter2(cx2, cy2 int64) bool {
-	crossings := 0
-	n := len(p.vertices)
-	for i := 0; i < n; i++ {
-		a, b := p.vertices[i], p.vertices[(i+1)%n]
-		if a.X != b.X {
-			continue
+	inside := false
+	for _, e := range p.vedges {
+		if int64(e.X)*2 >= cx2 {
+			break
 		}
-		y1, y2 := a.Y, b.Y
-		if y1 > y2 {
-			y1, y2 = y2, y1
-		}
-		if int64(a.X)*2 < cx2 && int64(y1)*2 < cy2 && cy2 < int64(y2)*2 {
-			crossings++
+		if int64(e.Y1)*2 < cy2 && cy2 < int64(e.Y2)*2 {
+			inside = !inside
 		}
 	}
-	return crossings%2 == 1
+	return inside
 }
 
 // BoxPosition classifies a sampling box against the polygon per Lemma 1 of
@@ -413,25 +447,20 @@ func (p *Polygon) BoxPosition(b MBR) BoxPos {
 	if !p.mbr.Intersects(b) {
 		return BoxOutside
 	}
-	n := len(p.vertices)
-	for i := 0; i < n; i++ {
-		a, c := p.vertices[i], p.vertices[(i+1)%n]
-		if a.X == c.X { // vertical edge
-			y1, y2 := a.Y, c.Y
-			if y1 > y2 {
-				y1, y2 = y2, y1
-			}
-			if b.MinX < a.X && a.X < b.MaxX && y1 < b.MaxY && b.MinY < y2 {
-				return BoxHover
-			}
-		} else { // horizontal edge
-			x1, x2 := a.X, c.X
-			if x1 > x2 {
-				x1, x2 = x2, x1
-			}
-			if b.MinY < a.Y && a.Y < b.MaxY && x1 < b.MaxX && b.MinX < x2 {
-				return BoxHover
-			}
+	for _, e := range p.vedges {
+		if e.X >= b.MaxX {
+			break
+		}
+		if b.MinX < e.X && e.Y1 < b.MaxY && b.MinY < e.Y2 {
+			return BoxHover
+		}
+	}
+	for _, e := range p.hedges {
+		if e.Y >= b.MaxY {
+			break
+		}
+		if b.MinY < e.Y && e.X1 < b.MaxX && b.MinX < e.X2 {
+			return BoxHover
 		}
 	}
 	// Lemma 1 condition (iii) tests the box's geometric centre; once the box
@@ -475,29 +504,47 @@ func (p *Polygon) Scale(factor int32) *Polygon {
 	if factor == 1 {
 		return p
 	}
-	vs := make([]Point, len(p.vertices))
-	for i, v := range p.vertices {
-		vs[i] = Point{v.X * factor, v.Y * factor}
-	}
-	return &Polygon{
-		vertices: vs,
+	out := &Polygon{
+		vertices: make([]Point, len(p.vertices)),
 		mbr:      p.mbr.Scale(factor),
 		area:     p.area * int64(factor) * int64(factor),
+		vedges:   make([]VEdge, len(p.vedges)),
+		hedges:   make([]HEdge, len(p.hedges)),
 	}
+	for i, v := range p.vertices {
+		out.vertices[i] = Point{v.X * factor, v.Y * factor}
+	}
+	// A positive factor keeps every edge's normalisation and the table's
+	// sort order, so the table is mapped, not rebuilt.
+	for i, e := range p.vedges {
+		out.vedges[i] = VEdge{e.X * factor, e.Y1 * factor, e.Y2 * factor}
+	}
+	for i, e := range p.hedges {
+		out.hedges[i] = HEdge{e.Y * factor, e.X1 * factor, e.X2 * factor}
+	}
+	return out
 }
 
 // Translate returns a copy of the polygon shifted by (dx, dy).
 func (p *Polygon) Translate(dx, dy int32) *Polygon {
-	vs := make([]Point, len(p.vertices))
-	for i, v := range p.vertices {
-		vs[i] = Point{v.X + dx, v.Y + dy}
-	}
-	return &Polygon{
-		vertices: vs,
+	out := &Polygon{
+		vertices: make([]Point, len(p.vertices)),
 		mbr: MBR{p.mbr.MinX + dx, p.mbr.MinY + dy,
 			p.mbr.MaxX + dx, p.mbr.MaxY + dy},
-		area: p.area,
+		area:   p.area,
+		vedges: make([]VEdge, len(p.vedges)),
+		hedges: make([]HEdge, len(p.hedges)),
 	}
+	for i, v := range p.vertices {
+		out.vertices[i] = Point{v.X + dx, v.Y + dy}
+	}
+	for i, e := range p.vedges {
+		out.vedges[i] = VEdge{e.X + dx, e.Y1 + dy, e.Y2 + dy}
+	}
+	for i, e := range p.hedges {
+		out.hedges[i] = HEdge{e.Y + dy, e.X1 + dx, e.X2 + dx}
+	}
+	return out
 }
 
 // Rect builds the rectangle polygon covering pixels [x0,x1) x [y0,y1).

@@ -235,6 +235,12 @@ func (r *run) claim(e *executor) (batch []pairTask, ok bool) {
 // executorWorker is one executor's aggregation loop: claim a batch, compute
 // exact areas with the executor's backend in a single consolidated launch,
 // then fold each tile's results into its accumulator.
+//
+// The GPUs are the aggregator and the CPU executors its helpers (§4.2 moves
+// work to the CPU only once the GPU is busy), so a CPU executor starts
+// claiming after a GPU executor holds a batch. Without the order, which kind
+// computes a short run's pairs is decided by which goroutine the scheduler
+// happens to wake first.
 func (r *run) executorWorker(e *executor) {
 	// Batch execution time lands in a per-kind histogram so GPU and CPU batch
 	// latency distributions are separable on /metrics; labelled by kind only
@@ -243,8 +249,14 @@ func (r *run) executorWorker(e *executor) {
 	if r.cfg.Registry != nil {
 		batchHist = r.cfg.Registry.Histogram(metrics.Label("sccg_executor_batch_seconds", "kind", e.kind))
 	}
+	if e.kind == ExecCPU {
+		r.gpuClaimed.Wait()
+	}
 	for {
 		batch, ok := r.claim(e)
+		if e.kind == ExecGPU {
+			r.gpuClaimedOnce.Do(r.gpuClaimed.Done)
+		}
 		if !ok {
 			return
 		}

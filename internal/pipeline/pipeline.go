@@ -327,6 +327,10 @@ type run struct {
 	pairBuf   *buffer[pairTask]
 
 	executors []*executor
+	// gpuClaimed opens when the first GPU executor has taken a batch (or
+	// found the pair buffer drained); CPU executors wait on it.
+	gpuClaimed     sync.WaitGroup
+	gpuClaimedOnce sync.Once
 
 	mu         sync.Mutex
 	tiles      map[tileKey]*tileAgg
@@ -394,9 +398,14 @@ func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
 
 	total := len(files) + len(parsed)
 	start := time.Now()
-	done := make(chan struct{})
 
-	var wg sync.WaitGroup
+	// core counts the stages that drain the input: parser, builder, filter
+	// and the executors. When they have all returned every pair has been
+	// folded, and the migration threads are told to stop.
+	var core sync.WaitGroup
+	if len(cfg.Devices) > 0 {
+		r.gpuClaimed.Add(1)
+	}
 
 	// Stage 1: parser (multi-threaded). The parsed buffer closes when the
 	// pending-task counter drains, not when the workers exit, because the
@@ -407,26 +416,26 @@ func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
 		r.parsedBuf.close()
 	}
 	for w := 0; w < cfg.ParserWorkers; w++ {
-		wg.Add(1)
+		core.Add(1)
 		go func() {
-			defer wg.Done()
+			defer core.Done()
 			r.parserWorker()
 		}()
 	}
 
 	// Stage 2: builder (single-threaded; "its execution speed is already
 	// very fast").
-	wg.Add(1)
+	core.Add(1)
 	go func() {
-		defer wg.Done()
+		defer core.Done()
 		r.builderWorker()
 		r.builtBuf.close()
 	}()
 
 	// Stage 3: filter (single-threaded).
-	wg.Add(1)
+	core.Add(1)
 	go func() {
-		defer wg.Done()
+		defer core.Done()
 		r.filterWorker()
 		r.pairBuf.close()
 	}()
@@ -435,22 +444,24 @@ func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
 	// driven by exactly one goroutine (consolidated device access, §4.1);
 	// CPU executors co-execute, all stealing from the shared pair buffer.
 	for _, e := range r.executors {
-		wg.Add(1)
+		core.Add(1)
 		go func(e *executor) {
-			defer wg.Done()
+			defer core.Done()
 			r.executorWorker(e)
 		}(e)
 	}
 
 	// Migration threads (§4.2): asleep until buffer transitions wake them.
+	done := make(chan struct{})
+	var migrators sync.WaitGroup
 	if cfg.Migration {
-		wg.Add(2)
+		migrators.Add(2)
 		go func() {
-			defer wg.Done()
+			defer migrators.Done()
 			r.aggregatorMigrator(done)
 		}()
 		go func() {
-			defer wg.Done()
+			defer migrators.Done()
 			r.parserMigrator(done)
 		}()
 	}
@@ -467,15 +478,13 @@ func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
 	}
 	r.fileBuf.close()
 
-	// Wait for the aggregator (last stage) then stop migration workers.
-	waitDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(waitDone)
-	}()
-	// The executors exit when pairBuf drains; done must be closed once the
-	// main stages have all finished so migrators unblock.
-	<-r.stageDone(done, waitDone)
+	// A migrator holding a stolen task keeps its stage's accounting open
+	// (the parser migrator through pendingParse) or finishes it before it
+	// next looks at done (the aggregator migrator), so nothing is lost by
+	// stopping them only now.
+	core.Wait()
+	close(done)
+	migrators.Wait()
 
 	res := r.finalize(total, start)
 	return res, r.firstErr
@@ -541,23 +550,6 @@ func (r *run) publishMetrics() {
 		reg.Counter(metrics.Label("sccg_executor_pairs_total", "executor", id)).Add(atomic.LoadInt64(&e.pairs))
 		reg.Gauge(metrics.Label("sccg_executor_pairs_per_sec", "executor", id)).Set(e.throughput())
 	}
-}
-
-// stageDone closes done once the core stages have drained, then waits for
-// all goroutines (including migrators) to exit.
-func (r *run) stageDone(done, waitDone chan struct{}) chan struct{} {
-	finished := make(chan struct{})
-	go func() {
-		// The executors are the last core stage: they return only after
-		// pairBuf is drained. Poll drain state cheaply.
-		for !r.pairBuf.isDrained() {
-			time.Sleep(200 * time.Microsecond)
-		}
-		close(done)
-		<-waitDone
-		close(finished)
-	}()
-	return finished
 }
 
 // finishParseTask records that one input task has fully left the parser

@@ -1,16 +1,18 @@
 package pixelbox_test
 
 // Differential/property suite (hardening for the hybrid aggregator): on
-// randomly generated rectilinear polygon pairs, PixelBox-GPU, PixelBox-CPU
-// (both edge-cache modes) and the exact sweep overlay must agree on every
-// area, and the full pipeline must report bit-identical similarity whether
-// it aggregates on one GPU, on CPUs only, or on the hybrid executor pool.
+// randomly generated rectilinear polygon pairs, PixelBox-GPU, PixelBox-CPU,
+// the paper's literal per-pixel CPU port and the exact sweep overlay must
+// agree on every area, and the full pipeline must report bit-identical
+// similarity whether it aggregates on one GPU, on CPUs only, or on the hybrid
+// executor pool.
 
 import (
 	"math/rand"
 	"testing"
 
 	"repro/internal/clip"
+	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
@@ -28,7 +30,7 @@ func TestDifferentialGPUvsCPUvsExact(t *testing.T) {
 	dev := gpu.NewDevice(gpu.GTX580())
 	gpuRes, _, _ := pixelbox.RunGPU(dev, pairs, pixelbox.Config{})
 	cpuRes := pixelbox.RunCPU(pairs, pixelbox.CPUConfig{})
-	cpuCached := pixelbox.RunCPU(pairs, pixelbox.CPUConfig{CacheEdges: true})
+	literal := experiments.LiteralCPU(pairs)
 
 	for i, pr := range pairs {
 		inter := clip.IntersectionArea(pr.P, pr.Q)
@@ -40,8 +42,8 @@ func TestDifferentialGPUvsCPUvsExact(t *testing.T) {
 		if cpuRes[i] != want {
 			t.Errorf("pair %d: CPU %+v != exact %+v", i, cpuRes[i], want)
 		}
-		if cpuCached[i] != want {
-			t.Errorf("pair %d: CPU(cached edges) %+v != exact %+v", i, cpuCached[i], want)
+		if literal[i] != want {
+			t.Errorf("pair %d: literal CPU port %+v != exact %+v", i, literal[i], want)
 		}
 	}
 }

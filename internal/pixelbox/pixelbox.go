@@ -14,6 +14,17 @@
 // (Fig. 8), the implementation-optimisation ladder NoOpt/NBC/NBC-UR/
 // NBC-UR-SM (Fig. 9), and the CPU port PixelBox-CPU in single-core and
 // parallel forms (§4.2).
+//
+// What the modelled device executes and what the host computes are kept
+// apart. The kernel charges the simulator for Algorithm 1 as written — one
+// thread per pixel, a ray cast over every edge per pixel, the shared stack,
+// the barriers — and those charges depend only on the pair and the
+// configuration. The integers themselves come from rowRuns (rowrun.go): a
+// GPU tests one pixel per thread because it has thousands of threads to
+// feed, a host core has one, and on a rectilinear polygon a pixel row is a
+// handful of runs whose overlap a merge counts exactly. The CPU port's
+// leaves use the same counter. The paper's literal per-pixel CPU port, the
+// one its figures measured, lives in internal/experiments.
 package pixelbox
 
 import (
@@ -213,17 +224,28 @@ func RunGPU(dev *gpu.Device, pairs []Pair, cfg Config) ([]AreaResult, gpu.Launch
 	}
 	xfer := dev.Transfer(bytes)
 	launch := dev.Launch(grid, cfg.BlockSize, ShmemPerBlock(cfg.Variant), func(b *gpu.Block) {
+		var s blockScratch
 		for i := b.Idx; i < len(pairs); i += b.GridDim {
-			results[i] = kernelPair(b, pairs[i], cfg)
+			results[i] = kernelPair(b, &s, pairs[i], cfg)
 		}
 	})
 	xfer += dev.Transfer(int64(len(pairs)) * 16)
 	return results, launch, xfer
 }
 
+// blockScratch is the host memory one simulated thread block reuses across
+// its pairs: the sampling-box stack, the push-address buffers the bank-
+// conflict model reads, and the row-run counter's crossing lists.
+type blockScratch struct {
+	stack []stackEntry
+	slots []int32
+	addrs []int32
+	rows  rowRuns
+}
+
 // kernelPair processes one polygon pair inside a thread block, following
 // Algorithm 1 of the paper.
-func kernelPair(b *gpu.Block, pr Pair, cfg Config) AreaResult {
+func kernelPair(b *gpu.Block, s *blockScratch, pr Pair, cfg Config) AreaResult {
 	v := cfg.Variant
 	p, q := pr.P, pr.Q
 
@@ -267,9 +289,9 @@ func kernelPair(b *gpu.Block, pr Pair, cfg Config) AreaResult {
 
 	var inter, union int64
 	if !v.SamplingBoxes {
-		inter, union = pixelizeBox(b, p, q, window, cfg, true)
+		inter, union = pixelizeBox(b, s, p, q, window, cfg)
 	} else {
-		inter, union = samplingBoxLoop(b, p, q, window, cfg)
+		inter, union = samplingBoxLoop(b, s, p, q, window, cfg)
 	}
 	res.Intersection = inter
 	if v.IndirectUnion {
@@ -292,10 +314,9 @@ type stackEntry struct {
 // samplingBoxLoop runs the sampling-box refinement of Algorithm 1 lines
 // 13-42 for one pair, returning exact intersection (and, for the direct
 // variant, union-within-MBR) pixel counts.
-func samplingBoxLoop(b *gpu.Block, p, q *geom.Polygon, mbr geom.MBR, cfg Config) (inter, union int64) {
+func samplingBoxLoop(b *gpu.Block, s *blockScratch, p, q *geom.Polygon, mbr geom.MBR, cfg Config) (inter, union int64) {
 	v := cfg.Variant
-	stack := make([]stackEntry, 0, stackCapacity)
-	stack = append(stack, stackEntry{box: mbr, probe: true})
+	stack := append(s.stack[:0], stackEntry{box: mbr, probe: true})
 	b.SharedAccess(1) // thread 0 pushes the MBR (line 13)
 
 	kx, ky := partitionGrid(cfg.BlockSize)
@@ -313,7 +334,7 @@ func samplingBoxLoop(b *gpu.Block, p, q *geom.Polygon, mbr geom.MBR, cfg Config)
 		onePixel := top.box.Width() == 1 && top.box.Height() == 1
 		overflow := len(stack)+1+cfg.BlockSize > stackCapacity
 		if size < int64(cfg.Threshold) || onePixel || overflow {
-			di, du := pixelizeBox(b, p, q, top.box, cfg, !v.IndirectUnion)
+			di, du := pixelizeBox(b, s, p, q, top.box, cfg)
 			inter += di
 			union += du
 			continue
@@ -326,7 +347,7 @@ func samplingBoxLoop(b *gpu.Block, p, q *geom.Polygon, mbr geom.MBR, cfg Config)
 		// charged once per partition step, not per thread.
 		b.Uniform(8 + 6) // SubSampBox index arithmetic + BoxContinue/Contribute
 		chargeBoxTests(b, p, q, cfg)
-		pushAddrs := make([]int32, 0, cfg.BlockSize)
+		pushAddrs := s.slots[:0]
 		for tid := 0; tid < cfg.BlockSize; tid++ {
 			sub := subSampBox(top.box, tid, kx, ky)
 			if sub.IsEmpty() {
@@ -350,8 +371,10 @@ func samplingBoxLoop(b *gpu.Block, p, q *geom.Polygon, mbr geom.MBR, cfg Config)
 			stack = append(stack, stackEntry{box: sub, probe: cont})
 			pushAddrs = append(pushAddrs, int32(len(stack)-1))
 		}
-		chargeStackPush(b, pushAddrs, v)
+		s.slots = pushAddrs
+		chargeStackPush(b, s, v)
 	}
+	s.stack = stack // keep whatever the appends grew it to
 	return inter, union
 }
 
@@ -392,20 +415,24 @@ func chargeBoxTests(b *gpu.Block, p, q *geom.Polygon, cfg Config) {
 // an independent unit-stride access; with the padded contiguous layout the
 // stores stride by the record size and serialise on banks (§3.3 "Avoid
 // memory bank conflicts"). Bank conflicts are computed from real addresses.
-func chargeStackPush(b *gpu.Block, slots []int32, v Variant) {
+func chargeStackPush(b *gpu.Block, s *blockScratch, v Variant) {
+	slots := s.slots
 	if len(slots) == 0 {
 		return
 	}
-	addrs := make([]int32, len(slots))
+	if cap(s.addrs) < len(slots) {
+		s.addrs = make([]int32, len(slots))
+	}
+	addrs := s.addrs[:len(slots)]
 	for w := 0; w < stackEntryWords; w++ {
-		for i, s := range slots {
+		for i, slot := range slots {
 			if v.ConflictFreeStack {
 				// Five SoA sub-stacks: word w lives in its own array,
-				// thread i writes element s (unit stride).
-				addrs[i] = s
+				// thread i writes element slot (unit stride).
+				addrs[i] = slot
 			} else {
 				// Contiguous records padded to stackPadWords words.
-				addrs[i] = s*stackPadWords + int32(w)
+				addrs[i] = slot*stackPadWords + int32(w)
 			}
 		}
 		b.SharedPattern(addrs)
@@ -414,11 +441,13 @@ func chargeStackPush(b *gpu.Block, slots []int32, v Variant) {
 	b.SharedAccess(1)
 }
 
-// pixelizeBox counts, pixel by pixel, the intersection (and optionally
-// union) contribution of a box (Algorithm 1 lines 22-28). Pixels are strided
-// across the block's threads; a box smaller than the block leaves SIMD lanes
-// idle, which the cost model charges via Strided.
-func pixelizeBox(b *gpu.Block, p, q *geom.Polygon, box geom.MBR, cfg Config, wantUnion bool) (inter, union int64) {
+// pixelizeBox returns the intersection and union contribution of a box
+// (Algorithm 1 lines 22-28). The device is charged for the kernel's
+// pixelization: pixels strided across the block's threads, a ray cast over
+// every edge per pixel; a box smaller than the block leaves SIMD lanes idle,
+// which the cost model charges via Strided. The host obtains the same two
+// integers from the row-run counter.
+func pixelizeBox(b *gpu.Block, s *blockScratch, p, q *geom.Polygon, box geom.MBR, cfg Config) (inter, union int64) {
 	v := cfg.Variant
 	loopOv := loopOverhead / v.Unroll
 	if loopOv < 1 {
@@ -437,19 +466,8 @@ func pixelizeBox(b *gpu.Block, p, q *geom.Polygon, box geom.MBR, cfg Config, wan
 		b.L1Read(iters * edges)
 	}
 
-	for y := box.MinY; y < box.MaxY; y++ {
-		for x := box.MinX; x < box.MaxX; x++ {
-			inP := p.ContainsPixel(x, y)
-			inQ := q.ContainsPixel(x, y)
-			if inP && inQ {
-				inter++
-			}
-			if wantUnion && (inP || inQ) {
-				union++
-			}
-		}
-	}
-	return inter, union
+	inter, inP, inQ := s.rows.count(p, q, box)
+	return inter, inP + inQ - inter
 }
 
 // partitionGrid chooses the kx x ky sub-box grid for a block size, as close
