@@ -117,8 +117,9 @@ func OpenPair(st *store.Store, idA, idB string) (name string, src sched.TaskSour
 
 // Source is a lazy scheduler task source over the matched tile pairs of two
 // stored datasets. It implements sched.PolySource: shards materialize
-// decoded polygon pairs straight from the two segment files (digest-verified
-// by the store's cross reader) and skip the pipeline's parser stage.
+// decoded polygon pairs through the store's cross reader (its decoded-tile
+// cache, else a digest-verified read of the two segment files) and skip the
+// pipeline's parser stage.
 type Source struct {
 	r     *store.CrossReader
 	manA  *store.Manifest

@@ -1,6 +1,9 @@
 package geom
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // referenceNewPolygonErr is the validation NewPolygon performed before the
 // edge table existed, kept as the oracle for FuzzNewPolygon: the per-edge
@@ -158,8 +161,87 @@ func encodeRaw(vs []Point) []byte {
 	return out
 }
 
+// checkSlabAdd puts vs through Slab.Add between two neighbours, in a slab
+// whose unused storage is filled with canaries: the verdict and the polygon
+// must be NewPolygon's (want, wantErr), its slices must be capped at their
+// length, and nothing outside them may have been written.
+func checkSlabAdd(t *testing.T, vs []Point, want *Polygon, wantErr error) {
+	t.Helper()
+	square := []Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}}
+	ref := MustPolygon(square)
+	canaryV, canaryH, canaryP := VEdge{-7, -7, -7}, HEdge{-7, -7, -7}, Point{-7, -7}
+	s := NewSlab(3, len(vs)+2*len(square))
+	pts, ve, he := s.pts[:cap(s.pts)], s.ve[:cap(s.ve)], s.he[:cap(s.he)]
+	for i := range pts {
+		pts[i] = canaryP
+	}
+	for i := range ve {
+		ve[i], he[i] = canaryV, canaryH
+	}
+	add := func(src []Point) (*Polygon, error) {
+		dst := s.Vertices(len(src))
+		copy(dst, src)
+		return s.Add(dst)
+	}
+	intact := func(what string, p *Polygon) {
+		t.Helper()
+		if p == nil || !slices.Equal(p.vertices, square) || !slices.Equal(p.vedges, ref.vedges) ||
+			!slices.Equal(p.hedges, ref.hedges) || p.mbr != ref.mbr || p.area != ref.area {
+			t.Fatalf("slab: %s neighbour of %v is %+v", what, vs, p)
+		}
+	}
+
+	before, err := add(square)
+	if err != nil {
+		t.Fatalf("slab: square rejected: %v", err)
+	}
+	p, err := add(vs)
+	if err != wantErr || (p == nil) != (err != nil) {
+		t.Fatalf("Slab.Add(%v) = %v, %v; NewPolygon says %v", vs, p, err, wantErr)
+	}
+	if p != nil {
+		if !slices.Equal(p.vertices, vs) || !slices.Equal(p.vedges, want.vedges) || !slices.Equal(p.hedges, want.hedges) ||
+			p.mbr != want.mbr || p.area != want.area {
+			t.Fatalf("Slab.Add(%v) built %+v, NewPolygon %+v", vs, p, want)
+		}
+		if cap(p.vertices) != len(vs) || cap(p.vedges) != len(vs)/2 || cap(p.hedges) != len(vs)/2 {
+			t.Fatalf("Slab.Add(%v): slices not capped at their length: %d %d %d",
+				vs, cap(p.vertices), cap(p.vedges), cap(p.hedges))
+		}
+	}
+	// Whatever the verdict, the slab took at most the polygon's own entries,
+	// everything past them is still canaries, and the neighbour before them
+	// (checked below) is what it was.
+	if len(s.ve) > 2+len(vs)/2 || len(s.he) > 2+len(vs)/2 {
+		t.Fatalf("Slab.Add(%v) took %d and %d edge entries", vs, len(s.ve)-2, len(s.he)-2)
+	}
+	for _, e := range s.ve[len(s.ve):cap(s.ve)] {
+		if e != canaryV {
+			t.Fatalf("Slab.Add(%v) wrote vertical-edge storage it was not given: %v", vs, s.ve[:cap(s.ve)])
+		}
+	}
+	for _, e := range s.he[len(s.he):cap(s.he)] {
+		if e != canaryH {
+			t.Fatalf("Slab.Add(%v) wrote horizontal-edge storage it was not given: %v", vs, s.he[:cap(s.he)])
+		}
+	}
+	for _, v := range s.pts[len(s.pts):cap(s.pts)] {
+		if v != canaryP {
+			t.Fatalf("Slab.Add(%v) wrote vertex storage it was not given", vs)
+		}
+	}
+	intact("earlier", before)
+	after, err := add(square)
+	if err != nil {
+		t.Fatalf("slab: square after %v rejected: %v", vs, err)
+	}
+	intact("earlier", before)
+	intact("later", after)
+}
+
 // FuzzNewPolygon holds the sort-based checkSimple to the accept/reject set
-// and the sentinel of the implementation it replaced, for every vertex list.
+// and the sentinel of the implementation it replaced, for every vertex list,
+// and Slab.Add to NewPolygon.
 func FuzzNewPolygon(f *testing.F) {
 	seeds := [][]Point{
 		// valid: square, L, U
@@ -202,6 +284,7 @@ func FuzzNewPolygon(f *testing.F) {
 		if (p == nil) != (got != nil) {
 			t.Fatalf("NewPolygon(%v): polygon %v with err %v", vs, p, got)
 		}
+		checkSlabAdd(t, vs, p, got)
 		if p == nil {
 			return
 		}

@@ -11,8 +11,8 @@
 //
 // Every Polygon carries an edge table beside its vertex loop: its vertical
 // edges as (X, Y1<Y2) sorted by X then Y1, and its horizontal edges as
-// (Y, X1<X2) sorted by Y then X1. The constructor paths (NewPolygon, Scale,
-// Translate) build it once, and it is what the hot code reads — the ray cast
+// (Y, X1<X2) sorted by Y then X1. The constructor paths (NewPolygon, Slab.Add,
+// Scale, Translate) build it once, and it is what the hot code reads — the ray cast
 // of ContainsPixel, the Lemma-1 test of BoxPosition, the simplicity check of
 // NewPolygon, and the row-run pixel counter of internal/pixelbox — so none of
 // them re-derives an edge's orientation or direction from the vertex loop.
@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Point is an integer-valued vertex on the pixel grid of a source image.
@@ -197,21 +198,133 @@ var (
 // NewPolygon validates vertices as a simple rectilinear polygon and returns
 // it. Vertices may wind in either direction; the implicit closing edge is
 // checked like any other. Collinear runs are not permitted: every vertex must
-// be a true corner, which is what boundary tracers emit.
+// be a true corner, which is what boundary tracers emit. The polygon keeps
+// the slice.
 func NewPolygon(vertices []Point) (*Polygon, error) {
-	n := len(vertices)
+	if err := checkVertexCount(len(vertices)); err != nil {
+		return nil, err
+	}
+	half := len(vertices) / 2
+	p := new(Polygon)
+	if err := p.build(vertices, make([]VEdge, half), make([]HEdge, half)); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Slab is the backing storage of a set of polygons decoded together: one
+// vertex array, one array per half of the edge table and one Polygon array,
+// where NewPolygon would allocate four objects per polygon. Every polygon gets
+// capacity-capped sub-slices, so none can grow into its neighbour's.
+type Slab struct {
+	pts   []Point
+	ve    []VEdge
+	he    []HEdge
+	polys []Polygon
+}
+
+// NewSlab returns a slab with room for the given number of polygons holding
+// the given number of vertices between them. Asking it for more panics.
+func NewSlab(polygons, vertices int) *Slab {
+	return &Slab{
+		pts:   make([]Point, 0, vertices),
+		ve:    make([]VEdge, 0, vertices/2),
+		he:    make([]HEdge, 0, vertices/2),
+		polys: make([]Polygon, 0, polygons),
+	}
+}
+
+// Bytes returns the size of the slab's four arrays: what keeping its polygons
+// reachable costs.
+func (s *Slab) Bytes() int64 {
+	return int64(cap(s.pts))*int64(unsafe.Sizeof(Point{})) +
+		int64(cap(s.ve))*int64(unsafe.Sizeof(VEdge{})) +
+		int64(cap(s.he))*int64(unsafe.Sizeof(HEdge{})) +
+		int64(cap(s.polys))*int64(unsafe.Sizeof(Polygon{}))
+}
+
+// Vertices carves the next n vertices out of the slab for the caller to fill
+// and hand to Add.
+func (s *Slab) Vertices(n int) []Point {
+	off := len(s.pts)
+	s.pts = s.pts[:off+n]
+	return s.pts[off : off+n : off+n]
+}
+
+// Add is NewPolygon with the polygon and its edge table placed in the slab.
+func (s *Slab) Add(vertices []Point) (*Polygon, error) {
+	if err := checkVertexCount(len(vertices)); err != nil {
+		return nil, err
+	}
+	half := len(vertices) / 2
+	nv, nh, np := len(s.ve), len(s.he), len(s.polys)
+	s.ve, s.he, s.polys = s.ve[:nv+half], s.he[:nh+half], s.polys[:np+1]
+	p := &s.polys[np]
+	if err := p.build(vertices, s.ve[nv:nv+half:nv+half], s.he[nh:nh+half:nh+half]); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func checkVertexCount(n int) error {
 	if n < 4 {
-		return nil, ErrTooFewVertices
+		return ErrTooFewVertices
 	}
 	if n%2 != 0 {
-		return nil, ErrOddVertexCount
+		return ErrOddVertexCount
 	}
-	p := &Polygon{
-		vertices: vertices,
-		mbr:      EmptyMBR(),
-		vedges:   make([]VEdge, 0, n/2),
-		hedges:   make([]HEdge, 0, n/2),
+	return nil
+}
+
+// tableEdge is an edge on its way into the table: the two fields its half of
+// the table is ordered by packed into one key, the third carried along.
+type tableEdge struct {
+	key uint64
+	hi  int32
+}
+
+// packKey orders as (a, b) does: flipping the sign bits makes unsigned order
+// signed order.
+func packKey(a, b int32) uint64 {
+	return uint64(uint32(a)^1<<31)<<32 | uint64(uint32(b)^1<<31)
+}
+
+func (e tableEdge) unpack() (a, b, hi int32) {
+	return int32(uint32(e.key>>32) ^ 1<<31), int32(uint32(e.key) ^ 1<<31), e.hi
+}
+
+// sortTableEdges sorts by key. The table of a cell boundary has a few dozen
+// entries, which an insertion sort over plain integers orders in a fraction of
+// the time a comparison callback costs.
+func sortTableEdges(es []tableEdge) {
+	if len(es) > 48 {
+		slices.SortFunc(es, func(a, b tableEdge) int { return cmp.Compare(a.key, b.key) })
+		return
 	}
+	for i := 1; i < len(es); i++ {
+		e := es[i]
+		j := i
+		for ; j > 0 && es[j-1].key > e.key; j-- {
+			es[j] = es[j-1]
+		}
+		es[j] = e
+	}
+}
+
+// build is the one validation and construction path: it checks vertices, whose
+// count checkVertexCount has passed, and fills *p, writing the sorted edge
+// table into ve and he (len(vertices)/2 entries each).
+func (p *Polygon) build(vertices []Point, ve []VEdge, he []HEdge) error {
+	n := len(vertices)
+	// Edges are collected as packed keys, verticals from the front and
+	// horizontals from the back; an alternating loop has n/2 of each.
+	var stack [128]tableEdge
+	edges := stack[:]
+	if n > len(stack) {
+		edges = make([]tableEdge, n)
+	}
+	nv, nh := 0, n
+	mbr := EmptyMBR()
 	prevHorizontal := false
 	a := vertices[0]
 	for i := 0; i < n; i++ {
@@ -222,21 +335,23 @@ func NewPolygon(vertices []Point) (*Polygon, error) {
 		dx, dy := b.X-a.X, b.Y-a.Y
 		switch {
 		case dx == 0 && dy == 0:
-			return nil, ErrZeroLengthEdge
+			return ErrZeroLengthEdge
 		case dx != 0 && dy != 0:
-			return nil, ErrNotRectilinear
+			return ErrNotRectilinear
 		}
 		horizontal := dy == 0
 		if i > 0 && horizontal == prevHorizontal {
-			return nil, ErrNotAlternating
+			return ErrNotAlternating
 		}
 		prevHorizontal = horizontal
 		if horizontal {
-			p.hedges = append(p.hedges, HEdge{Y: a.Y, X1: min32(a.X, b.X), X2: max32(a.X, b.X)})
+			nh--
+			edges[nh] = tableEdge{packKey(a.Y, min32(a.X, b.X)), max32(a.X, b.X)}
 		} else {
-			p.vedges = append(p.vedges, VEdge{X: a.X, Y1: min32(a.Y, b.Y), Y2: max32(a.Y, b.Y)})
+			edges[nv] = tableEdge{packKey(a.X, min32(a.Y, b.Y)), max32(a.Y, b.Y)}
+			nv++
 		}
-		p.mbr = p.mbr.Extend(a)
+		mbr = mbr.Extend(a)
 		a = b
 	}
 	// The closing edge (n-1 -> 0) and the first edge (0 -> 1) must also
@@ -245,28 +360,22 @@ func NewPolygon(vertices []Point) (*Polygon, error) {
 	last := edgeHorizontal(vertices[n-1], vertices[0])
 	first := edgeHorizontal(vertices[0], vertices[1])
 	if last == first {
-		return nil, ErrNotAlternating
+		return ErrNotAlternating
 	}
-	p.area = shoelace(vertices)
-	if p.area == 0 {
-		return nil, ErrZeroArea
+	area := shoelace(vertices)
+	if area == 0 {
+		return ErrZeroArea
 	}
-	slices.SortFunc(p.vedges, func(a, b VEdge) int {
-		if a.X != b.X {
-			return cmp.Compare(a.X, b.X)
-		}
-		return cmp.Compare(a.Y1, b.Y1)
-	})
-	slices.SortFunc(p.hedges, func(a, b HEdge) int {
-		if a.Y != b.Y {
-			return cmp.Compare(a.Y, b.Y)
-		}
-		return cmp.Compare(a.X1, b.X1)
-	})
-	if err := p.checkSimple(); err != nil {
-		return nil, err
+	sortTableEdges(edges[:nv])
+	sortTableEdges(edges[nh:n])
+	for i, e := range edges[:nv] {
+		ve[i].X, ve[i].Y1, ve[i].Y2 = e.unpack()
 	}
-	return p, nil
+	for i, e := range edges[nh:n] {
+		he[i].Y, he[i].X1, he[i].X2 = e.unpack()
+	}
+	*p = Polygon{vertices: vertices, mbr: mbr, area: area, vedges: ve, hedges: he}
+	return p.checkSimple()
 }
 
 // MustPolygon is NewPolygon that panics on invalid input; for tests and

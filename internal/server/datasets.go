@@ -241,8 +241,8 @@ type TilePayload struct {
 
 // handleReadTile serves GET /datasets/{id}/tiles/{n}: tile n (an index into
 // the dataset's canonical tile order, as listed by GET /datasets/{id}) read
-// straight from the segment file's byte ranges, digest-verified, and
-// re-encoded as polygon text.
+// through the store — the decoded-tile cache, else the segment file's byte
+// ranges, digest-verified — and re-encoded as polygon text.
 func (s *Server) handleReadTile(w http.ResponseWriter, r *http.Request) {
 	if !s.requireStore(w) {
 		return

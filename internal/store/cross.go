@@ -11,9 +11,10 @@ package store
 import "repro/internal/geom"
 
 // CrossReader reads matched tile pairs across two stored datasets. Each
-// ReadPair digest-verifies both tiles before decoding, exactly like the
-// single-dataset read path, but decodes only the set actually compared from
-// each side (set A from the first dataset, set B from the second).
+// ReadPair goes through the single-dataset read path — the decoded cache,
+// else a digest-verified read of the whole tile — but decodes, and caches,
+// only the set actually compared from each side (set A from the first
+// dataset, set B from the second).
 type CrossReader struct {
 	a, b *Dataset
 }
@@ -29,21 +30,13 @@ func (r *CrossReader) A() *Dataset { return r.a }
 func (r *CrossReader) B() *Dataset { return r.b }
 
 // ReadPair reads the cross pair (set A of the first dataset's tile ia, set B
-// of the second dataset's tile ib). Both tiles' content digests are
-// re-verified over their full byte ranges; only the compared set is decoded.
+// of the second dataset's tile ib). Like ReadTile's, the polygons may be
+// shared with other readers.
 func (r *CrossReader) ReadPair(ia, ib int) (setA, setB []*geom.Polygon, err error) {
-	tiA, segA, _, err := r.a.readVerified(ia)
-	if err != nil {
+	if setA, _, err = r.a.readSets(ia, true, false); err != nil {
 		return nil, nil, err
 	}
-	if setA, err = r.a.decodeSet(tiA, "A", segA, tiA.CountA); err != nil {
-		return nil, nil, err
-	}
-	tiB, _, segB, err := r.b.readVerified(ib)
-	if err != nil {
-		return nil, nil, err
-	}
-	if setB, err = r.b.decodeSet(tiB, "B", segB, tiB.CountB); err != nil {
+	if _, setB, err = r.b.readSets(ib, false, true); err != nil {
 		return nil, nil, err
 	}
 	return setA, setB, nil

@@ -1,0 +1,512 @@
+package store
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/metrics"
+	"repro/internal/pathology"
+	"repro/internal/pipeline"
+)
+
+// seededDataset generates a dataset whose tile keys depend only on name and
+// tiles, so two seeds give a cross pair over shared keys.
+func seededDataset(name string, seed int64, tiles int) *pathology.Dataset {
+	spec := pathology.Representative()
+	spec.Name, spec.Seed, spec.Tiles = name, seed, tiles
+	return pathology.Generate(spec)
+}
+
+func ingestOpen(t *testing.T, s *Store, d *pathology.Dataset) *Dataset {
+	t.Helper()
+	man, err := s.IngestDataset(d)
+	if err != nil {
+		t.Fatalf("IngestDataset: %v", err)
+	}
+	ds, err := s.OpenDataset(man.ID)
+	if err != nil {
+		t.Fatalf("OpenDataset: %v", err)
+	}
+	return ds
+}
+
+// oracle is the benchmark's reference: the CPU-only pipeline over polygons
+// that never went near the store.
+func oracle(t *testing.T, a, b *pathology.Dataset) pipeline.Result {
+	t.Helper()
+	tasks := make([]pipeline.PolyTask, len(a.Pairs))
+	for i := range a.Pairs {
+		tasks[i] = pipeline.PolyTask{Image: a.Pairs[i].Image, Tile: a.Pairs[i].Index, A: a.Pairs[i].A, B: b.Pairs[i].B}
+	}
+	return runParsed(t, tasks)
+}
+
+func runParsed(t *testing.T, tasks []pipeline.PolyTask) pipeline.Result {
+	t.Helper()
+	res, err := pipeline.RunParsed(tasks, pipeline.Config{})
+	if err != nil {
+		t.Fatalf("RunParsed: %v", err)
+	}
+	return res
+}
+
+func sameAnswer(t *testing.T, what string, got, want pipeline.Result) {
+	t.Helper()
+	if got.Similarity != want.Similarity || got.Candidates != want.Candidates || got.Intersecting != want.Intersecting {
+		t.Fatalf("%s: (%v, %d, %d) != oracle (%v, %d, %d)", what,
+			got.Similarity, got.Candidates, got.Intersecting, want.Similarity, want.Candidates, want.Intersecting)
+	}
+}
+
+func wantLookups(t *testing.T, s *Store, what string, hits, misses int64) {
+	t.Helper()
+	if h, m := s.decoded.hits.Load(), s.decoded.misses.Load(); h != hits || m != misses {
+		t.Fatalf("%s: %d hits and %d misses so far, want %d and %d", what, h, m, hits, misses)
+	}
+}
+
+// TestDecodedHitMatchesMissAndOracle: a self job and a cross pair answered
+// from the segment file, and again from the decoded cache, both equal the
+// oracle bit for bit; the second pass is all hits and returns the first
+// pass's very polygons.
+func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
+	const tiles = 3
+	x, y := seededDataset("slide", 1, tiles), seededDataset("slide", 2, tiles)
+	s := openStore(t, t.TempDir())
+	dx, dy := ingestOpen(t, s, x), ingestOpen(t, s, y)
+
+	self := func() []pipeline.PolyTask {
+		src := dx.Source()
+		tasks := make([]pipeline.PolyTask, tiles)
+		for i := range tasks {
+			var err error
+			if tasks[i], err = src.PolyTask(i); err != nil {
+				t.Fatalf("PolyTask(%d): %v", i, err)
+			}
+		}
+		return tasks
+	}
+	cross := func() []pipeline.PolyTask {
+		cr := NewCrossReader(dx, dy)
+		tasks := make([]pipeline.PolyTask, tiles)
+		for i := range tasks {
+			a, b, err := cr.ReadPair(i, i)
+			if err != nil {
+				t.Fatalf("ReadPair(%d): %v", i, err)
+			}
+			tasks[i] = pipeline.PolyTask{Image: "slide", Tile: x.Pairs[i].Index, A: a, B: b}
+		}
+		return tasks
+	}
+
+	wantSelf, wantCross := oracle(t, x, x), oracle(t, x, y)
+	miss := self()
+	wantLookups(t, s, "first self pass", 0, 2*tiles)
+	sameAnswer(t, "self job, miss", runParsed(t, miss), wantSelf)
+	hit := self()
+	wantLookups(t, s, "second self pass", 2*tiles, 2*tiles)
+	sameAnswer(t, "self job, hit", runParsed(t, hit), wantSelf)
+	for i := range hit {
+		if hit[i].A[0] != miss[i].A[0] || hit[i].B[0] != miss[i].B[0] {
+			t.Fatalf("tile %d: the hit is not the set the miss decoded", i)
+		}
+		for k, p := range hit[i].A {
+			if !equalVertices(p, x.Pairs[i].A[k]) {
+				t.Fatalf("tile %d polygon %d differs from what was ingested", i, k)
+			}
+		}
+	}
+
+	// x's A sets are cached, y's B sets are not: a cross read decodes only
+	// the side it compares.
+	sameAnswer(t, "cross pair, miss", runParsed(t, cross()), wantCross)
+	wantLookups(t, s, "first cross pass", 3*tiles, 3*tiles)
+	if _, sets := s.decoded.size(); sets != 3*tiles {
+		t.Fatalf("%d sets cached, want x's A and B and y's B only (%d)", sets, 3*tiles)
+	}
+	sameAnswer(t, "cross pair, hit", runParsed(t, cross()), wantCross)
+	wantLookups(t, s, "second cross pass", 5*tiles, 3*tiles)
+}
+
+func equalVertices(p, q *geom.Polygon) bool {
+	pv, qv := p.Vertices(), q.Vertices()
+	if len(pv) != len(qv) {
+		return false
+	}
+	for i := range pv {
+		if pv[i] != qv[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDecodedEvictionHoldsByteBound: with the bound shrunk to three tiles'
+// worth, the accounted bytes never exceed it, always equal the sum over the
+// entries actually held, and the survivors are the most recently read.
+func TestDecodedEvictionHoldsByteBound(t *testing.T) {
+	const tiles = 8
+	s := openStore(t, t.TempDir())
+	ds := ingestOpen(t, s, testDataset(t, tiles))
+
+	var tileBytes [tiles]int64
+	for i := range tileBytes {
+		a, b, err := (&Dataset{dir: ds.dir, man: ds.man}).load(&ds.man.Tiles[i], true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tileBytes[i] = a.bytes + b.bytes; tileBytes[i] < ds.man.Tiles[i].Bytes() {
+			t.Fatalf("tile %d: %d decoded bytes accounted for %d segment bytes", i, tileBytes[i], ds.man.Tiles[i].Bytes())
+		}
+	}
+	s.decoded.max = tileBytes[5] + tileBytes[6] + tileBytes[7]
+
+	for i := 0; i < tiles; i++ {
+		if _, _, err := ds.ReadTile(i); err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for el := s.decoded.order.Front(); el != nil; el = el.Next() {
+			sum += el.Value.(*decodedSet).bytes
+		}
+		if bytes, sets := s.decoded.size(); bytes != sum || bytes > s.decoded.max || sets != s.decoded.order.Len() {
+			t.Fatalf("after tile %d: %d bytes accounted, %d held in %d/%d entries, bound %d",
+				i, bytes, sum, sets, s.decoded.order.Len(), s.decoded.max)
+		}
+	}
+	if bytes, sets := s.decoded.size(); sets != 6 || bytes != s.decoded.max {
+		t.Fatalf("%d sets in %d bytes survive, want the last three tiles' six in %d", sets, bytes, s.decoded.max)
+	}
+	before := s.decoded.hits.Load()
+	for _, i := range []int{5, 6, 7} {
+		if _, _, err := ds.ReadTile(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.decoded.hits.Load() - before; got != 6 {
+		t.Fatalf("re-reading the three newest tiles hit %d sets, want 6", got)
+	}
+	before = s.decoded.hits.Load()
+	if _, _, err := ds.ReadTile(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.decoded.hits.Load() - before; got != 0 {
+		t.Fatalf("the evicted oldest tile hit %d sets", got)
+	}
+
+	// A set that alone exceeds the bound is served but not kept.
+	s.decoded.max = 1
+	s.decoded.drop(ds.man)
+	if _, _, err := ds.ReadTile(0); err != nil {
+		t.Fatal(err)
+	}
+	if bytes, sets := s.decoded.size(); bytes != 0 || sets != 0 {
+		t.Fatalf("%d sets (%d bytes) kept under a 1-byte bound", sets, bytes)
+	}
+}
+
+// TestDeleteDropsDecodedSets: plain and forced deletes (a retention sweep is
+// a plain delete) leave nothing of the dataset in the cache, and a read
+// through the stale handle reports the delete.
+func TestDeleteDropsDecodedSets(t *testing.T) {
+	for name, del := range map[string]func(*Store, string) error{
+		"delete": (*Store).Delete, "force": (*Store).ForceDelete,
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := openStore(t, t.TempDir())
+			keep := ingestOpen(t, s, seededDataset("kept", 3, 1))
+			ds := ingestOpen(t, s, testDataset(t, 2))
+			for _, d := range []*Dataset{keep, ds, ds} {
+				for i := range d.man.Tiles {
+					if _, _, err := d.ReadTile(i); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			wantLookups(t, s, "warm-up", 4, 6)
+			if err := del(s, ds.man.ID); err != nil {
+				t.Fatal(err)
+			}
+			if _, sets := s.decoded.size(); sets != 2 {
+				t.Fatalf("%d sets cached after the delete, want only the other dataset's 2", sets)
+			}
+			if _, _, err := ds.ReadTile(0); !errors.Is(err, ErrDeleted) {
+				t.Fatalf("ReadTile through the stale handle = %v, want ErrDeleted", err)
+			}
+			if _, _, err := keep.ReadTile(0); err != nil {
+				t.Fatalf("the other dataset's cached tile: %v", err)
+			}
+		})
+	}
+}
+
+// TestDecodedHitAfterForceDeleteReportsLifecycle: two datasets that share a
+// tile share its cache entries, so a handle whose dataset was force-deleted
+// can find its tile cached by the surviving dataset. The hit must still fail
+// with the lifecycle error a job caught mid-run reports.
+func TestDecodedHitAfterForceDeleteReportsLifecycle(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	big := testDataset(t, 2)
+	small := *big
+	small.Pairs = big.Pairs[:1]
+	doomed, survivor := ingestOpen(t, s, &small), ingestOpen(t, s, big)
+	if doomed.man.Tiles[0].Digest != survivor.man.Tiles[0].Digest {
+		t.Fatal("the two datasets do not share their first tile")
+	}
+	if err := s.Pin(doomed.man.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ForceDelete(doomed.man.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := survivor.ReadTile(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, sets := s.decoded.size(); sets != 2 {
+		t.Fatalf("%d sets cached, want the shared tile's 2", sets)
+	}
+	_, _, err := doomed.ReadTile(0)
+	if !errors.Is(err, ErrDeleted) || !strings.Contains(err.Error(), "deleted during job") {
+		t.Fatalf("cached read through the deleted dataset's handle = %v, want ErrDeleted", err)
+	}
+	if _, _, err := NewCrossReader(survivor, doomed).ReadPair(0, 0); !errors.Is(err, ErrDeleted) {
+		t.Fatalf("cached cross read against the deleted dataset = %v, want ErrDeleted", err)
+	}
+}
+
+// TestDecodedConcurrentReadsWithDelete: readers over overlapping tiles race a
+// delete. Every read either returns the tile or reports the delete, and no
+// read that straddled the delete leaves a set behind. CI runs this under
+// -race.
+func TestDecodedConcurrentReadsWithDelete(t *testing.T) {
+	const tiles, readers = 4, 6
+	d := testDataset(t, tiles)
+	s := openStore(t, t.TempDir())
+	ds := ingestOpen(t, s, d)
+	s.decoded.max = 3 * ds.man.Tiles[0].Bytes() // about two tiles: readers also evict each other's sets
+
+	var wg sync.WaitGroup
+	started := make(chan struct{}, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			cr := NewCrossReader(ds, ds)
+			for n := 0; ; n++ {
+				i := (r + n) % tiles
+				var a, b []*geom.Polygon
+				var err error
+				if r%2 == 0 {
+					a, b, err = ds.ReadTile(i)
+				} else {
+					a, b, err = cr.ReadPair(i, i)
+				}
+				if n == 0 {
+					started <- struct{}{}
+				}
+				if err != nil {
+					if !errors.Is(err, ErrDeleted) {
+						t.Errorf("reader %d tile %d: %v", r, i, err)
+					}
+					return
+				}
+				if len(a) != len(d.Pairs[i].A) || len(b) != len(d.Pairs[i].B) || !equalVertices(a[0], d.Pairs[i].A[0]) {
+					t.Errorf("reader %d tile %d: wrong polygons", r, i)
+					return
+				}
+			}
+		}(r)
+	}
+	for r := 0; r < readers; r++ {
+		<-started
+	}
+	if err := s.Delete(ds.man.ID); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if bytes, sets := s.decoded.size(); bytes != 0 || sets != 0 {
+		t.Fatalf("%d sets (%d bytes) outlived the delete", sets, bytes)
+	}
+}
+
+// TestDecodedSurvivesLaterCorruption: a cached set is the decode of bytes
+// that verified, so corrupting the segment afterwards cannot change what a
+// hit serves; every path that goes back to the bytes — an uncached tile, the
+// same tile once evicted, an import of the damaged copy — reports the digest
+// mismatch.
+func TestDecodedSurvivesLaterCorruption(t *testing.T) {
+	d := testDataset(t, 2)
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	ds := ingestOpen(t, s, d)
+	if _, _, err := ds.ReadTile(0); err != nil {
+		t.Fatal(err)
+	}
+
+	seg := filepath.Join(dir, ds.man.ID, segmentFile)
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ti := range ds.man.Tiles {
+		raw[ti.OffA+ti.LenA/2] ^= 0xff
+	}
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	a, b, err := ds.ReadTile(0)
+	if err != nil {
+		t.Fatalf("cached tile after the corruption: %v", err)
+	}
+	for k, p := range a {
+		if !equalVertices(p, d.Pairs[0].A[k]) {
+			t.Fatalf("the hit served polygon %d changed", k)
+		}
+	}
+	if len(b) != len(d.Pairs[0].B) {
+		t.Fatalf("the hit served %d B polygons, want %d", len(b), len(d.Pairs[0].B))
+	}
+	mismatch := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "content digest mismatch") {
+			t.Fatalf("%s = %v, want the digest mismatch", what, err)
+		}
+	}
+	_, _, err = ds.ReadTile(1)
+	mismatch("uncached tile", err)
+	s.decoded.drop(ds.man)
+	_, _, err = ds.ReadTile(0)
+	mismatch("evicted tile", err)
+	_, err = openStore(t, t.TempDir()).Import(ds.man, bytes.NewReader(raw))
+	mismatch("import of the damaged copy", err)
+}
+
+// TestImportBypassesDecodedCache: Import's verifier reads outside any store,
+// so what it decoded is not kept; the first read of the imported dataset
+// goes to disk and only the second is served from the cache.
+func TestImportBypassesDecodedCache(t *testing.T) {
+	d := testDataset(t, 3)
+	src := openStore(t, t.TempDir())
+	man, err := src.IngestDataset(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, _, err := src.OpenSegment(man.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	dst := openStore(t, t.TempDir())
+	if _, err := dst.Import(man, seg); err != nil {
+		t.Fatal(err)
+	}
+	wantLookups(t, dst, "import", 0, 0)
+	if _, sets := dst.decoded.size(); sets != 0 {
+		t.Fatalf("import left %d sets in the cache", sets)
+	}
+	ds, err := dst.OpenDataset(man.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []struct {
+		what         string
+		hits, misses int64
+	}{{"first read after import", 0, 6}, {"second read", 6, 6}} {
+		for i := range d.Pairs {
+			a, _, err := ds.ReadTile(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalVertices(a[0], d.Pairs[i].A[0]) {
+				t.Fatalf("%s, tile %d: wrong polygons", pass.what, i)
+			}
+		}
+		wantLookups(t, dst, pass.what, pass.hits, pass.misses)
+	}
+}
+
+// TestDecodedMetricsOnScrape: the tile-read histogram counts reads from disk
+// only, and a scrape carries the cache's lookups and size.
+func TestDecodedMetricsOnScrape(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	reg := metrics.NewRegistry()
+	s.SetMetrics(reg)
+	ds := ingestOpen(t, s, testDataset(t, 1))
+	for pass := 0; pass < 3; pass++ {
+		if _, _, err := ds.ReadTile(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bytes, _ := s.decoded.size()
+	snap := reg.Snapshot()
+	for name, want := range map[string]float64{
+		"sccgd_store_tile_read_seconds_count": 1,
+		"sccgd_store_decoded_misses_total":    2,
+		"sccgd_store_decoded_hits_total":      4,
+		"sccgd_store_decoded_bytes":           float64(bytes),
+	} {
+		if got, ok := snap[name]; !ok || got != want || want == 0 {
+			t.Errorf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+}
+
+// benchDataset is the benchmark corpus' shape: 32 tiles of the
+// representative slide.
+func benchDataset(b *testing.B) (*Store, *Dataset) {
+	spec := pathology.Representative()
+	spec.Tiles = 32
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	man, err := s.IngestDataset(pathology.Generate(spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := s.OpenDataset(man.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s, ds
+}
+
+func readAllTiles(b *testing.B, ds *Dataset) {
+	for i := range ds.man.Tiles {
+		if _, _, err := ds.ReadTile(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadTileMiss is one pass over 32 tiles with nothing cached: open,
+// read, digest, decode, validate, and hand to the cache.
+func BenchmarkReadTileMiss(b *testing.B) {
+	s, ds := benchDataset(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		s.decoded.drop(ds.man)
+		b.StartTimer()
+		readAllTiles(b, ds)
+	}
+}
+
+// BenchmarkReadTileHit is the same pass with every set cached.
+func BenchmarkReadTileHit(b *testing.B) {
+	_, ds := benchDataset(b)
+	readAllTiles(b, ds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		readAllTiles(b, ds)
+	}
+}

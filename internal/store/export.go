@@ -6,7 +6,7 @@ package store
 // copy — but an importing store trusts nothing: the manifest must fold back
 // to its own content address and every tile of the copied segment is
 // digest-verified and WKB-decoded before the dataset is published, exactly
-// the checks a local ReadTile applies. Any failure removes the temp
+// the checks a local read from disk applies. Any failure removes the temp
 // directory, so a corrupt or malicious peer can never leave a partial or
 // poisoned dataset on disk.
 
@@ -111,6 +111,8 @@ func (s *Store) Import(man *Manifest, seg io.Reader) (*Manifest, error) {
 	// Verify every tile of the copy before publishing: digest first, then a
 	// full WKB decode — exactly what ReadTile enforces — so corrupted or
 	// crafted bytes can never land under a valid-looking content address.
+	// The verifier reads outside any store, so it leaves the decoded cache
+	// alone: the first job over the imported dataset decodes it again.
 	d := &Dataset{dir: tmp, man: &cp}
 	for i := range cp.Tiles {
 		if _, _, err := d.ReadTile(i); err != nil {

@@ -14,11 +14,14 @@
 //
 // Readers are lazy and per-tile: a scheduler shard holding a handle to a
 // stored dataset reads only its own tiles' byte ranges, never the whole
-// segment file. Ingestion is streaming and log-structured: tiles are
-// appended to a temp segment as they arrive (LogBase-style raw appends),
-// hashed incrementally, and the dataset directory is committed with one
-// rename, so a crashed ingest leaves only a temp directory that the next
-// Open sweeps away.
+// segment file. Every read from disk re-verifies the tile's content digest
+// and re-validates every WKB record; the Store keeps recently decoded sets in
+// a byte-bounded cache keyed by that digest (decoded.go), so a cached set is
+// the decode of bytes that verified. Ingestion is streaming and
+// log-structured: tiles are appended to a temp segment as they arrive
+// (LogBase-style raw appends), hashed incrementally, and the dataset
+// directory is committed with one rename, so a crashed ingest leaves only a
+// temp directory that the next Open sweeps away.
 package store
 
 import (
@@ -33,6 +36,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crypto/sha256"
@@ -133,10 +137,13 @@ type TileInfo struct {
 	// Digest is the hex SHA-256 of the tile's canonical content (identity
 	// plus both sets' exact bytes, every variable-length field
 	// length-prefixed so the encoding is injective). The dataset ID folds
-	// these, and every ReadTile re-verifies against it, so size-preserving
-	// segment corruption cannot serve wrong polygons under a content
-	// address.
+	// these, and every read from disk re-verifies against it, so
+	// size-preserving segment corruption cannot serve wrong polygons under a
+	// content address; a cached set is the decode of bytes that verified.
 	Digest string `json:"digest"`
+	// sum is Digest's raw bytes, decoded once where the manifest is built or
+	// validated: what reads compare against and key the decoded cache by.
+	sum [sha256.Size]byte
 }
 
 // Bytes is the tile's total encoded segment size, the sharding weight.
@@ -200,7 +207,9 @@ type Store struct {
 	onDelete func(id string)
 	// tileReadHist, when set via SetMetrics, observes every verified tile
 	// read's wall latency (open + range reads + digest + WKB decode).
-	tileReadHist *metrics.Histogram
+	tileReadHist atomic.Pointer[metrics.Histogram]
+	// decoded keeps recently decoded tile sets; see decoded.go.
+	decoded *decodedCache
 }
 
 // Open opens (creating if needed) the store rooted at dir and recovers its
@@ -216,6 +225,7 @@ func Open(dir string) (*Store, error) {
 		datasets:     make(map[string]*Manifest),
 		pins:         make(map[string]int),
 		persistedUse: make(map[string]time.Time),
+		decoded:      newDecodedCache(decodedCacheBytes),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -327,6 +337,7 @@ func (s *Store) remove(id string, force bool) error {
 		}
 		return fmt.Errorf("store: delete %s: %w", id, err)
 	}
+	s.decoded.drop(s.datasets[id])
 	delete(s.datasets, id)
 	delete(s.persistedUse, id)
 	hook := s.onDelete
@@ -353,22 +364,20 @@ func (s *Store) SetDeleteHook(fn func(id string)) {
 }
 
 // SetMetrics hooks the store into a metrics registry: every verified tile
-// read observes its latency into sccgd_store_tile_read_seconds. Call once at
-// startup, before readers are opened.
+// read from disk observes its latency into sccgd_store_tile_read_seconds, and
+// a scrape reports the decoded cache's set lookups and size. Call once at
+// startup.
 func (s *Store) SetMetrics(r *metrics.Registry) {
 	if r == nil {
 		return
 	}
-	s.mu.Lock()
-	s.tileReadHist = r.Histogram("sccgd_store_tile_read_seconds")
-	s.mu.Unlock()
-}
-
-// tileHist returns the tile-read histogram, nil when metrics are unhooked.
-func (s *Store) tileHist() *metrics.Histogram {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tileReadHist
+	s.tileReadHist.Store(r.Histogram("sccgd_store_tile_read_seconds"))
+	r.OnScrape(func(e *metrics.Emitter) {
+		bytes, _ := s.decoded.size()
+		e.Counter("sccgd_store_decoded_hits_total", float64(s.decoded.hits.Load()))
+		e.Counter("sccgd_store_decoded_misses_total", float64(s.decoded.misses.Load()))
+		e.Gauge("sccgd_store_decoded_bytes", float64(bytes))
+	})
 }
 
 // Pin marks the dataset as referenced by a queued or running job. While the
@@ -674,6 +683,7 @@ func (w *Writer) AddTile(image string, tile int, a, b []*geom.Polygon) error {
 	var e tileEntry
 	e.info = info
 	e.digest = tileDigest(info, segA, segB)
+	e.info.sum = e.digest
 	e.info.Digest = hex.EncodeToString(e.digest[:])
 	w.entries = append(w.entries, e)
 	w.seen[key] = struct{}{}
@@ -881,12 +891,12 @@ func (m *Manifest) Validate() error {
 	// doesn't hash back to its own content address (swapped in from another
 	// dataset, partially restored, served by a lying peer) is rejected.
 	idh := sha256.New()
-	for _, ti := range m.Tiles {
-		raw, err := hex.DecodeString(ti.Digest)
-		if err != nil {
+	for i := range m.Tiles {
+		ti := &m.Tiles[i]
+		if _, err := hex.Decode(ti.sum[:], []byte(ti.Digest)); err != nil {
 			return fmt.Errorf("tile %s/%d digest is not hex: %v", ti.Image, ti.Tile, err)
 		}
-		idh.Write(raw)
+		idh.Write(ti.sum[:])
 	}
 	if got := hex.EncodeToString(idh.Sum(nil)); got != m.ID {
 		return fmt.Errorf("manifest tile digests fold to %s, not the manifest's content address", got)
@@ -894,12 +904,12 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// Dataset is a lazy reader over one stored dataset: each ReadTile opens the
-// segment file and reads only that tile's byte ranges, so a scheduler shard
-// touches only its own tiles and deleting a dataset mid-job fails that job
-// cleanly instead of leaking a handle.
+// Dataset is a lazy reader over one stored dataset: each read that misses the
+// store's decoded cache opens the segment file and reads only that tile's
+// byte ranges, so a scheduler shard touches only its own tiles and deleting a
+// dataset mid-job fails that job cleanly instead of leaking a handle.
 type Dataset struct {
-	st  *Store
+	st  *Store // nil for Import's verifier, which reads outside any store
 	dir string
 	man *Manifest
 }
@@ -927,30 +937,108 @@ func (d *Dataset) wasRemoved() bool {
 	return !present
 }
 
+func (d *Dataset) errDeleted() error {
+	return fmt.Errorf("%w: dataset %s (%s)", ErrDeleted, d.man.ID, d.man.DisplayName())
+}
+
 // Manifest returns the dataset's manifest.
 func (d *Dataset) Manifest() *Manifest { return d.man }
 
-// ReadTile decodes tile i's two polygon sets from the segment file, first
-// re-verifying the tile's content digest (so size-preserving corruption is
-// caught even when the bytes still decode), then fully validating every WKB
-// record (the SDBMS deserialization protocol cost).
+// ReadTile returns tile i's two polygon sets. A set the store's decoded
+// cache holds is returned as is; otherwise the tile is read from the segment
+// file, first re-verifying its content digest (so size-preserving corruption
+// is caught even when the bytes still decode), then fully validating every
+// WKB record (the SDBMS deserialization protocol cost). The polygons and the
+// slices may be shared with other readers: callers must not modify them.
 func (d *Dataset) ReadTile(i int) (a, b []*geom.Polygon, err error) {
-	var start time.Time
-	var hist *metrics.Histogram
+	return d.readSets(i, true, true)
+}
+
+// readSets returns the sets of tile i asked for, from the decoded cache when
+// it holds all of them and from a verified read of the segment otherwise.
+func (d *Dataset) readSets(i int, wantA, wantB bool) (a, b []*geom.Polygon, err error) {
+	if i < 0 || i >= len(d.man.Tiles) {
+		return nil, nil, fmt.Errorf("store: dataset %s has no tile index %d", d.man.ID, i)
+	}
+	ti := &d.man.Tiles[i]
+	keyA, keyB := decodedKey{ti.sum, 'A'}, decodedKey{ti.sum, 'B'}
+	haveA, haveB := !wantA, !wantB
 	if d.st != nil {
-		if hist = d.st.tileHist(); hist != nil {
-			start = time.Now()
+		if wantA {
+			a, haveA = d.st.decoded.get(keyA)
+		}
+		if wantB {
+			b, haveB = d.st.decoded.get(keyB)
+		}
+		if haveA && haveB {
+			// A cached set outlives nothing: a handle whose dataset is gone
+			// fails here exactly as it would opening the segment.
+			if d.wasRemoved() {
+				return nil, nil, d.errDeleted()
+			}
+			return a, b, nil
 		}
 	}
-	ti, segA, segB, err := d.readVerified(i)
+	setA, setB, err := d.load(ti, !haveA, !haveB)
 	if err != nil {
 		return nil, nil, err
 	}
-	if a, err = d.decodeSet(ti, "A", segA, ti.CountA); err != nil {
+	if setA != nil {
+		a = setA.polys
+	}
+	if setB != nil {
+		b = setB.polys
+	}
+	if d.st != nil {
+		d.st.keepDecoded(d.man.ID, setA, setB)
+	}
+	return a, b, nil
+}
+
+// load reads tile ti's byte ranges from the segment file, re-verifies the
+// tile's content digest and decodes the sets asked for. The digest covers
+// both sets jointly, so both ranges are always read even when only one is
+// decoded — verification is never skipped on the cross-dataset read path.
+func (d *Dataset) load(ti *TileInfo, wantA, wantB bool) (a, b *decodedSet, err error) {
+	var start time.Time
+	var hist *metrics.Histogram
+	if d.st != nil {
+		if hist = d.st.tileReadHist.Load(); hist != nil {
+			start = time.Now()
+		}
+	}
+	f, err := os.Open(filepath.Join(d.dir, segmentFile))
+	if err != nil {
+		// Distinguish a lifecycle fault from a storage fault: a segment that
+		// vanished because the dataset was force-deleted mid-job reports the
+		// delete, not the raw open error.
+		if d.wasRemoved() {
+			return nil, nil, d.errDeleted()
+		}
+		return nil, nil, fmt.Errorf("store: dataset %s: %w", d.man.ID, err)
+	}
+	defer f.Close()
+	segA, err := d.readRange(f, ti, 'A', ti.OffA, ti.LenA)
+	if err != nil {
 		return nil, nil, err
 	}
-	if b, err = d.decodeSet(ti, "B", segB, ti.CountB); err != nil {
+	segB, err := d.readRange(f, ti, 'B', ti.OffB, ti.LenB)
+	if err != nil {
 		return nil, nil, err
+	}
+	if tileDigest(*ti, segA, segB) != ti.sum {
+		return nil, nil, fmt.Errorf("store: dataset %s tile %s/%d corrupt: content digest mismatch",
+			d.man.ID, ti.Image, ti.Tile)
+	}
+	if wantA {
+		if a, err = d.decodeSet(ti, 'A', segA, ti.CountA); err != nil {
+			return nil, nil, err
+		}
+	}
+	if wantB {
+		if b, err = d.decodeSet(ti, 'B', segB, ti.CountB); err != nil {
+			return nil, nil, err
+		}
 	}
 	// Only successful reads are observed: failure latency is dominated by
 	// error paths (missing segment, corrupt digest), which would pollute the
@@ -961,75 +1049,55 @@ func (d *Dataset) ReadTile(i int) (a, b []*geom.Polygon, err error) {
 	return a, b, nil
 }
 
-// readVerified reads tile i's raw segment byte ranges and re-verifies the
-// tile's content digest. The digest covers both sets jointly, so both ranges
-// are always read even when the caller decodes only one — verification is
-// never skipped on the cross-dataset read path.
-func (d *Dataset) readVerified(i int) (ti TileInfo, segA, segB []byte, err error) {
-	if i < 0 || i >= len(d.man.Tiles) {
-		return TileInfo{}, nil, nil, fmt.Errorf("store: dataset %s has no tile index %d", d.man.ID, i)
-	}
-	ti = d.man.Tiles[i]
-	f, err := os.Open(filepath.Join(d.dir, segmentFile))
-	if err != nil {
-		// Distinguish a lifecycle fault from a storage fault: a segment that
-		// vanished because the dataset was force-deleted mid-job reports the
-		// delete, not the raw open error.
-		if d.wasRemoved() {
-			return TileInfo{}, nil, nil, fmt.Errorf("%w: dataset %s (%s)",
-				ErrDeleted, d.man.ID, d.man.DisplayName())
-		}
-		return TileInfo{}, nil, nil, fmt.Errorf("store: dataset %s: %w", d.man.ID, err)
-	}
-	defer f.Close()
-	if segA, err = d.readRange(f, ti, "A", ti.OffA, ti.LenA); err != nil {
-		return TileInfo{}, nil, nil, err
-	}
-	if segB, err = d.readRange(f, ti, "B", ti.OffB, ti.LenB); err != nil {
-		return TileInfo{}, nil, nil, err
-	}
-	sum := tileDigest(ti, segA, segB)
-	if hex.EncodeToString(sum[:]) != ti.Digest {
-		return TileInfo{}, nil, nil, fmt.Errorf("store: dataset %s tile %s/%d corrupt: content digest mismatch",
-			d.man.ID, ti.Image, ti.Tile)
-	}
-	return ti, segA, segB, nil
-}
-
-func (d *Dataset) readRange(f *os.File, ti TileInfo, set string, off, ln int64) ([]byte, error) {
+func (d *Dataset) readRange(f *os.File, ti *TileInfo, set byte, off, ln int64) ([]byte, error) {
 	buf := make([]byte, ln)
 	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("store: dataset %s tile %s/%d set %s corrupt: read %d bytes at %d: %v",
+		return nil, fmt.Errorf("store: dataset %s tile %s/%d set %c corrupt: read %d bytes at %d: %v",
 			d.man.ID, ti.Image, ti.Tile, set, ln, off, err)
 	}
 	return buf, nil
 }
 
-func (d *Dataset) decodeSet(ti TileInfo, set string, buf []byte, count int) ([]*geom.Polygon, error) {
+// decodeSet decodes one set's length-prefixed WKB records. It frames and
+// header-checks every record first, which tells it how many vertices the set
+// holds, and then validates each record into one slab sized for all of them.
+func (d *Dataset) decodeSet(ti *TileInfo, set byte, buf []byte, count int) (*decodedSet, error) {
 	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("store: dataset %s tile %s/%d set %s corrupt: %s",
+		return fmt.Errorf("store: dataset %s tile %s/%d set %c corrupt: %s",
 			d.man.ID, ti.Image, ti.Tile, set, fmt.Sprintf(format, args...))
 	}
-	polys := make([]*geom.Polygon, 0, count)
+	vertices := 0
+	rest := buf
 	for i := 0; i < count; i++ {
-		if len(buf) < recLenBytes {
+		if len(rest) < recLenBytes {
 			return nil, corrupt("truncated record header for polygon %d", i)
 		}
-		n := int64(binary.LittleEndian.Uint32(buf))
-		if n > int64(len(buf)-recLenBytes) {
-			return nil, corrupt("polygon %d claims %d bytes, only %d remain", i, n, len(buf)-recLenBytes)
+		n := int64(binary.LittleEndian.Uint32(rest))
+		if n > int64(len(rest)-recLenBytes) {
+			return nil, corrupt("polygon %d claims %d bytes, only %d remain", i, n, len(rest)-recLenBytes)
 		}
-		p, err := wkb.Unmarshal(buf[recLenBytes : recLenBytes+n])
+		nv, err := wkb.RingVertices(rest[recLenBytes : recLenBytes+n])
 		if err != nil {
 			return nil, corrupt("polygon %d: %v", i, err)
 		}
-		polys = append(polys, p)
+		vertices += nv
+		rest = rest[recLenBytes+n:]
+	}
+	if len(rest) != 0 {
+		return nil, corrupt("%d trailing bytes after %d polygons", len(rest), count)
+	}
+	slab := geom.NewSlab(count, vertices)
+	polys := make([]*geom.Polygon, count)
+	for i := range polys {
+		n := int64(binary.LittleEndian.Uint32(buf))
+		p, err := wkb.UnmarshalInto(slab, buf[recLenBytes:recLenBytes+n])
+		if err != nil {
+			return nil, corrupt("polygon %d: %v", i, err)
+		}
+		polys[i] = p
 		buf = buf[recLenBytes+n:]
 	}
-	if len(buf) != 0 {
-		return nil, corrupt("%d trailing bytes after %d polygons", len(buf), count)
-	}
-	return polys, nil
+	return newDecodedSet(decodedKey{ti.sum, set}, slab, polys), nil
 }
 
 // Source returns the dataset as a lazily-materializing task source: the
@@ -1068,7 +1136,7 @@ func (src *DatasetSource) Task(i int) (pipeline.FileTask, error) {
 }
 
 // PolyTask materializes tile i as pre-parsed pipeline input: the store
-// validated every WKB record at ingest (and ReadTile re-validates on read),
+// validated every WKB record at ingest (and re-validates on every decode),
 // so stored tiles skip the text re-encode/re-parse round trip entirely. The
 // decoded polygons are exactly what parsing the canonical text would yield,
 // keeping reports bit-identical to the FileTask path.

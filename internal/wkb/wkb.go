@@ -58,28 +58,49 @@ func Size(p *geom.Polygon) int { return headerBytes + (len(p.Vertices())+1)*poin
 // function performs on each argument of each call. Coordinates must be
 // integral and in int32 range (the pixel-grid domain).
 func Unmarshal(data []byte) (*geom.Polygon, error) {
+	n, err := RingVertices(data)
+	if err != nil {
+		return nil, err
+	}
+	return UnmarshalInto(geom.NewSlab(1, n), data)
+}
+
+// RingVertices checks a record's header and returns how many vertices the
+// polygon has (the ring's points less the closing one), so a reader can size
+// one slab for a whole set of records before decoding any of them.
+func RingVertices(data []byte) (int, error) {
 	if len(data) < headerBytes {
-		return nil, fmt.Errorf("wkb: truncated header (%d bytes)", len(data))
+		return 0, fmt.Errorf("wkb: truncated header (%d bytes)", len(data))
 	}
 	if data[0] != byteOrderLE {
-		return nil, fmt.Errorf("wkb: unsupported byte order %d", data[0])
+		return 0, fmt.Errorf("wkb: unsupported byte order %d", data[0])
 	}
 	if gt := binary.LittleEndian.Uint32(data[1:]); gt != geomPolygon {
-		return nil, fmt.Errorf("wkb: unsupported geometry type %d", gt)
+		return 0, fmt.Errorf("wkb: unsupported geometry type %d", gt)
 	}
 	if rings := binary.LittleEndian.Uint32(data[5:]); rings != 1 {
-		return nil, fmt.Errorf("wkb: expected 1 ring, got %d", rings)
+		return 0, fmt.Errorf("wkb: expected 1 ring, got %d", rings)
 	}
 	npts := int(binary.LittleEndian.Uint32(data[9:]))
 	if npts < 5 {
-		return nil, fmt.Errorf("wkb: ring has %d points, need at least 5", npts)
+		return 0, fmt.Errorf("wkb: ring has %d points, need at least 5", npts)
 	}
 	if want := headerBytes + npts*pointBytes; len(data) != want {
-		return nil, fmt.Errorf("wkb: length %d, want %d", len(data), want)
+		return 0, fmt.Errorf("wkb: length %d, want %d", len(data), want)
 	}
-	vs := make([]geom.Point, npts-1)
+	return npts - 1, nil
+}
+
+// UnmarshalInto is Unmarshal with the polygon, its vertices and its edge
+// table placed in slab, which must have room for them.
+func UnmarshalInto(slab *geom.Slab, data []byte) (*geom.Polygon, error) {
+	n, err := RingVertices(data)
+	if err != nil {
+		return nil, err
+	}
+	vs := slab.Vertices(n)
 	off := headerBytes
-	for i := 0; i < npts; i++ {
+	for i := 0; i <= n; i++ {
 		x := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 		y := math.Float64frombits(binary.LittleEndian.Uint64(data[off+8:]))
 		off += pointBytes
@@ -90,7 +111,7 @@ func Unmarshal(data []byte) (*geom.Polygon, error) {
 		if xi < math.MinInt32 || xi > math.MaxInt32 || yi < math.MinInt32 || yi > math.MaxInt32 {
 			return nil, fmt.Errorf("wkb: coordinate out of range (%v,%v)", x, y)
 		}
-		if i == npts-1 {
+		if i == n {
 			// Closing point must equal the first.
 			if xi != int64(vs[0].X) || yi != int64(vs[0].Y) {
 				return nil, fmt.Errorf("wkb: ring not closed")
@@ -101,7 +122,7 @@ func Unmarshal(data []byte) (*geom.Polygon, error) {
 	}
 	// Full validation — rectilinearity, simplicity — the robustness work a
 	// general-purpose geometry library performs before overlay.
-	return geom.NewPolygon(vs)
+	return slab.Add(vs)
 }
 
 // MustUnmarshal is Unmarshal that panics on error, for callers that encoded
