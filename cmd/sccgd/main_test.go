@@ -944,4 +944,16 @@ func TestDaemonMatrixProgressive(t *testing.T) {
 			t.Errorf("true top-3 similarity %.17g missing from the exact cells %v", want, exactSims)
 		}
 	}
+
+	// Shutdown writes into the data dir (tenants.json): it must be over
+	// before the TempDir under it is removed.
+	cancel()
+	select {
+	case err := <-errCh:
+		if err != nil {
+			t.Fatalf("daemon shutdown: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
 }

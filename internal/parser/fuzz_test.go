@@ -1,6 +1,9 @@
 package parser
 
 import (
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +40,9 @@ func FuzzParse(f *testing.F) {
 		"0 POLYGON ((99999999999999999999 0,0 4,4 4,4 0))\n",
 		"0 POLYGON ((-99999999999999999999 0,0 4,4 4,4 0))\n",
 		"0 POLYGON ((2147483647 2147483647,2147483647 2147483651,2147483651 2147483651,2147483651 2147483647))\n",
+		"0 POLYGON ((4294967296 0,4294967306 0,4294967306 10,4294967296 10))\n",                                         // wraps int32
+		"0 POLYGON ((18446744073709551616 0,18446744073709551626 0,18446744073709551626 10,18446744073709551616 10))\n", // wraps int64
+		"0 POLYGON ((-2147483648 -2147483648,2147483647 -2147483648,2147483647 2147483647,-2147483648 2147483647))\n",
 		"0 POLYGON ((0 0,0 4,4 4,4 0)))\n",
 		"0 POLYGON ((0 0,1 1,2 2))\n", // non-rectilinear
 		"0 POLYGON ((0 0,0 4))\n",     // too few vertices
@@ -52,6 +58,28 @@ func FuzzParse(f *testing.F) {
 		polys, err := Parse(data) // must not panic on any input
 		if err != nil {
 			return
+		}
+		// Every accepted vertex is the value its token spells: nothing wraps,
+		// nothing is read out of thin air.
+		lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+		lines = slices.DeleteFunc(lines, func(l string) bool { return l == "" })
+		if len(lines) != len(polys) {
+			t.Fatalf("%d polygons from %d lines\ninput: %q", len(polys), len(lines), data)
+		}
+		for i, l := range lines {
+			ring := l[strings.Index(l, "((")+2 : len(l)-2]
+			pairs := strings.Split(ring, ",")
+			if len(pairs) != polys[i].NumVertices() {
+				t.Fatalf("line %d: %d vertices from %d pairs\ninput: %q", i+1, polys[i].NumVertices(), len(pairs), data)
+			}
+			for j, pair := range pairs {
+				xs, ys, _ := strings.Cut(pair, " ")
+				x, errX := strconv.ParseInt(xs, 10, 32)
+				y, errY := strconv.ParseInt(ys, 10, 32)
+				if v := polys[i].Vertices()[j]; errX != nil || errY != nil || int64(v.X) != x || int64(v.Y) != y {
+					t.Fatalf("line %d vertex %d: parsed %v from %q (%v, %v)\ninput: %q", i+1, j, v, pair, errX, errY, data)
+				}
+			}
 		}
 		// Accepted input must round-trip: encoding the parsed polygons and
 		// re-parsing yields the same geometry.

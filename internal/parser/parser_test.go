@@ -2,6 +2,7 @@ package parser_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/geomtest"
 	"repro/internal/gpu"
 	"repro/internal/parser"
+	"repro/internal/pathology"
 )
 
 func TestEncodeParseRoundTrip(t *testing.T) {
@@ -75,6 +77,15 @@ func TestParseErrors(t *testing.T) {
 		{"diagonal polygon", "0 POLYGON ((0 0,2 2,4 0,2 -2))\n"},
 		{"trailing junk", "0 POLYGON ((0 0,2 0,2 2,0 2))x\n"},
 		{"letters in digits", "0 POLYGON ((0 0,2a 0,2 2,0 2))\n"},
+		// 2^32 and 2^64 used to wrap into range: the square at (0,0)-(10,10).
+		{"coordinate wraps int32", "0 POLYGON ((4294967296 0,4294967306 0,4294967306 10,4294967296 10))\n"},
+		{"coordinate wraps int64", "0 POLYGON ((18446744073709551616 0,18446744073709551626 0,18446744073709551626 10,18446744073709551616 10))\n"},
+		{"one past int32", "0 POLYGON ((0 0,2147483648 0,2147483648 2,0 2))\n"},
+		{"one below int32", "0 POLYGON ((0 0,-2147483649 0,-2147483649 2,0 2))\n"},
+		{"sign without digits", "0 POLYGON ((- 0,2 0,2 2,- 2))\n"},
+		// The last line is built before its missing newline is noticed, so
+		// slab room must be sized for it: newlines undercount.
+		{"no trailing newline", "0 POLYGON ((0 0,2 0,2 2,0 2))\n1 POLYGON ((0 0,2 0,2 2,0 2))"},
 	}
 	for _, c := range cases {
 		if _, err := parser.Parse([]byte(c.input)); err == nil {
@@ -82,6 +93,17 @@ func TestParseErrors(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "line") {
 			t.Errorf("%s: error lacks line info: %v", c.name, err)
 		}
+	}
+}
+
+// TestParseInt32Extremes: the ends of the coordinate range are themselves in it.
+func TestParseInt32Extremes(t *testing.T) {
+	got, err := parser.Parse([]byte("0 POLYGON ((-2147483648 -2147483648,2147483647 -2147483648,2147483647 2147483647,-2147483648 2147483647))\n"))
+	if err != nil || len(got) != 1 {
+		t.Fatalf("extreme square: %v, %d polygons", err, len(got))
+	}
+	if m := got[0].MBR(); m.MinX != math.MinInt32 || m.MaxY != math.MaxInt32 {
+		t.Fatalf("MBR = %v", m)
 	}
 }
 
@@ -139,5 +161,31 @@ func TestEncodeDeterministic(t *testing.T) {
 	b := parser.Encode([]*geom.Polygon{p, p})
 	if !bytes.Equal(a, b) {
 		t.Fatal("encode not deterministic")
+	}
+}
+
+// BenchmarkParse parses the polygon text of one representative 32-tile
+// dataset, set by set as PUT /datasets does.
+func BenchmarkParse(b *testing.B) {
+	spec := pathology.Representative()
+	spec.Tiles = 32
+	var sets [][]byte
+	var text int64
+	for _, tp := range pathology.Generate(spec).Pairs {
+		for _, polys := range [][]*geom.Polygon{tp.A, tp.B} {
+			raw := parser.Encode(polys)
+			sets = append(sets, raw)
+			text += int64(len(raw))
+		}
+	}
+	b.SetBytes(text)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, raw := range sets {
+			if _, err := parser.Parse(raw); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

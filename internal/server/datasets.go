@@ -7,17 +7,16 @@ package server
 //	GET    /datasets/{id}   stat one dataset, tile index included
 //	DELETE /datasets/{id}   remove a dataset
 //
-// Ingestion streams: the body is a JSON array of tile payloads (the same
-// shape as JobRequest.Tasks) decoded one element at a time; each tile's raw
-// text is run through the existing parser and appended to the store's
-// segment file before the next element is read, so a dataset bounded only
-// by the request-size cap never materializes whole in memory. The response
-// carries the content-addressed dataset ID: re-ingesting identical polygon
-// sets (any tile order, any text formatting) yields the same ID and no
-// second copy.
+// Ingestion streams, on the request's own goroutine: the body is a JSON array
+// of tile payloads (the same shape as JobRequest.Tasks) scanned one element
+// at a time (tilescan.go); each tile's raw text is run through the existing
+// parser and appended to the store's segment file before the next element is
+// read, so a dataset bounded only by the request-size cap never materializes
+// whole in memory. The response carries the content-addressed dataset ID:
+// re-ingesting identical polygon sets (any tile order, any text formatting)
+// yields the same ID and no second copy.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -102,23 +101,29 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	dec.DisallowUnknownFields()
-	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+	sc := newTileScanner(http.MaxBytesReader(w, r.Body, s.maxBody), scanBufBytes)
+	if err := sc.open(); err != nil {
 		s.fail(w, http.StatusBadRequest, errors.New("body must be a JSON array of tile payloads"))
 		return
 	}
-	n := 0
-	for dec.More() {
+	// Elements decode as TilePayload — the superset GET /tiles/{n} serves —
+	// so tile reads re-PUT verbatim (the read-only counts are ignored) while
+	// unknown fields still reject typos.
+	var tp TilePayload
+	for n := 0; ; n++ {
+		more, err := sc.more()
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("malformed tile array: %w", err))
+			return
+		}
+		if !more {
+			break
+		}
 		if n >= maxTaskCount {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("at most %d tiles per dataset", maxTaskCount))
 			return
 		}
-		// Elements decode as TilePayload — the superset GET /tiles/{n}
-		// serves — so tile reads re-PUT verbatim (the read-only counts are
-		// ignored) while unknown fields still reject typos.
-		var tp TilePayload
-		if err := dec.Decode(&tp); err != nil {
+		if err := sc.tile(&tp); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("tile %d: %w", n, err))
 			return
 		}
@@ -149,7 +154,6 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, code, err)
 			return
 		}
-		n++
 		// Early tenant-quota check per tile: a stream that has already
 		// written more bytes than the tenant may hold cannot recover, so
 		// stop reading rather than buffering the whole body first. (Only
@@ -159,10 +163,6 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 			s.failAdmission(w, who, aerr)
 			return
 		}
-	}
-	if tok, err := dec.Token(); err != nil || tok != json.Delim(']') {
-		s.fail(w, http.StatusBadRequest, errors.New("malformed tile array"))
-		return
 	}
 	// Admission gates the commit: the exact segment size is known now, and
 	// nothing has been published yet — a dataset that would overshoot the

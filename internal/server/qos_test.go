@@ -289,6 +289,30 @@ func TestPutDatasetTenantQuotaEdges(t *testing.T) {
 	}
 }
 
+// TestTenantQuotaSurvivesRestart: attribution is written out lazily, so a
+// daemon that closes and comes back on the same directory must still know what
+// each tenant holds — acme's one-dataset quota is full after the restart.
+func TestTenantQuotaSurvivesRestart(t *testing.T) {
+	cfg := testTenants(t, `{"tenants": [{"name": "acme", "token": "tok-acme", "max_datasets": 1}]}`)
+	dir := t.TempDir()
+	srv, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: testStoreAt(t, dir), Tenants: cfg})
+	d1 := pathology.Generate(qosSpec("restart-1", 21, 1))
+	if resp, body := putDatasetAs(t, ts.URL+"/datasets", "tok-acme", datasetPayload(t, d1)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("acme ingest = %d: %s", resp.StatusCode, body)
+	}
+	srv.Close()
+
+	_, _, ts2 := newTestServer(t, sched.Config{Devices: 1}, Options{Store: testStoreAt(t, dir), Tenants: cfg})
+	d2 := pathology.Generate(qosSpec("restart-2", 22, 1))
+	resp, body := putDatasetAs(t, ts2.URL+"/datasets", "tok-acme", datasetPayload(t, d2))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("acme ingest after restart = %d: %s", resp.StatusCode, body)
+	}
+	if code, who := admissionBody(t, body); code != "tenant_datasets" || who != "acme" {
+		t.Fatalf("rejection = code %q tenant %q, want tenant_datasets/acme", code, who)
+	}
+}
+
 // TestInteractiveNotStarvedByMatrix is the starvation regression: a 6-way
 // matrix floods every general slot with batch cells, and a concurrent
 // interactive job must still start within a bounded queue wait (the

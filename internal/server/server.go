@@ -380,14 +380,17 @@ func New(s *sched.Scheduler, opts Options) *Server {
 }
 
 // Close stops background orchestration (matrix runs, the retention
-// sweeper); it does not close the scheduler, which the caller owns. Call
-// before closing the scheduler.
+// sweeper) and writes out the tenant attribution file; it does not close the
+// scheduler, which the caller owns. Call before closing the scheduler.
 func (s *Server) Close() {
 	if s.matrix != nil {
 		s.matrix.Close()
 	}
 	if s.retention != nil {
 		s.retention.Close()
+	}
+	if s.tusage != nil {
+		s.tusage.Close()
 	}
 }
 

@@ -599,16 +599,20 @@ func tileDigest(info TileInfo, segA, segB []byte) [sha256.Size]byte {
 	return sum
 }
 
-// Writer is a streaming ingest: tiles are appended to a temp segment file
-// as they arrive and hashed incrementally, so an arbitrarily large dataset
-// is ingested holding only one tile in memory. Commit seals the dataset
-// under its content ID with a single rename.
+// Writer is a streaming ingest. AddTile encodes a tile's two sets into one
+// buffer the Writer owns (sized beforehand from wkb.Size, reused for the next
+// tile), hashes it and appends it to a temp segment file with one write, so an
+// arbitrarily large dataset is ingested holding only one tile in memory.
+// Commit seals the dataset under its content ID: segment fsync, manifest
+// fsync, one rename, directory fsync. Content the store already holds costs
+// none of those.
 type Writer struct {
 	s       *Store
 	name    string
 	tmp     string
 	f       *os.File
 	off     int64
+	buf     []byte // the current tile's segment bytes, set A then set B
 	entries []tileEntry
 	seen    map[tileKey]struct{}
 	polys   int64
@@ -628,20 +632,26 @@ func (s *Store) NewWriter(name string) (*Writer, error) {
 	return &Writer{s: s, name: name, tmp: tmp, f: f, seen: make(map[tileKey]struct{})}, nil
 }
 
-// encodeSet frames a polygon set as length-prefixed WKB records.
-func encodeSet(polys []*geom.Polygon) ([]byte, error) {
-	var out []byte
+// setBytes returns the segment bytes a polygon set encodes to: a length prefix
+// and a WKB record for each polygon.
+func setBytes(polys []*geom.Polygon) (int, error) {
+	n := 0
 	for i, p := range polys {
 		if p == nil {
-			return nil, fmt.Errorf("store: polygon %d is nil", i)
+			return 0, fmt.Errorf("store: polygon %d is nil", i)
 		}
-		rec := wkb.Marshal(p)
-		var ln [recLenBytes]byte
-		binary.LittleEndian.PutUint32(ln[:], uint32(len(rec)))
-		out = append(out, ln[:]...)
-		out = append(out, rec...)
+		n += recLenBytes + wkb.Size(p)
 	}
-	return out, nil
+	return n, nil
+}
+
+// appendSet frames a polygon set as length-prefixed WKB records.
+func appendSet(dst []byte, polys []*geom.Polygon) []byte {
+	for _, p := range polys {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(wkb.Size(p)))
+		dst = wkb.Append(dst, p)
+	}
+	return dst
 }
 
 // AddTile appends one tile's two result sets to the dataset.
@@ -650,14 +660,19 @@ func (w *Writer) AddTile(image string, tile int, a, b []*geom.Polygon) error {
 	if _, dup := w.seen[key]; dup {
 		return fmt.Errorf("%w: %s/%d", ErrDuplicateTile, image, tile)
 	}
-	segA, err := encodeSet(a)
+	lenA, err := setBytes(a)
 	if err != nil {
 		return fmt.Errorf("store: tile %s/%d set A: %w", image, tile, err)
 	}
-	segB, err := encodeSet(b)
+	lenB, err := setBytes(b)
 	if err != nil {
 		return fmt.Errorf("store: tile %s/%d set B: %w", image, tile, err)
 	}
+	if cap(w.buf) < lenA+lenB {
+		w.buf = make([]byte, 0, lenA+lenB)
+	}
+	w.buf = appendSet(appendSet(w.buf[:0], a), b)
+	segA, segB := w.buf[:lenA], w.buf[lenA:]
 	info := TileInfo{
 		Image: image, Tile: tile,
 		OffA: w.off, LenA: int64(len(segA)), CountA: len(a),
@@ -669,10 +684,7 @@ func (w *Writer) AddTile(image string, tile int, a, b []*geom.Polygon) error {
 		StatsA: computeSetStats(a),
 		StatsB: computeSetStats(b),
 	}
-	if _, err := w.f.Write(segA); err != nil {
-		return fmt.Errorf("store: append tile %s/%d: %w", image, tile, err)
-	}
-	if _, err := w.f.Write(segB); err != nil {
+	if _, err := w.f.Write(w.buf); err != nil {
 		return fmt.Errorf("store: append tile %s/%d: %w", image, tile, err)
 	}
 	w.off = info.OffB + info.LenB
@@ -728,6 +740,14 @@ func (w *Writer) Commit() (*Manifest, error) {
 	}
 	id := hex.EncodeToString(idh.Sum(nil))
 
+	// Content the store already holds needs no second durable copy; the
+	// check is repeated under the write lock below for the ingest that
+	// loses a race against an identical one.
+	s := w.s
+	if existing, ok := s.Get(id); ok {
+		return existing, nil // deferred Abort drops the temp copy
+	}
+
 	man := &Manifest{
 		ID:           id,
 		Name:         w.name,
@@ -755,7 +775,6 @@ func (w *Writer) Commit() (*Manifest, error) {
 		return nil, fmt.Errorf("store: write manifest: %w", err)
 	}
 
-	s := w.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.datasets[id]; ok {

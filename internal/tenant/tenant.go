@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/retention"
 )
@@ -266,13 +267,25 @@ type usageFile struct {
 
 const usageSchema = "sccg-tenants/1"
 
+// flushDelay is how long a change to the attribution map may wait before
+// tenants.json is rewritten. The file is advisory and never fsynced, and
+// rewriting it means marshalling every dataset's owners: once per delay bounds
+// that cost however fast datasets come and go, and a crash loses at most this
+// much attribution.
+const flushDelay = time.Second
+
 // Registry tracks which tenant ingested which dataset and the byte charge,
 // persisting the attribution next to the store so quotas survive a restart.
-// All methods are safe for concurrent use.
+// Changes reach the file within flushDelay, or when Close is called. All
+// methods are safe for concurrent use.
 type Registry struct {
 	mu     sync.Mutex
 	path   string // "" = in-memory only
 	owners map[string]map[string]int64
+	// flush is the pending write; nil when the file holds what owners does.
+	flush *time.Timer
+	// closed makes every later change write through: no timer outlives Close.
+	closed bool
 }
 
 // NewRegistry creates a usage registry. When dir is non-empty, attribution
@@ -393,12 +406,41 @@ func (r *Registry) Datasets(tenantName string) []string {
 	return out
 }
 
-// saveLocked persists the attribution map atomically (tmp + rename),
-// best-effort: accounting must never fail the ingest that triggered it.
+// saveLocked schedules the attribution map to be persisted, unless a write is
+// pending already.
 func (r *Registry) saveLocked() {
-	if r.path == "" {
-		return
+	switch {
+	case r.path == "":
+	case r.closed:
+		r.writeLocked()
+	case r.flush == nil:
+		r.flush = time.AfterFunc(flushDelay, func() {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if r.flush != nil { // else Close got there first
+				r.flush = nil
+				r.writeLocked()
+			}
+		})
 	}
+}
+
+// Close writes any pending change. The registry stays usable; changes made
+// after Close are written as they happen.
+func (r *Registry) Close() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
+	if r.flush != nil {
+		r.flush.Stop()
+		r.flush = nil
+		r.writeLocked()
+	}
+}
+
+// writeLocked persists the attribution map atomically (tmp + rename),
+// best-effort: accounting must never fail the ingest that triggered it.
+func (r *Registry) writeLocked() {
 	data, err := json.Marshal(usageFile{Schema: usageSchema, Owners: r.owners})
 	if err != nil {
 		return

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -29,25 +30,27 @@ const (
 
 // Marshal encodes a polygon as WKB (little-endian, single ring, closed:
 // the first vertex is repeated at the end, as WKB requires).
-func Marshal(p *geom.Polygon) []byte {
+func Marshal(p *geom.Polygon) []byte { return Append(make([]byte, 0, Size(p)), p) }
+
+// Append appends Marshal(p) to dst, so a caller encoding a whole set sizes
+// one buffer from Size and fills it without a record-sized allocation each.
+func Append(dst []byte, p *geom.Polygon) []byte {
 	vs := p.Vertices()
-	n := len(vs)
-	out := make([]byte, headerBytes+(n+1)*pointBytes)
+	off := len(dst)
+	dst = slices.Grow(dst, Size(p))[:off+Size(p)]
+	out := dst[off:]
 	out[0] = byteOrderLE
 	binary.LittleEndian.PutUint32(out[1:], geomPolygon)
 	binary.LittleEndian.PutUint32(out[5:], 1)
-	binary.LittleEndian.PutUint32(out[9:], uint32(n+1))
-	off := headerBytes
-	put := func(pt geom.Point) {
-		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(float64(pt.X)))
-		binary.LittleEndian.PutUint64(out[off+8:], math.Float64bits(float64(pt.Y)))
-		off += pointBytes
+	binary.LittleEndian.PutUint32(out[9:], uint32(len(vs)+1))
+	pts := out[headerBytes:]
+	for _, pt := range vs {
+		binary.LittleEndian.PutUint64(pts, math.Float64bits(float64(pt.X)))
+		binary.LittleEndian.PutUint64(pts[8:], math.Float64bits(float64(pt.Y)))
+		pts = pts[pointBytes:]
 	}
-	for _, v := range vs {
-		put(v)
-	}
-	put(vs[0])
-	return out
+	copy(pts, out[headerBytes:headerBytes+pointBytes]) // the ring closes on its first vertex
+	return dst
 }
 
 // Size returns len(Marshal(p)) without encoding — admission control sizes a

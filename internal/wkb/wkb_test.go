@@ -20,7 +20,15 @@ func TestRoundTrip(t *testing.T) {
 			continue
 		}
 		trial++
-		got, err := wkb.Unmarshal(wkb.Marshal(p))
+		rec := wkb.Marshal(p)
+		if len(rec) != wkb.Size(p) {
+			t.Fatalf("Marshal wrote %d bytes, Size says %d", len(rec), wkb.Size(p))
+		}
+		// Append onto a non-empty buffer writes the same record after it.
+		if buf := wkb.Append([]byte("head"), p); string(buf) != "head"+string(rec) {
+			t.Fatalf("Append after a prefix differs from Marshal")
+		}
+		got, err := wkb.Unmarshal(rec)
 		if err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}
