@@ -11,6 +11,7 @@ package sccg_test
 // paper-style tables; EXPERIMENTS.md records paper-vs-measured values.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -200,11 +201,26 @@ func BenchmarkPixelBoxKernel(b *testing.B) {
 	b.ReportMetric(float64(len(pairs)), "pairs")
 }
 
-// BenchmarkPixelBoxCPU measures the single-core CPU port per workload pass.
+// BenchmarkPixelBoxCPU measures the single-core CPU port per workload pass at
+// scale factors 1, 3 and 5, over polygons that carry band tables (as the store
+// serves them; built outside the timer) and over polygons that do not (as
+// NewPolygon and Scale make them). A band walk costs bands and crossings, and
+// scaling a polygon changes neither, so the time per pass should not grow
+// with the scale factor.
 func BenchmarkPixelBoxCPU(b *testing.B) {
-	_, pairs := benchSetup()
-	for i := 0; i < b.N; i++ {
-		pixelbox.RunCPU(pairs, pixelbox.CPUConfig{})
+	_, base := benchSetup()
+	for _, sf := range []int32{1, 3, 5} {
+		plain := experiments.ScalePairs(base, sf)
+		for _, bc := range []struct {
+			name  string
+			pairs []pixelbox.Pair
+		}{{"tables", experiments.TabledPairs(plain)}, {"none", plain}} {
+			b.Run(fmt.Sprintf("SF%d/%s", sf, bc.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					pixelbox.RunCPU(bc.pairs, pixelbox.CPUConfig{})
+				}
+			})
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/geomtest"
 	"repro/internal/gpu"
 	"repro/internal/parser"
 	"repro/internal/pathology"
@@ -62,6 +63,21 @@ func ScalePairs(pairs []pixelbox.Pair, factor int32) []pixelbox.Pair {
 	out := make([]pixelbox.Pair, len(pairs))
 	for i, pr := range pairs {
 		out[i] = pixelbox.Pair{P: pr.P.Scale(factor), Q: pr.Q.Scale(factor)}
+	}
+	return out
+}
+
+// TabledPairs returns the same pairs over copies of the polygons that carry
+// band tables, as polygons read through the store do.
+func TabledPairs(pairs []pixelbox.Pair) []pixelbox.Pair {
+	polys := make([]*geom.Polygon, 0, 2*len(pairs))
+	for _, pr := range pairs {
+		polys = append(polys, pr.P, pr.Q)
+	}
+	polys = geomtest.WithBands(polys...)
+	out := make([]pixelbox.Pair, len(pairs))
+	for i := range out {
+		out[i] = pixelbox.Pair{P: polys[2*i], Q: polys[2*i+1]}
 	}
 	return out
 }

@@ -13,9 +13,8 @@ const literalThreshold = 64
 // translated to one core as written — sampling boxes refined by a quad
 // split, and below the threshold every pixel of the box tested against both
 // polygons by its own ray cast. It is what the paper measured, so Fig7 and
-// Calibrate time it, and it is a second oracle for pixelbox's row-run
-// counter. The service computes with pixelbox.RunCPU and cannot import this
-// package.
+// Calibrate time it, and it is a second oracle for pixelbox's band walk. The
+// service computes with pixelbox.RunCPU and cannot import this package.
 func LiteralCPU(pairs []pixelbox.Pair) []pixelbox.AreaResult {
 	results := make([]pixelbox.AreaResult, len(pairs))
 	for i, pr := range pairs {

@@ -164,7 +164,9 @@ func encodeRaw(vs []Point) []byte {
 // checkSlabAdd puts vs through Slab.Add between two neighbours, in a slab
 // whose unused storage is filled with canaries: the verdict and the polygon
 // must be NewPolygon's (want, wantErr), its slices must be capped at their
-// length, and nothing outside them may have been written.
+// length, and nothing outside them may have been written. BuildBands then has
+// to leave all of that as it was, size its storage to fit, and give each
+// polygon the capacity-capped table it would get alone in a slab.
 func checkSlabAdd(t *testing.T, vs []Point, want *Polygon, wantErr error) {
 	t.Helper()
 	square := []Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}}
@@ -215,21 +217,25 @@ func checkSlabAdd(t *testing.T, vs []Point, want *Polygon, wantErr error) {
 	if len(s.ve) > 2+len(vs)/2 || len(s.he) > 2+len(vs)/2 {
 		t.Fatalf("Slab.Add(%v) took %d and %d edge entries", vs, len(s.ve)-2, len(s.he)-2)
 	}
-	for _, e := range s.ve[len(s.ve):cap(s.ve)] {
-		if e != canaryV {
-			t.Fatalf("Slab.Add(%v) wrote vertical-edge storage it was not given: %v", vs, s.ve[:cap(s.ve)])
+	canaries := func(who string) {
+		t.Helper()
+		for _, e := range s.ve[len(s.ve):cap(s.ve)] {
+			if e != canaryV {
+				t.Fatalf("%s(%v) wrote vertical-edge storage it was not given: %v", who, vs, s.ve[:cap(s.ve)])
+			}
+		}
+		for _, e := range s.he[len(s.he):cap(s.he)] {
+			if e != canaryH {
+				t.Fatalf("%s(%v) wrote horizontal-edge storage it was not given: %v", who, vs, s.he[:cap(s.he)])
+			}
+		}
+		for _, v := range s.pts[len(s.pts):cap(s.pts)] {
+			if v != canaryP {
+				t.Fatalf("%s(%v) wrote vertex storage it was not given", who, vs)
+			}
 		}
 	}
-	for _, e := range s.he[len(s.he):cap(s.he)] {
-		if e != canaryH {
-			t.Fatalf("Slab.Add(%v) wrote horizontal-edge storage it was not given: %v", vs, s.he[:cap(s.he)])
-		}
-	}
-	for _, v := range s.pts[len(s.pts):cap(s.pts)] {
-		if v != canaryP {
-			t.Fatalf("Slab.Add(%v) wrote vertex storage it was not given", vs)
-		}
-	}
+	canaries("Slab.Add")
 	intact("earlier", before)
 	after, err := add(square)
 	if err != nil {
@@ -237,6 +243,32 @@ func checkSlabAdd(t *testing.T, vs []Point, want *Polygon, wantErr error) {
 	}
 	intact("earlier", before)
 	intact("later", after)
+
+	s.BuildBands()
+	canaries("BuildBands")
+	intact("earlier", before)
+	intact("later", after)
+	polys := []*Polygon{before, after}
+	if p != nil {
+		polys = []*Polygon{before, p, after}
+		if !slices.Equal(p.vertices, vs) || !slices.Equal(p.vedges, want.vedges) || !slices.Equal(p.hedges, want.hedges) {
+			t.Fatalf("BuildBands changed %v", vs)
+		}
+	}
+	if len(s.polys) != len(polys) {
+		t.Fatalf("slab holds %d polygons after Add(%v), want the %d accepted", len(s.polys), vs, len(polys))
+	}
+	used := 0
+	for _, q := range polys {
+		alone, ok := appendBands(nil, q)
+		if !slices.Equal(q.bands, alone) || (q.bands != nil) != ok || cap(q.bands) != len(q.bands) {
+			t.Fatalf("BuildBands gave %v the table %v (cap %d), alone it gets %v", q.vertices, q.bands, cap(q.bands), alone)
+		}
+		used += len(q.bands)
+	}
+	if used != len(s.bands) || len(s.bands) != cap(s.bands) {
+		t.Fatalf("band storage for %v: %d of %d used, capacity %d", vs, used, len(s.bands), cap(s.bands))
+	}
 }
 
 // FuzzNewPolygon holds the sort-based checkSimple to the accept/reject set

@@ -14,11 +14,20 @@
 // (Y, X1<X2) sorted by Y then X1. The constructor paths (NewPolygon, Slab.Add,
 // Scale, Translate) build it once, and it is what the hot code reads — the ray cast
 // of ContainsPixel, the Lemma-1 test of BoxPosition, the simplicity check of
-// NewPolygon, and the row-run pixel counter of internal/pixelbox — so none of
-// them re-derives an edge's orientation or direction from the vertex loop.
+// NewPolygon, and the band walk of internal/pixelbox — so none of them
+// re-derives an edge's orientation or direction from the vertex loop.
 // The sort order is part of the contract: the vertical edges covering a pixel
 // row, read in table order, are that row's boundary crossings from left to
 // right.
+//
+// Between two consecutive distinct horizontal-edge ordinates every pixel row
+// has the same crossings, so a polygon is also a short list of bands, each
+// with one crossing list. A polygon that will be compared many times can
+// carry that list ready made: Slab.BuildBands derives a band table (Bands)
+// from the finished edge tables of every polygon in the slab. Polygons built
+// any other way have none, and whoever walks their bands derives each from the
+// one below with the step the tables are built by (ToggleCrossings); both
+// give the same integers.
 package geom
 
 import (
@@ -181,6 +190,7 @@ type Polygon struct {
 	area     int64   // pixel count; cached at construction
 	vedges   []VEdge // sorted by (X, Y1)
 	hedges   []HEdge // sorted by (Y, X1)
+	bands    []int32 // packed band table (see Bands); nil when it has none
 }
 
 // Validation errors returned by NewPolygon.
@@ -213,14 +223,16 @@ func NewPolygon(vertices []Point) (*Polygon, error) {
 }
 
 // Slab is the backing storage of a set of polygons decoded together: one
-// vertex array, one array per half of the edge table and one Polygon array,
-// where NewPolygon would allocate four objects per polygon. Every polygon gets
-// capacity-capped sub-slices, so none can grow into its neighbour's.
+// vertex array, one array per half of the edge table, one Polygon array and,
+// once BuildBands has run, one band-table array, where NewPolygon would
+// allocate four objects per polygon. Every polygon gets capacity-capped
+// sub-slices, so none can grow into its neighbour's.
 type Slab struct {
 	pts   []Point
 	ve    []VEdge
 	he    []HEdge
 	polys []Polygon
+	bands []int32
 }
 
 // NewSlab returns a slab with room for the given number of polygons holding
@@ -234,13 +246,14 @@ func NewSlab(polygons, vertices int) *Slab {
 	}
 }
 
-// Bytes returns the size of the slab's four arrays: what keeping its polygons
+// Bytes returns the size of the slab's arrays: what keeping its polygons
 // reachable costs.
 func (s *Slab) Bytes() int64 {
 	return int64(cap(s.pts))*int64(unsafe.Sizeof(Point{})) +
 		int64(cap(s.ve))*int64(unsafe.Sizeof(VEdge{})) +
 		int64(cap(s.he))*int64(unsafe.Sizeof(HEdge{})) +
-		int64(cap(s.polys))*int64(unsafe.Sizeof(Polygon{}))
+		int64(cap(s.polys))*int64(unsafe.Sizeof(Polygon{})) +
+		int64(cap(s.bands))*int64(unsafe.Sizeof(int32(0)))
 }
 
 // Vertices carves the next n vertices out of the slab for the caller to fill
@@ -261,6 +274,8 @@ func (s *Slab) Add(vertices []Point) (*Polygon, error) {
 	s.ve, s.he, s.polys = s.ve[:nv+half], s.he[:nh+half], s.polys[:np+1]
 	p := &s.polys[np]
 	if err := p.build(vertices, s.ve[nv:nv+half:nv+half], s.he[nh:nh+half:nh+half]); err != nil {
+		// The slab's polygons are the accepted ones: BuildBands trusts them.
+		s.polys = s.polys[:np]
 		return nil, err
 	}
 	return p, nil

@@ -148,3 +148,45 @@ func BruteUnionArea(p, q *geom.Polygon) int64 {
 	}
 	return n
 }
+
+// BruteBoxCounts counts, over the pixels of box, those inside both polygons,
+// inside p and inside q, by ray-casting every pixel against both.
+func BruteBoxCounts(p, q *geom.Polygon, box geom.MBR) (inter, inP, inQ int64) {
+	for y := box.MinY; y < box.MaxY; y++ {
+		for x := box.MinX; x < box.MaxX; x++ {
+			a, b := p.ContainsPixel(x, y), q.ContainsPixel(x, y)
+			if a {
+				inP++
+			}
+			if b {
+				inQ++
+			}
+			if a && b {
+				inter++
+			}
+		}
+	}
+	return inter, inP, inQ
+}
+
+// WithBands returns copies of polys built the way the store builds the
+// polygons it keeps: in one slab, with band tables.
+func WithBands(polys ...*geom.Polygon) []*geom.Polygon {
+	vertices := 0
+	for _, p := range polys {
+		vertices += p.NumVertices()
+	}
+	slab := geom.NewSlab(len(polys), vertices)
+	out := make([]*geom.Polygon, len(polys))
+	for i, p := range polys {
+		vs := slab.Vertices(p.NumVertices())
+		copy(vs, p.Vertices())
+		q, err := slab.Add(vs)
+		if err != nil {
+			panic(err) // p was a polygon
+		}
+		out[i] = q
+	}
+	slab.BuildBands()
+	return out
+}

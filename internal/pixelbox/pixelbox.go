@@ -19,12 +19,13 @@
 // apart. The kernel charges the simulator for Algorithm 1 as written — one
 // thread per pixel, a ray cast over every edge per pixel, the shared stack,
 // the barriers — and those charges depend only on the pair and the
-// configuration. The integers themselves come from rowRuns (rowrun.go): a
+// configuration. The integers themselves come from BandWalk (bandwalk.go): a
 // GPU tests one pixel per thread because it has thousands of threads to
-// feed, a host core has one, and on a rectilinear polygon a pixel row is a
-// handful of runs whose overlap a merge counts exactly. The CPU port's
-// leaves use the same counter. The paper's literal per-pixel CPU port, the
-// one its figures measured, lives in internal/experiments.
+// feed, a host core has one, and a rectilinear polygon is a handful of bands
+// whose overlap with another's a merge counts exactly, whatever the extent in
+// pixels. The CPU port is that walk and nothing else. The paper's literal
+// per-pixel CPU port, the one its figures measured, lives in
+// internal/experiments.
 package pixelbox
 
 import (
@@ -235,12 +236,12 @@ func RunGPU(dev *gpu.Device, pairs []Pair, cfg Config) ([]AreaResult, gpu.Launch
 
 // blockScratch is the host memory one simulated thread block reuses across
 // its pairs: the sampling-box stack, the push-address buffers the bank-
-// conflict model reads, and the row-run counter's crossing lists.
+// conflict model reads, and the band walk's crossing lists.
 type blockScratch struct {
 	stack []stackEntry
 	slots []int32
 	addrs []int32
-	rows  rowRuns
+	walk  BandWalk
 }
 
 // kernelPair processes one polygon pair inside a thread block, following
@@ -446,7 +447,8 @@ func chargeStackPush(b *gpu.Block, s *blockScratch, v Variant) {
 // pixelization: pixels strided across the block's threads, a ray cast over
 // every edge per pixel; a box smaller than the block leaves SIMD lanes idle,
 // which the cost model charges via Strided. The host obtains the same two
-// integers from the row-run counter.
+// integers from the band walk; only the variants without indirect union read
+// the second.
 func pixelizeBox(b *gpu.Block, s *blockScratch, p, q *geom.Polygon, box geom.MBR, cfg Config) (inter, union int64) {
 	v := cfg.Variant
 	loopOv := loopOverhead / v.Unroll
@@ -466,8 +468,11 @@ func pixelizeBox(b *gpu.Block, s *blockScratch, p, q *geom.Polygon, box geom.MBR
 		b.L1Read(iters * edges)
 	}
 
-	inter, inP, inQ := s.rows.count(p, q, box)
-	return inter, inP + inQ - inter
+	inter = s.walk.Count(p, q, box)
+	if !v.IndirectUnion {
+		union = s.walk.Count(p, nil, box) + s.walk.Count(nil, q, box) - inter
+	}
+	return inter, union
 }
 
 // partitionGrid chooses the kx x ky sub-box grid for a block size, as close

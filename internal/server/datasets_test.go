@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/parser"
 	"repro/internal/pathology"
 	"repro/internal/sched"
@@ -282,5 +283,62 @@ func TestSpecJobHitsStoredDatasetResult(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || !specJob.Cached || specJob.ID != job.ID {
 		t.Fatalf("spec job = %d %+v, want cache hit on dataset job %s", resp.StatusCode, specJob, job.ID)
+	}
+}
+
+// TestPixelExtentIsNotComputeJob: two valid six-vertex polygons spanning
+// 2^30 pixels each way, which PUT /datasets accepts, used to pin a CPU
+// executor for half a minute per pair. On a service without devices, both
+// the posted-text job (polygons without band tables) and the stored-dataset
+// job (with them, then once more from the decoded cache) now answer at once,
+// with the pair's closed-form ratio.
+func TestPixelExtentIsNotComputeJob(t *testing.T) {
+	st := testStore(t)
+	_, _, ts := newTestServer(t, sched.Config{Devices: 0}, Options{Store: st})
+
+	const e, h = int64(1) << 30, int64(1) << 29
+	p := geom.MustPolygon([]geom.Point{{X: 0, Y: 0}, {X: int32(e), Y: 0}, {X: int32(e), Y: int32(h)},
+		{X: int32(h), Y: int32(h)}, {X: int32(h), Y: int32(e)}, {X: 0, Y: int32(e)}})
+	q := p.Translate(3, 3)
+	inter := (h - 3) * (2*e - h - 3) // piece by piece: (e−3)(h−3) + 3(h−3) + (h−3)(e−h−3)
+	want := float64(inter) / float64(2*p.Area()-inter)
+	tile := TaskPayload{Image: "huge", Tile: 0, RawA: parser.Encode([]*geom.Polygon{p}), RawB: parser.Encode([]*geom.Polygon{q})}
+
+	body, err := json.Marshal([]TaskPayload{tile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out := putDataset(t, ts.URL+"/datasets?name=huge", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT /datasets = %d, body %s", resp.StatusCode, out)
+	}
+	var man DatasetResponse
+	if err := json.Unmarshal(out, &man); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		req  JobRequest
+	}{
+		{"posted text", JobRequest{Tasks: []TaskPayload{tile}, NoCache: true}},
+		{"stored dataset, decoded", JobRequest{DatasetID: man.ID, NoCache: true}},
+		{"stored dataset, cached decode", JobRequest{DatasetID: man.ID, NoCache: true}},
+	} {
+		resp, out := postJSON(t, ts.URL+"/jobs", tc.req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: POST /jobs = %d, body %s", tc.name, resp.StatusCode, out)
+		}
+		var job JobResponse
+		if err := json.Unmarshal(out, &job); err != nil {
+			t.Fatal(err)
+		}
+		done := pollDone(t, ts.URL, job.ID)
+		if done.State != "done" || done.Report == nil {
+			t.Fatalf("%s: job ended %+v", tc.name, done)
+		}
+		if r := done.Report; r.Similarity != want || r.Intersecting != 1 || r.Candidates != 1 || r.PairsOnCPU != 1 {
+			t.Errorf("%s: report %+v, want similarity %v over 1 of 1 pairs, on a CPU", tc.name, *r, want)
+		}
 	}
 }

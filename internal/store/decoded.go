@@ -19,11 +19,12 @@ import (
 )
 
 // decodedCacheBytes bounds the decoded sets one Store keeps. A decoded set
-// takes about 1.3x its segment bytes, so this holds the benchmark's six-way
-// pool (18 MiB decoded) with room to spare, while a node that reads each
-// dataset once, as a cluster puller does, pays at most this much for nothing.
-// A cyclic scan over more than the bound evicts every set before its next
-// use and gets no hits at all.
+// with its band tables takes about 1.7x its segment bytes (3.84 MB for a
+// 32-tile benchmark dataset of 2.25 MB, 0.76 MB of it tables), so this holds
+// the benchmark's six-way pool (21 MiB decoded) with room to spare, while a
+// node that reads each dataset once, as a cluster puller does, pays at most
+// this much for nothing. A cyclic scan over more than the bound evicts every
+// set before its next use and gets no hits at all.
 const decodedCacheBytes = 32 << 20
 
 type decodedKey struct {
@@ -32,8 +33,9 @@ type decodedKey struct {
 }
 
 // decodedSet is one polygon set as decodeSet built it: the polygons live in
-// one geom.Slab, and bytes is that slab, the pointer slice and the cache's
-// own entry — everything keeping the set costs except its map slot.
+// one geom.Slab, and bytes is that slab (band tables included), the pointer
+// slice and the cache's own entry — everything keeping the set costs except
+// its map slot.
 type decodedSet struct {
 	key   decodedKey
 	polys []*geom.Polygon

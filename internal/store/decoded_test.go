@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/metrics"
+	"repro/internal/parser"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
 )
@@ -74,7 +75,9 @@ func wantLookups(t *testing.T, s *Store, what string, hits, misses int64) {
 // TestDecodedHitMatchesMissAndOracle: a self job and a cross pair answered
 // from the segment file, and again from the decoded cache, both equal the
 // oracle bit for bit; the second pass is all hits and returns the first
-// pass's very polygons.
+// pass's very polygons. What the store keeps carries band tables; what
+// Import's verifier decodes and what the parser builds does not, so the oracle
+// (generated polygons) and the store's answers also hold tables to no tables.
 func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 	const tiles = 3
 	x, y := seededDataset("slide", 1, tiles), seededDataset("slide", 2, tiles)
@@ -109,6 +112,18 @@ func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 	miss := self()
 	wantLookups(t, s, "first self pass", 0, 2*tiles)
 	sameAnswer(t, "self job, miss", runParsed(t, miss), wantSelf)
+	wantBands(t, "a set the store keeps", true, miss[0].A, miss[tiles-1].B)
+	unkept, _, err := (&Dataset{dir: dx.dir, man: dx.man}).ReadTile(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBands(t, "a set Import's verifier decodes", false, unkept)
+	parsed, err := parser.Parse(parser.Encode(miss[0].A))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBands(t, "a parsed set", false, parsed)
+	wantBands(t, "the oracle's input", false, x.Pairs[0].A)
 	hit := self()
 	wantLookups(t, s, "second self pass", 2*tiles, 2*tiles)
 	sameAnswer(t, "self job, hit", runParsed(t, hit), wantSelf)
@@ -134,6 +149,17 @@ func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 	wantLookups(t, s, "second cross pass", 5*tiles, 3*tiles)
 }
 
+func wantBands(t *testing.T, what string, want bool, sets ...[]*geom.Polygon) {
+	t.Helper()
+	for _, set := range sets {
+		for k, p := range set {
+			if _, ok := p.Bands(); ok != want {
+				t.Fatalf("%s: polygon %d has a band table: %v, want %v", what, k, ok, want)
+			}
+		}
+	}
+}
+
 func equalVertices(p, q *geom.Polygon) bool {
 	pv, qv := p.Vertices(), q.Vertices()
 	if len(pv) != len(qv) {
@@ -157,7 +183,7 @@ func TestDecodedEvictionHoldsByteBound(t *testing.T) {
 
 	var tileBytes [tiles]int64
 	for i := range tileBytes {
-		a, b, err := (&Dataset{dir: ds.dir, man: ds.man}).load(&ds.man.Tiles[i], true, true)
+		a, b, err := ds.load(&ds.man.Tiles[i], true, true) // sized as ReadTile's sets are, band tables and all
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,6 +358,58 @@ func TestDecodedConcurrentReadsWithDelete(t *testing.T) {
 	wg.Wait()
 	if bytes, sets := s.decoded.size(); bytes != 0 || sets != 0 {
 		t.Fatalf("%d sets (%d bytes) outlived the delete", sets, bytes)
+	}
+}
+
+// TestDecodedFirstDecodeRacesJobs: several readers miss on the same tile at
+// once, and each runs a job on what it was handed while the others are still
+// decoding, building band tables and publishing. Tables are written before a
+// set is returned or published and never after, so under -race (CI) nothing
+// is reported; every reader gets tabled polygons and the oracle's answer, and
+// one decode of each set is kept.
+func TestDecodedFirstDecodeRacesJobs(t *testing.T) {
+	const readers = 6
+	d := seededDataset("slide", 1, 1)
+	s := openStore(t, t.TempDir())
+	ds := ingestOpen(t, s, d)
+	want := oracle(t, d, d)
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			<-start
+			for pass := 0; pass < 3; pass++ {
+				task, err := ds.Source().PolyTask(0)
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				for _, p := range append(task.A[:len(task.A):len(task.A)], task.B...) {
+					if _, ok := p.Bands(); !ok {
+						t.Errorf("reader %d pass %d: a polygon read through the store has no band table", r, pass)
+						return
+					}
+				}
+				got, err := pipeline.RunParsed([]pipeline.PolyTask{task}, pipeline.Config{})
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if got.Similarity != want.Similarity || got.Candidates != want.Candidates || got.Intersecting != want.Intersecting {
+					t.Errorf("reader %d pass %d: (%v, %d, %d) != oracle (%v, %d, %d)", r, pass,
+						got.Similarity, got.Candidates, got.Intersecting, want.Similarity, want.Candidates, want.Intersecting)
+					return
+				}
+			}
+		}(r)
+	}
+	close(start)
+	wg.Wait()
+	if _, sets := s.decoded.size(); sets != 2 {
+		t.Fatalf("%d sets kept, want one decode of each of the tile's two", sets)
 	}
 }
 
