@@ -156,13 +156,7 @@ func (s *Source) Weight(i int) int64 {
 
 // PolyTask materializes pair i as pre-parsed pipeline input.
 func (s *Source) PolyTask(i int) (pipeline.PolyTask, error) {
-	p := s.pairs[i]
-	setA, setB, err := s.r.ReadPair(p.A, p.B)
-	if err != nil {
-		return pipeline.PolyTask{}, err
-	}
-	ti := s.manA.Tiles[p.A]
-	return pipeline.PolyTask{Image: ti.Image, Tile: ti.Tile, A: setA, B: setB}, nil
+	return s.r.PolyTask(s.pairs[i].A, s.pairs[i].B)
 }
 
 // Task materializes pair i as text pipeline input (the TaskSource contract;

@@ -47,46 +47,43 @@ type CellEstimate struct {
 // dataset idB's set B. The RNG seed derives from the dataset IDs, so repeated
 // plans over the same pair order cells identically.
 func EstimatePair(st *store.Store, idA, idB string) (CellEstimate, error) {
-	_, src, m, self, err := OpenPair(st, idA, idB)
+	_, src, _, _, err := OpenPair(st, idA, idB)
 	if err != nil {
 		return CellEstimate{}, err
 	}
-	rng := rand.New(rand.NewSource(pairSeed(idA, idB)))
+	return estimateSource(src, rand.New(rand.NewSource(pairSeed(idA, idB))))
+}
 
+// estimateSource estimates the similarity over src's matched tiles (either
+// source OpenPair returns: the cross source, or for a self comparison the
+// dataset's own).
+func estimateSource(src sched.TaskSource, rng *rand.Rand) (CellEstimate, error) {
 	// Spread the tile sample across the matched range instead of taking a
 	// prefix: canonical tile order correlates with spatial position, and a
 	// prefix would estimate one corner of the image.
-	pairs := m.Pairs
-	if self {
-		// OpenPair degenerates a self comparison to the single-dataset
-		// source, whose indexes are the dataset's own tile positions.
-		pairs = make([]MatchedPair, src.Len())
-		for i := range pairs {
-			pairs[i] = MatchedPair{A: i, B: i}
-		}
-	}
+	n := src.Len()
 	step := 1
-	if len(pairs) > estimateMaxTiles {
-		step = len(pairs) / estimateMaxTiles
+	if n > estimateMaxTiles {
+		step = n / estimateMaxTiles
 	}
 
 	var est CellEstimate
 	var varSum float64
-	for i := 0; i < len(pairs) && est.Tiles < estimateMaxTiles; i += step {
+	for i := 0; i < n && est.Tiles < estimateMaxTiles; i += step {
 		pt, err := polyTaskAt(src, i)
 		if err != nil {
 			return CellEstimate{}, fmt.Errorf("estimate tile %d: %w", i, err)
 		}
 		est.Tiles++
 
-		// Index set A's MBRs; probe with each B polygon. The R-tree prunes
-		// the candidate pairs to MBR intersections, mirroring the exact
-		// kernel's filter stage.
-		entries := make([]rtree.Entry, len(pt.A))
-		for k, p := range pt.A {
-			entries[k] = rtree.Entry{MBR: p.MBR(), ID: int32(k)}
+		// Probe set A's index with each B polygon: the tree the store kept
+		// with the set, or the same tree built here when the source carries
+		// none. The R-tree prunes the candidate pairs to MBR intersections,
+		// mirroring the exact kernel's filter stage.
+		tr := pt.TreeA
+		if tr == nil {
+			tr = rtree.Index(pt.A)
 		}
-		tr := rtree.Build(entries, rtree.Options{})
 		var hits []int32
 		for _, q := range pt.B {
 			hits, _ = tr.Search(q.MBR(), hits[:0])

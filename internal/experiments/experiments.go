@@ -37,15 +37,7 @@ func FilteredPairs(d *pathology.Dataset) []pixelbox.Pair {
 }
 
 func tilePairs(tp pathology.TilePair) []pixelbox.Pair {
-	ea := make([]rtree.Entry, len(tp.A))
-	for i, p := range tp.A {
-		ea[i] = rtree.Entry{MBR: p.MBR(), ID: int32(i)}
-	}
-	eb := make([]rtree.Entry, len(tp.B))
-	for i, p := range tp.B {
-		eb[i] = rtree.Entry{MBR: p.MBR(), ID: int32(i)}
-	}
-	joined, _ := rtree.Join(rtree.Build(ea, rtree.Options{}), rtree.Build(eb, rtree.Options{}), nil)
+	joined, _ := rtree.Join(rtree.Index(tp.A), rtree.Index(tp.B), nil)
 	pairs := make([]pixelbox.Pair, len(joined))
 	for i, pr := range joined {
 		pairs[i] = pixelbox.Pair{P: tp.A[pr.A], Q: tp.B[pr.B]}
@@ -190,16 +182,7 @@ func Calibrate(d *pathology.Dataset) Calibration {
 
 		var ta, tb *rtree.Tree
 		buildSec := measure(func() {
-			ea := make([]rtree.Entry, len(pa))
-			for i, p := range pa {
-				ea[i] = rtree.Entry{MBR: p.MBR(), ID: int32(i)}
-			}
-			eb := make([]rtree.Entry, len(pb))
-			for i, p := range pb {
-				eb[i] = rtree.Entry{MBR: p.MBR(), ID: int32(i)}
-			}
-			ta = rtree.Build(ea, rtree.Options{})
-			tb = rtree.Build(eb, rtree.Options{})
+			ta, tb = rtree.Index(pa), rtree.Index(pb)
 		})
 
 		var joined []rtree.Pair

@@ -205,7 +205,7 @@ func (d *Device) Stats() Snapshot {
 
 // Kernel is the body of a GPU kernel: it is invoked once per thread block
 // and must perform its computation through (or alongside) the Block's
-// cost-charging primitives.
+// cost-charging primitives. The Block is valid only until the call returns.
 type Kernel func(b *Block)
 
 // Launch executes kernel over a grid of gridDim blocks of blockDim threads,
@@ -236,16 +236,18 @@ func (d *Device) Launch(gridDim, blockDim, shmemPerBlock int, kernel Kernel) Lau
 
 	smCycles := make([]float64, cfg.SMs)
 	var agg Counters
+	// One Block serves the whole launch, reset per index: blocks run one after
+	// another on the host, and a kernel may not keep its handle past its call.
+	b := &Block{
+		GridDim:   gridDim,
+		BlockDim:  blockDim,
+		dev:       d,
+		warps:     warps,
+		effGlobal: effGlobal,
+		effL1:     effL1,
+	}
 	for idx := 0; idx < gridDim; idx++ {
-		b := &Block{
-			Idx:       idx,
-			GridDim:   gridDim,
-			BlockDim:  blockDim,
-			dev:       d,
-			warps:     warps,
-			effGlobal: effGlobal,
-			effL1:     effL1,
-		}
+		b.Idx, b.counters = idx, Counters{}
 		kernel(b)
 		// Round-robin block scheduling across SMs; the busiest SM bounds
 		// the launch. (Real hardware load-balances dynamically; round-robin

@@ -204,3 +204,29 @@ func TestConfigs(t *testing.T) {
 		t.Fatal("GTX 580 should clock higher than M2050")
 	}
 }
+
+// TestLaunchAllocsIndependentOfGrid: a launch reuses one Block, so what it
+// allocates (the Block, the per-SM cycle array) does not grow with the grid,
+// and every block still starts from zeroed counters under its own index.
+func TestLaunchAllocsIndependentOfGrid(t *testing.T) {
+	dev := NewDevice(GTX580())
+	var idxSum int
+	kernel := func(b *Block) {
+		if b.counters != (Counters{}) {
+			t.Errorf("block %d starts with another block's counters", b.Idx)
+		}
+		idxSum += b.Idx
+		b.Uniform(10)
+	}
+	allocs := func(grid int) float64 {
+		return testing.AllocsPerRun(10, func() { dev.Launch(grid, 64, 0, kernel) })
+	}
+	small, large := allocs(1), allocs(1024)
+	if large != small {
+		t.Fatalf("a 1024-block launch allocates %v times, a 1-block launch %v", large, small)
+	}
+	idxSum = 0
+	if res := dev.Launch(100, 64, 0, kernel); idxSum != 99*100/2 || res.Counters.WarpInstrs != 100*20 {
+		t.Fatalf("100 blocks: index sum %d, %d warp instructions", idxSum, res.Counters.WarpInstrs)
+	}
+}

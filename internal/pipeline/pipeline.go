@@ -6,7 +6,8 @@
 //
 // Tasks are defined at image-tile granularity: a parser task is the two
 // polygon files segmented from one tile; a builder task indexes the two
-// parsed polygon sets; a filter task joins the two indexes into an array of
+// parsed polygon sets (a stored tile arrives with the indexes the store keeps
+// and passes through); a filter task joins the two indexes into an array of
 // MBR-intersecting polygon pairs; the aggregator batches pair arrays and
 // computes areas with PixelBox.
 //
@@ -49,23 +50,26 @@ type FileTask struct {
 // validated at ingest, enter through RunParsed with PolyTasks and skip the
 // parser stage entirely — the polygons are the same values text parsing
 // would produce, so the report stays bit-identical to the FileTask path.
+//
+// TreeA and TreeB are optional: rtree.Index(A) and rtree.Index(B), which the
+// store builds once per decoded set and keeps with it. A task that carries a
+// tree skips the builder stage's build for that set; the tree is the one the
+// builder would have built, so the candidate pairs and their order are the
+// same either way.
 type PolyTask struct {
-	Image string
-	Tile  int
-	A, B  []*geom.Polygon
+	Image        string
+	Tile         int
+	A, B         []*geom.Polygon
+	TreeA, TreeB *rtree.Tree
 }
 
-// parsedTask is the parser stage output.
-type parsedTask struct {
-	image string
-	tile  int
-	a, b  []*geom.Polygon
-}
-
-// builtTask is the builder stage output: parsed polygons plus their
-// Hilbert R-tree indexes.
-type builtTask struct {
-	parsedTask
+// tileTask is one tile between the parser and the filter: the parser stage
+// emits it with whatever trees its input carried (none, from text), the
+// builder stage fills in the missing ones.
+type tileTask struct {
+	image  string
+	tile   int
+	a, b   []*geom.Polygon
 	ta, tb *rtree.Tree
 }
 
@@ -285,17 +289,24 @@ func Run(tasks []FileTask, cfg Config) (Result, error) {
 // parser stage: tiles enter at the builder. The store's read path uses it so
 // already-validated datasets never pay the text re-encode/re-parse cost.
 // Nil polygons are rejected up front (text parsing can never produce them,
-// so the later stages assume their absence).
+// so the later stages assume their absence), and so is a tree that does not
+// index as many polygons as its set holds: the filter would pair the wrong
+// polygons or index past the set.
 func RunParsed(tasks []PolyTask, cfg Config) (Result, error) {
 	for _, t := range tasks {
-		for i, p := range t.A {
-			if p == nil {
-				return Result{}, fmt.Errorf("pipeline: tile %s/%d set A polygon %d is nil", t.Image, t.Tile, i)
+		for _, set := range [...]struct {
+			name  byte
+			polys []*geom.Polygon
+			tree  *rtree.Tree
+		}{{'A', t.A, t.TreeA}, {'B', t.B, t.TreeB}} {
+			for i, p := range set.polys {
+				if p == nil {
+					return Result{}, fmt.Errorf("pipeline: tile %s/%d set %c polygon %d is nil", t.Image, t.Tile, set.name, i)
+				}
 			}
-		}
-		for i, p := range t.B {
-			if p == nil {
-				return Result{}, fmt.Errorf("pipeline: tile %s/%d set B polygon %d is nil", t.Image, t.Tile, i)
+			if set.tree != nil && set.tree.Len() != len(set.polys) {
+				return Result{}, fmt.Errorf("pipeline: tile %s/%d set %c tree indexes %d polygons, the set holds %d",
+					t.Image, t.Tile, set.name, set.tree.Len(), len(set.polys))
 			}
 		}
 	}
@@ -322,8 +333,8 @@ type run struct {
 	cfg Config
 
 	fileBuf   *buffer[FileTask]
-	parsedBuf *buffer[parsedTask]
-	builtBuf  *buffer[builtTask]
+	parsedBuf *buffer[tileTask]
+	builtBuf  *buffer[tileTask]
 	pairBuf   *buffer[pairTask]
 
 	executors []*executor
@@ -390,8 +401,8 @@ func (r *run) accumulateTask(t pairTask, results []pixelbox.AreaResult, onGPU bo
 func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
 	cfg := r.cfg
 	r.fileBuf = newBuffer[FileTask](cfg.BufferCap)
-	r.parsedBuf = newBuffer[parsedTask](cfg.BufferCap)
-	r.builtBuf = newBuffer[builtTask](cfg.BufferCap)
+	r.parsedBuf = newBuffer[tileTask](cfg.BufferCap)
+	r.builtBuf = newBuffer[tileTask](cfg.BufferCap)
 	r.pairBuf = newBuffer[pairTask](cfg.BufferCap)
 	r.tiles = make(map[tileKey]*tileAgg)
 	r.executors = buildExecutors(cfg)
@@ -470,7 +481,7 @@ func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
 	// parser stage; finishParseTask keeps the parsed buffer's close
 	// accounting uniform across both feeds.
 	for _, t := range parsed {
-		r.parsedBuf.put(parsedTask{image: t.Image, tile: t.Tile, a: t.A, b: t.B})
+		r.parsedBuf.put(tileTask{image: t.Image, tile: t.Tile, a: t.A, b: t.B, ta: t.TreeA, tb: t.TreeB})
 		r.finishParseTask()
 	}
 	for _, t := range files {
@@ -582,47 +593,44 @@ func (r *run) parserWorker() {
 			continue
 		}
 		atomic.AddInt64(&r.parserBusy, int64(time.Since(start)))
-		r.parsedBuf.put(parsedTask{image: task.Image, tile: task.Tile, a: a, b: b})
+		r.parsedBuf.put(tileTask{image: task.Image, tile: task.Tile, a: a, b: b})
 		r.finishParseTask()
 	}
 }
 
-// builderWorker builds Hilbert R-trees over each parsed tile.
+// builderWorker builds the Hilbert R-tree of each set that arrived without
+// one: every parsed tile's, and none of a stored tile's.
 func (r *run) builderWorker() {
 	for {
 		task, ok := r.parsedBuf.get()
 		if !ok {
 			return
 		}
-		start := time.Now()
-		ea := make([]rtree.Entry, len(task.a))
-		for i, p := range task.a {
-			ea[i] = rtree.Entry{MBR: p.MBR(), ID: int32(i)}
+		if task.ta == nil || task.tb == nil {
+			start := time.Now()
+			if task.ta == nil {
+				task.ta = rtree.Index(task.a)
+			}
+			if task.tb == nil {
+				task.tb = rtree.Index(task.b)
+			}
+			atomic.AddInt64(&r.builderBusy, int64(time.Since(start)))
 		}
-		eb := make([]rtree.Entry, len(task.b))
-		for i, p := range task.b {
-			eb[i] = rtree.Entry{MBR: p.MBR(), ID: int32(i)}
-		}
-		bt := builtTask{
-			parsedTask: task,
-			ta:         rtree.Build(ea, rtree.Options{}),
-			tb:         rtree.Build(eb, rtree.Options{}),
-		}
-		atomic.AddInt64(&r.builderBusy, int64(time.Since(start)))
-		r.builtBuf.put(bt)
+		r.builtBuf.put(task)
 	}
 }
 
 // filterWorker joins the two indexes of each tile into the polygon-pair
 // array the aggregator consumes.
 func (r *run) filterWorker() {
+	var joined []rtree.Pair // join scratch: a tile keeps only its exact-size pair array
 	for {
 		task, ok := r.builtBuf.get()
 		if !ok {
 			return
 		}
 		start := time.Now()
-		joined, _ := rtree.Join(task.ta, task.tb, nil)
+		joined, _ = rtree.Join(task.ta, task.tb, joined[:0])
 		pairs := make([]pixelbox.Pair, len(joined))
 		for i, pr := range joined {
 			pairs[i] = pixelbox.Pair{P: task.a[pr.A], Q: task.b[pr.B]}
@@ -689,7 +697,7 @@ func (r *run) parserMigrator(done chan struct{}) {
 			r.finishParseTask()
 			continue
 		}
-		r.parsedBuf.put(parsedTask{image: task.Image, tile: task.Tile, a: a, b: b})
+		r.parsedBuf.put(tileTask{image: task.Image, tile: task.Tile, a: a, b: b})
 		r.finishParseTask()
 	}
 }

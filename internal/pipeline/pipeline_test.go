@@ -2,10 +2,13 @@ package pipeline
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/clip"
+	"repro/internal/geom"
 	"repro/internal/gpu"
 	"repro/internal/pathology"
 	"repro/internal/rtree"
@@ -188,6 +191,71 @@ func TestPipelineConcurrentRunsIndependent(t *testing.T) {
 	for i, res := range results {
 		if res.Similarity != want.Similarity || res.Intersecting != want.Intersecting {
 			t.Fatalf("run %d diverged: %v vs %v", i, res.Similarity, want.Similarity)
+		}
+	}
+}
+
+// TestRunParsedCarriedTrees: a task that carries its sets' trees costs the
+// builder stage nothing and reports, tile by tile, the bits of the same task
+// without them, of a task carrying one tree only, and of the text path.
+func TestRunParsedCarriedTrees(t *testing.T) {
+	d := smallDataset()
+	raw := make([]PolyTask, len(d.Pairs))
+	kept := make([]PolyTask, len(d.Pairs))
+	half := make([]PolyTask, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		raw[i] = PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
+		kept[i], half[i] = raw[i], raw[i]
+		kept[i].TreeA, kept[i].TreeB = rtree.Index(tp.A), rtree.Index(tp.B)
+		half[i].TreeB = kept[i].TreeB
+	}
+	want, err := Run(EncodeDataset(d), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Candidates == 0 || want.Stats.BuilderBusy == 0 {
+		t.Fatalf("text run: %d candidates, builder busy %v", want.Candidates, want.Stats.BuilderBusy)
+	}
+	for _, c := range []struct {
+		name   string
+		tasks  []PolyTask
+		builds bool
+	}{{"no trees", raw, true}, {"both trees", kept, false}, {"set B's tree only", half, true}} {
+		for _, cfg := range []Config{{}, {Device: gpu.NewDevice(gpu.GTX580()), CPUAggregators: 1}} {
+			got, err := RunParsed(c.tasks, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got.Candidates != want.Candidates || got.Similarity != want.Similarity ||
+				!reflect.DeepEqual(got.TileRatios, want.TileRatios) {
+				t.Fatalf("%s: (%v, %d candidates, %v) differs from the text path's (%v, %d, %v)", c.name,
+					got.Similarity, got.Candidates, got.TileRatios, want.Similarity, want.Candidates, want.TileRatios)
+			}
+			if built := got.Stats.BuilderBusy > 0; built != c.builds {
+				t.Fatalf("%s: builder busy %v, want building: %v", c.name, got.Stats.BuilderBusy, c.builds)
+			}
+		}
+	}
+}
+
+// TestRunParsedRejectsMalformedTasks: a nil polygon, or a tree that does not
+// index exactly its set, is an error before any stage starts.
+func TestRunParsedRejectsMalformedTasks(t *testing.T) {
+	tp := smallDataset().Pairs[0]
+	good := PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B, TreeA: rtree.Index(tp.A), TreeB: rtree.Index(tp.B)}
+	if _, err := RunParsed([]PolyTask{good}, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	holed := append(append([]*geom.Polygon{}, tp.B...), nil)
+	for want, bad := range map[string]func(*PolyTask){
+		"set B polygon":                 func(t *PolyTask) { t.B, t.TreeB = holed, nil },
+		"set A tree indexes":            func(t *PolyTask) { t.TreeA = rtree.Index(tp.A[1:]) },
+		"set B tree indexes 0 polygons": func(t *PolyTask) { t.TreeB = rtree.Index(nil) },
+	} {
+		task := good
+		bad(&task)
+		if _, err := RunParsed([]PolyTask{good, task}, Config{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RunParsed = %v, want an error naming %q", err, want)
 		}
 	}
 }

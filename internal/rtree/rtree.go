@@ -8,6 +8,7 @@ package rtree
 
 import (
 	"sort"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/hilbert"
@@ -18,8 +19,10 @@ import (
 // fanout keeps trees shallow without hurting packing.
 const DefaultFanout = 16
 
-// hilbertOrder is the order of the Hilbert curve used to sort entries; 16
-// bits per axis covers tile coordinate spaces up to 65536 pixels.
+// hilbertOrder is the order of the Hilbert curve used to sort entries. Keys
+// are taken from doubled centres, so 16 bits per axis cover coordinates up to
+// 32,768 pixels; beyond that keys collapse onto the grid's edge and the tree,
+// still correct, packs such entries in input order.
 const hilbertOrder = 16
 
 // Entry is one indexed item: an MBR plus the caller's identifier for the
@@ -117,6 +120,25 @@ func Build(entries []Entry, opts Options) *Tree {
 	}
 	t.root = level[0]
 	return t
+}
+
+// Index bulk-loads the tree the pipeline joins over one polygon set: entry i
+// is polys[i]'s MBR under ID i. Build is deterministic in its entries, so a
+// tree kept with the set joins and searches in exactly the order one rebuilt
+// from the set would.
+func Index(polys []*geom.Polygon) *Tree {
+	entries := make([]Entry, len(polys))
+	for i, p := range polys {
+		entries[i] = Entry{MBR: p.MBR(), ID: int32(i)}
+	}
+	return Build(entries, Options{})
+}
+
+// Bytes returns the memory the tree holds: its entries, its nodes and the
+// level slices that point at them.
+func (t *Tree) Bytes() int64 {
+	return int64(unsafe.Sizeof(*t)) + int64(t.size)*int64(unsafe.Sizeof(Entry{})) +
+		int64(t.Nodes)*int64(unsafe.Sizeof(node{})+unsafe.Sizeof(&node{}))
 }
 
 // hilbertKey maps an MBR to the Hilbert value of its centre. Centres are

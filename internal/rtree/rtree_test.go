@@ -2,8 +2,10 @@ package rtree
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 )
@@ -98,6 +100,69 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 	// product.
 	if st.EntriesTested >= len(oa)*len(ob) {
 		t.Fatalf("join did not prune: %d tests", st.EntriesTested)
+	}
+}
+
+// TestIndexIsBuildOverMBRs: Index is Build over the set's MBRs under slice
+// indexes, twice over the same set gives the same join sequence, and Bytes
+// covers at least the entries and nodes the tree holds.
+func TestIndexIsBuildOverMBRs(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sets := [2][]*geom.Polygon{}
+	var built [2]*Tree
+	for s := range sets {
+		entries := randEntries(rng, 200, 300)
+		for _, e := range entries {
+			sets[s] = append(sets[s], geom.Rect(e.MBR.MinX, e.MBR.MinY, e.MBR.MaxX, e.MBR.MaxY))
+		}
+		built[s] = Build(entries, Options{})
+	}
+	want, wantStats := Join(built[0], built[1], nil)
+	for pass := 0; pass < 2; pass++ {
+		ta, tb := Index(sets[0]), Index(sets[1])
+		got, st := Join(ta, tb, nil)
+		if len(got) == 0 || !reflect.DeepEqual(got, want) || st != wantStats {
+			t.Fatalf("pass %d: Index joins %d pairs (%+v), Build over the same MBRs %d (%+v), or in another order",
+				pass, len(got), st, len(want), wantStats)
+		}
+		if min := int64(ta.Len())*int64(unsafe.Sizeof(Entry{})) + int64(ta.Nodes)*int64(unsafe.Sizeof(node{})); ta.Bytes() < min {
+			t.Fatalf("Bytes() = %d for %d entries in %d nodes, which alone take %d", ta.Bytes(), ta.Len(), ta.Nodes, min)
+		}
+	}
+	if empty := Index(nil); empty.Len() != 0 || empty.Bytes() <= 0 {
+		t.Fatalf("empty index: %d entries, %d bytes", empty.Len(), empty.Bytes())
+	}
+}
+
+// TestJoinCostOnStripes is the first row of the cost-is-a-function-of-bytes
+// table: N full-width two-pixel stripes a side, set B one pixel lower, so every
+// MBR overlaps every other in x and stripe i meets only stripes i-1 and i of
+// the other side. The Hilbert order keeps y-neighbours in one leaf, so the join
+// tests a bounded number of entries per stripe — where a sweep over x-sorted
+// MBRs tests all N*N. At 20k stripes the doubled centres pass the curve's
+// 65,536 cells and the last keys collapse; the bound still holds.
+func TestJoinCostOnStripes(t *testing.T) {
+	const width = 4096
+	for _, n := range []int{1000, 5000, 20000} {
+		ea, eb := make([]Entry, n), make([]Entry, n)
+		for i := range ea {
+			y := int32(2 * i)
+			ea[i] = Entry{MBR: geom.MBR{MinX: 0, MinY: y, MaxX: width, MaxY: y + 2}, ID: int32(i)}
+			eb[i] = Entry{MBR: geom.MBR{MinX: 0, MinY: y + 1, MaxX: width, MaxY: y + 3}, ID: int32(i)}
+		}
+		pairs, st := Join(Build(ea, Options{}), Build(eb, Options{}), nil)
+		if len(pairs) != 2*n-1 {
+			t.Fatalf("N=%d: %d candidates, want %d", n, len(pairs), 2*n-1)
+		}
+		for _, pr := range pairs {
+			if pr.A != pr.B && pr.A != pr.B+1 {
+				t.Fatalf("N=%d: stripe %d of A paired with stripe %d of B", n, pr.A, pr.B)
+			}
+		}
+		t.Logf("N=%d: %d entries tested (%.1f per stripe), %d nodes visited", n, st.EntriesTested, float64(st.EntriesTested)/float64(n), st.NodesVisited)
+		if st.EntriesTested > 64*n {
+			t.Fatalf("N=%d: join tested %d entries, want at most %d", n, st.EntriesTested, 64*n)
+		}
 	}
 }
 

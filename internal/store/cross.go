@@ -8,10 +8,13 @@ package store
 // embedded A-vs-B comparison, which is what makes cross results directly
 // comparable (and cacheable) against single-dataset jobs.
 
-import "repro/internal/geom"
+import (
+	"repro/internal/geom"
+	"repro/internal/pipeline"
+)
 
 // CrossReader reads matched tile pairs across two stored datasets. Each
-// ReadPair goes through the single-dataset read path — the decoded cache,
+// read goes through the single-dataset read path — the decoded cache,
 // else a digest-verified read of the whole tile — but decodes, and caches,
 // only the set actually compared from each side (set A from the first
 // dataset, set B from the second).
@@ -29,15 +32,24 @@ func (r *CrossReader) A() *Dataset { return r.a }
 // B returns the second dataset (the set-B side).
 func (r *CrossReader) B() *Dataset { return r.b }
 
-// ReadPair reads the cross pair (set A of the first dataset's tile ia, set B
-// of the second dataset's tile ib). Like ReadTile's, the polygons may be
-// shared with other readers.
+// PolyTask reads the cross pair (set A of the first dataset's tile ia, set B
+// of the second dataset's tile ib) as pipeline input under the first tile's
+// key: each set comes with the tree its own dataset's read built for it. Like
+// ReadTile's, the polygons may be shared with other readers.
+func (r *CrossReader) PolyTask(ia, ib int) (pipeline.PolyTask, error) {
+	a, _, err := r.a.readSets(ia, true, false)
+	if err != nil {
+		return pipeline.PolyTask{}, err
+	}
+	_, b, err := r.b.readSets(ib, false, true)
+	if err != nil {
+		return pipeline.PolyTask{}, err
+	}
+	return polyTask(&r.a.man.Tiles[ia], a, b), nil
+}
+
+// ReadPair is PolyTask's two polygon sets alone.
 func (r *CrossReader) ReadPair(ia, ib int) (setA, setB []*geom.Polygon, err error) {
-	if setA, _, err = r.a.readSets(ia, true, false); err != nil {
-		return nil, nil, err
-	}
-	if _, setB, err = r.b.readSets(ib, false, true); err != nil {
-		return nil, nil, err
-	}
-	return setA, setB, nil
+	t, err := r.PolyTask(ia, ib)
+	return t.A, t.B, err
 }

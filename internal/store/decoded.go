@@ -2,10 +2,14 @@ package store
 
 // The decoded-tile cache. A cold job spends most of its time turning WKB
 // back into validated polygons, and a K-way matrix reads every dataset K−1
-// times within seconds, so the store keeps recently decoded sets in decoded
-// form. An entry is keyed by (tile digest, set): the digest is the content,
-// so an entry can never be stale, only unreferenced, and a cross read decodes
-// and keeps only the side it compares. What is kept is bounded in bytes, not
+// times within seconds, so the store keeps recently decoded sets in the form
+// a job consumes: the validated polygons, their band tables (what the
+// aggregator walks) and the set's Hilbert R-tree (what the filter joins) —
+// each a pure function of the set's bytes, built once at decode instead of
+// once per job. An entry is keyed by (tile digest, set): the digest is the
+// content, so an entry can never be stale, only unreferenced, and a cross read
+// decodes and keeps only the side it compares, joining one dataset's set-A
+// tree against another's set-B tree. What is kept is bounded in bytes, not
 // entries, and only ever holds the decode of bytes whose digest verified.
 
 import (
@@ -16,15 +20,17 @@ import (
 	"unsafe"
 
 	"repro/internal/geom"
+	"repro/internal/rtree"
 )
 
 // decodedCacheBytes bounds the decoded sets one Store keeps. A decoded set
-// with its band tables takes about 1.7x its segment bytes (3.84 MB for a
-// 32-tile benchmark dataset of 2.25 MB, 0.76 MB of it tables), so this holds
-// the benchmark's six-way pool (21 MiB decoded) with room to spare, while a
-// node that reads each dataset once, as a cluster puller does, pays at most
-// this much for nothing. A cyclic scan over more than the bound evicts every
-// set before its next use and gets no hits at all.
+// with its band tables and tree takes about 1.75x its segment bytes (4.02 MB
+// for a 32-tile benchmark dataset of 2.30 MB: 0.76 MB of it tables, 0.09 MB
+// trees), so this holds the benchmark's six-way pool (23 MiB decoded, half a
+// MiB of it trees) with room to spare, while a node that reads each dataset
+// once, as a cluster puller does, pays at most this much for nothing. A cyclic
+// scan over more than the bound evicts every set before its next use and gets
+// no hits at all.
 const decodedCacheBytes = 32 << 20
 
 type decodedKey struct {
@@ -33,19 +39,24 @@ type decodedKey struct {
 }
 
 // decodedSet is one polygon set as decodeSet built it: the polygons live in
-// one geom.Slab, and bytes is that slab (band tables included), the pointer
-// slice and the cache's own entry — everything keeping the set costs except
-// its map slot.
+// one geom.Slab, tree is rtree.Index(polys) when the set was read for a store
+// (nil for Import's verifier), and bytes is that slab (band tables included),
+// the tree, the pointer slice and the cache's own entry — everything keeping
+// the set costs except its map slot.
 type decodedSet struct {
 	key   decodedKey
 	polys []*geom.Polygon
+	tree  *rtree.Tree
 	bytes int64
 }
 
-func newDecodedSet(key decodedKey, slab *geom.Slab, polys []*geom.Polygon) *decodedSet {
-	set := &decodedSet{key: key, polys: polys}
+func newDecodedSet(key decodedKey, slab *geom.Slab, polys []*geom.Polygon, tree *rtree.Tree) *decodedSet {
+	set := &decodedSet{key: key, polys: polys, tree: tree}
 	set.bytes = slab.Bytes() + int64(cap(polys))*int64(unsafe.Sizeof(polys[0])) +
 		int64(unsafe.Sizeof(*set)+unsafe.Sizeof(list.Element{}))
+	if tree != nil {
+		set.bytes += tree.Bytes()
+	}
 	return set
 }
 
@@ -64,9 +75,10 @@ func newDecodedCache(max int64) *decodedCache {
 	return &decodedCache{max: max, order: list.New(), entries: make(map[decodedKey]*list.Element)}
 }
 
-// get returns the cached set. The polygons are shared with every other
-// reader of the tile; nobody may modify them or the slice.
-func (c *decodedCache) get(key decodedKey) ([]*geom.Polygon, bool) {
+// get returns the cached set, nil when it is not held. The polygons and the
+// tree are shared with every other reader of the tile; nobody may modify them
+// or the slice.
+func (c *decodedCache) get(key decodedKey) *decodedSet {
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if ok {
@@ -75,10 +87,10 @@ func (c *decodedCache) get(key decodedKey) ([]*geom.Polygon, bool) {
 	c.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
-		return nil, false
+		return nil
 	}
 	c.hits.Add(1)
-	return el.Value.(*decodedSet).polys, true
+	return el.Value.(*decodedSet)
 }
 
 // put keeps set, evicting from the cold end until the bound holds again. The

@@ -5,15 +5,19 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
+	"repro/internal/rtree"
 )
 
 // seededDataset generates a dataset whose tile keys depend only on name and
@@ -63,6 +67,39 @@ func sameAnswer(t *testing.T, what string, got, want pipeline.Result) {
 		t.Fatalf("%s: (%v, %d, %d) != oracle (%v, %d, %d)", what,
 			got.Similarity, got.Candidates, got.Intersecting, want.Similarity, want.Candidates, want.Intersecting)
 	}
+	if !reflect.DeepEqual(got.TileRatios, want.TileRatios) {
+		t.Fatalf("%s: per-tile partials %v != oracle's %v", what, got.TileRatios, want.TileRatios)
+	}
+}
+
+// sameOnEveryPath takes tasks as the store served them and checks that each
+// carries its sets' trees, that joining them gives the candidate sequence of
+// trees built on the spot, and that the job's bits — with the kept trees, as a
+// raw PolyTask without them, and through the text path — are the oracle's,
+// tile by tile.
+func sameOnEveryPath(t *testing.T, what string, tasks []pipeline.PolyTask, want pipeline.Result) {
+	t.Helper()
+	raw := make([]pipeline.PolyTask, len(tasks))
+	files := make([]pipeline.FileTask, len(tasks))
+	for i, task := range tasks {
+		if task.TreeA == nil || task.TreeB == nil || task.TreeA.Len() != len(task.A) || task.TreeB.Len() != len(task.B) {
+			t.Fatalf("%s, tile %d: the store's task does not carry both sets' trees", what, i)
+		}
+		kept, _ := rtree.Join(task.TreeA, task.TreeB, nil)
+		built, _ := rtree.Join(rtree.Index(task.A), rtree.Index(task.B), nil)
+		if len(kept) == 0 || !reflect.DeepEqual(kept, built) {
+			t.Fatalf("%s, tile %d: kept trees join %d candidates, rebuilt ones %d, or in another order", what, i, len(kept), len(built))
+		}
+		raw[i] = pipeline.PolyTask{Image: task.Image, Tile: task.Tile, A: task.A, B: task.B}
+		files[i] = pipeline.FileTask{Image: task.Image, Tile: task.Tile, RawA: parser.Encode(task.A), RawB: parser.Encode(task.B)}
+	}
+	sameAnswer(t, what, runParsed(t, tasks), want)
+	sameAnswer(t, what+", trees stripped", runParsed(t, raw), want)
+	text, err := pipeline.Run(files, pipeline.Config{})
+	if err != nil {
+		t.Fatalf("%s, text path: %v", what, err)
+	}
+	sameAnswer(t, what+", text path", text, want)
 }
 
 func wantLookups(t *testing.T, s *Store, what string, hits, misses int64) {
@@ -74,50 +111,47 @@ func wantLookups(t *testing.T, s *Store, what string, hits, misses int64) {
 
 // TestDecodedHitMatchesMissAndOracle: a self job and a cross pair answered
 // from the segment file, and again from the decoded cache, both equal the
-// oracle bit for bit; the second pass is all hits and returns the first
-// pass's very polygons. What the store keeps carries band tables; what
-// Import's verifier decodes and what the parser builds does not, so the oracle
-// (generated polygons) and the store's answers also hold tables to no tables.
+// oracle bit for bit and tile by tile — joining the trees kept with the sets,
+// building them per run, and through the text path; the second pass is all
+// hits and returns the first pass's very polygons and trees. What the store
+// keeps carries band tables; what Import's verifier decodes and what the
+// parser builds does not, so the oracle (generated polygons) and the store's
+// answers also hold tables to no tables.
 func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 	const tiles = 3
 	x, y := seededDataset("slide", 1, tiles), seededDataset("slide", 2, tiles)
 	s := openStore(t, t.TempDir())
 	dx, dy := ingestOpen(t, s, x), ingestOpen(t, s, y)
 
-	self := func() []pipeline.PolyTask {
-		src := dx.Source()
+	read := func(what string, task func(i int) (pipeline.PolyTask, error)) []pipeline.PolyTask {
 		tasks := make([]pipeline.PolyTask, tiles)
 		for i := range tasks {
 			var err error
-			if tasks[i], err = src.PolyTask(i); err != nil {
-				t.Fatalf("PolyTask(%d): %v", i, err)
+			if tasks[i], err = task(i); err != nil {
+				t.Fatalf("%s(%d): %v", what, i, err)
 			}
 		}
 		return tasks
 	}
+	self := func() []pipeline.PolyTask { return read("PolyTask", dx.Source().PolyTask) }
 	cross := func() []pipeline.PolyTask {
 		cr := NewCrossReader(dx, dy)
-		tasks := make([]pipeline.PolyTask, tiles)
-		for i := range tasks {
-			a, b, err := cr.ReadPair(i, i)
-			if err != nil {
-				t.Fatalf("ReadPair(%d): %v", i, err)
-			}
-			tasks[i] = pipeline.PolyTask{Image: "slide", Tile: x.Pairs[i].Index, A: a, B: b}
-		}
-		return tasks
+		return read("CrossReader.PolyTask", func(i int) (pipeline.PolyTask, error) { return cr.PolyTask(i, i) })
 	}
 
 	wantSelf, wantCross := oracle(t, x, x), oracle(t, x, y)
 	miss := self()
 	wantLookups(t, s, "first self pass", 0, 2*tiles)
-	sameAnswer(t, "self job, miss", runParsed(t, miss), wantSelf)
+	sameOnEveryPath(t, "self job, miss", miss, wantSelf)
 	wantBands(t, "a set the store keeps", true, miss[0].A, miss[tiles-1].B)
-	unkept, _, err := (&Dataset{dir: dx.dir, man: dx.man}).ReadTile(0)
+	unkept, _, err := (&Dataset{dir: dx.dir, man: dx.man}).readSets(0, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBands(t, "a set Import's verifier decodes", false, unkept)
+	wantBands(t, "a set Import's verifier decodes", false, unkept.polys)
+	if unkept.tree != nil {
+		t.Fatal("Import's verifier built a tree for a set nobody joins")
+	}
 	parsed, err := parser.Parse(parser.Encode(miss[0].A))
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +160,10 @@ func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 	wantBands(t, "the oracle's input", false, x.Pairs[0].A)
 	hit := self()
 	wantLookups(t, s, "second self pass", 2*tiles, 2*tiles)
-	sameAnswer(t, "self job, hit", runParsed(t, hit), wantSelf)
+	sameOnEveryPath(t, "self job, hit", hit, wantSelf)
 	for i := range hit {
-		if hit[i].A[0] != miss[i].A[0] || hit[i].B[0] != miss[i].B[0] {
-			t.Fatalf("tile %d: the hit is not the set the miss decoded", i)
+		if hit[i].A[0] != miss[i].A[0] || hit[i].B[0] != miss[i].B[0] || hit[i].TreeA != miss[i].TreeA || hit[i].TreeB != miss[i].TreeB {
+			t.Fatalf("tile %d: the hit is not the set the miss decoded and indexed", i)
 		}
 		for k, p := range hit[i].A {
 			if !equalVertices(p, x.Pairs[i].A[k]) {
@@ -140,13 +174,27 @@ func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 
 	// x's A sets are cached, y's B sets are not: a cross read decodes only
 	// the side it compares.
-	sameAnswer(t, "cross pair, miss", runParsed(t, cross()), wantCross)
+	crossMiss := cross()
+	sameOnEveryPath(t, "cross pair, miss", crossMiss, wantCross)
 	wantLookups(t, s, "first cross pass", 3*tiles, 3*tiles)
 	if _, sets := s.decoded.size(); sets != 3*tiles {
 		t.Fatalf("%d sets cached, want x's A and B and y's B only (%d)", sets, 3*tiles)
 	}
-	sameAnswer(t, "cross pair, hit", runParsed(t, cross()), wantCross)
+	crossHit := cross()
+	sameOnEveryPath(t, "cross pair, hit", crossHit, wantCross)
 	wantLookups(t, s, "second cross pass", 5*tiles, 3*tiles)
+
+	// A cross task's trees come from two datasets: set A's is the one x's own
+	// job joins, set B's the one y's own job joins.
+	ySelf := read("PolyTask", dy.Source().PolyTask)
+	for i := range crossHit {
+		if crossHit[i].TreeA != hit[i].TreeA || crossMiss[i].TreeA != hit[i].TreeA {
+			t.Fatalf("tile %d: the cross pair does not join the tree kept with x's set A", i)
+		}
+		if crossHit[i].TreeB != ySelf[i].TreeB || crossMiss[i].TreeB != ySelf[i].TreeB {
+			t.Fatalf("tile %d: the cross pair does not join the tree kept with y's set B", i)
+		}
+	}
 }
 
 func wantBands(t *testing.T, what string, want bool, sets ...[]*geom.Polygon) {
@@ -174,8 +222,10 @@ func equalVertices(p, q *geom.Polygon) bool {
 }
 
 // TestDecodedEvictionHoldsByteBound: with the bound shrunk to three tiles'
-// worth, the accounted bytes never exceed it, always equal the sum over the
-// entries actually held, and the survivors are the most recently read.
+// worth — trees counted — the accounted bytes never exceed it, always equal the
+// sum over the entries actually held, and the survivors are the most recently
+// read, served with the trees they were kept with; an evicted set's tree went
+// with it and the next read builds another.
 func TestDecodedEvictionHoldsByteBound(t *testing.T) {
 	const tiles = 8
 	s := openStore(t, t.TempDir())
@@ -183,18 +233,31 @@ func TestDecodedEvictionHoldsByteBound(t *testing.T) {
 
 	var tileBytes [tiles]int64
 	for i := range tileBytes {
-		a, b, err := ds.load(&ds.man.Tiles[i], true, true) // sized as ReadTile's sets are, band tables and all
+		a, b, err := ds.load(&ds.man.Tiles[i], true, true) // sized as ReadTile's sets are, band tables, trees and all
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tileBytes[i] = a.bytes + b.bytes; tileBytes[i] < ds.man.Tiles[i].Bytes() {
-			t.Fatalf("tile %d: %d decoded bytes accounted for %d segment bytes", i, tileBytes[i], ds.man.Tiles[i].Bytes())
+		var treeBytes int64
+		for _, set := range []*decodedSet{a, b} {
+			if set.tree == nil || set.tree.Len() != len(set.polys) || set.tree.Bytes() < int64(len(set.polys))*int64(unsafe.Sizeof(rtree.Entry{})) {
+				t.Fatalf("tile %d set %c: no tree over its %d polygons, or one of no size", i, set.key.set, len(set.polys))
+			}
+			slab := geom.NewSlab(0, 0)
+			if got := newDecodedSet(set.key, slab, set.polys, set.tree).bytes - newDecodedSet(set.key, slab, set.polys, nil).bytes; got != set.tree.Bytes() {
+				t.Fatalf("tile %d set %c: keeping the tree is accounted %d bytes, it holds %d", i, set.key.set, got, set.tree.Bytes())
+			}
+			treeBytes += set.tree.Bytes()
+		}
+		if tileBytes[i] = a.bytes + b.bytes; tileBytes[i]-treeBytes < ds.man.Tiles[i].Bytes() {
+			t.Fatalf("tile %d: %d decoded bytes (%d of them trees) accounted for %d segment bytes", i, tileBytes[i], treeBytes, ds.man.Tiles[i].Bytes())
 		}
 	}
 	s.decoded.max = tileBytes[5] + tileBytes[6] + tileBytes[7]
 
+	var first [tiles]pipeline.PolyTask
 	for i := 0; i < tiles; i++ {
-		if _, _, err := ds.ReadTile(i); err != nil {
+		var err error
+		if first[i], err = ds.Source().PolyTask(i); err != nil {
 			t.Fatal(err)
 		}
 		var sum int64
@@ -211,19 +274,27 @@ func TestDecodedEvictionHoldsByteBound(t *testing.T) {
 	}
 	before := s.decoded.hits.Load()
 	for _, i := range []int{5, 6, 7} {
-		if _, _, err := ds.ReadTile(i); err != nil {
+		again, err := ds.Source().PolyTask(i)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if again.TreeA != first[i].TreeA || again.TreeB != first[i].TreeB {
+			t.Fatalf("tile %d survived but is served with other trees than it was kept with", i)
 		}
 	}
 	if got := s.decoded.hits.Load() - before; got != 6 {
 		t.Fatalf("re-reading the three newest tiles hit %d sets, want 6", got)
 	}
 	before = s.decoded.hits.Load()
-	if _, _, err := ds.ReadTile(0); err != nil {
+	again, err := ds.Source().PolyTask(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s.decoded.hits.Load() - before; got != 0 {
 		t.Fatalf("the evicted oldest tile hit %d sets", got)
+	}
+	if again.TreeA == first[0].TreeA || again.TreeB == first[0].TreeB {
+		t.Fatal("the evicted oldest tile came back with a tree that was kept past its set")
 	}
 
 	// A set that alone exceeds the bound is served but not kept.
@@ -259,8 +330,13 @@ func TestDeleteDropsDecodedSets(t *testing.T) {
 			if err := del(s, ds.man.ID); err != nil {
 				t.Fatal(err)
 			}
-			if _, sets := s.decoded.size(); sets != 2 {
-				t.Fatalf("%d sets cached after the delete, want only the other dataset's 2", sets)
+			a, b, err := keep.load(&keep.man.Tiles[0], true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes, sets := s.decoded.size(); sets != 2 || bytes != a.bytes+b.bytes {
+				t.Fatalf("%d sets (%d bytes) cached after the delete, want only the other dataset's 2 (%d bytes, trees included)",
+					sets, bytes, a.bytes+b.bytes)
 			}
 			if _, _, err := ds.ReadTile(0); !errors.Is(err, ErrDeleted) {
 				t.Fatalf("ReadTile through the stale handle = %v, want ErrDeleted", err)
@@ -410,6 +486,70 @@ func TestDecodedFirstDecodeRacesJobs(t *testing.T) {
 	wg.Wait()
 	if _, sets := s.decoded.size(); sets != 2 {
 		t.Fatalf("%d sets kept, want one decode of each of the tile's two", sets)
+	}
+}
+
+// TestDecodedTreesSharedAcrossDelete: self jobs over one dataset and matrix
+// cells comparing it against another all join the same kept trees at once,
+// while a delete drops them. Every job that got its tiles reports the oracle's
+// bits, every other reports the delete, and nothing of the deleted dataset
+// stays cached. Joins only read a tree, so under -race (CI) nothing is
+// reported.
+func TestDecodedTreesSharedAcrossDelete(t *testing.T) {
+	const tiles, jobs = 2, 6
+	x, y := seededDataset("slide", 1, tiles), seededDataset("slide", 2, tiles)
+	s := openStore(t, t.TempDir())
+	dx, dy := ingestOpen(t, s, x), ingestOpen(t, s, y)
+	wantSelf, wantCell := oracle(t, x, x), oracle(t, x, y)
+
+	var wg sync.WaitGroup
+	started := make(chan struct{}, jobs)
+	for j := 0; j < jobs; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			other, want := dx, wantSelf
+			if j%2 == 1 {
+				other, want = dy, wantCell
+			}
+			cr := NewCrossReader(dx, other)
+			for n := 0; ; n++ {
+				var shard []pipeline.PolyTask
+				for i := 0; i < tiles; i++ {
+					task, err := cr.PolyTask(i, i)
+					if err != nil {
+						if !errors.Is(err, ErrDeleted) {
+							t.Errorf("job %d tile %d: %v", j, i, err)
+						}
+						if n == 0 {
+							t.Errorf("job %d saw the delete before it was issued", j)
+						}
+						return
+					}
+					shard = append(shard, task)
+				}
+				got, err := pipeline.RunParsed(shard, pipeline.Config{})
+				if err != nil || got.Similarity != want.Similarity || got.Candidates != want.Candidates ||
+					!reflect.DeepEqual(got.TileRatios, want.TileRatios) {
+					t.Errorf("job %d pass %d: (%v, %d, %v) != oracle (%v, %d)", j, n,
+						got.Similarity, got.Candidates, err, want.Similarity, want.Candidates)
+					return
+				}
+				if n == 0 {
+					started <- struct{}{}
+				}
+			}
+		}(j)
+	}
+	for j := 0; j < jobs; j++ {
+		<-started
+	}
+	if err := s.Delete(dx.man.ID); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if _, sets := s.decoded.size(); sets != tiles {
+		t.Fatalf("%d sets cached after the delete, want y's %d B sets only", sets, tiles)
 	}
 }
 
@@ -586,5 +726,39 @@ func BenchmarkReadTileHit(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		readAllTiles(b, ds)
+	}
+}
+
+// BenchmarkFilterStoredTiles is one CPU-only job over 32 cached tiles, joining
+// the trees kept with the sets (kept) or, the tasks stripped of them, building
+// two per tile per run as the builder stage does for any task without (built).
+// stages-us/op is the builder and filter stages' busy time alone.
+func BenchmarkFilterStoredTiles(b *testing.B) {
+	_, ds := benchDataset(b)
+	kept := make([]pipeline.PolyTask, len(ds.man.Tiles))
+	built := make([]pipeline.PolyTask, len(ds.man.Tiles))
+	for i := range kept {
+		var err error
+		if kept[i], err = ds.Source().PolyTask(i); err != nil {
+			b.Fatal(err)
+		}
+		built[i] = pipeline.PolyTask{Image: kept[i].Image, Tile: kept[i].Tile, A: kept[i].A, B: kept[i].B}
+	}
+	for _, c := range []struct {
+		name  string
+		tasks []pipeline.PolyTask
+	}{{"kept", kept}, {"built", built}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var stages time.Duration
+			for n := 0; n < b.N; n++ {
+				res, err := pipeline.RunParsed(c.tasks, pipeline.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				stages += res.Stats.BuilderBusy + res.Stats.FilterBusy
+			}
+			b.ReportMetric(float64(stages.Microseconds())/float64(b.N), "stages-us/op")
+		})
 	}
 }

@@ -46,6 +46,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
+	"repro/internal/rtree"
 	"repro/internal/wkb"
 )
 
@@ -970,46 +971,50 @@ func (d *Dataset) Manifest() *Manifest { return d.man }
 // WKB record (the SDBMS deserialization protocol cost). The polygons and the
 // slices may be shared with other readers: callers must not modify them.
 func (d *Dataset) ReadTile(i int) (a, b []*geom.Polygon, err error) {
-	return d.readSets(i, true, true)
+	setA, setB, err := d.readSets(i, true, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return setA.polys, setB.polys, nil
 }
 
-// readSets returns the sets of tile i asked for, from the decoded cache when
-// it holds all of them and from a verified read of the segment otherwise.
-func (d *Dataset) readSets(i int, wantA, wantB bool) (a, b []*geom.Polygon, err error) {
+// readSets returns the sets of tile i asked for (nil for one not asked for),
+// from the decoded cache when it holds all of them and from a verified read
+// of the segment otherwise.
+func (d *Dataset) readSets(i int, wantA, wantB bool) (a, b *decodedSet, err error) {
 	if i < 0 || i >= len(d.man.Tiles) {
 		return nil, nil, fmt.Errorf("store: dataset %s has no tile index %d", d.man.ID, i)
 	}
 	ti := &d.man.Tiles[i]
-	keyA, keyB := decodedKey{ti.sum, 'A'}, decodedKey{ti.sum, 'B'}
-	haveA, haveB := !wantA, !wantB
 	if d.st != nil {
 		if wantA {
-			a, haveA = d.st.decoded.get(keyA)
+			a = d.st.decoded.get(decodedKey{ti.sum, 'A'})
 		}
 		if wantB {
-			b, haveB = d.st.decoded.get(keyB)
-		}
-		if haveA && haveB {
-			// A cached set outlives nothing: a handle whose dataset is gone
-			// fails here exactly as it would opening the segment.
-			if d.wasRemoved() {
-				return nil, nil, d.errDeleted()
-			}
-			return a, b, nil
+			b = d.st.decoded.get(decodedKey{ti.sum, 'B'})
 		}
 	}
-	setA, setB, err := d.load(ti, !haveA, !haveB)
+	needA, needB := wantA && a == nil, wantB && b == nil
+	if !needA && !needB {
+		// A cached set outlives nothing: a handle whose dataset is gone
+		// fails here exactly as it would opening the segment.
+		if d.wasRemoved() {
+			return nil, nil, d.errDeleted()
+		}
+		return a, b, nil
+	}
+	newA, newB, err := d.load(ti, needA, needB)
 	if err != nil {
 		return nil, nil, err
 	}
-	if setA != nil {
-		a = setA.polys
-	}
-	if setB != nil {
-		b = setB.polys
-	}
 	if d.st != nil {
-		d.st.keepDecoded(d.man.ID, setA, setB)
+		d.st.keepDecoded(d.man.ID, newA, newB)
+	}
+	if needA {
+		a = newA
+	}
+	if needB {
+		b = newB
 	}
 	return a, b, nil
 }
@@ -1117,13 +1122,16 @@ func (d *Dataset) decodeSet(ti *TileInfo, set byte, buf []byte, count int) (*dec
 		polys[i] = p
 		buf = buf[recLenBytes+n:]
 	}
+	var tree *rtree.Tree
 	if d.st != nil {
 		// readSets is about to keep this set, and every later job over the tile
-		// walks its polygons' bands: build them now, while nothing else can see
-		// the polygons. Import's verifier compares nothing and keeps nothing.
+		// walks its polygons' bands and joins its index: build both now, while
+		// nothing else can see the polygons. Import's verifier compares nothing
+		// and keeps nothing.
 		slab.BuildBands()
+		tree = rtree.Index(polys)
 	}
-	return newDecodedSet(decodedKey{ti.sum, set}, slab, polys), nil
+	return newDecodedSet(decodedKey{ti.sum, set}, slab, polys, tree), nil
 }
 
 // Source returns the dataset as a lazily-materializing task source: the
@@ -1165,12 +1173,18 @@ func (src *DatasetSource) Task(i int) (pipeline.FileTask, error) {
 // validated every WKB record at ingest (and re-validates on every decode),
 // so stored tiles skip the text re-encode/re-parse round trip entirely. The
 // decoded polygons are exactly what parsing the canonical text would yield,
+// and the trees kept with them exactly what the builder stage would build,
 // keeping reports bit-identical to the FileTask path.
 func (src *DatasetSource) PolyTask(i int) (pipeline.PolyTask, error) {
-	a, b, err := src.d.ReadTile(i)
+	a, b, err := src.d.readSets(i, true, true)
 	if err != nil {
 		return pipeline.PolyTask{}, err
 	}
-	ti := src.d.man.Tiles[i]
-	return pipeline.PolyTask{Image: ti.Image, Tile: ti.Tile, A: a, B: b}, nil
+	return polyTask(&src.d.man.Tiles[i], a, b), nil
+}
+
+// polyTask is the pipeline input comparing set a against set b under tile
+// ti's key, with the trees the sets were kept with.
+func polyTask(ti *TileInfo, a, b *decodedSet) pipeline.PolyTask {
+	return pipeline.PolyTask{Image: ti.Image, Tile: ti.Tile, A: a.polys, B: b.polys, TreeA: a.tree, TreeB: b.tree}
 }
