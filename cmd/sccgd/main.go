@@ -1,7 +1,9 @@
 // Command sccgd is the resident SCCG cross-comparison service: a daemon that
 // owns a pool of simulated GPUs plus CPU pipeline workers and serves
 // cross-comparison jobs over HTTP (the paper's §4 service generalised to a
-// multi-device node with hybrid CPU+GPU aggregation).
+// multi-device node with hybrid CPU+GPU aggregation). Each simulated GPU is
+// one executor slot, and a job splits into one shard per slot; without
+// -devices the daemon runs one CPU-only slot.
 //
 //	sccgd -addr :8080 -devices 2 -workers 4 -hybrid-cpu
 //
@@ -84,17 +86,17 @@
 //
 // Multi-tenant QoS: jobs run in three priority bands — interactive (job
 // submissions), batch (matrix cells), ingest (spec/corpus generation) —
-// under weighted fair sharing, so a K-way matrix flood cannot
-// starve an interactive submission. -tenants names token-keyed tenants
-// with per-tenant byte, dataset, and queued-job quotas (unknown tokens
-// fall into the default tenant); admission control consults the retention
-// engine before accepting bytes, evicting synchronously or answering a
-// structured 413/429 instead of overshooting -store-max-bytes:
+// under weighted fair sharing at fixed weights 8:2:3, and with two or more
+// slots one slot serves interactive jobs only, so a K-way matrix flood
+// cannot starve an interactive submission. -tenants names token-keyed
+// tenants with per-tenant byte, dataset, and queued-job quotas (unknown
+// tokens fall into the default tenant); admission control consults the
+// retention engine before accepting bytes, evicting synchronously or
+// answering a structured 413 or a retryable 429 instead of overshooting
+// -store-max-bytes:
 //
 //	sccgd -data-dir /var/lib/sccgd -store-max-bytes 2GiB \
-//	      -tenants /etc/sccgd/tenants.json \
-//	      -band-weights interactive=8,batch=2,ingest=3 \
-//	      -reserve-interactive 1 -queue-pin-age 2m
+//	      -tenants /etc/sccgd/tenants.json
 //	curl -s -H 'Authorization: Bearer <token>' -X POST localhost:8080/jobs \
 //	     -d '{"dataset_id":"<id>","band":"batch"}'
 //	curl -s 'localhost:8080/querylog?tenant=alice'
@@ -111,15 +113,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/cluster"
 	"repro/internal/retention"
-	"repro/internal/sched"
 	"repro/internal/tenant"
 )
 
@@ -177,37 +176,6 @@ func retentionPolicy(storeMax string, ttl, sweep time.Duration, cacheMax int) (r
 	return pol, nil
 }
 
-// parseBandWeights parses the -band-weights flag: comma-separated
-// band=weight pairs over the known band names. Unlisted bands keep their
-// defaults; weights must be positive; duplicate bands are rejected.
-func parseBandWeights(s string) ([sched.NumBands]int, error) {
-	var w [sched.NumBands]int
-	if s == "" {
-		return w, nil
-	}
-	seen := make(map[sched.Band]bool)
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return w, fmt.Errorf("-band-weights: %q is not band=weight", part)
-		}
-		b, err := sched.ParseBand(strings.TrimSpace(name))
-		if err != nil {
-			return w, fmt.Errorf("-band-weights: %w", err)
-		}
-		if seen[b] {
-			return w, fmt.Errorf("-band-weights: band %s listed twice", b)
-		}
-		seen[b] = true
-		n, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || n <= 0 {
-			return w, fmt.Errorf("-band-weights: weight for %s must be a positive integer, got %q", b, val)
-		}
-		w[b] = n
-	}
-	return w, nil
-}
-
 // sweepInterval reports the effective background sweep period for logs.
 func sweepInterval(pol retention.Policy) time.Duration {
 	if pol.SweepInterval > 0 {
@@ -233,12 +201,9 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	fs := flag.NewFlagSet("sccgd", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "HTTP listen address")
-		devices   = fs.Int("devices", 1, "simulated GPU pool size (0 = CPU-only)")
-		gpusPer   = fs.Int("gpus-per-shard", 0, "GPUs leased per shard pipeline (default 1)")
-		hybrid    = fs.Bool("hybrid-cpu", false, "co-execute PixelBox-CPU aggregators with each shard's GPUs")
+		devices   = fs.Int("devices", 0, "simulated GPU pool size, one executor slot per GPU (0 = one CPU-only slot)")
+		hybrid    = fs.Bool("hybrid-cpu", false, "co-execute PixelBox-CPU aggregators with each slot's GPU")
 		workers   = fs.Int("workers", 0, "CPU workers per shard pipeline (default GOMAXPROCS/pipeline default)")
-		migration = fs.Bool("migration", false, "enable dynamic task migration inside shard pipelines")
-		shards    = fs.Int("max-shards", 0, "max shards per job (default: one per executor slot)")
 		queue     = fs.Int("queue", 0, "job queue depth (default 64)")
 		cache     = fs.Int("cache", 0, "result cache entries (default 128, -1 disables)")
 		dataDir   = fs.String("data-dir", "", "persistent dataset store directory (enables /datasets and jobs by dataset_id)")
@@ -253,9 +218,6 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		qlogMax   = fs.String("querylog-max-bytes", "", "query/access log size bound, e.g. 64MiB; 'off' disables the log (default 64MiB; needs -data-dir)")
 		slowQuery = fs.Duration("slow-query", 0, "log a warning with the trace summary for jobs slower than this (0 = disabled)")
 		tenantsFl = fs.String("tenants", "", "multi-tenant config: a JSON file path or inline JSON ({\"default\":{...},\"tenants\":[...]}); empty = one unlimited tenant")
-		bandWts   = fs.String("band-weights", "", "per-band fair-share weights, e.g. interactive=8,batch=2,ingest=3 (unlisted bands keep defaults)")
-		reserveIA = fs.Int("reserve-interactive", 0, "device slots reserved for interactive jobs (0 = auto: 1 when >1 slot; negative disables)")
-		pinAge    = fs.Duration("queue-pin-age", 2*time.Minute, "cancel QUEUED jobs older than this when their dataset pins block a retention sweep (0 = never)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -295,13 +257,6 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	if err != nil {
 		return fmt.Errorf("-tenants: %w", err)
 	}
-	weights, err := parseBandWeights(*bandWts)
-	if err != nil {
-		return err
-	}
-	if *pinAge < 0 {
-		return errors.New("-queue-pin-age must not be negative")
-	}
 	var peerList []string
 	if *peers != "" {
 		if *dataDir == "" {
@@ -331,26 +286,17 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 
 	svc := sccg.NewService(sccg.ServiceOptions{
 		Devices:          *devices,
-		GPUsPerShard:     *gpusPer,
 		HybridCPU:        *hybrid,
 		Workers:          *workers,
-		Migration:        *migration,
-		MaxShards:        *shards,
 		QueueDepth:       *queue,
 		CacheSize:        *cache,
 		Store:            st,
-		StoreMaxBytes:    pol.MaxBytes,
-		StoreTTL:         pol.TTL,
-		CacheMaxEntries:  pol.CacheMaxEntries,
-		SweepInterval:    pol.SweepInterval,
+		Retention:        pol,
 		Peers:            peerList,
 		Advertise:        *advertise,
 		QuerylogMaxBytes: qlogBytes,
 		SlowQuery:        *slowQuery,
 		Tenants:          tenantCfg,
-		BandWeights:      weights,
-		ReservedSlots:    *reserveIA,
-		QueuePinAge:      *pinAge,
 	})
 	defer svc.Close()
 	if tenantCfg.Enabled() {
@@ -399,7 +345,6 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		"devices", *devices,
 		"hybrid_cpu", *hybrid,
 		"workers", *workers,
-		"migration", *migration,
 	)
 	if onReady != nil {
 		onReady(ln.Addr().String())

@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/geom"
+	"repro/internal/parser"
 	"repro/internal/pathology"
 )
 
@@ -739,6 +741,73 @@ func TestDaemonPprofListener(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestDaemonDefaultPixelExtent: a daemon started with only an address and a
+// data directory runs one CPU-only slot, so the pair of
+// internal/server's TestPixelExtentIsNotComputeJob — two valid six-vertex
+// polygons 2^30 pixels across, which PUT /datasets accepts — is a few bands
+// of work on the default config, not ~10^8 simulated-GPU sampling boxes.
+func TestDaemonDefaultPixelExtent(t *testing.T) {
+	base, stop := bootDaemon(t, []string{"-addr", "127.0.0.1:0", "-data-dir", t.TempDir()})
+	defer stop()
+
+	const e, h = int64(1) << 30, int64(1) << 29
+	p := geom.MustPolygon([]geom.Point{{X: 0, Y: 0}, {X: int32(e), Y: 0}, {X: int32(e), Y: int32(h)},
+		{X: int32(h), Y: int32(h)}, {X: int32(h), Y: int32(e)}, {X: 0, Y: int32(e)}})
+	inter := (h - 3) * (2*e - h - 3)
+	want := float64(inter) / float64(2*p.Area()-inter)
+	body, err := json.Marshal([]map[string]any{{"image": "huge", "tile": 0,
+		"raw_a": parser.Encode([]*geom.Polygon{p}), "raw_b": parser.Encode([]*geom.Polygon{p.Translate(3, 3)})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, base+"/datasets?name=huge", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("PUT /datasets: %v", err)
+	}
+	var man struct {
+		ID string `json:"id"`
+	}
+	decodeBody(t, resp, &man, http.StatusOK)
+
+	jb, _ := json.Marshal(map[string]any{"dataset_id": man.ID})
+	resp, err = http.Post(base+"/jobs", "application/json", bytes.NewReader(jb))
+	if err != nil {
+		t.Fatalf("POST /jobs: %v", err)
+	}
+	var job struct {
+		ID     string `json:"id"`
+		State  string `json:"state"`
+		Error  string `json:"error"`
+		Report *struct {
+			Similarity float64 `json:"similarity"`
+			PairsOnCPU int     `json:"pairs_on_cpu"`
+		} `json:"report"`
+	}
+	decodeBody(t, resp, &job, http.StatusAccepted)
+	deadline := time.Now().Add(5 * time.Second)
+	for job.State != "done" {
+		if job.State == "failed" || job.State == "canceled" {
+			t.Fatalf("job ended %s: %s", job.State, job.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 5s: a bare daemon computes the pair's pixel extent", job.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+		resp, err := http.Get(base + "/jobs/" + job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeBody(t, resp, &job, http.StatusOK)
+	}
+	if r := job.Report; r == nil || r.PairsOnCPU != 1 || r.Similarity != want {
+		t.Fatalf("report %+v, want similarity %v from 1 pair on a CPU", r, want)
 	}
 }
 

@@ -41,9 +41,9 @@ func main() {
 	budget := man.SegmentBytes*3 + man.SegmentBytes/2
 
 	svc := sccg.NewService(sccg.ServiceOptions{
-		Devices:       1,
-		Store:         st,
-		StoreMaxBytes: budget, // background sweeper owned by the service
+		Devices:   1,
+		Store:     st,
+		Retention: sccg.RetentionPolicy{MaxBytes: budget}, // background sweeper owned by the service
 	})
 	defer svc.Close()
 	fmt.Printf("byte budget %d (~3 datasets of %d bytes)\n\n", budget, man.SegmentBytes)

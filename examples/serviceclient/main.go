@@ -35,7 +35,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serviceclient: ")
 
-	svc := sccg.NewService(sccg.ServiceOptions{Devices: 2, Migration: true})
+	svc := sccg.NewService(sccg.ServiceOptions{Devices: 2})
 	defer svc.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -623,13 +623,16 @@ func (n *Node) PullDatasetCtx(ctx context.Context, id string) (PullResult, error
 }
 
 // FetchMetrics scrapes one peer's /internal/metrics text exposition, bounded
-// by maxBytes, for the federation layer.
+// by maxBytes, for the federation layer. The scrape bypasses do: its outcome
+// never changes the peer's health, so observability traffic — such as every
+// node's boot-time scrape of peers that are not listening yet — cannot put a
+// peer into the backoff that routing reads.
 func (n *Node) FetchMetrics(ctx context.Context, p *Peer, maxBytes int64) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.addr+"/internal/metrics", nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := n.do(req, p)
+	resp, err := n.client.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -99,12 +99,6 @@ type Config struct {
 	Log func(format string, args ...any)
 	// Now overrides the sweep clock (tests); nil means time.Now.
 	Now func() time.Time
-	// PinnedPressure, when set, is called at the end of a sweep that is
-	// still over its byte budget with every eviction blocked by pins. It
-	// receives the blocked dataset IDs and returns how many pins it managed
-	// to release (the server cancels aged-out queued jobs holding them);
-	// a positive return triggers one more eviction pass in the same sweep.
-	PinnedPressure func(blocked []string) int
 }
 
 // Sweep is one pass's outcome.
@@ -192,10 +186,7 @@ func (e *Engine) Sweep() Sweep { return e.SweepFor(0) }
 // MaxBytes-headroom, so admission control can synchronously evict enough
 // least-recently-used unpinned datasets to fit an incoming dataset of
 // `headroom` bytes before any of it touches disk — the fix for spec-ingest
-// overshooting the budget until the next background sweep. When the pass
-// ends still over budget with every candidate pinned, the PinnedPressure
-// callback gets one chance to release pins (aged-out queued jobs) and the
-// eviction pass reruns.
+// overshooting the budget until the next background sweep.
 func (e *Engine) SweepFor(headroom int64) Sweep {
 	if e.sweeps != nil {
 		e.sweeps.Inc()
@@ -210,34 +201,6 @@ func (e *Engine) SweepFor(headroom int64) Sweep {
 	}
 	now := e.now()
 	var sw Sweep
-
-	blocked := e.evictPass(pol, now, &sw)
-	if len(blocked) > 0 && e.cfg.PinnedPressure != nil {
-		if e.cfg.PinnedPressure(blocked) > 0 {
-			e.evictPass(pol, now, &sw)
-		}
-	}
-	if n := sw.TTLEvicted + sw.BudgetEvicted; n > 0 && e.evicted != nil {
-		e.evicted.Add(int64(n))
-		e.evictedBytes.Add(sw.EvictedBytes)
-	}
-
-	if pol.CacheMaxEntries > 0 && e.cfg.Cache != nil {
-		sw.CacheEvicted = e.cfg.Cache.EnforceLimit(pol.CacheMaxEntries)
-		if sw.CacheEvicted > 0 && e.cacheEvicted != nil {
-			e.cacheEvicted.Add(int64(sw.CacheEvicted))
-		}
-	}
-
-	sw.Datasets = e.cfg.Store.Len()
-	sw.StoreBytes = e.cfg.Store.TotalBytes()
-	return sw
-}
-
-// evictPass runs one LRU-first eviction pass against pol, accumulating into
-// sw, and returns the IDs whose eviction only pins prevented while the store
-// was still over the byte budget.
-func (e *Engine) evictPass(pol Policy, now time.Time, sw *Sweep) (blocked []string) {
 	mans := e.cfg.Store.List()
 	sort.Slice(mans, func(i, j int) bool {
 		ti, tj := mans[i].LastUse(), mans[j].LastUse()
@@ -259,9 +222,6 @@ func (e *Engine) evictPass(pol Policy, now time.Time, sw *Sweep) (blocked []stri
 		}
 		if e.cfg.Store.Pinned(m.ID) {
 			sw.PinnedSkipped++
-			if overBudget {
-				blocked = append(blocked, m.ID)
-			}
 			continue
 		}
 		err := e.cfg.Store.Delete(m.ID)
@@ -269,9 +229,6 @@ func (e *Engine) evictPass(pol Policy, now time.Time, sw *Sweep) (blocked []stri
 		case errors.Is(err, store.ErrPinned):
 			// Pinned between the check and the delete: the job wins.
 			sw.PinnedSkipped++
-			if overBudget {
-				blocked = append(blocked, m.ID)
-			}
 			continue
 		case errors.Is(err, store.ErrNotFound):
 			// Deleted concurrently; its bytes are gone either way.
@@ -291,11 +248,21 @@ func (e *Engine) evictPass(pol Policy, now time.Time, sw *Sweep) (blocked []stri
 		e.logf("retention: evicted dataset %s (%s, %s, last used %s)",
 			m.ID[:12], m.DisplayName(), FormatBytes(m.SegmentBytes), m.LastUse().Format(time.RFC3339))
 	}
-	if pol.MaxBytes > 0 && total <= pol.MaxBytes {
-		// Budget satisfied: earlier pin-blocked candidates no longer matter.
-		blocked = nil
+	if n := sw.TTLEvicted + sw.BudgetEvicted; n > 0 && e.evicted != nil {
+		e.evicted.Add(int64(n))
+		e.evictedBytes.Add(sw.EvictedBytes)
 	}
-	return blocked
+
+	if pol.CacheMaxEntries > 0 && e.cfg.Cache != nil {
+		sw.CacheEvicted = e.cfg.Cache.EnforceLimit(pol.CacheMaxEntries)
+		if sw.CacheEvicted > 0 && e.cacheEvicted != nil {
+			e.cacheEvicted.Add(int64(sw.CacheEvicted))
+		}
+	}
+
+	sw.Datasets = e.cfg.Store.Len()
+	sw.StoreBytes = e.cfg.Store.TotalBytes()
+	return sw
 }
 
 // Start launches the background sweeper. It is a no-op when the policy

@@ -10,8 +10,8 @@ import "fmt"
 type Band int
 
 const (
-	// BandInteractive is the default for ad-hoc jobs: highest weight, and
-	// optionally a reserved executor slot no other band may lease.
+	// BandInteractive is the default for ad-hoc jobs: highest weight, and on
+	// a pool of two or more slots a reserved slot no other band may lease.
 	BandInteractive Band = iota
 	// BandBatch is bulk analytical work: matrix cells and anything a caller
 	// explicitly marks batch. Lowest weight, but positive: WFQ never starves it.
@@ -51,10 +51,11 @@ func ParseBand(s string) (Band, error) {
 	return 0, fmt.Errorf("sched: unknown band %q (want interactive, batch, or ingest)", s)
 }
 
-// DefaultBandWeights is the weighted-fair-sharing ratio used when Config
-// leaves BandWeights zero: under full contention interactive gets 8 of
-// every 13 dispatches, ingest 3, batch 2. Batch throughput under an idle
-// daemon is unaffected — weights only arbitrate when bands compete.
+// DefaultBandWeights is the scheduler's weighted-fair-sharing ratio between
+// the bands: under full contention interactive gets 8 of every 13
+// dispatches, ingest 3, batch 2. Batch throughput under an idle daemon is
+// unaffected — weights only arbitrate when bands compete. Every weight is
+// positive, so no non-empty band starves.
 var DefaultBandWeights = [NumBands]int{BandInteractive: 8, BandBatch: 2, BandIngest: 3}
 
 // BandCounts is one band's queue occupancy in a Stats snapshot.

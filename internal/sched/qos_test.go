@@ -62,7 +62,7 @@ func drainOrder(t *testing.T, s *Scheduler, js []*job) []Band {
 // band, interactive must dominate the head of the dispatch order while batch
 // still progresses (no strict priority, no starvation).
 func TestWFQInterleavesByWeight(t *testing.T) {
-	s := New(Config{Devices: 1, ReservedSlots: -1})
+	s := New(Config{Devices: 1})
 	defer s.Close()
 
 	now := time.Now()
@@ -93,7 +93,7 @@ func TestWFQInterleavesByWeight(t *testing.T) {
 // that sat idle while another band consumed service must not bank credit and
 // burst ahead of its weight when it becomes active again.
 func TestWFQIdleBandCatchesUp(t *testing.T) {
-	s := New(Config{Devices: 1, ReservedSlots: -1})
+	s := New(Config{Devices: 1})
 	defer s.Close()
 
 	s.mu.Lock()
@@ -125,7 +125,7 @@ func TestWFQIdleBandCatchesUp(t *testing.T) {
 // contract: it never serves batch or ingest work, and serving interactive
 // work does not charge the band's fair-share clock.
 func TestReservedSlotDequeuesInteractiveOnly(t *testing.T) {
-	s := New(Config{Devices: 1, ReservedSlots: -1})
+	s := New(Config{Devices: 1})
 	defer s.Close()
 
 	s.mu.Lock()
@@ -268,49 +268,5 @@ func TestTenantQueueQuotaRace(t *testing.T) {
 	if wins != 1 || losses != racers-1 {
 		t.Fatalf("race resolved to %d winners / %d quota rejections, want 1 / %d",
 			wins, losses, racers-1)
-	}
-}
-
-// TestCancelQueuedSemantics checks the pin-aging primitive: CancelQueued
-// cancels only still-queued jobs (releasing the tenant's quota slot) and
-// refuses running, finished, and unknown jobs.
-func TestCancelQueuedSemantics(t *testing.T) {
-	s := New(Config{
-		Devices: 1,
-		TenantQueueLimit: func(tenant string) int {
-			if tenant == "acme" {
-				return 1
-			}
-			return 0
-		},
-	})
-	defer s.Close()
-	filler, release := startFiller(t, s)
-	defer release()
-
-	tasks := testTasks(t, 1)
-	queued, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "victim", Tenant: "acme"})
-	if err != nil {
-		t.Fatalf("submit queued job: %v", err)
-	}
-	if s.CancelQueued(filler) {
-		t.Fatal("CancelQueued canceled a running job")
-	}
-	if s.CancelQueued("job-999999") {
-		t.Fatal("CancelQueued claimed to cancel an unknown job")
-	}
-	if !s.CancelQueued(queued) {
-		t.Fatal("CancelQueued refused a queued job")
-	}
-	st, ok := s.Job(queued)
-	if !ok || st.State != Canceled {
-		t.Fatalf("aged-out job state = %v, want Canceled", st.State)
-	}
-	if s.CancelQueued(queued) {
-		t.Fatal("CancelQueued canceled an already-terminal job")
-	}
-	// The quota slot must be released: the tenant can queue again.
-	if _, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "retry", Tenant: "acme"}); err != nil {
-		t.Fatalf("resubmit after CancelQueued: %v", err)
 	}
 }

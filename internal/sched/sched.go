@@ -5,12 +5,17 @@
 // SCCG pipeline, and merges the shard reports into one job result.
 //
 // This generalises the paper's single-node resident service (one process
-// owning one GPU, §4) to a pool of hybrid CPU–GPU executor slots: each slot
-// leases an executor SET — GPUsPerShard exclusive non-preemptive devices
-// plus, with HybridCPU, co-executing PixelBox-CPU workers — to exactly one
-// shard at a time. Per-slot busy time and launch counts are accounted so a
-// load balancer (or the /metrics endpoint) can see skew, and per-executor
-// pipeline accounting flows into the optional metrics Registry.
+// owning one GPU, §4) to a pool of executor slots: each slot is one
+// exclusive, non-preemptive simulated GTX 580 (plus, with HybridCPU,
+// co-executing PixelBox-CPU workers), or on a pool without devices one
+// CPU pipeline, and it runs exactly one shard at a time. A job splits into
+// at most one shard per slot. Per-slot busy time and launch counts are
+// accounted so a load balancer (or the /metrics endpoint) can see skew, and
+// per-executor pipeline accounting flows into the optional metrics Registry.
+//
+// Jobs wait in one queue per QoS band under weighted fair sharing with the
+// fixed DefaultBandWeights; on a pool of two or more slots one slot is
+// reserved for interactive jobs.
 //
 // Jobs move queued → running → done | failed | canceled. Cancellation is
 // shard-granular: a canceled job stops dispatching new shards immediately,
@@ -36,44 +41,20 @@ import (
 
 // Config wires a scheduler.
 type Config struct {
-	// Devices is the number of simulated GPUs in the pool. 0 means a
-	// CPU-only scheduler (shards run PixelBox-CPU, one at a time).
+	// Devices is the number of simulated GTX 580s in the pool, one executor
+	// slot each. 0 means a CPU-only scheduler (one slot running
+	// PixelBox-CPU).
 	Devices int
-	// GPU is the device model for every pool member; the zero value selects
-	// the paper's GTX 580.
-	GPU gpu.Config
-	// GPUsPerShard is how many pool GPUs one shard's hybrid pipeline drives
-	// concurrently; default 1 (the original one-device-per-shard layout).
-	// Devices are grouped into ceil(Devices/GPUsPerShard) executor slots.
-	GPUsPerShard int
 	// Workers is each shard pipeline's CPU worker count (parser threads and
 	// PixelBox-CPU); 0 uses the pipeline default.
 	Workers int
 	// HybridCPU co-executes PixelBox-CPU aggregator workers alongside each
-	// shard's GPUs (the hybrid work-stealing aggregator). The CPU executor
+	// slot's GPU (the hybrid work-stealing aggregator). The CPU executor
 	// count is Workers, or 2 when Workers is unset.
 	HybridCPU bool
-	// Migration enables dynamic task migration inside each shard pipeline.
-	Migration bool
-	// PixelBox tunes the kernel.
-	PixelBox pixelbox.Config
-	// MaxShards caps how many shards one job is split into; 0 means one
-	// shard per executor slot.
-	MaxShards int
 	// QueueDepth is the queued-job limit before Submit rejects; default 64.
 	// The limit spans all bands.
 	QueueDepth int
-	// BandWeights is the weighted-fair-sharing ratio between the QoS bands;
-	// an all-zero value selects DefaultBandWeights. Individual zero entries
-	// inherit their default; weights must be positive.
-	BandWeights [NumBands]int
-	// ReservedSlots holds this many executor slots exclusively for
-	// interactive jobs — batch and ingest shards never lease them, so an
-	// interactive job admitted under a batch flood starts on reserved
-	// capacity instead of waiting out a non-preemptive shard. 0 selects the
-	// default (1 when the pool has more than one slot); negative disables.
-	// Clamped to slots-1 so every band can always run somewhere.
-	ReservedSlots int
 	// TenantQueueLimit, when set, returns the queued-job cap for a tenant
 	// (0 = unlimited). Checked under the queue lock, so two submits racing
 	// one remaining slot resolve atomically: exactly one wins.
@@ -86,45 +67,21 @@ func (c Config) normalized() Config {
 	if c.Devices < 0 {
 		c.Devices = 0
 	}
-	if c.GPU == (gpu.Config{}) {
-		c.GPU = gpu.GTX580()
-	}
-	if c.GPUsPerShard <= 0 {
-		c.GPUsPerShard = 1
-	}
-	if c.Devices > 0 && c.GPUsPerShard > c.Devices {
-		c.GPUsPerShard = c.Devices
-	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = c.slots()
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	for b, w := range c.BandWeights {
-		if w <= 0 {
-			c.BandWeights[b] = DefaultBandWeights[b]
-		}
-	}
-	switch {
-	case c.ReservedSlots == 0 && c.slots() > 1:
-		c.ReservedSlots = 1
-	case c.ReservedSlots < 0:
-		c.ReservedSlots = 0
-	}
-	if c.ReservedSlots >= c.slots() {
-		c.ReservedSlots = c.slots() - 1
 	}
 	return c
 }
 
-// slots returns the executor-slot count for a normalized config.
-func (c Config) slots() int {
-	if c.Devices <= 0 {
-		return 1 // a single CPU-only executor slot
-	}
-	return (c.Devices + c.GPUsPerShard - 1) / c.GPUsPerShard
-}
+// slots returns the executor-slot count for a normalized config: one per
+// GPU, or a single CPU-only slot.
+func (c Config) slots() int { return max(c.Devices, 1) }
+
+// reservedSlots is how many slots only interactive jobs lease: one when the
+// pool has two or more, so an interactive job admitted under a batch flood
+// starts on reserved capacity instead of waiting out a non-preemptive shard,
+// and none on a single slot, which every band must be able to use.
+func (c Config) reservedSlots() int { return min(c.slots()-1, 1) }
 
 // cpuAggregators returns the per-shard CPU executor count implied by the
 // config.
@@ -383,26 +340,20 @@ func New(cfg Config) *Scheduler {
 		}
 	}
 	slots := cfg.slots()
-	general := slots - cfg.ReservedSlots
+	general := slots - cfg.reservedSlots()
 	s.pool = make(chan *device, general)
-	if cfg.ReservedSlots > 0 {
-		s.rpool = make(chan *device, cfg.ReservedSlots)
+	if general < slots {
+		s.rpool = make(chan *device, slots-general)
 	}
 	s.devs = make([]*device, slots)
-	remaining := cfg.Devices
 	for i := 0; i < slots; i++ {
 		d := &device{id: i, home: s.pool}
 		if i >= general {
 			d.home = s.rpool
 		}
-		n := cfg.GPUsPerShard
-		if n > remaining {
-			n = remaining
+		if i < cfg.Devices {
+			d.gpus = []*gpu.Device{gpu.NewDevice(gpu.GTX580())}
 		}
-		for g := 0; g < n; g++ {
-			d.gpus = append(d.gpus, gpu.NewDevice(cfg.GPU))
-		}
-		remaining -= n
 		s.devs[i] = d
 		d.home <- d
 	}
@@ -582,7 +533,7 @@ func (s *Scheduler) dequeueLocked(interactiveOnly bool) *job {
 			continue
 		}
 		if !interactiveOnly {
-			s.vtime[pick] += 1 / float64(s.cfg.BandWeights[pick])
+			s.vtime[pick] += 1 / float64(DefaultBandWeights[pick])
 		}
 		return j
 	}
@@ -626,23 +577,6 @@ func (s *Scheduler) Cancel(id string) error {
 		s.finish(j, Canceled, nil, pipeline.Result{})
 	}
 	return nil
-}
-
-// CancelQueued cancels the job only if it is still queued, reporting
-// whether it did. The server's pin-aware queue aging uses it to shed an
-// aged-out queued job whose dataset pins block eviction under disk
-// pressure, without ever touching a job that already started running.
-func (s *Scheduler) CancelQueued(id string) bool {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || j.state != Queued {
-		s.mu.Unlock()
-		return false
-	}
-	s.mu.Unlock()
-	j.cancel()
-	s.finish(j, Canceled, errors.New("sched: queued job aged out under disk pressure"), pipeline.Result{})
-	return true
 }
 
 // Job returns a snapshot of the job with the given ID.
@@ -698,9 +632,6 @@ func (s *Scheduler) DeviceStats() []DeviceStats {
 		}
 		if len(d.gpus) > 0 {
 			ds.Name = d.gpus[0].Config().Name
-			if len(d.gpus) > 1 {
-				ds.Name = fmt.Sprintf("%dx %s", len(d.gpus), ds.Name)
-			}
 			ds.Launches, ds.BusySeconds = d.stats()
 		}
 		out[i] = ds
@@ -845,7 +776,7 @@ func (s *Scheduler) runJob(j *job) {
 	// below: if Cancel finalized the job while it sharded, the shards are
 	// discarded unstarted exactly as if the cancel had won the queue race.
 	shardStart := time.Now()
-	shards := shardTasks(src, s.cfg.MaxShards)
+	shards := shardTasks(src, len(s.devs))
 
 	s.mu.Lock()
 	if j.state.Terminal() {
@@ -919,8 +850,6 @@ func (s *Scheduler) runJob(j *job) {
 				Devices:        dev.gpus,
 				CPUAggregators: s.cfg.cpuAggregators(),
 				CPU:            pixelbox.CPUConfig{Workers: s.cfg.Workers},
-				PixelBox:       s.cfg.PixelBox,
-				Migration:      s.cfg.Migration,
 				Registry:       s.cfg.Registry,
 				ExecutorLabel:  fmt.Sprintf("slot%d/", dev.id),
 				Warmth:         s.warm,

@@ -101,7 +101,7 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	sc := newTileScanner(http.MaxBytesReader(w, r.Body, s.maxBody), scanBufBytes)
+	sc := newTileScanner(http.MaxBytesReader(w, r.Body, maxBodyBytes), scanBufBytes)
 	if err := sc.open(); err != nil {
 		s.fail(w, http.StatusBadRequest, errors.New("body must be a JSON array of tile payloads"))
 		return

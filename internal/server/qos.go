@@ -1,11 +1,9 @@
 package server
 
 // Multi-tenant QoS glue: token-keyed tenant resolution on the public
-// surface (and name-keyed on the peer surface), admission control that
+// surface (and name-keyed on the peer surface), and admission control that
 // consults the retention engine before the daemon accepts bytes it cannot
-// hold, and pin-aware queue aging — the retention engine's escape hatch
-// when everything evictable is gone and what remains is pinned only by
-// long-queued jobs.
+// hold.
 //
 // Admission decisions are structured: the response body carries a stable
 // machine-readable code next to the human-readable error, and every
@@ -29,7 +27,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -166,76 +163,6 @@ func (s *Server) failAdmission(w http.ResponseWriter, who tenant.Quota, aerr *ad
 		"code":   aerr.code,
 		"tenant": who.Name,
 	})
-}
-
-// jobRecord is what the server keeps about a submitted job beside the
-// scheduler's own state. Jobs with neither field set have no record.
-type jobRecord struct {
-	// cross is a cross-dataset job's tile pairing (matched/unmatched counts),
-	// attached to every response for the job, finished or not.
-	cross *CrossPayload
-	// pinned lists the datasets the job's source holds pins on and submitted
-	// says since when — the input to pin-aware queue aging. Cleared at the
-	// job's terminal state, when the source releases the pins.
-	pinned    []string
-	submitted time.Time
-}
-
-// dropJobPins forgets a terminal job's pins, and the whole record when
-// nothing else is on it.
-func (s *Server) dropJobPins(jobID string) {
-	s.jobsMu.Lock()
-	if jr := s.jobRecs[jobID]; jr != nil {
-		if jr.pinned = nil; jr.cross == nil {
-			delete(s.jobRecs, jobID)
-		}
-	}
-	s.jobsMu.Unlock()
-}
-
-// pinnedPressure is the retention engine's escape hatch: a sweep that is
-// still over budget after evicting everything unpinned hands over the IDs
-// whose eviction pins blocked. Queued (never running) jobs older than the
-// pin-age threshold holding those pins are canceled — their sources release
-// the pins at the terminal state — and a positive return tells the sweep to
-// run a second eviction pass. Fresh queued jobs and running jobs always
-// keep their pins: aging out work the moment it queues would turn disk
-// pressure into a denial of service on the queue itself.
-func (s *Server) pinnedPressure(blocked []string) int {
-	if s.pinAge <= 0 {
-		return 0
-	}
-	blockedSet := make(map[string]struct{}, len(blocked))
-	for _, id := range blocked {
-		blockedSet[id] = struct{}{}
-	}
-	cutoff := time.Now().Add(-s.pinAge)
-	var victims []string
-	s.jobsMu.Lock()
-	for jobID, jr := range s.jobRecs {
-		if jr.submitted.After(cutoff) {
-			continue
-		}
-		for _, id := range jr.pinned {
-			if _, hit := blockedSet[id]; hit {
-				victims = append(victims, jobID)
-				break
-			}
-		}
-	}
-	s.jobsMu.Unlock()
-	aged := 0
-	for _, jobID := range victims {
-		// CancelQueued refuses running jobs: only work that never started —
-		// and has waited past the threshold — yields its pins to the sweep.
-		if s.sched.CancelQueued(jobID) {
-			aged++
-			s.agedOut.Inc()
-			s.log.Warn("queued job aged out under disk pressure",
-				"job_id", jobID, "pin_age", s.pinAge.String())
-		}
-	}
-	return aged
 }
 
 // bandFor picks a submission's QoS band: an explicit request band wins,

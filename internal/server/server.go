@@ -98,16 +98,11 @@ type Options struct {
 	Registry *metrics.Registry
 	// Compare backs POST /compare; nil disables the endpoint.
 	Compare CompareFunc
-	// MaxBodyBytes caps request bodies; default 32 MiB.
-	MaxBodyBytes int64
 	// Store, when set, backs the /datasets endpoints, jobs by dataset_id,
 	// cross-dataset jobs, matrix runs, and content-hash result caching
 	// (including the durable tier under <store>/cache). Nil disables
 	// them (the endpoints answer 501).
 	Store *store.Store
-	// MatrixConcurrency bounds how many cells of one matrix run are in
-	// flight at once; 0 selects the default of 4.
-	MatrixConcurrency int
 	// Retention bounds the store and the persisted result cache (see
 	// internal/retention). When any bound is set, New starts a background
 	// sweeper that Close stops; POST /gc sweeps on demand either way.
@@ -130,12 +125,6 @@ type Options struct {
 	// identities with per-tenant byte, dataset, and queued-job quotas.
 	// The zero value runs everything as one unlimited default tenant.
 	Tenants tenant.Config
-	// QueuePinAge is the pin-aware queue-aging threshold: when a retention
-	// sweep cannot meet its byte budget because the only evictable datasets
-	// are pinned by jobs that have sat QUEUED at least this long, those jobs
-	// are canceled so their pins release and the sweep retries. 0 disables
-	// aging (queued jobs hold pins indefinitely). Ignored without a Store.
-	QueuePinAge time.Duration
 	// Logger receives the server's structured log records; slog.Default()
 	// when nil.
 	Logger *slog.Logger
@@ -168,7 +157,6 @@ type Server struct {
 	reg       *metrics.Registry
 	log       *slog.Logger
 	compare   CompareFunc
-	maxBody   int64
 	started   time.Time
 	// tenants resolves tokens (public surface) and forwarded names (peer
 	// surface) to quotas; the zero config is one unlimited default tenant.
@@ -176,13 +164,12 @@ type Server struct {
 	// tusage attributes stored bytes/datasets to tenants, persisted beside
 	// the manifests; nil without a store.
 	tusage *tenant.Registry
-	// pinAge is the pin-aware queue-aging threshold (Options.QueuePinAge).
-	pinAge time.Duration
 
-	// jobsMu guards jobRecs: the server's side record of each submitted job
-	// that has one (see jobRecord in qos.go).
-	jobsMu  sync.Mutex
-	jobRecs map[string]*jobRecord
+	// jobsMu guards jobCross: each cross-dataset job's tile pairing
+	// (matched/unmatched counts), attached to every response for the job,
+	// finished or not.
+	jobsMu   sync.Mutex
+	jobCross map[string]*CrossPayload
 
 	// watchWG tracks in-flight finishWhenDone goroutines so shutdown can
 	// drain them instead of losing half-written result entries. watchMu
@@ -203,7 +190,6 @@ type Server struct {
 	ingestFails *metrics.Counter
 	matrixRuns  *metrics.Counter
 	cascades    *metrics.Counter
-	agedOut     *metrics.Counter
 	degradedUnc *metrics.Counter
 
 	// Cluster counters; non-nil only when a cluster node is configured.
@@ -211,6 +197,9 @@ type Server struct {
 	routedCells   *metrics.Counter
 	degradedLocal *metrics.Counter
 }
+
+// maxBodyBytes caps request bodies, PUT /datasets included.
+const maxBodyBytes = 32 << 20
 
 // New creates a server over the scheduler.
 func New(s *sched.Scheduler, opts Options) *Server {
@@ -220,24 +209,19 @@ func New(s *sched.Scheduler, opts Options) *Server {
 	if opts.Registry == nil {
 		opts.Registry = metrics.NewRegistry()
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 32 << 20
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
 	srv := &Server{
-		sched:   s,
-		store:   opts.Store,
-		results: newResultStore(opts.CacheSize, opts.Retention.CacheMaxEntries, opts.Store, s.Job, opts.Logger),
-		reg:     opts.Registry,
-		log:     opts.Logger,
-		compare: opts.Compare,
-		maxBody: opts.MaxBodyBytes,
-		started: time.Now(),
-		tenants: opts.Tenants,
-		pinAge:  opts.QueuePinAge,
-		jobRecs: make(map[string]*jobRecord),
+		sched:    s,
+		store:    opts.Store,
+		results:  newResultStore(opts.CacheSize, opts.Retention.CacheMaxEntries, opts.Store, s.Job, opts.Logger),
+		reg:      opts.Registry,
+		log:      opts.Logger,
+		compare:  opts.Compare,
+		started:  time.Now(),
+		tenants:  opts.Tenants,
+		jobCross: make(map[string]*CrossPayload),
 
 		requests:    opts.Registry.Counter("sccgd_http_requests_total"),
 		submits:     opts.Registry.Counter("sccgd_jobs_submitted_total"),
@@ -250,7 +234,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		ingestFails: opts.Registry.Counter("sccgd_dataset_ingest_failures_total"),
 		matrixRuns:  opts.Registry.Counter("sccgd_matrix_runs_total"),
 		cascades:    opts.Registry.Counter("sccgd_cache_cascade_dropped_total"),
-		agedOut:     opts.Registry.Counter("sccgd_qos_aged_out_total"),
 		degradedUnc: opts.Registry.Counter("sccgd_qos_degraded_uncached_total"),
 	}
 	// Result-store, scheduler and group metrics render from one snapshot
@@ -353,9 +336,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			Cache:    srv.results,
 			Policy:   opts.Retention,
 			Registry: opts.Registry,
-			// Pin-aware queue aging: when the sweep is blocked on pins held
-			// only by stale queued jobs, cancel them and sweep again.
-			PinnedPressure: srv.pinnedPressure,
 			Log: func(format string, args ...any) {
 				srv.log.Info(fmt.Sprintf(format, args...), "subsystem", "retention")
 			},
@@ -373,7 +353,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			Estimate: func(idA, idB string) (compare.CellEstimate, error) {
 				return compare.EstimatePair(srv.store, idA, idB)
 			},
-			Concurrency: opts.MatrixConcurrency,
 		})
 	}
 	return srv
@@ -662,9 +641,7 @@ func (s *Server) jobResponse(st sched.JobStatus, cached bool) JobResponse {
 	}
 	resp.Trace = st.Trace
 	s.jobsMu.Lock()
-	if jr := s.jobRecs[st.ID]; jr != nil {
-		resp.Cross = jr.cross
-	}
+	resp.Cross = s.jobCross[st.ID]
 	s.jobsMu.Unlock()
 	return resp
 }
@@ -786,9 +763,9 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 		return submission{code: submitErrorCode(err)}, err
 	}
 	s.submits.Inc()
-	if cross != nil || len(mat.pinned) > 0 {
+	if cross != nil {
 		s.jobsMu.Lock()
-		s.jobRecs[id] = &jobRecord{cross: cross, pinned: mat.pinned, submitted: time.Now()}
+		s.jobCross[id] = cross
 		s.jobsMu.Unlock()
 	}
 	s.log.Info("job submitted", "job_id", id, "name", name, "form", requestForm(req),
@@ -797,10 +774,10 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 		s.results.record(key, id, cross)
 	}
 	// One completion watcher per computed job: it persists the report (when
-	// cache-keyed), appends the query-log record, flags slow queries, and
-	// drops the job's pin-tracking record. The draining check under the
-	// mutex keeps the Add from racing Drain's Wait.
-	if (key != "" && s.results.persistent()) || s.qlog != nil || s.slowQuery > 0 || len(mat.pinned) > 0 {
+	// cache-keyed), appends the query-log record, and flags slow queries.
+	// The draining check under the mutex keeps the Add from racing Drain's
+	// Wait.
+	if (key != "" && s.results.persistent()) || s.qlog != nil || s.slowQuery > 0 {
 		s.watchMu.Lock()
 		if !s.draining {
 			s.watchWG.Add(1)
@@ -930,7 +907,6 @@ func entrySubmission(e *resultEntry, outcome string) submission {
 // warning.
 func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID, name string, req JobRequest, cross *CrossPayload) {
 	st, err := s.sched.Wait(context.Background(), jobID)
-	s.dropJobPins(jobID)
 	if err != nil {
 		return
 	}
@@ -1175,28 +1151,18 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"started":        s.started.UTC().Format(time.RFC3339),
 		"go_version":     runtime.Version(),
-		"devices":        len(devs),
+		"slots":          len(devs),
+		"gpus":           cfg.Devices,
 		"scheduler": map[string]any{
-			"slots":          slots,
-			"gpus":           cfg.Devices,
-			"gpus_per_shard": cfg.GPUsPerShard,
-			"hybrid_cpu":     cfg.HybridCPU,
-			"workers":        cfg.Workers,
-			"migration":      cfg.Migration,
-			"max_shards":     cfg.MaxShards,
-			"queue_depth":    cfg.QueueDepth,
+			"slots":       slots,
+			"hybrid_cpu":  cfg.HybridCPU,
+			"workers":     cfg.Workers,
+			"queue_depth": cfg.QueueDepth,
 		},
-	}
-	weights := make(map[string]int, sched.NumBands)
-	for b := sched.Band(0); b < sched.NumBands; b++ {
-		weights[b.String()] = cfg.BandWeights[b]
-	}
-	resp["qos"] = map[string]any{
-		"multi_tenant":   s.tenants.Enabled(),
-		"tenants":        len(s.tenants.Tenants),
-		"band_weights":   weights,
-		"reserved_slots": cfg.ReservedSlots,
-		"queue_pin_age":  s.pinAge.String(),
+		"qos": map[string]any{
+			"multi_tenant": s.tenants.Enabled(),
+			"tenants":      len(s.tenants.Tenants),
+		},
 	}
 	if rev := buildRevision(); rev != "" {
 		resp["revision"] = rev
@@ -1356,9 +1322,6 @@ type materialized struct {
 	contentKey string
 	// cross is the tile-pairing metadata of a cross-dataset job.
 	cross *CrossPayload
-	// pinned lists the dataset IDs the source holds pins on — the input to
-	// pin-aware queue aging.
-	pinned []string
 	// degraded marks a spec/corpus job whose dataset admission declined:
 	// the job runs uncached from memory instead of overshooting the budget.
 	degraded bool
@@ -1392,7 +1355,7 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 		for _, id := range ids {
 			s.store.Touch(id)
 		}
-		m := materialized{name: name, src: csrc, contentKey: crossKey(req.DatasetA, req.DatasetB), pinned: ids}
+		m := materialized{name: name, src: csrc, contentKey: crossKey(req.DatasetA, req.DatasetB)}
 		if !self {
 			// A self-comparison is the dataset's own embedded A-vs-B job
 			// (same cache key, bit-identical report), so no cross block:
@@ -1413,8 +1376,7 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 			return materialized{}, err
 		}
 		s.store.Touch(man.ID)
-		return materialized{name: man.DisplayName(), src: src,
-			contentKey: datasetKey(man.ID), pinned: []string{man.ID}}, nil
+		return materialized{name: man.DisplayName(), src: src, contentKey: datasetKey(man.ID)}, nil
 	}
 	if req.Corpus != "" || req.Spec != nil {
 		var spec pathology.DatasetSpec
@@ -1475,7 +1437,6 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 				s.store.Touch(dsID)
 				m.contentKey = datasetKey(dsID)
 				m.src = wrapPinned(s.store, m.src, dsID)
-				m.pinned = []string{dsID}
 			}
 		}
 		return m, nil
@@ -1520,7 +1481,7 @@ func requestKey(req JobRequest) string {
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))

@@ -140,6 +140,35 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHealthzSlotsAndGPUs: /healthz counts executor slots and GPUs apart —
+// a CPU-only pool is one slot and no GPU — and reports none of the settings
+// that are constants.
+func TestHealthzSlotsAndGPUs(t *testing.T) {
+	for _, devices := range []int{0, 2} {
+		_, _, ts := newTestServer(t, sched.Config{Devices: devices}, Options{})
+		var h map[string]any
+		getJSON(t, ts.URL+"/healthz", &h)
+		if h["slots"] != float64(max(devices, 1)) || h["gpus"] != float64(devices) {
+			t.Errorf("-devices %d: healthz slots=%v gpus=%v, want %d and %d",
+				devices, h["slots"], h["gpus"], max(devices, 1), devices)
+		}
+		sc, _ := h["scheduler"].(map[string]any)
+		qos, _ := h["qos"].(map[string]any)
+		if sc == nil || qos == nil {
+			t.Fatalf("-devices %d: healthz lacks the scheduler or qos block: %v", devices, h)
+		}
+		if slots, _ := sc["slots"].([]any); len(slots) != max(devices, 1) {
+			t.Errorf("-devices %d: scheduler block lists %d slots", devices, len(slots))
+		}
+		for _, gone := range []string{"devices", "gpus_per_shard", "migration", "max_shards",
+			"band_weights", "reserved_slots", "queue_pin_age"} {
+			if h[gone] != nil || sc[gone] != nil || qos[gone] != nil {
+				t.Errorf("-devices %d: healthz still reports %q", devices, gone)
+			}
+		}
+	}
+}
+
 // TestCacheHitSkipsRecompute asserts the LRU cache answers a repeated
 // dataset submission with the original job and, critically, that no
 // additional kernels are launched on any pool device.

@@ -312,22 +312,14 @@ func IngestDataset(st *Store, d *Dataset) (*DatasetManifest, error) {
 
 // ServiceOptions configures the resident cross-comparison job service.
 type ServiceOptions struct {
-	// Devices is the simulated-GPU pool size; 0 runs CPU-only.
+	// Devices is the simulated-GPU pool size, one executor slot per GPU; 0
+	// runs one CPU-only slot.
 	Devices int
-	// GPUsPerShard is how many pool GPUs one shard's hybrid pipeline drives
-	// concurrently; 0 selects the scheduler default of 1.
-	GPUsPerShard int
-	// HybridCPU co-executes PixelBox-CPU aggregators alongside each shard's
-	// GPUs (work-stealing hybrid aggregation).
+	// HybridCPU co-executes PixelBox-CPU aggregators alongside each slot's
+	// GPU (work-stealing hybrid aggregation).
 	HybridCPU bool
 	// Workers is each shard pipeline's CPU worker count.
 	Workers int
-	// Migration enables dynamic task migration inside shard pipelines.
-	Migration bool
-	// PixelBox tunes the kernel.
-	PixelBox pixelbox.Config
-	// MaxShards caps shards per job; 0 means one per executor slot.
-	MaxShards int
 	// QueueDepth bounds the job queue; 0 selects the scheduler default.
 	QueueDepth int
 	// CacheSize is the HTTP result cache capacity; 0 selects the server
@@ -338,24 +330,13 @@ type ServiceOptions struct {
 	// including the persisted report cache under the store directory (see
 	// OpenStore).
 	Store *Store
-	// MatrixConcurrency bounds in-flight cells per matrix run; 0 selects
-	// the server default of 4.
-	MatrixConcurrency int
-	// StoreMaxBytes caps the store's total segment bytes: the retention
-	// sweeper evicts least-recently-used unpinned datasets above it
+	// Retention bounds the store and its persisted result cache: a byte
+	// budget over which least-recently-used unpinned datasets are evicted
 	// (datasets referenced by queued/running jobs are pinned and never
-	// evicted). 0 means unbounded. Requires Store.
-	StoreMaxBytes int64
-	// StoreTTL evicts datasets unused (no job, cross, matrix cell, or tile
-	// read) for longer than this. 0 disables TTL eviction. Requires Store.
-	StoreTTL time.Duration
-	// CacheMaxEntries bounds the persisted result-cache entries kept on
-	// disk, LRU-evicted past the cap. 0 means unbounded. Requires Store.
-	CacheMaxEntries int
-	// SweepInterval is the background retention sweep period; 0 selects the
-	// default of one minute. The sweeper only runs when one of the bounds
-	// above is set; Service.Close stops it.
-	SweepInterval time.Duration
+	// evicted), a TTL for unused datasets, a persisted-entry cap, and the
+	// background sweep period. The zero value bounds nothing. Requires
+	// Store; Service.Close stops the sweeper.
+	Retention RetentionPolicy
 	// Peers, when non-empty, puts the service in clustered mode: datasets
 	// missing locally are pulled peer-to-peer (digest-verified on arrival),
 	// the persisted result cache becomes a cluster-wide read-through, and
@@ -377,17 +358,6 @@ type ServiceOptions struct {
 	// with byte/dataset/queued-job quotas); the zero value runs everything
 	// as one unlimited default tenant.
 	Tenants tenant.Config
-	// BandWeights overrides the per-band fair-share weights of the
-	// scheduler's priority queues; zero entries select the defaults
-	// (interactive 8, batch 2, ingest 3).
-	BandWeights [sched.NumBands]int
-	// ReservedSlots reserves device slots for interactive jobs; 0
-	// auto-reserves one when more than one slot exists, negative disables.
-	ReservedSlots int
-	// QueuePinAge is the pin-aware queue-aging threshold: queued jobs older
-	// than this may be canceled when their dataset pins block a retention
-	// sweep from meeting its byte budget. 0 disables.
-	QueuePinAge time.Duration
 }
 
 // Service is the resident SCCG job service (paper §4 generalised to a
@@ -408,19 +378,13 @@ func NewService(opts ServiceOptions) *Service {
 	// exposes both.
 	reg := metrics.NewRegistry()
 	sc := sched.New(sched.Config{
-		Devices:      opts.Devices,
-		GPUsPerShard: opts.GPUsPerShard,
-		HybridCPU:    opts.HybridCPU,
-		Workers:      opts.Workers,
-		Migration:    opts.Migration,
-		PixelBox:     opts.PixelBox,
-		MaxShards:    opts.MaxShards,
-		QueueDepth:   opts.QueueDepth,
-		Registry:     reg,
-		BandWeights:  opts.BandWeights,
+		Devices:    opts.Devices,
+		HybridCPU:  opts.HybridCPU,
+		Workers:    opts.Workers,
+		QueueDepth: opts.QueueDepth,
+		Registry:   reg,
 		// The scheduler enforces per-tenant queued-job quotas atomically at
 		// enqueue; the closure keeps the scheduler tenant-config-agnostic.
-		ReservedSlots:    opts.ReservedSlots,
 		TenantQueueLimit: opts.Tenants.QueueLimit,
 	})
 	// The synchronous /compare endpoint runs on a CPU engine through the
@@ -463,22 +427,15 @@ func NewService(opts ServiceOptions) *Service {
 		store:   opts.Store,
 		cluster: node,
 		srv: server.New(sc, server.Options{
-			CacheSize:         opts.CacheSize,
-			Compare:           compareFn,
-			Registry:          reg,
-			Store:             opts.Store,
-			MatrixConcurrency: opts.MatrixConcurrency,
-			Cluster:           node,
-			QuerylogMaxBytes:  opts.QuerylogMaxBytes,
-			SlowQuery:         opts.SlowQuery,
-			Tenants:           opts.Tenants,
-			QueuePinAge:       opts.QueuePinAge,
-			Retention: retention.Policy{
-				MaxBytes:        opts.StoreMaxBytes,
-				TTL:             opts.StoreTTL,
-				CacheMaxEntries: opts.CacheMaxEntries,
-				SweepInterval:   opts.SweepInterval,
-			},
+			CacheSize:        opts.CacheSize,
+			Compare:          compareFn,
+			Registry:         reg,
+			Store:            opts.Store,
+			Cluster:          node,
+			QuerylogMaxBytes: opts.QuerylogMaxBytes,
+			SlowQuery:        opts.SlowQuery,
+			Tenants:          opts.Tenants,
+			Retention:        opts.Retention,
 		}),
 	}
 }
