@@ -16,13 +16,13 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
-	"repro/internal/metrics"
 )
 
 type clusterCellView struct {
@@ -68,21 +68,30 @@ type clusterTraceView struct {
 }
 
 // scrapeSeries fetches one node's Prometheus exposition and indexes it by
-// rendered series name.
+// rendered series name: comment lines are skipped and the value is the text
+// after the last space.
 func scrapeSeries(t *testing.T, url string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatalf("GET %s: %v", url, err)
 	}
-	defer resp.Body.Close()
-	exp, err := metrics.ParseText(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("parse %s: %v", url, err)
+		t.Fatalf("read %s: %v", url, err)
 	}
-	vals := make(map[string]float64, len(exp.Samples))
-	for _, s := range exp.Samples {
-		vals[s.Series] = s.Value
+	vals := make(map[string]float64)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			t.Fatalf("%s: bad sample line %q", url, line)
+		}
+		vals[line[:i]] = v
 	}
 	return vals
 }
@@ -466,40 +475,10 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("remote spans from %v, want both %s and %s", remote, addrs[0], addrs[1])
 	}
 
-	// Phase 6: metrics federation. One exposition for the whole cluster:
-	// counters sum across the three nodes, per-node gauges stay attributable
-	// via peer labels, and the merged text is still parseable v0.0.4.
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += scrapeSeries(t, addrs[i]+"/metrics")["sccgd_jobs_submitted_total"]
-	}
-	fresp, err := http.Get(addrs[0] + "/metrics?cluster=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := fresp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Fatalf("federated Content-Type = %q", ct)
-	}
-	fexp, err := metrics.ParseText(fresp.Body)
-	fresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fexp.Skipped != 0 {
-		t.Fatalf("federated exposition had %d unparseable lines", fexp.Skipped)
-	}
-	fed := make(map[string]float64, len(fexp.Samples))
-	for _, s := range fexp.Samples {
-		fed[s.Series] = s.Value
-	}
-	if got := fed["sccgd_jobs_submitted_total"]; got != sum {
-		t.Fatalf("federated sccgd_jobs_submitted_total = %v, per-node sum = %v", got, sum)
-	}
-	for i := 0; i < n; i++ {
-		series := `sccgd_jobs_queued{peer="` + addrs[i] + `"}`
-		if _, ok := fed[series]; !ok {
-			t.Fatalf("federated exposition lacks %s", series)
-		}
+	// Phase 6: metrics are per node. The peer surface serves no exposition;
+	// cluster-wide totals are summed by whoever scrapes every node.
+	if code := clusterGet(t, addrs[0]+"/internal/metrics", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /internal/metrics on a clustered node = %d, want 404", code)
 	}
 
 	// Phase 7: fresh datasets on A, matrix on B, and node C dies mid-run.

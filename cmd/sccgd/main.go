@@ -77,12 +77,12 @@
 // -slow-query 2s warns (with the job's per-stage trace summary) on anything
 // slower. In clustered mode traces propagate across nodes — a job that
 // pulled a dataset or ran a cell remotely shows the serving peer's spans in
-// GET /jobs/{id}/trace — and GET /metrics?cluster=1 serves one federated
-// exposition with counters summed across the cluster:
+// GET /jobs/{id}/trace. GET /metrics reports this node only; sum across
+// nodes in the scraper:
 //
 //	sccgd -data-dir /var/lib/sccgd -slow-query 2s -querylog-max-bytes 128MiB
 //	curl -s 'localhost:8080/querylog?outcome=computed&limit=50'
-//	curl -s 'localhost:8080/metrics?cluster=1'
+//	curl -s localhost:8080/metrics
 //
 // Multi-tenant QoS: jobs run in three priority bands — interactive (job
 // submissions), batch (matrix cells), ingest (spec/corpus generation) —

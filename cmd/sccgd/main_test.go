@@ -666,7 +666,7 @@ func TestDaemonTraceEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		`sccgd_http_request_duration_seconds_bucket{route="POST /jobs",status="202",le="+Inf"}`,
 		`sccgd_job_duration_seconds_bucket{outcome="done",le="+Inf"} 1`,
-		"sccgd_job_queue_wait_seconds_count 1",
+		`sccgd_job_queue_wait_seconds_count{band="ingest"} 1`,
 		`sccg_executor_batch_seconds_bucket{kind="gpu"`,
 		"# TYPE sccgd_job_duration_seconds histogram",
 	} {

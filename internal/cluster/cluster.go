@@ -121,9 +121,6 @@ type Peer struct {
 	lastSeen time.Time
 }
 
-// Addr returns the peer's normalized base URL.
-func (p *Peer) Addr() string { return p.addr }
-
 func (p *Peer) markUp() {
 	p.mu.Lock()
 	p.up = true
@@ -621,27 +618,3 @@ func (n *Node) PullDatasetCtx(ctx context.Context, id string) (PullResult, error
 	}
 	return PullResult{}, fmt.Errorf("cluster: %w: no reachable peer holds %.12s", store.ErrNotFound, id)
 }
-
-// FetchMetrics scrapes one peer's /internal/metrics text exposition, bounded
-// by maxBytes, for the federation layer. The scrape bypasses do: its outcome
-// never changes the peer's health, so observability traffic — such as every
-// node's boot-time scrape of peers that are not listening yet — cannot put a
-// peer into the backoff that routing reads.
-func (n *Node) FetchMetrics(ctx context.Context, p *Peer, maxBytes int64) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.addr+"/internal/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: peer answered %d for metrics", resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxBytes))
-}
-
-// Peers returns the configured peer list (excluding self).
-func (n *Node) Peers() []*Peer { return n.peers }

@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -244,33 +243,6 @@ func TestPullDatasetNoHolder(t *testing.T) {
 	n := newNode(t, "http://self:1", []string{peer.URL}, local)
 	if _, err := n.PullDataset(man.ID); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("PullDataset with no holder = %v, want store.ErrNotFound", err)
-	}
-}
-
-// TestFetchMetricsLeavesPeerHealth: a metrics scrape of a peer that refuses
-// the connection fails, and the peer's health is what it was before — up and
-// still in the live ranking — so federation traffic never backs off a peer
-// that routing would use.
-func TestFetchMetricsLeavesPeerHealth(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadAddr := dead.URL
-	dead.Close()
-
-	n := newNode(t, "http://self:1", []string{deadAddr}, nil)
-	before := n.Health()
-	if _, err := n.FetchMetrics(context.Background(), n.Peers()[0], 1<<20); err == nil {
-		t.Fatal("FetchMetrics against a refused port: want error")
-	}
-	after := n.Health()
-	if len(after.Peers) != 1 || after.Peers[0] != before.Peers[0] || after.Reachable != before.Reachable {
-		t.Fatalf("Health after a failed scrape = %+v, want %+v", after, before)
-	}
-	live := false
-	for _, hop := range n.Ranked("k1") {
-		live = live || hop.Addr == deadAddr
-	}
-	if !live {
-		t.Fatal("a failed scrape took the peer out of the live ranking")
 	}
 }
 

@@ -93,9 +93,6 @@ type Config struct {
 	// stealing policy) is in hand before launching a kernel (GPU input data
 	// batching, §4.1); defaults to 1024.
 	BatchPairs int
-	// Device is a single GPU for the aggregator (the original single-device
-	// form). It is folded into Devices during normalization.
-	Device *gpu.Device
 	// Devices is the simulated GPU set the hybrid aggregator drives, one
 	// executor goroutine per device (each device stays an exclusively-owned,
 	// non-preemptive client, §4.1). Empty means no GPU executors.
@@ -134,10 +131,6 @@ func (c Config) normalized() Config {
 	}
 	if c.BatchPairs <= 0 {
 		c.BatchPairs = 1024
-	}
-	if c.Device != nil {
-		c.Devices = append([]*gpu.Device{c.Device}, c.Devices...)
-		c.Device = nil
 	}
 	if c.CPUAggregators < 0 {
 		c.CPUAggregators = 0

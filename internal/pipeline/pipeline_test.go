@@ -54,7 +54,7 @@ func TestPipelineMatchesOracleGPU(t *testing.T) {
 	wantSim, wantHits := oracleSimilarity(d)
 	tasks := EncodeDataset(d)
 	dev := gpu.NewDevice(gpu.GTX580())
-	res, err := Run(tasks, Config{Device: dev})
+	res, err := Run(tasks, Config{Devices: []*gpu.Device{dev}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPipelineMatchesOracleGPU(t *testing.T) {
 func TestPipelineMatchesOracleCPUOnly(t *testing.T) {
 	d := smallDataset()
 	wantSim, wantHits := oracleSimilarity(d)
-	res, err := Run(EncodeDataset(d), Config{Device: nil})
+	res, err := Run(EncodeDataset(d), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestPipelineWithMigrationStillExact(t *testing.T) {
 	dev := gpu.NewDevice(gpu.GTX580())
 	// Tiny buffers force full/empty transitions so both migrators fire.
 	res, err := Run(EncodeDataset(d), Config{
-		Device:     dev,
+		Devices:    []*gpu.Device{dev},
 		Migration:  true,
 		BufferCap:  1,
 		BatchPairs: 64,
@@ -135,7 +135,7 @@ func TestPipelineMatchesSDBMS(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := gpu.NewDevice(gpu.GTX580())
-	got, err := Run(EncodeDataset(d), Config{Device: dev})
+	got, err := Run(EncodeDataset(d), Config{Devices: []*gpu.Device{dev}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestPipelineParseErrorPropagates(t *testing.T) {
 func TestPipelineConcurrentRunsIndependent(t *testing.T) {
 	d := smallDataset()
 	tasks := EncodeDataset(d)
-	want, _ := Run(tasks, Config{Device: gpu.NewDevice(gpu.GTX580())})
+	want, _ := Run(tasks, Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
 	var wg sync.WaitGroup
 	results := make([]Result, 4)
 	for i := 0; i < 4; i++ {
@@ -179,7 +179,7 @@ func TestPipelineConcurrentRunsIndependent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := Run(tasks, Config{Device: gpu.NewDevice(gpu.GTX580())})
+			res, err := Run(tasks, Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
 			if err != nil {
 				t.Error(err)
 				return
@@ -221,7 +221,7 @@ func TestRunParsedCarriedTrees(t *testing.T) {
 		tasks  []PolyTask
 		builds bool
 	}{{"no trees", raw, true}, {"both trees", kept, false}, {"set B's tree only", half, true}} {
-		for _, cfg := range []Config{{}, {Device: gpu.NewDevice(gpu.GTX580()), CPUAggregators: 1}} {
+		for _, cfg := range []Config{{}, {Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}, CPUAggregators: 1}} {
 			got, err := RunParsed(c.tasks, cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)

@@ -305,9 +305,8 @@ type Scheduler struct {
 	runningTenant map[string]int
 
 	// Latency histograms, nil without a Registry.
-	histQueueWait     *metrics.Histogram
-	histQueueWaitBand [NumBands]*metrics.Histogram
-	histJobDuration   map[State]*metrics.Histogram
+	histQueueWait   [NumBands]*metrics.Histogram
+	histJobDuration map[State]*metrics.Histogram
 
 	nextID    int64
 	submitted int64
@@ -329,9 +328,8 @@ func New(cfg Config) *Scheduler {
 	}
 	s.qcond = sync.NewCond(&s.mu)
 	if r := cfg.Registry; r != nil {
-		s.histQueueWait = r.Histogram("sccgd_job_queue_wait_seconds")
 		for b := Band(0); b < NumBands; b++ {
-			s.histQueueWaitBand[b] = r.Histogram(metrics.Label("sccgd_job_queue_wait_seconds", "band", b.String()))
+			s.histQueueWait[b] = r.Histogram(metrics.Label("sccgd_job_queue_wait_seconds", "band", b.String()))
 		}
 		s.histJobDuration = map[State]*metrics.Histogram{
 			Done:     r.Histogram(metrics.Label("sccgd_job_duration_seconds", "outcome", "done")),
@@ -803,9 +801,8 @@ func (s *Scheduler) runJob(j *job) {
 	// which class of backlog the job waited behind.
 	j.trace.Add("queue", j.band.String(), j.submitted, shardStart)
 	j.trace.Add("shard", fmt.Sprintf("%d shards", len(shards)), shardStart, j.started)
-	if s.histQueueWait != nil {
-		s.histQueueWait.ObserveDuration(shardStart.Sub(j.submitted))
-		s.histQueueWaitBand[j.band].ObserveDuration(shardStart.Sub(j.submitted))
+	if h := s.histQueueWait[j.band]; h != nil {
+		h.ObserveDuration(shardStart.Sub(j.submitted))
 	}
 	atomic.AddInt64(&s.running, 1)
 	defer atomic.AddInt64(&s.running, -1)

@@ -25,7 +25,7 @@ func testTasks(t *testing.T, tiles int) []pipeline.FileTask {
 func TestShardsAcrossDevices(t *testing.T) {
 	tasks := testTasks(t, 6)
 
-	direct, err := pipeline.Run(tasks, pipeline.Config{Device: gpu.NewDevice(gpu.GTX580())})
+	direct, err := pipeline.Run(tasks, pipeline.Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}

@@ -149,10 +149,7 @@ type Server struct {
 	cluster *cluster.Node
 	// qlog is the persisted query/access log; nil without a store or when
 	// disabled (see querylog_http.go for the routes).
-	qlog *querylog.Log
-	// fed caches peer metric scrapes for /metrics?cluster=1 and the /healthz
-	// rollup; nil on a single-node daemon (see federate.go).
-	fed       *federator
+	qlog      *querylog.Log
 	slowQuery time.Duration
 	reg       *metrics.Registry
 	log       *slog.Logger
@@ -284,8 +281,8 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		e.Counter("sccgd_groups_total", float64(len(runs)))
 		// QoS series: per-band and per-tenant queue/run occupancy from the
 		// same scheduler snapshot, plus per-tenant store attribution. Labels
-		// are band names and configured tenant names — bounded cardinality,
-		// federation-safe (no per-job or per-request values).
+		// are band names and configured tenant names — bounded cardinality
+		// (no per-job or per-request values).
 		for b := sched.Band(0); b < sched.NumBands; b++ {
 			e.Gauge(metrics.Label("sccgd_band_jobs_queued", "band", b.String()), float64(st.Bands[b].Queued))
 			e.Gauge(metrics.Label("sccgd_band_jobs_running", "band", b.String()), float64(st.Bands[b].Running))
@@ -306,7 +303,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		srv.remoteHits = opts.Registry.Counter("sccgd_cluster_remote_cache_hits_total")
 		srv.routedCells = opts.Registry.Counter("sccgd_cluster_cells_routed_total")
 		srv.degradedLocal = opts.Registry.Counter("sccgd_cluster_degraded_local_total")
-		srv.fed = newFederator(srv)
 	}
 	srv.slowQuery = opts.SlowQuery
 	if srv.store != nil && opts.QuerylogMaxBytes >= 0 {
@@ -428,7 +424,6 @@ func (s *Server) Handler() http.Handler {
 		handle("GET /internal/datasets/{id}/segment", s.handleClusterSegment)
 		handle("GET /internal/results/{a}/{b}", s.handleClusterResult)
 		handle("POST /internal/compare", s.handleClusterCompare)
-		handle("GET /internal/metrics", s.handleInternalMetrics)
 	}
 	return mux
 }
@@ -1092,27 +1087,10 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("cluster") == "1" {
-		if s.fed == nil {
-			s.fail(w, http.StatusNotImplemented, errors.New("not clustered: no peers to federate"))
-			return
-		}
-		s.fed.serveFederated(w, r)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Everything — counters, gauges, histograms, and the scheduler/group
 	// scrape collector registered in New — renders through the registry's
 	// sorted, typed exposition.
-	_ = s.reg.WriteText(w)
-}
-
-// handleInternalMetrics serves the node's own exposition on the peer surface
-// so other nodes' /metrics?cluster=1 can scrape it through the cluster
-// transport (same body as plain /metrics; the separate route keeps the
-// public endpoint's route-label cardinality clean and stays cluster-gated).
-func (s *Server) handleInternalMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WriteText(w)
 }
 
@@ -1175,9 +1153,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cluster != nil {
 		resp["cluster"] = s.cluster.Health()
-		if s.fed != nil {
-			resp["cluster_metrics"] = s.fed.rollup()
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

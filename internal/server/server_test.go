@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/gpu"
+	"repro/internal/metrics"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
@@ -92,7 +94,7 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 	spec := pathology.Representative()
 	spec.Tiles = 4
 	tasks := pipeline.EncodeDataset(pathology.Generate(spec))
-	direct, err := pipeline.Run(tasks, pipeline.Config{Device: gpu.NewDevice(gpu.GTX580())})
+	direct, err := pipeline.Run(tasks, pipeline.Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
@@ -385,6 +387,54 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
+		}
+	}
+}
+
+// TestMetricsFamiliesNotMixed: no series name is exposed both bare and with
+// labels, so a scraper's sum over a family counts each observation once.
+func TestMetricsFamiliesNotMixed(t *testing.T) {
+	reg := metrics.NewRegistry()
+	_, _, ts := newTestServer(t, sched.Config{Devices: 2, Registry: reg}, Options{Registry: reg})
+
+	spec := pathology.Representative()
+	spec.Tiles = 2
+	for _, band := range []string{"", "batch"} {
+		resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec, Band: band, NoCache: true})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
+		}
+		var jr JobResponse
+		if err := json.Unmarshal(body, &jr); err != nil {
+			t.Fatal(err)
+		}
+		pollDone(t, ts.URL, jr.ID)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	bare, labelled := map[string]bool{}, map[string]bool{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if name, _, ok := strings.Cut(line, "{"); ok && !strings.Contains(name, " ") {
+			labelled[name] = true
+		} else {
+			name, _, _ = strings.Cut(line, " ")
+			bare[name] = true
+		}
+	}
+	if !labelled["sccgd_job_queue_wait_seconds_count"] {
+		t.Fatalf("no labelled queue-wait series after two jobs:\n%s", raw)
+	}
+	for name := range bare {
+		if labelled[name] {
+			t.Errorf("%s is exposed both bare and labelled", name)
 		}
 	}
 }

@@ -45,7 +45,7 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 // ValidName reports whether s is an acceptable tenant name: 1-64 chars of
 // [A-Za-z0-9._-], starting alphanumeric. Names appear verbatim as metric
 // label values and in the cluster propagation header, so the charset is
-// deliberately narrow (federation-safe, no escaping surprises).
+// deliberately narrow (no escaping surprises).
 func ValidName(s string) bool { return nameRE.MatchString(s) }
 
 // ByteSize is an int64 byte count that unmarshals from either a JSON number
