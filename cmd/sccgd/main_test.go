@@ -618,8 +618,8 @@ func TestDaemonTraceEndToEnd(t *testing.T) {
 		}
 		// Every stage the pipeline ran must have left a span: request
 		// materialization, queue wait, sharding, per-shard materialize+execute
-		// (2 devices → 2 shards), parse, and the merge.
-		for _, want := range []string{"materialize", "queue", "shard", "execute", "parse", "merge"} {
+		// (2 devices → 2 shards), and the merge.
+		for _, want := range []string{"materialize", "queue", "shard", "execute", "merge"} {
 			if seen[want] == 0 {
 				t.Errorf("%s: trace has no %q span; spans: %v", source, want, seen)
 			}

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/parser"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -116,10 +115,9 @@ func OpenPair(st *store.Store, idA, idB string) (name string, src sched.TaskSour
 }
 
 // Source is a lazy scheduler task source over the matched tile pairs of two
-// stored datasets. It implements sched.PolySource: shards materialize
-// decoded polygon pairs through the store's cross reader (its decoded-tile
-// cache, else a digest-verified read of the two segment files) and skip the
-// pipeline's parser stage.
+// stored datasets: shards materialize decoded polygon pairs through the
+// store's cross reader (its decoded-tile cache, else a digest-verified read
+// of the two segment files).
 type Source struct {
 	r     *store.CrossReader
 	manA  *store.Manifest
@@ -154,22 +152,7 @@ func (s *Source) Weight(i int) int64 {
 	return s.manA.Tiles[p.A].LenA + s.manB.Tiles[p.B].LenB
 }
 
-// PolyTask materializes pair i as pre-parsed pipeline input.
+// PolyTask materializes pair i as pipeline input.
 func (s *Source) PolyTask(i int) (pipeline.PolyTask, error) {
 	return s.r.PolyTask(s.pairs[i].A, s.pairs[i].B)
-}
-
-// Task materializes pair i as text pipeline input (the TaskSource contract;
-// the scheduler prefers PolyTask).
-func (s *Source) Task(i int) (pipeline.FileTask, error) {
-	pt, err := s.PolyTask(i)
-	if err != nil {
-		return pipeline.FileTask{}, err
-	}
-	return pipeline.FileTask{
-		Image: pt.Image,
-		Tile:  pt.Tile,
-		RawA:  parser.Encode(pt.A),
-		RawB:  parser.Encode(pt.B),
-	}, nil
 }

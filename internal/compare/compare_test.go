@@ -218,24 +218,19 @@ func TestCrossPartialOverlapComparesIntersection(t *testing.T) {
 	}
 }
 
-// TestSourceTaskMatchesPolyTask: the text and pre-parsed materializations of
-// a cross pair agree (the canonical text encodes exactly the decoded
-// polygons).
+// TestSourceTaskMatchesPolyTask: a cross pair materializes under its tile's
+// key, with non-empty polygon sets and a positive sharding weight.
 func TestSourceTaskMatchesPolyTask(t *testing.T) {
 	s := testStore(t)
 	man := ingestVariant(t, s, "slideY", 3, 2)
 	src, _ := NewSource(openDataset(t, s, man.ID), openDataset(t, s, man.ID))
 	for i := 0; i < src.Len(); i++ {
-		ft, err := src.Task(i)
-		if err != nil {
-			t.Fatalf("Task(%d): %v", i, err)
-		}
 		pt, err := src.PolyTask(i)
 		if err != nil {
 			t.Fatalf("PolyTask(%d): %v", i, err)
 		}
-		if ft.Image != pt.Image || ft.Tile != pt.Tile {
-			t.Fatalf("task %d keys differ: %s/%d vs %s/%d", i, ft.Image, ft.Tile, pt.Image, pt.Tile)
+		if ti := man.Tiles[i]; pt.Image != ti.Image || pt.Tile != ti.Tile {
+			t.Fatalf("task %d key %s/%d, want the manifest's %s/%d", i, pt.Image, pt.Tile, ti.Image, ti.Tile)
 		}
 		if len(pt.A) == 0 || len(pt.B) == 0 {
 			t.Fatalf("task %d materialized empty polygon sets", i)
@@ -248,10 +243,10 @@ func TestSourceTaskMatchesPolyTask(t *testing.T) {
 
 // treeless serves a source's tiles without the trees the store keeps with
 // them, as a source outside the store would.
-type treeless struct{ sched.PolySource }
+type treeless struct{ sched.TaskSource }
 
 func (s treeless) PolyTask(i int) (pipeline.PolyTask, error) {
-	t, err := s.PolySource.PolyTask(i)
+	t, err := s.TaskSource.PolyTask(i)
 	t.TreeA, t.TreeB = nil, nil
 	return t, err
 }
@@ -268,14 +263,14 @@ func TestEstimateProbesKeptTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pt, err := polyTaskAt(src, 0); err != nil || pt.TreeA == nil || pt.TreeA.Len() != len(pt.A) {
+		if pt, err := src.PolyTask(0); err != nil || pt.TreeA == nil || pt.TreeA.Len() != len(pt.A) {
 			t.Fatalf("the pair's source does not carry set A's tree (%v)", err)
 		}
 		got, err := EstimatePair(s, ids[0], ids[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := estimateSource(treeless{src.(sched.PolySource)}, rand.New(rand.NewSource(pairSeed(ids[0], ids[1]))))
+		want, err := estimateSource(treeless{src}, rand.New(rand.NewSource(pairSeed(ids[0], ids[1]))))
 		if err != nil {
 			t.Fatal(err)
 		}

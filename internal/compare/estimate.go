@@ -15,8 +15,6 @@ import (
 	"math/rand"
 
 	"repro/internal/montecarlo"
-	"repro/internal/parser"
-	"repro/internal/pipeline"
 	"repro/internal/rtree"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -70,7 +68,7 @@ func estimateSource(src sched.TaskSource, rng *rand.Rand) (CellEstimate, error) 
 	var est CellEstimate
 	var varSum float64
 	for i := 0; i < n && est.Tiles < estimateMaxTiles; i += step {
-		pt, err := polyTaskAt(src, i)
+		pt, err := src.PolyTask(i)
 		if err != nil {
 			return CellEstimate{}, fmt.Errorf("estimate tile %d: %w", i, err)
 		}
@@ -109,29 +107,6 @@ func estimateSource(src sched.TaskSource, rng *rand.Rand) (CellEstimate, error) 
 		est.StdErr = math.Sqrt(varSum) / n
 	}
 	return est, nil
-}
-
-// polyTaskAt materializes matched pair i as decoded polygons. Both sources
-// OpenPair can return (the cross source, the self-comparison dataset source)
-// carry the parse-free PolySource contract; the text fallback exists only
-// for exotic TaskSource implementations.
-func polyTaskAt(src sched.TaskSource, i int) (pipeline.PolyTask, error) {
-	if ps, ok := src.(sched.PolySource); ok {
-		return ps.PolyTask(i)
-	}
-	ft, err := src.Task(i)
-	if err != nil {
-		return pipeline.PolyTask{}, err
-	}
-	a, err := parser.Parse(ft.RawA)
-	if err != nil {
-		return pipeline.PolyTask{}, err
-	}
-	b, err := parser.Parse(ft.RawB)
-	if err != nil {
-		return pipeline.PolyTask{}, err
-	}
-	return pipeline.PolyTask{Image: ft.Image, Tile: ft.Tile, A: a, B: b}, nil
 }
 
 // pairSeed derives a deterministic RNG seed from the pair's dataset IDs.

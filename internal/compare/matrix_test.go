@@ -176,12 +176,12 @@ func testID(b byte) string {
 // cancellation timing deterministic.
 type gatedSource struct {
 	release <-chan struct{}
-	task    pipeline.FileTask
+	task    pipeline.PolyTask
 }
 
 func (g *gatedSource) Len() int         { return 1 }
 func (g *gatedSource) Weight(int) int64 { return 1 }
-func (g *gatedSource) Task(int) (pipeline.FileTask, error) {
+func (g *gatedSource) PolyTask(int) (pipeline.PolyTask, error) {
 	<-g.release
 	return g.task, nil
 }
@@ -203,7 +203,7 @@ func TestMatrixCellResubmitsAfterExternalCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := ds.Source().Task(0)
+	task, err := ds.Source().PolyTask(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestMatrixCancelCancelsMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := ds.Source().Task(0)
+	task, err := ds.Source().PolyTask(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestCancelLeavesSharedJobsRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := ds.Source().Task(0)
+	task, err := ds.Source().PolyTask(0)
 	if err != nil {
 		t.Fatal(err)
 	}

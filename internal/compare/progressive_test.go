@@ -344,7 +344,7 @@ func TestMatrixPrunesInFlightCells(t *testing.T) {
 
 	man := ingestVariant(t, s, "slideP", 3, 1)
 	ds := openDataset(t, s, man.ID)
-	task, err := ds.Source().Task(0)
+	task, err := ds.Source().PolyTask(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,13 +155,13 @@ func TestReservedSlotDequeuesInteractiveOnly(t *testing.T) {
 // gatedSource serves real tiles but blocks every read until release is
 // closed, so a job over it holds its slot for exactly as long as a test needs.
 type gatedSource struct {
-	tasks   []pipeline.FileTask
+	tasks   []pipeline.PolyTask
 	release chan struct{}
 }
 
 func (g *gatedSource) Len() int           { return len(g.tasks) }
 func (g *gatedSource) Weight(i int) int64 { return 1 }
-func (g *gatedSource) Task(i int) (pipeline.FileTask, error) {
+func (g *gatedSource) PolyTask(i int) (pipeline.PolyTask, error) {
 	<-g.release
 	return g.tasks[i], nil
 }

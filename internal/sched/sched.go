@@ -1,8 +1,9 @@
 // Package sched is the multi-device job scheduler behind the sccgd service:
 // it owns a pool of simulated GPUs plus CPU pipeline workers, accepts
-// cross-comparison jobs (batches of image-tile file tasks), shards each
-// job's tiles across the executor-slot pool, runs every shard through the
-// SCCG pipeline, and merges the shard reports into one job result.
+// cross-comparison jobs (sources of decoded image tiles: each tile's two
+// polygon sets), shards each job's tiles across the executor-slot pool, runs
+// every shard through the SCCG pipeline past its parser stage, and merges the
+// shard reports into one job result.
 //
 // This generalises the paper's single-node resident service (one process
 // owning one GPU, §4) to a pool of executor slots: each slot is one
@@ -45,8 +46,8 @@ type Config struct {
 	// slot each. 0 means a CPU-only scheduler (one slot running
 	// PixelBox-CPU).
 	Devices int
-	// Workers is each shard pipeline's CPU worker count (parser threads and
-	// PixelBox-CPU); 0 uses the pipeline default.
+	// Workers is each shard pipeline's PixelBox-CPU worker count; 0 uses the
+	// pipeline default.
 	Workers int
 	// HybridCPU co-executes PixelBox-CPU aggregator workers alongside each
 	// slot's GPU (the hybrid work-stealing aggregator). The CPU executor
@@ -97,17 +98,18 @@ func (c Config) cpuAggregators() int {
 
 // TaskSource hands the scheduler a job's tiles lazily: Len and Weight are
 // cheap metadata reads (a stored dataset serves them straight from its
-// manifest), while Task materializes one tile's pipeline input on demand.
-// Shards therefore carry tile handles, not encoded datasets — each shard
+// manifest), while PolyTask materializes one tile's decoded polygon sets on
+// demand. Shards therefore carry tile handles, not datasets — each shard
 // goroutine materializes only its own tiles right before running, so a job
-// over a large stored dataset never holds the whole encoded input in memory.
+// over a large stored dataset never holds the whole input in memory. Text
+// never reaches the scheduler: it is parsed where it enters the service.
 type TaskSource interface {
 	// Len is the tile count.
 	Len() int
-	// Weight is tile i's cost proxy for sharding: its encoded byte size.
+	// Weight is tile i's cost proxy for sharding.
 	Weight(i int) int64
-	// Task materializes tile i's pipeline input.
-	Task(i int) (pipeline.FileTask, error)
+	// PolyTask materializes tile i as pipeline input.
+	PolyTask(i int) (pipeline.PolyTask, error)
 }
 
 // SourceReleaser is an optional TaskSource extension for sources holding
@@ -120,26 +122,16 @@ type SourceReleaser interface {
 	Release()
 }
 
-// PolySource is an optional TaskSource extension for inputs whose tiles are
-// already decoded polygon sets (stored datasets, cross-dataset pair
-// readers). Shards from a PolySource run through pipeline.RunParsed,
-// skipping the parser stage — the polygons were validated where they were
-// decoded, and the report stays bit-identical to the text path.
-type PolySource interface {
-	TaskSource
-	// PolyTask materializes tile i as pre-parsed pipeline input.
-	PolyTask(i int) (pipeline.PolyTask, error)
-}
+// memSource adapts in-memory tiles to the TaskSource contract, weighting
+// each tile by its polygon count.
+type memSource []pipeline.PolyTask
 
-// memSource adapts an in-memory task slice to the TaskSource contract.
-type memSource []pipeline.FileTask
+func (m memSource) Len() int                                  { return len(m) }
+func (m memSource) Weight(i int) int64                        { return int64(len(m[i].A) + len(m[i].B)) }
+func (m memSource) PolyTask(i int) (pipeline.PolyTask, error) { return m[i], nil }
 
-func (m memSource) Len() int                              { return len(m) }
-func (m memSource) Weight(i int) int64                    { return int64(len(m[i].RawA) + len(m[i].RawB)) }
-func (m memSource) Task(i int) (pipeline.FileTask, error) { return m[i], nil }
-
-// Tasks wraps fully materialized tile tasks as a TaskSource.
-func Tasks(tasks []pipeline.FileTask) TaskSource { return memSource(tasks) }
+// Tasks wraps decoded in-memory tiles as a TaskSource.
+func Tasks(tasks []pipeline.PolyTask) TaskSource { return memSource(tasks) }
 
 // State is a job's lifecycle position.
 type State int
@@ -843,7 +835,6 @@ func (s *Scheduler) runJob(j *job) {
 			defer func() { dev.home <- dev }()
 			start := time.Now()
 			pcfg := pipeline.Config{
-				ParserWorkers:  s.cfg.Workers,
 				Devices:        dev.gpus,
 				CPUAggregators: s.cfg.cpuAggregators(),
 				CPU:            pixelbox.CPUConfig{Workers: s.cfg.Workers},
@@ -856,9 +847,8 @@ func (s *Scheduler) runJob(j *job) {
 			// shard's share (the lease is exclusive, so the delta is exact).
 			launches0, busy0 := dev.stats()
 			// Materialize only this shard's tiles from the source — for a
-			// stored dataset that means reading just these tiles' byte
-			// ranges out of the segment file. Pre-parsed sources skip the
-			// pipeline's parser stage entirely.
+			// stored dataset that means reading just these tiles out of the
+			// decoded-tile cache or the segment file.
 			res, err, executed := s.runShard(j.trace, fmt.Sprintf("slot%d shard%d", dev.id, i), src, idxs, pcfg)
 			if !executed {
 				// Materialization failure: no pipeline ran at all.
@@ -921,32 +911,14 @@ func (s *Scheduler) runJob(j *job) {
 }
 
 // runShard materializes one shard's tiles and runs them through the
-// pipeline. Sources carrying decoded polygons (PolySource) enter the
-// pipeline past the parser stage; executed reports whether a pipeline ran at
-// all (false means materialization failed and err describes the tile).
-// Materialize and execute spans are recorded under detail (slot + shard);
-// the parse span's duration is the pipeline's summed parser busy time (its
-// workers overlap, so this is CPU time, not a wall interval).
+// pipeline; executed reports whether a pipeline ran at all (false means
+// materialization failed and err describes the tile). Materialize and
+// execute spans are recorded under detail (slot + shard).
 func (s *Scheduler) runShard(rec *trace.Recorder, detail string, src TaskSource, idxs []int, pcfg pipeline.Config) (res pipeline.Result, err error, executed bool) {
 	matStart := time.Now()
-	if ps, ok := src.(PolySource); ok {
-		shard := make([]pipeline.PolyTask, 0, len(idxs))
-		for _, ix := range idxs {
-			t, terr := ps.PolyTask(ix)
-			if terr != nil {
-				return pipeline.Result{}, fmt.Errorf("materialize tile %d: %w", ix, terr), false
-			}
-			shard = append(shard, t)
-		}
-		execStart := time.Now()
-		rec.Add("materialize", detail, matStart, execStart)
-		res, err = pipeline.RunParsed(shard, pcfg)
-		rec.Add("execute", detail, execStart, time.Now())
-		return res, err, true
-	}
-	shard := make([]pipeline.FileTask, 0, len(idxs))
+	shard := make([]pipeline.PolyTask, 0, len(idxs))
 	for _, ix := range idxs {
-		t, terr := src.Task(ix)
+		t, terr := src.PolyTask(ix)
 		if terr != nil {
 			return pipeline.Result{}, fmt.Errorf("materialize tile %d: %w", ix, terr), false
 		}
@@ -954,12 +926,8 @@ func (s *Scheduler) runShard(rec *trace.Recorder, detail string, src TaskSource,
 	}
 	execStart := time.Now()
 	rec.Add("materialize", detail, matStart, execStart)
-	res, err = pipeline.Run(shard, pcfg)
-	end := time.Now()
-	rec.Add("execute", detail, execStart, end)
-	if err == nil && res.Stats.ParserBusy > 0 {
-		rec.AddDuration("parse", detail, execStart, res.Stats.ParserBusy)
-	}
+	res, err = pipeline.RunParsed(shard, pcfg)
+	rec.Add("execute", detail, execStart, time.Now())
 	return res, err, true
 }
 
@@ -1017,8 +985,8 @@ func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Resul
 }
 
 // shardTasks splits the source's tile indices into at most maxShards
-// shards, never more than one shard per tile, weighting each shard by
-// encoded tile byte size so shard finish times even out when tile sizes are
+// shards, never more than one shard per tile, weighting each shard by the
+// source's tile weights so shard finish times even out when tile sizes are
 // skewed (round-robin by count let one segment-heavy shard serialize the
 // job's tail). Longest-processing-time greedy: tiles are considered
 // heaviest first and each goes to the currently lightest shard; ties break

@@ -12,11 +12,16 @@ import (
 	"repro/internal/pipeline"
 )
 
-func testTasks(t *testing.T, tiles int) []pipeline.FileTask {
+func testTasks(t *testing.T, tiles int) []pipeline.PolyTask {
 	t.Helper()
 	spec := pathology.Representative()
 	spec.Tiles = tiles
-	return pipeline.EncodeDataset(pathology.Generate(spec))
+	d := pathology.Generate(spec)
+	tasks := make([]pipeline.PolyTask, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tasks[i] = pipeline.PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
+	}
+	return tasks
 }
 
 // TestShardsAcrossDevices is the tentpole correctness test: a job sharded
@@ -25,7 +30,7 @@ func testTasks(t *testing.T, tiles int) []pipeline.FileTask {
 func TestShardsAcrossDevices(t *testing.T) {
 	tasks := testTasks(t, 6)
 
-	direct, err := pipeline.Run(tasks, pipeline.Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
+	direct, err := pipeline.RunParsed(tasks, pipeline.Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
@@ -214,8 +219,8 @@ type weightSource []int64
 
 func (w weightSource) Len() int           { return len(w) }
 func (w weightSource) Weight(i int) int64 { return w[i] }
-func (w weightSource) Task(i int) (pipeline.FileTask, error) {
-	return pipeline.FileTask{Tile: i}, nil
+func (w weightSource) PolyTask(i int) (pipeline.PolyTask, error) {
+	return pipeline.PolyTask{Tile: i}, nil
 }
 
 func TestShardTasks(t *testing.T) {
@@ -285,7 +290,7 @@ func TestShardTasksWeighted(t *testing.T) {
 // simulating a source whose weight scan is expensive (a cross-reader walking
 // tile manifests). started is closed when sharding first asks for a weight.
 type slowWeightSource struct {
-	tasks   []pipeline.FileTask
+	tasks   []pipeline.PolyTask
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once
@@ -297,7 +302,7 @@ func (s *slowWeightSource) Weight(i int) int64 {
 	<-s.release
 	return 1
 }
-func (s *slowWeightSource) Task(i int) (pipeline.FileTask, error) { return s.tasks[i], nil }
+func (s *slowWeightSource) PolyTask(i int) (pipeline.PolyTask, error) { return s.tasks[i], nil }
 
 // TestJobsNotBlockedBySlowSharding is the regression test for sharding inside
 // the scheduler lock: while a source's Weight scan stalls shardTasks, the
@@ -406,15 +411,15 @@ func TestWarmStartCarriesThroughput(t *testing.T) {
 // partitioned runs.
 func TestMergeMatchesUnsharded(t *testing.T) {
 	tasks := testTasks(t, 4)
-	whole, err := pipeline.Run(tasks, pipeline.Config{})
+	whole, err := pipeline.RunParsed(tasks, pipeline.Config{})
 	if err != nil {
 		t.Fatalf("whole run: %v", err)
 	}
-	half1, err := pipeline.Run(tasks[:2], pipeline.Config{})
+	half1, err := pipeline.RunParsed(tasks[:2], pipeline.Config{})
 	if err != nil {
 		t.Fatalf("half1: %v", err)
 	}
-	half2, err := pipeline.Run(tasks[2:], pipeline.Config{})
+	half2, err := pipeline.RunParsed(tasks[2:], pipeline.Config{})
 	if err != nil {
 		t.Fatalf("half2: %v", err)
 	}

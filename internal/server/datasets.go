@@ -23,9 +23,11 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/geom"
 	"repro/internal/parser"
 	"repro/internal/querylog"
 	"repro/internal/store"
+	"repro/internal/tenant"
 )
 
 // DatasetTile is the wire form of one tile's manifest entry.
@@ -75,8 +77,7 @@ func datasetResponse(man *store.Manifest, withTiles bool) DatasetResponse {
 // requireStore answers 501 when the daemon runs without a data directory.
 func (s *Server) requireStore(w http.ResponseWriter) bool {
 	if s.store == nil {
-		s.fail(w, http.StatusNotImplemented,
-			errors.New("no dataset store configured (start sccgd with -data-dir)"))
+		s.fail(w, http.StatusNotImplemented, errNoStore)
 		return false
 	}
 	return true
@@ -131,14 +132,9 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("tile %d: raw_a and raw_b are required", n))
 			return
 		}
-		a, err := parser.Parse(tp.RawA)
+		a, b, err := parseTile(n, tp.RawA, tp.RawB)
 		if err != nil {
-			s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("tile %d set A: %w", n, err))
-			return
-		}
-		b, err := parser.Parse(tp.RawB)
-		if err != nil {
-			s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("tile %d set B: %w", n, err))
+			s.fail(w, http.StatusUnprocessableEntity, err)
 			return
 		}
 		if err := wtr.AddTile(tp.Image, tp.Tile, a, b); err != nil {
@@ -184,6 +180,26 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	committed = true
+	s.recordIngest(who, man, ingestStart)
+	writeJSON(w, http.StatusOK, datasetResponse(man, true))
+}
+
+// parseTile parses upload tile n's two polygon texts; the error names the
+// tile and the set.
+func parseTile(n int, rawA, rawB []byte) (a, b []*geom.Polygon, err error) {
+	if a, err = parser.Parse(rawA); err != nil {
+		return nil, nil, fmt.Errorf("tile %d set A: %w", n, err)
+	}
+	if b, err = parser.Parse(rawB); err != nil {
+		return nil, nil, fmt.Errorf("tile %d set B: %w", n, err)
+	}
+	return a, b, nil
+}
+
+// recordIngest is the bookkeeping after a dataset commit, whichever path
+// ingested it (PUT /datasets, a spec or corpus job): the ingest counter, the
+// tenant's byte attribution and the query-log record.
+func (s *Server) recordIngest(who tenant.Quota, man *store.Manifest, start time.Time) {
 	s.ingests.Inc()
 	if s.tusage != nil {
 		s.tusage.Attribute(who.Name, man.ID, man.SegmentBytes)
@@ -194,11 +210,10 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 			ID:         man.ID,
 			Tenant:     who.Name,
 			Datasets:   []querylog.DatasetIO{{ID: man.ID, Tiles: len(man.Tiles), Bytes: man.SegmentBytes}},
-			DurationMs: float64(time.Since(ingestStart).Microseconds()) / 1000,
+			DurationMs: float64(time.Since(start).Microseconds()) / 1000,
 			Outcome:    querylog.OutcomeIngested,
 		})
 	}
-	writeJSON(w, http.StatusOK, datasetResponse(man, true))
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {

@@ -70,8 +70,7 @@ func matrixIDs(req MatrixRequest) []string {
 // runs exist only over stored datasets).
 func (s *Server) requireMatrix(w http.ResponseWriter) bool {
 	if s.matrix == nil {
-		s.fail(w, http.StatusNotImplemented,
-			errors.New("no dataset store configured (start sccgd with -data-dir)"))
+		s.fail(w, http.StatusNotImplemented, errNoStore)
 		return false
 	}
 	return true
@@ -87,8 +86,7 @@ func (s *Server) requireMatrix(w http.ResponseWriter) bool {
 // retention sweep could otherwise hit.
 func (s *Server) startMatrix(req MatrixRequest, who tenant.Quota) (run *compare.Run, code int, err error) {
 	if s.matrix == nil {
-		return nil, http.StatusNotImplemented,
-			errors.New("no dataset store configured (start sccgd with -data-dir)")
+		return nil, http.StatusNotImplemented, errNoStore
 	}
 	if err := req.Validate(); err != nil {
 		return nil, http.StatusBadRequest, err

@@ -222,8 +222,8 @@ func TestSpecIngestRespectsByteBudget(t *testing.T) {
 }
 
 // TestPutDatasetTenantQuotaEdges drives the tenant byte and dataset-count
-// quotas at their exact boundaries over PUT /datasets, and checks deletion
-// (dataset and tenant) releases the charge.
+// quotas at their exact boundaries over PUT /datasets, and checks that a
+// dataset delete releases the charge.
 func TestPutDatasetTenantQuotaEdges(t *testing.T) {
 	d1 := pathology.Generate(qosSpec("quota-1", 11, 1))
 	d2 := pathology.Generate(qosSpec("quota-2", 12, 1))
@@ -237,7 +237,7 @@ func TestPutDatasetTenantQuotaEdges(t *testing.T) {
 		]
 	}`, size1+size2-1))
 	st := testStoreAt(t, t.TempDir())
-	srv, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st, Tenants: cfg})
+	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st, Tenants: cfg})
 
 	// First ingest fits (and may sit exactly at the boundary).
 	resp, body := putDatasetAs(t, ts.URL+"/datasets?name=q1", "tok-acme", datasetPayload(t, d1))
@@ -281,11 +281,6 @@ func TestPutDatasetTenantQuotaEdges(t *testing.T) {
 	}
 	if code, who := admissionBody(t, body); code != "tenant_datasets" || who != "globex" {
 		t.Fatalf("rejection = code %q tenant %q, want tenant_datasets/globex", code, who)
-	}
-	// Tenant deletion releases everything it held.
-	srv.tusage.DropTenant("globex")
-	if resp, body := putDatasetAs(t, ts.URL+"/datasets?name=g2", "tok-globex", datasetPayload(t, d3)); resp.StatusCode != http.StatusOK {
-		t.Fatalf("globex ingest after DropTenant = %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -20,13 +20,11 @@ package server
 //     exactly once at the job's terminal state.
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 
 	"repro/internal/compare"
-	"repro/internal/pipeline"
 	"repro/internal/retention"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -68,15 +66,6 @@ func (p *pinnedSource) Release() {
 	})
 }
 
-// pinnedPolySource additionally forwards the PolySource contract, so
-// wrapping never demotes a parse-free store source to the text path.
-type pinnedPolySource struct {
-	*pinnedSource
-	poly sched.PolySource
-}
-
-func (p *pinnedPolySource) PolyTask(i int) (pipeline.PolyTask, error) { return p.poly.PolyTask(i) }
-
 // pinDatasets pins every id; all must exist — a failure unwinds the pins
 // already taken, so pins are held all-or-nothing.
 func (s *Server) pinDatasets(ids ...string) error {
@@ -91,19 +80,14 @@ func (s *Server) pinDatasets(ids ...string) error {
 	return nil
 }
 
-// wrapPinned wraps src so the already-held pins on ids release exactly once,
-// preserving the PolySource contract when src carries it.
+// wrapPinned wraps src so the already-held pins on ids release exactly once.
 func wrapPinned(st *store.Store, src sched.TaskSource, ids ...string) sched.TaskSource {
-	ps := &pinnedSource{TaskSource: src, st: st, ids: ids}
-	if poly, ok := src.(sched.PolySource); ok {
-		return &pinnedPolySource{pinnedSource: ps, poly: poly}
-	}
-	return ps
+	return &pinnedSource{TaskSource: src, st: st, ids: ids}
 }
 
-// openDatasetPinned pins a stored dataset and returns its parse-free task
-// source; the pin is released at the job's terminal state (or by
-// releaseSource when no job takes the source).
+// openDatasetPinned pins a stored dataset and returns its task source; the
+// pin is released at the job's terminal state (or by releaseSource when no
+// job takes the source).
 func (s *Server) openDatasetPinned(id string) (sched.TaskSource, *store.Manifest, error) {
 	if err := s.pinDatasets(id); err != nil {
 		return nil, nil, err
@@ -116,9 +100,18 @@ func (s *Server) openDatasetPinned(id string) (sched.TaskSource, *store.Manifest
 	return wrapPinned(s.store, ds.Source(), id), ds.Manifest(), nil
 }
 
-// openPairPinned pins the cross pair's datasets (ids, deduplicated by the
-// caller for self-comparisons) and opens the comparison over them.
-func (s *Server) openPairPinned(ids []string, idA, idB string) (name string, src sched.TaskSource, match compare.Match, self bool, err error) {
+// pairIDs lists the datasets a cross pair reads: one for a self-comparison.
+func pairIDs(idA, idB string) []string {
+	if idA == idB {
+		return []string{idA}
+	}
+	return []string{idA, idB}
+}
+
+// openPairPinned pins the cross pair's datasets and opens the comparison
+// over them.
+func (s *Server) openPairPinned(idA, idB string) (name string, src sched.TaskSource, match compare.Match, self bool, err error) {
+	ids := pairIDs(idA, idB)
 	if err := s.pinDatasets(ids...); err != nil {
 		return "", nil, compare.Match{}, false, err
 	}
@@ -127,9 +120,29 @@ func (s *Server) openPairPinned(ids []string, idA, idB string) (name string, src
 		for _, id := range ids {
 			s.store.Unpin(id)
 		}
-		return "", nil, compare.Match{}, false, err
+		return "", nil, match, false, err
 	}
 	return name, wrapPinned(s.store, csrc, ids...), match, self, nil
+}
+
+// SubmitStored queues an uncached job comparing stored dataset idA's set-A
+// polygons against idB's set-B polygons over their shared tile keys
+// (idA == idB is the dataset's own job), bypassing HTTP and the result
+// store. Its datasets stay pinned until the job's terminal state, as for
+// every job the HTTP surface submits.
+func (s *Server) SubmitStored(idA, idB string) (string, compare.Match, error) {
+	if s.store == nil {
+		return "", compare.Match{}, errNoStore
+	}
+	name, src, match, _, err := s.openPairPinned(idA, idB)
+	if err != nil {
+		return "", match, err
+	}
+	id, err := s.sched.SubmitJob(src, sched.JobOpts{Name: name})
+	if err != nil {
+		releaseSource(src)
+	}
+	return id, match, err
 }
 
 // releaseSource releases a pinned source that will never reach (or never
@@ -144,7 +157,7 @@ func releaseSource(src sched.TaskSource) {
 // store (retention bounds nothing without one).
 func (s *Server) GC() (retention.Sweep, error) {
 	if s.retention == nil {
-		return retention.Sweep{}, errors.New("no dataset store configured (start sccgd with -data-dir)")
+		return retention.Sweep{}, errNoStore
 	}
 	return s.retention.Sweep(), nil
 }

@@ -247,10 +247,9 @@ func TestSpecAliasDroppedOnDelete(t *testing.T) {
 }
 
 // gatedStoreSource delays tile materialization until released, keeping a
-// store-backed job deterministically in flight. It preserves the PolySource
-// contract of the wrapped source.
+// store-backed job deterministically in flight.
 type gatedStoreSource struct {
-	src     sched.PolySource
+	src     sched.TaskSource
 	release <-chan struct{}
 	entered chan struct{}
 	once    sync.Once
@@ -261,10 +260,6 @@ func (g *gatedStoreSource) Weight(i int) int64 { return g.src.Weight(i) }
 func (g *gatedStoreSource) wait() {
 	g.once.Do(func() { close(g.entered) })
 	<-g.release
-}
-func (g *gatedStoreSource) Task(i int) (pipeline.FileTask, error) {
-	g.wait()
-	return g.src.Task(i)
 }
 func (g *gatedStoreSource) PolyTask(i int) (pipeline.PolyTask, error) {
 	g.wait()

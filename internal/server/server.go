@@ -195,6 +195,9 @@ type Server struct {
 	degradedLocal *metrics.Counter
 }
 
+// errNoStore answers every store-backed request on a daemon without one.
+var errNoStore = errors.New("no dataset store configured (start sccgd with -data-dir)")
+
 // maxBodyBytes caps request bodies, PUT /datasets included.
 const maxBodyBytes = 32 << 20
 
@@ -700,8 +703,7 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 		return submission{code: http.StatusBadRequest}, err
 	}
 	if (req.DatasetID != "" || req.DatasetA != "") && s.store == nil {
-		return submission{code: http.StatusNotImplemented},
-			errors.New("no dataset store configured (start sccgd with -data-dir)")
+		return submission{code: http.StatusNotImplemented}, errNoStore
 	}
 
 	// Look the request up before materializing it: a cache hit must not pay
@@ -1305,24 +1307,21 @@ type materialized struct {
 // materializeRequest turns a checked JobRequest into the task source to
 // run. Dataset jobs come back as lazy store tile handles; cross-dataset
 // jobs as lazy tile-pair handles over the two segment files (cross carries
-// the pairing report); generated requests are, when a store is configured
-// and admission control accepts the bytes, ingested so their results can be
-// cached (and later requested) by content hash. Pin acquisition is recorded
-// into rec; who rides along for admission and cluster-call attribution.
+// the pairing report); uploaded text is parsed here, so malformed text fails
+// the request instead of the job; generated requests go through
+// materializeGenerated. Pin acquisition is recorded into rec; who rides
+// along for admission and cluster-call attribution.
 func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req JobRequest) (materialized, error) {
 	if req.DatasetA != "" {
 		// Pin before opening: after Pin succeeds no delete or retention
 		// sweep can remove the dataset, so the open below cannot race an
 		// eviction. The pinned wrapper unpins at the job's terminal state.
-		ids := []string{req.DatasetA}
-		if req.DatasetB != req.DatasetA {
-			ids = append(ids, req.DatasetB)
-		}
+		ids := pairIDs(req.DatasetA, req.DatasetB)
 		if err := s.ensureLocal(rec, who.Name, ids...); err != nil {
 			return materialized{}, err
 		}
 		pinStart := time.Now()
-		name, csrc, match, self, err := s.openPairPinned(ids, req.DatasetA, req.DatasetB)
+		name, csrc, match, self, err := s.openPairPinned(req.DatasetA, req.DatasetB)
 		rec.Add("pin", "pair", pinStart, time.Now())
 		if err != nil {
 			return materialized{}, err
@@ -1354,73 +1353,89 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 		return materialized{name: man.DisplayName(), src: src, contentKey: datasetKey(man.ID)}, nil
 	}
 	if req.Corpus != "" || req.Spec != nil {
-		var spec pathology.DatasetSpec
-		if req.Corpus != "" {
-			spec, _ = corpusByName(req.Corpus)
-		} else {
-			spec = *req.Spec
-			if spec.Gen == (pathology.GenConfig{}) {
-				spec.Gen = pathology.DefaultGenConfig()
-			}
-		}
-		d := pathology.Generate(spec)
-		m := materialized{name: spec.Name, src: sched.Tasks(pipeline.EncodeDataset(d))}
-		if s.store != nil {
-			specKey := requestKey(req)
-			dsID := ""
-			if known, ok := s.results.alias(specKey); ok {
-				// This spec's content is already stored: skip the
-				// re-encode/re-write that Commit's dedup would discard. Pin
-				// doubles as the liveness check — success means the dataset
-				// outlives this job; failure means it was deleted, and the
-				// re-ingest below materializes it again (the dropped-alias
-				// fallback).
-				if s.store.Pin(known) == nil {
-					dsID = known
-				}
-			}
-			if dsID == "" {
-				// Admission gates the bytes BEFORE any write: the exact
-				// segment size is arithmetic over the generated polygons, so
-				// a dataset that would overshoot the byte budget (or the
-				// tenant's quota) never touches disk. A decline degrades the
-				// job to uncached in-memory execution — same result bytes,
-				// no persistence — rather than rejecting work the scheduler
-				// could still run.
-				if aerr := s.admitIngest(who, store.DatasetBytes(d)); aerr != nil {
-					m.degraded = true
-					s.degradedUnc.Inc()
-					s.log.Warn("spec ingest declined, job degraded to uncached",
-						"dataset", spec.Name, "tenant", who.Name, "reason", aerr.code)
-				} else if man, ierr := s.store.IngestDataset(d); ierr == nil {
-					// Persist the generated content; on failure the job still
-					// runs, degrading to request-hash caching — but visibly.
-					s.ingests.Inc()
-					s.results.setAlias(specKey, man.ID)
-					if s.tusage != nil {
-						s.tusage.Attribute(who.Name, man.ID, man.SegmentBytes)
-					}
-					if s.store.Pin(man.ID) == nil {
-						dsID = man.ID
-					}
-				} else {
-					s.ingestFails.Inc()
-					s.log.Warn("ingest of generated dataset failed", "dataset", spec.Name, "err", ierr)
-				}
-			}
-			if dsID != "" {
-				s.store.Touch(dsID)
-				m.contentKey = datasetKey(dsID)
-				m.src = wrapPinned(s.store, m.src, dsID)
-			}
-		}
-		return m, nil
+		return s.materializeGenerated(who, req), nil
 	}
-	tasks := make([]pipeline.FileTask, len(req.Tasks))
+	tasks := make([]pipeline.PolyTask, len(req.Tasks))
 	for i, t := range req.Tasks {
-		tasks[i] = pipeline.FileTask{Image: t.Image, Tile: t.Tile, RawA: t.RawA, RawB: t.RawB}
+		a, b, err := parseTile(i, t.RawA, t.RawB)
+		if err != nil {
+			return materialized{}, err
+		}
+		tasks[i] = pipeline.PolyTask{Image: t.Image, Tile: t.Tile, A: a, B: b}
 	}
 	return materialized{name: "upload", src: sched.Tasks(tasks)}, nil
+}
+
+// materializeGenerated resolves a spec or corpus request. With a store, the
+// job runs from the stored dataset exactly as a dataset_id job would: the
+// one its spec alias names (nothing is generated then), else the one
+// ingested now, when admission control accepts the bytes, so its results
+// can be cached (and later requested) by content hash. Without a store, or
+// when admission declines, the job runs from the generated polygons.
+func (s *Server) materializeGenerated(who tenant.Quota, req JobRequest) materialized {
+	var spec pathology.DatasetSpec
+	if req.Corpus != "" {
+		spec, _ = corpusByName(req.Corpus)
+	} else {
+		spec = *req.Spec
+		if spec.Gen == (pathology.GenConfig{}) {
+			spec.Gen = pathology.DefaultGenConfig()
+		}
+	}
+	m := materialized{name: spec.Name}
+	// stored points the job at dataset id; false when it is gone (a delete
+	// also drops the spec alias, so the content is materialized afresh).
+	stored := func(id string) bool {
+		src, _, err := s.openDatasetPinned(id)
+		if err != nil {
+			return false
+		}
+		s.store.Touch(id)
+		m.src, m.contentKey = src, datasetKey(id)
+		return true
+	}
+	specKey := requestKey(req)
+	if s.store != nil {
+		if known, ok := s.results.alias(specKey); ok && stored(known) {
+			return m
+		}
+	}
+	d := pathology.Generate(spec)
+	if s.store != nil {
+		// Admission gates the bytes BEFORE any write: the exact segment size
+		// is arithmetic over the generated polygons, so a dataset that would
+		// overshoot the byte budget (or the tenant's quota) never touches
+		// disk. A decline degrades the job to uncached in-memory execution —
+		// same result bytes, no persistence — rather than rejecting work the
+		// scheduler could still run.
+		if aerr := s.admitIngest(who, store.DatasetBytes(d)); aerr != nil {
+			m.degraded = true
+			s.degradedUnc.Inc()
+			s.log.Warn("spec ingest declined, job degraded to uncached",
+				"dataset", spec.Name, "tenant", who.Name, "reason", aerr.code)
+		} else {
+			ingestStart := time.Now()
+			man, err := s.store.IngestDataset(d)
+			if err != nil {
+				// The job still runs, degrading to request-hash caching —
+				// but visibly.
+				s.ingestFails.Inc()
+				s.log.Warn("ingest of generated dataset failed", "dataset", spec.Name, "err", err)
+			} else {
+				s.recordIngest(who, man, ingestStart)
+				s.results.setAlias(specKey, man.ID)
+				if stored(man.ID) {
+					return m
+				}
+			}
+		}
+	}
+	tasks := make([]pipeline.PolyTask, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tasks[i] = pipeline.PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
+	}
+	m.src = sched.Tasks(tasks)
+	return m
 }
 
 func corpusByName(name string) (pathology.DatasetSpec, bool) {

@@ -254,6 +254,20 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
+	// Uploaded text is parsed at submission: malformed text answers 422
+	// naming the tile and set, as PUT /datasets does, and no job is queued.
+	bad := []TaskPayload{{RawA: []byte("0 POLYGON ((0 0,1 0,1 1,0 1))\n"), RawB: []byte("not a polygon\n")}}
+	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: bad})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "tile 0 set B") {
+		t.Errorf("malformed tasks: status = %d (body %s), want 422 naming tile 0 set B", resp.StatusCode, body)
+	}
+	var list struct {
+		Jobs []JobResponse `json:"jobs"`
+	}
+	if getJSON(t, ts.URL+"/jobs", &list); len(list.Jobs) != 0 {
+		t.Errorf("malformed tasks queued %d jobs, want none", len(list.Jobs))
+	}
+
 	if resp := getJSON(t, ts.URL+"/jobs/job-424242", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status = %d, want 404", resp.StatusCode)
 	}

@@ -1136,14 +1136,14 @@ func (d *Dataset) decodeSet(ti *TileInfo, set byte, buf []byte, count int) (*dec
 
 // Source returns the dataset as a lazily-materializing task source: the
 // scheduler shards over tile handles (weights come straight from the
-// manifest) and each shard encodes only its own tiles into pipeline input.
-// The text encoding is canonical, so a store-served task is byte-identical
-// to the task pipeline.EncodeDataset would have produced from the same
-// polygons.
+// manifest) and each shard reads only its own tiles' decoded polygon sets.
 func (d *Dataset) Source() *DatasetSource { return &DatasetSource{d: d} }
 
 // DatasetSource adapts a stored dataset to the scheduler's task-source
-// contract (Len/Weight/Task) without the scheduler importing the store.
+// contract (Len/Weight/PolyTask) without the scheduler importing the store.
+// Task serves a tile as canonical polygon text, byte-identical to the task
+// pipeline.EncodeDataset would have produced from the same polygons, for
+// callers of the paper's text pipeline.
 type DatasetSource struct {
 	d *Dataset
 }

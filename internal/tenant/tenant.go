@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -148,15 +147,6 @@ func (c Config) QueueLimit(name string) int {
 	// A forwarded cluster tenant this node has no config for: bound it like
 	// anonymous traffic.
 	return c.defaultQuota().MaxQueuedJobs
-}
-
-// Names returns every configured tenant name, default first.
-func (c Config) Names() []string {
-	out := []string{c.defaultQuota().Name}
-	for _, q := range c.Tenants {
-		out = append(out, q.Name)
-	}
-	return out
 }
 
 func (c Config) defaultQuota() Quota {
@@ -340,27 +330,6 @@ func (r *Registry) DropDataset(datasetID string) {
 	r.saveLocked()
 }
 
-// DropTenant releases everything attributed to the tenant (tenant deletion
-// releases its quota; the datasets stay, charged to their other owners).
-func (r *Registry) DropTenant(tenantName string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	changed := false
-	for id, m := range r.owners {
-		if _, ok := m[tenantName]; !ok {
-			continue
-		}
-		delete(m, tenantName)
-		if len(m) == 0 {
-			delete(r.owners, id)
-		}
-		changed = true
-	}
-	if changed {
-		r.saveLocked()
-	}
-}
-
 // Usage returns the tenant's accounted footprint.
 func (r *Registry) Usage(tenantName string) Usage {
 	r.mu.Lock()
@@ -389,20 +358,6 @@ func (r *Registry) All() map[string]Usage {
 			out[t] = u
 		}
 	}
-	return out
-}
-
-// Datasets returns the dataset IDs attributed to the tenant, sorted.
-func (r *Registry) Datasets(tenantName string) []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for id, m := range r.owners {
-		if _, ok := m[tenantName]; ok {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -447,43 +447,30 @@ func (s *Service) Handler() http.Handler { return s.srv.Handler() }
 // Scheduler exposes the underlying job scheduler for in-process use.
 func (s *Service) Scheduler() *sched.Scheduler { return s.sched }
 
-// SubmitDataset queues a corpus-style dataset job directly, bypassing HTTP.
-func (s *Service) SubmitDataset(spec DatasetSpec) (string, error) {
-	tasks := pipeline.EncodeDataset(pathology.Generate(spec))
-	return s.sched.SubmitJob(sched.Tasks(tasks), sched.JobOpts{Name: spec.Name})
-}
-
 // Store exposes the service's dataset store (nil when none is configured).
 func (s *Service) Store() *Store { return s.store }
 
 // SubmitStored queues a job over a stored dataset by content ID, bypassing
-// HTTP. Shards materialize lazily from the store's tile segments.
+// HTTP (and the result cache). Shards materialize lazily from the store's
+// tile segments; the dataset stays pinned against deletes and retention
+// sweeps until the job's terminal state.
 func (s *Service) SubmitStored(datasetID string) (string, error) {
-	if s.store == nil {
-		return "", fmt.Errorf("sccg: service has no dataset store")
-	}
-	ds, err := s.store.OpenDataset(datasetID)
-	if err != nil {
-		return "", err
-	}
-	return s.sched.SubmitJob(ds.Source(), sched.JobOpts{Name: ds.Manifest().DisplayName()})
+	id, _, err := s.srv.SubmitStored(datasetID, datasetID)
+	return id, err
 }
 
 // CompareStored queues a cross-dataset comparison job — dataset idA's set-A
 // polygons against dataset idB's set-B polygons over their shared tile keys
-// — bypassing HTTP (and, like SubmitStored, the result cache). The match
-// report says which tiles paired and which exist on only one side; with
-// idA == idB the job is exactly the dataset's own embedded comparison.
+// — bypassing HTTP (and, like SubmitStored, the result cache), with both
+// datasets pinned until the job's terminal state. The match report says
+// which tiles paired and which exist on only one side; with idA == idB the
+// job is exactly the dataset's own embedded comparison.
 func (s *Service) CompareStored(idA, idB string) (string, CrossMatch, error) {
-	if s.store == nil {
-		return "", CrossMatch{}, fmt.Errorf("sccg: service has no dataset store")
-	}
-	name, src, match, _, err := compare.OpenPair(s.store, idA, idB)
+	id, match, err := s.srv.SubmitStored(idA, idB)
 	if err != nil {
 		return "", match, fmt.Errorf("sccg: %w", err)
 	}
-	id, err := s.sched.SubmitJob(src, sched.JobOpts{Name: name})
-	return id, match, err
+	return id, match, nil
 }
 
 // SubmitMatrix starts a K-way similarity matrix run over stored dataset

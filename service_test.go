@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/pipeline"
+	"repro/internal/sched"
+	"repro/internal/store"
 )
 
 // TestServiceMatchesDirectEngine is the PR's acceptance test: a job served
@@ -241,4 +246,91 @@ func TestStoreBackedJobMatchesCrossCompare(t *testing.T) {
 	if _, err := svc.SubmitStored("0000000000000000000000000000000000000000000000000000000000000000"); err == nil {
 		t.Error("SubmitStored accepted an unknown dataset ID")
 	}
+}
+
+// gatedTile is a one-tile job source that cannot materialize its tile until
+// release is closed, so a job over it holds its slot as long as a test needs.
+type gatedTile struct {
+	release chan struct{}
+	task    pipeline.PolyTask
+}
+
+func (g gatedTile) Len() int         { return 1 }
+func (g gatedTile) Weight(int) int64 { return 1 }
+func (g gatedTile) PolyTask(int) (pipeline.PolyTask, error) {
+	<-g.release
+	return g.task, nil
+}
+
+// checkStoredPins queues a facade submission over stored datasets behind a
+// job that holds the service's one slot, and requires every dataset it reads
+// to refuse a plain delete until the job is done.
+func checkStoredPins(t *testing.T, submit func(svc *sccg.Service, ids []string) (string, error), datasets int) {
+	st, err := sccg.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for seed := int64(1); seed <= int64(datasets); seed++ {
+		spec := sccg.Representative()
+		spec.Tiles, spec.Seed = 2, seed
+		man, err := sccg.IngestDataset(st, sccg.GenerateDataset(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, man.ID)
+	}
+	svc := sccg.NewService(sccg.ServiceOptions{Store: st})
+	defer svc.Close()
+
+	d := trimmedRep(1)
+	gate := gatedTile{release: make(chan struct{}), task: pipeline.PolyTask{Image: d.Pairs[0].Image, A: d.Pairs[0].A, B: d.Pairs[0].B}}
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate.release) }) }
+	defer open()
+	filler, err := svc.Scheduler().SubmitJob(gate, sched.JobOpts{Name: "filler"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if js, _ := svc.Job(filler); js.State == sched.Running {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the filler job never started")
+		}
+	}
+
+	id, err := submit(svc, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range ids {
+		if err := st.Delete(ds); !errors.Is(err, store.ErrPinned) {
+			t.Fatalf("Delete(%s) of a queued job's dataset = %v, want ErrPinned", ds[:12], err)
+		}
+	}
+	open()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	job, err := svc.Scheduler().Wait(ctx, id)
+	if err != nil || job.State != sched.Done {
+		t.Fatalf("job ended %v (%v): %s", job.State, err, job.Error)
+	}
+	if n := st.PinnedCount(); n != 0 {
+		t.Fatalf("%d pins held after the job finished", n)
+	}
+}
+
+func TestSubmitStoredPins(t *testing.T) {
+	checkStoredPins(t, func(svc *sccg.Service, ids []string) (string, error) {
+		return svc.SubmitStored(ids[0])
+	}, 1)
+}
+
+func TestCompareStoredPins(t *testing.T) {
+	checkStoredPins(t, func(svc *sccg.Service, ids []string) (string, error) {
+		id, _, err := svc.CompareStored(ids[0], ids[1])
+		return id, err
+	}, 2)
 }
