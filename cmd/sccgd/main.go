@@ -12,9 +12,10 @@
 //	curl -s -X POST localhost:8080/jobs -d '{"corpus":"oligoastroIII_1"}'
 //	curl -s localhost:8080/jobs/job-000001
 //
-// A repeated submission of the same dataset is answered from the LRU result
-// cache without touching the device pool. See GET /metrics for counters,
-// including per-executor hybrid-aggregator accounting.
+// A repeated submission of the same dataset is answered from the result
+// store without touching the device pool; -cache-max-entries bounds it (LRU).
+// See GET /metrics for counters, including per-executor hybrid-aggregator
+// accounting.
 //
 // With -data-dir the daemon owns a persistent content-addressed dataset
 // store: PUT /datasets ingests segmented polygon sets as WKB tile segments,
@@ -49,13 +50,12 @@
 //
 // Retention bounds keep a long-lived store from leaking disk: a byte budget
 // LRU-evicts unpinned datasets (datasets referenced by queued/running jobs
-// are pinned and never evicted), a TTL expires unused ones, and the
-// persisted result cache is capped by entry count. Evicted datasets cascade
-// their cached reports, so a restart never resurrects results for deleted
-// data:
+// are pinned and never evicted), and a TTL expires unused ones. Evicted
+// datasets cascade their cached reports, so a restart never resurrects
+// results for deleted data:
 //
 //	sccgd -data-dir /var/lib/sccgd -store-max-bytes 2GiB -store-ttl 168h \
-//	      -cache-max-entries 4096 -store-sweep 1m
+//	      -store-sweep 1m
 //	curl -s -X POST localhost:8080/gc     # sweep now
 //	curl -s -X DELETE localhost:8080/cache
 //
@@ -152,7 +152,7 @@ func pprofHandler() http.Handler {
 
 // retentionPolicy builds the retention policy from the raw flag values,
 // rejecting malformed byte sizes and negative bounds.
-func retentionPolicy(storeMax string, ttl, sweep time.Duration, cacheMax int) (retention.Policy, error) {
+func retentionPolicy(storeMax string, ttl, sweep time.Duration) (retention.Policy, error) {
 	var pol retention.Policy
 	if storeMax != "" {
 		n, err := retention.ParseBytes(storeMax)
@@ -167,12 +167,8 @@ func retentionPolicy(storeMax string, ttl, sweep time.Duration, cacheMax int) (r
 	if sweep < 0 {
 		return retention.Policy{}, errors.New("-store-sweep must not be negative")
 	}
-	if cacheMax < 0 {
-		return retention.Policy{}, errors.New("-cache-max-entries must not be negative")
-	}
 	pol.TTL = ttl
 	pol.SweepInterval = sweep
-	pol.CacheMaxEntries = cacheMax
 	return pol, nil
 }
 
@@ -205,11 +201,10 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		hybrid    = fs.Bool("hybrid-cpu", false, "co-execute PixelBox-CPU aggregators with each slot's GPU")
 		workers   = fs.Int("workers", 0, "CPU workers per shard pipeline (default GOMAXPROCS/pipeline default)")
 		queue     = fs.Int("queue", 0, "job queue depth (default 64)")
-		cache     = fs.Int("cache", 0, "result cache entries (default 128, -1 disables)")
 		dataDir   = fs.String("data-dir", "", "persistent dataset store directory (enables /datasets and jobs by dataset_id)")
 		storeMax  = fs.String("store-max-bytes", "", "store byte budget, e.g. 512MiB or 2GB; LRU-evicts unpinned datasets above it (empty = unbounded; needs -data-dir)")
 		storeTTL  = fs.Duration("store-ttl", 0, "evict datasets unused for this long (0 = no TTL; needs -data-dir)")
-		cacheMax  = fs.Int("cache-max-entries", 0, "persisted result-cache entry bound, LRU-evicted past it (0 = unbounded; needs -data-dir)")
+		cacheMax  = fs.Int("cache-max-entries", 0, "result store bound in keys, LRU-evicted past it with their entry files (0 = unbounded)")
 		sweep     = fs.Duration("store-sweep", 0, "retention sweep interval (default 1m when a retention bound is set)")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it off public interfaces)")
@@ -229,12 +224,15 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		return err
 	}
 	logger := slog.Default().With("component", "sccgd")
-	pol, err := retentionPolicy(*storeMax, *storeTTL, *sweep, *cacheMax)
+	pol, err := retentionPolicy(*storeMax, *storeTTL, *sweep)
 	if err != nil {
 		return err
 	}
 	if pol.Active() && *dataDir == "" {
-		return errors.New("-store-max-bytes/-store-ttl/-cache-max-entries require -data-dir")
+		return errors.New("-store-max-bytes/-store-ttl require -data-dir")
+	}
+	if *cacheMax < 0 {
+		return errors.New("-cache-max-entries must not be negative")
 	}
 	var qlogBytes int64
 	switch *qlogMax {
@@ -289,7 +287,7 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		HybridCPU:        *hybrid,
 		Workers:          *workers,
 		QueueDepth:       *queue,
-		CacheSize:        *cache,
+		CacheMaxEntries:  *cacheMax,
 		Store:            st,
 		Retention:        pol,
 		Peers:            peerList,

@@ -2,7 +2,7 @@ package main
 
 // Retention end-to-end acceptance test: with -store-max-bytes and
 // -cache-max-entries set, a loop of distinct spec jobs keeps the store and
-// the persisted cache under their bounds while every job still completes —
+// the result store under their bounds while every job still completes —
 // pinning guarantees no running job's dataset is swept out from under it.
 
 import (
@@ -214,12 +214,12 @@ func TestDaemonRetentionEndToEnd(t *testing.T) {
 }
 
 // TestRetentionFlagValidation: retention flags demand -data-dir and reject
-// malformed sizes, without booting anything.
+// malformed sizes, and the result-store bound rejects negatives, without
+// booting anything.
 func TestRetentionFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-store-max-bytes", "1GiB"},
 		{"-store-ttl", "1h"},
-		{"-cache-max-entries", "4"},
 	} {
 		if err := run(context.Background(), args, nil); err == nil ||
 			!strings.Contains(err.Error(), "-data-dir") {
@@ -232,26 +232,29 @@ func TestRetentionFlagValidation(t *testing.T) {
 	if err := run(context.Background(), []string{"-store-ttl", "-5s", "-data-dir", t.TempDir()}, nil); err == nil {
 		t.Error("negative -store-ttl was accepted")
 	}
+	if err := run(context.Background(), []string{"-cache-max-entries", "-1"}, nil); err == nil {
+		t.Error("negative -cache-max-entries was accepted")
+	}
 }
 
 // FuzzRetentionFlags hardens retention flag parsing: arbitrary flag values
 // must never panic, and every accepted combination yields a sane policy
 // (non-negative bounds; active exactly when something is bounded).
 func FuzzRetentionFlags(f *testing.F) {
-	f.Add("512MiB", int64(time.Hour), int64(time.Minute), 16)
-	f.Add("", int64(0), int64(0), 0)
-	f.Add("1e309", int64(-1), int64(1), -3)
-	f.Add("0x41", int64(time.Second), int64(0), 1<<30)
-	f.Fuzz(func(t *testing.T, storeMax string, ttlNS, sweepNS int64, cacheMax int) {
-		pol, err := retentionPolicy(storeMax, time.Duration(ttlNS), time.Duration(sweepNS), cacheMax)
+	f.Add("512MiB", int64(time.Hour), int64(time.Minute))
+	f.Add("", int64(0), int64(0))
+	f.Add("1e309", int64(-1), int64(1))
+	f.Add("0x41", int64(time.Second), int64(0))
+	f.Fuzz(func(t *testing.T, storeMax string, ttlNS, sweepNS int64) {
+		pol, err := retentionPolicy(storeMax, time.Duration(ttlNS), time.Duration(sweepNS))
 		if err != nil {
 			return
 		}
-		if pol.MaxBytes < 0 || pol.TTL < 0 || pol.SweepInterval < 0 || pol.CacheMaxEntries < 0 {
-			t.Fatalf("retentionPolicy(%q, %d, %d, %d) accepted negative bounds: %+v",
-				storeMax, ttlNS, sweepNS, cacheMax, pol)
+		if pol.MaxBytes < 0 || pol.TTL < 0 || pol.SweepInterval < 0 {
+			t.Fatalf("retentionPolicy(%q, %d, %d) accepted negative bounds: %+v",
+				storeMax, ttlNS, sweepNS, pol)
 		}
-		wantActive := pol.MaxBytes > 0 || pol.TTL > 0 || pol.CacheMaxEntries > 0
+		wantActive := pol.MaxBytes > 0 || pol.TTL > 0
 		if pol.Active() != wantActive {
 			t.Fatalf("policy %+v reports Active()=%v", pol, pol.Active())
 		}

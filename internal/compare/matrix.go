@@ -352,7 +352,7 @@ type cell struct {
 	state string
 	// jobID is the scheduler job behind the cell's latest submission (empty
 	// when a cache layer answered without one); owned marks a job this run
-	// submitted, as opposed to one it attached to through a live-tier cache
+	// submitted, as opposed to one it attached to through a result-store
 	// hit or runs as a caller-driven upgrade. Both are published in the
 	// critical section that publishes CellRunning, so Cancel and maybePrune
 	// never see a running cell whose job they cannot find.

@@ -451,7 +451,7 @@ func TestStatusSnapshotSelfConsistent(t *testing.T) {
 }
 
 // TestCancelLeavesSharedJobsRunning: cancelling a run cancels the cell jobs
-// it submitted and not a job it merely attached to through a live-tier cache
+// it submitted and not a job it merely attached to through a result-store
 // hit — that job has other consumers.
 func TestCancelLeavesSharedJobsRunning(t *testing.T) {
 	s := testStore(t)

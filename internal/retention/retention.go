@@ -1,8 +1,7 @@
 // Package retention bounds the persistent footprint of a long-lived sccgd:
-// a policy engine over the content-addressed dataset store and (through a
-// narrow interface) the persisted result cache. Without it the store is a
-// disk leak — every spec job ingests a dataset nobody asked to keep, and the
-// report cache grows one JSON file per distinct content key forever.
+// a policy engine over the content-addressed dataset store. Without it the
+// store is a disk leak — every spec job ingests a dataset nobody asked to
+// keep.
 //
 // The policy is usage-driven, LogBase-style compaction for an append-only
 // segment store: every job, cross comparison, matrix cell, and tile read
@@ -11,10 +10,8 @@
 // running jobs are pinned via store refcounts and never evicted, and a sweep
 // removes what the two configurable bounds reject — datasets unused longer
 // than TTL, then least-recently-used datasets until total segment bytes fit
-// MaxBytes. Evictions go through Store.Delete, so the server's delete hook
-// cascades each evicted dataset's persisted cache entries and spec aliases
-// in the same stroke; a restart can never resurrect a report for data that
-// no longer exists.
+// MaxBytes. Evictions go through Store.Delete, exactly like an explicit
+// delete, so the store's delete hook runs for each one.
 //
 // An Engine runs one Sweep on demand (the server's POST /gc) or
 // periodically in the background (Start/Close, owned by the server
@@ -36,7 +33,7 @@ import (
 )
 
 // Policy is the retention configuration. The zero value bounds nothing: no
-// dataset or cache entry is ever evicted.
+// dataset is ever evicted.
 type Policy struct {
 	// MaxBytes caps the store's total segment bytes; above it the sweep
 	// evicts least-recently-used unpinned datasets until the total fits.
@@ -45,9 +42,6 @@ type Policy struct {
 	// TTL evicts datasets whose last use is older than this, regardless of
 	// the byte budget. 0 disables TTL eviction.
 	TTL time.Duration
-	// CacheMaxEntries caps the persisted result-cache entry count; above it
-	// the sweep drops least-recently-used entries. 0 means unbounded.
-	CacheMaxEntries int
 	// SweepInterval is the background sweep period; 0 selects the default of
 	// one minute. The background sweeper only runs when Active.
 	SweepInterval time.Duration
@@ -55,7 +49,7 @@ type Policy struct {
 
 // Active reports whether the policy bounds anything — whether a background
 // sweeper is worth running.
-func (p Policy) Active() bool { return p.MaxBytes > 0 || p.TTL > 0 || p.CacheMaxEntries > 0 }
+func (p Policy) Active() bool { return p.MaxBytes > 0 || p.TTL > 0 }
 
 // String renders the policy for boot logs.
 func (p Policy) String() string {
@@ -69,27 +63,13 @@ func (p Policy) String() string {
 	if p.TTL > 0 {
 		parts = append(parts, "ttl="+p.TTL.String())
 	}
-	if p.CacheMaxEntries > 0 {
-		parts = append(parts, fmt.Sprintf("cache<=%d", p.CacheMaxEntries))
-	}
 	return strings.Join(parts, " ")
-}
-
-// Cache is the persisted result cache as the engine sees it: just a size
-// bound. Cascading per-dataset entries is not here — that happens through
-// the store's delete hook, so every delete path cascades, not only sweeps.
-type Cache interface {
-	// EnforceLimit evicts least-recently-used entries until at most max
-	// remain, returning how many were dropped.
-	EnforceLimit(max int) int
 }
 
 // Config wires an Engine.
 type Config struct {
 	// Store is the dataset store to bound. Required.
 	Store *store.Store
-	// Cache, when set, is bounded by Policy.CacheMaxEntries.
-	Cache Cache
 	// Policy is the retention policy; the zero value makes Sweep a no-op
 	// reporter.
 	Policy Policy
@@ -109,10 +89,6 @@ type Sweep struct {
 	BudgetEvicted int `json:"budget_evicted"`
 	// EvictedBytes is the total segment bytes reclaimed.
 	EvictedBytes int64 `json:"evicted_bytes"`
-	// CacheEvicted counts persisted result-cache entries dropped by the
-	// entry bound (cascaded entries from dataset evictions are not counted
-	// here; the delete hook owns those).
-	CacheEvicted int `json:"cache_evicted"`
 	// PinnedSkipped counts datasets the policy wanted gone but pins kept.
 	PinnedSkipped int `json:"pinned_skipped"`
 	// Datasets and StoreBytes describe the store after the sweep.
@@ -120,15 +96,14 @@ type Sweep struct {
 	StoreBytes int64 `json:"store_bytes"`
 }
 
-// Engine applies a Policy to a store (and optionally a cache), on demand via
-// Sweep or periodically via Start.
+// Engine applies a Policy to a store, on demand via Sweep or periodically via
+// Start.
 type Engine struct {
 	cfg Config
 
 	sweeps       *metrics.Counter
 	evicted      *metrics.Counter
 	evictedBytes *metrics.Counter
-	cacheEvicted *metrics.Counter
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -145,7 +120,6 @@ func New(cfg Config) *Engine {
 		e.sweeps = cfg.Registry.Counter("sccgd_retention_sweeps_total")
 		e.evicted = cfg.Registry.Counter("sccgd_retention_datasets_evicted_total")
 		e.evictedBytes = cfg.Registry.Counter("sccgd_retention_bytes_evicted_total")
-		e.cacheEvicted = cfg.Registry.Counter("sccgd_retention_cache_entries_evicted_total")
 		cfg.Registry.GaugeFunc("sccgd_store_bytes", func() float64 {
 			return float64(cfg.Store.TotalBytes())
 		})
@@ -251,13 +225,6 @@ func (e *Engine) SweepFor(headroom int64) Sweep {
 	if n := sw.TTLEvicted + sw.BudgetEvicted; n > 0 && e.evicted != nil {
 		e.evicted.Add(int64(n))
 		e.evictedBytes.Add(sw.EvictedBytes)
-	}
-
-	if pol.CacheMaxEntries > 0 && e.cfg.Cache != nil {
-		sw.CacheEvicted = e.cfg.Cache.EnforceLimit(pol.CacheMaxEntries)
-		if sw.CacheEvicted > 0 && e.cacheEvicted != nil {
-			e.cacheEvicted.Add(int64(sw.CacheEvicted))
-		}
 	}
 
 	sw.Datasets = e.cfg.Store.Len()

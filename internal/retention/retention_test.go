@@ -154,40 +154,6 @@ func TestSweepTTLAndBudgetCompose(t *testing.T) {
 	}
 }
 
-// recordingCache captures EnforceLimit calls.
-type recordingCache struct {
-	max     int
-	calls   int
-	evicted int
-}
-
-func (c *recordingCache) EnforceLimit(max int) int {
-	c.calls++
-	c.max = max
-	return c.evicted
-}
-
-// TestSweepEnforcesCacheBound: the sweep passes the configured entry cap to
-// the cache and reports what it dropped; without a cap the cache is left
-// alone.
-func TestSweepEnforcesCacheBound(t *testing.T) {
-	s := testStore(t)
-	c := &recordingCache{evicted: 3}
-	e := New(Config{Store: s, Cache: c, Policy: Policy{CacheMaxEntries: 8}})
-	if sw := e.Sweep(); sw.CacheEvicted != 3 {
-		t.Fatalf("sweep = %+v, want cache_evicted 3", sw)
-	}
-	if c.calls != 1 || c.max != 8 {
-		t.Fatalf("cache saw %d calls with max %d, want 1 call with max 8", c.calls, c.max)
-	}
-
-	unbounded := New(Config{Store: s, Cache: c, Policy: Policy{}})
-	unbounded.Sweep()
-	if c.calls != 1 {
-		t.Error("a policy without a cache bound still called EnforceLimit")
-	}
-}
-
 // TestLastUseSurvivesReopen: TouchAt persists into the manifest, so LRU
 // ordering survives a restart.
 func TestLastUseSurvivesReopen(t *testing.T) {

@@ -262,7 +262,7 @@ func (s *Server) ensureLocal(rec *trace.Recorder, tenantName string, ids ...stri
 // cache: ask the live peers, owner-ranked, whether one already holds the
 // finished report for key. A hit is adopted into the local result store
 // (best-effort; the liveness gate declines entries for datasets not held
-// here) and served exactly like a durable hit.
+// here) and served exactly like a persisted hit.
 func (s *Server) remoteResult(key, tenantName string, parent trace.Context) (submission, bool) {
 	ids := keyDatasetIDs(key)
 	if len(ids) == 0 {

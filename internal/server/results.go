@@ -1,20 +1,24 @@
 package server
 
 // The result store: the one owner of "is this comparison already known?".
-// It answers from ordered tiers under a single mutex:
+// It is one table under one mutex, keyed by result key, with one recency
+// rule and one bound (Options.CacheMaxEntries; past it the least recently
+// used slot goes). A slot holds
 //
-//   - live: an LRU from result key to the job that computed — or is still
-//     computing — it. Serving the job rather than a copied report gives
-//     single-flight for free: a duplicate submission arriving mid-run
-//     attaches to the in-flight job instead of recomputing.
-//   - durable: result key → finished entry, written through to one JSON file
-//     per entry under <data-dir>/cache/ and reloaded on boot, so a restarted
-//     daemon answers repeat jobs and matrix cells without recompute.
-//   - aliases: which stored dataset a generated spec/corpus request
-//     materialized into, so repeats of the spec resolve to the content key
-//     without regenerating anything.
+//   - the job that computed — or is still computing — the key. Serving the
+//     job rather than a copied report gives single-flight for free: a
+//     duplicate submission arriving mid-run attaches to the in-flight job
+//     instead of recomputing.
+//   - the finished entry, written through to one JSON file per entry under
+//     <data-dir>/cache/ and reloaded on boot, so a restarted daemon answers
+//     repeat jobs and matrix cells without recompute. A slot with an entry
+//     and no live job answers cached-<12 hex>.
 //
-// Nothing enters the durable tier — a job's own report, a peer's answer, a
+// Beside the table, aliases record which stored dataset a generated
+// spec/corpus request materialized into, so repeats of the spec resolve to
+// the content key without regenerating anything.
+//
+// No entry enters the table — a job's own report, a peer's answer, a
 // file found at boot — without passing validate, which re-folds the report's
 // per-tile ratio partials in canonical order and requires the fold to
 // reproduce the stored aggregate exactly: the invariant that makes sharded
@@ -22,7 +26,6 @@ package server
 // detectable. A rejected entry is skipped with a logged reason, never served.
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
@@ -48,8 +52,8 @@ import (
 // spec it named re-materializes (deduplicated by the store) on its next use.
 const maxAliases = 1024
 
-// resultEntry is one finished comparison: the durable tier's on-disk record
-// and, embedded in peerResult, the form peers exchange.
+// resultEntry is one finished comparison: a slot's on-disk record and,
+// embedded in peerResult, the form peers exchange.
 type resultEntry struct {
 	// Key is the result key (content-hash derived). The entry's file name is
 	// the SHA-256 of this key, and boot rejects a file whose key does not
@@ -138,49 +142,41 @@ func keyDatasetIDs(key string) []string {
 
 func keyReferences(key, id string) bool { return slices.Contains(keyDatasetIDs(key), id) }
 
-// liveEntry is one live-tier slot. cross rides along so a finished job's
-// answer is a complete entry without asking the server for its metadata.
-type liveEntry struct {
-	key   string
+// resultSlot is one key's row: the job that computed — or is still
+// computing — the key, and the finished entry once one was adopted or loaded.
+// A slot holds at least one of the two. used is in-process recency for the
+// bound, which boot seeds from the entry's Saved time.
+type resultSlot struct {
 	jobID string
-	cross *CrossPayload
-}
-
-// durableSlot is one durable-tier slot: the immutable entry plus in-process
-// recency for the entry cap, which boot seeds from the entry's Saved time.
-type durableSlot struct {
+	cross *CrossPayload // rides along so a finished job's answer is a complete entry
 	entry *resultEntry
 	used  time.Time
 }
 
-// resultStore is the store the file comment describes.
+// resultStore is the table the file comment describes.
 type resultStore struct {
-	liveCap int          // live-tier capacity; non-positive disables the tier
-	dir     string       // the durable tier's entry files; "" = no durable tier
-	max     int          // durable entry cap; 0 = unbounded
+	dir     string       // the entry files; "" = results do not survive a restart
+	max     int          // slot bound; 0 = unbounded
 	ds      *store.Store // dataset liveness and retention clocks; nil without a store
 	job     func(id string) (sched.JobStatus, bool)
+	evicted *metrics.Counter // slots the bound evicted
 	log     *slog.Logger
 
 	mu      sync.Mutex
-	order   *list.List // live tier, front = most recently used
-	live    map[string]*list.Element
-	durable map[string]*durableSlot
+	slots   map[string]*resultSlot
 	aliases map[string]string // spec request hash → dataset ID
 }
 
-// newResultStore creates the store. The durable tier exists when there is a
-// dataset store to live beside and caching is on (liveCap > 0); its files are
-// loaded here, before the store is shared.
-func newResultStore(liveCap, maxEntries int, ds *store.Store, job func(string) (sched.JobStatus, bool), log *slog.Logger) *resultStore {
+// newResultStore creates the table, bounded to maxEntries slots. With a
+// dataset store to live beside, its entry files are loaded here, before the
+// table is shared.
+func newResultStore(maxEntries int, ds *store.Store, job func(string) (sched.JobStatus, bool), evicted *metrics.Counter, log *slog.Logger) *resultStore {
 	rs := &resultStore{
-		liveCap: liveCap, max: maxEntries, ds: ds, job: job, log: log,
-		order:   list.New(),
-		live:    make(map[string]*list.Element),
-		durable: make(map[string]*durableSlot),
+		max: maxEntries, ds: ds, job: job, evicted: evicted, log: log,
+		slots:   make(map[string]*resultSlot),
 		aliases: make(map[string]string),
 	}
-	if ds != nil && liveCap > 0 {
+	if ds != nil {
 		rs.load(filepath.Join(ds.Dir(), "cache"))
 	}
 	return rs
@@ -193,8 +189,8 @@ func (rs *resultStore) persistent() bool { return rs.dir != "" }
 // fails validation, or whose key does not hash to its name, is skipped with a
 // logged reason. A file referencing a dataset the store no longer holds is
 // removed — a crash can land between a dataset delete and its cascade, and a
-// restart must not resurrect the report. The entry cap is enforced only
-// afterwards, so such orphans never hold cap slots at the expense of live
+// restart must not resurrect the report. The bound is enforced only
+// afterwards, so such orphans never hold slots at the expense of live
 // entries.
 func (rs *resultStore) load(dir string) {
 	des, err := os.ReadDir(dir)
@@ -238,66 +234,76 @@ func (rs *resultStore) load(dir string) {
 	if orphans > 0 {
 		rs.log.Info("dropped persisted results referencing deleted datasets", "count", orphans)
 	}
-	rs.enforceLocked(rs.max)
+	rs.enforceLocked()
 }
 
-// admitLocked indexes e in the durable tier unless a dataset its key
-// references is gone. Callers hold mu — the lock dropDataset takes — so an
-// entry racing a dataset delete can never land behind the cascade: if the
-// delete committed first the gate sees the dataset gone; if the entry won,
-// the cascade drops it.
+// admitLocked puts e in its key's slot unless a dataset the key references
+// is gone. Callers hold mu — the lock dropDataset takes — so an entry racing
+// a dataset delete can never land behind the cascade: if the delete
+// committed first the gate sees the dataset gone; if the entry won, the
+// cascade drops it.
 func (rs *resultStore) admitLocked(e *resultEntry, used time.Time) bool {
 	for _, id := range keyDatasetIDs(e.Key) {
 		if _, ok := rs.ds.Get(id); !ok {
 			return false
 		}
 	}
-	rs.durable[e.Key] = &durableSlot{entry: e, used: used}
+	slot := rs.slotLocked(e.Key)
+	slot.entry, slot.used = e, used
 	return true
 }
 
-// lookup answers key from the live tier, then the durable tier. A live-tier
-// hit returns job — the job that computed, or is still computing, the key —
-// and e is nil only while that job is in flight; a durable hit leaves job
-// zero. A live slot whose job failed, was canceled or vanished is evicted on
-// the way, so the caller recomputes. A hit is a use of the key's datasets:
-// their retention clocks advance, so repeatedly-hit content never
-// TTL-expires out from under its own result.
+// slotLocked returns key's slot, creating an empty one.
+func (rs *resultStore) slotLocked(key string) *resultSlot {
+	slot := rs.slots[key]
+	if slot == nil {
+		slot = &resultSlot{}
+		rs.slots[key] = slot
+	}
+	return slot
+}
+
+// lookup answers key. A slot whose job the scheduler knows answers as that
+// job — the one that computed, or is still computing, the key — and e is nil
+// only while that job is in flight without an entry beside it. A job that
+// failed, was canceled or vanished is cleared from its slot on the way (the
+// slot goes too when it holds no entry), so the caller recomputes. A slot
+// with an entry and no live job answers with the entry and leaves job zero.
+// A hit is a use of the key's datasets: their retention clocks advance, so
+// repeatedly-hit content never TTL-expires out from under its own result.
 func (rs *resultStore) lookup(key string) (job sched.JobStatus, e *resultEntry, ok bool) {
-	var le liveEntry
+	var jobID string
+	var cross *CrossPayload
 	rs.mu.Lock()
-	if el, live := rs.live[key]; live {
-		rs.order.MoveToFront(el)
-		le = *el.Value.(*liveEntry)
+	slot := rs.slots[key]
+	if slot != nil {
+		slot.used = time.Now()
+		jobID, cross, e = slot.jobID, slot.cross, slot.entry
 	}
 	rs.mu.Unlock()
 
-	if le.jobID != "" {
-		st, known := rs.job(le.jobID)
+	if jobID != "" {
+		st, known := rs.job(jobID)
 		switch {
 		case known && st.State == sched.Done:
 			job, ok = st, true
-			e = &resultEntry{Key: key, Name: st.Name, Cross: le.cross, Saved: st.Finished.UTC(), Report: st.Report}
+			e = &resultEntry{Key: key, Name: st.Name, Cross: cross, Saved: st.Finished.UTC(), Report: st.Report}
 		case known && !st.State.Terminal():
 			job, ok = st, true
 		default:
 			rs.mu.Lock()
-			if el, live := rs.live[key]; live && el.Value.(*liveEntry).jobID == le.jobID {
-				rs.order.Remove(el)
-				delete(rs.live, key)
+			e = nil
+			if rs.slots[key] == slot && slot.jobID == jobID {
+				slot.jobID = ""
+				if slot.entry == nil {
+					delete(rs.slots, key)
+				}
+				e = slot.entry
 			}
 			rs.mu.Unlock()
 		}
 	}
-	if !ok {
-		rs.mu.Lock()
-		if slot, durable := rs.durable[key]; durable {
-			slot.used = time.Now()
-			e, ok = slot.entry, true
-		}
-		rs.mu.Unlock()
-	}
-	if ok {
+	if ok = ok || e != nil; ok {
 		rs.touch(key)
 	}
 	return job, e, ok
@@ -313,23 +319,13 @@ func (rs *resultStore) touch(key string) {
 	}
 }
 
-// record notes that jobID is computing key, evicting the least recently used
-// live slot when over capacity.
+// record notes that jobID is computing key.
 func (rs *resultStore) record(key, jobID string, cross *CrossPayload) {
-	if rs.liveCap <= 0 {
-		return
-	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if el, ok := rs.live[key]; ok {
-		rs.order.Remove(el)
-	}
-	rs.live[key] = rs.order.PushFront(&liveEntry{key: key, jobID: jobID, cross: cross})
-	for rs.order.Len() > rs.liveCap {
-		last := rs.order.Back()
-		rs.order.Remove(last)
-		delete(rs.live, last.Value.(*liveEntry).key)
-	}
+	slot := rs.slotLocked(key)
+	slot.jobID, slot.cross, slot.used = jobID, cross, time.Now()
+	rs.enforceLocked()
 }
 
 // adopt is how a finished result — a local job's report or a peer's answer —
@@ -337,13 +333,13 @@ func (rs *resultStore) record(key, jobID string, cross *CrossPayload) {
 // file found at boot. The returned entry is servable; the error means
 // rejected. Adoption is a use of the key's datasets (see lookup).
 //
-// With a durable tier the entry is indexed (unless admitLocked declines it)
-// and written to disk atomically — temp file, fsync, rename. The write runs
-// outside the lock, since lookups must not stall behind an fsync; that is
-// safe because two writers of one key hold bit-identical reports (the key is
-// a content address), so either rename wins harmlessly. A failed write is
-// logged, not returned: the entry still serves this process, it just will
-// not survive a restart.
+// When results are persistent the entry fills its slot (unless admitLocked
+// declines it) and is written to disk atomically — temp file, fsync, rename.
+// The write runs outside the lock, since lookups must not stall behind an
+// fsync; that is safe because two writers of one key hold bit-identical
+// reports (the key is a content address), so either rename wins harmlessly.
+// A failed write is logged, not returned: the entry still serves this
+// process, it just will not survive a restart.
 func (rs *resultStore) adopt(e resultEntry, wantKey string) (*resultEntry, error) {
 	if e.Key != wantKey {
 		return nil, errors.New("result carries the key of a different comparison")
@@ -361,7 +357,7 @@ func (rs *resultStore) adopt(e resultEntry, wantKey string) (*resultEntry, error
 	}
 	rs.mu.Lock()
 	admitted := rs.admitLocked(&e, time.Now())
-	rs.enforceLocked(rs.max)
+	rs.enforceLocked()
 	rs.mu.Unlock()
 	if !admitted {
 		return &e, nil // its dataset is gone; nothing to keep
@@ -371,13 +367,13 @@ func (rs *resultStore) adopt(e resultEntry, wantKey string) (*resultEntry, error
 		rs.log.Warn("persist result failed", "name", e.Name, "err", err)
 		return &e, nil
 	}
-	// Reconcile: the key may have been dropped (delete cascade, clear, cap
+	// Reconcile: the entry may have been dropped (delete cascade, clear,
 	// eviction) while the bytes were in flight, in which case the rename just
-	// orphaned a file the index no longer tracks — remove it. A *replaced*
+	// orphaned a file the table no longer tracks — remove it. A *replaced*
 	// entry (another adopt of the same key) is left alone: the file bytes
 	// serve the new entry exactly.
 	rs.mu.Lock()
-	if _, ok := rs.durable[e.Key]; !ok {
+	if slot := rs.slots[e.Key]; slot == nil || slot.entry == nil {
 		os.Remove(path)
 	}
 	rs.mu.Unlock()
@@ -406,25 +402,27 @@ func writeFileSynced(dir, path string, raw []byte) error {
 	return err
 }
 
-// removeLocked drops one durable entry from the index and from disk.
+// removeLocked drops key's slot, and its entry file when it holds an entry.
 func (rs *resultStore) removeLocked(key string) {
-	delete(rs.durable, key)
-	os.Remove(filepath.Join(rs.dir, entryFile(key)))
+	if rs.slots[key].entry != nil {
+		os.Remove(filepath.Join(rs.dir, entryFile(key)))
+	}
+	delete(rs.slots, key)
 }
 
-// enforceLocked evicts least-recently-used durable entries until at most max
-// remain (0 = unbounded), returning how many were dropped.
-func (rs *resultStore) enforceLocked(max int) int {
-	over := len(rs.durable) - max
-	if max <= 0 || over <= 0 {
-		return 0
+// enforceLocked evicts least-recently-used slots until at most max remain,
+// counting them in evicted.
+func (rs *resultStore) enforceLocked() {
+	over := len(rs.slots) - rs.max
+	if rs.max <= 0 || over <= 0 {
+		return
 	}
-	keys := make([]string, 0, len(rs.durable))
-	for k := range rs.durable {
+	keys := make([]string, 0, len(rs.slots))
+	for k := range rs.slots {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		ui, uj := rs.durable[keys[i]].used, rs.durable[keys[j]].used
+		ui, uj := rs.slots[keys[i]].used, rs.slots[keys[j]].used
 		if !ui.Equal(uj) {
 			return ui.Before(uj)
 		}
@@ -433,34 +431,19 @@ func (rs *resultStore) enforceLocked(max int) int {
 	for _, k := range keys[:over] {
 		rs.removeLocked(k)
 	}
-	return over
+	rs.evicted.Add(int64(over))
 }
 
-// EnforceLimit evicts least-recently-used durable entries beyond max. It is
-// the retention engine's cache hook (see retention.Cache).
-func (rs *resultStore) EnforceLimit(max int) int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.enforceLocked(max)
-}
-
-// dropDataset is the delete cascade: every live slot and durable entry whose
-// key references the dataset — its own result and every cross result it
-// participates in — and every alias resolving to it go, under one lock, so a
-// deleted dataset's results are never served again and a re-submitted spec
-// falls back to re-materialization. It returns how many went.
+// dropDataset is the delete cascade: every slot whose key references the
+// dataset — its own result and every cross result it participates in — and
+// every alias resolving to it go, under one lock, so a deleted dataset's
+// results are never served again and a re-submitted spec falls back to
+// re-materialization. It returns how many went.
 func (rs *resultStore) dropDataset(id string) int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	n := 0
-	for key, el := range rs.live {
-		if keyReferences(key, id) {
-			rs.order.Remove(el)
-			delete(rs.live, key)
-			n++
-		}
-	}
-	for key := range rs.durable {
+	for key := range rs.slots {
 		if keyReferences(key, id) {
 			rs.removeLocked(key)
 			n++
@@ -475,26 +458,30 @@ func (rs *resultStore) dropDataset(id string) int {
 	return n
 }
 
-// clear empties the live and durable tiers (entry files included), returning
-// how many each held. Aliases stay: they point at live datasets, and dataset
-// deletion is what invalidates them.
-func (rs *resultStore) clear() (live, durable int) {
+// clear empties the table (entry files included), returning how many slots
+// it held. Aliases stay: they point at live datasets, and dataset deletion is
+// what invalidates them.
+func (rs *resultStore) clear() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	live, durable = len(rs.live), len(rs.durable)
-	rs.order.Init()
-	rs.live = make(map[string]*list.Element)
-	for key := range rs.durable {
+	n := len(rs.slots)
+	for key := range rs.slots {
 		rs.removeLocked(key)
 	}
-	return live, durable
+	return n
 }
 
-// counts returns the live and durable entry counts.
-func (rs *resultStore) counts() (live, durable int) {
+// counts returns how many slots the table holds and how many of them hold an
+// entry.
+func (rs *resultStore) counts() (slots, entries int) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return len(rs.live), len(rs.durable)
+	for _, slot := range rs.slots {
+		if slot.entry != nil {
+			entries++
+		}
+	}
+	return len(rs.slots), entries
 }
 
 // alias returns the dataset a spec request hash materialized into.

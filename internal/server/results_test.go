@@ -1,17 +1,20 @@
 package server
 
 // White-box tests of the result store: one standard for everything that
-// enters it, and one cascade over every tier.
+// enters it, one cascade over the table and its aliases, and single-flight.
 
 import (
 	"encoding/json"
 	"log/slog"
+	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 )
@@ -100,7 +103,7 @@ func TestOneValidateForPeersAndBoot(t *testing.T) {
 			e := foldedEntry(key)
 			tc.corrupt(&e)
 
-			peer := newResultStore(128, 0, st, nil, slog.Default())
+			peer := newResultStore(0, st, nil, new(metrics.Counter), slog.Default())
 			_, err := peer.adopt(e, key)
 			if (err != nil) != tc.reject {
 				t.Fatalf("adopt error = %v, want rejection %v", err, tc.reject)
@@ -118,7 +121,7 @@ func TestOneValidateForPeersAndBoot(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, "cache", entryFile(key)), raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			boot := newResultStore(128, 0, st, nil, slog.Default())
+			boot := newResultStore(0, st, nil, new(metrics.Counter), slog.Default())
 			if _, durable := boot.counts(); (durable == 0) != tc.reject {
 				t.Fatalf("boot indexed %d entries, want rejection %v", durable, tc.reject)
 			}
@@ -126,10 +129,10 @@ func TestOneValidateForPeersAndBoot(t *testing.T) {
 	}
 }
 
-// TestDropDatasetCoversEveryTier: one dataset delete removes the dataset's
-// live slot, its own and its cross durable entries (files included) and the
+// TestDropDatasetCoversEveryTier: one dataset delete removes the slots of
+// the dataset's own key and its cross keys (entry files included) and the
 // spec alias resolving to it, leaves the other dataset's untouched, and
-// reports the total to sccgd_cache_cascade_dropped_total.
+// reports the keys plus aliases to sccgd_cache_cascade_dropped_total.
 func TestDropDatasetCoversEveryTier(t *testing.T) {
 	dir := t.TempDir()
 	st := testStoreAt(t, dir)
@@ -153,8 +156,8 @@ func TestDropDatasetCoversEveryTier(t *testing.T) {
 	if err := st.Delete(gone.ID); err != nil {
 		t.Fatal(err)
 	}
-	if live, durable := rs.counts(); live != 1 || durable != 1 {
-		t.Fatalf("after the cascade: %d live, %d durable, want the kept dataset's 1 and 1", live, durable)
+	if slots, entries := rs.counts(); slots != 1 || entries != 1 {
+		t.Fatalf("after the cascade: %d slots, %d entries, want the kept dataset's 1 and 1", slots, entries)
 	}
 	if n := persistedFiles(t, dir); n != 1 {
 		t.Fatalf("%d entry files after the cascade, want 1", n)
@@ -165,7 +168,68 @@ func TestDropDatasetCoversEveryTier(t *testing.T) {
 	if id, ok := rs.alias("spec-kept"); !ok || id != kept.ID {
 		t.Error("alias to the kept dataset was dropped")
 	}
-	if got := srv.cascades.Value(); got != 5 {
-		t.Fatalf("sccgd_cache_cascade_dropped_total = %d, want 5 (1 live + 3 durable + 1 alias)", got)
+	if got := srv.cascades.Value(); got != 4 {
+		t.Fatalf("sccgd_cache_cascade_dropped_total = %d, want 4 (3 keys + 1 alias)", got)
+	}
+}
+
+// TestSingleFlightDuplicateAttaches: a duplicate submission of a key whose
+// job is still queued attaches to that job — 200, cached, the same job ID,
+// no new scheduler job — and both see the same finished report.
+func TestSingleFlightDuplicateAttaches(t *testing.T) {
+	st := testStoreAt(t, t.TempDir())
+	hold := ingestSpec(t, st, "hold", 61, 1)
+	x := ingestSpec(t, st, "flight", 62, 1)
+	_, sc, ts := newTestServer(t, sched.Config{}, Options{Store: st})
+
+	// A gated job holds the one slot, so X queues behind it.
+	ds, err := st.OpenDataset(hold.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(open)
+	gated := &gatedStoreSource{src: ds.Source(), release: release, entered: make(chan struct{})}
+	if _, err := sc.SubmitJob(gated, sched.JobOpts{Name: "hold"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gated.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("gated job never started")
+	}
+
+	submit := func(want int) JobResponse {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: x.ID})
+		if resp.StatusCode != want {
+			t.Fatalf("submit = %d, want %d: %s", resp.StatusCode, want, body)
+		}
+		var jr JobResponse
+		if err := json.Unmarshal(body, &jr); err != nil {
+			t.Fatal(err)
+		}
+		return jr
+	}
+	first := submit(http.StatusAccepted)
+	submitted := sc.Stats().Submitted
+	dup := submit(http.StatusOK)
+	if !dup.Cached || dup.ID != first.ID {
+		t.Fatalf("duplicate answered %+v, want cached job %s", dup, first.ID)
+	}
+	if got := sc.Stats().Submitted; got != submitted {
+		t.Fatalf("duplicate moved the scheduler's Submitted count %d -> %d", submitted, got)
+	}
+
+	open()
+	a, b := pollDone(t, ts.URL, first.ID), pollDone(t, ts.URL, dup.ID)
+	if a.State != "done" || b.State != "done" {
+		t.Fatalf("jobs ended %s and %s", a.State, b.State)
+	}
+	if math.Float64bits(a.Report.Similarity) != math.Float64bits(b.Report.Similarity) ||
+		a.Report.Intersecting != b.Report.Intersecting || a.Report.Candidates != b.Report.Candidates {
+		t.Fatalf("reports differ: %+v vs %+v", a.Report, b.Report)
 	}
 }

@@ -4,7 +4,7 @@ package server
 // retention engine into the request path.
 //
 //	POST   /gc      run one retention sweep now, report what it evicted
-//	DELETE /cache   empty the result store (live + durable tiers)
+//	DELETE /cache   empty the result store
 //
 // Two invariants are enforced here rather than in the engine, so they hold
 // for every delete path (HTTP DELETE, forced deletes, retention sweeps):
@@ -171,11 +171,7 @@ func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sw)
 }
 
-// handleClearCache empties the result store's live and durable tiers.
+// handleClearCache empties the result store.
 func (s *Server) handleClearCache(w http.ResponseWriter, r *http.Request) {
-	lru, persisted := s.results.clear()
-	writeJSON(w, http.StatusOK, map[string]int{
-		"lru_dropped":       lru,
-		"persisted_dropped": persisted,
-	})
+	writeJSON(w, http.StatusOK, map[string]int{"dropped": s.results.clear()})
 }

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/retention"
@@ -77,8 +78,8 @@ func persistedFiles(t *testing.T, dir string) int {
 	return n
 }
 
-// TestDeleteCascadesResultLayers is the PR's first regression: deleting a
-// dataset must drop its live LRU entry, its persisted report, and the disk
+// TestDeleteCascadesResultLayers is the first delete regression: deleting a
+// dataset must drop its result slot, its persisted report, and the disk
 // file behind it — a repeat submission answers 404, a restart resurrects
 // nothing, and re-ingesting the same content recomputes instead of serving
 // the pre-delete report.
@@ -395,8 +396,8 @@ func TestConcurrentSweepVsRunningJob(t *testing.T) {
 	}
 }
 
-// TestCacheAdminAndGC: DELETE /cache empties both result-cache layers (the
-// repeat recomputes), POST /gc sweeps on demand under the configured policy,
+// TestCacheAdminAndGC: DELETE /cache empties the result store (the repeat
+// recomputes), POST /gc sweeps on demand under the configured policy,
 // and the retention gauges are exported on /metrics.
 func TestCacheAdminAndGC(t *testing.T) {
 	dir := t.TempDir()
@@ -421,14 +422,13 @@ func TestCacheAdminAndGC(t *testing.T) {
 		t.Fatalf("DELETE /cache = %d: %s", dresp.StatusCode, draw)
 	}
 	var cleared struct {
-		LRU       int `json:"lru_dropped"`
-		Persisted int `json:"persisted_dropped"`
+		Dropped int `json:"dropped"`
 	}
 	if err := json.Unmarshal(draw, &cleared); err != nil {
 		t.Fatal(err)
 	}
-	if cleared.LRU < 1 || cleared.Persisted != 1 {
-		t.Fatalf("DELETE /cache dropped %+v, want at least the job's entry in both layers", cleared)
+	if cleared.Dropped != 1 {
+		t.Fatalf("DELETE /cache dropped %d, want the job's one key", cleared.Dropped)
 	}
 	if n := persistedFiles(t, dir); n != 0 {
 		t.Fatalf("%d persisted files survived DELETE /cache", n)
@@ -520,14 +520,14 @@ func TestPersistGateBlocksDeletedDataset(t *testing.T) {
 	}
 }
 
-// TestReportDiskEntryBound: the durable tier LRU-bounds its entries at adopt
-// time and re-enforces the cap over preexisting entries at boot.
+// TestReportDiskEntryBound: the result table LRU-bounds its entries at adopt
+// time and re-enforces the bound over preexisting entry files at boot.
 func TestReportDiskEntryBound(t *testing.T) {
 	dir := t.TempDir()
 	st := testStoreAt(t, dir)
-	rs := newResultStore(128, 2, st, nil, slog.Default())
+	rs := newResultStore(2, st, nil, new(metrics.Counter), slog.Default())
 	if !rs.persistent() {
-		t.Fatal("no durable tier beside a store")
+		t.Fatal("no entry files beside a store")
 	}
 	saved := time.Now().UTC()
 	for i, key := range []string{"k-old", "k-mid", "k-new"} {
@@ -548,7 +548,8 @@ func TestReportDiskEntryBound(t *testing.T) {
 
 	// Boot over the same directory with a tighter cap: load enforces it after
 	// indexing the files (and after dropping orphans).
-	rs2 := newResultStore(128, 1, st, nil, slog.Default())
+	evicted := new(metrics.Counter)
+	rs2 := newResultStore(1, st, nil, evicted, slog.Default())
 	if _, durable := rs2.counts(); durable != 1 {
 		t.Fatalf("reopened tier holds %d entries, want 1", durable)
 	}
@@ -557,5 +558,45 @@ func TestReportDiskEntryBound(t *testing.T) {
 	}
 	if n := persistedFiles(t, dir); n != 1 {
 		t.Fatalf("%d entry files on disk after bounded reopen, want 1", n)
+	}
+	if got := evicted.Value(); got != 1 {
+		t.Fatalf("boot eviction counted %d, want 1", got)
+	}
+}
+
+// TestCacheBoundEvictsAndCounts: the one bound holds what the daemon serves
+// with a store too, and the slot it evicts — entry file included — is
+// counted in sccgd_cache_evicted_total.
+func TestCacheBoundEvictsAndCounts(t *testing.T) {
+	dir := t.TempDir()
+	st := testStoreAt(t, dir)
+	x := ingestSpec(t, st, "bound-x", 51, 1)
+	y := ingestSpec(t, st, "bound-y", 52, 1)
+	srv, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st, CacheMaxEntries: 1})
+
+	for _, id := range []string{x.ID, y.ID} {
+		resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: id})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+		}
+		var jr JobResponse
+		if err := json.Unmarshal(body, &jr); err != nil {
+			t.Fatal(err)
+		}
+		if done := pollDone(t, ts.URL, jr.ID); done.State != "done" {
+			t.Fatalf("job ended %s: %s", done.State, done.Error)
+		}
+		// Each report is on disk before the next submission, so the bound
+		// evicts a finished entry, not a racing write.
+		waitPersisted(t, dir, 1)
+	}
+	if n := persistedFiles(t, dir); n != 1 {
+		t.Fatalf("%d entry files under a bound of 1", n)
+	}
+	if got := srv.reg.Counter("sccgd_cache_evicted_total").Value(); got != 1 {
+		t.Fatalf("sccgd_cache_evicted_total = %d, want 1", got)
+	}
+	if resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: x.ID}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("repeat of the evicted key = %d, want 202 recompute: %s", resp.StatusCode, body)
 	}
 }

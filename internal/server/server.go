@@ -20,7 +20,7 @@
 //	DELETE /matrix/{id}             cancel a matrix run
 //	POST   /compare                 synchronous compare of two small polygon sets
 //	POST   /gc                      run one retention sweep now
-//	DELETE /cache                   empty the result store (live + durable tiers)
+//	DELETE /cache                   empty the result store
 //	GET    /metrics                 counters and gauges in Prometheus text format
 //	GET    /healthz                 liveness probe
 //
@@ -91,22 +91,21 @@ type CompareFunc func(rawA, rawB []byte) (CompareResult, error)
 
 // Options configures a Server.
 type Options struct {
-	// CacheSize is the result store's live-tier (LRU) capacity in entries; 0
-	// selects the default of 128, negative disables caching.
-	CacheSize int
+	// CacheMaxEntries bounds the result store (see results.go): past it the
+	// least recently used key goes, entry file included. 0 means unbounded.
+	CacheMaxEntries int
 	// Registry receives the server's counters; one is created when nil.
 	Registry *metrics.Registry
 	// Compare backs POST /compare; nil disables the endpoint.
 	Compare CompareFunc
 	// Store, when set, backs the /datasets endpoints, jobs by dataset_id,
 	// cross-dataset jobs, matrix runs, and content-hash result caching
-	// (including the durable tier under <store>/cache). Nil disables
+	// (including the entry files under <store>/cache). Nil disables
 	// them (the endpoints answer 501).
 	Store *store.Store
-	// Retention bounds the store and the persisted result cache (see
-	// internal/retention). When any bound is set, New starts a background
-	// sweeper that Close stops; POST /gc sweeps on demand either way.
-	// Ignored without a Store.
+	// Retention bounds the store (see internal/retention). When a byte
+	// budget or TTL is set, New starts a background sweeper that Close
+	// stops; POST /gc sweeps on demand either way. Ignored without a Store.
 	Retention retention.Policy
 	// Cluster, when set, joins this server to a peer cluster: the internal
 	// peer endpoints are served, missing datasets are pulled peer-to-peer
@@ -136,8 +135,8 @@ type Server struct {
 	sched *sched.Scheduler
 	store *store.Store
 	// results owns every "is this comparison already known?" answer: the
-	// live and durable tiers, spec aliases, and the delete cascade over them
-	// (see results.go).
+	// result table, spec aliases, and the delete cascade over them (see
+	// results.go).
 	results *resultStore
 	// matrix orchestrates K-way similarity matrix runs; nil without a store.
 	matrix *compare.Manager
@@ -203,9 +202,6 @@ const maxBodyBytes = 32 << 20
 
 // New creates a server over the scheduler.
 func New(s *sched.Scheduler, opts Options) *Server {
-	if opts.CacheSize == 0 {
-		opts.CacheSize = 128
-	}
 	if opts.Registry == nil {
 		opts.Registry = metrics.NewRegistry()
 	}
@@ -213,9 +209,10 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		opts.Logger = slog.Default()
 	}
 	srv := &Server{
-		sched:    s,
-		store:    opts.Store,
-		results:  newResultStore(opts.CacheSize, opts.Retention.CacheMaxEntries, opts.Store, s.Job, opts.Logger),
+		sched: s,
+		store: opts.Store,
+		results: newResultStore(opts.CacheMaxEntries, opts.Store, s.Job,
+			opts.Registry.Counter("sccgd_cache_evicted_total"), opts.Logger),
 		reg:      opts.Registry,
 		log:      opts.Logger,
 		compare:  opts.Compare,
@@ -240,10 +237,10 @@ func New(s *sched.Scheduler, opts Options) *Server {
 	// each per scrape (a gauge func per value would rebuild the snapshot for
 	// every line) and merge into the registry's sorted, typed exposition.
 	opts.Registry.OnScrape(func(e *metrics.Emitter) {
-		live, durable := srv.results.counts()
-		e.Gauge("sccgd_cache_entries", float64(live))
+		slots, entries := srv.results.counts()
+		e.Gauge("sccgd_cache_entries", float64(slots))
 		if srv.results.persistent() {
-			e.Gauge("sccgd_cache_persisted_entries", float64(durable))
+			e.Gauge("sccgd_cache_persisted_entries", float64(entries))
 		}
 		st := srv.sched.Stats()
 		e.Gauge("sccgd_jobs_queued", float64(st.Queued))
@@ -332,7 +329,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		srv.store.SetDeleteHook(srv.dropDatasetResults)
 		srv.retention = retention.New(retention.Config{
 			Store:    srv.store,
-			Cache:    srv.results,
 			Policy:   opts.Retention,
 			Registry: opts.Registry,
 			Log: func(format string, args ...any) {
@@ -860,9 +856,9 @@ func (s *Server) resolveCached(key, tenantName string, parent trace.Context) (su
 	return submission{}, false
 }
 
-// resolveLocal is resolveCached minus the cluster layer. A live-tier hit
-// answers as its job (finished or still in flight); a durable hit as a
-// synthesized done response.
+// resolveLocal is resolveCached minus the cluster layer. A key whose job the
+// scheduler knows answers as that job (finished or still in flight); an
+// entry with no live job as a synthesized done response.
 func (s *Server) resolveLocal(key string) (submission, bool) {
 	job, e, ok := s.results.lookup(key)
 	if !ok {
@@ -878,7 +874,7 @@ func (s *Server) resolveLocal(key string) (submission, bool) {
 }
 
 // entrySubmission answers a submission from a finished entry with no live job
-// behind it (a durable or peer hit). The response ID is stable for the key
+// behind it (a persisted or peer hit). The response ID is stable for the key
 // but not pollable — the response already carries the full report.
 func entrySubmission(e *resultEntry, outcome string) submission {
 	saved := e.Saved
@@ -897,7 +893,7 @@ func entrySubmission(e *resultEntry, outcome string) submission {
 }
 
 // finishWhenDone waits for a submitted job's terminal state and runs the
-// completion bookkeeping: the durable-cache write for cache-keyed Done jobs
+// completion bookkeeping: the entry-file write for cache-keyed Done jobs
 // (landing in the trace as a persist span — recorded after the scheduler
 // froze the trace total, so it shows up in later trace reads without
 // shifting the job's wall time), the query-log record, and the slow-query

@@ -171,7 +171,7 @@ func TestHealthzSlotsAndGPUs(t *testing.T) {
 	}
 }
 
-// TestCacheHitSkipsRecompute asserts the LRU cache answers a repeated
+// TestCacheHitSkipsRecompute asserts the result store answers a repeated
 // dataset submission with the original job and, critically, that no
 // additional kernels are launched on any pool device.
 func TestCacheHitSkipsRecompute(t *testing.T) {
@@ -311,58 +311,40 @@ func TestRawTaskSubmission(t *testing.T) {
 }
 
 func TestCancelEndpoint(t *testing.T) {
-	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{})
+	_, sc, ts := newTestServer(t, sched.Config{Devices: 1}, Options{})
 
-	// Fill the single runner with a long job, then cancel a queued one. Both
-	// jobs are pre-encoded client-side so each submit costs ~1ms while the
-	// long job occupies the runner for tens of milliseconds — the victim is
-	// still queued when DELETE lands.
-	encode := func(tiles int, seed int64) []TaskPayload {
-		spec := pathology.Representative()
-		spec.Tiles = tiles
-		spec.Seed = seed
-		tasks := pipeline.EncodeDataset(pathology.Generate(spec))
-		payload := make([]TaskPayload, len(tasks))
-		for i, task := range tasks {
-			payload[i] = TaskPayload{Image: task.Image, Tile: task.Tile, RawA: task.RawA, RawB: task.RawB}
-		}
-		return payload
+	// A gated job holds the single runner, so the victim is still queued
+	// when DELETE lands.
+	spec := pathology.Representative()
+	spec.Tiles = 1
+	d := pathology.Generate(spec)
+	release := make(chan struct{})
+	defer close(release)
+	gated := &gatedStoreSource{src: sched.Tasks([]pipeline.PolyTask{{A: d.Pairs[0].A, B: d.Pairs[0].B}}),
+		release: release, entered: make(chan struct{})}
+	if _, err := sc.SubmitJob(gated, sched.JobOpts{Name: "hold"}); err != nil {
+		t.Fatal(err)
 	}
-	longTasks := encode(20, 1)
+	<-gated.entered
 
-	// The schedule is timing-based (the runner can drain both jobs before
-	// DELETE lands under scheduler jitter), so losing the race retries with
-	// a fresh victim rather than flaking.
-	for attempt := 1; ; attempt++ {
-		resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: longTasks, NoCache: true})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
-		}
-		resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: encode(1, 99+int64(attempt))})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
-		}
-		var victim JobResponse
-		if err := json.Unmarshal(body, &victim); err != nil {
-			t.Fatal(err)
-		}
-
-		delReq, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+victim.ID, nil)
-		delResp, err := http.DefaultClient.Do(delReq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		delResp.Body.Close()
-		if delResp.StatusCode == http.StatusConflict && attempt < 5 {
-			continue // both jobs finished before the cancel; try again
-		}
-		if delResp.StatusCode != http.StatusOK {
-			t.Fatalf("cancel status = %d (attempt %d)", delResp.StatusCode, attempt)
-		}
-		if done := pollDone(t, ts.URL, victim.ID); done.State != "canceled" {
-			t.Errorf("victim state = %s, want canceled", done.State)
-		}
-		return
+	tasks := pipeline.EncodeDataset(d)
+	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: []TaskPayload{
+		{Image: tasks[0].Image, Tile: tasks[0].Tile, RawA: tasks[0].RawA, RawB: tasks[0].RawB}}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
+	}
+	var victim JobResponse
+	if err := json.Unmarshal(body, &victim); err != nil {
+		t.Fatal(err)
+	}
+	if dresp, draw := doRequest(t, http.MethodDelete, ts.URL+"/jobs/"+victim.ID); dresp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel status = %d: %s", dresp.StatusCode, draw)
+	}
+	if done := pollDone(t, ts.URL, victim.ID); done.State != "canceled" {
+		t.Errorf("victim state = %s, want canceled", done.State)
+	}
+	if dresp, _ := doRequest(t, http.MethodDelete, ts.URL+"/jobs/"+victim.ID); dresp.StatusCode != http.StatusConflict {
+		t.Errorf("second cancel status = %d, want 409", dresp.StatusCode)
 	}
 }
 
@@ -482,10 +464,9 @@ func TestCompareEndpoint(t *testing.T) {
 	}
 }
 
-// TestCacheLRU: the result store's live tier is an LRU over job IDs — a
-// lookup refreshes recency, a slot whose job did not finish cleanly is
-// evicted by the lookup that finds it, and a non-positive capacity disables
-// the tier.
+// TestCacheLRU: the result table is an LRU over its slots — a lookup
+// refreshes recency, every eviction is counted, and a slot whose job did not
+// finish cleanly is dropped by the lookup that finds it.
 func TestCacheLRU(t *testing.T) {
 	failed := map[string]bool{}
 	job := func(id string) (sched.JobStatus, bool) {
@@ -499,12 +480,13 @@ func TestCacheLRU(t *testing.T) {
 		job, _, ok := rs.lookup(key)
 		return job.ID, ok
 	}
-	c := newResultStore(2, 0, nil, job, slog.Default())
+	evicted := new(metrics.Counter)
+	c := newResultStore(2, nil, job, evicted, slog.Default())
 	c.record("a", "job-1", nil)
 	c.record("b", "job-2", nil)
 	c.record("c", "job-3", nil) // evicts a
 	if _, ok := get(c, "a"); ok {
-		t.Error("a survived past capacity")
+		t.Error("a survived past the bound")
 	}
 	if id, ok := get(c, "b"); !ok || id != "job-2" {
 		t.Errorf("lookup(b) = %q, %v", id, ok)
@@ -516,17 +498,15 @@ func TestCacheLRU(t *testing.T) {
 	if _, ok := get(c, "b"); !ok {
 		t.Error("b evicted despite being most recently used")
 	}
+	if got := evicted.Value(); got != 2 {
+		t.Errorf("evicted counter = %d, want 2", got)
+	}
 	failed["job-2"] = true
 	if _, ok := get(c, "b"); ok {
 		t.Error("a failed job's slot was served")
 	}
-	if live, _ := c.counts(); live != 1 {
-		t.Errorf("%d live slots after the failed job's eviction, want 1", live)
-	}
-	disabled := newResultStore(-1, 0, nil, job, slog.Default())
-	disabled.record("x", "job-9", nil)
-	if _, ok := get(disabled, "x"); ok {
-		t.Error("disabled live tier stored a slot")
+	if slots, _ := c.counts(); slots != 1 {
+		t.Errorf("%d slots after the failed job's lookup, want 1", slots)
 	}
 }
 

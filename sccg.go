@@ -87,8 +87,8 @@ type (
 	// CrossMatch reports how two datasets' tile indexes paired up (matched
 	// pairs plus the keys present on only one side).
 	CrossMatch = compare.Match
-	// RetentionPolicy bounds a service's store and persisted result cache
-	// (byte budget, TTL, cache entry cap); see ServiceOptions.
+	// RetentionPolicy bounds a service's store (byte budget, TTL, sweep
+	// period); see ServiceOptions.
 	RetentionPolicy = retention.Policy
 	// RetentionSweep reports one retention pass's evictions.
 	RetentionSweep = retention.Sweep
@@ -106,8 +106,8 @@ func EncodePolygons(polys []*Polygon) []byte { return parser.Encode(polys) }
 
 // Options configures an Engine.
 type Options struct {
-	// UseGPU aggregates on the simulated GTX 580 (default true). When
-	// false, PixelBox-CPU runs on Workers goroutines.
+	// DisableGPU runs PixelBox-CPU on Workers goroutines instead of
+	// aggregating on the simulated GTX 580.
 	DisableGPU bool
 	// GPUs is the simulated GPU count the hybrid aggregator co-executes on;
 	// defaults to 1 when GPU is enabled. Ignored when DisableGPU is set.
@@ -322,20 +322,20 @@ type ServiceOptions struct {
 	Workers int
 	// QueueDepth bounds the job queue; 0 selects the scheduler default.
 	QueueDepth int
-	// CacheSize is the HTTP result cache capacity; 0 selects the server
-	// default, negative disables caching.
-	CacheSize int
+	// CacheMaxEntries bounds the HTTP result store in keys; past it the least
+	// recently used key goes, its persisted report included. 0 means
+	// unbounded.
+	CacheMaxEntries int
 	// Store, when set, backs the /datasets endpoints, jobs by dataset ID,
 	// cross-dataset jobs, matrix runs, and content-hash result caching —
 	// including the persisted report cache under the store directory (see
 	// OpenStore).
 	Store *Store
-	// Retention bounds the store and its persisted result cache: a byte
-	// budget over which least-recently-used unpinned datasets are evicted
-	// (datasets referenced by queued/running jobs are pinned and never
-	// evicted), a TTL for unused datasets, a persisted-entry cap, and the
-	// background sweep period. The zero value bounds nothing. Requires
-	// Store; Service.Close stops the sweeper.
+	// Retention bounds the store: a byte budget over which
+	// least-recently-used unpinned datasets are evicted (datasets referenced
+	// by queued/running jobs are pinned and never evicted), a TTL for unused
+	// datasets, and the background sweep period. The zero value bounds
+	// nothing. Requires Store; Service.Close stops the sweeper.
 	Retention RetentionPolicy
 	// Peers, when non-empty, puts the service in clustered mode: datasets
 	// missing locally are pulled peer-to-peer (digest-verified on arrival),
@@ -427,7 +427,7 @@ func NewService(opts ServiceOptions) *Service {
 		store:   opts.Store,
 		cluster: node,
 		srv: server.New(sc, server.Options{
-			CacheSize:        opts.CacheSize,
+			CacheMaxEntries:  opts.CacheMaxEntries,
 			Compare:          compareFn,
 			Registry:         reg,
 			Store:            opts.Store,
@@ -508,9 +508,8 @@ func (s *Service) CancelMatrix(id string) error { return s.srv.CancelMatrix(id) 
 func (s *Service) Job(id string) (JobStatus, bool) { return s.sched.Job(id) }
 
 // GC runs one retention sweep immediately — evicting TTL-expired and
-// over-budget unpinned datasets, cascading their cached reports, and
-// enforcing the persisted-cache entry bound — and reports what it evicted.
-// It fails when the service has no dataset store.
+// over-budget unpinned datasets and cascading their cached reports — and
+// reports what it evicted. It fails when the service has no dataset store.
 func (s *Service) GC() (RetentionSweep, error) { return s.srv.GC() }
 
 // Close stops matrix orchestration and the scheduler (queued jobs are
