@@ -40,13 +40,14 @@
 // threshold, and "set_a"/"set_b" build an oriented rows×columns grid instead
 // of a symmetric one. The planner bounds every cell from manifest stats
 // before submitting any job, so provably-irrelevant cells cost index reads
-// only. Poll with ?wait=1&since=<version> to long-poll the next change, or
-// ?stream=1 to stream every change as NDJSON:
+// only. A bound drops below 1 only where matched tiles' set MBRs are disjoint
+// or their set areas cannot overlap, so on same-image variants every bound is
+// 1 and top_k computes every cell. Poll with ?wait=1&since=<version> to
+// long-poll the next change:
 //
 //	curl -s -X POST localhost:8080/matrix \
 //	     -d '{"datasets":["<id1>","<id2>","<id3>"],"top_k":1}'
 //	curl -s 'localhost:8080/matrix/mx-000001?wait=1&since=0'
-//	curl -sN 'localhost:8080/matrix/mx-000001?stream=1'
 //
 // Retention bounds keep a long-lived store from leaking disk: a byte budget
 // LRU-evicts unpinned datasets (datasets referenced by queued/running jobs

@@ -925,7 +925,7 @@ func TestDaemonMatrixProgressive(t *testing.T) {
 		PlanTrc any      `json:"plan_trace"`
 	}
 
-	body, _ := json.Marshal(map[string]any{"datasets": ids, "top_k": 3, "estimate": true})
+	body, _ := json.Marshal(map[string]any{"datasets": ids, "top_k": 3})
 	resp, err := http.Post(base+"/matrix", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /matrix: %v", err)

@@ -17,7 +17,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"time"
 
 	"repro"
 )
@@ -120,9 +119,10 @@ func main() {
 }
 
 type matrixStatus struct {
-	ID    string `json:"id"`
-	State string `json:"state"`
-	Cells [][]struct {
+	ID      string `json:"id"`
+	State   string `json:"state"`
+	Version int64  `json:"version"`
+	Cells   [][]struct {
 		State      string  `json:"state"`
 		Cached     bool    `json:"cached"`
 		Similarity float64 `json:"similarity"`
@@ -144,9 +144,10 @@ func runMatrix(base string, ids []string) matrixStatus {
 	if err := json.Unmarshal(raw, &mst); err != nil {
 		log.Fatal(err)
 	}
+	// Long-poll: each GET returns once the run moves past the version the
+	// last status carried, or when it is terminal.
 	for mst.State == "running" {
-		time.Sleep(10 * time.Millisecond)
-		r, err := http.Get(base + "/matrix/" + mst.ID)
+		r, err := http.Get(fmt.Sprintf("%s/matrix/%s?wait=1&since=%d", base, mst.ID, mst.Version))
 		if err != nil {
 			log.Fatal(err)
 		}

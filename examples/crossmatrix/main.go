@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -78,15 +79,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Each WaitMatrix returns at the run's next change; pass its version
+		// back until the run is terminal.
+		var since int64
 		for {
-			mst, ok := svc.Matrix(mxID)
+			mst, ok := svc.WaitMatrix(context.Background(), mxID, since)
 			if !ok {
 				log.Fatal("matrix run vanished")
 			}
 			if mst.State != "running" {
 				return mst
 			}
-			time.Sleep(5 * time.Millisecond)
+			since = mst.Version
 		}
 	}
 

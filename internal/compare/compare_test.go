@@ -2,12 +2,10 @@ package compare
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/pathology"
-	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -237,45 +235,6 @@ func TestSourceTaskMatchesPolyTask(t *testing.T) {
 		}
 		if src.Weight(i) <= 0 {
 			t.Fatalf("Weight(%d) = %d", i, src.Weight(i))
-		}
-	}
-}
-
-// treeless serves a source's tiles without the trees the store keeps with
-// them, as a source outside the store would.
-type treeless struct{ sched.TaskSource }
-
-func (s treeless) PolyTask(i int) (pipeline.PolyTask, error) {
-	t, err := s.TaskSource.PolyTask(i)
-	t.TreeA, t.TreeB = nil, nil
-	return t, err
-}
-
-// TestEstimateProbesKeptTree: a cell estimate that probes the set-A tree kept
-// with the tile equals, bit for bit, one that builds the tree per sampled tile
-// — same entries, same tree, same search order, same draws from the RNG — for
-// a cross pair (more tiles than the sample takes) and a self comparison.
-func TestEstimateProbesKeptTree(t *testing.T) {
-	s := testStore(t)
-	a, b := ingestVariant(t, s, "slideE", 1, 6), ingestVariant(t, s, "slideE", 2, 6)
-	for _, ids := range [][2]string{{a.ID, b.ID}, {a.ID, a.ID}} {
-		_, src, _, _, err := OpenPair(s, ids[0], ids[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pt, err := src.PolyTask(0); err != nil || pt.TreeA == nil || pt.TreeA.Len() != len(pt.A) {
-			t.Fatalf("the pair's source does not carry set A's tree (%v)", err)
-		}
-		got, err := EstimatePair(s, ids[0], ids[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := estimateSource(treeless{src}, rand.New(rand.NewSource(pairSeed(ids[0], ids[1]))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want || got.Pairs == 0 || got.Tiles != estimateMaxTiles {
-			t.Fatalf("estimate over kept trees %+v, over trees built per tile %+v", got, want)
 		}
 	}
 }

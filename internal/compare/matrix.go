@@ -14,16 +14,15 @@ package compare
 //
 // Progressive execution: when the run carries a top_k or min_similarity
 // objective, a plan phase first derives a cheap, sound upper bound per cell
-// from manifest metadata (bound.go) — optionally refined in ordering by a
-// Monte-Carlo estimate (estimate.go) — and cells are dispatched in
-// descending-bound order. At dispatch time a cell whose bound cannot reach
-// the objective is finished without a job: `skipped` when the bound falls
-// below min_similarity (or is zero), `bounded` when top_k exact results
-// already at or above its bound exist. New exact results also prune
-// in-flight cells: their owned jobs are canceled and the cells finish
-// `bounded`. Bounds are upper bounds, so a skipped cell's true similarity
-// never exceeds the recorded bound — exact results are only ever elided,
-// never approximated.
+// from manifest metadata (bound.go), and cells are dispatched in
+// descending-bound order, plan order breaking ties. At dispatch time a cell
+// whose bound cannot reach the objective is finished without a job:
+// `skipped` when the bound falls below min_similarity (or is zero),
+// `bounded` when top_k exact results already at or above its bound exist.
+// New exact results also prune in-flight cells: their owned jobs are
+// canceled and the cells finish `bounded`. Bounds are upper bounds, so a
+// skipped cell's true similarity never exceeds the recorded bound — exact
+// results are only ever elided, never approximated.
 //
 // The run's cell table is the only record of which jobs belong to it: each
 // cell carries its job ID and whether the run owns that job (submitted it)
@@ -100,10 +99,6 @@ type SubmitFunc func(idA, idB, tenant string) (SubmitOutcome, error)
 // server's store).
 type BoundFunc func(idA, idB string) (CellBound, error)
 
-// EstimateFunc computes a cell's Monte-Carlo similarity estimate
-// (estimate.go behind the server's store).
-type EstimateFunc func(idA, idB string) (CellEstimate, error)
-
 // Scheduler is what a run needs of the job scheduler once the submitter has
 // handed it a job ID; *sched.Scheduler implements it.
 type Scheduler interface {
@@ -122,9 +117,6 @@ type ManagerConfig struct {
 	// Bound, when set, enables the progressive plan phase. Without it every
 	// cell runs exact regardless of the run's objectives.
 	Bound BoundFunc
-	// Estimate, when set and requested by the run, refines cell ordering.
-	// Estimates never decide skips — only the sound bound does.
-	Estimate EstimateFunc
 	// Concurrency bounds how many cells are in flight per run; default 4.
 	Concurrency int
 }
@@ -142,9 +134,6 @@ type RunSpec struct {
 	// MinSimilarity, in [0,1], statically skips cells whose bound falls
 	// below it.
 	MinSimilarity float64 `json:"min_similarity,omitempty"`
-	// Estimate asks the plan phase for Monte-Carlo ordering refinement.
-	// Estimates never decide skips.
-	Estimate bool `json:"estimate,omitempty"`
 	// Tenant is the run's accounting identity: every owned cell job is
 	// submitted (batch band) and quota-charged under it. Set by the server
 	// from the request's credentials, never from the body.
@@ -368,8 +357,6 @@ type cell struct {
 	// computed (a run without a Bound hook plans none).
 	bound    float64
 	boundSet bool
-	// estimate is the optional Monte-Carlo ordering refinement.
-	estimate *CellEstimate
 	// pruned marks an in-flight cell whose job was canceled by top-k early
 	// termination; its cancellation records as bounded, not canceled.
 	pruned bool
@@ -401,7 +388,7 @@ type Run struct {
 	cancelRequested bool
 	planTrace       *trace.Summary
 	// version counts observable state changes; notify is closed and replaced
-	// on each bump, waking WaitChange long-polls and stream writers.
+	// on each bump, waking WaitChange long-polls.
 	version int64
 	notify  chan struct{}
 }
@@ -511,11 +498,10 @@ func (r *Run) execute(cfg ManagerConfig) {
 	r.finalize()
 }
 
-// plan computes per-cell bounds (and optional estimates), records them as
-// `bound`/`estimate` stages in the run-level trace, and returns the cells in
-// dispatch order: bound descending, estimate mean breaking ties, plan order
-// breaking the rest (which keeps non-progressive runs in their original,
-// pre-progressive submission order).
+// plan computes per-cell bounds, records them as `bound` stages in the
+// run-level trace, and returns the cells in dispatch order: bound descending,
+// plan order breaking ties (which keeps non-progressive runs in their
+// original, pre-progressive submission order).
 func (r *Run) plan(cfg ManagerConfig) []*cell {
 	if cfg.Bound == nil {
 		return r.cells
@@ -539,17 +525,6 @@ func (r *Run) plan(cfg ManagerConfig) []*cell {
 			c.tiles = cb.Tiles
 		}
 		r.mu.Unlock()
-
-		if r.spec.Estimate && cfg.Estimate != nil && cb.Bound > 0 {
-			start = time.Now()
-			est, err := cfg.Estimate(idA, idB)
-			rec.Add("estimate", fmt.Sprintf("%.8s×%.8s", idA, idB), start, time.Now())
-			if err == nil {
-				r.mu.Lock()
-				c.estimate = &est
-				r.mu.Unlock()
-			}
-		}
 	}
 	rec.Finish()
 
@@ -567,19 +542,7 @@ func (r *Run) plan(cfg ManagerConfig) []*cell {
 	r.planTrace = sum
 	order := make([]*cell, len(r.cells))
 	copy(order, r.cells)
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].bound != order[b].bound {
-			return order[a].bound > order[b].bound
-		}
-		ea, eb := 0.0, 0.0
-		if order[a].estimate != nil {
-			ea = order[a].estimate.Mean
-		}
-		if order[b].estimate != nil {
-			eb = order[b].estimate.Mean
-		}
-		return ea > eb
-	})
+	sort.SliceStable(order, func(a, b int) bool { return order[a].bound > order[b].bound })
 	r.bumpLocked()
 	r.mu.Unlock()
 	return order
@@ -826,8 +789,6 @@ type CellView struct {
 	// planned cell of a progressive run. Skipped/bounded cells' true
 	// similarity never exceeds it.
 	Bound *float64 `json:"bound,omitempty"`
-	// Estimate is the optional Monte-Carlo ordering estimate.
-	Estimate *CellEstimate `json:"estimate,omitempty"`
 	// Trace is the cell job's per-stage duration rollup (total plus
 	// milliseconds per stage name), set once the cell is terminal.
 	Trace *trace.Summary `json:"trace,omitempty"`
@@ -897,7 +858,8 @@ type Status struct {
 	ExactCells    int `json:"exact_cells"`
 	SkippedCells  int `json:"skipped_cells,omitempty"`
 	BoundedCells  int `json:"bounded_cells,omitempty"`
-	// PlanTrace is the run-level plan-phase rollup (bound/estimate stages).
+	// PlanTrace is the run-level plan-phase rollup: the `bound` stage plus
+	// any cluster pulls the caller recorded before the run started.
 	PlanTrace *trace.Summary `json:"plan_trace,omitempty"`
 	Group     GroupStatus    `json:"group"`
 }
@@ -1020,7 +982,6 @@ func (r *Run) viewLocked(c *cell) CellView {
 		Tiles:      c.tiles,
 		UnmatchedA: c.unmatchedA,
 		UnmatchedB: c.unmatchedB,
-		Estimate:   c.estimate,
 		Trace:      c.trace,
 	}
 	if c.boundSet {

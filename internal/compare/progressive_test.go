@@ -125,7 +125,6 @@ func TestMatrixTopKDifferential(t *testing.T) {
 		Scheduler: sc,
 		Submit:    directSubmit(t, s, sc, nil),
 		Bound:     bound,
-		Estimate:  func(a, b string) (CellEstimate, error) { return EstimatePair(s, a, b) },
 	})
 
 	// Oracle first: the full exact matrix, no objectives. Progressive runs
@@ -143,7 +142,6 @@ func TestMatrixTopKDifferential(t *testing.T) {
 		Name:     "topk",
 		Datasets: all,
 		TopK:     3,
-		Estimate: true,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -283,6 +281,59 @@ func TestMatrixMinSimilarity(t *testing.T) {
 	}
 	if c := st.Cells[0][2]; c.State != CellSkipped || c.Bound == nil || *c.Bound != 0 {
 		t.Errorf("cross-cluster cell = %+v, want skipped with bound 0", c)
+	}
+}
+
+// TestPlanOrder: the manifest bound is the only plan rule. Cells dispatch in
+// descending-bound order, equal bounds keep plan order, and a bound-0 cell
+// finishes skipped without ever reaching the submitter.
+func TestPlanOrder(t *testing.T) {
+	sc := sched.New(sched.Config{})
+	t.Cleanup(sc.Close)
+	idA := testID('a')
+	cols := []string{testID('b'), testID('c'), testID('d'), testID('e')}
+	bounds := map[string]float64{cols[0]: 0.2, cols[1]: 0.9, cols[2]: 0.9, cols[3]: 0}
+	rep := pipeline.Result{Similarity: 0.15}
+	var mu sync.Mutex
+	var submitted []string
+	m := NewManager(ManagerConfig{
+		Scheduler:   sc,
+		Concurrency: 1,
+		Bound: func(_, b string) (CellBound, error) {
+			return CellBound{Bound: bounds[b], Tiles: 1}, nil
+		},
+		Submit: func(_, b, _ string) (SubmitOutcome, error) {
+			mu.Lock()
+			submitted = append(submitted, b)
+			mu.Unlock()
+			return SubmitOutcome{Cached: true, Report: &rep, Tiles: 1}, nil
+		},
+	})
+	run, err := m.StartSpec(RunSpec{SetA: []string{idA}, SetB: cols, MinSimilarity: 0.1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitRun(t, run)
+	if st.State != RunDone {
+		t.Fatalf("run ended %s: %+v", st.State, st.Cells)
+	}
+	mu.Lock()
+	got := append([]string(nil), submitted...)
+	mu.Unlock()
+	want := []string{cols[1], cols[2], cols[0]}
+	if len(got) != len(want) {
+		t.Fatalf("submitted %d cells, want %d (the 0.9 pair, then 0.2)", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("submission %d went to column %.1s…, want %.1s…", i, got[i], want[i])
+		}
+	}
+	if st.ExactCells != 3 || st.SkippedCells != 1 || st.BoundedCells != 0 {
+		t.Fatalf("exact/skipped/bounded = %d/%d/%d, want 3/1/0", st.ExactCells, st.SkippedCells, st.BoundedCells)
+	}
+	if c := st.Cells[0][3]; c.State != CellSkipped || c.JobID != "" || c.Bound == nil || *c.Bound != 0 {
+		t.Errorf("bound-0 cell = %+v, want skipped with bound 0 and no job", c)
 	}
 }
 

@@ -9,7 +9,6 @@
 package montecarlo
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/geom"
@@ -44,43 +43,6 @@ func Estimate(rng *rand.Rand, p, q *geom.Polygon, samples int) pixelbox.AreaResu
 		Intersection: int64(float64(interHits) / float64(samples) * total),
 		Union:        int64(float64(unionHits) / float64(samples) * total),
 	}
-}
-
-// EstimateRatio approximates one pair's Jaccard ratio — intersection over
-// union, which is exactly the per-pair ratio the PixelBox pipeline averages
-// into a similarity — and reports a confidence measure alongside it.
-//
-// Samples fall uniformly in the pair's union-MBR window; the ratio is the
-// fraction of union hits that are also intersection hits, and stderr is the
-// binomial standard error of that fraction, sqrt(p̂(1−p̂)/unionHits). ok is
-// false when the pair produced no union hits (disjoint windows, degenerate
-// polygons, or too few samples), in which case the pair tells us nothing.
-func EstimateRatio(rng *rand.Rand, p, q *geom.Polygon, samples int) (ratio, stderr float64, ok bool) {
-	window := p.MBR().Union(q.MBR())
-	if window.IsEmpty() || samples <= 0 {
-		return 0, 0, false
-	}
-	w := window.Width()
-	h := window.Height()
-	var interHits, unionHits int
-	for s := 0; s < samples; s++ {
-		x := window.MinX + rng.Int31n(w)
-		y := window.MinY + rng.Int31n(h)
-		inP := p.ContainsPixel(x, y)
-		inQ := q.ContainsPixel(x, y)
-		if inP && inQ {
-			interHits++
-		}
-		if inP || inQ {
-			unionHits++
-		}
-	}
-	if unionHits == 0 {
-		return 0, 0, false
-	}
-	ratio = float64(interHits) / float64(unionHits)
-	stderr = math.Sqrt(ratio * (1 - ratio) / float64(unionHits))
-	return ratio, stderr, true
 }
 
 // EstimateAll estimates every pair with a fixed per-pair sample budget.

@@ -113,42 +113,3 @@ func relErr(got, want int64) float64 {
 	}
 	return math.Abs(float64(got-want)) / float64(want)
 }
-
-func TestEstimateRatio(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-
-	// Identical squares: every sample lands in both, ratio exactly 1 with
-	// zero uncertainty.
-	sq := geom.Rect(0, 0, 64, 64)
-	r, se, ok := montecarlo.EstimateRatio(rng, sq, sq, 1000)
-	if !ok || r != 1 || se != 0 {
-		t.Fatalf("identical squares: ratio=%v stderr=%v ok=%v, want 1/0/true", r, se, ok)
-	}
-
-	// Disjoint squares inside one window: union hits exist, intersection
-	// hits cannot.
-	far := geom.Rect(200, 200, 264, 264)
-	r, se, ok = montecarlo.EstimateRatio(rng, sq, far, 1000)
-	if !ok || r != 0 || se != 0 {
-		t.Fatalf("disjoint squares: ratio=%v stderr=%v ok=%v, want 0/0/true", r, se, ok)
-	}
-
-	// Half-overlapping squares: true Jaccard 1/3; the estimate converges
-	// with shrinking, positive stderr.
-	half := geom.Rect(32, 0, 96, 64)
-	r, se, ok = montecarlo.EstimateRatio(rng, sq, half, 50000)
-	if !ok {
-		t.Fatal("half overlap: no union hits")
-	}
-	if se <= 0 {
-		t.Fatalf("half overlap stderr = %v, want > 0", se)
-	}
-	if diff := r - 1.0/3.0; diff > 5*se+0.02 || diff < -(5*se+0.02) {
-		t.Fatalf("half overlap ratio = %v (stderr %v), want near 1/3", r, se)
-	}
-
-	// Degenerate: no samples.
-	if _, _, ok := montecarlo.EstimateRatio(rng, sq, sq, 0); ok {
-		t.Fatal("0 samples reported ok")
-	}
-}

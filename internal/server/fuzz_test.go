@@ -116,7 +116,7 @@ func FuzzMatrixRequest(f *testing.F) {
 	f.Add([]byte(`{"set_b":["` + idB + `"]}`))
 	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"set_a":["` + idA + `"],"set_b":["` + idB + `"]}`))
 	f.Add([]byte(`{"set_a":["` + idA + `","` + idA + `"],"set_b":["` + idB + `"]}`))
-	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"top_k":3,"min_similarity":0.5,"estimate":true}`))
+	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"top_k":3,"min_similarity":0.5}`))
 	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"top_k":-1}`))
 	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"min_similarity":1.5}`))
 	f.Add([]byte(`{"datasets":["` + idA + `","` + idB + `"],"min_similarity":-0.1}`))

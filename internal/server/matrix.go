@@ -7,14 +7,12 @@ package server
 //	                       {"set_a": [...], "set_b": [...]}     bipartite rows×cols
 //	                     plus optional "name", and the progressive objectives
 //	                     "top_k" (only the K highest cells need exact answers),
-//	                     "min_similarity" (cells provably below it are skipped)
-//	                     and "estimate" (Monte-Carlo ordering refinement).
+//	                     and "min_similarity" (cells provably below it are
+//	                     skipped). Any other member is a 400.
 //	GET    /matrix       list runs
 //	GET    /matrix/{id}  poll one run (cell grid, group aggregate).
 //	                       ?wait=1&since=N long-polls until the run's version
-//	                       exceeds N (or the run finishes, or ~25s elapse);
-//	                       ?stream=1 streams every status change as NDJSON
-//	                       until the run is terminal.
+//	                       exceeds N (or the run finishes, or ~25s elapse).
 //	DELETE /matrix/{id}  cancel a run (cancels its remaining member jobs)
 //	GET    /matrix/{id}/cells/{i}/{j}
 //	                     read one cell by grid coordinates; ?exact=1 lazily
@@ -32,7 +30,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -97,7 +94,7 @@ func (s *Server) startMatrix(req MatrixRequest, who tenant.Quota) (run *compare.
 	// from local manifests. Routed cells still compute remotely; the pull
 	// keeps the coordinator able to answer any cell itself (degrade-to-local).
 	// The pulls are recorded and handed to the run as its plan prelude, so
-	// plan_trace prices them next to the bound/estimate stages.
+	// plan_trace prices them next to the bound stage.
 	rec := trace.NewRecorder()
 	if err := s.ensureLocal(rec, who.Name, ids...); err != nil {
 		if errors.Is(err, store.ErrNotFound) {
@@ -214,51 +211,22 @@ func (s *Server) handleGetMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	switch {
-	case q.Get("stream") == "1":
-		s.streamMatrix(w, r, run)
-	case q.Get("wait") == "1":
-		since, err := strconv.ParseInt(q.Get("since"), 10, 64)
-		if err != nil {
-			// Absent or malformed ?since= long-polls for any change past
-			// the current state the client has not seen: version 0 never
-			// blocks after the plan phase, so default to "wait for the
-			// next change from now".
-			since = run.Status().Version
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), matrixWaitTimeout)
-		defer cancel()
-		st, _ := run.WaitChange(ctx, since)
-		writeJSON(w, http.StatusOK, st)
-	default:
+	if q.Get("wait") != "1" {
 		writeJSON(w, http.StatusOK, run.Status())
+		return
 	}
-}
-
-// streamMatrix writes every observable status change as one NDJSON line
-// until the run is terminal or the client goes away. Each line is a full
-// status snapshot; the last line is the terminal one.
-func (s *Server) streamMatrix(w http.ResponseWriter, r *http.Request, run *compare.Run) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	since := int64(-1) // emit the current state first
-	for {
-		st, err := run.WaitChange(r.Context(), since)
-		if err != nil {
-			return // client gone
-		}
-		if encErr := enc.Encode(st); encErr != nil {
-			return
-		}
-		_ = rc.Flush()
-		if st.State != compare.RunRunning {
-			return
-		}
-		since = st.Version
+	since, err := strconv.ParseInt(q.Get("since"), 10, 64)
+	if err != nil {
+		// Absent or malformed ?since= long-polls for any change past the
+		// current state the client has not seen: version 0 never blocks
+		// after the plan phase, so default to "wait for the next change
+		// from now".
+		since = run.Status().Version
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), matrixWaitTimeout)
+	defer cancel()
+	st, _ := run.WaitChange(ctx, since)
+	writeJSON(w, http.StatusOK, st)
 }
 
 // handleMatrixCell reads one cell by grid coordinates. With ?exact=1 an

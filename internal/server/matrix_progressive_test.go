@@ -2,12 +2,11 @@ package server
 
 // Progressive-matrix endpoint tests and the run-level pinning regression:
 // a retention sweeper hammering a tiny TTL must never evict a dataset out
-// from under a started matrix run, long-polls and NDJSON streams must follow
-// the run's version counter, and the progressive objectives must round-trip
-// through the HTTP surface.
+// from under a started matrix run, long-polls must follow the run's version
+// counter, and the progressive objectives must round-trip through the HTTP
+// surface.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -128,11 +127,50 @@ func TestMatrixRunPinsDatasets(t *testing.T) {
 	}
 }
 
+// TestMatrixRunMetrics: matrix starts are counted once, by
+// sccgd_matrix_runs_total, and finished runs leave the live-group gauge. No
+// second "ever started" series is derived from the manager's run table.
+func TestMatrixRunMetrics(t *testing.T) {
+	st := testStoreAt(t, t.TempDir())
+	ids := []string{ingestSpec(t, st, "counted", 1, 1).ID, ingestSpec(t, st, "counted", 2, 1).ID}
+	srv, _, ts := newTestServer(t, sched.Config{}, Options{Store: st})
+	for n := 0; n < 2; n++ {
+		resp, body := postJSON(t, ts.URL+"/matrix", MatrixRequest{Datasets: ids})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("matrix submit = %d: %s", resp.StatusCode, body)
+		}
+		var mst compare.Status
+		if err := json.Unmarshal(body, &mst); err != nil {
+			t.Fatal(err)
+		}
+		run, _ := srv.matrix.Get(mst.ID)
+		select {
+		case <-run.Done():
+		case <-time.After(time.Minute):
+			t.Fatalf("matrix %s did not finish", mst.ID)
+		}
+		if got := run.Status().State; got != compare.RunDone {
+			t.Fatalf("matrix %s ended %s", mst.ID, got)
+		}
+	}
+
+	_, raw := doRequest(t, http.MethodGet, ts.URL+"/metrics")
+	text := string(raw)
+	for _, want := range []string{"\nsccgd_matrix_runs_total 2\n", "\nsccgd_groups_active 0\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q:\n%s", strings.TrimSpace(want), text)
+		}
+	}
+	if strings.Contains(text, "sccgd_groups_total") {
+		t.Errorf("sccgd_groups_total is still exposed:\n%s", text)
+	}
+}
+
 // TestMatrixProgressiveEndpoints drives a top-k run over a spatially skewed
 // corpus through the HTTP surface: progressive fields round-trip, the
 // version-based long-poll converges on the terminal state, cross-cluster
-// cells come back skipped with bound 0, and the NDJSON stream replays to the
-// terminal snapshot.
+// cells come back skipped with bound 0, and a body naming a field the run spec
+// does not have is a 400.
 func TestMatrixProgressiveEndpoints(t *testing.T) {
 	st := testStoreAt(t, t.TempDir())
 	const shift = 1 << 20
@@ -148,7 +186,7 @@ func TestMatrixProgressiveEndpoints(t *testing.T) {
 	_, _, ts := newTestServer(t, sched.Config{Devices: 2}, Options{Store: st})
 
 	resp, body := postJSON(t, ts.URL+"/matrix",
-		MatrixRequest{Datasets: all, Name: "topk", TopK: 2, Estimate: true})
+		MatrixRequest{Datasets: all, Name: "topk", TopK: 2})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("progressive submit = %d: %s", resp.StatusCode, body)
 	}
@@ -219,33 +257,6 @@ func TestMatrixProgressiveEndpoints(t *testing.T) {
 		t.Fatal("terminal long-poll blocked instead of returning the final state")
 	}
 
-	// The NDJSON stream emits at least the current snapshot and closes at
-	// the terminal line.
-	sresp, err := http.Get(ts.URL + "/matrix/" + mst.ID + "?stream=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if ct := sresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream content-type = %q", ct)
-	}
-	var last compare.Status
-	lines := 0
-	sc := bufio.NewScanner(sresp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
-			t.Fatalf("stream line %d: %v", lines, err)
-		}
-		lines++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if lines == 0 || last.State != compare.RunDone {
-		t.Fatalf("stream emitted %d lines, last state %q; want the terminal snapshot", lines, last.State)
-	}
-
 	// min_similarity alone (no top_k) skips exactly the provably-empty
 	// cross-cluster cells.
 	resp, body = postJSON(t, ts.URL+"/matrix",
@@ -290,16 +301,18 @@ func TestMatrixProgressiveEndpoints(t *testing.T) {
 	}
 
 	// Validation at the HTTP boundary.
-	for _, bad := range []MatrixRequest{
-		{Datasets: all, SetA: near},                  // mixed axes
-		{SetA: near},                                 // missing set_b
-		{SetA: near, SetB: []string{"nothex"}},       // malformed id
-		{Datasets: all, TopK: -1},                    // negative top_k
-		{Datasets: all, MinSimilarity: 1.5},          // out-of-range threshold
-		{SetA: near, SetB: []string{far[0], far[0]}}, // duplicate in one axis
+	for i, bad := range []any{
+		MatrixRequest{Datasets: all, SetA: near},                  // mixed axes
+		MatrixRequest{SetA: near},                                 // missing set_b
+		MatrixRequest{SetA: near, SetB: []string{"nothex"}},       // malformed id
+		MatrixRequest{Datasets: all, TopK: -1},                    // negative top_k
+		MatrixRequest{Datasets: all, MinSimilarity: 1.5},          // out-of-range threshold
+		MatrixRequest{SetA: near, SetB: []string{far[0], far[0]}}, // duplicate in one axis
+		// A field the run spec does not have is refused, not ignored.
+		json.RawMessage(fmt.Sprintf(`{"datasets":[%q,%q],"estimate":true}`, near[0], near[1])),
 	} {
 		if r, raw := postJSON(t, ts.URL+"/matrix", bad); r.StatusCode != http.StatusBadRequest {
-			t.Errorf("matrix %+v = %d, want 400: %s", bad, r.StatusCode, raw)
+			t.Errorf("matrix row %d = %d, want 400: %s", i, r.StatusCode, raw)
 		}
 	}
 	unknown := strings.Repeat("ab", 32)

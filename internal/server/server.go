@@ -278,7 +278,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			e.Gauge(metrics.Label("sccgd_group_jobs_failed", "group", g.ID), float64(g.Failed))
 		}
 		e.Gauge("sccgd_groups_active", float64(active))
-		e.Counter("sccgd_groups_total", float64(len(runs)))
 		// QoS series: per-band and per-tenant queue/run occupancy from the
 		// same scheduler snapshot, plus per-tenant store attribution. Labels
 		// are band names and configured tenant names — bounded cardinality
@@ -339,14 +338,10 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		srv.matrix = compare.NewManager(compare.ManagerConfig{
 			Scheduler: s,
 			Submit:    srv.submitCell,
-			// The planner's bound reads manifests only; the optional
-			// estimate decodes a small tile sample. Neither pins — the run
-			// holds pins on all its datasets for its whole lifetime.
+			// The planner's bound reads manifests only and pins nothing —
+			// the run holds pins on all its datasets for its whole lifetime.
 			Bound: func(idA, idB string) (compare.CellBound, error) {
 				return compare.BoundPair(srv.store, idA, idB)
-			},
-			Estimate: func(idA, idB string) (compare.CellEstimate, error) {
-				return compare.EstimatePair(srv.store, idA, idB)
 			},
 		})
 	}
@@ -428,9 +423,6 @@ func (s *Server) Handler() http.Handler {
 }
 
 // statusWriter captures the response status for the request-duration metric.
-// It forwards Flush so streaming handlers (the matrix progress stream) keep
-// working through the instrumentation wrap, and exposes Unwrap for
-// http.ResponseController, which handles any interface the wrapper doesn't.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -440,19 +432,6 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
 	w.ResponseWriter.WriteHeader(code)
 }
-
-// Flush forwards to the underlying writer when it supports flushing. The
-// embedded ResponseWriter alone would hide the http.Flusher implementation of
-// the real connection, silently buffering streamed responses.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap returns the wrapped writer so http.ResponseController can reach
-// interfaces statusWriter doesn't forward itself.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // instrument wraps a handler with request accounting: the total-requests
 // counter and a per-route, per-status duration histogram. Histogram series

@@ -509,55 +509,3 @@ func TestCacheLRU(t *testing.T) {
 		t.Errorf("%d slots after the failed job's lookup, want 1", slots)
 	}
 }
-
-// flushRecorder is an httptest.ResponseRecorder that counts Flush calls, so
-// tests can tell whether a wrapper actually forwards flushes rather than
-// swallowing them in the embedded-interface shadow.
-type flushRecorder struct {
-	*httptest.ResponseRecorder
-	flushes int
-}
-
-func (f *flushRecorder) Flush() { f.flushes++ }
-
-// plainWriter implements only http.ResponseWriter — no Flusher — to check the
-// wrapper degrades to a no-op instead of panicking.
-type plainWriter struct{ header http.Header }
-
-func (p *plainWriter) Header() http.Header         { return p.header }
-func (p *plainWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (p *plainWriter) WriteHeader(int)             {}
-
-// TestStatusWriterFlush is the regression test for the instrumentation
-// wrapper dropping http.Flusher: streaming handlers behind instrument() saw a
-// writer with no Flush, so progress events sat in buffers until the response
-// ended.
-func TestStatusWriterFlush(t *testing.T) {
-	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
-	sw := &statusWriter{ResponseWriter: rec, status: http.StatusOK}
-
-	// The wrapper must satisfy http.Flusher and forward to the real writer.
-	f, ok := interface{}(sw).(http.Flusher)
-	if !ok {
-		t.Fatal("statusWriter does not implement http.Flusher")
-	}
-	f.Flush()
-	if rec.flushes != 1 {
-		t.Fatalf("underlying writer saw %d flushes, want 1", rec.flushes)
-	}
-
-	// http.ResponseController must reach the underlying Flusher via Unwrap.
-	if err := http.NewResponseController(sw).Flush(); err != nil {
-		t.Fatalf("ResponseController.Flush: %v", err)
-	}
-	if rec.flushes < 2 {
-		t.Fatalf("ResponseController flush did not reach the underlying writer (flushes=%d)", rec.flushes)
-	}
-	if got := sw.Unwrap(); got != http.ResponseWriter(rec) {
-		t.Fatalf("Unwrap() = %T, want the wrapped writer", got)
-	}
-
-	// A non-flushing underlying writer: Flush is a harmless no-op.
-	plain := &statusWriter{ResponseWriter: &plainWriter{header: make(http.Header)}, status: http.StatusOK}
-	plain.Flush()
-}

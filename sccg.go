@@ -485,8 +485,8 @@ func (s *Service) SubmitMatrix(ids []string) (string, error) {
 // progressive — TopK asks only for the K highest-similarity cells,
 // MinSimilarity skips cells provably below it (elided cells finish
 // "bounded"/"skipped" with a sound similarity upper bound instead of an
-// exact report), Estimate refines the computation order with Monte-Carlo
-// sampling. Poll with Matrix or long-poll with WaitMatrix.
+// exact report). Cells run in descending-bound order, plan order breaking
+// ties. Poll with Matrix or long-poll with WaitMatrix.
 func (s *Service) SubmitMatrixQuery(req MatrixQuery) (string, error) {
 	return s.srv.SubmitMatrix(req)
 }
