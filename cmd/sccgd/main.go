@@ -14,6 +14,8 @@
 //
 // A repeated submission of the same dataset is answered from the result
 // store without touching the device pool; -cache-max-entries bounds it (LRU).
+// It is the only long-lived record: finished jobs past the last 1024, and
+// finished matrix runs past the last 64, are forgotten (their IDs answer 404).
 // See GET /metrics for counters, including per-executor hybrid-aggregator
 // accounting.
 //

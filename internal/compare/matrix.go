@@ -200,7 +200,7 @@ func (sp RunSpec) progressive() bool { return sp.TopK > 0 || sp.MinSimilarity > 
 
 // Errors returned by the manager API.
 var (
-	ErrNoRun       = errors.New("compare: no such matrix run")
+	ErrNoRun       = fmt.Errorf("compare: no such matrix run (finished runs past the last %d are forgotten; resubmit the matrix to get its cells from cache)", keepFinishedRuns)
 	ErrRunTerminal = errors.New("compare: matrix run already finished")
 	ErrClosed      = errors.New("compare: matrix manager closed")
 	// Cell-level errors, surfaced by GET /matrix/{id}/cells/{i}/{j}.
@@ -210,14 +210,16 @@ var (
 	ErrCellBusy      = errors.New("compare: cell is already being computed")
 )
 
+const keepFinishedRuns = 64 // finished runs a manager remembers
+
 // Manager owns the matrix runs of one service instance.
 type Manager struct {
 	cfg ManagerConfig
 
-	mu     sync.Mutex
-	runs   map[string]*Run
-	order  []string
-	closed bool
+	mu       sync.Mutex
+	runs     map[string]*Run
+	finished []string // IDs of finished runs still in runs, oldest first
+	closed   bool
 
 	nextID int64
 }
@@ -285,7 +287,6 @@ func (m *Manager) StartSpec(spec RunSpec, release func()) (*Run, error) {
 	}
 	r.id = fmt.Sprintf("mx-%06d", atomic.AddInt64(&m.nextID, 1))
 	m.runs[r.id] = r
-	m.order = append(m.order, r.id)
 	m.mu.Unlock()
 
 	go r.execute(m.cfg)
@@ -300,13 +301,13 @@ func (m *Manager) Get(id string) (*Run, bool) {
 	return r, ok
 }
 
-// Runs returns every run in start order.
+// Runs returns every run the manager remembers, in no particular order.
 func (m *Manager) Runs() []*Run {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*Run, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.runs[id])
+	out := make([]*Run, 0, len(m.runs))
+	for _, r := range m.runs {
+		out = append(out, r)
 	}
 	return out
 }
@@ -325,12 +326,8 @@ func (m *Manager) Cancel(id string) error {
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
-	runs := make([]*Run, 0, len(m.order))
-	for _, id := range m.order {
-		runs = append(runs, m.runs[id])
-	}
 	m.mu.Unlock()
-	for _, r := range runs {
+	for _, r := range m.Runs() {
 		_ = r.Cancel()
 	}
 }
@@ -770,6 +767,15 @@ func (r *Run) finalize() {
 			r.release()
 		}
 	})
+	// Retire the run; its cells' answers outlive it in the result table.
+	m := r.m
+	m.mu.Lock()
+	m.finished = append(m.finished, r.id)
+	if len(m.finished) > keepFinishedRuns {
+		delete(m.runs, m.finished[0])
+		m.finished = m.finished[1:]
+	}
+	m.mu.Unlock()
 	close(r.done)
 }
 

@@ -164,6 +164,68 @@ func TestMatrixCachedCells(t *testing.T) {
 	}
 }
 
+// TestFinishedRunsForgotten is the forgetting rule for runs: past
+// keepFinishedRuns finished runs the oldest leaves Get and Runs, while a
+// running run is never forgotten.
+func TestFinishedRunsForgotten(t *testing.T) {
+	sc := sched.New(sched.Config{})
+	t.Cleanup(sc.Close)
+	rep := pipeline.Result{Similarity: 0.5, RatioSum: 1, Intersecting: 2, Candidates: 3}
+	hold := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(release)
+	held := testID('f')
+	m := NewManager(ManagerConfig{
+		Scheduler: sc,
+		Submit: func(idA, _, _ string) (SubmitOutcome, error) {
+			if idA == held {
+				<-hold
+			}
+			return SubmitOutcome{Cached: true, Report: &rep, Tiles: 1}, nil
+		},
+	})
+	live, err := m.StartSpec(RunSpec{Datasets: []string{held, testID('e')}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const forgotten = 10
+	ids := make([]string, keepFinishedRuns+forgotten)
+	for i := range ids {
+		run, err := m.StartSpec(RunSpec{Datasets: []string{testID('a'), testID('b')}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitRun(t, run); st.State != RunDone {
+			t.Fatalf("run %s ended %s", run.ID(), st.State)
+		}
+		ids[i] = run.ID()
+	}
+	for i, id := range ids {
+		if _, ok := m.Get(id); ok != (i >= forgotten) {
+			t.Fatalf("run %d of %d (%s): known = %v, want only the last %d finished", i, len(ids), id, ok, keepFinishedRuns)
+		}
+	}
+	if err := m.Cancel(ids[0]); err != ErrNoRun {
+		t.Fatalf("Cancel(forgotten run) = %v, want ErrNoRun", err)
+	}
+	if _, ok := m.Get(live.ID()); !ok {
+		t.Fatal("the running run was forgotten")
+	}
+	if n := len(m.Runs()); n != keepFinishedRuns+1 {
+		t.Fatalf("Runs() lists %d runs, want %d finished plus the live one", n, keepFinishedRuns)
+	}
+
+	release()
+	waitRun(t, live)
+	if n := len(m.Runs()); n != keepFinishedRuns {
+		t.Fatalf("Runs() lists %d runs after the live one finished, want %d", n, keepFinishedRuns)
+	}
+	if _, ok := m.Get(ids[forgotten]); ok {
+		t.Fatal("the oldest remembered run survived a newer run finishing")
+	}
+}
+
 func testID(b byte) string {
 	id := make([]byte, 64)
 	for i := range id {

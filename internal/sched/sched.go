@@ -21,7 +21,8 @@
 // Jobs move queued → running → done | failed | canceled. Cancellation is
 // shard-granular: a canceled job stops dispatching new shards immediately,
 // but a shard already on a device runs to completion (kernels are
-// non-preemptive).
+// non-preemptive). Only live jobs and the last keepFinishedJobs finished
+// ones are remembered; answers that must outlive them belong to the caller.
 package sched
 
 import (
@@ -180,6 +181,7 @@ type JobStatus struct {
 	DeviceIDs []int // pool devices that executed at least one shard
 	// Report is the merged cross-comparison result, valid when State == Done.
 	Report pipeline.Result
+	Meta   any // the submitter's JobOpts.Meta
 	// Trace is the job's stage-span breakdown, recorded from submission.
 	// Snapshots of a live job show the spans so far; after the job finishes
 	// its total freezes (later spans like the server's persist still appear).
@@ -216,10 +218,12 @@ var (
 	ErrClosed      = errors.New("sched: scheduler closed")
 	ErrQueueFull   = errors.New("sched: job queue full")
 	ErrTenantQueue = errors.New("sched: tenant queued-job quota reached")
-	ErrNotFound    = errors.New("sched: no such job")
+	ErrNotFound    = fmt.Errorf("sched: no such job (finished jobs past the last %d are forgotten; resubmit a cached request to get its answer)", keepFinishedJobs)
 	ErrTerminal    = errors.New("sched: job already finished")
 	ErrEmptyJob    = errors.New("sched: job has no tasks")
 )
+
+const keepFinishedJobs = 1024 // finished jobs the scheduler remembers
 
 // device is one pool member: a leased executor slot owning a (possibly
 // empty) set of exclusive GPUs; an empty set is a CPU-only slot.
@@ -260,6 +264,7 @@ type job struct {
 	shards    int
 	devices   map[int]struct{}
 	report    pipeline.Result
+	meta      any
 	trace     *trace.Recorder
 }
 
@@ -278,11 +283,11 @@ type Scheduler struct {
 	// jobs, so a new job's first claims are sized from history.
 	warm *pipeline.ThroughputMemory
 
-	mu     sync.Mutex
-	qcond  *sync.Cond // signaled on enqueue and Close; guards the fields below via mu
-	jobs   map[string]*job
-	order  []string
-	closed bool
+	mu       sync.Mutex
+	qcond    *sync.Cond // signaled on enqueue and Close; guards the fields below via mu
+	jobs     map[string]*job
+	closed   bool
+	finished []string // the finished jobs still in jobs, oldest first
 
 	// The banded ready queue: one FIFO per band under weighted fair sharing
 	// (virtual-time WFQ). Terminal jobs (canceled while queued)
@@ -374,6 +379,8 @@ type JobOpts struct {
 	// records pin/materialize spans while resolving stored datasets). A nil
 	// recorder gets a fresh one, so every job carries a trace.
 	Trace *trace.Recorder
+	// Meta is an opaque value returned as JobStatus.Meta, forgotten with the job.
+	Meta any
 }
 
 // SubmitJob enqueues a cross-comparison job whose tiles are materialized
@@ -410,6 +417,7 @@ func (s *Scheduler) SubmitJob(src TaskSource, opts JobOpts) (string, error) {
 		state:     Queued,
 		submitted: time.Now(),
 		devices:   make(map[int]struct{}),
+		meta:      opts.Meta,
 		trace:     rec,
 	}
 
@@ -434,7 +442,6 @@ func (s *Scheduler) SubmitJob(src TaskSource, opts JobOpts) (string, error) {
 	j.id = fmt.Sprintf("job-%06d", atomic.AddInt64(&s.nextID, 1))
 	s.enqueueLocked(j)
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	atomic.AddInt64(&s.submitted, 1)
 	s.mu.Unlock()
 	return j.id, nil
@@ -580,14 +587,19 @@ func (s *Scheduler) Job(id string) (JobStatus, bool) {
 	return s.snapshotLocked(j), true
 }
 
-// Jobs returns snapshots of every job in submission order.
+// Jobs returns snapshots of every job still remembered — live jobs and the
+// last keepFinishedJobs finished ones — in submission order.
 func (s *Scheduler) Jobs() []JobStatus {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.snapshotLocked(s.jobs[id]))
+	out := make([]JobStatus, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, s.snapshotLocked(j))
 	}
+	s.mu.Unlock()
+	// IDs are zero-padded sequence numbers: (length, text) is submission order.
+	sort.Slice(out, func(a, b int) bool {
+		return len(out[a].ID) < len(out[b].ID) || len(out[a].ID) == len(out[b].ID) && out[a].ID < out[b].ID
+	})
 	return out
 }
 
@@ -605,8 +617,9 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (JobStatus, error) {
 	case <-ctx.Done():
 		return JobStatus{}, ctx.Err()
 	}
-	st, _ := s.Job(id)
-	return st, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.snapshotLocked(j), nil
 }
 
 // DeviceStats returns per-device accounting for the pool.
@@ -703,6 +716,7 @@ func (s *Scheduler) snapshotLocked(j *job) JobStatus {
 		Tiles:     j.tiles,
 		Shards:    j.shards,
 		Report:    j.report,
+		Meta:      j.meta,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
@@ -967,7 +981,12 @@ func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Resul
 	// FIFO slot is discarded by whichever dequeue reaches it.
 	s.uncountLocked(j)
 	src := j.src
-	j.src = nil // release the input source; finished jobs are kept forever
+	j.src = nil // release the input source
+	s.finished = append(s.finished, j.id)
+	if len(s.finished) > keepFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 	s.mu.Unlock()
 	j.trace.Finish()
 	if h := s.histJobDuration[state]; h != nil {

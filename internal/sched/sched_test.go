@@ -153,14 +153,13 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	// One device, one runner: the second job stays queued while the first
-	// (deliberately large) runs, so canceling it is race-free in practice.
+	// One device, one runner: the second job stays queued while a gated
+	// first job holds the runner, so the cancel always finds it queued.
 	s := New(Config{Devices: 1})
 	defer s.Close()
-	first, err := s.SubmitJob(Tasks(testTasks(t, 12)), JobOpts{Name: "long"})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
+	first, release := startFiller(t, s)
+	var once sync.Once
+	defer once.Do(release)
 	second, err := s.SubmitJob(Tasks(testTasks(t, 2)), JobOpts{Name: "victim"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -175,6 +174,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if st.State != Canceled {
 		t.Fatalf("canceled job state = %v, want Canceled", st.State)
 	}
+	once.Do(release)
 	if fst, err := s.Wait(context.Background(), first); err != nil || fst.State != Done {
 		t.Fatalf("first job state = %v err = %v, want Done", fst.State, err)
 	}
@@ -211,6 +211,96 @@ func TestJobsListingOrder(t *testing.T) {
 			t.Errorf("Jobs()[%d].ID = %s, want %s (submission order)", i, st.ID, ids[i])
 		}
 	}
+}
+
+// TestFinishedJobsForgotten is the forgetting rule: past keepFinishedJobs
+// finished jobs the oldest leaves the scheduler, while a running job and a
+// queued one stay however long the flood of finished work runs.
+func TestFinishedJobsForgotten(t *testing.T) {
+	// Two slots: the batch band's gated job holds the only general runner,
+	// so a second batch job stays queued, and the interactive flood runs on
+	// the reserved slot.
+	s := New(Config{Devices: 2})
+	defer s.Close()
+	tiny := testTasks(t, 1)
+	tiny[0].A, tiny[0].B = tiny[0].A[:1], tiny[0].B[:1]
+	gate := &gatedSource{tasks: tiny, release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate.release) }) }
+	defer release()
+	running, err := s.SubmitJob(gate, JobOpts{Name: "held", Band: BandBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := s.Job(running); st.State == Running {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the held job never started")
+		}
+	}
+	queued, err := s.SubmitJob(Tasks(tiny), JobOpts{Name: "behind", Band: BandBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	const forgotten = 100
+	ids := make([]string, keepFinishedJobs+forgotten)
+	for i := range ids {
+		id, err := s.SubmitJob(Tasks(tiny), JobOpts{Name: "flood"})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		st, err := s.Wait(ctx, id)
+		if err != nil || st.ID != id || st.State != Done {
+			t.Fatalf("Wait(%s) = %s %q (%v), want its own done snapshot", id, st.State, st.ID, err)
+		}
+		ids[i] = id
+	}
+	for i, id := range ids {
+		_, ok := s.Job(id)
+		if i < forgotten {
+			if ok {
+				t.Fatalf("job %d of %d (%s) still known past the last %d finished", i, len(ids), id, keepFinishedJobs)
+			}
+			if err := s.Cancel(id); err != ErrNotFound {
+				t.Fatalf("Cancel(forgotten %s) = %v, want ErrNotFound", id, err)
+			}
+		} else if !ok {
+			t.Fatalf("job %d (%s) forgotten inside the last %d finished", i, id, keepFinishedJobs)
+		}
+	}
+	if st, _ := s.Job(running); st.State != Running {
+		t.Fatalf("held job is %s after the flood, want running", st.State)
+	}
+	if st, _ := s.Job(queued); st.State != Queued {
+		t.Fatalf("queued job is %s after the flood, want queued", st.State)
+	}
+	checkJobs := func(want []string) {
+		t.Helper()
+		jobs := s.Jobs()
+		if len(jobs) != len(want) {
+			t.Fatalf("Jobs() lists %d jobs, want %d", len(jobs), len(want))
+		}
+		for i, st := range jobs {
+			if st.ID != want[i] {
+				t.Fatalf("Jobs()[%d] = %s, want %s (submission order)", i, st.ID, want[i])
+			}
+		}
+	}
+	checkJobs(append([]string{running, queued}, ids[forgotten:]...))
+
+	// Once the two live jobs finish, they push the two oldest finished out.
+	release()
+	for _, id := range []string{running, queued} {
+		if st, err := s.Wait(ctx, id); err != nil || st.ID != id || st.State != Done {
+			t.Fatalf("Wait(%s) = %s %q (%v), want done", id, st.State, st.ID, err)
+		}
+	}
+	checkJobs(append([]string{running, queued}, ids[forgotten+2:]...))
 }
 
 // weightSource is a TaskSource with explicit per-tile weights for shard

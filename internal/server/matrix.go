@@ -9,7 +9,7 @@ package server
 //	                     "top_k" (only the K highest cells need exact answers),
 //	                     and "min_similarity" (cells provably below it are
 //	                     skipped). Any other member is a 400.
-//	GET    /matrix       list runs
+//	GET    /matrix       list running runs plus the last 64 finished
 //	GET    /matrix/{id}  poll one run (cell grid, group aggregate).
 //	                       ?wait=1&since=N long-polls until the run's version
 //	                       exceeds N (or the run finishes, or ~25s elapse).

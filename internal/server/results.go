@@ -9,7 +9,8 @@ package server
 //     job rather than a copied report gives single-flight for free: a
 //     duplicate submission arriving mid-run attaches to the in-flight job
 //     instead of recomputing.
-//   - the finished entry, written through to one JSON file per entry under
+//   - the finished entry every cache-keyed done job leaves, written through
+//     (with a store) to one JSON file per entry under
 //     <data-dir>/cache/ and reloaded on boot, so a restarted daemon answers
 //     repeat jobs and matrix cells without recompute. A slot with an entry
 //     and no live job answers cached-<12 hex>.
@@ -148,7 +149,6 @@ func keyReferences(key, id string) bool { return slices.Contains(keyDatasetIDs(k
 // bound, which boot seeds from the entry's Saved time.
 type resultSlot struct {
 	jobID string
-	cross *CrossPayload // rides along so a finished job's answer is a complete entry
 	entry *resultEntry
 	used  time.Time
 }
@@ -266,19 +266,18 @@ func (rs *resultStore) slotLocked(key string) *resultSlot {
 // lookup answers key. A slot whose job the scheduler knows answers as that
 // job — the one that computed, or is still computing, the key — and e is nil
 // only while that job is in flight without an entry beside it. A job that
-// failed, was canceled or vanished is cleared from its slot on the way (the
-// slot goes too when it holds no entry), so the caller recomputes. A slot
-// with an entry and no live job answers with the entry and leaves job zero.
+// failed, was canceled or was forgotten is cleared from its slot on the way
+// (the slot goes too when it holds no entry), so the caller recomputes. A
+// slot with an entry and no live job answers with the entry, job zero.
 // A hit is a use of the key's datasets: their retention clocks advance, so
 // repeatedly-hit content never TTL-expires out from under its own result.
 func (rs *resultStore) lookup(key string) (job sched.JobStatus, e *resultEntry, ok bool) {
 	var jobID string
-	var cross *CrossPayload
 	rs.mu.Lock()
 	slot := rs.slots[key]
 	if slot != nil {
 		slot.used = time.Now()
-		jobID, cross, e = slot.jobID, slot.cross, slot.entry
+		jobID, e = slot.jobID, slot.entry
 	}
 	rs.mu.Unlock()
 
@@ -286,7 +285,9 @@ func (rs *resultStore) lookup(key string) (job sched.JobStatus, e *resultEntry, 
 		st, known := rs.job(jobID)
 		switch {
 		case known && st.State == sched.Done:
+			// The bridge until the completion watcher adopts the report.
 			job, ok = st, true
+			cross, _ := st.Meta.(*CrossPayload)
 			e = &resultEntry{Key: key, Name: st.Name, Cross: cross, Saved: st.Finished.UTC(), Report: st.Report}
 		case known && !st.State.Terminal():
 			job, ok = st, true
@@ -320,11 +321,11 @@ func (rs *resultStore) touch(key string) {
 }
 
 // record notes that jobID is computing key.
-func (rs *resultStore) record(key, jobID string, cross *CrossPayload) {
+func (rs *resultStore) record(key, jobID string) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	slot := rs.slotLocked(key)
-	slot.jobID, slot.cross, slot.used = jobID, cross, time.Now()
+	slot.jobID, slot.used = jobID, time.Now()
 	rs.enforceLocked()
 }
 
@@ -333,13 +334,13 @@ func (rs *resultStore) record(key, jobID string, cross *CrossPayload) {
 // file found at boot. The returned entry is servable; the error means
 // rejected. Adoption is a use of the key's datasets (see lookup).
 //
-// When results are persistent the entry fills its slot (unless admitLocked
-// declines it) and is written to disk atomically — temp file, fsync, rename.
-// The write runs outside the lock, since lookups must not stall behind an
-// fsync; that is safe because two writers of one key hold bit-identical
-// reports (the key is a content address), so either rename wins harmlessly.
-// A failed write is logged, not returned: the entry still serves this
-// process, it just will not survive a restart.
+// The entry fills its slot (unless admitLocked declines it). When results
+// are persistent it is also written to disk atomically — temp file, fsync,
+// rename. The write runs outside the lock, since lookups must not stall
+// behind an fsync; that is safe because two writers of one key hold
+// bit-identical reports (the key is a content address), so either rename
+// wins harmlessly. A failed write is logged, not returned: the entry still
+// serves this process, it just will not survive a restart.
 func (rs *resultStore) adopt(e resultEntry, wantKey string) (*resultEntry, error) {
 	if e.Key != wantKey {
 		return nil, errors.New("result carries the key of a different comparison")
@@ -348,9 +349,6 @@ func (rs *resultStore) adopt(e resultEntry, wantKey string) (*resultEntry, error
 		return nil, err
 	}
 	rs.touch(e.Key)
-	if rs.dir == "" {
-		return &e, nil
-	}
 	raw, err := json.MarshalIndent(&e, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("encode cache entry: %w", err)
@@ -359,8 +357,8 @@ func (rs *resultStore) adopt(e resultEntry, wantKey string) (*resultEntry, error
 	admitted := rs.admitLocked(&e, time.Now())
 	rs.enforceLocked()
 	rs.mu.Unlock()
-	if !admitted {
-		return &e, nil // its dataset is gone; nothing to keep
+	if !admitted || rs.dir == "" {
+		return &e, nil // its dataset is gone, or there is no disk to write to
 	}
 	path := filepath.Join(rs.dir, entryFile(e.Key))
 	if err := writeFileSynced(rs.dir, path, raw); err != nil {
@@ -404,7 +402,7 @@ func writeFileSynced(dir, path string, raw []byte) error {
 
 // removeLocked drops key's slot, and its entry file when it holds an entry.
 func (rs *resultStore) removeLocked(key string) {
-	if rs.slots[key].entry != nil {
+	if rs.dir != "" && rs.slots[key].entry != nil {
 		os.Remove(filepath.Join(rs.dir, entryFile(key)))
 	}
 	delete(rs.slots, key)

@@ -141,8 +141,8 @@ func TestDropDatasetCoversEveryTier(t *testing.T) {
 	srv, _, _ := newTestServer(t, sched.Config{}, Options{Store: st})
 	rs := srv.results
 
-	rs.record(datasetKey(gone.ID), "job-gone", nil)
-	rs.record(datasetKey(kept.ID), "job-kept", nil)
+	rs.record(datasetKey(gone.ID), "job-gone")
+	rs.record(datasetKey(kept.ID), "job-kept")
 	for _, key := range []string{
 		datasetKey(gone.ID), crossKey(gone.ID, kept.ID), crossKey(kept.ID, gone.ID), datasetKey(kept.ID),
 	} {

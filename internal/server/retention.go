@@ -134,11 +134,15 @@ func (s *Server) SubmitStored(idA, idB string) (string, compare.Match, error) {
 	if s.store == nil {
 		return "", compare.Match{}, errNoStore
 	}
-	name, src, match, _, err := s.openPairPinned(idA, idB)
+	name, src, match, self, err := s.openPairPinned(idA, idB)
 	if err != nil {
 		return "", match, err
 	}
-	id, err := s.sched.SubmitJob(src, sched.JobOpts{Name: name})
+	opts := sched.JobOpts{Name: name}
+	if !self {
+		opts.Meta = crossPayload(idA, idB, match)
+	}
+	id, err := s.sched.SubmitJob(src, opts)
 	if err != nil {
 		releaseSource(src)
 	}

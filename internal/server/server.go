@@ -5,7 +5,7 @@
 // without recomputation (and without further GPU launches).
 //
 //	POST   /jobs                    submit a cross-comparison job
-//	GET    /jobs                    list all jobs
+//	GET    /jobs                    list live jobs plus the last 1024 finished
 //	GET    /jobs/{id}               poll one job, report included when done
 //	DELETE /jobs/{id}               cancel a queued or running job
 //	PUT    /datasets                ingest a dataset into the store (streaming)
@@ -14,7 +14,7 @@
 //	GET    /datasets/{id}/tiles/{n} read one stored tile's polygon text
 //	DELETE /datasets/{id}           remove a stored dataset
 //	POST   /matrix                  start a K-way similarity matrix run
-//	GET    /matrix                  list matrix runs
+//	GET    /matrix                  list running matrix runs plus the last 64 finished
 //	GET    /matrix/{id}             poll one matrix run
 //	GET    /matrix/{id}/cells/{i}/{j}  read one cell; ?exact=1 upgrades an elided cell
 //	DELETE /matrix/{id}             cancel a matrix run
@@ -161,12 +161,6 @@ type Server struct {
 	// the manifests; nil without a store.
 	tusage *tenant.Registry
 
-	// jobsMu guards jobCross: each cross-dataset job's tile pairing
-	// (matched/unmatched counts), attached to every response for the job,
-	// finished or not.
-	jobsMu   sync.Mutex
-	jobCross map[string]*CrossPayload
-
 	// watchWG tracks in-flight finishWhenDone goroutines so shutdown can
 	// drain them instead of losing half-written result entries. watchMu
 	// serializes spawning against Drain: once draining, no new watcher may
@@ -213,12 +207,11 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		store: opts.Store,
 		results: newResultStore(opts.CacheMaxEntries, opts.Store, s.Job,
 			opts.Registry.Counter("sccgd_cache_evicted_total"), opts.Logger),
-		reg:      opts.Registry,
-		log:      opts.Logger,
-		compare:  opts.Compare,
-		started:  time.Now(),
-		tenants:  opts.Tenants,
-		jobCross: make(map[string]*CrossPayload),
+		reg:     opts.Registry,
+		log:     opts.Logger,
+		compare: opts.Compare,
+		started: time.Now(),
+		tenants: opts.Tenants,
 
 		requests:    opts.Registry.Counter("sccgd_http_requests_total"),
 		submits:     opts.Registry.Counter("sccgd_jobs_submitted_total"),
@@ -613,9 +606,7 @@ func (s *Server) jobResponse(st sched.JobStatus, cached bool) JobResponse {
 		resp.Report = reportPayload(st.Report)
 	}
 	resp.Trace = st.Trace
-	s.jobsMu.Lock()
-	resp.Cross = s.jobCross[st.ID]
-	s.jobsMu.Unlock()
+	resp.Cross, _ = st.Meta.(*CrossPayload) // a cross job's pairing rides on its record
 	return resp
 }
 
@@ -726,36 +717,30 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 	if key != "" {
 		s.cacheMiss.Inc()
 	}
-	name, cross := mat.name, mat.cross
 	id, err := s.sched.SubmitJob(mat.src, sched.JobOpts{
-		Name: name, Band: band, Tenant: who.Name, Trace: rec,
+		Name: mat.name, Band: band, Tenant: who.Name, Trace: rec, Meta: mat.cross,
 	})
 	if err != nil {
 		releaseSource(mat.src)
 		return submission{code: submitErrorCode(err)}, err
 	}
 	s.submits.Inc()
-	if cross != nil {
-		s.jobsMu.Lock()
-		s.jobCross[id] = cross
-		s.jobsMu.Unlock()
-	}
-	s.log.Info("job submitted", "job_id", id, "name", name, "form", requestForm(req),
+	s.log.Info("job submitted", "job_id", id, "name", mat.name, "form", requestForm(req),
 		"band", band.String(), "tenant", who.Name)
 	if key != "" {
-		s.results.record(key, id, cross)
+		s.results.record(key, id)
 	}
-	// One completion watcher per computed job: it persists the report (when
-	// cache-keyed), appends the query-log record, and flags slow queries.
-	// The draining check under the mutex keeps the Add from racing Drain's
-	// Wait.
-	if (key != "" && s.results.persistent()) || s.qlog != nil || s.slowQuery > 0 {
+	// One completion watcher per computed job: it moves a cache-keyed report
+	// into the result table (the scheduler forgets finished jobs), appends the
+	// query-log record, and flags slow queries. The draining check under the
+	// mutex keeps the Add from racing Drain's Wait.
+	if key != "" || s.qlog != nil || s.slowQuery > 0 {
 		s.watchMu.Lock()
 		if !s.draining {
 			s.watchWG.Add(1)
 			go func() {
 				defer s.watchWG.Done()
-				s.finishWhenDone(rec, key, id, name, req, cross)
+				s.finishWhenDone(rec, key, id, req)
 			}()
 		}
 		s.watchMu.Unlock()
@@ -872,20 +857,23 @@ func entrySubmission(e *resultEntry, outcome string) submission {
 }
 
 // finishWhenDone waits for a submitted job's terminal state and runs the
-// completion bookkeeping: the entry-file write for cache-keyed Done jobs
-// (landing in the trace as a persist span — recorded after the scheduler
-// froze the trace total, so it shows up in later trace reads without
-// shifting the job's wall time), the query-log record, and the slow-query
-// warning.
-func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID, name string, req JobRequest, cross *CrossPayload) {
+// completion bookkeeping: a cache-keyed Done job's report enters its result
+// slot, with or without an entry file (the file write lands in the trace as
+// a persist span — recorded after the scheduler froze the trace total, so it
+// shows up in later trace reads without shifting the job's wall time), the
+// query-log record, and the slow-query warning.
+func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID string, req JobRequest) {
 	st, err := s.sched.Wait(context.Background(), jobID)
 	if err != nil {
 		return
 	}
-	if key != "" && st.State == sched.Done && s.results.persistent() {
+	if key != "" && st.State == sched.Done {
 		start := time.Now()
-		_, perr := s.results.adopt(resultEntry{Key: key, Name: name, Cross: cross, Saved: start.UTC(), Report: st.Report}, key)
-		rec.Add("persist", "", start, time.Now())
+		cross, _ := st.Meta.(*CrossPayload)
+		_, perr := s.results.adopt(resultEntry{Key: key, Name: st.Name, Cross: cross, Saved: start.UTC(), Report: st.Report}, key)
+		if s.results.persistent() {
+			rec.Add("persist", "", start, time.Now())
+		}
 		if perr != nil {
 			s.log.Warn("job report failed validation, not persisted", "job_id", jobID, "err", perr)
 		}
@@ -909,7 +897,7 @@ func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID, name string, re
 		})
 	}
 	if s.slowQuery > 0 && dur > s.slowQuery {
-		s.log.Warn("slow query", "job_id", jobID, "name", name,
+		s.log.Warn("slow query", "job_id", jobID, "name", st.Name,
 			"tenant", st.Tenant, "band", st.Band.String(),
 			"duration_ms", float64(dur.Microseconds())/1000,
 			"threshold_ms", float64(s.slowQuery.Microseconds())/1000,

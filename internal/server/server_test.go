@@ -482,16 +482,16 @@ func TestCacheLRU(t *testing.T) {
 	}
 	evicted := new(metrics.Counter)
 	c := newResultStore(2, nil, job, evicted, slog.Default())
-	c.record("a", "job-1", nil)
-	c.record("b", "job-2", nil)
-	c.record("c", "job-3", nil) // evicts a
+	c.record("a", "job-1")
+	c.record("b", "job-2")
+	c.record("c", "job-3") // evicts a
 	if _, ok := get(c, "a"); ok {
 		t.Error("a survived past the bound")
 	}
 	if id, ok := get(c, "b"); !ok || id != "job-2" {
 		t.Errorf("lookup(b) = %q, %v", id, ok)
 	}
-	c.record("d", "job-4", nil) // evicts c (b was refreshed)
+	c.record("d", "job-4") // evicts c (b was refreshed)
 	if _, ok := get(c, "c"); ok {
 		t.Error("c survived, want LRU eviction after b refresh")
 	}

@@ -442,6 +442,7 @@ func NewService(opts ServiceOptions) *Service {
 
 // Handler returns the service's HTTP routing table (POST /jobs,
 // GET /jobs/{id}, GET /jobs, POST /compare, GET /metrics, GET /healthz).
+// Finished jobs past the last 1024 are forgotten: their IDs answer 404.
 func (s *Service) Handler() http.Handler { return s.srv.Handler() }
 
 // Scheduler exposes the underlying job scheduler for in-process use.
@@ -491,7 +492,8 @@ func (s *Service) SubmitMatrixQuery(req MatrixQuery) (string, error) {
 	return s.srv.SubmitMatrix(req)
 }
 
-// Matrix returns a matrix run's status snapshot by ID.
+// Matrix returns a matrix run's status snapshot by ID; finished runs past
+// the last 64 are forgotten (resubmit one to answer its cells from cache).
 func (s *Service) Matrix(id string) (MatrixStatus, bool) { return s.srv.Matrix(id) }
 
 // WaitMatrix blocks until the run's status version exceeds since (pass the
@@ -504,7 +506,7 @@ func (s *Service) WaitMatrix(ctx context.Context, id string, since int64) (Matri
 // CancelMatrix cancels a matrix run and its remaining member jobs.
 func (s *Service) CancelMatrix(id string) error { return s.srv.CancelMatrix(id) }
 
-// Job returns a job snapshot by ID.
+// Job returns a job snapshot by ID; finished jobs past the last 1024 are forgotten.
 func (s *Service) Job(id string) (JobStatus, bool) { return s.sched.Job(id) }
 
 // GC runs one retention sweep immediately — evicting TTL-expired and

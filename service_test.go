@@ -328,6 +328,61 @@ func TestSubmitStoredPins(t *testing.T) {
 	}, 1)
 }
 
+// TestCompareStoredCarriesCross: a facade cross job reports its tile pairing
+// on GET /jobs/{id} exactly as a POST /jobs cross job does, and a
+// self-comparison, which is the dataset's own job, carries none.
+func TestCompareStoredCarriesCross(t *testing.T) {
+	st, err := sccg.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for seed := int64(1); seed <= 2; seed++ {
+		spec := sccg.Representative()
+		spec.Tiles, spec.Seed = 2, seed
+		man, err := sccg.IngestDataset(st, sccg.GenerateDataset(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, man.ID)
+	}
+	svc := sccg.NewService(sccg.ServiceOptions{Store: st})
+	defer svc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, pair := range [][2]string{{ids[0], ids[1]}, {ids[0], ids[0]}} {
+		id, match, err := svc.CompareStored(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(match.Pairs) != 2 {
+			t.Fatalf("%d tiles paired, want both", len(match.Pairs))
+		}
+		if job, err := svc.Scheduler().Wait(ctx, id); err != nil || job.State != sched.Done {
+			t.Fatalf("job %s ended %v (%v): %s", id, job.State, err, job.Error)
+		}
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+id, nil))
+		var resp struct {
+			State string `json:"state"`
+			Cross *struct {
+				MatchedTiles int `json:"matched_tiles"`
+			} `json:"cross"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.State != "done" {
+			t.Fatalf("GET /jobs/%s = %d %s (%v)", id, rec.Code, rec.Body, err)
+		}
+		switch self := pair[0] == pair[1]; {
+		case self && resp.Cross != nil:
+			t.Errorf("self-comparison %s carries a cross block %+v", id, *resp.Cross)
+		case !self && resp.Cross == nil:
+			t.Errorf("cross job %s has no cross block", id)
+		case !self && resp.Cross.MatchedTiles != len(match.Pairs):
+			t.Errorf("cross block matched_tiles = %d, want %d", resp.Cross.MatchedTiles, len(match.Pairs))
+		}
+	}
+}
+
 func TestCompareStoredPins(t *testing.T) {
 	checkStoredPins(t, func(svc *sccg.Service, ids []string) (string, error) {
 		id, _, err := svc.CompareStored(ids[0], ids[1])
