@@ -4,11 +4,11 @@ package sccg_test
 // stack over its own store, cross-wired as peers over real TCP listeners.
 // The phases walk the clustering contract — a job lands on a node that
 // doesn't hold the dataset and is answered after a digest-verified
-// peer-to-peer pull; a K-way matrix is bit-identical to the single-node
-// answer; repeating the matrix anywhere in the cluster recomputes nothing;
-// a restarted node answers the repeat from the cluster-wide persisted cache
-// with zero new jobs; and killing a peer mid-run degrades to local
-// computation without changing a single bit of the answer.
+// peer-to-peer pull; a K-way matrix computes every cell on the node it was
+// sent to and is bit-identical to the single-node answer; repeating the
+// matrix anywhere in the cluster recomputes nothing; a restarted node answers
+// the repeat from the cluster-wide persisted cache with zero new jobs; and
+// killing a peer mid-run does not change a single bit of the answer.
 
 import (
 	"bytes"
@@ -32,6 +32,9 @@ type clusterCellView struct {
 	Similarity float64 `json:"similarity"`
 	Intersect  int     `json:"intersecting"`
 	Candidates int     `json:"candidates"`
+	Trace      *struct {
+		Stages map[string]float64 `json:"stages"`
+	} `json:"trace"`
 }
 
 type clusterMatrixStatus struct {
@@ -296,7 +299,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	// Ingest on node A only; the baseline gets identical content (content
 	// addressing makes the IDs provably the same data).
 	var ids []string
-	for seed := int64(1); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 4; seed++ {
 		id := clusterIngest(t, svcs[0].Store(), "slideC", seed, 2)
 		if base := clusterIngest(t, baseSt, "slideC", seed, 2); base != id {
 			t.Fatalf("content IDs diverged: %s vs %s", id, base)
@@ -341,7 +344,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	clusterPost(t, baseURL+"/jobs", map[string]any{"dataset_id": ids[0]}, &bjr)
 	want := waitClusterJob(t, baseURL, bjr.ID)
 	if got.Report == nil || want.Report == nil || *got.Report != *want.Report {
-		t.Fatalf("routed job report %+v != single-node %+v", got.Report, want.Report)
+		t.Fatalf("pulled job report %+v != single-node %+v", got.Report, want.Report)
 	}
 
 	// The same job repeated on node C is a cluster-wide cache hit: no new
@@ -366,9 +369,32 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	// Phase 2: K-way matrix on B, bit-identical to the single-node answer.
+	// B pulled and pinned every dataset to plan the run, so every cold cell
+	// computes there: one job per cell on B, none on A or C, and C never
+	// sees the data.
 	baseMx := runClusterMatrix(t, baseURL, ids)
+	var submitted [n]int64
+	for i, svc := range svcs {
+		submitted[i] = svc.Scheduler().Stats().Submitted
+	}
 	mx1 := runClusterMatrix(t, addrs[1], ids)
 	sameMatrix(t, "matrix on B", mx1, baseMx)
+	cells := int64(len(ids) * (len(ids) - 1) / 2)
+	for i, svc := range svcs {
+		want := submitted[i]
+		if i == 1 {
+			want += cells
+		}
+		if got := svc.Scheduler().Stats().Submitted; got != want {
+			t.Fatalf("node %d submitted %d jobs for a %d-cell matrix on B, want %d",
+				i, got-submitted[i], cells, want-submitted[i])
+		}
+	}
+	for _, id := range ids {
+		if _, ok := svcs[2].Store().Get(id); ok {
+			t.Fatalf("node C holds dataset %.12s after a matrix on B", id)
+		}
+	}
 
 	// Phase 3: the same matrix on C recomputes nothing, cluster-wide.
 	before = submittedSum(svcs, alive)
@@ -379,8 +405,16 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	for i := range mx2.Cells {
 		for j := range mx2.Cells[i] {
-			if i != j && !mx2.Cells[i][j].Cached {
+			if i == j {
+				continue
+			}
+			c := mx2.Cells[i][j]
+			if !c.Cached {
 				t.Fatalf("repeat matrix cell [%d][%d] not served from cache", i, j)
+			}
+			// The answer came from B's table, and the cell's trace says so.
+			if c.Trace == nil || !hasKey(c.Trace.Stages, "cluster") {
+				t.Fatalf("repeat matrix cell [%d][%d] trace %+v has no cluster stage", i, j, c.Trace)
 			}
 		}
 	}
@@ -480,11 +514,15 @@ func TestClusterEndToEnd(t *testing.T) {
 	if code := clusterGet(t, addrs[0]+"/internal/metrics", nil); code != http.StatusNotFound {
 		t.Fatalf("GET /internal/metrics on a clustered node = %d, want 404", code)
 	}
+	// Nor does it compute on a peer's behalf: cells run where their matrix runs.
+	if code := clusterPost(t, addrs[0]+"/internal/compare", map[string]any{"dataset_a": dA, "dataset_b": dB}, nil); code != http.StatusNotFound {
+		t.Fatalf("POST /internal/compare on a clustered node = %d, want 404", code)
+	}
 
 	// Phase 7: fresh datasets on A, matrix on B, and node C dies mid-run.
-	// The run degrades to local computation and the answer doesn't move.
+	// The read-through skips the dead peer and the answer doesn't move.
 	var ids2 []string
-	for seed := int64(4); seed <= 6; seed++ {
+	for seed := int64(5); seed <= 7; seed++ {
 		id := clusterIngest(t, svcs[0].Store(), "slideC", seed, 2)
 		clusterIngest(t, baseSt, "slideC", seed, 2)
 		ids2 = append(ids2, id)
@@ -510,6 +548,11 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("matrix with a dead peer ended %s: %+v", kill.State, kill.Cells)
 	}
 	sameMatrix(t, "matrix with a dead peer", kill, baseMx2)
+}
+
+func hasKey(m map[string]float64, k string) bool {
+	_, ok := m[k]
+	return ok
 }
 
 func submittedSum(svcs []*sccg.Service, alive []bool) int64 {

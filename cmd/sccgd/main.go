@@ -63,24 +63,24 @@
 //	curl -s -X DELETE localhost:8080/cache
 //
 // With -peers the daemon joins a cluster: any node accepts any request.
-// Rendezvous hashing on dataset and cache-key content addresses picks owners;
+// Rendezvous hashing on dataset and cache-key content addresses ranks owners;
 // a node asked about a dataset it doesn't hold pulls the segment+manifest
 // peer-to-peer and digest-verifies every tile before publishing it locally,
-// the persisted result cache becomes a cluster-wide read-through, and matrix
-// cells route to the node owning their cache key. Unreachable peers back off
-// and the node degrades to local computation — clustering never makes a
-// single node less capable:
+// and the persisted result cache becomes a cluster-wide read-through. Work
+// computes on the node that was asked: a matrix run pulls and pins its
+// datasets there, and its cells compute there. Unreachable peers back off
+// and the node carries on alone — clustering never makes a single node less
+// capable:
 //
 //	sccgd -addr :8080 -data-dir /var/lib/sccgd \
 //	      -peers host-b:8080,host-c:8080 -advertise host-a:8080
 //
-// Observability: with -data-dir every job, matrix cell, ingest, and peer
-// pull appends to a rotation-bounded JSONL query log (GET /querylog serves
+// Observability: with -data-dir every job (matrix cells included), ingest,
+// and peer pull appends to a rotation-bounded JSONL query log (GET /querylog serves
 // it filtered); -querylog-max-bytes bounds it and -querylog-max-bytes off disables it.
 // -slow-query 2s warns (with the job's per-stage trace summary) on anything
 // slower. In clustered mode traces propagate across nodes — a job that
-// pulled a dataset or ran a cell remotely shows the serving peer's spans in
-// GET /jobs/{id}/trace. GET /metrics reports this node only; sum across
+// pulled a dataset shows the serving peer's spans in GET /jobs/{id}/trace. GET /metrics reports this node only; sum across
 // nodes in the scraper:
 //
 //	sccgd -data-dir /var/lib/sccgd -slow-query 2s -querylog-max-bytes 128MiB

@@ -2,10 +2,10 @@
 // service stacks, each with its own store and HTTP listener, cross-wired as
 // peers — then shows the clustering contract end to end: datasets ingested
 // only on node 1, a 3-way similarity matrix submitted to node 2 (which pulls
-// every missing dataset peer-to-peer with digest verification and routes
-// cells to their rendezvous owners), and the same matrix repeated on node 3,
-// answered entirely from the cluster-wide result cache without a single new
-// job anywhere.
+// every missing dataset peer-to-peer with digest verification and computes
+// every cell itself), and the same matrix repeated on node 3, answered
+// entirely from the cluster-wide result cache without a single new job
+// anywhere.
 package main
 
 import (
@@ -91,8 +91,8 @@ func main() {
 	}
 
 	// A 3-way matrix on node 2, which holds none of the datasets: it pulls
-	// them peer-to-peer (every tile digest-verified on arrival) and fans the
-	// cells across the cluster by rendezvous placement.
+	// them peer-to-peer (every tile digest-verified on arrival) and computes
+	// the cells on the bytes it pulled.
 	mst := runMatrix(nodes[1].addr, ids)
 	fmt.Printf("matrix on node 2: %s, %d cells\n", mst.State, len(ids)*(len(ids)-1)/2)
 	printCells(mst)

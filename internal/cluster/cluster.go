@@ -13,7 +13,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -31,7 +30,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/store"
-	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
@@ -283,9 +281,6 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
-// Self returns this node's advertised base URL.
-func (n *Node) Self() string { return n.self }
-
 // Health reports membership for /healthz: every configured peer with its
 // tracked state, plus how many currently answer.
 func (n *Node) Health() Health {
@@ -377,10 +372,6 @@ func (n *Node) Ranked(key string) []Hop {
 	return out
 }
 
-// Owner returns key's top-ranked node over the full membership, reachable or
-// not — the stable placement a healed cluster converges to.
-func (n *Node) Owner(key string) string { return n.ranked(key)[0].Addr }
-
 // do issues one request to a peer and folds the outcome into its health:
 // transport errors mark it down (entering backoff), any HTTP response —
 // including a 404 — marks it up, because the peer answered. A trace context
@@ -391,13 +382,6 @@ func (n *Node) Owner(key string) string { return n.ranked(key)[0].Addr }
 func (n *Node) do(req *http.Request, p *Peer) (*http.Response, error) {
 	if tc := trace.FromContext(req.Context()); !tc.Zero() {
 		req.Header.Set(trace.Header, tc.Traceparent())
-	}
-	// The tenant identity rides the same chokepoint (tenant.WithContext →
-	// X-Sccg-Tenant), so work a peer performs on this node's behalf — cell
-	// compute, dataset pulls — is scheduled and accounted under the
-	// originating tenant, not an anonymous internal identity.
-	if name := tenant.FromContext(req.Context()); name != "" && tenant.ValidName(name) {
-		req.Header.Set(tenant.Header, name)
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
@@ -431,26 +415,6 @@ func (n *Node) GetJSON(ctx context.Context, p *Peer, path string, dst any, maxBy
 	if err != nil {
 		return err
 	}
-	resp, err := n.do(req, p)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeJSONResponse(resp, dst, maxBytes)
-}
-
-// PostJSON posts a JSON body to a peer and decodes the JSON response into
-// dst, updating the peer's health from the outcome.
-func (n *Node) PostJSON(ctx context.Context, p *Peer, path string, in, dst any, maxBytes int64) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.addr+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := n.do(req, p)
 	if err != nil {
 		return err

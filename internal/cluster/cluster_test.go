@@ -86,11 +86,11 @@ func TestRendezvousAgreement(t *testing.T) {
 	}
 	owners := make(map[string]int)
 	for _, key := range []string{"k1", "k2", "k3", "k4", "k5", "k6", "k7", "k8", "k9", "k10"} {
-		want := nodes[0].Owner(key)
+		want := nodes[0].Ranked(key)[0].Addr
 		for _, n := range nodes[1:] {
-			if got := n.Owner(key); got != want {
-				t.Fatalf("Owner(%q): node %s says %s, node %s says %s",
-					key, n.Self(), got, nodes[0].Self(), want)
+			if got := n.Ranked(key)[0].Addr; got != want {
+				t.Fatalf("owner of %q: node %s says %s, node %s says %s",
+					key, n.Health().Advertise, got, addrs[0], want)
 			}
 		}
 		owners[want]++
@@ -99,18 +99,18 @@ func TestRendezvousAgreement(t *testing.T) {
 		t.Fatalf("10 keys all landed on one node: %v", owners)
 	}
 	// Self is always a live hop, so a walk can always terminate locally.
-	for _, n := range nodes {
+	for i, n := range nodes {
 		found := false
 		for _, hop := range n.Ranked("k1") {
 			if hop.Peer == nil {
-				if hop.Addr != n.Self() {
-					t.Fatalf("self hop has addr %s, want %s", hop.Addr, n.Self())
+				if hop.Addr != addrs[i] {
+					t.Fatalf("self hop has addr %s, want %s", hop.Addr, addrs[i])
 				}
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("Ranked omits the self hop on %s", n.Self())
+			t.Fatalf("Ranked omits the self hop on %s", addrs[i])
 		}
 	}
 }

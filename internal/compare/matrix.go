@@ -77,9 +77,9 @@ type SubmitOutcome struct {
 	JobID string
 	// Cached marks answers served from the result cache (live or persisted).
 	Cached bool
-	// Trace carries the caller-side spans of a routed (remote) cell — the
-	// cluster leg plus the serving peer's spliced spans. Nil for local cells,
-	// whose trace lives on the job itself.
+	// Trace carries the spans of an answer with no job behind it: a peer's
+	// cached result brings its cluster leg plus the serving peer's spliced
+	// spans. A cell with a job has its trace on the job.
 	Trace *trace.Trace
 	// Report is set when the cell was answered terminal-immediately from a
 	// persisted report; the run records it without waiting on any job.

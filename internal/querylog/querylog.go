@@ -1,6 +1,6 @@
 // Package querylog persists an append-only, rotation-bounded JSONL record
-// of everything the daemon actually did with data — jobs, matrix cells,
-// ingests, and peer pulls.
+// of everything the daemon actually did with data — jobs (matrix cells
+// included), ingests, and peer pulls.
 //
 // The log is the instrument ROADMAP's workload-adaptive storage direction
 // consumes: which datasets are queried together, and whether answers came
@@ -29,12 +29,11 @@ const Schema = "sccg-qlog/1"
 // Record kinds.
 const (
 	KindJob    = "job"
-	KindCell   = "cell"
 	KindIngest = "ingest"
 	KindPull   = "pull"
 )
 
-// Outcomes. Jobs/cells: computed, cached (live LRU), cached_persisted
+// Outcomes. Jobs: computed, cached (live LRU), cached_persisted
 // (disk), cached_cluster (adopted from a peer), failed. Ingests: ingested,
 // failed. Pulls: pulled, failed.
 const (

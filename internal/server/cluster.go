@@ -2,8 +2,10 @@ package server
 
 // Server-side cluster glue: the peer-to-peer HTTP surface other nodes call
 // (/internal/*), and the client-side hooks the submission path uses in
-// clustered mode — peer-pull of missing datasets, the cluster-wide result
-// cache read-through, and owner-routed matrix cell execution.
+// clustered mode — peer-pull of missing datasets and the cluster-wide result
+// cache read-through. There is one placement rule: work computes on the node
+// that was asked, after pulling what it lacks. A matrix cell is no exception;
+// its run has already pulled and pinned every dataset on that node.
 //
 // Trust model: nothing a peer serves is taken at face value. Manifests must
 // fold back to their content address and segments are digest-verified
@@ -23,12 +25,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compare"
 	"repro/internal/metrics"
 	"repro/internal/querylog"
-	"repro/internal/sched"
 	"repro/internal/store"
-	"repro/internal/tenant"
 	"repro/internal/trace"
 )
 
@@ -36,20 +35,10 @@ const (
 	// clusterResultTimeout bounds a cache probe: owners answer from memory
 	// or one disk read, so a slow peer is a down peer.
 	clusterResultTimeout = 5 * time.Second
-	// clusterCompareTimeout bounds a routed cell: the remote node may have
-	// to pull both datasets and compute the cell from scratch.
-	clusterCompareTimeout = 10 * time.Minute
 	// maxClusterResultBytes bounds a peer result payload (reports carry
 	// per-tile partials, still far below this).
 	maxClusterResultBytes = 64 << 20
 )
-
-// clusterCompareRequest asks a peer to compute (or answer from cache) one
-// pairwise comparison on the caller's behalf.
-type clusterCompareRequest struct {
-	DatasetA string `json:"dataset_a"`
-	DatasetB string `json:"dataset_b"`
-}
 
 // peerRecorder starts a child recorder under the caller's traceparent, so
 // spans recorded while serving a peer request share the caller's trace ID. A
@@ -138,66 +127,11 @@ func (s *Server) handleClusterResult(w http.ResponseWriter, r *http.Request) {
 	}
 	// Only the probe's own serving spans travel back: the cached report's
 	// original compute trace belongs to a past job, not this call window.
-	writeJSON(w, http.StatusOK, peerResult{resultEntry: *e, Cached: true, Trace: rec.Snapshot()})
+	writeJSON(w, http.StatusOK, peerResult{resultEntry: *e, Trace: rec.Snapshot()})
 }
 
-// handleClusterCompare computes — or answers from cache — one pairwise
-// comparison on behalf of a peer: the receiving end of matrix cell routing.
-// It runs the full submission path (result store, peer-pull of missing
-// datasets, persistence) and blocks until the result is terminal.
-func (s *Server) handleClusterCompare(w http.ResponseWriter, r *http.Request) {
-	var req clusterCompareRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return
-	}
-	// The caller's traceparent rides into the submission path, so the job's
-	// whole recorder — materialize, pins, pulls, scheduler stages — joins the
-	// caller's trace and travels back on the result for splicing. The
-	// forwarded tenant NAME (never the token) keeps the work attributed to
-	// the originating tenant on this node too; routed cells are batch work.
-	parent, _ := trace.ParseTraceparent(r.Header.Get(trace.Header))
-	sub, err := s.submitRequestAs(JobRequest{DatasetA: req.DatasetA, DatasetB: req.DatasetB,
-		Band: sched.BandBatch.String()}, s.peerTenant(r), parent)
-	if err != nil {
-		s.fail(w, sub.code, err)
-		return
-	}
-	key := crossKey(req.DatasetA, req.DatasetB)
-	if sub.report != nil {
-		// The result store answered terminal-immediately: synthesize the one
-		// span that happened here (the cache probe) so the caller's splice
-		// still shows where the answer came from.
-		rec := trace.NewRecorderFrom(parent)
-		rec.Add("cache", sub.outcome, time.Now(), time.Now())
-		writeJSON(w, http.StatusOK, peerResult{
-			resultEntry: resultEntry{Key: key, Name: sub.resp.Name, Cross: sub.resp.Cross,
-				Saved: time.Now().UTC(), Report: *sub.report},
-			Cached: true, Trace: rec.Snapshot(),
-		})
-		return
-	}
-	st, err := s.sched.Wait(r.Context(), sub.jobID)
-	if err != nil {
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("waiting for job %s: %w", sub.jobID, err))
-		return
-	}
-	if st.State != sched.Done {
-		msg := st.Error
-		if msg == "" {
-			msg = "job ended " + st.State.String()
-		}
-		s.fail(w, http.StatusInternalServerError, errors.New(msg))
-		return
-	}
-	writeJSON(w, http.StatusOK, peerResult{
-		resultEntry: resultEntry{Key: key, Name: st.Name, Cross: sub.resp.Cross,
-			Saved: st.Finished.UTC(), Report: st.Report},
-		Cached: sub.resp.Cached, Trace: st.Trace,
-	})
-}
-
-// observeRemoteSpan times one cross-node leg (peer pull, remote compare,
-// remote cache probe) into the per-kind remote-span histogram.
+// observeRemoteSpan times one cross-node leg (peer pull, remote cache probe)
+// into the per-kind remote-span histogram.
 func (s *Server) observeRemoteSpan(kind string, start time.Time) {
 	s.reg.Histogram(metrics.Label("sccgd_cluster_remote_span_seconds", "kind", kind)).ObserveSince(start)
 }
@@ -231,7 +165,7 @@ func (s *Server) recordPull(rec *trace.Recorder, id string, res cluster.PullResu
 // recorded as a `cluster` span, the serving peer's own spans are spliced in
 // beside it, and a query-log pull record lands either way. Without a cluster
 // it is a no-op: absence surfaces through the usual not-found paths.
-func (s *Server) ensureLocal(rec *trace.Recorder, tenantName string, ids ...string) error {
+func (s *Server) ensureLocal(rec *trace.Recorder, ids ...string) error {
 	if s.cluster == nil || s.store == nil {
 		return nil
 	}
@@ -239,9 +173,8 @@ func (s *Server) ensureLocal(rec *trace.Recorder, tenantName string, ids ...stri
 		if _, ok := s.store.Get(id); ok {
 			continue
 		}
-		ctx := tenant.WithContext(trace.WithContext(context.Background(), rec.Context()), tenantName)
 		start := time.Now()
-		res, err := s.cluster.PullDatasetCtx(ctx, id)
+		res, err := s.cluster.PullDatasetCtx(trace.WithContext(context.Background(), rec.Context()), id)
 		end := time.Now()
 		detail := "pull " + id[:12]
 		if err != nil {
@@ -263,19 +196,18 @@ func (s *Server) ensureLocal(rec *trace.Recorder, tenantName string, ids ...stri
 // finished report for key. A hit is adopted into the local result store
 // (best-effort; the liveness gate declines entries for datasets not held
 // here) and served exactly like a persisted hit.
-func (s *Server) remoteResult(key, tenantName string, parent trace.Context) (submission, bool) {
+func (s *Server) remoteResult(key string) (submission, bool) {
 	ids := keyDatasetIDs(key)
 	if len(ids) == 0 {
 		return submission{}, false // request-hash key: content unknown cluster-wide
 	}
 	a, b := ids[0], ids[len(ids)-1]
-	rec := trace.NewRecorderFrom(parent)
+	rec := trace.NewRecorder()
 	for _, hop := range s.cluster.Ranked(key) {
 		if hop.Peer == nil {
 			continue // this node's own layers already missed
 		}
-		ctx, cancel := context.WithTimeout(tenant.WithContext(
-			trace.WithContext(context.Background(), rec.Context()), tenantName), clusterResultTimeout)
+		ctx, cancel := context.WithTimeout(trace.WithContext(context.Background(), rec.Context()), clusterResultTimeout)
 		start := time.Now()
 		var res peerResult
 		err := s.cluster.GetJSON(ctx, hop.Peer, "/internal/results/"+a+"/"+b, &res, maxClusterResultBytes)
@@ -300,72 +232,4 @@ func (s *Server) remoteResult(key, tenantName string, parent trace.Context) (sub
 		return sub, true
 	}
 	return submission{}, false
-}
-
-// remoteCell tries to execute one matrix cell on the live peer that owns its
-// cache key, so repeated matrices anywhere in the cluster land on the same
-// node's cache and cold cells compute where the placement says the data
-// should live. ok=false means the cell should run locally: this node is the
-// best live owner, or every better-ranked peer failed (degrade-to-local —
-// the local submission path then pulls whatever datasets are missing).
-// Routing never fails a submit.
-func (s *Server) remoteCell(idA, idB, tenantName string) (compare.SubmitOutcome, bool) {
-	key := crossKey(idA, idB)
-	rec := trace.NewRecorder()
-	for _, hop := range s.cluster.Ranked(key) {
-		if hop.Peer == nil {
-			return compare.SubmitOutcome{}, false // we own the cell
-		}
-		ctx, cancel := context.WithTimeout(tenant.WithContext(
-			trace.WithContext(context.Background(), rec.Context()), tenantName), clusterCompareTimeout)
-		start := time.Now()
-		var res peerResult
-		err := s.cluster.PostJSON(ctx, hop.Peer, "/internal/compare",
-			clusterCompareRequest{DatasetA: idA, DatasetB: idB}, &res, maxClusterResultBytes)
-		cancel()
-		end := time.Now()
-		if err != nil {
-			s.log.Warn("routed cell failed on peer", "peer", hop.Addr, "err", err)
-			continue
-		}
-		if res.Cross != nil && (res.Cross.DatasetA != idA || res.Cross.DatasetB != idB) {
-			s.log.Warn("peer cell result names wrong datasets", "peer", hop.Addr)
-			continue
-		}
-		e, err := s.results.adopt(res.resultEntry, key)
-		if err != nil {
-			s.log.Warn("discarding invalid peer cell result", "peer", hop.Addr, "err", err)
-			continue
-		}
-		rec.Add("cluster", "remote cell "+idA[:12]+"/"+idB[:12], start, end)
-		rec.Splice(hop.Addr, res.Trace, start, end)
-		s.observeRemoteSpan("remote_compare", start)
-		s.routedCells.Inc()
-		outcome := querylog.OutcomeComputed
-		if res.Cached {
-			outcome = querylog.OutcomeCluster
-		}
-		out := cellOutcome(entrySubmission(e, outcome))
-		out.Cached, out.Trace = res.Cached, rec.Snapshot()
-		if s.qlog != nil {
-			s.qlog.Append(querylog.Record{
-				Kind:    querylog.KindCell,
-				ID:      idA[:12] + "/" + idB[:12],
-				TraceID: rec.Context().TraceIDString(),
-				Datasets: []querylog.DatasetIO{
-					{ID: idA}, {ID: idB},
-				},
-				DurationMs: float64(end.Sub(start).Microseconds()) / 1000,
-				Outcome:    outcome,
-				Peer:       hop.Addr,
-			})
-		}
-		return out, true
-	}
-	// Every live peer ranked above this node failed. If the stable owner is
-	// someone else, this is a degraded-mode computation worth counting.
-	if s.cluster.Owner(key) != s.cluster.Self() {
-		s.degradedLocal.Inc()
-	}
-	return compare.SubmitOutcome{}, false
 }

@@ -25,7 +25,8 @@ import (
 // smaller than the dataset, its polygon text as tasks, and its content ID —
 // and requires each report to equal, bit for bit and tile partials included,
 // pipeline.Run over the corpus's text. The store-backed forms must read
-// their tiles from the store.
+// their tiles from the store. A sixth form, POST /compare, sends the first
+// tile's text and must answer pipeline.Run over that tile.
 func TestInputFormsOneAnswer(t *testing.T) {
 	spec := pathology.Representative()
 	spec.Name = "forms"
@@ -94,6 +95,22 @@ func TestInputFormsOneAnswer(t *testing.T) {
 			}
 		})
 	}
+	t.Run("compare", func(t *testing.T) {
+		one, err := pipeline.Run(files[:1], pipeline.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, ts := newTestServer(t, sched.Config{Devices: 2}, Options{})
+		resp, body := postJSON(t, ts.URL+"/compare", CompareRequest{RawA: files[0].RawA, RawB: files[0].RawB})
+		var got CompareResult
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &got) != nil {
+			t.Fatalf("compare = %d: %s", resp.StatusCode, body)
+		}
+		if want := (CompareResult{one.Similarity, one.Intersecting, one.Candidates}); got != want {
+			t.Fatalf("compare (%.17g, %d, %d), text pipeline (%.17g, %d, %d)", got.Similarity,
+				got.Intersecting, got.Candidates, want.Similarity, want.Intersecting, want.Candidates)
+		}
+	})
 }
 
 // TestSpecIngestLogged: the ingest a spec job performs is recorded in the

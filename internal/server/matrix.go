@@ -90,13 +90,13 @@ func (s *Server) startMatrix(req MatrixRequest, who tenant.Quota) (run *compare.
 	}
 	ids := matrixIDs(req)
 	// In clustered mode the coordinating node pulls every missing dataset up
-	// front: pinning requires local presence, and the plan phase bounds cells
-	// from local manifests. Routed cells still compute remotely; the pull
-	// keeps the coordinator able to answer any cell itself (degrade-to-local).
-	// The pulls are recorded and handed to the run as its plan prelude, so
-	// plan_trace prices them next to the bound stage.
+	// front: pinning requires local presence, the plan phase bounds cells
+	// from local manifests, and every cell the cluster has not answered
+	// already computes here, on the bytes this pull brought. The pulls are
+	// recorded and handed to the run as its plan prelude, so plan_trace
+	// prices them next to the bound stage.
 	rec := trace.NewRecorder()
-	if err := s.ensureLocal(rec, who.Name, ids...); err != nil {
+	if err := s.ensureLocal(rec, ids...); err != nil {
 		if errors.Is(err, store.ErrNotFound) {
 			return nil, http.StatusNotFound, err
 		}

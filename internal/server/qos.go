@@ -1,9 +1,8 @@
 package server
 
 // Multi-tenant QoS glue: token-keyed tenant resolution on the public
-// surface (and name-keyed on the peer surface), and admission control that
-// consults the retention engine before the daemon accepts bytes it cannot
-// hold.
+// surface, and admission control that consults the retention engine before
+// the daemon accepts bytes it cannot hold.
 //
 // Admission decisions are structured: the response body carries a stable
 // machine-readable code next to the human-readable error, and every
@@ -57,22 +56,6 @@ func (s *Server) resolveTenant(r *http.Request) tenant.Quota {
 		}
 	}
 	return s.tenants.Resolve(tok)
-}
-
-// peerTenant maps a forwarded /internal/* request to a quota. Peers forward
-// the tenant NAME (never the token); a name this node has no config for is
-// bounded like anonymous traffic but keeps its identity for accounting.
-func (s *Server) peerTenant(r *http.Request) tenant.Quota {
-	name := r.Header.Get(tenant.Header)
-	if name == "" || !tenant.ValidName(name) {
-		return s.tenants.Resolve("")
-	}
-	if q, ok := s.tenants.ByName(name); ok {
-		return q
-	}
-	q := s.tenants.Resolve("")
-	q.Name = name
-	return q
 }
 
 // rejectAdmission counts and reports one structured admission rejection.

@@ -68,10 +68,9 @@ type resultEntry struct {
 
 // peerResult is the wire form of a comparison exchanged between peers: the
 // entry itself, so the receiver holds it to the standard of its own disk
-// files, plus how the serving node came by it.
+// files, plus the serving node's spans.
 type peerResult struct {
 	resultEntry
-	Cached bool `json:"cached,omitempty"`
 	// Trace carries the serving node's spans for splicing into the caller's
 	// picture. A trace is observability, never trusted data.
 	Trace *trace.Trace `json:"trace,omitempty"`

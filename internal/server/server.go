@@ -18,7 +18,7 @@
 //	GET    /matrix/{id}             poll one matrix run
 //	GET    /matrix/{id}/cells/{i}/{j}  read one cell; ?exact=1 upgrades an elided cell
 //	DELETE /matrix/{id}             cancel a matrix run
-//	POST   /compare                 synchronous compare of two small polygon sets
+//	POST   /compare                 compare two small polygon sets as one interactive job
 //	POST   /gc                      run one retention sweep now
 //	DELETE /cache                   empty the result store
 //	GET    /metrics                 counters and gauges in Prometheus text format
@@ -41,10 +41,10 @@
 // out through the same cache-aware submission path (see matrix.go).
 //
 // In clustered mode (Options.Cluster) the server additionally serves the
-// peer-to-peer surface under /internal/ — dataset manifest/segment export,
-// cache probes, and remote cell execution — and the submission path gains
-// peer-pull of missing datasets plus a cluster-wide cache read-through
-// layer (see cluster.go).
+// peer-to-peer surface under /internal/ — dataset manifest/segment export and
+// cache probes — and the submission path gains peer-pull of missing datasets
+// plus a cluster-wide cache read-through layer (see cluster.go). Work always
+// computes on the node that was asked, matrix cells included.
 package server
 
 import (
@@ -84,11 +84,6 @@ type CompareResult struct {
 	Candidates   int     `json:"candidates"`
 }
 
-// CompareFunc cross-compares two raw polygon text files synchronously. The
-// facade injects an implementation backed by the engine's error-returning
-// MatchPairs/ComputeAreas variants; when nil, POST /compare answers 501.
-type CompareFunc func(rawA, rawB []byte) (CompareResult, error)
-
 // Options configures a Server.
 type Options struct {
 	// CacheMaxEntries bounds the result store (see results.go): past it the
@@ -96,8 +91,6 @@ type Options struct {
 	CacheMaxEntries int
 	// Registry receives the server's counters; one is created when nil.
 	Registry *metrics.Registry
-	// Compare backs POST /compare; nil disables the endpoint.
-	Compare CompareFunc
 	// Store, when set, backs the /datasets endpoints, jobs by dataset_id,
 	// cross-dataset jobs, matrix runs, and content-hash result caching
 	// (including the entry files under <store>/cache). Nil disables
@@ -109,9 +102,9 @@ type Options struct {
 	Retention retention.Policy
 	// Cluster, when set, joins this server to a peer cluster: the internal
 	// peer endpoints are served, missing datasets are pulled peer-to-peer
-	// before jobs run, the result cache gains a cluster-wide read-through
-	// layer, and matrix cells route to their owner nodes. The caller owns
-	// the node's lifecycle. Requires a Store.
+	// before jobs and matrix runs start, and the result cache gains a
+	// cluster-wide read-through layer. The caller owns the node's lifecycle.
+	// Requires a Store.
 	Cluster *cluster.Node
 	// QuerylogMaxBytes bounds the persisted query/access log under
 	// <store>/querylog (active + one rotated generation). 0 selects the
@@ -152,10 +145,9 @@ type Server struct {
 	slowQuery time.Duration
 	reg       *metrics.Registry
 	log       *slog.Logger
-	compare   CompareFunc
 	started   time.Time
-	// tenants resolves tokens (public surface) and forwarded names (peer
-	// surface) to quotas; the zero config is one unlimited default tenant.
+	// tenants resolves request tokens, and matrix runs' tenant names, to
+	// quotas; the zero config is one unlimited default tenant.
 	tenants tenant.Config
 	// tusage attributes stored bytes/datasets to tenants, persisted beside
 	// the manifests; nil without a store.
@@ -181,11 +173,8 @@ type Server struct {
 	matrixRuns  *metrics.Counter
 	cascades    *metrics.Counter
 	degradedUnc *metrics.Counter
-
-	// Cluster counters; non-nil only when a cluster node is configured.
-	remoteHits    *metrics.Counter
-	routedCells   *metrics.Counter
-	degradedLocal *metrics.Counter
+	// remoteHits is non-nil only when a cluster node is configured.
+	remoteHits *metrics.Counter
 }
 
 // errNoStore answers every store-backed request on a daemon without one.
@@ -209,7 +198,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			opts.Registry.Counter("sccgd_cache_evicted_total"), opts.Logger),
 		reg:     opts.Registry,
 		log:     opts.Logger,
-		compare: opts.Compare,
 		started: time.Now(),
 		tenants: opts.Tenants,
 
@@ -293,8 +281,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 	if opts.Cluster != nil && opts.Store != nil {
 		srv.cluster = opts.Cluster
 		srv.remoteHits = opts.Registry.Counter("sccgd_cluster_remote_cache_hits_total")
-		srv.routedCells = opts.Registry.Counter("sccgd_cluster_cells_routed_total")
-		srv.degradedLocal = opts.Registry.Counter("sccgd_cluster_degraded_local_total")
 	}
 	srv.slowQuery = opts.SlowQuery
 	if srv.store != nil && opts.QuerylogMaxBytes >= 0 {
@@ -410,7 +396,6 @@ func (s *Server) Handler() http.Handler {
 		handle("GET /internal/datasets/{id}/manifest", s.handleClusterManifest)
 		handle("GET /internal/datasets/{id}/segment", s.handleClusterSegment)
 		handle("GET /internal/results/{a}/{b}", s.handleClusterResult)
-		handle("POST /internal/compare", s.handleClusterCompare)
 	}
 	return mux
 }
@@ -616,29 +601,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	who := s.resolveTenant(r)
-	sub, err := s.submitRequestAs(req, who, trace.Context{})
+	sub, err := s.submitRequestAs(req, who)
 	if err != nil {
-		var aerr *admissionError
-		if errors.As(err, &aerr) {
-			s.failAdmission(w, who, aerr)
-			return
-		}
-		if errors.Is(err, sched.ErrTenantQueue) {
-			s.admissionRejected("tenant_queue")
-			w.Header().Set("Retry-After", "5")
-			writeJSON(w, sub.code, map[string]string{
-				"error": err.Error(), "code": "tenant_queue", "tenant": who.Name,
-			})
-			return
-		}
-		s.fail(w, sub.code, err)
+		s.failSubmit(w, who, sub.code, err)
 		return
 	}
 	writeJSON(w, sub.code, sub.resp)
 }
 
+// failSubmit writes a submitRequestAs error: admission rejections and a full
+// tenant queue as structured bodies, anything else under code.
+func (s *Server) failSubmit(w http.ResponseWriter, who tenant.Quota, code int, err error) {
+	var aerr *admissionError
+	if errors.As(err, &aerr) {
+		s.failAdmission(w, who, aerr)
+		return
+	}
+	if errors.Is(err, sched.ErrTenantQueue) {
+		s.admissionRejected("tenant_queue")
+		w.Header().Set("Retry-After", "5")
+		writeJSON(w, code, map[string]string{
+			"error": err.Error(), "code": "tenant_queue", "tenant": who.Name,
+		})
+		return
+	}
+	s.fail(w, code, err)
+}
+
 // submission is the outcome of one job-submission request, shared by the
-// HTTP handler and the matrix orchestrator's cell submitter.
+// HTTP handlers and the matrix orchestrator's cell submitter.
 type submission struct {
 	resp JobResponse
 	code int
@@ -655,11 +646,9 @@ type submission struct {
 
 // submitRequestAs resolves a job request through the result store or submits
 // it to the scheduler under the given tenant identity. On error,
-// submission.code carries the HTTP status. When parent is non-zero (a peer
-// forwarded its traceparent), the job's recorder joins that trace so the
-// spans splice back into the caller's picture. The tenant rides the whole
-// lifecycle — scheduler accounting, query-log records, cluster call headers.
-func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.Context) (submission, error) {
+// submission.code carries the HTTP status. The tenant rides the whole
+// lifecycle: admission, scheduler accounting and query-log records.
+func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota) (submission, error) {
 	reqStart := time.Now()
 	if err := checkRequest(req); err != nil {
 		return submission{code: http.StatusBadRequest}, err
@@ -678,7 +667,7 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 	key := ""
 	if !req.NoCache {
 		key = s.cacheKey(req)
-		if sub, ok := s.resolveCached(key, who.Name, parent); ok {
+		if sub, ok := s.resolveCached(key); ok {
 			s.recordJobSub(req, sub, reqStart, who, band)
 			return sub, nil
 		}
@@ -688,9 +677,8 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 
 	// The recorder starts here so the trace covers pre-scheduler time:
 	// pinning, dataset generation, ingest, and store opens all land in the
-	// materialize span (with pin sub-spans recorded inside). When a parent
-	// context rode in, the recorder adopts its trace ID.
-	rec := trace.NewRecorderFrom(parent)
+	// materialize span (with pin sub-spans recorded inside).
+	rec := trace.NewRecorder()
 	matStart := time.Now()
 	mat, err := s.materializeRequest(rec, who, req)
 	rec.Add("materialize", requestForm(req), matStart, time.Now())
@@ -708,7 +696,7 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota, parent trace.
 		// the cache, since this very content may already have a result
 		// computed under another request form.
 		key = mat.contentKey
-		if sub, ok := s.resolveCached(key, who.Name, parent); ok {
+		if sub, ok := s.resolveCached(key); ok {
 			releaseSource(mat.src) // no job will own the pinned source
 			s.recordJobSub(req, sub, reqStart, who, band)
 			return sub, nil
@@ -809,23 +797,15 @@ func traceIDOf(t *trace.Trace) string {
 
 // resolveCached answers a cache key from this node's result store, then — in
 // clustered mode — the cluster-wide read-through layer (owner peers' stores,
-// see cluster.go).
-func (s *Server) resolveCached(key, tenantName string, parent trace.Context) (submission, bool) {
-	if sub, ok := s.resolveLocal(key); ok {
-		return sub, true
-	}
-	if s.cluster != nil {
-		return s.remoteResult(key, tenantName, parent)
-	}
-	return submission{}, false
-}
-
-// resolveLocal is resolveCached minus the cluster layer. A key whose job the
-// scheduler knows answers as that job (finished or still in flight); an
-// entry with no live job as a synthesized done response.
-func (s *Server) resolveLocal(key string) (submission, bool) {
+// see cluster.go). A key whose job the scheduler knows answers as that job
+// (finished or still in flight); an entry with no live job as a synthesized
+// done response.
+func (s *Server) resolveCached(key string) (submission, bool) {
 	job, e, ok := s.results.lookup(key)
 	if !ok {
+		if s.cluster != nil {
+			return s.remoteResult(key)
+		}
 		return submission{}, false
 	}
 	s.cacheHits.Inc()
@@ -906,30 +886,17 @@ func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID string, req JobR
 }
 
 // submitCell is the matrix orchestrator's cell submitter: one pairwise
-// cross-dataset job through the full cache-aware submission path. In
-// clustered mode a cell that misses the local result store is first offered
-// to its owner peers (remoteCell), so matrix fan-out spreads across the
-// cluster; only when this node is the best live owner — or every peer
-// failed — does the cell compute locally.
+// cross-dataset job through the full cache-aware submission path — this
+// node's result table, then (clustered) the peers' tables, then a job on this
+// node, which the run has already made hold and pin both datasets. Cells are
+// batch work under the run's tenant: a K-way flood must never starve
+// concurrent interactive jobs of the fair-share scheduler.
 func (s *Server) submitCell(idA, idB, tenantName string) (compare.SubmitOutcome, error) {
-	if s.cluster != nil {
-		if sub, ok := s.resolveLocal(crossKey(idA, idB)); ok {
-			return cellOutcome(sub), nil
-		}
-		if out, ok := s.remoteCell(idA, idB, tenantName); ok {
-			return out, nil
-		}
+	who, ok := s.tenants.ByName(tenantName)
+	if !ok {
+		who = s.tenants.Resolve("")
 	}
-	// Matrix cells are batch work under the run's tenant: a K-way flood must
-	// never starve concurrent interactive jobs of the fair-share scheduler.
-	who := s.tenants.Resolve("")
-	if q, ok := s.tenants.ByName(tenantName); ok {
-		who = q
-	} else if tenantName != "" {
-		who.Name = tenantName
-	}
-	sub, err := s.submitRequestAs(JobRequest{DatasetA: idA, DatasetB: idB, Band: sched.BandBatch.String()},
-		who, trace.Context{})
+	sub, err := s.submitRequestAs(JobRequest{DatasetA: idA, DatasetB: idB, Band: sched.BandBatch.String()}, who)
 	if err != nil {
 		return compare.SubmitOutcome{}, err
 	}
@@ -941,6 +908,7 @@ func cellOutcome(sub submission) compare.SubmitOutcome {
 	out := compare.SubmitOutcome{
 		JobID:  sub.jobID,
 		Cached: sub.resp.Cached,
+		Trace:  sub.resp.Trace,
 		Report: sub.report,
 		Tiles:  sub.resp.Tiles,
 	}
@@ -1029,26 +997,34 @@ type CompareRequest struct {
 	RawB []byte `json:"raw_b"`
 }
 
+// handleCompare runs two raw polygon files as a one-tile no_cache tasks job on
+// the interactive band, under the caller's tenant, and answers once the job is
+// terminal. It queues like any job: a full queue answers what POST /jobs does.
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	if s.compare == nil {
-		s.fail(w, http.StatusNotImplemented, errors.New("compare endpoint not configured"))
-		return
-	}
 	var req CompareRequest
 	if err := s.decode(w, r, &req); err != nil {
 		return
 	}
-	if len(req.RawA) == 0 || len(req.RawB) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("raw_a and raw_b are required"))
+	who := s.resolveTenant(r)
+	sub, err := s.submitRequestAs(JobRequest{Tasks: []TaskPayload{{RawA: req.RawA, RawB: req.RawB}},
+		NoCache: true, Band: sched.BandInteractive.String()}, who)
+	if err != nil {
+		s.failSubmit(w, who, sub.code, err)
 		return
 	}
-	res, err := s.compare(req.RawA, req.RawB)
+	st, err := s.sched.Wait(r.Context(), sub.jobID)
 	if err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, err)
+		_ = s.sched.Cancel(sub.jobID) // the caller is gone; nobody will read the job
+		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("waiting for job %s: %w", sub.jobID, err))
+		return
+	}
+	if st.State != sched.Done {
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error))
 		return
 	}
 	s.compares.Inc()
-	writeJSON(w, http.StatusOK, res)
+	writeJSON(w, http.StatusOK, CompareResult{Similarity: st.Report.Similarity,
+		Intersecting: st.Report.Intersecting, Candidates: st.Report.Candidates})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1273,14 +1249,14 @@ type materialized struct {
 // the pairing report); uploaded text is parsed here, so malformed text fails
 // the request instead of the job; generated requests go through
 // materializeGenerated. Pin acquisition is recorded into rec; who rides
-// along for admission and cluster-call attribution.
+// along for admission.
 func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req JobRequest) (materialized, error) {
 	if req.DatasetA != "" {
 		// Pin before opening: after Pin succeeds no delete or retention
 		// sweep can remove the dataset, so the open below cannot race an
 		// eviction. The pinned wrapper unpins at the job's terminal state.
 		ids := pairIDs(req.DatasetA, req.DatasetB)
-		if err := s.ensureLocal(rec, who.Name, ids...); err != nil {
+		if err := s.ensureLocal(rec, ids...); err != nil {
 			return materialized{}, err
 		}
 		pinStart := time.Now()
@@ -1303,7 +1279,7 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 		return m, nil
 	}
 	if req.DatasetID != "" {
-		if err := s.ensureLocal(rec, who.Name, req.DatasetID); err != nil {
+		if err := s.ensureLocal(rec, req.DatasetID); err != nil {
 			return materialized{}, err
 		}
 		pinStart := time.Now()

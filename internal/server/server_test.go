@@ -2,14 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -435,32 +436,52 @@ func TestMetricsFamiliesNotMixed(t *testing.T) {
 	}
 }
 
+// TestCompareEndpoint: /compare is a scheduler job, so it queues like one.
+// With the one slot held by a gated job and the queue full, it answers what
+// POST /jobs answers; once the queue drains it answers the job's counts.
 func TestCompareEndpoint(t *testing.T) {
-	compare := func(rawA, rawB []byte) (CompareResult, error) {
-		if len(rawA) == 0 || len(rawB) == 0 {
-			return CompareResult{}, fmt.Errorf("empty input")
-		}
-		return CompareResult{Similarity: 0.5, Intersecting: 1, Candidates: 2}, nil
-	}
-	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Compare: compare})
+	_, sc, ts := newTestServer(t, sched.Config{Devices: 1, QueueDepth: 1}, Options{})
 
-	resp, body := postJSON(t, ts.URL+"/compare", CompareRequest{RawA: []byte("a"), RawB: []byte("b")})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compare status = %d, body %s", resp.StatusCode, body)
-	}
-	var res CompareResult
-	if err := json.Unmarshal(body, &res); err != nil {
+	spec := pathology.Representative()
+	spec.Tiles = 1
+	d := pathology.Generate(spec)
+	tile := sched.Tasks([]pipeline.PolyTask{{A: d.Pairs[0].A, B: d.Pairs[0].B}})
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free()
+	gated := &gatedStoreSource{src: tile, release: release, entered: make(chan struct{})}
+	if _, err := sc.SubmitJob(gated, sched.JobOpts{Name: "hold"}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Similarity != 0.5 || res.Intersecting != 1 || res.Candidates != 2 {
-		t.Errorf("compare result = %+v", res)
+	<-gated.entered
+	queued, err := sc.SubmitJob(tile, sched.JobOpts{Name: "fill"})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Unconfigured compare answers 501.
-	_, _, bare := newTestServer(t, sched.Config{Devices: 1}, Options{})
-	resp, _ = postJSON(t, bare.URL+"/compare", CompareRequest{RawA: []byte("a"), RawB: []byte("b")})
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("unconfigured compare status = %d, want 501", resp.StatusCode)
+	raw := pipeline.EncodeDataset(d)[0]
+	jobResp, jobBody := postJSON(t, ts.URL+"/jobs", JobRequest{NoCache: true,
+		Tasks: []TaskPayload{{RawA: raw.RawA, RawB: raw.RawB}}})
+	cmpResp, cmpBody := postJSON(t, ts.URL+"/compare", CompareRequest{RawA: raw.RawA, RawB: raw.RawB})
+	if jobResp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST /jobs on a full queue = %d: %s, want 503", jobResp.StatusCode, jobBody)
+	}
+	if cmpResp.StatusCode != jobResp.StatusCode || !bytes.Equal(cmpBody, jobBody) {
+		t.Fatalf("POST /compare on a full queue = %d: %s, want what POST /jobs answered: %d: %s",
+			cmpResp.StatusCode, cmpBody, jobResp.StatusCode, jobBody)
+	}
+
+	free()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := sc.Wait(ctx, queued); err != nil {
+		t.Fatal(err)
+	}
+	cmpResp, cmpBody = postJSON(t, ts.URL+"/compare", CompareRequest{RawA: raw.RawA, RawB: raw.RawB})
+	var res CompareResult
+	if cmpResp.StatusCode != http.StatusOK || json.Unmarshal(cmpBody, &res) != nil || res.Candidates == 0 {
+		t.Fatalf("POST /compare on a drained queue = %d: %s, want 200 with counts", cmpResp.StatusCode, cmpBody)
 	}
 }
 

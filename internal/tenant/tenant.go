@@ -1,8 +1,7 @@
 // Package tenant is sccgd's multi-tenant identity and quota layer: a
 // token-keyed tenant configuration (LogBase's tenant-partitioned access
 // idea, PAPERS.md), per-tenant usage accounting over the content-addressed
-// store, and the plumbing that carries a tenant identity across cluster
-// calls.
+// store.
 //
 // Identity is resolved from the request's bearer token; unknown or absent
 // tokens fall into the default tenant, so an unconfigured daemon behaves
@@ -16,7 +15,6 @@
 package tenant
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,11 +28,6 @@ import (
 	"repro/internal/retention"
 )
 
-// Header carries the resolved tenant NAME (not the secret token) on
-// /internal/* cluster calls, so work a peer performs on another node's
-// behalf is accounted and scheduled under the originating tenant.
-const Header = "X-Sccg-Tenant"
-
 // DefaultName is the tenant unknown and anonymous tokens resolve to.
 const DefaultName = "default"
 
@@ -43,8 +36,8 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$`)
 
 // ValidName reports whether s is an acceptable tenant name: 1-64 chars of
 // [A-Za-z0-9._-], starting alphanumeric. Names appear verbatim as metric
-// label values and in the cluster propagation header, so the charset is
-// deliberately narrow (no escaping surprises).
+// label values and in logs, so the charset is deliberately narrow (no
+// escaping surprises).
 func ValidName(s string) bool { return nameRE.MatchString(s) }
 
 // ByteSize is an int64 byte count that unmarshals from either a JSON number
@@ -128,8 +121,8 @@ func (c Config) Resolve(token string) Quota {
 	return c.defaultQuota()
 }
 
-// ByName looks a tenant up by name (cluster calls forward names, never
-// tokens).
+// ByName looks a tenant up by name (a matrix run keeps its tenant's name,
+// never the token).
 func (c Config) ByName(name string) (Quota, bool) {
 	if name == c.defaultQuota().Name {
 		return c.defaultQuota(), true
@@ -144,8 +137,7 @@ func (c Config) QueueLimit(name string) int {
 	if q, ok := c.ByName(name); ok {
 		return q.MaxQueuedJobs
 	}
-	// A forwarded cluster tenant this node has no config for: bound it like
-	// anonymous traffic.
+	// A name this node has no config for: bound it like anonymous traffic.
 	return c.defaultQuota().MaxQueuedJobs
 }
 
@@ -223,23 +215,6 @@ func LoadConfig(pathOrJSON string) (Config, error) {
 		return Config{}, fmt.Errorf("tenant: read config: %w", err)
 	}
 	return ParseConfig(data)
-}
-
-type ctxKey struct{}
-
-// WithContext attaches a tenant name to ctx; the cluster client forwards it
-// on outbound /internal/* calls.
-func WithContext(ctx context.Context, name string) context.Context {
-	if name == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, name)
-}
-
-// FromContext returns the tenant name attached by WithContext, or "".
-func FromContext(ctx context.Context) string {
-	name, _ := ctx.Value(ctxKey{}).(string)
-	return name
 }
 
 // Usage is one tenant's accounted footprint.

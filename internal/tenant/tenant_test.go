@@ -46,7 +46,7 @@ func TestParseConfigRoundTrip(t *testing.T) {
 	if got := c.QueueLimit("acme"); got != 8 {
 		t.Fatalf("QueueLimit(acme) = %d, want 8", got)
 	}
-	// A forwarded name with no local config is bounded like anonymous traffic.
+	// A name with no local config is bounded like anonymous traffic.
 	if got := c.QueueLimit("stranger"); got != 4 {
 		t.Fatalf("QueueLimit(stranger) = %d, want the default tenant's 4", got)
 	}

@@ -194,8 +194,7 @@ func (e *Engine) CrossComparePolygons(a, b []*Polygon) (similarity float64, inte
 
 // CrossComparePolygonsErr is the error-reporting variant of
 // CrossComparePolygons: it rejects nil polygons instead of panicking deep in
-// the aggregation kernel. The service's synchronous /compare endpoint runs
-// through this path.
+// the aggregation kernel.
 func (e *Engine) CrossComparePolygonsErr(a, b []*Polygon) (similarity float64, intersecting, candidates int, err error) {
 	pairs, _, err := MatchPairsErr(a, b)
 	if err != nil {
@@ -339,9 +338,9 @@ type ServiceOptions struct {
 	Retention RetentionPolicy
 	// Peers, when non-empty, puts the service in clustered mode: datasets
 	// missing locally are pulled peer-to-peer (digest-verified on arrival),
-	// the persisted result cache becomes a cluster-wide read-through, and
-	// matrix cells route to the node that owns their cache key under
-	// rendezvous hashing. Each entry is a peer base URL (host:port accepted).
+	// and the persisted result cache becomes a cluster-wide read-through.
+	// Work computes on the node that was asked, matrix cells included. Each
+	// entry is a peer base URL (host:port accepted).
 	// Requires Store and Advertise.
 	Peers []string
 	// Advertise is this node's own base URL as peers reach it; it anchors the
@@ -387,24 +386,6 @@ func NewService(opts ServiceOptions) *Service {
 		// enqueue; the closure keeps the scheduler tenant-config-agnostic.
 		TenantQueueLimit: opts.Tenants.QueueLimit,
 	})
-	// The synchronous /compare endpoint runs on a CPU engine through the
-	// facade's error-returning path, leaving pool devices to the job queue.
-	cmpEng := NewEngine(Options{DisableGPU: true, Workers: opts.Workers})
-	compareFn := func(rawA, rawB []byte) (server.CompareResult, error) {
-		a, err := parser.Parse(rawA)
-		if err != nil {
-			return server.CompareResult{}, fmt.Errorf("result set A: %w", err)
-		}
-		b, err := parser.Parse(rawB)
-		if err != nil {
-			return server.CompareResult{}, fmt.Errorf("result set B: %w", err)
-		}
-		sim, hits, cands, err := cmpEng.CrossComparePolygonsErr(a, b)
-		if err != nil {
-			return server.CompareResult{}, err
-		}
-		return server.CompareResult{Similarity: sim, Intersecting: hits, Candidates: cands}, nil
-	}
 	// Clustered mode: the peer node owns placement, peer-pull, and cluster
 	// metrics. A bad peer configuration degrades to single-node operation
 	// rather than failing the service.
@@ -428,7 +409,6 @@ func NewService(opts ServiceOptions) *Service {
 		cluster: node,
 		srv: server.New(sc, server.Options{
 			CacheMaxEntries:  opts.CacheMaxEntries,
-			Compare:          compareFn,
 			Registry:         reg,
 			Store:            opts.Store,
 			Cluster:          node,

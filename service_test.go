@@ -109,8 +109,8 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 	}
 }
 
-// TestServiceCompareEndpoint drives POST /compare, which runs through the
-// facade's error-returning MatchPairsErr/ComputeAreasErr path.
+// TestServiceCompareEndpoint drives POST /compare, a one-tile scheduler job,
+// against the facade's error-returning CrossComparePolygonsErr.
 func TestServiceCompareEndpoint(t *testing.T) {
 	svc := sccg.NewService(sccg.ServiceOptions{Devices: 1})
 	defer svc.Close()
