@@ -60,7 +60,7 @@ func ScalePairs(pairs []pixelbox.Pair, factor int32) []pixelbox.Pair {
 }
 
 // TabledPairs returns the same pairs over copies of the polygons that carry
-// band tables, as polygons read through the store do.
+// band tables and row masks, as polygons read through the store do.
 func TabledPairs(pairs []pixelbox.Pair) []pixelbox.Pair {
 	polys := make([]*geom.Polygon, 0, 2*len(pairs))
 	for _, pr := range pairs {

@@ -14,14 +14,25 @@ type Bands struct {
 
 // Bands returns the polygon's band table, if Slab.BuildBands gave it one.
 func (p *Polygon) Bands() (Bands, bool) {
-	t := p.bands
-	if t == nil {
+	if p.bands == nil {
 		return Bands{}, false
 	}
-	// Packed as Off | Y | crossings, offsets counted from the start of the
-	// slice, so the first offset is also where the two headers end.
+	return unpackBands(p.bands), true
+}
+
+// unpackBands reads a table packed as Off | Y | crossings, offsets counted
+// from the start of the slice, so the first offset is also where the two
+// headers end.
+func unpackBands(t []int32) Bands {
 	n := int(t[0]) / 2
-	return Bands{Off: t[:n], Y: t[n : 2*n], X: t}, true
+	return Bands{Off: t[:n], Y: t[n : 2*n], X: t}
+}
+
+// Rows returns the polygon's row masks, if Slab.BuildBands gave it them: one
+// word per pixel row from MBR().MinY up, whose bit i is the pixel at
+// MBR().MinX+i. Callers must not modify them.
+func (p *Polygon) Rows() ([]uint64, bool) {
+	return p.rows, p.rows != nil
 }
 
 // maxBandCrossings caps a band table at this many crossings per vertex. A
@@ -31,35 +42,52 @@ func (p *Polygon) Bands() (Bands, bool) {
 // set costs to keep.
 const maxBandCrossings = 4
 
+// maxRowsPerBand caps a polygon's row masks at this many words per band. A
+// cell boundary has 1.2 rows a band (the benchmark corpus' worst, 4.5); a
+// rectangle has one band however tall it is, and is left without masks
+// rather than allowed to turn its height into bytes.
+const maxRowsPerBand = 4
+
 // BuildBands gives every polygon in the slab a band table, except those over
-// the maxBandCrossings cap. Call it after the last Add and before the
-// polygons are shared: it writes to them. The tables live in one array sized
-// to fit, which Bytes counts.
+// the maxBandCrossings cap, and every tabled polygon at most 64 pixels wide
+// its row masks, except those over the maxRowsPerBand cap. Call it after the
+// last Add and before the polygons are shared: it writes to them. Tables and
+// masks live in one array each, sized to fit, which Bytes counts.
 func (s *Slab) BuildBands() {
 	sc := bandScratch.Get().(*bandBuild)
-	all, ends := sc.all[:0], sc.ends[:0]
+	all, rows, ends := sc.all[:0], sc.rows[:0], sc.ends[:0]
 	for i := range s.polys {
-		all, _ = appendBands(all, &s.polys[i])
-		ends = append(ends, len(all))
+		p, start := &s.polys[i], len(all)
+		all, _ = appendBands(all, p)
+		rows, _ = appendRows(rows, p, all[start:])
+		ends = append(ends, [2]int{len(all), len(rows)})
 	}
 	s.bands = make([]int32, len(all))
 	copy(s.bands, all)
-	at := 0
+	s.rows = make([]uint64, len(rows))
+	copy(s.rows, rows)
+	var at [2]int
 	for i, end := range ends {
-		if end > at {
-			s.polys[i].bands = s.bands[at:end:end]
+		if end[0] > at[0] {
+			s.polys[i].bands = s.bands[at[0]:end[0]:end[0]]
+		}
+		if end[1] > at[1] {
+			s.polys[i].rows = s.rows[at[1]:end[1]:end[1]]
 		}
 		at = end
 	}
-	sc.all, sc.ends = all, ends
+	sc.all, sc.rows, sc.ends = all, rows, ends
 	bandScratch.Put(sc)
 }
 
 // bandBuild is what BuildBands sweeps into before it knows how much storage
-// the tables need; reused, because a decode miss builds one set after another.
+// the tables and masks need; reused, because a decode miss builds one set
+// after another. ends holds, per polygon, where its table ends in all and its
+// masks in rows.
 type bandBuild struct {
 	all  []int32
-	ends []int
+	rows []uint64
+	ends [][2]int
 }
 
 var bandScratch = sync.Pool{New: func() any { return new(bandBuild) }}
@@ -97,6 +125,34 @@ func appendBands(dst []int32, p *Polygon) ([]int32, bool) {
 		}
 		prev = dst[start:]
 	}
+}
+
+// appendRows appends p's row masks to dst, read off table, p's packed band
+// table, or returns dst as it was and false when p has no table (table is
+// empty), is wider than a word or would exceed the cap.
+func appendRows(dst []uint64, p *Polygon, table []int32) ([]uint64, bool) {
+	if len(table) == 0 || int64(p.mbr.MaxX)-int64(p.mbr.MinX) > 64 {
+		return dst, false
+	}
+	t := unpackBands(table)
+	bands := len(t.Y) - 1
+	if int64(p.mbr.MaxY)-int64(p.mbr.MinY) > int64(maxRowsPerBand*bands) {
+		return dst, false
+	}
+	for k := range bands {
+		var word uint64
+		xs := t.X[t.Off[k]:t.Off[k+1]]
+		for i := 0; i < len(xs); i += 2 {
+			// Bits [x0, x1) of the word; a shift by 64 gives 0, so the
+			// subtraction makes a full word of the widest run.
+			lo, hi := uint(xs[i]-p.mbr.MinX), uint(xs[i+1]-p.mbr.MinX)
+			word |= (uint64(1)<<hi - 1) &^ (uint64(1)<<lo - 1)
+		}
+		for range t.Y[k+1] - t.Y[k] {
+			dst = append(dst, word)
+		}
+	}
+	return dst, true
 }
 
 // ToggleCrossings appends to dst the crossings of the band above a band

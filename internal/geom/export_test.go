@@ -7,5 +7,17 @@ var (
 	EncodeRaw    = encodeRaw
 )
 
-// MaxBandCrossings is the cap's factor, for the test that straddles it.
-const MaxBandCrossings = maxBandCrossings
+// MaxBandCrossings and MaxRowsPerBand are the caps' factors, for the tests
+// that straddle them.
+const (
+	MaxBandCrossings = maxBandCrossings
+	MaxRowsPerBand   = maxRowsPerBand
+)
+
+// WithoutRows returns a copy of p that keeps its band table but has no row
+// masks, so that a test can walk the bands of a polygon that has both.
+func WithoutRows(p *Polygon) *Polygon {
+	c := *p
+	c.rows = nil
+	return &c
+}

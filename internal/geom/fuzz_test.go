@@ -166,7 +166,8 @@ func encodeRaw(vs []Point) []byte {
 // must be NewPolygon's (want, wantErr), its slices must be capped at their
 // length, and nothing outside them may have been written. BuildBands then has
 // to leave all of that as it was, size its storage to fit, and give each
-// polygon the capacity-capped table it would get alone in a slab.
+// polygon the capacity-capped table and row masks it would get alone in a
+// slab.
 func checkSlabAdd(t *testing.T, vs []Point, want *Polygon, wantErr error) {
 	t.Helper()
 	square := []Point{{0, 0}, {4, 0}, {4, 4}, {0, 4}}
@@ -258,16 +259,24 @@ func checkSlabAdd(t *testing.T, vs []Point, want *Polygon, wantErr error) {
 	if len(s.polys) != len(polys) {
 		t.Fatalf("slab holds %d polygons after Add(%v), want the %d accepted", len(s.polys), vs, len(polys))
 	}
-	used := 0
+	used, usedRows := 0, 0
 	for _, q := range polys {
 		alone, ok := appendBands(nil, q)
 		if !slices.Equal(q.bands, alone) || (q.bands != nil) != ok || cap(q.bands) != len(q.bands) {
 			t.Fatalf("BuildBands gave %v the table %v (cap %d), alone it gets %v", q.vertices, q.bands, cap(q.bands), alone)
 		}
+		rows, ok := appendRows(nil, q, q.bands)
+		if !slices.Equal(q.rows, rows) || (q.rows != nil) != ok || cap(q.rows) != len(q.rows) {
+			t.Fatalf("BuildBands gave %v the row masks %x (cap %d), alone it gets %x", q.vertices, q.rows, cap(q.rows), rows)
+		}
 		used += len(q.bands)
+		usedRows += len(q.rows)
 	}
 	if used != len(s.bands) || len(s.bands) != cap(s.bands) {
 		t.Fatalf("band storage for %v: %d of %d used, capacity %d", vs, used, len(s.bands), cap(s.bands))
+	}
+	if usedRows != len(s.rows) || len(s.rows) != cap(s.rows) {
+		t.Fatalf("row storage for %v: %d of %d used, capacity %d", vs, usedRows, len(s.rows), cap(s.rows))
 	}
 }
 

@@ -24,10 +24,12 @@
 // has the same crossings, so a polygon is also a short list of bands, each
 // with one crossing list. A polygon that will be compared many times can
 // carry that list ready made: Slab.BuildBands derives a band table (Bands)
-// from the finished edge tables of every polygon in the slab. Polygons built
-// any other way have none, and whoever walks their bands derives each from the
-// one below with the step the tables are built by (ToggleCrossings); both
-// give the same integers.
+// from the finished edge tables of every polygon in the slab and, from the
+// table of one at most 64 pixels wide, a bit mask per pixel row (Rows), which
+// two polygons intersect one word at a time. Polygons built any other way
+// have neither, and whoever walks their bands derives each from the one below
+// with the step the tables are built by (ToggleCrossings); all three give the
+// same integers.
 package geom
 
 import (
@@ -187,10 +189,11 @@ type VEdge struct {
 type Polygon struct {
 	vertices []Point
 	mbr      MBR
-	area     int64   // pixel count; cached at construction
-	vedges   []VEdge // sorted by (X, Y1)
-	hedges   []HEdge // sorted by (Y, X1)
-	bands    []int32 // packed band table (see Bands); nil when it has none
+	area     int64    // pixel count; cached at construction
+	vedges   []VEdge  // sorted by (X, Y1)
+	hedges   []HEdge  // sorted by (Y, X1)
+	bands    []int32  // packed band table (see Bands); nil when it has none
+	rows     []uint64 // row masks (see Rows); nil when it has none
 }
 
 // Validation errors returned by NewPolygon.
@@ -224,15 +227,16 @@ func NewPolygon(vertices []Point) (*Polygon, error) {
 
 // Slab is the backing storage of a set of polygons decoded together: one
 // vertex array, one array per half of the edge table, one Polygon array and,
-// once BuildBands has run, one band-table array, where NewPolygon would
-// allocate four objects per polygon. Every polygon gets capacity-capped
-// sub-slices, so none can grow into its neighbour's.
+// once BuildBands has run, one band-table array and one row-mask array, where
+// NewPolygon would allocate four objects per polygon. Every polygon gets
+// capacity-capped sub-slices, so none can grow into its neighbour's.
 type Slab struct {
 	pts   []Point
 	ve    []VEdge
 	he    []HEdge
 	polys []Polygon
 	bands []int32
+	rows  []uint64
 }
 
 // NewSlab returns a slab with room for the given number of polygons holding
@@ -253,7 +257,8 @@ func (s *Slab) Bytes() int64 {
 		int64(cap(s.ve))*int64(unsafe.Sizeof(VEdge{})) +
 		int64(cap(s.he))*int64(unsafe.Sizeof(HEdge{})) +
 		int64(cap(s.polys))*int64(unsafe.Sizeof(Polygon{})) +
-		int64(cap(s.bands))*int64(unsafe.Sizeof(int32(0)))
+		int64(cap(s.bands))*int64(unsafe.Sizeof(int32(0))) +
+		int64(cap(s.rows))*int64(unsafe.Sizeof(uint64(0)))
 }
 
 // Vertices carves the next n vertices out of the slab for the caller to fill

@@ -170,7 +170,7 @@ func BruteBoxCounts(p, q *geom.Polygon, box geom.MBR) (inter, inP, inQ int64) {
 }
 
 // WithBands returns copies of polys built the way the store builds the
-// polygons it keeps: in one slab, with band tables.
+// polygons it keeps: in one slab, with band tables and row masks.
 func WithBands(polys ...*geom.Polygon) []*geom.Polygon {
 	vertices := 0
 	for _, p := range polys {

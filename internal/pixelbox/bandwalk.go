@@ -2,6 +2,8 @@ package pixelbox
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -21,7 +23,9 @@ import (
 // A polygon read through the store carries its bands ready made (geom.Bands);
 // for any other the walk derives each band's crossings from the one below as
 // it climbs, by the step the table was built with (geom.ToggleCrossings).
-// Only that accessor differs.
+// Only that accessor differs. When both polygons also carry row masks
+// (geom.Rows), Count does not walk at all: a row of the box is one AND of two
+// shifted words and one popcount.
 //
 // The zero value is ready to use. It holds scratch reused across boxes and
 // pairs, so one BandWalk serves one goroutine.
@@ -34,6 +38,13 @@ type BandWalk struct {
 func (w *BandWalk) Count(p, q *geom.Polygon, box geom.MBR) (n int64) {
 	if box.IsEmpty() {
 		return 0
+	}
+	if p != nil && q != nil {
+		if pr, ok := p.Rows(); ok {
+			if qr, ok := q.Rows(); ok {
+				return countRows(pr, qr, p.MBR(), q.MBR(), box)
+			}
+		}
 	}
 	w.p.seek(p, box.MinY)
 	w.q.seek(q, box.MinY)
@@ -51,6 +62,26 @@ func (w *BandWalk) Count(p, q *geom.Polygon, box geom.MBR) (n int64) {
 			w.q.climb()
 		}
 	}
+}
+
+// countRows counts the pixels of box in both of two polygons, given their row
+// masks and MBRs. Nothing outside an MBR is inside its polygon, so the box is
+// first clipped to both; what is left is at most a word wide, and each of its
+// rows is a word of each mask shifted to start at the box's left edge.
+func countRows(pr, qr []uint64, pm, qm, box geom.MBR) int64 {
+	box = box.Intersection(pm).Intersection(qm)
+	if box.IsEmpty() {
+		return 0
+	}
+	sp, sq := uint(box.MinX-pm.MinX), uint(box.MinX-qm.MinX)
+	clip := ^uint64(0) >> (64 - uint(box.MaxX-box.MinX))
+	pr = pr[box.MinY-pm.MinY : box.MaxY-pm.MinY]
+	qr = qr[box.MinY-qm.MinY:][:len(pr)]
+	n := 0
+	for i, a := range pr {
+		n += bits.OnesCount64((a >> sp) & (qr[i] >> sq) & clip)
+	}
+	return int64(n)
 }
 
 // overlap returns how many x in [minX, maxX) lie in a run of both lists.
@@ -92,6 +123,21 @@ func (c *bandCursor) seek(p *geom.Polygon, y int32) {
 		return
 	}
 	c.tab, c.tabled = p.Bands()
+	if c.tabled {
+		// The band holding y is the one below the first boundary above y;
+		// below the first boundary there is none.
+		k, at := slices.BinarySearch(c.tab.Y, y)
+		if at {
+			k++
+		}
+		if k == 0 {
+			c.next, c.xs, c.top = 0, nil, c.tab.Y[0]
+			return
+		}
+		c.next = k - 1
+		c.climb()
+		return
+	}
 	c.he = p.HorizontalEdges()
 	c.next, c.xs, c.top = 0, nil, math.MaxInt32
 	if len(c.he) > 0 { // the zero Polygon has no edges, and no rows

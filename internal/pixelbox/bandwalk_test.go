@@ -123,6 +123,49 @@ func TestBandWalkMatchesPerPixel(t *testing.T) {
 	}
 }
 
+// TestRowsAgreeAcrossExecutors: over the representative corpus scaled 1–3×,
+// the CPU port on plain pairs (band walks deriving their bands), the CPU port
+// on tabled pairs and the simulated GPU on tabled pairs, in a variant with
+// indirect union and one without, give the same areas exactly. Tabled pairs
+// count by row masks wherever both polygons have them; scaling leaves more
+// and more polygons too wide or too tall a band for masks, so each scale
+// mixes the two, and at 3× the GPU's windows pass its threshold and are
+// counted as clipped sampling sub-boxes.
+func TestRowsAgreeAcrossExecutors(t *testing.T) {
+	spec := pathology.Representative()
+	spec.Tiles = 2
+	base := experiments.FilteredPairs(pathology.Generate(spec))
+	for sf := int32(1); sf <= 3; sf++ {
+		pairs := experiments.ScalePairs(base, sf)
+		tabled := experiments.TabledPairs(pairs)
+		masked := 0
+		for _, pr := range tabled {
+			_, pm := pr.P.Rows()
+			_, qm := pr.Q.Rows()
+			if pm && qm {
+				masked++
+			}
+		}
+		if masked == 0 || (sf > 1 && masked == len(tabled)) {
+			t.Fatalf("SF%d: %d of %d pairs have row masks on both sides; the test needs both kinds", sf, masked, len(tabled))
+		}
+		want := pixelbox.RunCPU(pairs, pixelbox.CPUConfig{})
+		dev, _, _ := pixelbox.RunGPU(gpu.NewDevice(gpu.GTX580()), tabled, pixelbox.Config{})
+		devNoSep, _, _ := pixelbox.RunGPU(gpu.NewDevice(gpu.GTX580()), tabled, pixelbox.Config{Variant: pixelbox.PixelBoxNoSep})
+		for name, got := range map[string][]pixelbox.AreaResult{
+			"cpu, tables": pixelbox.RunCPU(tabled, pixelbox.CPUConfig{}),
+			"gpu, tables": dev, "gpu no-sep, tables": devNoSep,
+		} {
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("SF%d pair %d: %s %+v, cpu without tables %+v", sf, i, name, got[i], want[i])
+				}
+			}
+		}
+		t.Logf("SF%d: %d of %d pairs masked on both sides", sf, masked, len(tabled))
+	}
+}
+
 // hugeEll returns an L of extent 1<<30 with arms half as thick, a copy of it
 // shifted by 3 pixels each way, and the closed-form areas of the two's
 // intersection and union.

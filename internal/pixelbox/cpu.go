@@ -8,7 +8,8 @@ import (
 
 // The CPU port of PixelBox (paper §4.2: "we have ported the PixelBox
 // algorithms to CPUs, and parallelized its execution with multiple worker
-// threads"). A pair is one band walk over the intersection of the two MBRs.
+// threads"). A pair is one BandWalk.Count over the intersection of the two
+// MBRs.
 // The sampling-box refinement the GPU kernel needs to keep thousands of
 // threads fed buys a host core nothing once the count under it no longer
 // costs pixels or rows, so the port has none and no threshold to tune.

@@ -19,13 +19,15 @@
 // apart. The kernel charges the simulator for Algorithm 1 as written — one
 // thread per pixel, a ray cast over every edge per pixel, the shared stack,
 // the barriers — and those charges depend only on the pair and the
-// configuration. The integers themselves come from BandWalk (bandwalk.go): a
-// GPU tests one pixel per thread because it has thousands of threads to
-// feed, a host core has one, and a rectilinear polygon is a handful of bands
-// whose overlap with another's a merge counts exactly, whatever the extent in
-// pixels. The CPU port is that walk and nothing else. The paper's literal
-// per-pixel CPU port, the one its figures measured, lives in
-// internal/experiments.
+// configuration. The integers themselves come from BandWalk.Count
+// (bandwalk.go): a GPU tests one pixel per thread because it has thousands of
+// threads to feed, a host core has one, and it counts many pixels at once in
+// one of two ways. Two polygons read through the store that are at most 64
+// pixels wide carry a word per pixel row, so a row of their overlap is one
+// AND and one popcount; any other pair is a handful of bands whose overlap a
+// merge counts exactly, whatever the extent in pixels. The CPU port is one
+// Count per pair and nothing else. The paper's literal per-pixel CPU port,
+// the one its figures measured, lives in internal/experiments.
 package pixelbox
 
 import (
@@ -224,8 +226,10 @@ func RunGPU(dev *gpu.Device, pairs []Pair, cfg Config) ([]AreaResult, gpu.Launch
 		bytes += int64(pr.P.NumVertices()+pr.Q.NumVertices())*8 + 16
 	}
 	xfer := dev.Transfer(bytes)
+	// Blocks run one after another on the host, so one scratch serves them all.
+	s := launchScratch{}
+	s.kx, s.ky = partitionGrid(cfg.BlockSize)
 	launch := dev.Launch(grid, cfg.BlockSize, ShmemPerBlock(cfg.Variant), func(b *gpu.Block) {
-		var s blockScratch
 		for i := b.Idx; i < len(pairs); i += b.GridDim {
 			results[i] = kernelPair(b, &s, pairs[i], cfg)
 		}
@@ -234,19 +238,21 @@ func RunGPU(dev *gpu.Device, pairs []Pair, cfg Config) ([]AreaResult, gpu.Launch
 	return results, launch, xfer
 }
 
-// blockScratch is the host memory one simulated thread block reuses across
-// its pairs: the sampling-box stack, the push-address buffers the bank-
-// conflict model reads, and the band walk's crossing lists.
-type blockScratch struct {
-	stack []stackEntry
-	slots []int32
-	addrs []int32
-	walk  BandWalk
+// launchScratch is the host memory one launch reuses across its blocks and
+// pairs: the sub-box grid of its block size, the sampling-box stack, the
+// push-address buffers the bank-conflict model reads, and the band walk's
+// crossing lists.
+type launchScratch struct {
+	kx, ky int
+	stack  []stackEntry
+	slots  []int32
+	addrs  []int32
+	walk   BandWalk
 }
 
 // kernelPair processes one polygon pair inside a thread block, following
 // Algorithm 1 of the paper.
-func kernelPair(b *gpu.Block, s *blockScratch, pr Pair, cfg Config) AreaResult {
+func kernelPair(b *gpu.Block, s *launchScratch, pr Pair, cfg Config) AreaResult {
 	v := cfg.Variant
 	p, q := pr.P, pr.Q
 
@@ -315,12 +321,10 @@ type stackEntry struct {
 // samplingBoxLoop runs the sampling-box refinement of Algorithm 1 lines
 // 13-42 for one pair, returning exact intersection (and, for the direct
 // variant, union-within-MBR) pixel counts.
-func samplingBoxLoop(b *gpu.Block, s *blockScratch, p, q *geom.Polygon, mbr geom.MBR, cfg Config) (inter, union int64) {
+func samplingBoxLoop(b *gpu.Block, s *launchScratch, p, q *geom.Polygon, mbr geom.MBR, cfg Config) (inter, union int64) {
 	v := cfg.Variant
 	stack := append(s.stack[:0], stackEntry{box: mbr, probe: true})
 	b.SharedAccess(1) // thread 0 pushes the MBR (line 13)
-
-	kx, ky := partitionGrid(cfg.BlockSize)
 
 	for len(stack) > 0 {
 		b.Sync() // line 17
@@ -350,7 +354,7 @@ func samplingBoxLoop(b *gpu.Block, s *blockScratch, p, q *geom.Polygon, mbr geom
 		chargeBoxTests(b, p, q, cfg)
 		pushAddrs := s.slots[:0]
 		for tid := 0; tid < cfg.BlockSize; tid++ {
-			sub := subSampBox(top.box, tid, kx, ky)
+			sub := subSampBox(top.box, tid, s.kx, s.ky)
 			if sub.IsEmpty() {
 				// Trivially outside; still pushed with c=0 as in the real
 				// kernel (the lane ran in lockstep with the others).
@@ -416,7 +420,7 @@ func chargeBoxTests(b *gpu.Block, p, q *geom.Polygon, cfg Config) {
 // an independent unit-stride access; with the padded contiguous layout the
 // stores stride by the record size and serialise on banks (§3.3 "Avoid
 // memory bank conflicts"). Bank conflicts are computed from real addresses.
-func chargeStackPush(b *gpu.Block, s *blockScratch, v Variant) {
+func chargeStackPush(b *gpu.Block, s *launchScratch, v Variant) {
 	slots := s.slots
 	if len(slots) == 0 {
 		return
@@ -447,9 +451,9 @@ func chargeStackPush(b *gpu.Block, s *blockScratch, v Variant) {
 // pixelization: pixels strided across the block's threads, a ray cast over
 // every edge per pixel; a box smaller than the block leaves SIMD lanes idle,
 // which the cost model charges via Strided. The host obtains the same two
-// integers from the band walk; only the variants without indirect union read
+// integers from BandWalk.Count; only the variants without indirect union read
 // the second.
-func pixelizeBox(b *gpu.Block, s *blockScratch, p, q *geom.Polygon, box geom.MBR, cfg Config) (inter, union int64) {
+func pixelizeBox(b *gpu.Block, s *launchScratch, p, q *geom.Polygon, box geom.MBR, cfg Config) (inter, union int64) {
 	v := cfg.Variant
 	loopOv := loopOverhead / v.Unroll
 	if loopOv < 1 {

@@ -234,11 +234,25 @@ func joinNodes(x, y *node, dst []Pair, st *SearchStats) []Pair {
 	st.NodesVisited++
 	switch {
 	case x.entries != nil && y.entries != nil:
+		// Every entry of x lies inside x's MBR, so only y's entries that meet
+		// it can meet any of them. Kept in order, they pair up as a scan of
+		// all of y would.
+		var buf [DefaultFanout]Entry
+		near := buf[:0]
+		for _, eb := range y.entries {
+			st.EntriesTested++
+			if eb.MBR.Intersects(x.mbr) {
+				near = append(near, eb)
+			}
+		}
+		if len(near) == 0 {
+			return dst
+		}
 		for _, ea := range x.entries {
 			if !ea.MBR.Intersects(y.mbr) {
 				continue
 			}
-			for _, eb := range y.entries {
+			for _, eb := range near {
 				st.EntriesTested++
 				if ea.MBR.Intersects(eb.MBR) {
 					dst = append(dst, Pair{A: ea.ID, B: eb.ID})

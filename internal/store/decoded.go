@@ -3,13 +3,13 @@ package store
 // The decoded-tile cache. A cold job spends most of its time turning WKB
 // back into validated polygons, and a K-way matrix reads every dataset K−1
 // times within seconds, so the store keeps recently decoded sets in the form
-// a job consumes: the validated polygons, their band tables (what the
-// aggregator walks) and the set's Hilbert R-tree (what the filter joins) —
-// each a pure function of the set's bytes, built once at decode instead of
-// once per job. An entry is keyed by (tile digest, set): the digest is the
-// content, so an entry can never be stale, only unreferenced, and a cross read
-// decodes and keeps only the side it compares, joining one dataset's set-A
-// tree against another's set-B tree. What is kept is bounded in bytes, not
+// a job consumes: the validated polygons, their band tables and row masks
+// (what the aggregator counts with) and the set's Hilbert R-tree (what the
+// filter joins) — each a pure function of the set's bytes, built once at
+// decode instead of once per job. An entry is keyed by (tile digest, set): the
+// digest is the content, so an entry can never be stale, only unreferenced,
+// and a cross read decodes and keeps only the side it compares, joining one
+// dataset's set-A tree against another's set-B tree. What is kept is bounded in bytes, not
 // entries, and only ever holds the decode of bytes whose digest verified.
 
 import (
@@ -24,13 +24,13 @@ import (
 )
 
 // decodedCacheBytes bounds the decoded sets one Store keeps. A decoded set
-// with its band tables and tree takes about 1.75x its segment bytes (4.02 MB
-// for a 32-tile benchmark dataset of 2.30 MB: 0.76 MB of it tables, 0.09 MB
-// trees), so this holds the benchmark's six-way pool (23 MiB decoded, half a
-// MiB of it trees) with room to spare, while a node that reads each dataset
-// once, as a cluster puller does, pays at most this much for nothing. A cyclic
-// scan over more than the bound evicts every set before its next use and gets
-// no hits at all.
+// with its band tables, row masks and tree takes about 1.96x its segment bytes
+// (4.51 MB for a 32-tile benchmark dataset of 2.30 MB: 0.76 MB of it tables,
+// 0.42 MB masks, 0.09 MB trees), so this holds the benchmark's six-way pool
+// (27 MB decoded at most) with room to spare, while a node that reads each
+// dataset once, as a cluster puller does, pays at most this much for nothing.
+// A cyclic scan over more than the bound evicts every set before its next use
+// and gets no hits at all.
 const decodedCacheBytes = 32 << 20
 
 type decodedKey struct {
@@ -40,9 +40,9 @@ type decodedKey struct {
 
 // decodedSet is one polygon set as decodeSet built it: the polygons live in
 // one geom.Slab, tree is rtree.Index(polys) when the set was read for a store
-// (nil for Import's verifier), and bytes is that slab (band tables included),
-// the tree, the pointer slice and the cache's own entry — everything keeping
-// the set costs except its map slot.
+// (nil for Import's verifier), and bytes is that slab (band tables and row
+// masks included), the tree, the pointer slice and the cache's own entry —
+// everything keeping the set costs except its map slot.
 type decodedSet struct {
 	key   decodedKey
 	polys []*geom.Polygon

@@ -676,6 +676,40 @@ func TestDecodedMetricsOnScrape(t *testing.T) {
 	}
 }
 
+// TestDecodedBytesOfABenchmarkDataset pins what one dataset of the benchmark
+// corpus' shape costs the decoded cache once every tile is read — polygons,
+// edge tables, band tables, row masks and trees — and checks that the
+// benchmark's six-way pool fits the bound. The figure moves only when what a
+// decoded set keeps does.
+func TestDecodedBytesOfABenchmarkDataset(t *testing.T) {
+	const want = 4_511_124
+	s := openStore(t, t.TempDir())
+	ds := ingestOpen(t, s, testDataset(t, 32))
+	var rows, segment int64
+	for i := range ds.man.Tiles {
+		a, b, err := ds.ReadTile(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, set := range [][]*geom.Polygon{a, b} {
+			for _, p := range set {
+				r, _ := p.Rows()
+				rows += int64(len(r)) * 8
+			}
+		}
+		segment += ds.man.Tiles[i].Bytes()
+	}
+	got, sets := s.decoded.size()
+	t.Logf("%d sets: %d decoded bytes (%d of them row masks) for %d segment bytes", sets, got, rows, segment)
+	if sets != 2*len(ds.man.Tiles) || got != want || rows == 0 {
+		t.Fatalf("%d sets take %d decoded bytes (%d of them row masks), want %d sets in %d with row masks",
+			sets, got, rows, 2*len(ds.man.Tiles), want)
+	}
+	if 6*got > decodedCacheBytes {
+		t.Fatalf("six such datasets take %d bytes, over the %d-byte bound", 6*got, decodedCacheBytes)
+	}
+}
+
 // benchDataset is the benchmark corpus' shape: 32 tiles of the
 // representative slide.
 func benchDataset(b *testing.B) (*Store, *Dataset) {

@@ -1085,7 +1085,7 @@ func (d *Dataset) readRange(f *os.File, ti *TileInfo, set byte, off, ln int64) (
 // decodeSet decodes one set's length-prefixed WKB records. It frames and
 // header-checks every record first, which tells it how many vertices the set
 // holds, then validates each record into one slab sized for all of them, and,
-// reading for a store, gives the polygons their band tables.
+// reading for a store, gives the polygons their band tables and row masks.
 func (d *Dataset) decodeSet(ti *TileInfo, set byte, buf []byte, count int) (*decodedSet, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("store: dataset %s tile %s/%d set %c corrupt: %s",
@@ -1125,9 +1125,9 @@ func (d *Dataset) decodeSet(ti *TileInfo, set byte, buf []byte, count int) (*dec
 	var tree *rtree.Tree
 	if d.st != nil {
 		// readSets is about to keep this set, and every later job over the tile
-		// walks its polygons' bands and joins its index: build both now, while
-		// nothing else can see the polygons. Import's verifier compares nothing
-		// and keeps nothing.
+		// counts with its polygons' bands and masks and joins its index: build
+		// them now, while nothing else can see the polygons. Import's verifier
+		// compares nothing and keeps nothing.
 		slab.BuildBands()
 		tree = rtree.Index(polys)
 	}
