@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -63,6 +64,7 @@ type clusterTraceView struct {
 		TotalMs float64 `json:"total_ms"`
 		Spans   []struct {
 			Name       string  `json:"name"`
+			Detail     string  `json:"detail"`
 			Peer       string  `json:"peer"`
 			StartMs    float64 `json:"start_ms"`
 			DurationMs float64 `json:"duration_ms"`
@@ -333,12 +335,34 @@ func TestClusterEndToEnd(t *testing.T) {
 	if _, ok := svcs[1].Store().Get(ids[0]); !ok {
 		t.Fatal("node B did not pull the dataset into its store")
 	}
-	// The tile-read histogram mirrors the access pattern exactly: the compute
-	// read each of the dataset's two tiles once; the peer pull (an import,
-	// not a read through the store) contributed nothing.
+	// The tile-read histogram mirrors the access pattern exactly: the peer
+	// pull verified and decoded each of the dataset's two tiles once and
+	// handed the sets to the decoded cache, so the job itself read nothing
+	// from disk and missed nothing.
 	const tileReads = "sccgd_store_tile_read_seconds_count"
-	if n := scrapeSeries(t, addrs[1]+"/metrics")[tileReads]; n != 2 {
-		t.Fatalf("node B observed %v tile reads after one 2-tile job, want exactly 2", n)
+	series := scrapeSeries(t, addrs[1]+"/metrics")
+	if n := series[tileReads]; n != 2 {
+		t.Fatalf("node B observed %v tile reads after pulling a 2-tile dataset for one job, want exactly 2", n)
+	}
+	if n := series["sccgd_store_decoded_misses_total"]; n != 0 {
+		t.Fatalf("node B's job missed the decoded cache %v times after the pull, want 0", n)
+	}
+	// The job's trace splits the pull into its transfer and its verification,
+	// back to back.
+	var pt clusterTraceView
+	if code := clusterGet(t, addrs[1]+"/jobs/"+jr.ID+"/trace", &pt); code != http.StatusOK {
+		t.Fatalf("job trace on B = %d", code)
+	}
+	pullSpans := map[string][2]float64{}
+	for _, sp := range pt.Trace.Spans {
+		if sp.Peer == "" && strings.HasPrefix(sp.Detail, "pull ") {
+			pullSpans[sp.Name] = [2]float64{sp.StartMs, sp.StartMs + sp.DurationMs}
+		}
+	}
+	transfer, ok1 := pullSpans["cluster"]
+	verify, ok2 := pullSpans["verify"]
+	if !ok1 || !ok2 || math.Abs(transfer[1]-verify[0]) > 0.01 || verify[1] <= verify[0] {
+		t.Fatalf("pull spans %v, want a cluster transfer span and a verify span right after it", pullSpans)
 	}
 	var bjr clusterJobReply
 	clusterPost(t, baseURL+"/jobs", map[string]any{"dataset_id": ids[0]}, &bjr)
@@ -360,7 +384,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	// Nor did the cached answer read a tile anywhere, from disk or from the
 	// decoded cache: C never pulled the dataset, and B's count is still the
-	// one compute.
+	// one pull.
 	if n := tileTouches(scrapeSeries(t, addrs[2]+"/metrics")); n != 0 {
 		t.Fatalf("node C observed %v tile reads serving a cluster cache hit, want 0", n)
 	}

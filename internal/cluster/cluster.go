@@ -178,7 +178,7 @@ type Config struct {
 	// Peers lists the other nodes' base URLs (the -peers flag). Self is
 	// filtered out, so every node can be started with the same full list.
 	Peers []string
-	// Store receives peer-pulled datasets; required for PullDataset.
+	// Store receives peer-pulled datasets; required for PullDatasetCtx.
 	Store *store.Store
 	// Registry, when set, receives the sccgd_cluster_* metrics.
 	Registry *metrics.Registry
@@ -198,6 +198,8 @@ type Node struct {
 
 	client    *http.Client
 	stop      chan struct{}
+	mu        sync.Mutex
+	inflight  map[string]*pull // dataset ID → the pull bringing it here
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
@@ -231,8 +233,9 @@ func New(cfg Config) (*Node, error) {
 		log:   log.With("component", "cluster"),
 		// No client-level timeout: each call bounds itself with a context
 		// sized to its transfer (a segment pull may legitimately run minutes).
-		client: &http.Client{},
-		stop:   make(chan struct{}),
+		client:   &http.Client{},
+		stop:     make(chan struct{}),
+		inflight: make(map[string]*pull),
 	}
 	seen := map[string]bool{self: true}
 	for _, raw := range cfg.Peers {
@@ -472,29 +475,29 @@ func (n *Node) fetchManifest(ctx context.Context, p *Peer, id string, remote *tr
 }
 
 // fetchSegment streams one peer's segment straight into the local store's
-// Import, which size-checks the copy and digest-verifies every tile before
-// publishing.
-func (n *Node) fetchSegment(ctx context.Context, p *Peer, man *store.Manifest, remote *trace.Trace) error {
+// Import, which size-checks the copy and verifies and decodes every tile
+// before publishing, and returns how long Import spent after the copy.
+func (n *Node) fetchSegment(ctx context.Context, p *Peer, man *store.Manifest, remote *trace.Trace) (time.Duration, error) {
 	ctx, cancel := context.WithTimeout(ctx, segmentTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.addr+"/internal/datasets/"+man.ID+"/segment", nil)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	resp, err := n.do(req, p)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	collectHeaderTrace(remote, resp)
 	if resp.StatusCode == http.StatusNotFound {
-		return ErrPeerMiss
+		return 0, ErrPeerMiss
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: peer answered %d for segment %.12s", resp.StatusCode, man.ID)
+		return 0, fmt.Errorf("cluster: peer answered %d for segment %.12s", resp.StatusCode, man.ID)
 	}
-	_, err = n.store.Import(man, resp.Body)
-	return err
+	_, verify, err := n.store.Import(man, resp.Body)
+	return verify, err
 }
 
 // collectHeaderTrace appends a response's X-Sccg-Trace spans into remote.
@@ -510,19 +513,24 @@ func collectHeaderTrace(remote *trace.Trace, resp *http.Response) {
 }
 
 // PullResult describes a completed peer pull: the bytes copied (0 when the
-// dataset was already local), the peer that served it, and the peer's own
-// serving spans for the caller to splice into its trace.
+// dataset was already local, or when another caller's pull brought it), the
+// peer that served it, the peer's own serving spans for the caller to splice
+// into its trace, and how much of the pull was verifying, decoding and
+// publishing the copy rather than transferring it.
 type PullResult struct {
 	Bytes  int64
 	Peer   string
 	Remote *trace.Trace
+	Verify time.Duration
 }
 
-// PullDataset fetches dataset id from the cluster into the local store.
-// See PullDatasetCtx for semantics.
-func (n *Node) PullDataset(id string) (int64, error) {
-	res, err := n.PullDatasetCtx(context.Background(), id)
-	return res.Bytes, err
+// pull is one in-flight PullDatasetCtx: the caller that started it leads,
+// later callers for the same dataset wait on done and take its outcome.
+type pull struct {
+	done   chan struct{}
+	res    PullResult
+	err    error
+	joined int // callers waiting on done, guarded by Node.mu
 }
 
 // PullDatasetCtx fetches dataset id from the cluster into the local store:
@@ -532,7 +540,9 @@ func (n *Node) PullDataset(id string) (int64, error) {
 // tried, so one bad replica can neither poison the store nor block the pull.
 // A trace context stashed in ctx propagates to the serving peer, whose spans
 // come back in the result. When no reachable peer holds the dataset, the
-// error wraps store.ErrNotFound.
+// error wraps store.ErrNotFound. Concurrent calls for one dataset make one
+// transfer: the first leads, and the rest wait for its outcome — its error,
+// or its serving peer with no bytes of their own.
 func (n *Node) PullDatasetCtx(ctx context.Context, id string) (PullResult, error) {
 	if n.store == nil {
 		return PullResult{}, errors.New("cluster: node has no store")
@@ -540,9 +550,36 @@ func (n *Node) PullDatasetCtx(ctx context.Context, id string) (PullResult, error
 	if !store.ValidateID(id) {
 		return PullResult{}, fmt.Errorf("cluster: %q is not a dataset ID", id)
 	}
+	n.mu.Lock()
+	if p, ok := n.inflight[id]; ok {
+		p.joined++
+		n.mu.Unlock()
+		select {
+		case <-p.done:
+			return PullResult{Peer: p.res.Peer}, p.err
+		case <-ctx.Done():
+			return PullResult{}, ctx.Err()
+		}
+	}
+	// Checked under mu: a leader publishes before it leaves the table, so a
+	// dataset neither in flight nor stored needs a transfer.
 	if _, ok := n.store.Get(id); ok {
+		n.mu.Unlock()
 		return PullResult{}, nil
 	}
+	p := &pull{done: make(chan struct{})}
+	n.inflight[id] = p
+	n.mu.Unlock()
+	p.res, p.err = n.pull(ctx, id)
+	n.mu.Lock()
+	delete(n.inflight, id)
+	n.mu.Unlock()
+	close(p.done)
+	return p.res, p.err
+}
+
+// pull walks the owners of id until one serves a copy that verifies.
+func (n *Node) pull(ctx context.Context, id string) (PullResult, error) {
 	start := time.Now()
 	var lastErr error
 	for _, hop := range n.Ranked(id) {
@@ -560,7 +597,8 @@ func (n *Node) PullDatasetCtx(ctx context.Context, id string) (PullResult, error
 			lastErr = err
 			continue
 		}
-		if err := n.fetchSegment(ctx, hop.Peer, man, remote); err != nil {
+		verify, err := n.fetchSegment(ctx, hop.Peer, man, remote)
+		if err != nil {
 			n.pullFailures.Inc()
 			n.log.Warn("dataset pull failed", "dataset", id[:12], "peer", hop.Addr, "error", err)
 			lastErr = err
@@ -575,7 +613,7 @@ func (n *Node) PullDatasetCtx(ctx context.Context, id string) (PullResult, error
 		if len(remote.Spans) == 0 {
 			remote = nil
 		}
-		return PullResult{Bytes: man.SegmentBytes, Peer: hop.Addr, Remote: remote}, nil
+		return PullResult{Bytes: man.SegmentBytes, Peer: hop.Addr, Remote: remote, Verify: verify}, nil
 	}
 	if lastErr != nil {
 		return PullResult{}, fmt.Errorf("cluster: pull dataset %.12s: %w", id, lastErr)

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -8,10 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/pathology"
 	"repro/internal/store"
 )
@@ -182,10 +186,10 @@ func TestPullDatasetRejectsCorruptPeer(t *testing.T) {
 		t.Fatalf("store.Open: %v", err)
 	}
 	n := newNode(t, "http://self:1", []string{bad.URL}, local)
-	if _, err := n.PullDataset(man.ID); err == nil {
-		t.Fatal("PullDataset from a corrupt peer: want error")
+	if _, err := n.PullDatasetCtx(context.Background(), man.ID); err == nil {
+		t.Fatal("PullDatasetCtx from a corrupt peer: want error")
 	} else if !strings.Contains(err.Error(), "digest") {
-		t.Fatalf("PullDataset error %q does not name the digest check", err)
+		t.Fatalf("PullDatasetCtx error %q does not name the digest check", err)
 	}
 	if local.Len() != 0 {
 		t.Fatalf("corrupt pull published a dataset: store holds %d", local.Len())
@@ -202,12 +206,12 @@ func TestPullDatasetRejectsCorruptPeer(t *testing.T) {
 	// answer and completes from the healthy owner.
 	good := servePeer(t, origin, false)
 	n2 := newNode(t, "http://self:1", []string{bad.URL, good.URL}, local)
-	bytes, err := n2.PullDataset(man.ID)
+	res, err := n2.PullDatasetCtx(context.Background(), man.ID)
 	if err != nil {
-		t.Fatalf("PullDataset with a good replica present: %v", err)
+		t.Fatalf("PullDatasetCtx with a good replica present: %v", err)
 	}
-	if bytes != man.SegmentBytes && bytes != 0 {
-		t.Fatalf("pulled %d bytes, manifest says %d", bytes, man.SegmentBytes)
+	if res.Bytes != man.SegmentBytes && res.Bytes != 0 {
+		t.Fatalf("pulled %d bytes, manifest says %d", res.Bytes, man.SegmentBytes)
 	}
 	got, ok := local.Get(man.ID)
 	if !ok {
@@ -217,8 +221,8 @@ func TestPullDatasetRejectsCorruptPeer(t *testing.T) {
 		t.Fatal("pulled manifest does not match the origin")
 	}
 	// Idempotent: a second pull is a no-op.
-	if n, err := n2.PullDataset(man.ID); err != nil || n != 0 {
-		t.Fatalf("repeat pull = %d, %v; want 0, nil", n, err)
+	if res, err := n2.PullDatasetCtx(context.Background(), man.ID); err != nil || res.Bytes != 0 {
+		t.Fatalf("repeat pull = %d, %v; want 0, nil", res.Bytes, err)
 	}
 }
 
@@ -241,8 +245,8 @@ func TestPullDatasetNoHolder(t *testing.T) {
 		t.Fatalf("store.Open: %v", err)
 	}
 	n := newNode(t, "http://self:1", []string{peer.URL}, local)
-	if _, err := n.PullDataset(man.ID); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("PullDataset with no holder = %v, want store.ErrNotFound", err)
+	if _, err := n.PullDatasetCtx(context.Background(), man.ID); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("PullDatasetCtx with no holder = %v, want store.ErrNotFound", err)
 	}
 }
 
@@ -264,8 +268,8 @@ func TestPeerBackoff(t *testing.T) {
 	man := ingest(t, origin, "backoff", 13, 2)
 
 	n := newNode(t, "http://self:1", []string{deadAddr}, local)
-	if _, err := n.PullDataset(man.ID); err == nil {
-		t.Fatal("PullDataset via a dead peer: want error")
+	if _, err := n.PullDatasetCtx(context.Background(), man.ID); err == nil {
+		t.Fatal("PullDatasetCtx via a dead peer: want error")
 	}
 	h := n.Health()
 	if h.Reachable != 0 || len(h.Peers) != 1 || h.Peers[0].Up {
@@ -276,5 +280,157 @@ func TestPeerBackoff(t *testing.T) {
 		if hop.Peer != nil && hop.Addr == deadAddr {
 			t.Fatal("backed-off peer still in the live ranking")
 		}
+	}
+}
+
+// gatedPeer serves a store's manifest and segment like servePeer, but holds
+// every request until release is closed, signalling entered on the first one,
+// and counts the requests of each kind.
+func gatedPeer(t *testing.T, st *store.Store, entered, release chan struct{}) (url string, manifests, segments *atomic.Int32) {
+	t.Helper()
+	manifests, segments = new(atomic.Int32), new(atomic.Int32)
+	var once sync.Once
+	hold := func(count *atomic.Int32) {
+		count.Add(1)
+		once.Do(func() { close(entered) })
+		<-release
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /internal/datasets/{id}/manifest", func(w http.ResponseWriter, r *http.Request) {
+		hold(manifests)
+		man, ok := st.Get(r.PathValue("id"))
+		if !ok {
+			http.Error(w, "not found", http.StatusNotFound)
+			return
+		}
+		json.NewEncoder(w).Encode(man)
+	})
+	mux.HandleFunc("GET /internal/datasets/{id}/segment", func(w http.ResponseWriter, r *http.Request) {
+		hold(segments)
+		rc, _, err := st.OpenSegment(r.PathValue("id"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		defer rc.Close()
+		io.Copy(w, rc)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts.URL, manifests, segments
+}
+
+// pullTogether runs callers concurrent pulls of id on n, releasing the peer
+// only once the first pull is inside it and every other caller waits on it.
+func pullTogether(t *testing.T, n *cluster.Node, id string, callers int, entered, release chan struct{}) ([]cluster.PullResult, []error) {
+	t.Helper()
+	res, errs := make([]cluster.PullResult, callers), make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], errs[i] = n.PullDatasetCtx(context.Background(), id)
+		}(i)
+	}
+	<-entered
+	for deadline := time.Now().Add(10 * time.Second); n.Joined(id) != callers-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(release)
+			wg.Wait()
+			t.Fatalf("%d callers joined the in-flight pull, want %d", n.Joined(id), callers-1)
+		}
+	}
+	close(release)
+	wg.Wait()
+	return res, errs
+}
+
+// TestPullDatasetOneTransfer: concurrent pulls of one dataset make one
+// transfer — one manifest and one segment request to the holder, one pull
+// and one segment's bytes on the counters — and every caller sees it land.
+func TestPullDatasetOneTransfer(t *testing.T) {
+	origin, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	man := ingest(t, origin, "shared", 14, 2)
+	entered, release := make(chan struct{}), make(chan struct{})
+	url, manifests, segments := gatedPeer(t, origin, entered, release)
+
+	local, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	reg := metrics.NewRegistry()
+	n, err := cluster.New(cluster.Config{Self: "http://self:1", Peers: []string{url}, Store: local, Registry: reg, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	t.Cleanup(n.Close)
+
+	const callers = 8
+	res, errs := pullTogether(t, n, man.ID, callers, entered, release)
+	copied := 0
+	for i := range res {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if res[i].Peer != url {
+			t.Fatalf("caller %d: served by %q, want %s", i, res[i].Peer, url)
+		}
+		if res[i].Bytes != 0 {
+			copied++
+			if res[i].Bytes != man.SegmentBytes || res[i].Verify <= 0 {
+				t.Fatalf("leader copied %d bytes and verified for %v, want %d and some time", res[i].Bytes, res[i].Verify, man.SegmentBytes)
+			}
+		}
+	}
+	if copied != 1 {
+		t.Fatalf("%d callers report copying the segment, want 1", copied)
+	}
+	if m, s := manifests.Load(), segments.Load(); m != 1 || s != 1 {
+		t.Fatalf("holder served %d manifests and %d segments, want 1 and 1", m, s)
+	}
+	snap := reg.Snapshot()
+	if got := snap["sccgd_cluster_pulls_total"]; got != 1 {
+		t.Fatalf("sccgd_cluster_pulls_total = %v, want 1", got)
+	}
+	if got := snap["sccgd_cluster_pull_bytes_total"]; got != float64(man.SegmentBytes) {
+		t.Fatalf("sccgd_cluster_pull_bytes_total = %v, want %d", got, man.SegmentBytes)
+	}
+	if _, ok := local.Get(man.ID); !ok {
+		t.Fatal("the shared pull left nothing in the local store")
+	}
+}
+
+// TestPullDatasetFollowersShareLeaderError: callers waiting on a pull that
+// fails get the leader's error, and make no request of their own.
+func TestPullDatasetFollowersShareLeaderError(t *testing.T) {
+	origin, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	man := ingest(t, origin, "absent", 15, 2)
+	empty, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	url, manifests, segments := gatedPeer(t, empty, entered, release)
+	local, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	n := newNode(t, "http://self:1", []string{url}, local)
+
+	_, errs := pullTogether(t, n, man.ID, 8, entered, release)
+	for i, err := range errs {
+		if !errors.Is(err, store.ErrNotFound) {
+			t.Fatalf("caller %d: %v, want the leader's store.ErrNotFound", i, err)
+		}
+	}
+	if m, s := manifests.Load(), segments.Load(); m != 1 || s != 0 {
+		t.Fatalf("holder served %d manifests and %d segments, want 1 and 0", m, s)
 	}
 }

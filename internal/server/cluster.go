@@ -162,9 +162,11 @@ func (s *Server) recordPull(rec *trace.Recorder, id string, res cluster.PullResu
 
 // ensureLocal makes every dataset resident in the local store, pulling
 // missing ones from cluster peers (digest-verified on arrival). Each pull is
-// recorded as a `cluster` span, the serving peer's own spans are spliced in
-// beside it, and a query-log pull record lands either way. Without a cluster
-// it is a no-op: absence surfaces through the usual not-found paths.
+// recorded as two back-to-back spans that sum to it: `cluster` for the
+// transfer (manifest, segment copy and fsync), with the serving peer's own
+// spans spliced in beside it, then `verify` for checking, decoding and
+// publishing the copy. A query-log pull record lands either way. Without a
+// cluster it is a no-op: absence surfaces through the usual not-found paths.
 func (s *Server) ensureLocal(rec *trace.Recorder, ids ...string) error {
 	if s.cluster == nil || s.store == nil {
 		return nil
@@ -180,8 +182,12 @@ func (s *Server) ensureLocal(rec *trace.Recorder, ids ...string) error {
 		if err != nil {
 			detail += " failed"
 		}
-		rec.Add("cluster", detail, start, end)
-		rec.Splice(res.Peer, res.Remote, start, end)
+		copied := end.Add(-res.Verify)
+		rec.Add("cluster", detail, start, copied)
+		rec.Splice(res.Peer, res.Remote, start, copied)
+		if res.Verify > 0 {
+			rec.Add("verify", detail, copied, end)
+		}
 		s.observeRemoteSpan("pull", start)
 		s.recordPull(rec, id, res, end.Sub(start), err)
 		if err != nil {

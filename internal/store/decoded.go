@@ -27,8 +27,9 @@ import (
 // with its band tables, row masks and tree takes about 1.96x its segment bytes
 // (4.51 MB for a 32-tile benchmark dataset of 2.30 MB: 0.76 MB of it tables,
 // 0.42 MB masks, 0.09 MB trees), so this holds the benchmark's six-way pool
-// (27 MB decoded at most) with room to spare, while a node that reads each
-// dataset once, as a cluster puller does, pays at most this much for nothing.
+// (27 MB decoded at most) with room to spare. A peer import puts every set of
+// the dataset it pulled here, so the job the pull was made for reads no
+// segment bytes; a dataset larger than the bound keeps only its last sets.
 // A cyclic scan over more than the bound evicts every set before its next use
 // and gets no hits at all.
 const decodedCacheBytes = 32 << 20
@@ -39,10 +40,9 @@ type decodedKey struct {
 }
 
 // decodedSet is one polygon set as decodeSet built it: the polygons live in
-// one geom.Slab, tree is rtree.Index(polys) when the set was read for a store
-// (nil for Import's verifier), and bytes is that slab (band tables and row
-// masks included), the tree, the pointer slice and the cache's own entry —
-// everything keeping the set costs except its map slot.
+// one geom.Slab, tree is rtree.Index(polys), and bytes is that slab (band
+// tables and row masks included), the tree, the pointer slice and the cache's
+// own entry — everything keeping the set costs except its map slot.
 type decodedSet struct {
 	key   decodedKey
 	polys []*geom.Polygon
@@ -53,10 +53,7 @@ type decodedSet struct {
 func newDecodedSet(key decodedKey, slab *geom.Slab, polys []*geom.Polygon, tree *rtree.Tree) *decodedSet {
 	set := &decodedSet{key: key, polys: polys, tree: tree}
 	set.bytes = slab.Bytes() + int64(cap(polys))*int64(unsafe.Sizeof(polys[0])) +
-		int64(unsafe.Sizeof(*set)+unsafe.Sizeof(list.Element{}))
-	if tree != nil {
-		set.bytes += tree.Bytes()
-	}
+		int64(unsafe.Sizeof(*set)+unsafe.Sizeof(list.Element{})) + tree.Bytes()
 	return set
 }
 

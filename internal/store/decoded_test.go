@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -114,9 +115,8 @@ func wantLookups(t *testing.T, s *Store, what string, hits, misses int64) {
 // oracle bit for bit and tile by tile — joining the trees kept with the sets,
 // building them per run, and through the text path; the second pass is all
 // hits and returns the first pass's very polygons and trees. What the store
-// keeps carries band tables; what Import's verifier decodes and what the
-// parser builds does not, so the oracle (generated polygons) and the store's
-// answers also hold tables to no tables.
+// keeps carries band tables; what the parser builds does not, so the oracle
+// (generated polygons) and the store's answers also hold tables to no tables.
 func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 	const tiles = 3
 	x, y := seededDataset("slide", 1, tiles), seededDataset("slide", 2, tiles)
@@ -144,14 +144,6 @@ func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 	wantLookups(t, s, "first self pass", 0, 2*tiles)
 	sameOnEveryPath(t, "self job, miss", miss, wantSelf)
 	wantBands(t, "a set the store keeps", true, miss[0].A, miss[tiles-1].B)
-	unkept, _, err := (&Dataset{dir: dx.dir, man: dx.man}).readSets(0, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBands(t, "a set Import's verifier decodes", false, unkept.polys)
-	if unkept.tree != nil {
-		t.Fatal("Import's verifier built a tree for a set nobody joins")
-	}
 	parsed, err := parser.Parse(parser.Encode(miss[0].A))
 	if err != nil {
 		t.Fatal(err)
@@ -242,9 +234,9 @@ func TestDecodedEvictionHoldsByteBound(t *testing.T) {
 			if set.tree == nil || set.tree.Len() != len(set.polys) || set.tree.Bytes() < int64(len(set.polys))*int64(unsafe.Sizeof(rtree.Entry{})) {
 				t.Fatalf("tile %d set %c: no tree over its %d polygons, or one of no size", i, set.key.set, len(set.polys))
 			}
-			slab := geom.NewSlab(0, 0)
-			if got := newDecodedSet(set.key, slab, set.polys, set.tree).bytes - newDecodedSet(set.key, slab, set.polys, nil).bytes; got != set.tree.Bytes() {
-				t.Fatalf("tile %d set %c: keeping the tree is accounted %d bytes, it holds %d", i, set.key.set, got, set.tree.Bytes())
+			slab, empty := geom.NewSlab(0, 0), rtree.Index(nil)
+			if got := newDecodedSet(set.key, slab, set.polys, set.tree).bytes - newDecodedSet(set.key, slab, set.polys, empty).bytes; got != set.tree.Bytes()-empty.Bytes() {
+				t.Fatalf("tile %d set %c: keeping the tree is accounted %d bytes more than an empty one, it holds %d more", i, set.key.set, got, set.tree.Bytes()-empty.Bytes())
 			}
 			treeBytes += set.tree.Bytes()
 		}
@@ -602,52 +594,161 @@ func TestDecodedSurvivesLaterCorruption(t *testing.T) {
 	s.decoded.drop(ds.man)
 	_, _, err = ds.ReadTile(0)
 	mismatch("evicted tile", err)
-	_, err = openStore(t, t.TempDir()).Import(ds.man, bytes.NewReader(raw))
+	_, _, err = openStore(t, t.TempDir()).Import(ds.man, bytes.NewReader(raw))
 	mismatch("import of the damaged copy", err)
 }
 
-// TestImportBypassesDecodedCache: Import's verifier reads outside any store,
-// so what it decoded is not kept; the first read of the imported dataset
-// goes to disk and only the second is served from the cache.
-func TestImportBypassesDecodedCache(t *testing.T) {
-	d := testDataset(t, 3)
-	src := openStore(t, t.TempDir())
+// TestImportSeedsDecodedCache: Import verifies and decodes every tile of the
+// peer's bytes with the step a read miss uses and hands the sets to the
+// decoded cache, so the first read of the imported dataset is all hits and
+// reads nothing from disk, and what it serves equals a fresh store's decode of
+// the same segment. A copy that fails verification keeps nothing — not even
+// when the cache already holds sets under the corrupted tile's digest — and a
+// delete racing the import leaves no set behind.
+func TestImportSeedsDecodedCache(t *testing.T) {
+	const tiles = 3
+	d := testDataset(t, tiles)
+	srcDir := t.TempDir()
+	src := openStore(t, srcDir)
 	man, err := src.IngestDataset(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, _, err := src.OpenSegment(man.ID)
+	segPath := filepath.Join(srcDir, man.ID, segmentFile)
+	raw, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seg.Close()
-	dst := openStore(t, t.TempDir())
-	if _, err := dst.Import(man, seg); err != nil {
-		t.Fatal(err)
+	const tileReads = "sccgd_store_tile_read_seconds_count"
+	wantNothingKept := func(t *testing.T, s *Store, dir string, sets int) {
+		t.Helper()
+		if _, ok := s.Get(man.ID); ok {
+			t.Fatal("the refused copy was published")
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if _, ok := s.Get(e.Name()); !ok {
+				t.Fatalf("%q left in the store directory", e.Name())
+			}
+		}
+		if _, got := s.decoded.size(); got != sets {
+			t.Fatalf("%d sets cached, want %d", got, sets)
+		}
 	}
-	wantLookups(t, dst, "import", 0, 0)
-	if _, sets := dst.decoded.size(); sets != 0 {
-		t.Fatalf("import left %d sets in the cache", sets)
-	}
-	ds, err := dst.OpenDataset(man.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pass := range []struct {
-		what         string
-		hits, misses int64
-	}{{"first read after import", 0, 6}, {"second read", 6, 6}} {
-		for i := range d.Pairs {
-			a, _, err := ds.ReadTile(i)
+
+	t.Run("hand-over", func(t *testing.T) {
+		dst := openStore(t, t.TempDir())
+		reg := metrics.NewRegistry()
+		dst.SetMetrics(reg)
+		if _, verify, err := dst.Import(man, bytes.NewReader(raw)); err != nil || verify <= 0 {
+			t.Fatalf("Import = %v after %v verifying", err, verify)
+		}
+		if got := reg.Snapshot()[tileReads]; got != tiles {
+			t.Fatalf("the import observed %v tile reads, want %d", got, tiles)
+		}
+		fresh, err := Open(srcDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.OpenDataset(man.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := dst.OpenDataset(man.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLookups(t, dst, "import", 0, 0)
+		for i := 0; i < tiles; i++ {
+			gotA, gotB, err := ds.readSets(i, true, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalVertices(a[0], d.Pairs[i].A[0]) {
-				t.Fatalf("%s, tile %d: wrong polygons", pass.what, i)
+			wantA, wantB, err := want.readSets(i, true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pair := range [][2]*decodedSet{{gotA, wantA}, {gotB, wantB}} {
+				got, want := pair[0], pair[1]
+				if !reflect.DeepEqual(got.polys, want.polys) || !reflect.DeepEqual(got.tree, want.tree) || got.bytes != want.bytes {
+					t.Fatalf("tile %d set %c: the imported set differs from a fresh decode of the segment", i, got.key.set)
+				}
+			}
+			wantBands(t, "an imported set", true, gotA.polys, gotB.polys)
+		}
+		wantLookups(t, dst, "one pass over the imported dataset", 2*tiles, 0)
+		if got := reg.Snapshot()[tileReads]; got != tiles {
+			t.Fatalf("%v tile reads after a pass over the imported dataset, want still %d", got, tiles)
+		}
+	})
+
+	t.Run("corrupt last tile", func(t *testing.T) {
+		bad := append([]byte(nil), raw...)
+		last := man.Tiles[tiles-1]
+		bad[last.OffB+last.LenB/2] ^= 0xff
+		dir := t.TempDir()
+		dst := openStore(t, dir)
+		if _, _, err := dst.Import(man, bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "content digest mismatch") {
+			t.Fatalf("Import of a copy corrupt in its last tile = %v, want the digest mismatch", err)
+		}
+		wantNothingKept(t, dst, dir, 0)
+	})
+
+	t.Run("corrupt tile cached by another dataset", func(t *testing.T) {
+		// The other dataset holds every tile the import does, and one more, so
+		// every digest the import checks is already cached.
+		dir := t.TempDir()
+		dst := openStore(t, dir)
+		other := testDataset(t, tiles+1)
+		ds := ingestOpen(t, dst, other)
+		for i := range other.Pairs {
+			if _, _, err := ds.ReadTile(i); err != nil {
+				t.Fatal(err)
 			}
 		}
-		wantLookups(t, dst, pass.what, pass.hits, pass.misses)
-	}
+		for _, ti := range man.Tiles {
+			if _, ok := dst.decoded.entries[decodedKey{ti.sum, 'A'}]; !ok {
+				t.Fatalf("tile %s/%d is not cached before the import", ti.Image, ti.Tile)
+			}
+		}
+		bad := append([]byte(nil), raw...)
+		bad[man.Tiles[0].OffA+man.Tiles[0].LenA/2] ^= 0xff
+		if _, _, err := dst.Import(man, bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "content digest mismatch") {
+			t.Fatalf("Import of a corrupt copy of cached tiles = %v, want the digest mismatch", err)
+		}
+		wantNothingKept(t, dst, dir, 2*(tiles+1))
+	})
+
+	t.Run("racing force delete", func(t *testing.T) {
+		dir := t.TempDir()
+		dst := openStore(t, dir)
+		for round := 0; round < 20; round++ {
+			var imported atomic.Bool
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := dst.Import(man, bytes.NewReader(raw))
+				imported.Store(true)
+				done <- err
+			}()
+			// Delete as soon as the dataset is indexed, while Import may still
+			// be handing its sets over.
+			for dst.ForceDelete(man.ID) != nil {
+				if imported.Load() {
+					if err := dst.ForceDelete(man.ID); err != nil {
+						t.Fatalf("round %d: delete after the import: %v", round, err)
+					}
+					break
+				}
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("round %d: Import: %v", round, err)
+			}
+			wantNothingKept(t, dst, dir, 0)
+		}
+	})
 }
 
 // TestDecodedMetricsOnScrape: the tile-read histogram counts reads from disk

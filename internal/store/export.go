@@ -4,11 +4,13 @@ package store
 // import-by-copy of a manifest+segment received from another store. Because
 // datasets are immutable and content-addressed, replication is pure file
 // copy — but an importing store trusts nothing: the manifest must fold back
-// to its own content address and every tile of the copied segment is
-// digest-verified and WKB-decoded before the dataset is published, exactly
-// the checks a local read from disk applies. Any failure removes the temp
-// directory, so a corrupt or malicious peer can never leave a partial or
-// poisoned dataset on disk.
+// to its own content address and every tile of the copied segment goes
+// through the step a read miss uses — digest check, full WKB validation, band
+// tables, row masks and tree — before the dataset is published. What that
+// step built is then handed to the decoded cache, so the job a pull was made
+// for reads no segment bytes. Any failure removes the temp directory and
+// keeps nothing, so a corrupt or malicious peer can never leave a partial or
+// poisoned dataset on disk or in the cache.
 
 import (
 	"encoding/json"
@@ -51,32 +53,35 @@ func (s *Store) OpenSegment(id string) (io.ReadCloser, int64, error) {
 // Import copies a dataset — a manifest plus its raw segment stream, as
 // served by another store's export — into this store under the same content
 // address. The manifest is structurally validated (including the
-// digest-fold-equals-ID check), the segment is copied into a temp directory,
-// and then every tile is read back through the standard verified path:
-// content digest first, full WKB decode second. Only a copy that passes all
-// of it is published, with the same atomic rename + directory fsync Commit
-// uses. Importing content the store already holds returns the existing
-// manifest untouched.
-func (s *Store) Import(man *Manifest, seg io.Reader) (*Manifest, error) {
+// digest-fold-equals-ID check), the segment is copied into a temp directory
+// and synced, and then every tile is read back through the handle it was
+// written with and verified and decoded exactly as a read miss is: content
+// digest first, full WKB decode, band tables and tree second. Only a copy that
+// passes all of it is published, with the same atomic rename + directory fsync
+// Commit uses, and its decoded sets go to the decoded cache under the same
+// lock that indexes it. verify is how long that took, from the synced copy to
+// the publish: the part of a peer pull that is not transfer. Importing content
+// the store already holds returns the existing manifest untouched.
+func (s *Store) Import(man *Manifest, seg io.Reader) (imported *Manifest, verify time.Duration, err error) {
 	if man == nil {
-		return nil, errors.New("store: import: nil manifest")
+		return nil, 0, errors.New("store: import: nil manifest")
 	}
 	// Work on a private copy: Validate normalizes in place, and the caller's
 	// manifest (typically decoded from a peer response) stays untouched.
 	cp := *man
 	cp.Tiles = append([]TileInfo(nil), man.Tiles...)
 	if err := cp.Validate(); err != nil {
-		return nil, fmt.Errorf("store: import %.12s: %w", cp.ID, err)
+		return nil, 0, fmt.Errorf("store: import %.12s: %w", cp.ID, err)
 	}
 	if existing, ok := s.Get(cp.ID); ok {
-		return existing, nil // content already stored
+		return existing, 0, nil // content already stored
 	}
 	// The origin's retention clock is its own; the import is a fresh use here.
 	cp.LastUsed = time.Now().UTC()
 
 	tmp, err := os.MkdirTemp(s.dir, tmpPrefix)
 	if err != nil {
-		return nil, fmt.Errorf("store: import temp dir: %w", err)
+		return nil, 0, fmt.Errorf("store: import temp dir: %w", err)
 	}
 	cleanup := func() {
 		if tmp != "" {
@@ -87,54 +92,54 @@ func (s *Store) Import(man *Manifest, seg io.Reader) (*Manifest, error) {
 
 	f, err := os.Create(filepath.Join(tmp, segmentFile))
 	if err != nil {
-		return nil, fmt.Errorf("store: import segment: %w", err)
+		return nil, 0, fmt.Errorf("store: import segment: %w", err)
 	}
+	defer f.Close() // error paths; the success path checks Close below
 	// +1 past the declared size so an over-long stream shows up as a size
 	// mismatch instead of copying unboundedly.
 	n, err := io.Copy(f, io.LimitReader(seg, cp.SegmentBytes+1))
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: import %.12s: copy segment: %w", cp.ID, err)
+		return nil, 0, fmt.Errorf("store: import %.12s: copy segment: %w", cp.ID, err)
 	}
 	if n != cp.SegmentBytes {
-		f.Close()
-		return nil, fmt.Errorf("store: import %.12s: segment is %d bytes, manifest says %d", cp.ID, n, cp.SegmentBytes)
+		return nil, 0, fmt.Errorf("store: import %.12s: segment is %d bytes, manifest says %d", cp.ID, n, cp.SegmentBytes)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: import %.12s: sync segment: %w", cp.ID, err)
+		return nil, 0, fmt.Errorf("store: import %.12s: sync segment: %w", cp.ID, err)
+	}
+	copied := time.Now()
+
+	// Verify every tile of the copy before publishing, from the peer's bytes:
+	// never through the decoded cache, where another dataset's set under the
+	// same digest would stand in for bytes nobody checked.
+	d := &Dataset{st: s, dir: tmp, man: &cp}
+	sets := make([]*decodedSet, 0, 2*len(cp.Tiles))
+	for i := range cp.Tiles {
+		a, b, err := d.verify(f, &cp.Tiles[i], time.Now(), true, true)
+		if err != nil {
+			return nil, 0, fmt.Errorf("store: import %.12s: %w", cp.ID, err)
+		}
+		sets = append(sets, a, b)
 	}
 	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("store: import %.12s: close segment: %w", cp.ID, err)
-	}
-
-	// Verify every tile of the copy before publishing: digest first, then a
-	// full WKB decode — exactly what ReadTile enforces — so corrupted or
-	// crafted bytes can never land under a valid-looking content address.
-	// The verifier reads outside any store, so it leaves the decoded cache
-	// alone: the first job over the imported dataset decodes it again.
-	d := &Dataset{dir: tmp, man: &cp}
-	for i := range cp.Tiles {
-		if _, _, err := d.ReadTile(i); err != nil {
-			return nil, fmt.Errorf("store: import %.12s: %w", cp.ID, err)
-		}
+		return nil, 0, fmt.Errorf("store: import %.12s: close segment: %w", cp.ID, err)
 	}
 
 	raw, err := json.MarshalIndent(&cp, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("store: import %.12s: encode manifest: %w", cp.ID, err)
+		return nil, 0, fmt.Errorf("store: import %.12s: encode manifest: %w", cp.ID, err)
 	}
 	if err := writeFileSync(filepath.Join(tmp, manifestFile), raw); err != nil {
-		return nil, fmt.Errorf("store: import %.12s: write manifest: %w", cp.ID, err)
+		return nil, 0, fmt.Errorf("store: import %.12s: write manifest: %w", cp.ID, err)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if existing, ok := s.datasets[cp.ID]; ok {
-		return existing, nil // raced a concurrent ingest/import; deferred cleanup drops the copy
+		return existing, time.Since(copied), nil // raced a concurrent ingest/import; deferred cleanup drops the copy
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, cp.ID)); err != nil {
-		return nil, fmt.Errorf("store: publish imported dataset %s: %w", cp.ID, err)
+		return nil, 0, fmt.Errorf("store: publish imported dataset %s: %w", cp.ID, err)
 	}
 	tmp = ""
 	delete(s.persistedUse, cp.ID)
@@ -144,5 +149,10 @@ func (s *Store) Import(man *Manifest, seg io.Reader) (*Manifest, error) {
 		dh.Close()
 	}
 	s.datasets[cp.ID] = &cp
-	return &cp, nil
+	// Under the lock that indexed the dataset, as keepDecoded does for a read:
+	// a remove waits for it and then drops these sets with the rest.
+	for _, set := range sets {
+		s.decoded.put(set)
+	}
+	return &cp, time.Since(copied), nil
 }

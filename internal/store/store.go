@@ -929,8 +929,8 @@ func (m *Manifest) Validate() error {
 // byte ranges, so a scheduler shard touches only its own tiles and deleting a
 // dataset mid-job fails that job cleanly instead of leaking a handle.
 type Dataset struct {
-	st  *Store // nil for Import's verifier, which reads outside any store
-	dir string
+	st  *Store
+	dir string // the published directory, or Import's temp copy
 	man *Manifest
 }
 
@@ -947,10 +947,9 @@ func (s *Store) OpenDataset(id string) (*Dataset, error) {
 // the reader was opened. Readers only exist for datasets that were indexed
 // when opened, so absence from the index IS the deletion signal — no
 // tombstone set to grow unboundedly across a long-lived daemon's sweeps.
+// Import's reader is not indexed yet and never asks: it reads through the
+// handle it wrote the copy with.
 func (d *Dataset) wasRemoved() bool {
-	if d.st == nil {
-		return false
-	}
 	d.st.mu.RLock()
 	defer d.st.mu.RUnlock()
 	_, present := d.st.datasets[d.man.ID]
@@ -986,13 +985,11 @@ func (d *Dataset) readSets(i int, wantA, wantB bool) (a, b *decodedSet, err erro
 		return nil, nil, fmt.Errorf("store: dataset %s has no tile index %d", d.man.ID, i)
 	}
 	ti := &d.man.Tiles[i]
-	if d.st != nil {
-		if wantA {
-			a = d.st.decoded.get(decodedKey{ti.sum, 'A'})
-		}
-		if wantB {
-			b = d.st.decoded.get(decodedKey{ti.sum, 'B'})
-		}
+	if wantA {
+		a = d.st.decoded.get(decodedKey{ti.sum, 'A'})
+	}
+	if wantB {
+		b = d.st.decoded.get(decodedKey{ti.sum, 'B'})
 	}
 	needA, needB := wantA && a == nil, wantB && b == nil
 	if !needA && !needB {
@@ -1007,9 +1004,7 @@ func (d *Dataset) readSets(i int, wantA, wantB bool) (a, b *decodedSet, err erro
 	if err != nil {
 		return nil, nil, err
 	}
-	if d.st != nil {
-		d.st.keepDecoded(d.man.ID, newA, newB)
-	}
+	d.st.keepDecoded(d.man.ID, newA, newB)
 	if needA {
 		a = newA
 	}
@@ -1019,18 +1014,9 @@ func (d *Dataset) readSets(i int, wantA, wantB bool) (a, b *decodedSet, err erro
 	return a, b, nil
 }
 
-// load reads tile ti's byte ranges from the segment file, re-verifies the
-// tile's content digest and decodes the sets asked for. The digest covers
-// both sets jointly, so both ranges are always read even when only one is
-// decoded — verification is never skipped on the cross-dataset read path.
+// load opens the segment file and verifies and decodes tile ti from it.
 func (d *Dataset) load(ti *TileInfo, wantA, wantB bool) (a, b *decodedSet, err error) {
-	var start time.Time
-	var hist *metrics.Histogram
-	if d.st != nil {
-		if hist = d.st.tileReadHist.Load(); hist != nil {
-			start = time.Now()
-		}
-	}
+	start := time.Now()
 	f, err := os.Open(filepath.Join(d.dir, segmentFile))
 	if err != nil {
 		// Distinguish a lifecycle fault from a storage fault: a segment that
@@ -1042,6 +1028,16 @@ func (d *Dataset) load(ti *TileInfo, wantA, wantB bool) (a, b *decodedSet, err e
 		return nil, nil, fmt.Errorf("store: dataset %s: %w", d.man.ID, err)
 	}
 	defer f.Close()
+	return d.verify(f, ti, start, wantA, wantB)
+}
+
+// verify reads tile ti's byte ranges from the segment f, re-verifies the
+// tile's content digest and decodes the sets asked for. The digest covers
+// both sets jointly, so both ranges are always read even when only one is
+// decoded — verification is never skipped on the cross-dataset read path.
+// A read miss and Import both come through here, so every set the decoded
+// cache holds was built by this one step; start is when the read began.
+func (d *Dataset) verify(f *os.File, ti *TileInfo, start time.Time, wantA, wantB bool) (a, b *decodedSet, err error) {
 	segA, err := d.readRange(f, ti, 'A', ti.OffA, ti.LenA)
 	if err != nil {
 		return nil, nil, err
@@ -1067,7 +1063,7 @@ func (d *Dataset) load(ti *TileInfo, wantA, wantB bool) (a, b *decodedSet, err e
 	// Only successful reads are observed: failure latency is dominated by
 	// error paths (missing segment, corrupt digest), which would pollute the
 	// read-latency distribution the histogram exists to show.
-	if hist != nil {
+	if hist := d.st.tileReadHist.Load(); hist != nil {
 		hist.ObserveSince(start)
 	}
 	return a, b, nil
@@ -1084,8 +1080,8 @@ func (d *Dataset) readRange(f *os.File, ti *TileInfo, set byte, off, ln int64) (
 
 // decodeSet decodes one set's length-prefixed WKB records. It frames and
 // header-checks every record first, which tells it how many vertices the set
-// holds, then validates each record into one slab sized for all of them, and,
-// reading for a store, gives the polygons their band tables and row masks.
+// holds, then validates each record into one slab sized for all of them, and
+// gives the polygons their band tables and row masks and the set its tree.
 func (d *Dataset) decodeSet(ti *TileInfo, set byte, buf []byte, count int) (*decodedSet, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("store: dataset %s tile %s/%d set %c corrupt: %s",
@@ -1122,16 +1118,11 @@ func (d *Dataset) decodeSet(ti *TileInfo, set byte, buf []byte, count int) (*dec
 		polys[i] = p
 		buf = buf[recLenBytes+n:]
 	}
-	var tree *rtree.Tree
-	if d.st != nil {
-		// readSets is about to keep this set, and every later job over the tile
-		// counts with its polygons' bands and masks and joins its index: build
-		// them now, while nothing else can see the polygons. Import's verifier
-		// compares nothing and keeps nothing.
-		slab.BuildBands()
-		tree = rtree.Index(polys)
-	}
-	return newDecodedSet(decodedKey{ti.sum, set}, slab, polys, tree), nil
+	// The set is about to be kept, and every later job over the tile counts
+	// with its polygons' bands and masks and joins its index: build them now,
+	// while nothing else can see the polygons.
+	slab.BuildBands()
+	return newDecodedSet(decodedKey{ti.sum, set}, slab, polys, rtree.Index(polys)), nil
 }
 
 // Source returns the dataset as a lazily-materializing task source: the
