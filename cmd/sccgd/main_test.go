@@ -413,10 +413,8 @@ func TestDaemonMatrixEndToEnd(t *testing.T) {
 			Intersect  int     `json:"intersecting"`
 			Candidates int     `json:"candidates"`
 		} `json:"cells"`
-		Group struct {
-			Done     int  `json:"done"`
-			Terminal bool `json:"terminal"`
-		} `json:"group"`
+		ExactCells    int `json:"exact_cells"`
+		TerminalCells int `json:"terminal_cells"`
 	}
 
 	runMatrix := func(base string) matrixStatus {
@@ -446,8 +444,8 @@ func TestDaemonMatrixEndToEnd(t *testing.T) {
 	if mst.State != "done" {
 		t.Fatalf("matrix ended %s: %+v", mst.State, mst)
 	}
-	if mst.Group.Done != 3 || !mst.Group.Terminal {
-		t.Errorf("matrix group = %+v, want 3 done members, terminal", mst.Group)
+	if mst.ExactCells != 3 || mst.TerminalCells != 3 {
+		t.Errorf("matrix exact/terminal cells = %d/%d, want 3/3", mst.ExactCells, mst.TerminalCells)
 	}
 
 	// Oracle: the engine's CrossComparePolygons over dataset i's set A and

@@ -95,8 +95,8 @@ func main() {
 	}
 
 	mst := runMatrix()
-	fmt.Printf("matrix %s finished %s: %d cells, group %s (%d done jobs)\n",
-		mst.ID, mst.State, mst.PlannedCells, mst.Group.ID, mst.Group.Done)
+	fmt.Printf("matrix %s finished %s: %d/%d cells terminal, %d exact\n",
+		mst.ID, mst.State, mst.TerminalCells, mst.PlannedCells, mst.ExactCells)
 	printMatrix(mst)
 
 	again := runMatrix()

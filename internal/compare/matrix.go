@@ -28,8 +28,8 @@ package compare
 // cell carries its job ID and whether the run owns that job (submitted it)
 // or merely attached to another submitter's job through a cache hit.
 // Cancelling the run, or pruning a cell, cancels owned jobs straight from the
-// table and leaves shared ones running for their other consumers; the
-// `group` aggregate in a status is computed from the same cells.
+// table and leaves shared ones running for their other consumers; a status's
+// counts are computed from the same cells.
 
 import (
 	"context"
@@ -208,6 +208,7 @@ var (
 	ErrCellSelf      = errors.New("compare: diagonal self cell is never computed")
 	ErrCellNotElided = errors.New("compare: cell was not elided")
 	ErrCellBusy      = errors.New("compare: cell is already being computed")
+	ErrRunRunning    = errors.New("compare: matrix run still running; upgrade elided cells once it finishes")
 )
 
 const keepFinishedRuns = 64 // finished runs a manager remembers
@@ -395,16 +396,6 @@ func (r *Run) ID() string { return r.id }
 
 // Done returns a channel closed when the run reaches a terminal state.
 func (r *Run) Done() <-chan struct{} { return r.done }
-
-func (r *Run) label() string {
-	if r.spec.Name != "" {
-		return r.spec.Name
-	}
-	if r.bipartite {
-		return fmt.Sprintf("%d×%d matrix", len(r.rows), len(r.cols))
-	}
-	return fmt.Sprintf("%d-way matrix", len(r.rows))
-}
 
 // bumpLocked registers an observable state change; r.mu must be held.
 func (r *Run) bumpLocked() {
@@ -791,45 +782,19 @@ type CellView struct {
 	Similarity float64 `json:"similarity"`
 	Intersect  int     `json:"intersecting"`
 	Candidates int     `json:"candidates"`
-	// Bound is the plan phase's similarity upper bound; present on every
-	// planned cell of a progressive run. Skipped/bounded cells' true
-	// similarity never exceeds it.
+	// Bound is the plan phase's similarity upper bound, present on every
+	// cell once a manager with a Bound hook (any store-backed daemon) has
+	// planned it; only a progressive run elides on it. Skipped/bounded
+	// cells' true similarity never exceeds it.
 	Bound *float64 `json:"bound,omitempty"`
 	// Trace is the cell job's per-stage duration rollup (total plus
 	// milliseconds per stage name), set once the cell is terminal.
 	Trace *trace.Summary `json:"trace,omitempty"`
 }
 
-// GroupStatus aggregates a run's cell jobs: every cell with a job behind it
-// is a member, counted by the state its cell shows in the same snapshot.
-type GroupStatus struct {
-	ID       string    `json:"id"`
-	Name     string    `json:"name,omitempty"`
-	Tenant   string    `json:"tenant,omitempty"`
-	Created  time.Time `json:"created"`
-	Members  int       `json:"members"`
-	Sealed   bool      `json:"sealed"`
-	Canceled bool      `json:"canceled"`
-	// Per-state member counts. Queued and Running split the in-flight cells
-	// by what the scheduler says of their jobs; CanceledJobs counts canceled
-	// cells and cells pruned in flight (`bounded` with a job).
-	Queued       int `json:"queued"`
-	Running      int `json:"running"`
-	Done         int `json:"done"`
-	Failed       int `json:"failed"`
-	CanceledJobs int `json:"canceled_jobs"`
-	// Aggregated work accounting over member jobs (done cells contribute
-	// their report's device counters).
-	Tiles          int     `json:"tiles"`
-	KernelLaunches int64   `json:"kernel_launches"`
-	DeviceSeconds  float64 `json:"device_seconds"`
-	// Terminal reports whether the run has finished: no cell is left to
-	// submit and every member has settled.
-	Terminal bool `json:"terminal"`
-}
-
-// Status is a point-in-time snapshot of a matrix run: the cell grid plus the
-// aggregate over its cell jobs.
+// Status is a point-in-time snapshot of a matrix run: the cell grid and the
+// counts over it, taken in one critical section and without asking the
+// scheduler.
 type Status struct {
 	ID       string     `json:"id"`
 	Name     string     `json:"name,omitempty"`
@@ -867,7 +832,6 @@ type Status struct {
 	// PlanTrace is the run-level plan-phase rollup: the `bound` stage plus
 	// any cluster pulls the caller recorded before the run started.
 	PlanTrace *trace.Summary `json:"plan_trace,omitempty"`
-	Group     GroupStatus    `json:"group"`
 }
 
 // Status snapshots the run.
@@ -924,58 +888,8 @@ func (r *Run) Status() Status {
 			st.Cells[c.j][c.i] = v
 		}
 	}
-	st.Group = r.groupLocked()
 	r.mu.Unlock()
 	return st
-}
-
-// Group returns the aggregate over the run's cell jobs alone — what a
-// /metrics scrape needs, without building the cell grid.
-func (r *Run) Group() GroupStatus {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.groupLocked()
-}
-
-// groupLocked computes the group aggregate from the cell table; r.mu must be
-// held. The scheduler is asked only to split the in-flight cells into queued
-// and running — at most Concurrency of them (plus caller-driven upgrades) —
-// so a finished run costs it nothing. Nothing in the scheduler calls back
-// into a run, so taking its lock under r.mu cannot invert.
-func (r *Run) groupLocked() GroupStatus {
-	g := GroupStatus{
-		ID:       r.id,
-		Name:     r.id + ": " + r.label(),
-		Tenant:   r.spec.Tenant,
-		Created:  r.created,
-		Sealed:   r.state != RunRunning || r.cancelRequested,
-		Canceled: r.cancelRequested,
-		Terminal: r.state != RunRunning,
-	}
-	for _, c := range r.cells {
-		if c.jobID == "" {
-			continue
-		}
-		g.Members++
-		g.Tiles += c.tiles
-		switch c.state {
-		case CellRunning:
-			if js, ok := r.m.cfg.Scheduler.Job(c.jobID); ok && js.State == sched.Queued {
-				g.Queued++
-			} else {
-				g.Running++
-			}
-		case CellDone:
-			g.Done++
-			g.KernelLaunches += c.report.Stats.KernelLaunches
-			g.DeviceSeconds += c.report.Stats.DeviceSeconds
-		case CellFailed:
-			g.Failed++
-		case CellCanceled, CellBounded:
-			g.CanceledJobs++
-		}
-	}
-	return g
 }
 
 // viewLocked builds the wire view of one cell; r.mu must be held.
@@ -1047,11 +961,14 @@ func (r *Run) Cell(i, j int) (CellView, error) {
 // who later needs one specific elided answer pays for exactly that cell. The
 // upgrade goes through the same submit-and-wait path as planned cells but
 // outside the run's concurrency gate and cancellation domain: it is
-// caller-driven work on a (typically finished) run, so its job is never
-// owned — neither Cancel nor the objective that elided the cell in the first
-// place (maybePrune) touches it. Already-exact cells return their view
-// idempotently; other states report ErrCellBusy or ErrCellNotElided alongside
-// the current view. A failed upgrade leaves the cell as it was.
+// caller-driven work on a finished run, so its job is never owned — neither
+// Cancel nor the objective that elided the cell in the first place
+// (maybePrune) touches it. An elided
+// cell of a still-running run reports ErrRunRunning: the run's finish (its
+// state, its pins, its waiters' wake-up) must not precede a cell it does not
+// wait for. Already-exact cells return their view idempotently; other states
+// report ErrCellBusy or ErrCellNotElided alongside the current view. A failed
+// upgrade leaves the cell as it was.
 func (r *Run) UpgradeCell(i, j int) (CellView, error) {
 	c, err := r.cellAt(i, j)
 	if errors.Is(err, ErrCellSelf) {
@@ -1073,12 +990,17 @@ func (r *Run) UpgradeCell(i, j int) (CellView, error) {
 		}
 		return v, fmt.Errorf("%w (cell is %s)", ErrCellNotElided, prev.state)
 	}
+	if r.state == RunRunning {
+		v := r.viewLocked(c)
+		r.mu.Unlock()
+		return v, ErrRunRunning
+	}
 	c.state, c.owned, c.errMsg = CellRunning, false, ""
 	r.bumpLocked()
 	r.mu.Unlock()
 
 	// Wait with a background context: the run's own ctx is canceled once the
-	// run finishes, and an upgrade outlives the run lifecycle by design.
+	// run finishes.
 	st, err := r.submitAndWait(context.Background(), c, false)
 	if err == nil && st.State != sched.Done {
 		msg := st.Error

@@ -13,7 +13,7 @@ import (
 )
 
 // directSubmit is a cache-less cell submitter over a store and scheduler.
-func directSubmit(t *testing.T, s *store.Store, sc *sched.Scheduler, calls *int64) SubmitFunc {
+func directSubmit(_ testing.TB, s *store.Store, sc *sched.Scheduler, calls *int64) SubmitFunc {
 	return func(idA, idB, _ string) (SubmitOutcome, error) {
 		if calls != nil {
 			atomic.AddInt64(calls, 1)
@@ -52,7 +52,7 @@ func waitRun(t *testing.T, r *Run) Status {
 
 // TestMatrixSymmetricAndExact: a K=3 run produces a symmetric 3×3 status
 // whose off-diagonal cells are bit-identical to independently submitted
-// pairwise jobs, with the diagonal marked self and the group aggregate terminal.
+// pairwise jobs, with the diagonal marked self and every cell answered by a job.
 func TestMatrixSymmetricAndExact(t *testing.T) {
 	s := testStore(t)
 	sc := sched.New(sched.Config{Devices: 2})
@@ -89,8 +89,8 @@ func TestMatrixSymmetricAndExact(t *testing.T) {
 				continue
 			}
 			c, mirror := st.Cells[i][j], st.Cells[j][i]
-			if c.State != CellDone {
-				t.Fatalf("cell [%d][%d] state %q: %s", i, j, c.State, c.Error)
+			if c.State != CellDone || c.JobID == "" {
+				t.Fatalf("cell [%d][%d] state %q, job %q: %s", i, j, c.State, c.JobID, c.Error)
 			}
 			if c.Similarity != mirror.Similarity || c.JobID != mirror.JobID {
 				t.Errorf("cell [%d][%d] not mirrored: %v/%s vs %v/%s",
@@ -121,9 +121,8 @@ func TestMatrixSymmetricAndExact(t *testing.T) {
 		}
 	}
 
-	g := st.Group
-	if !g.Terminal || g.Done != 3 || g.Members != 3 {
-		t.Errorf("group = %+v, want 3 done members, terminal", g)
+	if st.ExactCells != 3 {
+		t.Errorf("exact cells = %d, want 3", st.ExactCells)
 	}
 }
 
@@ -159,8 +158,8 @@ func TestMatrixCachedCells(t *testing.T) {
 			}
 		}
 	}
-	if st.Group.Members != 0 {
-		t.Errorf("cached run attached %d jobs to its group, want 0", st.Group.Members)
+	if st.ExactCells != 3 || st.TerminalCells != 3 {
+		t.Errorf("exact/terminal cells = %d/%d, want 3/3", st.ExactCells, st.TerminalCells)
 	}
 }
 
@@ -318,8 +317,8 @@ func TestMatrixCellResubmitsAfterExternalCancel(t *testing.T) {
 	if c := st.Cells[0][1]; c.State != CellDone || c.JobID == doomed {
 		t.Fatalf("cell = %+v, want done under a fresh job", c)
 	}
-	if st.Group.Members != 1 || st.Group.CanceledJobs != 0 || st.Group.Done != 1 {
-		t.Fatalf("group = %+v, want only the fresh job (dead attempt removed)", st.Group)
+	if st.ExactCells != 1 || st.TerminalCells != 1 {
+		t.Fatalf("exact/terminal cells = %d/%d, want 1/1 (dead attempt removed)", st.ExactCells, st.TerminalCells)
 	}
 }
 
@@ -397,8 +396,8 @@ func TestMatrixCancelCancelsMembers(t *testing.T) {
 	if canceledCells != 6 { // 3 planned cells, each mirrored
 		t.Errorf("%d canceled cell views, want all 6", canceledCells)
 	}
-	if !st.Group.Canceled {
-		t.Errorf("group not marked canceled: %+v", st.Group)
+	if st.TerminalCells != 3 || st.ExactCells != 0 {
+		t.Errorf("terminal/exact cells = %d/%d, want 3/0", st.TerminalCells, st.ExactCells)
 	}
 
 	// A terminal run rejects a second cancel.
@@ -407,8 +406,8 @@ func TestMatrixCancelCancelsMembers(t *testing.T) {
 	}
 }
 
-// countingSched counts Job lookups, the only scheduler call a status
-// snapshot may make.
+// countingSched counts Job lookups, a scheduler call no status snapshot may
+// make.
 type countingSched struct {
 	*sched.Scheduler
 	jobCalls atomic.Int64
@@ -419,45 +418,45 @@ func (c *countingSched) Job(id string) (sched.JobStatus, bool) {
 	return c.Scheduler.Job(id)
 }
 
-// checkGroupMatchesCells asserts the group aggregate of one snapshot says
-// exactly what the snapshot's own cell grid shows.
-func checkGroupMatchesCells(t *testing.T, st Status) {
+// checkCountsMatchCells asserts a symmetric run's snapshot counts exactly
+// what the snapshot's own cell grid shows, mirror included.
+func checkCountsMatchCells(t *testing.T, st Status) {
 	t.Helper()
-	var members, inFlight, done, failed, canceled int
+	var planned, terminal, exact, skipped, bounded int
 	for i := range st.Cells {
 		for j := i + 1; j < len(st.Cells[i]); j++ {
 			c := st.Cells[i][j]
-			if c.JobID == "" {
-				continue
+			if m := st.Cells[j][i]; m.State != c.State || m.JobID != c.JobID || m.Similarity != c.Similarity {
+				t.Errorf("version %d: cell [%d][%d] %+v, mirror %+v", st.Version, i, j, c, m)
 			}
-			members++
+			planned++
 			switch c.State {
-			case CellRunning:
-				inFlight++
 			case CellDone:
-				done++
-			case CellFailed:
-				failed++
-			case CellCanceled, CellBounded:
-				canceled++
+				terminal++
+				exact++
+			case CellFailed, CellCanceled:
+				terminal++
+			case CellSkipped:
+				terminal++
+				skipped++
+			case CellBounded:
+				terminal++
+				bounded++
 			}
 		}
 	}
-	g := st.Group
-	if g.Members != members || g.Queued+g.Running != inFlight || g.Done != done ||
-		g.Failed != failed || g.CanceledJobs != canceled {
-		t.Errorf("version %d: group %+v disagrees with its own cells (members %d, in flight %d, done %d, failed %d, canceled %d)",
-			st.Version, g, members, inFlight, done, failed, canceled)
-	}
-	if g.Terminal != (st.State != RunRunning) {
-		t.Errorf("version %d: group terminal=%v on a %s run", st.Version, g.Terminal, st.State)
+	if st.PlannedCells != planned || st.TerminalCells != terminal || st.ExactCells != exact ||
+		st.SkippedCells != skipped || st.BoundedCells != bounded {
+		t.Errorf("version %d: planned/terminal/exact/skipped/bounded %d/%d/%d/%d/%d, cells show %d/%d/%d/%d/%d",
+			st.Version, st.PlannedCells, st.TerminalCells, st.ExactCells, st.SkippedCells, st.BoundedCells,
+			planned, terminal, exact, skipped, bounded)
 	}
 }
 
-// TestStatusSnapshotSelfConsistent: the group aggregate and the cell grid
-// come from one critical section, so no snapshot — streamed on every change
-// or polled in a tight loop while cells settle — can disagree with itself.
-// A finished run's snapshots then cost the scheduler nothing.
+// TestStatusSnapshotSelfConsistent: the counts and the cell grid come from one
+// critical section, so no snapshot — taken on every change or polled in a
+// tight loop while cells settle — can disagree with itself, and no snapshot,
+// of a running run or a finished one, asks the scheduler anything.
 func TestStatusSnapshotSelfConsistent(t *testing.T) {
 	s := testStore(t)
 	sc := &countingSched{Scheduler: sched.New(sched.Config{Devices: 2})}
@@ -471,6 +470,15 @@ func TestStatusSnapshotSelfConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(st Status) {
+		t.Helper()
+		checkCountsMatchCells(t, st)
+		// Nothing else in this run looks a job up: cells wait on their jobs
+		// and none is canceled, so any lookup came from a snapshot.
+		if n := sc.jobCalls.Load(); n != 0 {
+			t.Errorf("version %d: %d scheduler lookups, want 0", st.Version, n)
+		}
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -481,18 +489,18 @@ func TestStatusSnapshotSelfConsistent(t *testing.T) {
 			case <-run.Done():
 				return
 			default:
-				checkGroupMatchesCells(t, run.Status())
+				check(run.Status())
 			}
 		}
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	for since := int64(-1); ; { // the stream: one snapshot per change
+	for since := int64(-1); ; { // the waiter: one snapshot per change
 		st, err := run.WaitChange(ctx, since)
 		if err != nil {
-			t.Fatalf("stream: %v", err)
+			t.Fatalf("wait: %v", err)
 		}
-		checkGroupMatchesCells(t, st)
+		check(st)
 		if st.State != RunRunning {
 			break
 		}
@@ -501,15 +509,10 @@ func TestStatusSnapshotSelfConsistent(t *testing.T) {
 	wg.Wait()
 
 	st := run.Status()
-	if st.State != RunDone || st.Group.Done != 6 || st.Group.Members != 6 {
-		t.Fatalf("run ended %s with group %+v, want 6 done members", st.State, st.Group)
+	if st.State != RunDone || st.ExactCells != 6 || st.TerminalCells != 6 {
+		t.Fatalf("run ended %s with exact/terminal %d/%d, want done 6/6", st.State, st.ExactCells, st.TerminalCells)
 	}
-	before := sc.jobCalls.Load()
-	run.Status()
-	run.Group()
-	if after := sc.jobCalls.Load(); after != before {
-		t.Errorf("snapshots of a finished run made %d scheduler calls, want 0", after-before)
-	}
+	check(st)
 }
 
 // TestCancelLeavesSharedJobsRunning: cancelling a run cancels the cell jobs
@@ -567,8 +570,8 @@ func TestCancelLeavesSharedJobsRunning(t *testing.T) {
 			t.Fatalf("cells never both in flight: %v", err)
 		}
 		if st.Cells[0][0].State == CellRunning && st.Cells[0][1].State == CellRunning {
-			if st.Group.Members != 2 {
-				t.Fatalf("group = %+v, want both the shared and the owned job as members", st.Group)
+			if st.Cells[0][0].JobID == "" || st.Cells[0][1].JobID == "" {
+				t.Fatalf("cells = %+v, want both the shared and the owned job on their cells", st.Cells)
 			}
 			break
 		}

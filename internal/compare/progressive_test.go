@@ -1,11 +1,13 @@
 package compare
 
 // Tests for the progressive matrix path: bound soundness, top-k runs over a
-// spatially skewed corpus (differential against the full exact matrix),
-// bipartite grids, and top-k early termination of in-flight cells.
+// spatially skewed corpus and a graded one (differential against the full
+// exact matrix), bipartite grids, top-k early termination of in-flight
+// cells, and exact upgrades of elided cells.
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -60,42 +62,62 @@ func clusterCorpus(t *testing.T, s *store.Store) (near, far []string) {
 	return near, far
 }
 
-// TestBoundPairSoundness: no exact cell similarity may exceed its bound, and
-// cross-cluster bounds must be exactly zero.
+// TestBoundPairSoundness: no exact cell similarity may exceed its bound.
+// Cross-cluster bounds of the clustered corpus must be exactly zero; every
+// bound of the graded corpus falls strictly inside (0, 1), and at offset 0 it
+// is the exact similarity itself.
 func TestBoundPairSoundness(t *testing.T) {
 	s := testStore(t)
 	sc := sched.New(sched.Config{})
 	t.Cleanup(sc.Close)
 	near, far := clusterCorpus(t, s)
 	all := append(append([]string(nil), near...), far...)
+	checkBoundsSound(t, s, sc, all, func(i, j int, cb CellBound, _ float64) {
+		crossCluster := (i < len(near)) != (j < len(near))
+		if crossCluster && cb.Bound != 0 {
+			t.Errorf("cross-cluster bound [%d][%d] = %v, want 0 (disjoint MBRs)", i, j, cb.Bound)
+		}
+		if !crossCluster && cb.Bound == 0 {
+			t.Errorf("within-cluster bound [%d][%d] = 0; overlapping variants must bound positive", i, j)
+		}
+	})
+	for _, offset := range []int32{0, 2} {
+		checkBoundsSound(t, s, sc, gradedCorpus(t, s, 6, 2, offset), func(i, j int, cb CellBound, sim float64) {
+			if cb.Bound <= 0 || cb.Bound >= 1 {
+				t.Errorf("graded offset %d: bound [%d][%d] = %v, want strictly inside (0, 1)", offset, i, j, cb.Bound)
+			}
+			if offset == 0 && math.Abs(sim-cb.Bound) > 1e-9 {
+				t.Errorf("graded offset 0: cell [%d][%d] similarity %.12f, want its bound %.12f", i, j, sim, cb.Bound)
+			}
+		})
+	}
+}
 
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			cb, err := BoundPair(s, all[i], all[j])
+// checkBoundsSound computes every cell (i < j) of ids exactly, fails any whose
+// similarity exceeds its bound, and hands the rest to check.
+func checkBoundsSound(t *testing.T, s *store.Store, sc *sched.Scheduler, ids []string, check func(i, j int, cb CellBound, sim float64)) {
+	t.Helper()
+	for i := 0; i < len(ids); i++ {
+		for j := i + 1; j < len(ids); j++ {
+			cb, err := BoundPair(s, ids[i], ids[j])
 			if err != nil {
 				t.Fatalf("BoundPair(%d,%d): %v", i, j, err)
 			}
 			if cb.Trivial {
 				t.Errorf("bound [%d][%d] degraded to trivial; freshly ingested datasets carry stats", i, j)
 			}
-			crossCluster := (i < len(near)) != (j < len(near))
-			if crossCluster && cb.Bound != 0 {
-				t.Errorf("cross-cluster bound [%d][%d] = %v, want 0 (disjoint MBRs)", i, j, cb.Bound)
-			}
-			if !crossCluster && cb.Bound == 0 {
-				t.Errorf("within-cluster bound [%d][%d] = 0; overlapping variants must bound positive", i, j)
-			}
 
 			// Exact oracle: the similarity the real kernel computes can
 			// never exceed the bound (tiny epsilon for float summation).
-			dsA := openDataset(t, s, all[i])
-			dsB := openDataset(t, s, all[j])
+			dsA := openDataset(t, s, ids[i])
+			dsB := openDataset(t, s, ids[j])
 			src, _ := NewSource(dsA, dsB)
 			st := waitJob(t, sc, mustSubmit(t, sc, src))
 			if st.Report.Similarity > cb.Bound+1e-9 {
 				t.Errorf("cell [%d][%d] exact similarity %.12f exceeds bound %.12f — bound unsound",
 					i, j, st.Report.Similarity, cb.Bound)
 			}
+			check(i, j, cb, st.Report.Similarity)
 		}
 	}
 }
@@ -112,7 +134,9 @@ func mustSubmit(t *testing.T, sc *sched.Scheduler, src sched.TaskSource) string 
 // TestMatrixTopKDifferential is the tentpole acceptance test: a top_k=3 run
 // over the 6-way skewed corpus completes with skipped cells, and every cell
 // it did answer exactly is bit-identical to the full exact matrix's same
-// cell — progressive execution elides work, never changes answers.
+// cell — progressive execution elides work, never changes answers. The graded
+// corpus, whose bounds fall strictly inside (0, 1), must pass the same
+// differential.
 func TestMatrixTopKDifferential(t *testing.T) {
 	s := testStore(t)
 	sc := sched.New(sched.Config{Devices: 2})
@@ -127,22 +151,56 @@ func TestMatrixTopKDifferential(t *testing.T) {
 		Bound:     bound,
 	})
 
+	run, st := checkTopKAgainstOracle(t, m, all, 3)
+	if st.SkippedCells == 0 {
+		t.Fatalf("top-k run skipped 0 cells over the skewed corpus; status %+v", st)
+	}
+	if st.ExactCells == 15 {
+		t.Fatalf("top-k run answered %d cells exactly, want some but not all", st.ExactCells)
+	}
+	// All 9 cross-cluster cells have bound 0 and must be skipped.
+	if st.SkippedCells < 9 {
+		t.Errorf("only %d skipped cells, want at least the 9 cross-cluster ones", st.SkippedCells)
+	}
+
+	if st.PlanTrace == nil || st.PlanTrace.Stages["bound"] < 0 {
+		t.Errorf("progressive run carries no plan trace with a bound stage: %+v", st.PlanTrace)
+	}
+	if st.Version == 0 {
+		t.Error("terminal run still at version 0; state changes must bump the version")
+	}
+
+	// WaitChange on a terminal run returns immediately.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if got, err := run.WaitChange(ctx, st.Version+100); err != nil || got.State != RunDone {
+		t.Errorf("WaitChange on terminal run = (%s, %v), want immediate done", got.State, err)
+	}
+
+	for _, offset := range []int32{0, 2} {
+		checkTopKAgainstOracle(t, m, gradedCorpus(t, s, 8, 2, offset), 3)
+	}
+}
+
+// checkTopKAgainstOracle runs the full exact matrix over ids, then a top_k
+// run, and checks the top_k run against it: every exact cell is bit-identical,
+// every elided cell's true similarity is at or below its bound, and the
+// oracle's top k similarities are all answered exactly.
+func checkTopKAgainstOracle(t *testing.T, m *Manager, ids []string, k int) (*Run, Status) {
+	t.Helper()
+	n := len(ids) * (len(ids) - 1) / 2
 	// Oracle first: the full exact matrix, no objectives. Progressive runs
 	// plan bounds too, but without an objective nothing may be elided.
-	oracleRun, err := m.StartSpec(RunSpec{Name: "oracle", Datasets: all}, nil)
+	oracleRun, err := m.StartSpec(RunSpec{Name: "oracle", Datasets: ids}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := waitRun(t, oracleRun)
-	if oracle.State != RunDone || oracle.ExactCells != 15 {
-		t.Fatalf("oracle run: state %s, %d exact cells, want done/15", oracle.State, oracle.ExactCells)
+	if oracle.State != RunDone || oracle.ExactCells != n {
+		t.Fatalf("oracle run: state %s, %d exact cells, want done/%d", oracle.State, oracle.ExactCells, n)
 	}
 
-	run, err := m.StartSpec(RunSpec{
-		Name:     "topk",
-		Datasets: all,
-		TopK:     3,
-	}, nil)
+	run, err := m.StartSpec(RunSpec{Name: "topk", Datasets: ids, TopK: k}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,26 +208,20 @@ func TestMatrixTopKDifferential(t *testing.T) {
 	if st.State != RunDone {
 		t.Fatalf("top-k run ended %s", st.State)
 	}
-	if st.SkippedCells == 0 {
-		t.Fatalf("top-k run skipped 0 cells over the skewed corpus; status %+v", st)
+	if st.ExactCells == 0 {
+		t.Fatalf("top-k run answered no cell exactly")
 	}
-	if st.ExactCells == 0 || st.ExactCells == 15 {
-		t.Fatalf("top-k run answered %d cells exactly, want some but not all", st.ExactCells)
-	}
-	if st.ExactCells+st.SkippedCells+st.BoundedCells != 15 {
-		t.Fatalf("cells don't add up: exact %d + skipped %d + bounded %d != 15",
-			st.ExactCells, st.SkippedCells, st.BoundedCells)
-	}
-	// All 9 cross-cluster cells have bound 0 and must be skipped.
-	if st.SkippedCells < 9 {
-		t.Errorf("only %d skipped cells, want at least the 9 cross-cluster ones", st.SkippedCells)
+	if st.ExactCells+st.SkippedCells+st.BoundedCells != n {
+		t.Fatalf("cells don't add up: exact %d + skipped %d + bounded %d != %d",
+			st.ExactCells, st.SkippedCells, st.BoundedCells, n)
 	}
 
 	// Differential bit-identity over the upper triangle.
-	var exactSims []float64
-	for i := 0; i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
+	var exactSims, oracleSims []float64
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
 			got, want := st.Cells[i][j], oracle.Cells[i][j]
+			oracleSims = append(oracleSims, want.Similarity)
 			switch got.State {
 			case CellDone:
 				if got.Similarity != want.Similarity ||
@@ -193,15 +245,9 @@ func TestMatrixTopKDifferential(t *testing.T) {
 		}
 	}
 
-	// The top-3 similarities of the oracle must all be among the exact
-	// cells — eliding may only drop cells outside the answer.
-	var oracleSims []float64
-	for i := 0; i < 6; i++ {
-		for j := i + 1; j < 6; j++ {
-			oracleSims = append(oracleSims, oracle.Cells[i][j].Similarity)
-		}
-	}
-	for _, top := range topN(oracleSims, 3) {
+	// The oracle's top-k similarities must all be among the exact cells —
+	// eliding may only drop cells outside the answer.
+	for _, top := range topN(oracleSims, k) {
 		found := false
 		for _, s := range exactSims {
 			if s == top {
@@ -210,24 +256,11 @@ func TestMatrixTopKDifferential(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("oracle top-3 similarity %.12f missing from the progressive run's exact cells %v",
-				top, exactSims)
+			t.Errorf("oracle top-%d similarity %.12f missing from the progressive run's exact cells %v",
+				k, top, exactSims)
 		}
 	}
-
-	if st.PlanTrace == nil || st.PlanTrace.Stages["bound"] < 0 {
-		t.Errorf("progressive run carries no plan trace with a bound stage: %+v", st.PlanTrace)
-	}
-	if st.Version == 0 {
-		t.Error("terminal run still at version 0; state changes must bump the version")
-	}
-
-	// WaitChange on a terminal run returns immediately.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if got, err := run.WaitChange(ctx, st.Version+100); err != nil || got.State != RunDone {
-		t.Errorf("WaitChange on terminal run = (%s, %v), want immediate done", got.State, err)
-	}
+	return run, st
 }
 
 func topN(sims []float64, n int) []float64 {
@@ -478,5 +511,111 @@ func TestMatrixPrunesInFlightCells(t *testing.T) {
 	}
 	if math.IsNaN(victim.Similarity) || victim.Similarity != 0 {
 		t.Errorf("bounded cell reports similarity %v, want 0 (no exact answer)", victim.Similarity)
+	}
+}
+
+// TestUpgradeRefusedWhileRunRuns: an exact upgrade never outlives its run.
+// The run's finish does not wait for an upgrade, so an upgrade of a skipped
+// cell while the run still runs is refused with ErrRunRunning and the cell
+// stays skipped; no snapshot shows a finished run with a running cell. Once
+// the run has finished, the same upgrade computes the cell.
+func TestUpgradeRefusedWhileRunRuns(t *testing.T) {
+	s := testStore(t)
+	sc := sched.New(sched.Config{})
+	t.Cleanup(sc.Close)
+	runGate, upgradeGate := make(chan struct{}), make(chan struct{})
+	var runOnce, upgradeOnce sync.Once
+	openRun := func() { runOnce.Do(func() { close(runGate) }) }
+	openUpgrade := func() { upgradeOnce.Do(func() { close(upgradeGate) }) }
+	t.Cleanup(openRun)
+	t.Cleanup(openUpgrade)
+
+	man := ingestVariant(t, s, "slideG", 4, 1)
+	task, err := openDataset(t, s, man.ID).Source().PolyTask(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idA, idB, idC := testID('a'), testID('b'), testID('c')
+	bounds := map[string]float64{idB: 0.9, idC: 0.05}
+	m := NewManager(ManagerConfig{
+		Scheduler: sc,
+		Bound: func(_, b string) (CellBound, error) {
+			return CellBound{Bound: bounds[b], Tiles: 1}, nil
+		},
+		Submit: func(_, b, _ string) (SubmitOutcome, error) {
+			gate := runGate
+			if b == idC { // only an upgrade submits the skipped cell
+				gate = upgradeGate
+			}
+			id, err := sc.SubmitJob(&gatedSource{release: gate, task: task}, sched.JobOpts{Name: "gated"})
+			return SubmitOutcome{JobID: id, Tiles: 1}, err
+		},
+	})
+	run, err := m.StartSpec(RunSpec{SetA: []string{idA}, SetB: []string{idB, idC}, MinSimilarity: 0.1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for since := int64(-1); ; {
+		st, err := run.WaitChange(ctx, since)
+		if err != nil {
+			t.Fatalf("cells never settled into running + skipped: %v", err)
+		}
+		if st.Cells[0][0].State == CellRunning && st.Cells[0][1].State == CellSkipped {
+			break
+		}
+		since = st.Version
+	}
+
+	// Upgrade while the run runs, then wait until the upgrade either
+	// answered or shows on its cell.
+	upgraded := make(chan error, 1)
+	go func() {
+		_, err := run.UpgradeCell(0, 1)
+		upgraded <- err
+	}()
+	var upErr error
+	answered := false
+	for deadline := time.Now().Add(10 * time.Second); !answered; time.Sleep(time.Millisecond) {
+		select {
+		case upErr = <-upgraded:
+			answered = true
+			continue
+		default:
+		}
+		if run.Status().Cells[0][1].State == CellRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("upgrade neither answered nor started")
+		}
+	}
+
+	openRun()
+	<-run.Done()
+	st := run.Status()
+	if st.State != RunDone {
+		t.Fatalf("run ended %s: %+v", st.State, st.Cells)
+	}
+	if c := st.Cells[0][1]; c.State != CellSkipped {
+		t.Errorf("run %s with cell (0,1) %s, terminal %d/%d; want the cell still skipped",
+			st.State, c.State, st.TerminalCells, st.PlannedCells)
+	}
+	openUpgrade()
+	if !answered {
+		upErr = <-upgraded
+	}
+	if !errors.Is(upErr, ErrRunRunning) {
+		t.Errorf("upgrade on a running run = %v, want ErrRunRunning", upErr)
+	}
+
+	v, err := run.UpgradeCell(0, 1)
+	if err != nil || v.State != CellDone {
+		t.Fatalf("upgrade on the finished run = %+v, %v; want done", v, err)
+	}
+	if st := run.Status(); st.ExactCells != 2 || st.SkippedCells != 0 || st.TerminalCells != 2 {
+		t.Errorf("exact/skipped/terminal = %d/%d/%d after the upgrade, want 2/0/2",
+			st.ExactCells, st.SkippedCells, st.TerminalCells)
 	}
 }

@@ -348,8 +348,8 @@ func TestMatrixEndpoints(t *testing.T) {
 			}
 		}
 	}
-	if !mst.Group.Terminal || mst.Group.Done != 3 {
-		t.Errorf("matrix group = %+v", mst.Group)
+	if mst.ExactCells != 3 || mst.TerminalCells != 3 {
+		t.Errorf("matrix exact/terminal cells = %d/%d, want 3/3", mst.ExactCells, mst.TerminalCells)
 	}
 
 	// Repeat run: every cell served from cache, no new scheduler jobs.

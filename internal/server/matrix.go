@@ -10,14 +10,15 @@ package server
 //	                     and "min_similarity" (cells provably below it are
 //	                     skipped). Any other member is a 400.
 //	GET    /matrix       list running runs plus the last 64 finished
-//	GET    /matrix/{id}  poll one run (cell grid, group aggregate).
+//	GET    /matrix/{id}  poll one run (cell grid and its counts).
 //	                       ?wait=1&since=N long-polls until the run's version
 //	                       exceeds N (or the run finishes, or ~25s elapse).
 //	DELETE /matrix/{id}  cancel a run (cancels its remaining member jobs)
 //	GET    /matrix/{id}/cells/{i}/{j}
 //	                     read one cell by grid coordinates; ?exact=1 lazily
 //	                     upgrades an elided (skipped/bounded) cell to an exact
-//	                     answer on demand and patches the run's status
+//	                     answer on demand and patches the run's status;
+//	                     409 while the run itself still runs
 //
 // A run resolves each cell through the cache-aware job submission path
 // (repeat content — including across daemon restarts, via the persisted
@@ -265,6 +266,7 @@ func (s *Server) handleMatrixCell(w http.ResponseWriter, r *http.Request) {
 		return
 	case errors.Is(err, compare.ErrCellSelf),
 		errors.Is(err, compare.ErrCellBusy),
+		errors.Is(err, compare.ErrRunRunning),
 		errors.Is(err, compare.ErrCellNotElided):
 		s.fail(w, http.StatusConflict, err)
 		return

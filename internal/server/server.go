@@ -235,10 +235,7 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			e.Gauge(metrics.Label("sccgd_device_busy_seconds", "device", dev), d.BusySeconds)
 			e.Counter(metrics.Label("sccgd_device_shards_total", "device", dev), float64(d.Shards))
 		}
-		// Per-group progress series are emitted only for live (non-terminal)
-		// matrix runs, labelled with the run ID: a run is distinguishable
-		// from ad-hoc jobs while it runs, and finished runs stop occupying
-		// scrape cardinality (and cost the scheduler nothing).
+		// Live matrix runs; a run's own progress is its GET /matrix/{id}.
 		var runs []*compare.Run
 		if srv.matrix != nil {
 			runs = srv.matrix.Runs()
@@ -247,16 +244,9 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		for _, run := range runs {
 			select {
 			case <-run.Done():
-				continue
 			default:
+				active++
 			}
-			active++
-			g := run.Group()
-			e.Gauge(metrics.Label("sccgd_group_members", "group", g.ID), float64(g.Members))
-			e.Gauge(metrics.Label("sccgd_group_jobs_queued", "group", g.ID), float64(g.Queued))
-			e.Gauge(metrics.Label("sccgd_group_jobs_running", "group", g.ID), float64(g.Running))
-			e.Gauge(metrics.Label("sccgd_group_jobs_done", "group", g.ID), float64(g.Done))
-			e.Gauge(metrics.Label("sccgd_group_jobs_failed", "group", g.ID), float64(g.Failed))
 		}
 		e.Gauge("sccgd_groups_active", float64(active))
 		// QoS series: per-band and per-tenant queue/run occupancy from the
