@@ -203,7 +203,6 @@ type Node struct {
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
-	pulls        *metrics.Counter
 	pullFailures *metrics.Counter
 	pullBytes    *metrics.Counter
 	// pullSeconds holds one histogram per configured peer
@@ -253,25 +252,20 @@ func New(cfg Config) (*Node, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	n.pulls = reg.Counter("sccgd_cluster_pulls_total")
 	n.pullFailures = reg.Counter("sccgd_cluster_pull_failures_total")
 	n.pullBytes = reg.Counter("sccgd_cluster_pull_bytes_total")
 	n.pullSeconds = make(map[string]*metrics.Histogram, len(n.peers))
 	for _, p := range n.peers {
 		n.pullSeconds[p.addr] = reg.Histogram(metrics.Label("sccgd_cluster_pull_seconds", "peer", p.addr))
 	}
-	reg.GaugeFunc("sccgd_cluster_peers", func() float64 { return float64(len(n.peers)) })
 	reg.OnScrape(func(e *metrics.Emitter) {
-		reachable := 0
 		for _, p := range n.peers {
 			up := 0.0
 			if p.status().Up {
 				up = 1
-				reachable++
 			}
 			e.Gauge(metrics.Label("sccgd_cluster_peer_up", "peer", p.addr), up)
 		}
-		e.Gauge("sccgd_cluster_peers_reachable", float64(reachable))
 	})
 	n.wg.Add(1)
 	go n.probeLoop(probeEvery)
@@ -604,7 +598,6 @@ func (n *Node) pull(ctx context.Context, id string) (PullResult, error) {
 			lastErr = err
 			continue
 		}
-		n.pulls.Inc()
 		n.pullBytes.Add(man.SegmentBytes)
 		if h := n.pullSeconds[hop.Addr]; h != nil {
 			h.ObserveSince(start)

@@ -393,8 +393,14 @@ func TestPullDatasetOneTransfer(t *testing.T) {
 		t.Fatalf("holder served %d manifests and %d segments, want 1 and 1", m, s)
 	}
 	snap := reg.Snapshot()
-	if got := snap["sccgd_cluster_pulls_total"]; got != 1 {
-		t.Fatalf("sccgd_cluster_pulls_total = %v, want 1", got)
+	pulls := 0.0
+	for name, v := range snap {
+		if strings.HasPrefix(name, "sccgd_cluster_pull_seconds_count") {
+			pulls += v
+		}
+	}
+	if pulls != 1 {
+		t.Fatalf("sum(sccgd_cluster_pull_seconds_count) = %v, want 1", pulls)
 	}
 	if got := snap["sccgd_cluster_pull_bytes_total"]; got != float64(man.SegmentBytes) {
 		t.Fatalf("sccgd_cluster_pull_bytes_total = %v, want %d", got, man.SegmentBytes)

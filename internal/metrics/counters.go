@@ -118,15 +118,14 @@ func (g *Gauge) Set(v float64) { atomic.StoreUint64(&g.bits, math.Float64bits(v)
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(atomic.LoadUint64(&g.bits)) }
 
-// Registry is a named collection of counters, gauges, gauge functions, and
-// histograms, rendered in the Prometheus text exposition format (v0.0.4:
-// `# TYPE` comments, families grouped, series sorted deterministically) for
-// scraping endpoints like sccgd's GET /metrics.
+// Registry is a named collection of counters, gauges, histograms and
+// scrape-time collectors, rendered in the Prometheus text exposition format
+// (v0.0.4: `# TYPE` comments, families grouped, series sorted
+// deterministically) for scraping endpoints like sccgd's GET /metrics.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	funcs      map[string]func() float64
 	histograms map[string]*Histogram
 	scrapers   []func(*Emitter)
 }
@@ -136,7 +135,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		funcs:      make(map[string]func() float64),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -163,14 +161,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// GaugeFunc registers a metric whose value is read live at render time
-// (e.g. a scheduler queue depth or a device's accumulated busy seconds).
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.funcs[name] = fn
 }
 
 // Histogram returns the named histogram, creating it on first use with the
@@ -223,19 +213,15 @@ type sample struct {
 // contribute their `_sum` and `_count` series; scrape collectors contribute
 // their samples.
 func (r *Registry) Snapshot() map[string]float64 {
-	counters, gauges, funcs, histograms, scrapers := r.copyRefs()
+	counters, gauges, histograms, scrapers := r.copyRefs()
 
-	// Read values outside the lock: gauge funcs and scrape collectors may
-	// take other locks.
-	snap := make(map[string]float64, len(counters)+len(gauges)+len(funcs)+2*len(histograms))
+	// Read values outside the lock: scrape collectors may take other locks.
+	snap := make(map[string]float64, len(counters)+len(gauges)+2*len(histograms))
 	for n, c := range counters {
 		snap[n] = float64(c.Value())
 	}
 	for n, g := range gauges {
 		snap[n] = g.Value()
-	}
-	for n, f := range funcs {
-		snap[n] = f()
 	}
 	for n, h := range histograms {
 		snap[spliceSuffix(n, "_sum")] = h.Sum()
@@ -250,7 +236,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return snap
 }
 
-func (r *Registry) copyRefs() (map[string]*Counter, map[string]*Gauge, map[string]func() float64, map[string]*Histogram, []func(*Emitter)) {
+func (r *Registry) copyRefs() (map[string]*Counter, map[string]*Gauge, map[string]*Histogram, []func(*Emitter)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	counters := make(map[string]*Counter, len(r.counters))
@@ -261,17 +247,13 @@ func (r *Registry) copyRefs() (map[string]*Counter, map[string]*Gauge, map[strin
 	for n, g := range r.gauges {
 		gauges[n] = g
 	}
-	funcs := make(map[string]func() float64, len(r.funcs))
-	for n, f := range r.funcs {
-		funcs[n] = f
-	}
 	histograms := make(map[string]*Histogram, len(r.histograms))
 	for n, h := range r.histograms {
 		histograms[n] = h
 	}
 	scrapers := make([]func(*Emitter), len(r.scrapers))
 	copy(scrapers, r.scrapers)
-	return counters, gauges, funcs, histograms, scrapers
+	return counters, gauges, histograms, scrapers
 }
 
 func collectScrapes(scrapers []func(*Emitter)) []sample {
@@ -302,7 +284,7 @@ type histSeries struct {
 // families sorted by name, one `# TYPE` line per family, series within a
 // family sorted, histogram buckets cumulative with an explicit `+Inf` le.
 func (r *Registry) WriteText(w io.Writer) error {
-	counters, gauges, funcs, histograms, scrapers := r.copyRefs()
+	counters, gauges, histograms, scrapers := r.copyRefs()
 
 	fams := make(map[string]*family)
 	get := func(name, typ string) *family {
@@ -321,10 +303,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for n, g := range gauges {
 		f := get(n, "gauge")
 		f.series = append(f.series, sample{name: n, value: g.Value()})
-	}
-	for n, fn := range funcs {
-		f := get(n, "gauge")
-		f.series = append(f.series, sample{name: n, value: fn()})
 	}
 	for n, h := range histograms {
 		f := get(n, "histogram")

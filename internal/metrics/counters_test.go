@@ -33,7 +33,7 @@ func TestRegistryRender(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total").Add(3)
 	r.Gauge("a_value").Set(1.5)
-	r.GaugeFunc("c_live", func() float64 { return 42 })
+	r.OnScrape(func(e *Emitter) { e.Gauge("c_live", 42) })
 
 	snap := r.Snapshot()
 	if snap["b_total"] != 3 || snap["a_value"] != 1.5 || snap["c_live"] != 42 {

@@ -77,8 +77,6 @@ type Config struct {
 	Registry *metrics.Registry
 	// Log, when set, receives one line per eviction decision worth noting.
 	Log func(format string, args ...any)
-	// Now overrides the sweep clock (tests); nil means time.Now.
-	Now func() time.Time
 }
 
 // Sweep is one pass's outcome.
@@ -120,11 +118,9 @@ func New(cfg Config) *Engine {
 		e.sweeps = cfg.Registry.Counter("sccgd_retention_sweeps_total")
 		e.evicted = cfg.Registry.Counter("sccgd_retention_datasets_evicted_total")
 		e.evictedBytes = cfg.Registry.Counter("sccgd_retention_bytes_evicted_total")
-		cfg.Registry.GaugeFunc("sccgd_store_bytes", func() float64 {
-			return float64(cfg.Store.TotalBytes())
-		})
-		cfg.Registry.GaugeFunc("sccgd_store_pinned_datasets", func() float64 {
-			return float64(cfg.Store.PinnedCount())
+		cfg.Registry.OnScrape(func(em *metrics.Emitter) {
+			em.Gauge("sccgd_store_bytes", float64(cfg.Store.TotalBytes()))
+			em.Gauge("sccgd_store_pinned_datasets", float64(cfg.Store.PinnedCount()))
 		})
 	}
 	return e
@@ -132,13 +128,6 @@ func New(cfg Config) *Engine {
 
 // Policy returns the engine's policy.
 func (e *Engine) Policy() Policy { return e.cfg.Policy }
-
-func (e *Engine) now() time.Time {
-	if e.cfg.Now != nil {
-		return e.cfg.Now()
-	}
-	return time.Now()
-}
 
 func (e *Engine) logf(format string, args ...any) {
 	if e.cfg.Log != nil {
@@ -173,7 +162,7 @@ func (e *Engine) SweepFor(headroom int64) Sweep {
 			pol.MaxBytes -= headroom
 		}
 	}
-	now := e.now()
+	now := time.Now()
 	var sw Sweep
 	mans := e.cfg.Store.List()
 	sort.Slice(mans, func(i, j int) bool {

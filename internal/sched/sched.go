@@ -206,8 +206,6 @@ type Stats struct {
 	Completed int64
 	Failed    int64
 	Canceled  int64
-	Queued    int
-	Running   int
 	Bands     [NumBands]BandCounts
 	Tenants   map[string]TenantCounts
 	Devices   []DeviceStats
@@ -307,10 +305,7 @@ type Scheduler struct {
 
 	nextID    int64
 	submitted int64
-	completed int64
-	failed    int64
-	canceled  int64
-	running   int64
+	ended     [Canceled + 1]int64 // jobs finished in each terminal state; guarded by mu
 }
 
 // New creates a scheduler and starts its dispatch workers.
@@ -646,15 +641,11 @@ func (s *Scheduler) DeviceStats() []DeviceStats {
 func (s *Scheduler) Stats() Stats {
 	st := Stats{
 		Submitted: atomic.LoadInt64(&s.submitted),
-		Completed: atomic.LoadInt64(&s.completed),
-		Failed:    atomic.LoadInt64(&s.failed),
-		Canceled:  atomic.LoadInt64(&s.canceled),
-		Running:   int(atomic.LoadInt64(&s.running)),
 		Devices:   s.DeviceStats(),
 		Tenants:   make(map[string]TenantCounts),
 	}
 	s.mu.Lock()
-	st.Queued = s.queuedTotal
+	st.Completed, st.Failed, st.Canceled = s.ended[Done], s.ended[Failed], s.ended[Canceled]
 	for b := Band(0); b < NumBands; b++ {
 		st.Bands[b] = BandCounts{Queued: s.queuedByBand[b], Running: s.runningByBand[b]}
 	}
@@ -810,8 +801,6 @@ func (s *Scheduler) runJob(j *job) {
 	if h := s.histQueueWait[j.band]; h != nil {
 		h.ObserveDuration(shardStart.Sub(j.submitted))
 	}
-	atomic.AddInt64(&s.running, 1)
-	defer atomic.AddInt64(&s.running, -1)
 
 	results := make([]pipeline.Result, len(shards))
 	errs := make([]error, len(shards))
@@ -949,34 +938,23 @@ func (s *Scheduler) runShard(rec *trace.Recorder, detail string, src TaskSource,
 // finalize a queued job while a runner races to dequeue it, and only the
 // first finisher takes effect.
 func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Result) {
-	// Bump the outcome counter before the terminal state becomes visible so
-	// a client that polls "done" then scrapes /metrics sees it counted.
-	switch state {
-	case Done:
-		atomic.AddInt64(&s.completed, 1)
-	case Failed:
-		atomic.AddInt64(&s.failed, 1)
-	case Canceled:
-		atomic.AddInt64(&s.canceled, 1)
-	}
 	s.mu.Lock()
 	if j.state.Terminal() {
 		s.mu.Unlock()
-		// Undo the speculative counter bump: someone finished first.
-		switch state {
-		case Done:
-			atomic.AddInt64(&s.completed, -1)
-		case Failed:
-			atomic.AddInt64(&s.failed, -1)
-		case Canceled:
-			atomic.AddInt64(&s.canceled, -1)
-		}
 		return
 	}
 	j.state = state
 	j.err = err
 	j.finished = time.Now()
 	j.report = report
+	// Count the outcome in the section that makes the terminal state
+	// visible, so a client that polls "done" then scrapes /metrics sees it
+	// counted. Job latency is submission → terminal: queue wait included,
+	// because that is the latency a client experiences.
+	s.ended[state]++
+	if h := s.histJobDuration[state]; h != nil {
+		h.ObserveDuration(j.finished.Sub(j.submitted))
+	}
 	// A job finalized while still queued leaves quota accounting now; its
 	// FIFO slot is discarded by whichever dequeue reaches it.
 	s.uncountLocked(j)
@@ -989,11 +967,6 @@ func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Resul
 	}
 	s.mu.Unlock()
 	j.trace.Finish()
-	if h := s.histJobDuration[state]; h != nil {
-		// Job latency is submission → terminal: queue wait included, because
-		// that is the latency a client experiences.
-		h.ObserveDuration(j.finished.Sub(j.submitted))
-	}
 	if rel, ok := src.(SourceReleaser); ok {
 		// Outside the lock: Release may take the store's lock (unpinning),
 		// and only the first finisher sees a non-nil src, so this runs once.

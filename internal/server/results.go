@@ -184,7 +184,9 @@ func newResultStore(maxEntries int, ds *store.Store, job func(string) (sched.Job
 // persistent reports whether finished results survive a restart.
 func (rs *resultStore) persistent() bool { return rs.dir != "" }
 
-// load indexes the entry files under dir (creating it if needed). A file that
+// load indexes the entry files under dir (creating it if needed) and removes
+// the tmp-* files a crash left between writeFileSynced's create and rename;
+// nothing else writes there before the table is shared. A file that
 // fails validation, or whose key does not hash to its name, is skipped with a
 // logged reason. A file referencing a dataset the store no longer holds is
 // removed — a crash can land between a dataset delete and its cascade, and a
@@ -206,10 +208,14 @@ func (rs *resultStore) load(dir string) {
 	orphans := 0
 	for _, de := range des {
 		name := de.Name()
+		path := filepath.Join(dir, name)
+		if !de.IsDir() && strings.HasPrefix(name, "tmp-") {
+			os.Remove(path)
+			continue
+		}
 		if de.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		path := filepath.Join(dir, name)
 		var e resultEntry
 		raw, err := os.ReadFile(path)
 		if err == nil {

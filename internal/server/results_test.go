@@ -129,6 +129,43 @@ func TestOneValidateForPeersAndBoot(t *testing.T) {
 	}
 }
 
+// TestLoadSweepsCrashedTempFiles: a crash between writeFileSynced's create
+// and rename leaves a tmp-* file in the cache dir, and the next boot removes
+// it while keeping the entry files beside it.
+func TestLoadSweepsCrashedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	st := testStoreAt(t, dir)
+	cache := filepath.Join(dir, "cache")
+	if err := os.MkdirAll(cache, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	e := foldedEntry("k-kept")
+	raw, err := json.Marshal(&e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileSynced(cache, filepath.Join(cache, entryFile(e.Key)), raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tmp-123", "tmp-456.json"} {
+		if err := os.WriteFile(filepath.Join(cache, name), raw[:len(raw)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rs := newResultStore(0, st, nil, new(metrics.Counter), slog.Default())
+	if _, durable := rs.counts(); durable != 1 {
+		t.Fatalf("boot indexed %d entries, want 1", durable)
+	}
+	left, err := filepath.Glob(filepath.Join(cache, "tmp-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("boot left temp files %v", left)
+	}
+}
+
 // TestDropDatasetCoversEveryTier: one dataset delete removes the slots of
 // the dataset's own key and its cross keys (entry files included) and the
 // spec alias resolving to it, leaves the other dataset's untouched, and

@@ -161,13 +161,9 @@ type Server struct {
 	draining bool
 	watchWG  sync.WaitGroup
 
-	requests    *metrics.Counter
-	submits     *metrics.Counter
 	cacheHits   *metrics.Counter
 	persistHits *metrics.Counter
 	cacheMiss   *metrics.Counter
-	compares    *metrics.Counter
-	badReqs     *metrics.Counter
 	ingests     *metrics.Counter
 	ingestFails *metrics.Counter
 	matrixRuns  *metrics.Counter
@@ -201,22 +197,18 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		started: time.Now(),
 		tenants: opts.Tenants,
 
-		requests:    opts.Registry.Counter("sccgd_http_requests_total"),
-		submits:     opts.Registry.Counter("sccgd_jobs_submitted_total"),
 		cacheHits:   opts.Registry.Counter("sccgd_cache_hits_total"),
 		persistHits: opts.Registry.Counter("sccgd_cache_persisted_hits_total"),
 		cacheMiss:   opts.Registry.Counter("sccgd_cache_misses_total"),
-		compares:    opts.Registry.Counter("sccgd_compares_total"),
-		badReqs:     opts.Registry.Counter("sccgd_bad_requests_total"),
 		ingests:     opts.Registry.Counter("sccgd_datasets_ingested_total"),
 		ingestFails: opts.Registry.Counter("sccgd_dataset_ingest_failures_total"),
 		matrixRuns:  opts.Registry.Counter("sccgd_matrix_runs_total"),
 		cascades:    opts.Registry.Counter("sccgd_cache_cascade_dropped_total"),
 		degradedUnc: opts.Registry.Counter("sccgd_qos_degraded_uncached_total"),
 	}
-	// Result-store, scheduler and group metrics render from one snapshot
-	// each per scrape (a gauge func per value would rebuild the snapshot for
-	// every line) and merge into the registry's sorted, typed exposition.
+	// Result-store, scheduler, matrix and store metrics render from one
+	// snapshot each per scrape and merge into the registry's sorted, typed
+	// exposition.
 	opts.Registry.OnScrape(func(e *metrics.Emitter) {
 		slots, entries := srv.results.counts()
 		e.Gauge("sccgd_cache_entries", float64(slots))
@@ -224,11 +216,7 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			e.Gauge("sccgd_cache_persisted_entries", float64(entries))
 		}
 		st := srv.sched.Stats()
-		e.Gauge("sccgd_jobs_queued", float64(st.Queued))
-		e.Gauge("sccgd_jobs_running", float64(st.Running))
-		e.Counter("sccgd_jobs_completed_total", float64(st.Completed))
-		e.Counter("sccgd_jobs_failed_total", float64(st.Failed))
-		e.Counter("sccgd_jobs_canceled_total", float64(st.Canceled))
+		e.Counter("sccgd_jobs_submitted_total", float64(st.Submitted))
 		for _, d := range st.Devices {
 			dev := strconv.Itoa(d.ID)
 			e.Counter(metrics.Label("sccgd_device_launches_total", "device", dev), float64(d.Launches))
@@ -261,6 +249,9 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			e.Gauge(metrics.Label("sccgd_tenant_jobs_queued", "tenant", name), float64(tc.Queued))
 			e.Gauge(metrics.Label("sccgd_tenant_jobs_running", "tenant", name), float64(tc.Running))
 		}
+		if srv.store != nil {
+			e.Gauge("sccgd_datasets", float64(srv.store.Len()))
+		}
 		if srv.tusage != nil {
 			for name, u := range srv.tusage.All() {
 				e.Gauge(metrics.Label("sccgd_tenant_store_bytes", "tenant", name), float64(u.Bytes))
@@ -291,7 +282,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		// Tenant attribution persists beside the manifests so a restarted
 		// daemon still knows whose bytes are whose.
 		srv.tusage = tenant.NewRegistry(opts.Store.Dir())
-		opts.Registry.GaugeFunc("sccgd_datasets", func() float64 { return float64(srv.store.Len()) })
 		// Every delete path — HTTP, forced, retention sweep — cascades
 		// through the result store via the store's hook.
 		srv.store.SetDeleteHook(srv.dropDatasetResults)
@@ -401,13 +391,12 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with request accounting: the total-requests
-// counter and a per-route, per-status duration histogram. Histogram series
+// instrument wraps a handler with request accounting: a per-route,
+// per-status duration histogram, whose _count is the request count. Series
 // are created lazily on first (route, status) occurrence, so an idle server
 // exposes no empty series.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Inc()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(sw, r)
@@ -702,7 +691,6 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota) (submission, 
 		releaseSource(mat.src)
 		return submission{code: submitErrorCode(err)}, err
 	}
-	s.submits.Inc()
 	s.log.Info("job submitted", "job_id", id, "name", mat.name, "form", requestForm(req),
 		"band", band.String(), "tenant", who.Name)
 	if key != "" {
@@ -1012,7 +1000,6 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error))
 		return
 	}
-	s.compares.Inc()
 	writeJSON(w, http.StatusOK, CompareResult{Similarity: st.Report.Similarity,
 		Intersecting: st.Report.Intersecting, Candidates: st.Report.Candidates})
 }
@@ -1410,9 +1397,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	if code == http.StatusBadRequest {
-		s.badReqs.Inc()
-	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 

@@ -350,7 +350,8 @@ func TestCancelEndpoint(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, _, ts := newTestServer(t, sched.Config{Devices: 2}, Options{})
+	reg := metrics.NewRegistry()
+	_, _, ts := newTestServer(t, sched.Config{Devices: 2, Registry: reg}, Options{Registry: reg})
 
 	spec := pathology.Representative()
 	spec.Tiles = 2
@@ -375,9 +376,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	text := buf.String()
 	for _, want := range []string{
-		"sccgd_http_requests_total",
+		`sccgd_http_request_duration_seconds_count{route="POST /jobs",status="202"} 1`,
 		"sccgd_jobs_submitted_total 1",
-		"sccgd_jobs_completed_total 1",
+		// Scraped right after pollDone saw "done": the outcome is counted
+		// before the terminal state is visible.
+		`sccgd_job_duration_seconds_count{outcome="done"} 1`,
 		"sccgd_cache_misses_total 1",
 		`sccgd_device_launches_total{device="0"}`,
 		`sccgd_device_busy_seconds{device="1"}`,
