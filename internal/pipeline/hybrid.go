@@ -12,6 +12,10 @@ package pipeline
 // BatchPairs batches, slower executors claim proportionally less and always
 // pick the cheapest tasks in the buffer, so a slow executor can never hold
 // the tail of the pipeline hostage while fast executors idle.
+//
+// The stealing policy, its EWMA claim sizing and ThroughputMemory drive Run
+// only. RunParsed builds the same pool but hands each executor whole tiles
+// (tiles.go); the EWMA is then only reported.
 
 import (
 	"fmt"
@@ -32,10 +36,10 @@ const (
 )
 
 // ThroughputMemory carries measured executor throughput (EWMA pairs/sec)
-// across pipeline runs, keyed by labelled executor ID. A scheduler shares
-// one memory across all of a slot's jobs so a new run's first claims are
-// sized from the slot's measured history instead of resetting to the static
-// priors every time. Safe for concurrent use.
+// across Run calls, keyed by labelled executor ID. A caller shares one
+// memory across the runs of one executor set so a new run's first claims are
+// sized from its measured history instead of resetting to the static priors
+// every time. Safe for concurrent use.
 type ThroughputMemory struct {
 	mu sync.Mutex
 	tp map[string]float64
@@ -64,7 +68,8 @@ func (m *ThroughputMemory) Record(id string, pairsPerSec float64) {
 	m.mu.Unlock()
 }
 
-// ExecutorStats reports one hybrid-aggregator executor's work.
+// ExecutorStats reports one hybrid-aggregator executor's work. In a
+// RunParsed run one batch is one tile and Busy is the time spent counting.
 type ExecutorStats struct {
 	ID      string
 	Kind    string // ExecGPU or ExecCPU
@@ -232,9 +237,10 @@ func (r *run) claim(e *executor) (batch []pairTask, ok bool) {
 	return batch, true
 }
 
-// executorWorker is one executor's aggregation loop: claim a batch, compute
-// exact areas with the executor's backend in a single consolidated launch,
-// then fold each tile's results into its accumulator.
+// executorWorker is one executor's aggregation loop in the staged pipeline
+// (Run): claim a batch, compute exact areas with the executor's backend in a
+// single consolidated launch, then fold each tile's results into its
+// accumulator.
 //
 // The GPUs are the aggregator and the CPU executors its helpers (§4.2 moves
 // work to the CPU only once the GPU is busy), so a CPU executor starts

@@ -6,18 +6,22 @@
 //
 // Tasks are defined at image-tile granularity: a parser task is the two
 // polygon files segmented from one tile; a builder task indexes the two
-// parsed polygon sets (a stored tile arrives with the indexes the store keeps
-// and passes through); a filter task joins the two indexes into an array of
+// parsed polygon sets; a filter task joins the two indexes into an array of
 // MBR-intersecting polygon pairs; the aggregator batches pair arrays and
 // computes areas with PixelBox.
 //
 // The aggregator is a hybrid executor pool (see hybrid.go): N simulated GPU
 // devices and M PixelBox-CPU workers co-execute, stealing pair batches from
 // the shared aggregator input buffer under a cost-model-driven policy that
-// generalises the paper's buffer-pressure migration heuristic. Because
-// PixelBox areas are exact integer pixel counts and Jaccard ratios are
-// accumulated per tile in canonical order, the reported similarity is
-// bit-identical no matter which executors computed which tiles.
+// generalises the paper's buffer-pressure migration heuristic.
+//
+// The stages exist to overlap slow text parsing with the rest (Run). Tiles
+// that arrive parsed (RunParsed) have nothing to overlap with, so each
+// executor of the same pool takes whole tiles and builds, joins and counts
+// each in one pass (tiles.go). Because PixelBox areas are exact integer pixel
+// counts and Jaccard ratios are accumulated per tile in canonical order, the
+// reported similarity is bit-identical no matter which executors computed
+// which tiles, on either path.
 package pipeline
 
 import (
@@ -47,15 +51,15 @@ type FileTask struct {
 
 // PolyTask is the pre-parsed pipeline input: one tile's two result sets as
 // decoded polygon slices. Stored datasets, whose WKB records were fully
-// validated at ingest, enter through RunParsed with PolyTasks and skip the
-// parser stage entirely — the polygons are the same values text parsing
-// would produce, so the report stays bit-identical to the FileTask path.
+// validated at ingest, enter through RunParsed with PolyTasks and are never
+// parsed — the polygons are the same values text parsing would produce, so
+// the report stays bit-identical to the FileTask path.
 //
 // TreeA and TreeB are optional: rtree.Index(A) and rtree.Index(B), which the
 // store builds once per decoded set and keeps with it. A task that carries a
-// tree skips the builder stage's build for that set; the tree is the one the
-// builder would have built, so the candidate pairs and their order are the
-// same either way.
+// tree is not indexed again for that set; the tree is the one the run would
+// have built, so the candidate pairs and their order are the same either
+// way.
 type PolyTask struct {
 	Image        string
 	Tile         int
@@ -64,8 +68,7 @@ type PolyTask struct {
 }
 
 // tileTask is one tile between the parser and the filter: the parser stage
-// emits it with whatever trees its input carried (none, from text), the
-// builder stage fills in the missing ones.
+// emits it without trees, the builder stage builds them.
 type tileTask struct {
 	image  string
 	tile   int
@@ -80,7 +83,9 @@ type pairTask struct {
 	pairs []pixelbox.Pair
 }
 
-// Config wires a pipeline run.
+// Config wires a pipeline run. ParserWorkers, BufferCap, BatchPairs,
+// Migration and Warmth tune the staged pipeline and apply to Run only;
+// RunParsed has no stages, buffers, batches or claims to size.
 type Config struct {
 	// ParserWorkers is the parser stage's CPU thread count (the stage
 	// "executes on CPUs with multiple worker threads"); defaults to 2.
@@ -98,10 +103,9 @@ type Config struct {
 	// non-preemptive client, §4.1). Empty means no GPU executors.
 	Devices []*gpu.Device
 	// CPUAggregators is the number of PixelBox-CPU executors co-executing
-	// with the GPU executors in the hybrid aggregator. When no devices are
-	// configured, one CPU aggregator always runs (using CPU.Workers
-	// goroutines) so the pipeline degrades to PixelBox-CPU exactly as
-	// before.
+	// with the GPU executors in the hybrid aggregator, one goroutine each.
+	// When no devices are configured, one CPU aggregator always runs (using
+	// CPU.Workers goroutines) so the pipeline degrades to PixelBox-CPU.
 	CPUAggregators int
 	// PixelBox configures the GPU kernel.
 	PixelBox pixelbox.Config
@@ -118,7 +122,8 @@ type Config struct {
 	// Warmth, when set, seeds each executor's throughput EWMA from its
 	// remembered measurement (keyed by ExecutorLabel+id) and records the
 	// final measurement back after the run, so first claim sizes carry over
-	// across jobs instead of resetting to the static priors.
+	// across runs instead of resetting to the static priors. RunParsed,
+	// which sizes no claims, ignores it.
 	Warmth *ThroughputMemory
 }
 
@@ -275,16 +280,17 @@ func EncodeDataset(d *pathology.Dataset) []FileTask {
 func Run(tasks []FileTask, cfg Config) (Result, error) {
 	cfg = cfg.normalized()
 	p := &run{cfg: cfg}
-	return p.execute(tasks, nil)
+	return p.execute(tasks)
 }
 
-// RunParsed executes the pipeline over pre-parsed tile tasks, skipping the
-// parser stage: tiles enter at the builder. The store's read path uses it so
+// RunParsed compares pre-parsed tile tasks. The store's read path uses it so
 // already-validated datasets never pay the text re-encode/re-parse cost.
-// Nil polygons are rejected up front (text parsing can never produce them,
-// so the later stages assume their absence), and so is a tree that does not
-// index as many polygons as its set holds: the filter would pair the wrong
-// polygons or index past the set.
+// There are no stages: each executor of the pool Run would build takes the
+// next whole tile and builds any missing tree, joins and counts it in one
+// pass (runTiles). Nil polygons are rejected up front (text parsing can
+// never produce them, so the join and the count assume their absence), and
+// so is a tree that does not index as many polygons as its set holds: the
+// join would pair the wrong polygons or index past the set.
 func RunParsed(tasks []PolyTask, cfg Config) (Result, error) {
 	for _, t := range tasks {
 		for _, set := range [...]struct {
@@ -304,8 +310,9 @@ func RunParsed(tasks []PolyTask, cfg Config) (Result, error) {
 		}
 	}
 	cfg = cfg.normalized()
+	cfg.Warmth = nil
 	p := &run{cfg: cfg}
-	return p.execute(nil, tasks)
+	return p.runTiles(tasks), nil
 }
 
 // tileKey identifies one tile's accumulator.
@@ -319,6 +326,14 @@ type tileKey struct {
 type tileAgg struct {
 	ratioSum float64
 	hits     int
+}
+
+// add folds one pair's areas into the partial.
+func (a *tileAgg) add(ar pixelbox.AreaResult) {
+	if ratio, ok := ar.Ratio(); ok {
+		a.ratioSum += ratio
+		a.hits++
+	}
 }
 
 // run carries one pipeline execution's shared state.
@@ -336,10 +351,9 @@ type run struct {
 	gpuClaimed     sync.WaitGroup
 	gpuClaimedOnce sync.Once
 
-	mu         sync.Mutex
-	tiles      map[tileKey]*tileAgg
-	candidates int
-	firstErr   error
+	mu       sync.Mutex
+	tiles    map[tileKey]*tileAgg
+	firstErr error
 
 	// pendingParse counts input tasks not yet pushed past the parser
 	// stage; the parsed buffer closes when it reaches zero, which makes
@@ -366,42 +380,52 @@ func (r *run) fail(err error) {
 // computed it and of batch composition — the root of the pipeline's
 // bit-exact determinism.
 func (r *run) accumulateTask(t pairTask, results []pixelbox.AreaResult, onGPU bool) {
-	var sum float64
-	var hits int
+	var part tileAgg
 	for _, ar := range results {
-		if ratio, ok := ar.Ratio(); ok {
-			sum += ratio
-			hits++
-		}
+		part.add(ar)
 	}
-	key := tileKey{image: t.image, tile: t.tile}
+	r.addTile(tileKey{image: t.image, tile: t.tile}, part, len(results), onGPU)
+}
+
+// addTile adds one tile's partial, folded in pair order over pairs pairs,
+// to the tile's accumulator.
+func (r *run) addTile(key tileKey, part tileAgg, pairs int, onGPU bool) {
 	r.mu.Lock()
 	agg := r.tiles[key]
 	if agg == nil {
 		agg = &tileAgg{}
 		r.tiles[key] = agg
 	}
-	agg.ratioSum += sum
-	agg.hits += hits
+	agg.ratioSum += part.ratioSum
+	agg.hits += part.hits
 	r.mu.Unlock()
 	if onGPU {
-		atomic.AddInt64(&r.pairsGPU, int64(len(results)))
+		atomic.AddInt64(&r.pairsGPU, int64(pairs))
 	} else {
-		atomic.AddInt64(&r.pairsCPU, int64(len(results)))
+		atomic.AddInt64(&r.pairsCPU, int64(pairs))
 	}
 }
 
-func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
+// begin sets up what both kinds of run share: the tile accumulators, the
+// executor pool and the device counters the run's own accounting starts
+// from.
+func (r *run) begin() (start time.Time, dev0 []gpu.Snapshot) {
+	r.tiles = make(map[tileKey]*tileAgg)
+	r.executors = buildExecutors(r.cfg)
+	for _, dev := range r.cfg.Devices {
+		dev0 = append(dev0, dev.Stats())
+	}
+	return time.Now(), dev0
+}
+
+func (r *run) execute(files []FileTask) (Result, error) {
 	cfg := r.cfg
 	r.fileBuf = newBuffer[FileTask](cfg.BufferCap)
 	r.parsedBuf = newBuffer[tileTask](cfg.BufferCap)
 	r.builtBuf = newBuffer[tileTask](cfg.BufferCap)
 	r.pairBuf = newBuffer[pairTask](cfg.BufferCap)
-	r.tiles = make(map[tileKey]*tileAgg)
-	r.executors = buildExecutors(cfg)
-
-	total := len(files) + len(parsed)
-	start := time.Now()
+	start, dev0 := r.begin()
+	total := len(files)
 
 	// core counts the stages that drain the input: parser, builder, filter
 	// and the executors. When they have all returned every pair has been
@@ -413,8 +437,7 @@ func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
 
 	// Stage 1: parser (multi-threaded). The parsed buffer closes when the
 	// pending-task counter drains, not when the workers exit, because the
-	// parser migrator and the pre-parsed feed below are alternative
-	// producers.
+	// parser migrator is an alternative producer.
 	atomic.StoreInt64(&r.pendingParse, int64(total))
 	if total == 0 {
 		r.parsedBuf.close()
@@ -470,13 +493,7 @@ func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
 		}()
 	}
 
-	// Feed the input and drain the pipeline. Pre-parsed tiles enter past the
-	// parser stage; finishParseTask keeps the parsed buffer's close
-	// accounting uniform across both feeds.
-	for _, t := range parsed {
-		r.parsedBuf.put(tileTask{image: t.Image, tile: t.Tile, a: t.A, b: t.B, ta: t.TreeA, tb: t.TreeB})
-		r.finishParseTask()
-	}
+	// Feed the input and drain the pipeline.
 	for _, t := range files {
 		r.fileBuf.put(t)
 	}
@@ -490,13 +507,21 @@ func (r *run) execute(files []FileTask, parsed []PolyTask) (Result, error) {
 	close(done)
 	migrators.Wait()
 
-	res := r.finalize(total, start)
+	res := r.finalize(total, start, dev0)
+	for _, e := range r.executors {
+		// Only executors that actually processed a batch measured anything;
+		// an idle executor must not overwrite its remembered throughput.
+		if cfg.Warmth != nil && atomic.LoadInt64(&e.batches) > 0 {
+			cfg.Warmth.Record(cfg.ExecutorLabel+e.id, e.throughput())
+		}
+	}
 	return res, r.firstErr
 }
 
 // finalize folds the per-tile partials in canonical order and assembles the
-// result and statistics.
-func (r *run) finalize(total int, start time.Time) Result {
+// result and statistics. Every pair the run filtered has been counted by
+// now, so the candidates are the pairs the executors counted.
+func (r *run) finalize(total int, start time.Time, dev0 []gpu.Snapshot) Result {
 	res := Result{TileRatios: make([]TileRatio, 0, len(r.tiles))}
 	for key, agg := range r.tiles {
 		res.TileRatios = append(res.TileRatios, TileRatio{
@@ -511,7 +536,6 @@ func (r *run) finalize(total int, start time.Time) Result {
 		res.RatioSum += tr.RatioSum
 		res.Intersecting += tr.Intersecting
 	}
-	res.Candidates = r.candidates
 	if res.Intersecting > 0 {
 		res.Similarity = res.RatioSum / float64(res.Intersecting)
 	}
@@ -519,22 +543,21 @@ func (r *run) finalize(total int, start time.Time) Result {
 	r.stats.PairsOnGPU = int(atomic.LoadInt64(&r.pairsGPU))
 	r.stats.PairsOnCPU = int(atomic.LoadInt64(&r.pairsCPU))
 	r.stats.PairsFiltered = r.stats.PairsOnGPU + r.stats.PairsOnCPU
+	res.Candidates = r.stats.PairsFiltered
 	r.stats.TilesProcessed = total
 	r.stats.ParserBusy = time.Duration(atomic.LoadInt64(&r.parserBusy))
 	r.stats.BuilderBusy = time.Duration(atomic.LoadInt64(&r.builderBusy))
 	r.stats.FilterBusy = time.Duration(atomic.LoadInt64(&r.filterBusy))
 	r.stats.AggregatorBusy = time.Duration(atomic.LoadInt64(&r.aggBusy))
-	for _, dev := range r.cfg.Devices {
-		r.stats.KernelLaunches += dev.Launches()
-		r.stats.DeviceSeconds += dev.BusySeconds()
+	// A device outlives the run (a scheduler slot's, an Engine's), so its
+	// counters are running totals: report what they gained during the run.
+	for i, dev := range r.cfg.Devices {
+		d := dev.Stats()
+		r.stats.KernelLaunches += d.Launches - dev0[i].Launches
+		r.stats.DeviceSeconds += d.BusySeconds - dev0[i].BusySeconds
 	}
 	for _, e := range r.executors {
 		r.stats.Executors = append(r.stats.Executors, e.snapshot())
-		// Only executors that actually processed a batch measured anything;
-		// an idle executor must not overwrite its remembered throughput.
-		if r.cfg.Warmth != nil && atomic.LoadInt64(&e.batches) > 0 {
-			r.cfg.Warmth.Record(r.cfg.ExecutorLabel+e.id, e.throughput())
-		}
 	}
 	r.publishMetrics()
 	res.Stats = r.stats
@@ -591,24 +614,16 @@ func (r *run) parserWorker() {
 	}
 }
 
-// builderWorker builds the Hilbert R-tree of each set that arrived without
-// one: every parsed tile's, and none of a stored tile's.
+// builderWorker builds the Hilbert R-trees of each parsed tile's two sets.
 func (r *run) builderWorker() {
 	for {
 		task, ok := r.parsedBuf.get()
 		if !ok {
 			return
 		}
-		if task.ta == nil || task.tb == nil {
-			start := time.Now()
-			if task.ta == nil {
-				task.ta = rtree.Index(task.a)
-			}
-			if task.tb == nil {
-				task.tb = rtree.Index(task.b)
-			}
-			atomic.AddInt64(&r.builderBusy, int64(time.Since(start)))
-		}
+		start := time.Now()
+		task.ta, task.tb = rtree.Index(task.a), rtree.Index(task.b)
+		atomic.AddInt64(&r.builderBusy, int64(time.Since(start)))
 		r.builtBuf.put(task)
 	}
 }
@@ -629,9 +644,6 @@ func (r *run) filterWorker() {
 			pairs[i] = pixelbox.Pair{P: task.a[pr.A], Q: task.b[pr.B]}
 		}
 		atomic.AddInt64(&r.filterBusy, int64(time.Since(start)))
-		r.mu.Lock()
-		r.candidates += len(pairs)
-		r.mu.Unlock()
 		r.pairBuf.put(pairTask{image: task.image, tile: task.tile, pairs: pairs})
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"repro/internal/clip"
 	"repro/internal/geom"
 	"repro/internal/gpu"
+	"repro/internal/parser"
 	"repro/internal/pathology"
+	"repro/internal/pixelbox"
 	"repro/internal/rtree"
 	"repro/internal/sdbms"
 )
@@ -195,9 +197,11 @@ func TestPipelineConcurrentRunsIndependent(t *testing.T) {
 	}
 }
 
-// TestRunParsedCarriedTrees: a task that carries its sets' trees costs the
-// builder stage nothing and reports, tile by tile, the bits of the same task
-// without them, of a task carrying one tree only, and of the text path.
+// TestRunParsedCarriedTrees is RunParsed's differential table: every config
+// of executors over every shape of input reports what Run reports for the
+// same tiles as text — the same bits, tile by tile — with its pairs counted
+// once, every executor of the pool listed whether or not it took a tile, and
+// builder time exactly when a tree had to be built.
 func TestRunParsedCarriedTrees(t *testing.T) {
 	d := smallDataset()
 	raw := make([]PolyTask, len(d.Pairs))
@@ -209,30 +213,125 @@ func TestRunParsedCarriedTrees(t *testing.T) {
 		kept[i].TreeA, kept[i].TreeB = rtree.Index(tp.A), rtree.Index(tp.B)
 		half[i].TreeB = kept[i].TreeB
 	}
-	want, err := Run(EncodeDataset(d), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Candidates == 0 || want.Stats.BuilderBusy == 0 {
-		t.Fatalf("text run: %d candidates, builder busy %v", want.Candidates, want.Stats.BuilderBusy)
-	}
-	for _, c := range []struct {
+	inputs := []struct {
 		name   string
 		tasks  []PolyTask
 		builds bool
-	}{{"no trees", raw, true}, {"both trees", kept, false}, {"set B's tree only", half, true}} {
-		for _, cfg := range []Config{{}, {Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}, CPUAggregators: 1}} {
-			got, err := RunParsed(c.tasks, cfg)
+	}{
+		{"kept trees", kept, false},
+		{"no trees", raw, true},
+		{"set B's tree only", half, true},
+		{"one tile", kept[:1], false},
+		{"more executors than tiles", raw[:2], true},
+		{"empty", nil, false},
+	}
+	configs := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"cpu workers 1", func() Config { return Config{CPU: pixelbox.CPUConfig{Workers: 1}} }},
+		{"cpu workers 2", func() Config { return Config{CPU: pixelbox.CPUConfig{Workers: 2}} }},
+		{"cpu default", func() Config { return Config{} }},
+		{"gpu x1", func() Config { return Config{Devices: devices(1)} }},
+		{"gpu x2", func() Config { return Config{Devices: devices(2)} }},
+		{"hybrid 1 gpu + 2 cpu", func() Config { return Config{Devices: devices(1), CPUAggregators: 2} }},
+	}
+	for _, c := range configs {
+		for _, in := range inputs {
+			name := c.name + "/" + in.name
+			want, err := Run(textTasks(in.tasks), c.cfg())
 			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+				t.Fatalf("%s: Run: %v", name, err)
 			}
-			if got.Candidates != want.Candidates || got.Similarity != want.Similarity ||
-				!reflect.DeepEqual(got.TileRatios, want.TileRatios) {
-				t.Fatalf("%s: (%v, %d candidates, %v) differs from the text path's (%v, %d, %v)", c.name,
-					got.Similarity, got.Candidates, got.TileRatios, want.Similarity, want.Candidates, want.TileRatios)
+			if len(in.tasks) > 0 && want.Candidates == 0 {
+				t.Fatalf("%s: Run found no candidate pairs", name)
 			}
-			if built := got.Stats.BuilderBusy > 0; built != c.builds {
-				t.Fatalf("%s: builder busy %v, want building: %v", c.name, got.Stats.BuilderBusy, c.builds)
+			cfg := c.cfg()
+			got, err := RunParsed(in.tasks, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if math.Float64bits(got.Similarity) != math.Float64bits(want.Similarity) ||
+				got.Candidates != want.Candidates || got.Intersecting != want.Intersecting {
+				t.Errorf("%s: (%v, %d candidates, %d intersecting), Run (%v, %d, %d)", name,
+					got.Similarity, got.Candidates, got.Intersecting, want.Similarity, want.Candidates, want.Intersecting)
+			}
+			if !reflect.DeepEqual(got.TileRatios, want.TileRatios) {
+				t.Errorf("%s: tile ratios %v, Run %v", name, got.TileRatios, want.TileRatios)
+			}
+			st := got.Stats
+			if st.PairsOnGPU+st.PairsOnCPU != got.Candidates || st.PairsFiltered != got.Candidates {
+				t.Errorf("%s: %d pairs on GPU + %d on CPU, %d filtered, %d candidates", name,
+					st.PairsOnGPU, st.PairsOnCPU, st.PairsFiltered, got.Candidates)
+			}
+			if (len(cfg.Devices) == 0 && st.PairsOnGPU != 0) || (cfg.CPUAggregators == 0 && len(cfg.Devices) > 0 && st.PairsOnCPU != 0) {
+				t.Errorf("%s: %d pairs on GPU, %d on CPU, from executors that do not exist", name, st.PairsOnGPU, st.PairsOnCPU)
+			}
+			if st.TilesProcessed != len(in.tasks) {
+				t.Errorf("%s: %d tiles processed, want %d", name, st.TilesProcessed, len(in.tasks))
+			}
+			pool := buildExecutors(cfg.normalized())
+			if len(st.Executors) != len(pool) {
+				t.Fatalf("%s: %d executors reported, the pool has %d: %+v", name, len(st.Executors), len(pool), st.Executors)
+			}
+			var pairs int64
+			for i, e := range st.Executors {
+				if e.ID != pool[i].id || e.Kind != pool[i].kind {
+					t.Errorf("%s: executor %d is %s/%s, the pool's is %s/%s", name, i, e.ID, e.Kind, pool[i].id, pool[i].kind)
+				}
+				pairs += e.Pairs
+			}
+			if pairs != int64(got.Candidates) {
+				t.Errorf("%s: executors counted %d pairs, %d candidates", name, pairs, got.Candidates)
+			}
+			if built := st.BuilderBusy > 0; built != in.builds {
+				t.Errorf("%s: builder busy %v, want building: %v", name, st.BuilderBusy, in.builds)
+			}
+		}
+	}
+}
+
+// textTasks encodes parsed tiles as the text a Run takes.
+func textTasks(tasks []PolyTask) []FileTask {
+	files := make([]FileTask, len(tasks))
+	for i, t := range tasks {
+		files[i] = FileTask{Image: t.Image, Tile: t.Tile, RawA: parser.Encode(t.A), RawB: parser.Encode(t.B)}
+	}
+	return files
+}
+
+// TestDeviceCountersArePerRun: a caller that reuses its devices across runs
+// gets each run's own launches and busy time, not the devices' running
+// totals.
+func TestDeviceCountersArePerRun(t *testing.T) {
+	d := smallDataset()
+	tasks := make([]PolyTask, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tasks[i] = PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
+	}
+	dev := gpu.NewDevice(gpu.GTX580())
+	cfg := Config{Devices: []*gpu.Device{dev}}
+	for i := 0; i < 3; i++ {
+		for _, c := range []struct {
+			name string
+			run  func() (Result, error)
+		}{
+			{"Run", func() (Result, error) { return Run(textTasks(tasks), cfg) }},
+			{"RunParsed", func() (Result, error) { return RunParsed(tasks, cfg) }},
+		} {
+			before := dev.Stats()
+			res, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := dev.Stats()
+			if res.Stats.KernelLaunches == 0 || res.Stats.KernelLaunches != after.Launches-before.Launches {
+				t.Errorf("%s %d: reports %d launches, the device ran %d during it",
+					c.name, i, res.Stats.KernelLaunches, after.Launches-before.Launches)
+			}
+			if want := after.BusySeconds - before.BusySeconds; math.Abs(res.Stats.DeviceSeconds-want) > 1e-12 {
+				t.Errorf("%s %d: reports %.9f device seconds, the device was busy %.9f during it",
+					c.name, i, res.Stats.DeviceSeconds, want)
 			}
 		}
 	}

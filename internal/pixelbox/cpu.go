@@ -27,7 +27,7 @@ func RunCPU(pairs []Pair, _ CPUConfig) []AreaResult {
 	results := make([]AreaResult, len(pairs))
 	var w BandWalk
 	for i, pr := range pairs {
-		results[i] = w.pair(pr)
+		results[i] = w.Areas(pr)
 	}
 	return results
 }
@@ -57,7 +57,7 @@ func RunCPUParallel(pairs []Pair, cfg CPUConfig) []AreaResult {
 				if i >= int64(len(pairs)) {
 					return
 				}
-				results[i] = w.pair(pairs[i])
+				results[i] = w.Areas(pairs[i])
 			}
 		}()
 	}
@@ -65,9 +65,9 @@ func RunCPUParallel(pairs []Pair, cfg CPUConfig) []AreaResult {
 	return results
 }
 
-// pair computes one pair: the intersection can only lie in the intersection
+// Areas computes one pair: the intersection can only lie in the intersection
 // of the two MBRs, and the union follows from ‖p∪q‖ = ‖p‖+‖q‖−‖p∩q‖.
-func (w *BandWalk) pair(pr Pair) AreaResult {
+func (w *BandWalk) Areas(pr Pair) AreaResult {
 	inter := w.Count(pr.P, pr.Q, pr.P.MBR().Intersection(pr.Q.MBR()))
 	return AreaResult{Intersection: inter, Union: pr.P.Area() + pr.Q.Area() - inter}
 }

@@ -2,7 +2,7 @@
 // it owns a pool of simulated GPUs plus CPU pipeline workers, accepts
 // cross-comparison jobs (sources of decoded image tiles: each tile's two
 // polygon sets), shards each job's tiles across the executor-slot pool, runs
-// every shard through the SCCG pipeline past its parser stage, and merges the
+// every shard's parsed tiles through pipeline.RunParsed, and merges the
 // shard reports into one job result.
 //
 // This generalises the paper's single-node resident service (one process
@@ -50,9 +50,9 @@ type Config struct {
 	// Workers is each shard pipeline's PixelBox-CPU worker count; 0 uses the
 	// pipeline default.
 	Workers int
-	// HybridCPU co-executes PixelBox-CPU aggregator workers alongside each
-	// slot's GPU (the hybrid work-stealing aggregator). The CPU executor
-	// count is Workers, or 2 when Workers is unset.
+	// HybridCPU co-executes PixelBox-CPU executors alongside each slot's
+	// GPU, each taking whole tiles as the GPU does. The CPU executor count
+	// is Workers, or 2 when Workers is unset.
 	HybridCPU bool
 	// QueueDepth is the queued-job limit before Submit rejects; default 64.
 	// The limit spans all bands.
@@ -277,10 +277,6 @@ type Scheduler struct {
 
 	wg sync.WaitGroup
 
-	// warm carries each slot executor's measured throughput EWMA across
-	// jobs, so a new job's first claims are sized from history.
-	warm *pipeline.ThroughputMemory
-
 	mu       sync.Mutex
 	qcond    *sync.Cond // signaled on enqueue and Close; guards the fields below via mu
 	jobs     map[string]*job
@@ -316,7 +312,6 @@ func New(cfg Config) *Scheduler {
 		jobs:          make(map[string]*job),
 		queuedTenant:  make(map[string]int),
 		runningTenant: make(map[string]int),
-		warm:          pipeline.NewThroughputMemory(),
 	}
 	s.qcond = sync.NewCond(&s.mu)
 	if r := cfg.Registry; r != nil {
@@ -843,12 +838,7 @@ func (s *Scheduler) runJob(j *job) {
 				CPU:            pixelbox.CPUConfig{Workers: s.cfg.Workers},
 				Registry:       s.cfg.Registry,
 				ExecutorLabel:  fmt.Sprintf("slot%d/", dev.id),
-				Warmth:         s.warm,
 			}
-			// Pool devices are long-lived, so their launch/busy counters are
-			// cumulative; snapshot around the run to report only this
-			// shard's share (the lease is exclusive, so the delta is exact).
-			launches0, busy0 := dev.stats()
 			// Materialize only this shard's tiles from the source — for a
 			// stored dataset that means reading just these tiles out of the
 			// decoded-tile cache or the segment file.
@@ -862,11 +852,6 @@ func (s *Scheduler) runJob(j *job) {
 				j.devices[dev.id] = struct{}{}
 				s.mu.Unlock()
 				return
-			}
-			if len(dev.gpus) > 0 {
-				launches1, busy1 := dev.stats()
-				res.Stats.KernelLaunches = launches1 - launches0
-				res.Stats.DeviceSeconds = busy1 - busy0
 			}
 			atomic.AddInt64(&dev.shards, 1)
 			atomic.AddInt64(&dev.wallNS, int64(time.Since(start)))

@@ -473,30 +473,6 @@ func TestCancelDuringSharding(t *testing.T) {
 	}
 }
 
-// TestWarmStartCarriesThroughput checks the executor-pool warm start: after
-// a first job measures slot throughput, the scheduler's memory holds the
-// EWMA under the slot-labelled executor ID so the next job's executors seed
-// from it instead of the static prior.
-func TestWarmStartCarriesThroughput(t *testing.T) {
-	s := New(Config{Devices: 1, Workers: 2})
-	defer s.Close()
-	id, err := s.SubmitJob(Tasks(testTasks(t, 4)), JobOpts{Name: "warm"})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	st, err := s.Wait(context.Background(), id)
-	if err != nil || st.State != Done {
-		t.Fatalf("job: state=%v err=%v", st.State, err)
-	}
-	tp, ok := s.warm.Prior("slot0/gpu0")
-	if !ok {
-		t.Fatal("warm memory holds no measurement for slot0/gpu0 after a completed job")
-	}
-	if tp <= 0 {
-		t.Fatalf("remembered throughput %v, want > 0", tp)
-	}
-}
-
 // TestMergeMatchesUnsharded checks pipeline.Merge against ground truth on
 // partitioned runs.
 func TestMergeMatchesUnsharded(t *testing.T) {

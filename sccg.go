@@ -315,7 +315,7 @@ type ServiceOptions struct {
 	// runs one CPU-only slot.
 	Devices int
 	// HybridCPU co-executes PixelBox-CPU aggregators alongside each slot's
-	// GPU (work-stealing hybrid aggregation).
+	// GPU, each taking whole tiles.
 	HybridCPU bool
 	// Workers is each shard pipeline's CPU worker count.
 	Workers int
