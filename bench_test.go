@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro"
 	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/montecarlo"
@@ -244,7 +245,7 @@ func BenchmarkSweepOverlay(b *testing.B) {
 func BenchmarkHybridVsGPUOnly(b *testing.B) {
 	skipIfShort(b)
 	d, _ := benchSetup()
-	tasks := pipeline.EncodeDataset(d)
+	tasks := sccg.EncodeDataset(d)
 	var speedup float64
 	for i := 0; i < b.N; i++ {
 		gpuOnly, err := pipeline.Run(tasks, pipeline.Config{Devices: gpu.NewDevices(1, gpu.GTX580())})

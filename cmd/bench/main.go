@@ -18,6 +18,7 @@ import (
 	"strings"
 	"time"
 
+	"repro"
 	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
@@ -203,7 +204,7 @@ func runFig11(cal experiments.Calibration) {
 // only throughput moves.
 func runHybrid(d *pathology.Dataset, gpus, cpuAggs int) {
 	header(fmt.Sprintf("Hybrid co-execution — %d GPU(s) + %d CPU aggregator(s), work-stealing", gpus, cpuAggs))
-	tasks := pipeline.EncodeDataset(d)
+	tasks := sccg.EncodeDataset(d)
 
 	devices := func(n int) []*gpu.Device { return gpu.NewDevices(n, gpu.GTX580()) }
 	configs := []struct {

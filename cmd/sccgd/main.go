@@ -5,11 +5,17 @@
 // one executor slot, and a job splits into one shard per slot; without
 // -devices the daemon runs one CPU-only slot.
 //
-//	sccgd -addr :8080 -devices 2 -workers 4 -hybrid-cpu
+//	sccgd -addr :8080 -devices 2 -workers 4 -hybrid-cpu -data-dir /var/lib/sccgd
 //
-// Submit a corpus dataset job and poll it:
+// The daemon compares data, it does not make it: segmented polygon sets
+// arrive through PUT /datasets, which stores them as WKB tile segments under
+// a 64-hex content ID, and jobs name that ID. cmd/datagen writes the
+// synthetic corpus together with each dataset's PUT body:
 //
-//	curl -s -X POST localhost:8080/jobs -d '{"corpus":"oligoastroIII_1"}'
+//	datagen -out ./data -dataset 5
+//	curl -s -X PUT 'localhost:8080/datasets?name=oligoastroIII_1' \
+//	     --data-binary @data/oligoastroIII_1/dataset.json      # -> {"id":"<id>",...}
+//	curl -s -X POST localhost:8080/jobs -d '{"dataset_id":"<id>"}'
 //	curl -s localhost:8080/jobs/job-000001
 //
 // A repeated submission of the same dataset is answered from the result
@@ -17,16 +23,12 @@
 // It is the only long-lived record: finished jobs past the last 1024, and
 // finished matrix runs past the last 64, are forgotten (their IDs answer 404).
 // See GET /metrics for counters, including per-executor hybrid-aggregator
-// accounting.
+// accounting. Without -data-dir only uploaded polygon text ("tasks") and
+// POST /compare run.
 //
-// With -data-dir the daemon owns a persistent content-addressed dataset
-// store: PUT /datasets ingests segmented polygon sets as WKB tile segments,
-// jobs can then be submitted by dataset_id, results are cached by content
-// hash (and persisted beside the manifests, so a restart answers repeats
-// without recompute), and a restart recovers every stored dataset from its
-// manifest:
-//
-//	sccgd -addr :8080 -devices 2 -data-dir /var/lib/sccgd
+// Results are cached by content hash (and persisted beside the manifests,
+// so a restart answers repeats without recompute), and a restart recovers
+// every stored dataset from its manifest.
 //
 // The store also opens the cross-comparison workload — one algorithm's
 // stored results against another's over the same tiles:
@@ -88,8 +90,8 @@
 //	curl -s localhost:8080/metrics
 //
 // Multi-tenant QoS: jobs run in three priority bands — interactive (job
-// submissions), batch (matrix cells), ingest (spec/corpus generation) —
-// under weighted fair sharing at fixed weights 8:2:3, and with two or more
+// submissions), batch (matrix cells), ingest (only when a request names it)
+// — under weighted fair sharing at fixed weights 8:2:3, and with two or more
 // slots one slot serves interactive jobs only, so a K-way matrix flood
 // cannot starve an interactive submission. -tenants names token-keyed
 // tenants with per-tenant byte, dataset, and queued-job quotas (unknown
@@ -119,9 +121,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
 	"repro/internal/cluster"
 	"repro/internal/retention"
+	"repro/internal/server"
+	"repro/internal/store"
 	"repro/internal/tenant"
 )
 
@@ -270,12 +273,17 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		if err != nil {
 			return err
 		}
+		// A malformed address would make the service drop the cluster and
+		// serve alone; refuse it here instead.
+		if _, err := cluster.Normalize(*advertise); err != nil {
+			return fmt.Errorf("-advertise %q: %w", *advertise, err)
+		}
 	}
 
-	var st *sccg.Store
+	var st *store.Store
 	if *dataDir != "" {
 		var err error
-		st, err = sccg.OpenStore(*dataDir)
+		st, err = store.Open(*dataDir)
 		if err != nil {
 			return fmt.Errorf("open data dir: %w", err)
 		}
@@ -285,7 +293,7 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		}
 	}
 
-	svc := sccg.NewService(sccg.ServiceOptions{
+	svc := server.NewService(server.ServiceOptions{
 		Devices:          *devices,
 		HybridCPU:        *hybrid,
 		Workers:          *workers,

@@ -3,7 +3,7 @@ package main
 // End-to-end integration test: boot the real daemon (flag parsing, service
 // wiring, HTTP server) on an ephemeral port, submit a job over the wire,
 // poll it to completion, and check the reported similarity against an
-// in-process engine run of the same dataset spec — which must match exactly,
+// in-process engine run of the same polygons — which must match exactly,
 // because hybrid/sharded aggregation is bit-deterministic.
 
 import (
@@ -50,9 +50,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal("daemon did not become ready")
 	}
 
-	spec := pathology.DatasetSpec{Name: "e2e", Seed: 20260727, Tiles: 4}
+	d := pathology.Generate(pathology.DatasetSpec{Name: "e2e", Seed: 20260727, Tiles: 4,
+		Gen: pathology.DefaultGenConfig()})
 
-	body, _ := json.Marshal(map[string]any{"spec": spec})
+	body, _ := json.Marshal(map[string]any{"tasks": tileObjects(d)})
 	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /jobs: %v", err)
@@ -95,13 +96,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal("done job has no report")
 	}
 
-	// The in-process oracle: same spec (with the same default generation
-	// parameters the server fills in), single GPU, no hybrid — similarity
-	// must still match bit-for-bit.
-	espec := spec
-	espec.Gen = pathology.DefaultGenConfig()
+	// The in-process oracle: same polygons, single GPU, no hybrid —
+	// similarity must still match bit-for-bit.
 	eng := sccg.NewEngine(sccg.Options{})
-	want, err := eng.CrossCompareDataset(sccg.EncodeDataset(sccg.GenerateDataset(espec)))
+	want, err := eng.CrossCompareDataset(sccg.EncodeDataset(d))
 	if err != nil {
 		t.Fatalf("engine run: %v", err)
 	}
@@ -145,6 +143,39 @@ func TestDaemonEndToEnd(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not shut down")
 	}
+}
+
+// tileObjects is d's polygon text as the tile objects that PUT /datasets and
+// the tasks form of POST /jobs both take.
+func tileObjects(d *pathology.Dataset) []map[string]any {
+	tasks := sccg.EncodeDataset(d)
+	out := make([]map[string]any, len(tasks))
+	for i, task := range tasks {
+		out[i] = map[string]any{"image": task.Image, "tile": task.Tile, "raw_a": task.RawA, "raw_b": task.RawB}
+	}
+	return out
+}
+
+// putDataset stores d on the daemon under name and returns its content ID.
+func putDataset(t *testing.T, base, name string, d *pathology.Dataset) string {
+	t.Helper()
+	body, err := json.Marshal(tileObjects(d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, base+"/datasets?name="+name, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("PUT /datasets: %v", err)
+	}
+	var man struct {
+		ID string `json:"id"`
+	}
+	decodeBody(t, resp, &man, http.StatusOK)
+	return man.ID
 }
 
 func decodeBody(t *testing.T, resp *http.Response, dst any, wantCode int) {
@@ -380,26 +411,7 @@ func TestDaemonMatrixEndToEnd(t *testing.T) {
 	base, stop := boot(t)
 	ids := make([]string, len(datasets))
 	for i, d := range datasets {
-		payload := make([]map[string]any, len(d.Pairs))
-		for j, tp := range d.Pairs {
-			payload[j] = map[string]any{
-				"image": tp.Image,
-				"tile":  tp.Index,
-				"raw_a": sccg.EncodePolygons(tp.A),
-				"raw_b": sccg.EncodePolygons(tp.B),
-			}
-		}
-		body, _ := json.Marshal(payload)
-		req, _ := http.NewRequest(http.MethodPut, base+"/datasets", bytes.NewReader(body))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("PUT /datasets: %v", err)
-		}
-		var man struct {
-			ID string `json:"id"`
-		}
-		decodeBody(t, resp, &man, http.StatusOK)
-		ids[i] = man.ID
+		ids[i] = putDataset(t, base, "", d)
 	}
 
 	type matrixStatus struct {
@@ -547,9 +559,10 @@ func TestDaemonTraceEndToEnd(t *testing.T) {
 		t.Fatal("daemon did not become ready")
 	}
 
+	d := pathology.Generate(pathology.DatasetSpec{Name: "trace-e2e", Seed: 7, Tiles: 4,
+		Gen: pathology.DefaultGenConfig()})
 	wallStart := time.Now()
-	spec := pathology.DatasetSpec{Name: "trace-e2e", Seed: 7, Tiles: 4}
-	body, _ := json.Marshal(map[string]any{"spec": spec})
+	body, _ := json.Marshal(map[string]any{"tasks": tileObjects(d), "band": "ingest"})
 	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /jobs: %v", err)
@@ -681,6 +694,24 @@ func TestDaemonTraceEndToEnd(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestMalformedAdvertiseRefused: a clustered daemon whose -advertise address
+// cannot be parsed exits with an error naming it, instead of dropping the
+// cluster and serving alone.
+func TestMalformedAdvertiseRefused(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	served := false
+	err := run(ctx, []string{
+		"-addr", "127.0.0.1:0",
+		"-data-dir", t.TempDir(),
+		"-peers", "127.0.0.1:9",
+		"-advertise", "ftp://host-a:8080",
+	}, func(string) { served = true; cancel() })
+	if served || err == nil || !strings.Contains(err.Error(), "ftp://host-a:8080") {
+		t.Fatalf("run with a malformed -advertise: served %v, err %v; want an error naming the address", served, err)
 	}
 }
 
@@ -883,23 +914,7 @@ func TestDaemonMatrixProgressive(t *testing.T) {
 	}
 	ids := make([]string, len(datasets))
 	for i, d := range datasets {
-		payload := []map[string]any{{
-			"image": d.Pairs[0].Image,
-			"tile":  d.Pairs[0].Index,
-			"raw_a": sccg.EncodePolygons(d.Pairs[0].A),
-			"raw_b": sccg.EncodePolygons(d.Pairs[0].B),
-		}}
-		body, _ := json.Marshal(payload)
-		req, _ := http.NewRequest(http.MethodPut, base+"/datasets", bytes.NewReader(body))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("PUT /datasets: %v", err)
-		}
-		var man struct {
-			ID string `json:"id"`
-		}
-		decodeBody(t, resp, &man, http.StatusOK)
-		ids[i] = man.ID
+		ids[i] = putDataset(t, base, "", d)
 	}
 
 	type cell struct {

@@ -1,9 +1,10 @@
 package main
 
 // Retention end-to-end acceptance test: with -store-max-bytes and
-// -cache-max-entries set, a loop of distinct spec jobs keeps the store and
-// the result store under their bounds while every job still completes —
-// pinning guarantees no running job's dataset is swept out from under it.
+// -cache-max-entries set, a loop of distinct datasets, each stored and
+// compared, keeps the store and the result store under their bounds while
+// every job still completes — pinning guarantees no running job's dataset is
+// swept out from under it.
 
 import (
 	"bytes"
@@ -49,12 +50,13 @@ func bootDaemon(t *testing.T, args []string) (base string, stop func()) {
 	}
 }
 
-// runSpecJob submits one generated-spec job and polls it to done, returning
-// the final state.
-func runSpecJob(t *testing.T, base string, seed int64) string {
+// runStoredJob stores one generated dataset, submits a job by its ID and
+// polls it to done, returning the job ID.
+func runStoredJob(t *testing.T, base string, seed int64) string {
 	t.Helper()
-	spec := pathology.DatasetSpec{Name: "retention-e2e", Seed: seed, Tiles: 1}
-	body, _ := json.Marshal(map[string]any{"spec": spec})
+	d := pathology.Generate(pathology.DatasetSpec{Name: "retention-e2e", Seed: seed, Tiles: 1,
+		Gen: pathology.DefaultGenConfig()})
+	body, _ := json.Marshal(map[string]any{"dataset_id": putDataset(t, base, "retention-e2e", d)})
 	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /jobs: %v", err)
@@ -78,7 +80,7 @@ func runSpecJob(t *testing.T, base string, seed int64) string {
 		decodeBody(t, resp, &job, http.StatusOK)
 	}
 	if job.State != "done" {
-		t.Fatalf("spec job %s (seed %d) ended %s: %s", job.ID, seed, job.State, job.Error)
+		t.Fatalf("job %s (seed %d) ended %s: %s", job.ID, seed, job.State, job.Error)
 	}
 	return job.ID
 }
@@ -125,10 +127,10 @@ func metricValue(t *testing.T, base, name string) (float64, bool) {
 func TestDaemonRetentionEndToEnd(t *testing.T) {
 	dataDir := t.TempDir()
 
-	// Boot 1: measure one spec dataset's footprint so the budget below is
-	// sized in datasets, not guessed bytes.
+	// Boot 1: measure one dataset's footprint so the budget below is sized
+	// in datasets, not guessed bytes.
 	base, stop := bootDaemon(t, []string{"-addr", "127.0.0.1:0", "-devices", "1", "-data-dir", dataDir})
-	runSpecJob(t, base, 100)
+	runStoredJob(t, base, 100)
 	unit, n := storeBytes(t, base)
 	if n != 1 || unit <= 0 {
 		t.Fatalf("measuring boot holds %d datasets / %d bytes, want exactly 1", n, unit)
@@ -149,11 +151,11 @@ func TestDaemonRetentionEndToEnd(t *testing.T) {
 	})
 	defer stop()
 
-	// A loop of distinct spec jobs, each ingesting a fresh dataset under
-	// byte pressure. Every job must complete: its own dataset is pinned for
-	// the job's lifetime, so the concurrent sweeps can only take cold ones.
+	// A loop of distinct datasets, each ingested and compared under byte
+	// pressure. Every job must complete: its own dataset is pinned for the
+	// job's lifetime, so the concurrent sweeps can only take cold ones.
 	for seed := int64(101); seed <= 106; seed++ {
-		runSpecJob(t, base, seed)
+		runStoredJob(t, base, seed)
 	}
 
 	// The sweeper converges the store under the budget and the persisted

@@ -1,8 +1,8 @@
 // Example serviceclient starts an in-process sccgd service on a loopback
-// port and drives it the way an external client would: submit a corpus
-// dataset job over HTTP, poll until it finishes, print the report, then
-// resubmit the same dataset to show the cache answering without any new
-// kernel launches.
+// port and drives it the way an external client would: store a corpus
+// dataset with PUT /datasets, submit a job by its content ID, poll until it
+// finishes, print the report, then resubmit the same dataset to show the
+// cache answering without any new kernel launches.
 package main
 
 import (
@@ -12,6 +12,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"repro"
@@ -35,7 +36,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serviceclient: ")
 
-	svc := sccg.NewService(sccg.ServiceOptions{Devices: 2})
+	dir, err := os.MkdirTemp("", "serviceclient-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	st, err := sccg.OpenStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	svc := sccg.NewService(sccg.ServiceOptions{Devices: 2, Store: st})
 	defer svc.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -46,8 +56,36 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Println("service listening on", base)
 
+	// The dataset arrives from outside, as a segmentation pipeline would
+	// upload it: one {image, tile, raw_a, raw_b} object per tile.
+	spec := sccg.Representative()
+	var tiles []map[string]any
+	for _, task := range sccg.EncodeDataset(sccg.GenerateDataset(spec)) {
+		tiles = append(tiles, map[string]any{"image": task.Image, "tile": task.Tile, "raw_a": task.RawA, "raw_b": task.RawB})
+	}
+	body, _ := json.Marshal(tiles)
+	req, err := http.NewRequest(http.MethodPut, base+"/datasets?name="+spec.Name, bytes.NewReader(body))
+	if err != nil {
+		log.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var dataset struct {
+		ID    string `json:"id"`
+		Tiles int    `json:"tiles"`
+		Error string `json:"error"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&dataset)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		log.Fatalf("PUT /datasets = %d (%v): %s", resp.StatusCode, err, dataset.Error)
+	}
+	fmt.Printf("stored %s: %d tiles as dataset %s\n", spec.Name, dataset.Tiles, dataset.ID[:12])
+
 	submit := func() jobResp {
-		body, _ := json.Marshal(map[string]any{"corpus": "oligoastroIII_1"})
+		body, _ := json.Marshal(map[string]any{"dataset_id": dataset.ID})
 		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			log.Fatal(err)
@@ -89,10 +127,20 @@ func main() {
 	fmt.Printf("device: %d kernel launches, %.4fs modelled busy time\n",
 		done.Report.KernelLaunches, done.Report.DeviceSeconds)
 
+	launches := func() (n int64) {
+		for _, d := range svc.Scheduler().DeviceStats() {
+			n += d.Launches
+		}
+		return n
+	}
+	before := launches()
 	again := submit()
 	fmt.Printf("resubmitted: job %s cached=%v state=%s\n", again.ID, again.Cached, again.State)
 	if !again.Cached || again.ID != first.ID {
 		log.Fatal("expected the repeat submission to be served from cache")
+	}
+	if after := launches(); after != before {
+		log.Fatalf("the cached repeat launched kernels: %d -> %d", before, after)
 	}
 	fmt.Println("cache hit: no new work scheduled")
 }

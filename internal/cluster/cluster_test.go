@@ -17,6 +17,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/store"
 )
 
@@ -125,7 +126,7 @@ func ingest(t *testing.T, st *store.Store, image string, seed int64, tiles int) 
 	spec.Name = image
 	spec.Seed = seed
 	spec.Tiles = tiles
-	man, err := st.IngestDataset(pathology.Generate(spec))
+	man, err := pathologytest.Ingest(st, pathology.Generate(spec))
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}

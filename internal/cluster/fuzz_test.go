@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/store"
 )
 
@@ -37,7 +38,7 @@ func FuzzPeerManifest(f *testing.F) {
 	spec.Name = "fuzz-seed"
 	spec.Seed = 7
 	spec.Tiles = 2
-	man, err := st.IngestDataset(pathology.Generate(spec))
+	man, err := pathologytest.Ingest(st, pathology.Generate(spec))
 	if err != nil {
 		f.Fatalf("IngestDataset: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -27,7 +28,7 @@ func ingestVariant(t *testing.T, s *store.Store, image string, seed int64, tiles
 	spec.Name = image
 	spec.Seed = seed
 	spec.Tiles = tiles
-	man, err := s.IngestDataset(pathology.Generate(spec))
+	man, err := pathologytest.Ingest(s, pathology.Generate(spec))
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}

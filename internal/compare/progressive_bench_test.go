@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -51,7 +52,7 @@ func corpusSample(tb testing.TB, s *store.Store, k, tiles int) []string {
 	for _, spec := range pathology.Corpus()[:k] {
 		spec.Name = "corpus"
 		spec.Tiles = min(spec.Tiles, tiles)
-		man, err := s.IngestDataset(pathology.Generate(spec))
+		man, err := pathologytest.Ingest(s, pathology.Generate(spec))
 		if err != nil {
 			tb.Fatalf("IngestDataset: %v", err)
 		}

@@ -12,7 +12,7 @@ func hybridDataset(t *testing.T) []FileTask {
 	t.Helper()
 	spec := pathology.Representative()
 	spec.Tiles = 6
-	return EncodeDataset(pathology.Generate(spec))
+	return encodeDataset(pathology.Generate(spec))
 }
 
 func devices(n int) []*gpu.Device { return gpu.NewDevices(n, gpu.GTX580()) }
@@ -65,7 +65,7 @@ func TestHybridBitIdentical(t *testing.T) {
 func TestHybridExecutorAccounting(t *testing.T) {
 	spec := pathology.Representative()
 	spec.Tiles = 12
-	tasks := EncodeDataset(pathology.Generate(spec))
+	tasks := encodeDataset(pathology.Generate(spec))
 	res, err := Run(tasks, Config{Devices: devices(2), CPUAggregators: 2, BatchPairs: 32})
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/parser"
-	"repro/internal/pathology"
 	"repro/internal/pixelbox"
 	"repro/internal/rtree"
 )
@@ -257,21 +256,6 @@ func sortTileRatios(trs []TileRatio) {
 		}
 		return trs[i].Tile < trs[j].Tile
 	})
-}
-
-// EncodeDataset converts a generated dataset into pipeline input tasks
-// (text-encoded tiles, as segmentation emits them).
-func EncodeDataset(d *pathology.Dataset) []FileTask {
-	tasks := make([]FileTask, len(d.Pairs))
-	for i, tp := range d.Pairs {
-		tasks[i] = FileTask{
-			Image: tp.Image,
-			Tile:  tp.Index,
-			RawA:  parser.Encode(tp.A),
-			RawB:  parser.Encode(tp.B),
-		}
-	}
-	return tasks
 }
 
 // Run executes the full pipeline over tasks and returns the image

@@ -17,6 +17,16 @@ import (
 	"repro/internal/sdbms"
 )
 
+// encodeDataset converts a generated dataset into pipeline input tasks
+// (text-encoded tiles, as segmentation emits them).
+func encodeDataset(d *pathology.Dataset) []FileTask {
+	tasks := make([]FileTask, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tasks[i] = FileTask{Image: tp.Image, Tile: tp.Index, RawA: parser.Encode(tp.A), RawB: parser.Encode(tp.B)}
+	}
+	return tasks
+}
+
 func smallDataset() *pathology.Dataset {
 	spec := pathology.Corpus()[0]
 	spec.Tiles = 3
@@ -54,7 +64,7 @@ func oracleSimilarity(d *pathology.Dataset) (float64, int) {
 func TestPipelineMatchesOracleGPU(t *testing.T) {
 	d := smallDataset()
 	wantSim, wantHits := oracleSimilarity(d)
-	tasks := EncodeDataset(d)
+	tasks := encodeDataset(d)
 	dev := gpu.NewDevice(gpu.GTX580())
 	res, err := Run(tasks, Config{Devices: []*gpu.Device{dev}})
 	if err != nil {
@@ -80,7 +90,7 @@ func TestPipelineMatchesOracleGPU(t *testing.T) {
 func TestPipelineMatchesOracleCPUOnly(t *testing.T) {
 	d := smallDataset()
 	wantSim, wantHits := oracleSimilarity(d)
-	res, err := Run(EncodeDataset(d), Config{})
+	res, err := Run(encodeDataset(d), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +110,7 @@ func TestPipelineWithMigrationStillExact(t *testing.T) {
 	wantSim, wantHits := oracleSimilarity(d)
 	dev := gpu.NewDevice(gpu.GTX580())
 	// Tiny buffers force full/empty transitions so both migrators fire.
-	res, err := Run(EncodeDataset(d), Config{
+	res, err := Run(encodeDataset(d), Config{
 		Devices:    []*gpu.Device{dev},
 		Migration:  true,
 		BufferCap:  1,
@@ -137,7 +147,7 @@ func TestPipelineMatchesSDBMS(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := gpu.NewDevice(gpu.GTX580())
-	got, err := Run(EncodeDataset(d), Config{Devices: []*gpu.Device{dev}})
+	got, err := Run(encodeDataset(d), Config{Devices: []*gpu.Device{dev}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +182,7 @@ func TestPipelineParseErrorPropagates(t *testing.T) {
 
 func TestPipelineConcurrentRunsIndependent(t *testing.T) {
 	d := smallDataset()
-	tasks := EncodeDataset(d)
+	tasks := encodeDataset(d)
 	want, _ := Run(tasks, Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
 	var wg sync.WaitGroup
 	results := make([]Result, 4)

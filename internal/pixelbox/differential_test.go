@@ -15,6 +15,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gpu"
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/pipeline"
 	"repro/internal/pixelbox"
 )
@@ -85,7 +86,7 @@ func TestDifferentialVariantsAgree(t *testing.T) {
 func TestHybridPipelineBitIdenticalAcrossExecutors(t *testing.T) {
 	spec := pathology.Representative()
 	spec.Tiles = 5
-	tasks := pipeline.EncodeDataset(pathology.Generate(spec))
+	tasks := pathologytest.Tasks(pathology.Generate(spec))
 
 	runWith := func(cfg pipeline.Config) pipeline.Result {
 		t.Helper()

@@ -1,7 +1,6 @@
 // Package retention bounds the persistent footprint of a long-lived sccgd:
 // a policy engine over the content-addressed dataset store. Without it the
-// store is a disk leak — every spec job ingests a dataset nobody asked to
-// keep.
+// store is a disk leak — every upload stays until someone deletes it.
 //
 // The policy is usage-driven, LogBase-style compaction for an append-only
 // segment store: every job, cross comparison, matrix cell, and tile read
@@ -148,7 +147,7 @@ func (e *Engine) Sweep() Sweep { return e.SweepFor(0) }
 // SweepFor is Sweep with reserved headroom: the byte budget is treated as
 // MaxBytes-headroom, so admission control can synchronously evict enough
 // least-recently-used unpinned datasets to fit an incoming dataset of
-// `headroom` bytes before any of it touches disk — the fix for spec-ingest
+// `headroom` bytes before any of it touches disk, instead of an ingest
 // overshooting the budget until the next background sweep.
 func (e *Engine) SweepFor(headroom int64) Sweep {
 	if e.sweeps != nil {

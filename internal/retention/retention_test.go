@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/store"
 )
 
@@ -25,7 +26,7 @@ func ingest(t *testing.T, s *store.Store, image string, seed int64) *store.Manif
 	spec.Name = image
 	spec.Seed = seed
 	spec.Tiles = 1
-	man, err := s.IngestDataset(pathology.Generate(spec))
+	man, err := pathologytest.Ingest(s, pathology.Generate(spec))
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}

@@ -16,8 +16,9 @@ const (
 	// BandBatch is bulk analytical work: matrix cells and anything a caller
 	// explicitly marks batch. Lowest weight, but positive: WFQ never starves it.
 	BandBatch
-	// BandIngest is generation + ingestion work (spec/corpus jobs): the
-	// "transactional" side of the HTAP split, weighted between the two.
+	// BandIngest is the "transactional" side of the HTAP split, weighted
+	// between the two. No request form defaults to it: a job runs here only
+	// when its request names the band.
 	BandIngest
 	// NumBands sizes per-band arrays.
 	NumBands = 3

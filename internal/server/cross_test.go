@@ -15,6 +15,7 @@ import (
 	"repro/internal/compare"
 	"repro/internal/parser"
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -35,7 +36,7 @@ func ingestSpec(t *testing.T, st *store.Store, image string, seed int64, tiles i
 	spec.Name = image
 	spec.Seed = seed
 	spec.Tiles = tiles
-	man, err := st.IngestDataset(pathology.Generate(spec))
+	man, err := pathologytest.Ingest(st, pathology.Generate(spec))
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -166,7 +167,7 @@ func TestTileReadEndpoint(t *testing.T) {
 	spec.Name = "tileread"
 	spec.Tiles = 2
 	d := pathology.Generate(spec)
-	man, err := st.IngestDataset(d)
+	man, err := pathologytest.Ingest(st, d)
 	if err != nil {
 		t.Fatal(err)
 	}

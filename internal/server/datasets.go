@@ -196,9 +196,8 @@ func parseTile(n int, rawA, rawB []byte) (a, b []*geom.Polygon, err error) {
 	return a, b, nil
 }
 
-// recordIngest is the bookkeeping after a dataset commit, whichever path
-// ingested it (PUT /datasets, a spec or corpus job): the ingest counter, the
-// tenant's byte attribution and the query-log record.
+// recordIngest is the bookkeeping after a PUT /datasets commit: the ingest
+// counter, the tenant's byte attribution and the query-log record.
 func (s *Server) recordIngest(who tenant.Quota, man *store.Manifest, start time.Time) {
 	s.ingests.Inc()
 	if s.tusage != nil {

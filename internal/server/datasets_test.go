@@ -10,6 +10,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/parser"
 	"repro/internal/pathology"
+	"repro/internal/querylog"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
@@ -61,6 +62,18 @@ func putDataset(t *testing.T, url string, body []byte) (*http.Response, []byte) 
 	return resp, buf.Bytes()
 }
 
+// putOK PUTs d and returns the stored dataset, failing the test on anything
+// but 200.
+func putOK(t *testing.T, base, name string, d *pathology.Dataset) DatasetResponse {
+	t.Helper()
+	resp, body := putDataset(t, base+"/datasets?name="+name, datasetPayload(t, d))
+	var man DatasetResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &man) != nil {
+		t.Fatalf("PUT %s = %d: %s", name, resp.StatusCode, body)
+	}
+	return man
+}
+
 // TestDatasetLifecycle walks the full dataset CRUD surface: ingest, list,
 // stat, job by content ID, cached resubmission, delete, and the 404s after.
 func TestDatasetLifecycle(t *testing.T) {
@@ -81,6 +94,15 @@ func TestDatasetLifecycle(t *testing.T) {
 	}
 	if !store.ValidateID(man.ID) || man.Name != "lifecycle" || man.Tiles != 3 || len(man.TileIndex) != 3 {
 		t.Fatalf("ingest response = %+v, want 3-tile dataset named lifecycle", man)
+	}
+	// The ingest lands in the query log: one kind=ingest record carrying
+	// the content ID.
+	var ql struct {
+		Records []querylog.Record `json:"records"`
+	}
+	getJSON(t, ts.URL+"/querylog?kind=ingest", &ql)
+	if len(ql.Records) != 1 || ql.Records[0].ID != man.ID || ql.Records[0].Outcome != querylog.OutcomeIngested {
+		t.Fatalf("ingest records %+v, want one %q record for %s", ql.Records, querylog.OutcomeIngested, man.ID)
 	}
 
 	// Idempotent re-ingest: same content, same ID, still one dataset.
@@ -155,58 +177,6 @@ func TestDatasetLifecycle(t *testing.T) {
 	}
 }
 
-// TestSpecJobSharesContentCache: submitting a generated spec ingests it into
-// the store, and a later job for the resulting dataset ID hits the same
-// content-hash cache entry without recomputation.
-func TestSpecJobSharesContentCache(t *testing.T) {
-	st := testStore(t)
-	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st})
-
-	spec := pathology.Representative()
-	spec.Tiles = 2
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("spec submit status = %d, body %s", resp.StatusCode, body)
-	}
-	var job JobResponse
-	if err := json.Unmarshal(body, &job); err != nil {
-		t.Fatal(err)
-	}
-	if pollDone(t, ts.URL, job.ID).State != "done" {
-		t.Fatal("spec job did not complete")
-	}
-
-	// The generated content is now stored and addressable.
-	var list struct {
-		Datasets []DatasetResponse `json:"datasets"`
-	}
-	getJSON(t, ts.URL+"/datasets", &list)
-	if len(list.Datasets) != 1 {
-		t.Fatalf("spec submission ingested %d datasets, want 1", len(list.Datasets))
-	}
-	dsID := list.Datasets[0].ID
-
-	// A dataset_id job for the same content is a cache hit on the spec job.
-	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: dsID})
-	var cached JobResponse
-	if err := json.Unmarshal(body, &cached); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !cached.Cached || cached.ID != job.ID {
-		t.Fatalf("dataset_id job = %d %+v, want content-hash cache hit on %s", resp.StatusCode, cached, job.ID)
-	}
-
-	// And so is a repeat of the spec itself (resolved through the spec alias).
-	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
-	var repeat JobResponse
-	if err := json.Unmarshal(body, &repeat); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !repeat.Cached || repeat.ID != job.ID {
-		t.Fatalf("spec repeat = %d %+v, want cache hit on %s", resp.StatusCode, repeat, job.ID)
-	}
-}
-
 // TestDatasetEndpointsWithoutStore: a daemon without -data-dir answers 501
 // on the whole dataset surface and on dataset_id jobs.
 func TestDatasetEndpointsWithoutStore(t *testing.T) {
@@ -246,43 +216,6 @@ func TestPutDatasetValidation(t *testing.T) {
 	}
 	if st.Len() != 0 {
 		t.Fatalf("failed ingests left %d datasets in the store", st.Len())
-	}
-}
-
-// TestSpecJobHitsStoredDatasetResult is the reverse direction of content
-// unification: a dataset-ID job computes first, and a spec job generating
-// the very same content must be answered from that cached result (the
-// submit path re-checks the cache after ingest pins the content address).
-func TestSpecJobHitsStoredDatasetResult(t *testing.T) {
-	st := testStore(t)
-	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st})
-
-	spec := pathology.Representative()
-	spec.Tiles = 2
-	man, err := st.IngestDataset(pathology.Generate(spec))
-	if err != nil {
-		t.Fatalf("IngestDataset: %v", err)
-	}
-
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: man.ID})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("dataset job status = %d, body %s", resp.StatusCode, body)
-	}
-	var job JobResponse
-	if err := json.Unmarshal(body, &job); err != nil {
-		t.Fatal(err)
-	}
-	if pollDone(t, ts.URL, job.ID).State != "done" {
-		t.Fatal("dataset job did not complete")
-	}
-
-	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
-	var specJob JobResponse
-	if err := json.Unmarshal(body, &specJob); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || !specJob.Cached || specJob.ID != job.ID {
-		t.Fatalf("spec job = %d %+v, want cache hit on dataset job %s", resp.StatusCode, specJob, job.ID)
 	}
 }
 

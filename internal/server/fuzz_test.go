@@ -2,8 +2,8 @@ package server
 
 // FuzzJobRequest hardens the job-submission surface the same way FuzzParse
 // hardens the polygon text format: arbitrary JSON bodies must never panic
-// the decoder, the spec validation limits, or the cache-key hasher, and
-// every accepted request must satisfy the invariants the handlers rely on.
+// the decoder, the validation, or the cache-key hasher, and every accepted
+// request must satisfy the invariants the handlers rely on.
 
 import (
 	"bytes"
@@ -18,7 +18,7 @@ import (
 func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte(`{"corpus":"oligoastroIII_1"}`))
 	f.Add([]byte(`{"spec":{"Name":"x","Seed":1,"Tiles":2}}`))
-	f.Add([]byte(`{"spec":{"Name":"x","Tiles":4096,"Gen":{"Objects":4096,"TileSize":16384}}}`))
+	f.Add([]byte(`{"dataset_id":"` + strings.Repeat("ab", 32) + `","corpus":"oligoastroIII_1"}`))
 	f.Add([]byte(`{"tasks":[{"tile":0,"raw_a":"MA==","raw_b":"MA=="}]}`))
 	f.Add([]byte(`{"dataset_id":"` + strings.Repeat("ab", 32) + `"}`))
 	f.Add([]byte(`{"dataset_id":"../../etc/passwd"}`))
@@ -28,9 +28,9 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte(`{"dataset_b":"` + strings.Repeat("ab", 32) + `"}`))
 	f.Add([]byte(`{"dataset_a":"x","dataset_b":"y"}`))
 	f.Add([]byte(`{"dataset_a":"` + strings.Repeat("ab", 32) + `","dataset_b":"` + strings.Repeat("ab", 32) + `","dataset_id":"` + strings.Repeat("ab", 32) + `"}`))
-	f.Add([]byte(`{"corpus":"a","spec":{"Name":"b","Tiles":1}}`))
-	f.Add([]byte(`{"spec":{"Tiles":-1}}`))
-	f.Add([]byte(`{"spec":{"Tiles":1,"Gen":{"Noise":1e308,"MeanRadius":-1}}}`))
+	f.Add([]byte(`{"tasks":[{"tile":0,"raw_a":"MA==","raw_b":"MA=="}],"spec":{"Name":"x","Tiles":1}}`))
+	f.Add([]byte(`{"dataset_a":"` + strings.Repeat("ab", 32) + `","dataset_b":"` + strings.Repeat("cd", 32) + `","corpus":"oligoastroIII_1"}`))
+	f.Add([]byte(`{"spec":null}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{}`))
 
@@ -50,12 +50,6 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		// Invariants of accepted requests.
 		forms := 0
-		if req.Corpus != "" {
-			forms++
-		}
-		if req.Spec != nil {
-			forms++
-		}
 		if len(req.Tasks) > 0 {
 			forms++
 		}
@@ -74,15 +68,6 @@ func FuzzJobRequest(f *testing.F) {
 		if req.DatasetA != "" || req.DatasetB != "" {
 			if !store.ValidateID(req.DatasetA) || !store.ValidateID(req.DatasetB) {
 				t.Fatalf("checkRequest accepted malformed cross pair %q/%q", req.DatasetA, req.DatasetB)
-			}
-		}
-		if req.Spec != nil {
-			if req.Spec.Tiles <= 0 || req.Spec.Tiles > maxSpecTiles {
-				t.Fatalf("checkRequest accepted spec.Tiles = %d", req.Spec.Tiles)
-			}
-			if req.Spec.Tiles*max(req.Spec.Gen.Objects, 1) > maxSpecBlobs {
-				t.Fatalf("checkRequest accepted blob product %d * %d",
-					req.Spec.Tiles, req.Spec.Gen.Objects)
 			}
 		}
 		if len(req.Tasks) > maxTaskCount {
@@ -108,6 +93,9 @@ func FuzzMatrixRequest(f *testing.F) {
 	f.Add([]byte(`{"datasets":["../../etc/passwd","` + idB + `"]}`))
 	f.Add([]byte(`{"datasets":[]}`))
 	f.Add([]byte(`{"datasets":null}`))
+	f.Add([]byte(`{"tasks":[{"tile":0,"raw_a":"MA==","raw_b":"MA=="}],"spec":{"Name":"x","Tiles":1}}`))
+	f.Add([]byte(`{"dataset_a":"` + strings.Repeat("ab", 32) + `","dataset_b":"` + strings.Repeat("cd", 32) + `","corpus":"oligoastroIII_1"}`))
+	f.Add([]byte(`{"spec":null}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"set_a":["` + idA + `"],"set_b":["` + idB + `"]}`))

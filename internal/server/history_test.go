@@ -109,7 +109,9 @@ func TestStorelessAnswerOutlivesItsJob(t *testing.T) {
 	srv, sc, ts := newTestServer(t, sched.Config{Devices: 1}, Options{})
 	spec := pathology.Representative()
 	spec.Tiles = 1
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
+	d := pathology.Generate(spec)
+	req := JobRequest{Tasks: uploadTasks(d)}
+	resp, body := postJSON(t, ts.URL+"/jobs", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
 	}
@@ -130,7 +132,6 @@ func TestStorelessAnswerOutlivesItsJob(t *testing.T) {
 		}
 	}
 
-	d := pathology.Generate(spec)
 	tiny := pipeline.PolyTask{A: d.Pairs[0].A[:1], B: d.Pairs[0].B[:1]}
 	for i := 0; i < keptJobs+76; i++ {
 		id, err := sc.SubmitJob(sched.Tasks([]pipeline.PolyTask{tiny}), sched.JobOpts{Name: "unrelated"})
@@ -153,7 +154,7 @@ func TestStorelessAnswerOutlivesItsJob(t *testing.T) {
 		return n
 	}
 	launchesBefore, submitted := launches(), sc.Stats().Submitted
-	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
+	resp, body = postJSON(t, ts.URL+"/jobs", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat = %d, want 200: %s", resp.StatusCode, body)
 	}

@@ -13,36 +13,42 @@ import (
 	"time"
 
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/pipeline"
-	"repro/internal/querylog"
-	"repro/internal/retention"
 	"repro/internal/sched"
 	"repro/internal/store"
 )
 
-// TestInputFormsOneAnswer submits one generated 4-tile corpus in five forms —
-// spec with a store, spec without one, spec degraded by a store budget
-// smaller than the dataset, its polygon text as tasks, and its content ID —
-// and requires each report to equal, bit for bit and tile partials included,
-// pipeline.Run over the corpus's text. The store-backed forms must read
-// their tiles from the store. A sixth form, POST /compare, sends the first
-// tile's text and must answer pipeline.Run over that tile.
+// TestInputFormsOneAnswer submits one generated 4-tile corpus in four forms —
+// its polygon text as tasks, its content ID, a cross job pairing its set A
+// with its set B stored in another dataset, and its content ID after a
+// PUT /datasets of its text — and requires each report to equal, bit for bit
+// and tile partials included, pipeline.Run over the corpus's text. The
+// store-backed forms must read their tiles from the store. A fifth form,
+// POST /compare, sends the first tile's text and must answer pipeline.Run
+// over that tile.
 func TestInputFormsOneAnswer(t *testing.T) {
 	spec := pathology.Representative()
 	spec.Name = "forms"
 	spec.Tiles = 4
 	d := pathology.Generate(spec)
-	files := pipeline.EncodeDataset(d)
+	files := pathologytest.Tasks(d)
 	want, err := pipeline.Run(files, pipeline.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := make([]TaskPayload, len(files))
-	for i, f := range files {
-		tasks[i] = TaskPayload{Image: f.Image, Tile: f.Tile, RawA: f.RawA, RawB: f.RawB}
-	}
 	holder := testStoreAt(t, t.TempDir())
-	man, err := holder.IngestDataset(d)
+	man, err := pathologytest.Ingest(holder, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// setB holds the corpus's set B under the same tile keys, beside a set A
+	// that makes its content (and ID) differ from man's.
+	tilesB := make([]store.IngestTile, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tilesB[i] = store.IngestTile{Image: tp.Image, Tile: tp.Index, A: tp.B, B: tp.B}
+	}
+	setB, err := holder.Ingest("forms-b", tilesB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +57,20 @@ func TestInputFormsOneAnswer(t *testing.T) {
 		name      string
 		opts      Options
 		req       JobRequest
-		degraded  bool
+		put       bool // PUT the corpus's text first and submit the ID it answers
 		fromStore bool
 	}{
-		{"spec with a store", Options{Store: testStoreAt(t, t.TempDir())}, JobRequest{Spec: &spec}, false, true},
-		{"spec without a store", Options{}, JobRequest{Spec: &spec}, false, false},
-		{"spec degraded", Options{Store: testStoreAt(t, t.TempDir()), Retention: retention.Policy{
-			MaxBytes: store.DatasetBytes(d) - 1, SweepInterval: time.Hour}}, JobRequest{Spec: &spec}, true, false},
-		{"tasks", Options{}, JobRequest{Tasks: tasks}, false, false},
+		{"tasks", Options{}, JobRequest{Tasks: uploadTasks(d)}, false, false},
 		{"dataset_id", Options{Store: holder}, JobRequest{DatasetID: man.ID}, false, true},
+		{"dataset_a+dataset_b", Options{Store: holder}, JobRequest{DatasetA: man.ID, DatasetB: setB.ID}, false, true},
+		{"PUT then dataset_id", Options{Store: testStoreAt(t, t.TempDir())}, JobRequest{}, true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			srv, sc, ts := newTestServer(t, sched.Config{Devices: 2}, c.opts)
+			if c.put {
+				c.req.DatasetID = putOK(t, ts.URL, "forms", d).ID
+			}
 			c.req.NoCache = true
 			resp, body := postJSON(t, ts.URL+"/jobs", c.req)
 			if resp.StatusCode != http.StatusAccepted {
@@ -72,9 +79,6 @@ func TestInputFormsOneAnswer(t *testing.T) {
 			var jr JobResponse
 			if err := json.Unmarshal(body, &jr); err != nil {
 				t.Fatal(err)
-			}
-			if jr.Degraded != c.degraded {
-				t.Fatalf("degraded = %v, want %v", jr.Degraded, c.degraded)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
@@ -111,30 +115,4 @@ func TestInputFormsOneAnswer(t *testing.T) {
 				got.Intersecting, got.Candidates, want.Similarity, want.Intersecting, want.Candidates)
 		}
 	})
-}
-
-// TestSpecIngestLogged: the ingest a spec job performs is recorded in the
-// query log like a PUT /datasets one — one kind=ingest record carrying the
-// content ID.
-func TestSpecIngestLogged(t *testing.T) {
-	st := testStoreAt(t, t.TempDir())
-	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st})
-	spec := qosSpec("logged", 5, 2)
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("spec job ingested %d datasets, want 1", st.Len())
-	}
-	var ql struct {
-		Records []querylog.Record `json:"records"`
-	}
-	getJSON(t, ts.URL+"/querylog?kind=ingest", &ql)
-	if len(ql.Records) != 1 {
-		t.Fatalf("%d ingest records, want 1: %+v", len(ql.Records), ql.Records)
-	}
-	if rec := ql.Records[0]; rec.ID != st.List()[0].ID || rec.Outcome != querylog.OutcomeIngested {
-		t.Fatalf("ingest record %+v, want outcome %q for dataset %s", rec, querylog.OutcomeIngested, st.List()[0].ID)
-	}
 }

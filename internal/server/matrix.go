@@ -125,9 +125,17 @@ func (s *Server) startMatrix(req MatrixRequest, who tenant.Quota) (run *compare.
 	return run, http.StatusAccepted, nil
 }
 
-// SubmitMatrix validates and starts a matrix run as the default tenant,
-// returning the run ID. It is the non-HTTP entry the facade uses.
-func (s *Server) SubmitMatrix(req MatrixRequest) (string, error) {
+// SubmitMatrix starts a symmetric K-way matrix run over stored dataset IDs
+// as the default tenant: all K·(K−1)/2 cells as one cancellable run,
+// deduplicated through the result store. Poll with Matrix.
+func (s *Server) SubmitMatrix(ids []string) (string, error) {
+	return s.SubmitMatrixQuery(MatrixRequest{Datasets: ids})
+}
+
+// SubmitMatrixQuery validates and starts a matrix run from the full request
+// form as the default tenant, returning the run ID: symmetric over Datasets
+// or bipartite SetA×SetB, optionally progressive (TopK, MinSimilarity).
+func (s *Server) SubmitMatrixQuery(req MatrixRequest) (string, error) {
 	run, _, err := s.startMatrix(req, s.tenants.Resolve(""))
 	if err != nil {
 		return "", err
@@ -148,7 +156,7 @@ func (s *Server) Matrix(id string) (compare.Status, bool) {
 }
 
 // WaitMatrix blocks until the run's version exceeds since (or the run is
-// terminal, or ctx expires) and returns the fresh snapshot. Facade entry.
+// terminal, or ctx expires) and returns the fresh snapshot.
 func (s *Server) WaitMatrix(ctx context.Context, id string, since int64) (compare.Status, bool) {
 	if s.matrix == nil {
 		return compare.Status{}, false

@@ -16,10 +16,6 @@ package server
 //	429 store_busy        the dataset would fit, but a synchronous sweep
 //	                      could not free enough right now (pins); retry
 //	429 tenant_queue      the tenant's queued-job quota is reached
-//
-// Spec/corpus jobs never 413 on store pressure: the job can run without
-// the store, so ingest is skipped and the submission degrades to
-// uncached execution (flagged in the response and counted).
 
 import (
 	"errors"
@@ -149,15 +145,11 @@ func (s *Server) failAdmission(w http.ResponseWriter, who tenant.Quota, aerr *ad
 }
 
 // bandFor picks a submission's QoS band: an explicit request band wins,
-// otherwise generated inputs (spec/corpus — they materialize and possibly
-// ingest a dataset) run as ingest work and everything else is interactive.
-// Matrix cells are batch (set explicitly by the cell submitter).
+// otherwise the job is interactive. Matrix cells are batch (set explicitly
+// by the cell submitter).
 func bandFor(req JobRequest) (sched.Band, error) {
 	if req.Band != "" {
 		return sched.ParseBand(req.Band)
-	}
-	if req.Spec != nil || req.Corpus != "" {
-		return sched.BandIngest, nil
 	}
 	return sched.BandInteractive, nil
 }

@@ -1,8 +1,8 @@
 package server
 
 // Multi-tenant QoS regression tests: the byte-budget admission guarantee
-// (the store budget is never overshot — ingest evicts synchronously,
-// degrades, or rejects), tenant quota edges on the ingest surface,
+// (the store budget is never overshot — ingest evicts synchronously or
+// rejects), tenant quota edges on the ingest surface,
 // interactive latency under a batch matrix flood, mixed-band load racing
 // the retention sweeper, and the tenant dimension of the query log.
 
@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/querylog"
 	"repro/internal/retention"
 	"repro/internal/sched"
@@ -108,6 +109,17 @@ func waitUnpinned(t *testing.T, st *store.Store) {
 	}
 }
 
+// segmentBytes is the segment size d occupies once stored, measured on a
+// scratch store.
+func segmentBytes(t *testing.T, d *pathology.Dataset) int64 {
+	t.Helper()
+	man, err := pathologytest.Ingest(testStore(t), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return man.SegmentBytes
+}
+
 func qosSpec(name string, seed int64, tiles int) pathology.DatasetSpec {
 	spec := pathology.Representative()
 	spec.Name = name
@@ -116,91 +128,49 @@ func qosSpec(name string, seed int64, tiles int) pathology.DatasetSpec {
 	return spec
 }
 
-// TestSpecIngestRespectsByteBudget is the PR's byte-budget regression: a
-// spec submission whose dataset lands the store at the budget boundary must
-// trigger a synchronous targeted eviction — never an overshoot — and a
-// dataset that cannot fit at all must degrade to uncached execution with
-// the store left untouched.
+// TestSpecIngestRespectsByteBudget is the byte-budget regression: an ingest
+// that lands the store at the budget boundary must trigger a synchronous
+// targeted eviction — never an overshoot — and a dataset that cannot fit at
+// all must answer a structured 413 with the store left untouched.
 func TestSpecIngestRespectsByteBudget(t *testing.T) {
-	specA := qosSpec("budget-a", 1, 2)
-	specB := qosSpec("budget-b", 2, 2)
-	sizeA := store.DatasetBytes(pathology.Generate(specA))
-	sizeB := store.DatasetBytes(pathology.Generate(specB))
+	dA := pathology.Generate(qosSpec("budget-a", 1, 2))
+	dB := pathology.Generate(qosSpec("budget-b", 2, 2))
+	sizeA, sizeB := segmentBytes(t, dA), segmentBytes(t, dB)
 	// Room for either dataset alone, never both.
 	budget := sizeA + sizeB/2
 
 	st := testStoreAt(t, t.TempDir())
-	srv, _, ts := newTestServer(t, sched.Config{Devices: 1},
+	_, _, ts := newTestServer(t, sched.Config{Devices: 1},
 		Options{Store: st, Retention: retention.Policy{MaxBytes: budget, SweepInterval: time.Hour}})
 
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &specA})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("spec A submit = %d: %s", resp.StatusCode, body)
-	}
-	var jrA JobResponse
-	if err := json.Unmarshal(body, &jrA); err != nil {
-		t.Fatal(err)
-	}
-	if jrA.Degraded {
-		t.Fatal("spec A degraded with an empty store")
-	}
-	if jrA.Band != sched.BandIngest.String() {
-		t.Fatalf("spec job band = %q, want ingest", jrA.Band)
-	}
-	if done := pollDone(t, ts.URL, jrA.ID); done.State != "done" {
-		t.Fatalf("spec A ended %s: %s", done.State, done.Error)
-	}
+	putOK(t, ts.URL, "budget-a", dA)
 	if got := st.TotalBytes(); got != sizeA || got > budget {
 		t.Fatalf("store holds %d bytes after A, want %d within budget %d", got, sizeA, budget)
 	}
-	waitUnpinned(t, st)
 
 	// B displaces A: admission evicts synchronously before a byte lands.
-	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &specB})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("spec B submit = %d: %s", resp.StatusCode, body)
-	}
-	var jrB JobResponse
-	if err := json.Unmarshal(body, &jrB); err != nil {
-		t.Fatal(err)
-	}
-	if jrB.Degraded {
-		t.Fatal("spec B degraded; want synchronous eviction of A to admit it")
-	}
-	if done := pollDone(t, ts.URL, jrB.ID); done.State != "done" {
-		t.Fatalf("spec B ended %s: %s", done.State, done.Error)
-	}
+	putOK(t, ts.URL, "budget-b", dB)
 	if got := st.TotalBytes(); got != sizeB || got > budget {
 		t.Fatalf("store holds %d bytes after B, want %d within budget %d", got, sizeB, budget)
 	}
 	if len(st.List()) != 1 {
 		t.Fatalf("store lists %d datasets, want only B after the targeted evict", len(st.List()))
 	}
-	waitUnpinned(t, st)
 
-	// A dataset bigger than the whole budget can never be stored: the job
-	// degrades to uncached execution and still answers correctly.
-	specHuge := qosSpec("budget-huge", 3, 6)
-	if huge := store.DatasetBytes(pathology.Generate(specHuge)); huge <= budget {
-		t.Fatalf("test setup: huge spec is %d bytes, want > budget %d", huge, budget)
+	// A dataset bigger than the whole budget can never be stored.
+	dHuge := pathology.Generate(qosSpec("budget-huge", 3, 6))
+	if huge := segmentBytes(t, dHuge); huge <= budget {
+		t.Fatalf("test setup: huge dataset is %d bytes, want > budget %d", huge, budget)
 	}
-	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &specHuge})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("huge spec submit = %d: %s", resp.StatusCode, body)
+	resp, body := putDataset(t, ts.URL+"/datasets?name=budget-huge", datasetPayload(t, dHuge))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("huge PUT = %d: %s, want 413", resp.StatusCode, body)
 	}
-	var jrH JobResponse
-	if err := json.Unmarshal(body, &jrH); err != nil {
-		t.Fatal(err)
-	}
-	if !jrH.Degraded {
-		t.Fatal("over-budget spec not flagged degraded")
-	}
-	done := pollDone(t, ts.URL, jrH.ID)
-	if done.State != "done" || done.Report == nil {
-		t.Fatalf("degraded job ended %s with report %v", done.State, done.Report)
+	if code, _ := admissionBody(t, body); code != "store_full" {
+		t.Fatalf("huge PUT rejected as %q, want store_full", code)
 	}
 	if got := st.TotalBytes(); got != sizeB {
-		t.Fatalf("degraded ingest touched the store: %d bytes, want %d", got, sizeB)
+		t.Fatalf("rejected ingest touched the store: %d bytes, want %d", got, sizeB)
 	}
 
 	var metricsBuf bytes.Buffer
@@ -210,15 +180,9 @@ func TestSpecIngestRespectsByteBudget(t *testing.T) {
 	}
 	metricsBuf.ReadFrom(mresp.Body)
 	mresp.Body.Close()
-	for _, want := range []string{
-		"sccgd_qos_degraded_uncached_total 1",
-		`sccgd_admission_rejected_total{reason="store_full"}`,
-	} {
-		if !strings.Contains(metricsBuf.String(), want) {
-			t.Errorf("metrics missing %q", want)
-		}
+	if want := `sccgd_admission_rejected_total{reason="store_full"}`; !strings.Contains(metricsBuf.String(), want) {
+		t.Errorf("metrics missing %q", want)
 	}
-	_ = srv
 }
 
 // TestPutDatasetTenantQuotaEdges drives the tenant byte and dataset-count
@@ -228,7 +192,7 @@ func TestPutDatasetTenantQuotaEdges(t *testing.T) {
 	d1 := pathology.Generate(qosSpec("quota-1", 11, 1))
 	d2 := pathology.Generate(qosSpec("quota-2", 12, 1))
 	d3 := pathology.Generate(qosSpec("quota-3", 13, 1))
-	size1, size2 := store.DatasetBytes(d1), store.DatasetBytes(d2)
+	size1, size2 := segmentBytes(t, d1), segmentBytes(t, d2)
 
 	cfg := testTenants(t, fmt.Sprintf(`{
 		"tenants": [
@@ -400,15 +364,39 @@ func TestInteractiveNotStarvedByMatrix(t *testing.T) {
 	}
 }
 
-// TestQoSMixedBandSweeperContention exercises mixed-band submissions racing
-// on-demand retention sweeps over a small store — the race-detector target
-// for the QoS paths (run under -race in CI).
+// TestQoSMixedBandSweeperContention exercises mixed-band submissions and
+// uploads racing on-demand retention sweeps over a small store — the
+// race-detector target for the QoS paths (run under -race in CI). Three
+// datasets are stored first for the batch jobs; each ingest-band job PUTs
+// its own dataset while the others run. The budget holds them all, so the
+// sweeps race every request without evicting what a job still has to read.
 func TestQoSMixedBandSweeperContention(t *testing.T) {
-	specSeed := qosSpec("contend-0", 40, 1)
-	size := store.DatasetBytes(pathology.Generate(specSeed))
+	var bodies [][]byte
+	var budget int64
+	for i := 0; i < 7; i++ {
+		d := pathology.Generate(qosSpec(fmt.Sprintf("contend-%d", i), int64(41+i), 1))
+		bodies = append(bodies, datasetPayload(t, d))
+		budget += segmentBytes(t, d)
+	}
 	st := testStoreAt(t, t.TempDir())
 	_, _, ts := newTestServer(t, sched.Config{Devices: 2},
-		Options{Store: st, Retention: retention.Policy{MaxBytes: 3 * size, SweepInterval: time.Hour}})
+		Options{Store: st, Retention: retention.Policy{MaxBytes: budget, SweepInterval: time.Hour}})
+	put := func(body []byte) (string, error) {
+		resp, out := putDataset(t, ts.URL+"/datasets", body)
+		var man DatasetResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(out, &man) != nil {
+			return "", fmt.Errorf("PUT = %d: %s", resp.StatusCode, out)
+		}
+		return man.ID, nil
+	}
+	var ids []string
+	for _, body := range bodies[:3] {
+		id, err := put(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
 
 	stop := make(chan struct{})
 	var sweeps sync.WaitGroup
@@ -436,10 +424,14 @@ func TestQoSMixedBandSweeperContention(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			spec := qosSpec(fmt.Sprintf("contend-%d", i%3), int64(41+i%3), 1)
-			req := JobRequest{Spec: &spec}
-			if i%2 == 1 {
-				req.Band = sched.BandBatch.String()
+			req := JobRequest{DatasetID: ids[i%3], Band: sched.BandBatch.String()}
+			if i%2 == 0 {
+				id, err := put(bodies[3+i/2])
+				if err != nil {
+					t.Errorf("upload %d: %v", i, err)
+					return
+				}
+				req = JobRequest{DatasetID: id, Band: sched.BandIngest.String()}
 			}
 			resp, body := postJSON(t, ts.URL+"/jobs", req)
 			if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
@@ -462,8 +454,8 @@ func TestQoSMixedBandSweeperContention(t *testing.T) {
 	}
 	close(stop)
 	sweeps.Wait()
-	if got := st.TotalBytes(); got > 3*size {
-		t.Fatalf("store overshot the budget under contention: %d > %d", got, 3*size)
+	if got := st.TotalBytes(); got > budget {
+		t.Fatalf("store overshot the budget under contention: %d > %d", got, budget)
 	}
 }
 

@@ -15,10 +15,6 @@ package server
 //     repeat jobs and matrix cells without recompute. A slot with an entry
 //     and no live job answers cached-<12 hex>.
 //
-// Beside the table, aliases record which stored dataset a generated
-// spec/corpus request materialized into, so repeats of the spec resolve to
-// the content key without regenerating anything.
-//
 // No entry enters the table — a job's own report, a peer's answer, a
 // file found at boot — without passing validate, which re-folds the report's
 // per-tile ratio partials in canonical order and requires the fold to
@@ -48,10 +44,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/trace"
 )
-
-// maxAliases bounds the spec-alias map. Past it an arbitrary alias goes; the
-// spec it named re-materializes (deduplicated by the store) on its next use.
-const maxAliases = 1024
 
 // resultEntry is one finished comparison: a slot's on-disk record and,
 // embedded in peerResult, the form peers exchange.
@@ -127,7 +119,7 @@ func entryFile(key string) string {
 
 // keyDatasetIDs returns the dataset content IDs a result key references: one
 // for a single-dataset key, two for a cross key, none for request-hash keys
-// (uploads, storeless spec jobs).
+// (uploads).
 func keyDatasetIDs(key string) []string {
 	if rest, ok := strings.CutPrefix(key, "dataset\x00"); ok {
 		return []string{rest}
@@ -161,9 +153,8 @@ type resultStore struct {
 	evicted *metrics.Counter // slots the bound evicted
 	log     *slog.Logger
 
-	mu      sync.Mutex
-	slots   map[string]*resultSlot
-	aliases map[string]string // spec request hash → dataset ID
+	mu    sync.Mutex
+	slots map[string]*resultSlot
 }
 
 // newResultStore creates the table, bounded to maxEntries slots. With a
@@ -172,8 +163,7 @@ type resultStore struct {
 func newResultStore(maxEntries int, ds *store.Store, job func(string) (sched.JobStatus, bool), evicted *metrics.Counter, log *slog.Logger) *resultStore {
 	rs := &resultStore{
 		max: maxEntries, ds: ds, job: job, evicted: evicted, log: log,
-		slots:   make(map[string]*resultSlot),
-		aliases: make(map[string]string),
+		slots: make(map[string]*resultSlot),
 	}
 	if ds != nil {
 		rs.load(filepath.Join(ds.Dir(), "cache"))
@@ -438,10 +428,9 @@ func (rs *resultStore) enforceLocked() {
 }
 
 // dropDataset is the delete cascade: every slot whose key references the
-// dataset — its own result and every cross result it participates in — and
-// every alias resolving to it go, under one lock, so a deleted dataset's
-// results are never served again and a re-submitted spec falls back to
-// re-materialization. It returns how many went.
+// dataset — its own result and every cross result it participates in — goes,
+// under one lock, so a deleted dataset's results are never served again. It
+// returns how many went.
 func (rs *resultStore) dropDataset(id string) int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -452,18 +441,11 @@ func (rs *resultStore) dropDataset(id string) int {
 			n++
 		}
 	}
-	for spec, ds := range rs.aliases {
-		if ds == id {
-			delete(rs.aliases, spec)
-			n++
-		}
-	}
 	return n
 }
 
 // clear empties the table (entry files included), returning how many slots
-// it held. Aliases stay: they point at live datasets, and dataset deletion is
-// what invalidates them.
+// it held.
 func (rs *resultStore) clear() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -485,25 +467,4 @@ func (rs *resultStore) counts() (slots, entries int) {
 		}
 	}
 	return len(rs.slots), entries
-}
-
-// alias returns the dataset a spec request hash materialized into.
-func (rs *resultStore) alias(spec string) (string, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	id, ok := rs.aliases[spec]
-	return id, ok
-}
-
-// setAlias remembers that the spec request hash materialized into dataset id.
-func (rs *resultStore) setAlias(spec, id string) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if _, ok := rs.aliases[spec]; !ok && len(rs.aliases) >= maxAliases {
-		for victim := range rs.aliases {
-			delete(rs.aliases, victim)
-			break
-		}
-	}
-	rs.aliases[spec] = id
 }

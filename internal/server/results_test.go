@@ -1,7 +1,7 @@
 package server
 
 // White-box tests of the result store: one standard for everything that
-// enters it, one cascade over the table and its aliases, and single-flight.
+// enters it, one cascade over the table, and single-flight.
 
 import (
 	"encoding/json"
@@ -167,9 +167,9 @@ func TestLoadSweepsCrashedTempFiles(t *testing.T) {
 }
 
 // TestDropDatasetCoversEveryTier: one dataset delete removes the slots of
-// the dataset's own key and its cross keys (entry files included) and the
-// spec alias resolving to it, leaves the other dataset's untouched, and
-// reports the keys plus aliases to sccgd_cache_cascade_dropped_total.
+// the dataset's own key and its cross keys (entry files included), leaves
+// the other dataset's untouched, and reports the keys to
+// sccgd_cache_cascade_dropped_total.
 func TestDropDatasetCoversEveryTier(t *testing.T) {
 	dir := t.TempDir()
 	st := testStoreAt(t, dir)
@@ -187,8 +187,6 @@ func TestDropDatasetCoversEveryTier(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs.setAlias("spec-gone", gone.ID)
-	rs.setAlias("spec-kept", kept.ID)
 
 	if err := st.Delete(gone.ID); err != nil {
 		t.Fatal(err)
@@ -199,14 +197,8 @@ func TestDropDatasetCoversEveryTier(t *testing.T) {
 	if n := persistedFiles(t, dir); n != 1 {
 		t.Fatalf("%d entry files after the cascade, want 1", n)
 	}
-	if _, ok := rs.alias("spec-gone"); ok {
-		t.Error("alias to the deleted dataset survived")
-	}
-	if id, ok := rs.alias("spec-kept"); !ok || id != kept.ID {
-		t.Error("alias to the kept dataset was dropped")
-	}
-	if got := srv.cascades.Value(); got != 4 {
-		t.Fatalf("sccgd_cache_cascade_dropped_total = %d, want 4 (3 keys + 1 alias)", got)
+	if got := srv.cascades.Value(); got != 3 {
+		t.Fatalf("sccgd_cache_cascade_dropped_total = %d, want 3 (the keys)", got)
 	}
 }
 

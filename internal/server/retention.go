@@ -12,8 +12,7 @@ package server
 //   - Cascade: the store's delete hook routes through dropDatasetResults,
 //     which has the result store drop everything referencing the dataset
 //     (resultStore.dropDataset) — a deleted dataset's results are never
-//     served again, and a re-submitted spec falls back to
-//     re-materialization.
+//     served again.
 //   - Pinning: every store-backed job submission pins its datasets first
 //     (Pin fails if the dataset is already gone, closing the race with a
 //     concurrent sweep) and wraps the task source so the scheduler unpins
@@ -125,12 +124,20 @@ func (s *Server) openPairPinned(idA, idB string) (name string, src sched.TaskSou
 	return name, wrapPinned(s.store, csrc, ids...), match, self, nil
 }
 
-// SubmitStored queues an uncached job comparing stored dataset idA's set-A
-// polygons against idB's set-B polygons over their shared tile keys
-// (idA == idB is the dataset's own job), bypassing HTTP and the result
-// store. Its datasets stay pinned until the job's terminal state, as for
-// every job the HTTP surface submits.
-func (s *Server) SubmitStored(idA, idB string) (string, compare.Match, error) {
+// SubmitStored queues a job over a stored dataset by content ID, bypassing
+// HTTP and the result store: CompareStored(id, id).
+func (s *Server) SubmitStored(id string) (string, error) {
+	jobID, _, err := s.CompareStored(id, id)
+	return jobID, err
+}
+
+// CompareStored queues an uncached job comparing stored dataset idA's set-A
+// polygons against idB's set-B polygons over their shared tile keys,
+// bypassing HTTP and the result store. The match says which tiles paired
+// and which exist on only one side; idA == idB is the dataset's own job.
+// Its datasets stay pinned until the job's terminal state, as for every job
+// the HTTP surface submits.
+func (s *Server) CompareStored(idA, idB string) (string, compare.Match, error) {
 	if s.store == nil {
 		return "", compare.Match{}, errNoStore
 	}

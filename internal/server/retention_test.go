@@ -2,8 +2,8 @@ package server
 
 // Delete-lifecycle and retention regression tests: the cascade that keeps
 // deleted datasets' reports from being served (live, persisted, or
-// resurrected at boot), spec-alias invalidation, pinning against deletes
-// and sweeps, the clear mid-job delete failure, and the admin endpoints.
+// resurrected at boot), pinning against deletes and sweeps, the clear mid-job
+// delete failure, and the admin endpoints.
 
 import (
 	"context"
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/retention"
 	"repro/internal/sched"
@@ -179,71 +178,6 @@ func TestBootDropsOrphanedReports(t *testing.T) {
 	}
 	if n := persistedFiles(t, dir); n != 0 {
 		t.Fatalf("boot left %d orphaned entry file(s) on disk", n)
-	}
-}
-
-// TestSpecAliasDroppedOnDelete is the second regression: after its dataset
-// is deleted, a re-submitted spec job must fall back to re-materialization
-// (re-ingest and recompute) instead of resolving through the stale alias to
-// a missing dataset or a dead cache entry.
-func TestSpecAliasDroppedOnDelete(t *testing.T) {
-	st := testStoreAt(t, t.TempDir())
-	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st})
-
-	spec := pathology.Representative()
-	spec.Name = "alias"
-	spec.Seed = 3
-	spec.Tiles = 2
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("spec submit = %d: %s", resp.StatusCode, body)
-	}
-	var jr JobResponse
-	if err := json.Unmarshal(body, &jr); err != nil {
-		t.Fatal(err)
-	}
-	first := pollDone(t, ts.URL, jr.ID)
-	if first.State != "done" {
-		t.Fatalf("spec job ended %s: %s", first.State, first.Error)
-	}
-	if st.Len() != 1 {
-		t.Fatalf("spec job ingested %d datasets, want 1", st.Len())
-	}
-	id := st.List()[0].ID
-
-	if dresp, draw := doRequest(t, http.MethodDelete, ts.URL+"/datasets/"+id); dresp.StatusCode != http.StatusOK {
-		t.Fatalf("delete = %d: %s", dresp.StatusCode, draw)
-	}
-
-	// The alias is gone: the repeat recomputes and re-ingests.
-	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("post-delete spec submit = %d, want 202 recompute: %s", resp.StatusCode, body)
-	}
-	var second JobResponse
-	if err := json.Unmarshal(body, &second); err != nil {
-		t.Fatal(err)
-	}
-	if second.Cached || second.ID == jr.ID {
-		t.Fatalf("post-delete spec resubmit = %+v, want a fresh job", second)
-	}
-	redone := pollDone(t, ts.URL, second.ID)
-	if redone.State != "done" {
-		t.Fatalf("recomputed spec job ended %s: %s", redone.State, redone.Error)
-	}
-	if redone.Report.Similarity != first.Report.Similarity {
-		t.Error("recomputed report differs from the original; content is identical")
-	}
-	if st.Len() != 1 {
-		t.Fatalf("re-submission left %d datasets, want the re-ingested 1", st.Len())
-	}
-	if got := st.List()[0].ID; got != id {
-		t.Fatalf("re-ingest produced %s, want the original content ID %s", got, id)
-	}
-
-	// And the third submission hits the repaired cache.
-	if resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("third spec submit = %d, want 200 cache hit: %s", resp.StatusCode, body)
 	}
 }
 

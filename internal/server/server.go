@@ -25,14 +25,13 @@
 //	GET    /healthz                 liveness probe
 //
 // When a store is configured, the result cache keys on dataset *content*
-// hashes rather than request-spec hashes: a generated spec/corpus job is
-// ingested into the store on first materialization and its cache entry
-// re-keyed to the content ID, so a later job submitted by dataset_id against
-// the very same polygons hits the same entry — and the ID's content
-// addressing makes the hit exact by construction. Completed cache-keyed
-// reports are additionally written through to JSON files beside the store's
-// manifests and reloaded on boot, so a restarted daemon answers repeats
-// without recompute.
+// hashes: a job by dataset_id and a cross job over the same stored polygons
+// share one entry, and the ID's content addressing makes a hit exact by
+// construction. The daemon compares data, it does not make it: datasets
+// arrive through PUT /datasets (or a peer pull), never generated in the
+// request path. Completed cache-keyed reports are additionally written
+// through to JSON files beside the store's manifests and reloaded on boot,
+// so a restarted daemon answers repeats without recompute.
 //
 // Cross-dataset jobs ({"dataset_a", "dataset_b"}) compare dataset_a's set-A
 // polygons against dataset_b's set-B polygons over the tile keys the two
@@ -67,7 +66,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compare"
 	"repro/internal/metrics"
-	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/querylog"
 	"repro/internal/retention"
@@ -128,8 +126,7 @@ type Server struct {
 	sched *sched.Scheduler
 	store *store.Store
 	// results owns every "is this comparison already known?" answer: the
-	// result table, spec aliases, and the delete cascade over them (see
-	// results.go).
+	// result table and the delete cascade over it (see results.go).
 	results *resultStore
 	// matrix orchestrates K-way similarity matrix runs; nil without a store.
 	matrix *compare.Manager
@@ -168,7 +165,6 @@ type Server struct {
 	ingestFails *metrics.Counter
 	matrixRuns  *metrics.Counter
 	cascades    *metrics.Counter
-	degradedUnc *metrics.Counter
 	// remoteHits is non-nil only when a cluster node is configured.
 	remoteHits *metrics.Counter
 }
@@ -204,7 +200,6 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		ingestFails: opts.Registry.Counter("sccgd_dataset_ingest_failures_total"),
 		matrixRuns:  opts.Registry.Counter("sccgd_matrix_runs_total"),
 		cascades:    opts.Registry.Counter("sccgd_cache_cascade_dropped_total"),
-		degradedUnc: opts.Registry.Counter("sccgd_qos_degraded_uncached_total"),
 	}
 	// Result-store, scheduler, matrix and store metrics render from one
 	// snapshot each per scrape and merge into the registry's sorted, typed
@@ -414,22 +409,18 @@ type TaskPayload struct {
 }
 
 // JobRequest submits one cross-comparison job. Exactly one input form must
-// be set: Corpus (a named corpus dataset), Spec (a full synthetic dataset
-// spec), Tasks (raw tile files), DatasetID (a dataset previously ingested
+// be set: Tasks (raw tile files), DatasetID (a dataset previously ingested
 // into the store via PUT /datasets), or the DatasetA/DatasetB pair (a
 // cross-dataset comparison of two stored datasets: A's set-A polygons
 // against B's set-B polygons over their shared tile keys).
 type JobRequest struct {
-	Corpus    string                 `json:"corpus,omitempty"`
-	Spec      *pathology.DatasetSpec `json:"spec,omitempty"`
-	Tasks     []TaskPayload          `json:"tasks,omitempty"`
-	DatasetID string                 `json:"dataset_id,omitempty"`
-	DatasetA  string                 `json:"dataset_a,omitempty"`
-	DatasetB  string                 `json:"dataset_b,omitempty"`
-	NoCache   bool                   `json:"no_cache,omitempty"`
+	Tasks     []TaskPayload `json:"tasks,omitempty"`
+	DatasetID string        `json:"dataset_id,omitempty"`
+	DatasetA  string        `json:"dataset_a,omitempty"`
+	DatasetB  string        `json:"dataset_b,omitempty"`
+	NoCache   bool          `json:"no_cache,omitempty"`
 	// Band optionally overrides the job's QoS band ("interactive", "batch",
-	// "ingest"); unset picks by request form (spec/corpus → ingest, the
-	// rest → interactive).
+	// "ingest"); unset runs the job as interactive.
 	Band string `json:"band,omitempty"`
 }
 
@@ -537,9 +528,6 @@ type JobResponse struct {
 	// Band and Tenant are the job's QoS placement.
 	Band   string `json:"band,omitempty"`
 	Tenant string `json:"tenant,omitempty"`
-	// Degraded marks a spec/corpus job that ran uncached because admission
-	// control could not fit its dataset in the store (see qos.go).
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // jobResponse projects a job snapshot to the wire, attaching cross-dataset
@@ -641,25 +629,22 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota) (submission, 
 	}
 
 	// Look the request up before materializing it: a cache hit must not pay
-	// for dataset generation or store reads. cacheKey resolves to the
-	// dataset content hash whenever it can.
+	// for store reads or pins.
 	key := ""
 	if !req.NoCache {
-		key = s.cacheKey(req)
+		key = cacheKey(req)
 		if sub, ok := s.resolveCached(key); ok {
 			s.recordJobSub(req, sub, reqStart, who, band)
 			return sub, nil
 		}
-		// The miss is counted only once the job is really submitted: the
-		// re-key path below may still turn this request into a hit.
 	}
 
 	// The recorder starts here so the trace covers pre-scheduler time:
-	// pinning, dataset generation, ingest, and store opens all land in the
-	// materialize span (with pin sub-spans recorded inside).
+	// peer pulls, pinning and store opens all land in the materialize span
+	// (with pin sub-spans recorded inside).
 	rec := trace.NewRecorder()
 	matStart := time.Now()
-	mat, err := s.materializeRequest(rec, who, req)
+	mat, err := s.materializeRequest(rec, req)
 	rec.Add("materialize", requestForm(req), matStart, time.Now())
 	if err != nil {
 		code := http.StatusUnprocessableEntity
@@ -667,19 +652,6 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota) (submission, 
 			code = http.StatusNotFound
 		}
 		return submission{code: code}, err
-	}
-	if key != "" && mat.contentKey != "" && mat.contentKey != key {
-		// Materialization pinned the content address (e.g. a spec was
-		// ingested into the store): cache under it, so a later submission
-		// of the same content by dataset_id hits this entry — and re-check
-		// the cache, since this very content may already have a result
-		// computed under another request form.
-		key = mat.contentKey
-		if sub, ok := s.resolveCached(key); ok {
-			releaseSource(mat.src) // no job will own the pinned source
-			s.recordJobSub(req, sub, reqStart, who, band)
-			return sub, nil
-		}
 	}
 	if key != "" {
 		s.cacheMiss.Inc()
@@ -712,9 +684,7 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota) (submission, 
 		s.watchMu.Unlock()
 	}
 	st, _ := s.sched.Job(id)
-	resp := s.jobResponse(st, false)
-	resp.Degraded = mat.degraded
-	return submission{resp: resp, code: http.StatusAccepted, jobID: id}, nil
+	return submission{resp: s.jobResponse(st, false), code: http.StatusAccepted, jobID: id}, nil
 }
 
 // recordJobSub appends a query-log record for a cache-answered submission
@@ -915,24 +885,16 @@ func crossKey(idA, idB string) string {
 }
 
 // cacheKey resolves a request to its result-cache key without materializing
-// anything. Dataset jobs key on the content hash directly; generated
-// requests whose content address is already known (a previous submission
-// ingested them) resolve through the result store's spec aliases to the same
-// content key.
-func (s *Server) cacheKey(req JobRequest) string {
+// anything: dataset jobs key on the content hash directly, uploads on a hash
+// of their bytes.
+func cacheKey(req JobRequest) string {
 	if req.DatasetID != "" {
 		return datasetKey(req.DatasetID)
 	}
 	if req.DatasetA != "" {
 		return crossKey(req.DatasetA, req.DatasetB)
 	}
-	key := requestKey(req)
-	if s.store != nil && (req.Corpus != "" || req.Spec != nil) {
-		if dsID, ok := s.results.alias(key); ok {
-			return datasetKey(dsID)
-		}
-	}
-	return key
+	return requestKey(req)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -1091,33 +1053,16 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Generation limits for user-supplied dataset specs: a spec is a few dozen
-// bytes but materializes into tiles of polygons, so unbounded values would
-// let one small request exhaust memory or pin the CPU. The corpus tops out
-// at 44 tiles of 52 objects (~2.3k blobs); these caps leave two orders of
-// magnitude of headroom while keeping one request's work bounded.
-const (
-	maxSpecTiles   = 4096
-	maxSpecObjects = 4096
-	maxSpecBlobs   = 1 << 18 // Tiles * Objects product cap
-	maxSpecTile    = 1 << 14
-	maxSpecRadius  = 512 // MeanRadius + RadiusSigma, pixels
-	maxTaskCount   = 65536
-)
+// maxTaskCount bounds the tiles one tasks upload may carry.
+const maxTaskCount = 65536
 
-// checkRequest validates a JobRequest without materializing it (no dataset
-// generation), so it is cheap to run before the cache lookup.
+// checkRequest validates a JobRequest without materializing it (no store
+// reads), so it is cheap to run before the cache lookup.
 func checkRequest(req JobRequest) error {
 	if (req.DatasetA != "") != (req.DatasetB != "") {
 		return errors.New("dataset_a and dataset_b must be set together")
 	}
 	forms := 0
-	if req.Corpus != "" {
-		forms++
-	}
-	if req.Spec != nil {
-		forms++
-	}
 	if len(req.Tasks) > 0 {
 		forms++
 	}
@@ -1128,7 +1073,7 @@ func checkRequest(req JobRequest) error {
 		forms++
 	}
 	if forms != 1 {
-		return errors.New("exactly one of corpus, spec, tasks, dataset_id, dataset_a+dataset_b must be set")
+		return errors.New("exactly one of tasks, dataset_id, dataset_a+dataset_b must be set")
 	}
 	switch {
 	case req.DatasetA != "":
@@ -1141,40 +1086,6 @@ func checkRequest(req JobRequest) error {
 	case req.DatasetID != "":
 		if !store.ValidateID(req.DatasetID) {
 			return fmt.Errorf("dataset_id %q is not a content hash (64 lowercase hex digits)", req.DatasetID)
-		}
-	case req.Corpus != "":
-		if _, ok := corpusByName(req.Corpus); !ok {
-			return fmt.Errorf("unknown corpus dataset %q", req.Corpus)
-		}
-	case req.Spec != nil:
-		spec := *req.Spec
-		if spec.Tiles <= 0 || spec.Tiles > maxSpecTiles {
-			return fmt.Errorf("spec.Tiles must be in 1..%d", maxSpecTiles)
-		}
-		g := spec.Gen
-		if g.Objects < 0 || g.Objects > maxSpecObjects {
-			return fmt.Errorf("spec.Gen.Objects must be in 0..%d", maxSpecObjects)
-		}
-		if spec.Tiles*max(g.Objects, 1) > maxSpecBlobs {
-			return fmt.Errorf("spec.Tiles * spec.Gen.Objects must not exceed %d", maxSpecBlobs)
-		}
-		if g.TileSize < 0 || g.TileSize > maxSpecTile {
-			return fmt.Errorf("spec.Gen.TileSize must be in 0..%d", maxSpecTile)
-		}
-		if g.MeanRadius < 0 || g.RadiusSigma < 0 || g.MeanRadius+g.RadiusSigma > maxSpecRadius {
-			return fmt.Errorf("spec.Gen.MeanRadius + RadiusSigma must be in 0..%d", maxSpecRadius)
-		}
-		for name, v := range map[string]float64{
-			"Noise":        g.Noise,
-			"JitterRadius": g.JitterRadius,
-			"DropRate":     g.DropRate,
-		} {
-			if v < 0 || v > 1 {
-				return fmt.Errorf("spec.Gen.%s must be in [0, 1]", name)
-			}
-		}
-		if g.JitterShift < 0 || g.JitterShift > maxSpecRadius {
-			return fmt.Errorf("spec.Gen.JitterShift must be in 0..%d", maxSpecRadius)
 		}
 	default:
 		if len(req.Tasks) > maxTaskCount {
@@ -1196,10 +1107,6 @@ func requestForm(req JobRequest) string {
 		return "cross"
 	case req.DatasetID != "":
 		return "dataset"
-	case req.Corpus != "":
-		return "corpus"
-	case req.Spec != nil:
-		return "spec"
 	}
 	return "tasks"
 }
@@ -1209,25 +1116,16 @@ func requestForm(req JobRequest) string {
 type materialized struct {
 	name string
 	src  sched.TaskSource
-	// contentKey is the content-hash cache key when materialization resolved
-	// one (e.g. a spec was ingested); empty when the content address stays
-	// unknown.
-	contentKey string
 	// cross is the tile-pairing metadata of a cross-dataset job.
 	cross *CrossPayload
-	// degraded marks a spec/corpus job whose dataset admission declined:
-	// the job runs uncached from memory instead of overshooting the budget.
-	degraded bool
 }
 
 // materializeRequest turns a checked JobRequest into the task source to
 // run. Dataset jobs come back as lazy store tile handles; cross-dataset
 // jobs as lazy tile-pair handles over the two segment files (cross carries
 // the pairing report); uploaded text is parsed here, so malformed text fails
-// the request instead of the job; generated requests go through
-// materializeGenerated. Pin acquisition is recorded into rec; who rides
-// along for admission.
-func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req JobRequest) (materialized, error) {
+// the request instead of the job. Pin acquisition is recorded into rec.
+func (s *Server) materializeRequest(rec *trace.Recorder, req JobRequest) (materialized, error) {
 	if req.DatasetA != "" {
 		// Pin before opening: after Pin succeeds no delete or retention
 		// sweep can remove the dataset, so the open below cannot race an
@@ -1245,7 +1143,7 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 		for _, id := range ids {
 			s.store.Touch(id)
 		}
-		m := materialized{name: name, src: csrc, contentKey: crossKey(req.DatasetA, req.DatasetB)}
+		m := materialized{name: name, src: csrc}
 		if !self {
 			// A self-comparison is the dataset's own embedded A-vs-B job
 			// (same cache key, bit-identical report), so no cross block:
@@ -1266,10 +1164,7 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 			return materialized{}, err
 		}
 		s.store.Touch(man.ID)
-		return materialized{name: man.DisplayName(), src: src, contentKey: datasetKey(man.ID)}, nil
-	}
-	if req.Corpus != "" || req.Spec != nil {
-		return s.materializeGenerated(who, req), nil
+		return materialized{name: man.DisplayName(), src: src}, nil
 	}
 	tasks := make([]pipeline.PolyTask, len(req.Tasks))
 	for i, t := range req.Tasks {
@@ -1282,106 +1177,17 @@ func (s *Server) materializeRequest(rec *trace.Recorder, who tenant.Quota, req J
 	return materialized{name: "upload", src: sched.Tasks(tasks)}, nil
 }
 
-// materializeGenerated resolves a spec or corpus request. With a store, the
-// job runs from the stored dataset exactly as a dataset_id job would: the
-// one its spec alias names (nothing is generated then), else the one
-// ingested now, when admission control accepts the bytes, so its results
-// can be cached (and later requested) by content hash. Without a store, or
-// when admission declines, the job runs from the generated polygons.
-func (s *Server) materializeGenerated(who tenant.Quota, req JobRequest) materialized {
-	var spec pathology.DatasetSpec
-	if req.Corpus != "" {
-		spec, _ = corpusByName(req.Corpus)
-	} else {
-		spec = *req.Spec
-		if spec.Gen == (pathology.GenConfig{}) {
-			spec.Gen = pathology.DefaultGenConfig()
-		}
-	}
-	m := materialized{name: spec.Name}
-	// stored points the job at dataset id; false when it is gone (a delete
-	// also drops the spec alias, so the content is materialized afresh).
-	stored := func(id string) bool {
-		src, _, err := s.openDatasetPinned(id)
-		if err != nil {
-			return false
-		}
-		s.store.Touch(id)
-		m.src, m.contentKey = src, datasetKey(id)
-		return true
-	}
-	specKey := requestKey(req)
-	if s.store != nil {
-		if known, ok := s.results.alias(specKey); ok && stored(known) {
-			return m
-		}
-	}
-	d := pathology.Generate(spec)
-	if s.store != nil {
-		// Admission gates the bytes BEFORE any write: the exact segment size
-		// is arithmetic over the generated polygons, so a dataset that would
-		// overshoot the byte budget (or the tenant's quota) never touches
-		// disk. A decline degrades the job to uncached in-memory execution —
-		// same result bytes, no persistence — rather than rejecting work the
-		// scheduler could still run.
-		if aerr := s.admitIngest(who, store.DatasetBytes(d)); aerr != nil {
-			m.degraded = true
-			s.degradedUnc.Inc()
-			s.log.Warn("spec ingest declined, job degraded to uncached",
-				"dataset", spec.Name, "tenant", who.Name, "reason", aerr.code)
-		} else {
-			ingestStart := time.Now()
-			man, err := s.store.IngestDataset(d)
-			if err != nil {
-				// The job still runs, degrading to request-hash caching —
-				// but visibly.
-				s.ingestFails.Inc()
-				s.log.Warn("ingest of generated dataset failed", "dataset", spec.Name, "err", err)
-			} else {
-				s.recordIngest(who, man, ingestStart)
-				s.results.setAlias(specKey, man.ID)
-				if stored(man.ID) {
-					return m
-				}
-			}
-		}
-	}
-	tasks := make([]pipeline.PolyTask, len(d.Pairs))
-	for i, tp := range d.Pairs {
-		tasks[i] = pipeline.PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
-	}
-	m.src = sched.Tasks(tasks)
-	return m
-}
-
-func corpusByName(name string) (pathology.DatasetSpec, bool) {
-	for _, spec := range pathology.Corpus() {
-		if spec.Name == name {
-			return spec, true
-		}
-	}
-	return pathology.DatasetSpec{}, false
-}
-
-// requestKey hashes the request's semantic identity — the dataset spec for
-// generated inputs, the raw bytes for uploads — into the result-cache key.
-// It reads only the request, never generated data, so it can run before
+// requestKey hashes an upload's tiles — image, tile and raw bytes — into
+// its result-cache key. It reads only the request, so it can run before
 // materialization.
 func requestKey(req JobRequest) string {
 	h := sha256.New()
-	switch {
-	case req.Corpus != "":
-		fmt.Fprintf(h, "corpus\x00%s", req.Corpus)
-	case req.Spec != nil:
-		fmt.Fprintf(h, "spec\x00%#v", *req.Spec)
-	default:
-		io.WriteString(h, "tasks")
-		for _, t := range req.Tasks {
-			fmt.Fprintf(h, "\x00%s\x00%d\x00", t.Image, t.Tile)
-			h.Write(t.RawA)
-			h.Write([]byte{0})
-			h.Write(t.RawB)
-		}
+	io.WriteString(h, "tasks")
+	for _, t := range req.Tasks {
+		fmt.Fprintf(h, "\x00%s\x00%d\x00", t.Image, t.Tile)
+		h.Write(t.RawA)
+		h.Write([]byte{0})
+		h.Write(t.RawB)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/pathology"
+	"repro/internal/pathologytest"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 )
@@ -87,6 +88,16 @@ func pollDone(t *testing.T, base, id string) JobResponse {
 	}
 }
 
+// uploadTasks is d's polygon text in the tasks form of POST /jobs.
+func uploadTasks(d *pathology.Dataset) []TaskPayload {
+	files := pathologytest.Tasks(d)
+	tasks := make([]TaskPayload, len(files))
+	for i, f := range files {
+		tasks[i] = TaskPayload{Image: f.Image, Tile: f.Tile, RawA: f.RawA, RawB: f.RawB}
+	}
+	return tasks
+}
+
 // TestSubmitPollFetchRoundTrip drives the full HTTP lifecycle and checks the
 // served similarity against a direct pipeline run over the same tasks.
 func TestSubmitPollFetchRoundTrip(t *testing.T) {
@@ -94,13 +105,13 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 
 	spec := pathology.Representative()
 	spec.Tiles = 4
-	tasks := pipeline.EncodeDataset(pathology.Generate(spec))
-	direct, err := pipeline.Run(tasks, pipeline.Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
+	d := pathology.Generate(spec)
+	direct, err := pipeline.Run(pathologytest.Tasks(d), pipeline.Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
+	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: uploadTasks(d)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 	}
@@ -176,9 +187,10 @@ func TestHealthzSlotsAndGPUs(t *testing.T) {
 // dataset submission with the original job and, critically, that no
 // additional kernels are launched on any pool device.
 func TestCacheHitSkipsRecompute(t *testing.T) {
-	_, s, ts := newTestServer(t, sched.Config{Devices: 2}, Options{})
+	_, s, ts := newTestServer(t, sched.Config{Devices: 2}, Options{Store: testStore(t)})
 
-	req := JobRequest{Corpus: "oligoastroIII_1"}
+	man := putOK(t, ts.URL, "oligoastroIII_1", pathology.Generate(pathology.Representative()))
+	req := JobRequest{DatasetID: man.ID}
 	resp, body := postJSON(t, ts.URL+"/jobs", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
@@ -242,14 +254,20 @@ func TestCacheHitSkipsRecompute(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{})
 
-	cases := []JobRequest{
-		{}, // no input form
-		{Corpus: "oligoastroIII_1", Tasks: []TaskPayload{{RawA: []byte("x"), RawB: []byte("y")}}}, // two forms
-		{Corpus: "no_such_dataset"},
-		{Tasks: []TaskPayload{{RawA: nil, RawB: []byte("y")}}},
-	}
-	for i, req := range cases {
-		resp, body := postJSON(t, ts.URL+"/jobs", req)
+	id := strings.Repeat("ab", 32)
+	for i, body := range []string{
+		`{}`, // no input form
+		`{"dataset_id":"` + id + `","tasks":[{"raw_a":"eA==","raw_b":"eQ=="}]}`, // two forms
+		`{"tasks":[{"raw_b":"eQ=="}]}`,
+		`{"corpus":"oligoastroIII_1"}`,
+		`{"spec":{"Name":"x","Seed":1,"Tiles":2}}`,
+		`{"dataset_id":"` + id + `","corpus":"oligoastroIII_1"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status = %d (body %s), want 400", i, resp.StatusCode, body)
 		}
@@ -274,16 +292,44 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestGeneratedFormsRefused: the daemon compares data, it does not make it.
+// A POST /jobs body naming a corpus dataset or a generator spec — alone or
+// beside a real input form — answers 400 naming the field, and nothing is
+// submitted or stored.
+func TestGeneratedFormsRefused(t *testing.T) {
+	st := testStore(t)
+	_, sc, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st})
+	id := strings.Repeat("ab", 32)
+	for _, tc := range []struct{ body, field string }{
+		{`{"corpus":"oligoastroIII_1"}`, "corpus"},
+		{`{"spec":{"Name":"x","Seed":1,"Tiles":2}}`, "spec"},
+		{`{"dataset_id":"` + id + `","corpus":"oligoastroIII_1"}`, "corpus"},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, `"`+tc.field+`"`) {
+			t.Errorf("%s: %d %q, want 400 naming %q", tc.body, resp.StatusCode, out.Error, tc.field)
+		}
+	}
+	if n := sc.Stats().Submitted; n != 0 {
+		t.Errorf("refused bodies submitted %d jobs, want none", n)
+	}
+	if st.Len() != 0 {
+		t.Errorf("refused bodies stored %d datasets, want none", st.Len())
+	}
+}
+
 func TestRawTaskSubmission(t *testing.T) {
 	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{})
 
 	spec := pathology.Representative()
 	spec.Tiles = 2
-	tasks := pipeline.EncodeDataset(pathology.Generate(spec))
-	payload := make([]TaskPayload, len(tasks))
-	for i, task := range tasks {
-		payload[i] = TaskPayload{Image: task.Image, Tile: task.Tile, RawA: task.RawA, RawB: task.RawB}
-	}
+	payload := uploadTasks(pathology.Generate(spec))
 	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: payload})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
@@ -328,9 +374,7 @@ func TestCancelEndpoint(t *testing.T) {
 	}
 	<-gated.entered
 
-	tasks := pipeline.EncodeDataset(d)
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: []TaskPayload{
-		{Image: tasks[0].Image, Tile: tasks[0].Tile, RawA: tasks[0].RawA, RawB: tasks[0].RawB}}})
+	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: uploadTasks(d)})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 	}
@@ -355,7 +399,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	spec := pathology.Representative()
 	spec.Tiles = 2
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec})
+	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: uploadTasks(pathology.Generate(spec))})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 	}
@@ -399,8 +443,9 @@ func TestMetricsFamiliesNotMixed(t *testing.T) {
 
 	spec := pathology.Representative()
 	spec.Tiles = 2
+	tasks := uploadTasks(pathology.Generate(spec))
 	for _, band := range []string{"", "batch"} {
-		resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Spec: &spec, Band: band, NoCache: true})
+		resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: tasks, Band: band, NoCache: true})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 		}
@@ -463,7 +508,7 @@ func TestCompareEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	raw := pipeline.EncodeDataset(d)[0]
+	raw := pathologytest.Tasks(d)[0]
 	jobResp, jobBody := postJSON(t, ts.URL+"/jobs", JobRequest{NoCache: true,
 		Tasks: []TaskPayload{{RawA: raw.RawA, RawB: raw.RawB}}})
 	cmpResp, cmpBody := postJSON(t, ts.URL+"/compare", CompareRequest{RawA: raw.RawA, RawB: raw.RawB})

@@ -31,7 +31,7 @@ func seededDataset(name string, seed int64, tiles int) *pathology.Dataset {
 
 func ingestOpen(t *testing.T, s *Store, d *pathology.Dataset) *Dataset {
 	t.Helper()
-	man, err := s.IngestDataset(d)
+	man, err := ingestDataset(s, d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -610,7 +610,7 @@ func TestImportSeedsDecodedCache(t *testing.T) {
 	d := testDataset(t, tiles)
 	srcDir := t.TempDir()
 	src := openStore(t, srcDir)
-	man, err := src.IngestDataset(d)
+	man, err := ingestDataset(src, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -820,7 +820,7 @@ func benchDataset(b *testing.B) (*Store, *Dataset) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	man, err := s.IngestDataset(pathology.Generate(spec))
+	man, err := ingestDataset(s, pathology.Generate(spec))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestGoldenSegment(t *testing.T) {
 		wantSegment = "ef257a3bbaecf1022b87c166e4f86dd930611360bc95cc345d557345f0c00e24"
 	)
 	s := openStore(t, t.TempDir())
-	man, err := s.IngestDataset(testDataset(t, 4))
+	man, err := ingestDataset(s, testDataset(t, 4))
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -53,11 +53,11 @@ func tmpDirs(t *testing.T, s *Store) []string {
 func TestReingestReturnsStoredManifest(t *testing.T) {
 	d := testDataset(t, 2)
 	s := openStore(t, t.TempDir())
-	first, err := s.IngestDataset(d)
+	first, err := ingestDataset(s, d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
-	second, err := s.IngestDataset(d)
+	second, err := ingestDataset(s, d)
 	if err != nil {
 		t.Fatalf("second IngestDataset: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestConcurrentIngestSameContent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			man, err := s.IngestDataset(d)
+			man, err := ingestDataset(s, d)
 			if err != nil {
 				t.Errorf("IngestDataset: %v", err)
 			}
@@ -108,11 +108,18 @@ func BenchmarkWriterAddCommit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(DatasetBytes(d))
+	man, err := ingestDataset(s, d) // sizes the segment; deleted so the loop writes again
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(man.SegmentBytes)
+	if err := s.Delete(man.ID); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		man, err := s.IngestDataset(d)
+		man, err := ingestDataset(s, d)
 		if err != nil {
 			b.Fatal(err)
 		}

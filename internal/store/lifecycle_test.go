@@ -15,7 +15,7 @@ import (
 // Unpin; ForceDelete removes it regardless.
 func TestDeletePinnedConflicts(t *testing.T) {
 	s := openStore(t, t.TempDir())
-	man, err := s.IngestDataset(testDataset(t, 1))
+	man, err := ingestDataset(s, testDataset(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestDeletePinnedConflicts(t *testing.T) {
 	}
 
 	// ForceDelete overrides pins.
-	man, err = s.IngestDataset(testDataset(t, 1))
+	man, err = ingestDataset(s, testDataset(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestDeletePinnedConflicts(t *testing.T) {
 // error — what a job's shard reports when its dataset is yanked mid-run.
 func TestReadAfterForceDeleteReportsLifecycle(t *testing.T) {
 	s := openStore(t, t.TempDir())
-	man, err := s.IngestDataset(testDataset(t, 1))
+	man, err := ingestDataset(s, testDataset(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestReadAfterForceDeleteReportsLifecycle(t *testing.T) {
 
 	// Re-ingesting the same content clears the tombstone: a fresh reader
 	// works, and a stale reader no longer reports a bogus delete.
-	if _, err := s.IngestDataset(testDataset(t, 1)); err != nil {
+	if _, err := ingestDataset(s, testDataset(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := ds.ReadTile(0); err != nil {
@@ -101,14 +101,14 @@ func TestDeleteHookFiresOnEveryPath(t *testing.T) {
 	var got []string
 	s.SetDeleteHook(func(id string) { got = append(got, id) })
 
-	a, err := s.IngestDataset(testDataset(t, 1))
+	a, err := ingestDataset(s, testDataset(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.IngestDataset(testDataset(t, 2))
+	b, err := ingestDataset(s, testDataset(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDeleteHookFiresOnEveryPath(t *testing.T) {
 func TestTouchThrottlesManifestWrites(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	man, err := s.IngestDataset(testDataset(t, 1))
+	man, err := ingestDataset(s, testDataset(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTouchThrottlesManifestWrites(t *testing.T) {
 func TestTouchKeepsManifestValid(t *testing.T) {
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	man, err := s.IngestDataset(testDataset(t, 2))
+	man, err := ingestDataset(s, testDataset(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

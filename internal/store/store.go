@@ -44,7 +44,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/parser"
-	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/rtree"
 	"repro/internal/wkb"
@@ -423,7 +422,7 @@ func (s *Store) PinnedCount() int {
 // PinnedBytes returns the summed segment bytes of currently pinned datasets
 // — the part of the store a sweep can never reclaim. Admission control uses
 // it to distinguish "cannot fit until pins release" (retryable) from "cannot
-// fit even after evicting everything unpinned" (reject or degrade).
+// fit even after evicting everything unpinned" (reject).
 func (s *Store) PinnedBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -536,37 +535,6 @@ func (s *Store) Ingest(name string, tiles []IngestTile) (*Manifest, error) {
 	}
 	for _, t := range tiles {
 		if err := w.AddTile(t.Image, t.Tile, t.A, t.B); err != nil {
-			w.Abort()
-			return nil, err
-		}
-	}
-	return w.Commit()
-}
-
-// DatasetBytes returns the exact segment size d would occupy if ingested —
-// the WKB framing is deterministic in vertex counts, so admission control
-// can size a generated dataset without encoding or touching disk.
-func DatasetBytes(d *pathology.Dataset) int64 {
-	var total int64
-	for _, tp := range d.Pairs {
-		for _, p := range tp.A {
-			total += recLenBytes + int64(wkb.Size(p))
-		}
-		for _, p := range tp.B {
-			total += recLenBytes + int64(wkb.Size(p))
-		}
-	}
-	return total
-}
-
-// IngestDataset persists a generated pathology dataset under its spec name.
-func (s *Store) IngestDataset(d *pathology.Dataset) (*Manifest, error) {
-	w, err := s.NewWriter(d.Spec.Name)
-	if err != nil {
-		return nil, err
-	}
-	for _, tp := range d.Pairs {
-		if err := w.AddTile(tp.Image, tp.Index, tp.A, tp.B); err != nil {
 			w.Abort()
 			return nil, err
 		}
@@ -1132,9 +1100,9 @@ func (d *Dataset) Source() *DatasetSource { return &DatasetSource{d: d} }
 
 // DatasetSource adapts a stored dataset to the scheduler's task-source
 // contract (Len/Weight/PolyTask) without the scheduler importing the store.
-// Task serves a tile as canonical polygon text, byte-identical to the task
-// pipeline.EncodeDataset would have produced from the same polygons, for
-// callers of the paper's text pipeline.
+// Task serves a tile as canonical polygon text, byte-identical to what
+// parser.Encode makes of the same polygons, for callers of the paper's text
+// pipeline.
 type DatasetSource struct {
 	d *Dataset
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/parser"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
@@ -19,6 +20,24 @@ func testDataset(t *testing.T, tiles int) *pathology.Dataset {
 	spec := pathology.Representative()
 	spec.Tiles = tiles
 	return pathology.Generate(spec)
+}
+
+// ingestDataset stores a generated dataset under its spec name.
+func ingestDataset(s *Store, d *pathology.Dataset) (*Manifest, error) {
+	tiles := make([]IngestTile, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tiles[i] = IngestTile{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
+	}
+	return s.Ingest(d.Spec.Name, tiles)
+}
+
+// datasetTasks encodes a generated dataset's tiles as pipeline text tasks.
+func datasetTasks(d *pathology.Dataset) []pipeline.FileTask {
+	tasks := make([]pipeline.FileTask, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tasks[i] = pipeline.FileTask{Image: tp.Image, Tile: tp.Index, RawA: parser.Encode(tp.A), RawB: parser.Encode(tp.B)}
+	}
+	return tasks
 }
 
 func openStore(t *testing.T, dir string) *Store {
@@ -33,11 +52,11 @@ func openStore(t *testing.T, dir string) *Store {
 // TestRoundTripByteIdentical is the core durability property: every polygon
 // read back from a stored dataset re-marshals to exactly the WKB bytes that
 // were written, and a store-served pipeline task is byte-identical to the
-// task EncodeDataset builds from the same polygons in memory.
+// task datasetTasks builds from the same polygons in memory.
 func TestRoundTripByteIdentical(t *testing.T) {
 	d := testDataset(t, 3)
 	s := openStore(t, t.TempDir())
-	man, err := s.IngestDataset(d)
+	man, err := ingestDataset(s, d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -52,7 +71,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDataset: %v", err)
 	}
-	want := pipeline.EncodeDataset(d)
+	want := datasetTasks(d)
 	for i, tp := range d.Pairs {
 		a, b, err := ds.ReadTile(i)
 		if err != nil {
@@ -72,7 +91,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 		}
 		if task.Image != want[i].Image || task.Tile != want[i].Tile ||
 			!bytes.Equal(task.RawA, want[i].RawA) || !bytes.Equal(task.RawB, want[i].RawB) {
-			t.Fatalf("store-served task %d differs from EncodeDataset task", i)
+			t.Fatalf("store-served task %d differs from the in-memory task", i)
 		}
 		if got := ds.Source().Weight(i); got != man.Tiles[i].Bytes() || got <= 0 {
 			t.Fatalf("Weight(%d) = %d, want manifest tile bytes %d", i, got, man.Tiles[i].Bytes())
@@ -119,7 +138,7 @@ func TestContentIDStableAcrossIngestOrder(t *testing.T) {
 func TestRecoveryRescan(t *testing.T) {
 	d := testDataset(t, 2)
 	dir := t.TempDir()
-	man, err := openStore(t, dir).IngestDataset(d)
+	man, err := ingestDataset(openStore(t, dir), d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -151,7 +170,7 @@ func TestCorruptSegmentRejected(t *testing.T) {
 	d := testDataset(t, 1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	man, err := s.IngestDataset(d)
+	man, err := ingestDataset(s, d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -184,7 +203,7 @@ func TestCorruptSegmentRejected(t *testing.T) {
 func TestTruncatedSegmentSkippedOnOpen(t *testing.T) {
 	d := testDataset(t, 2)
 	dir := t.TempDir()
-	man, err := openStore(t, dir).IngestDataset(d)
+	man, err := ingestDataset(openStore(t, dir), d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -208,7 +227,7 @@ func TestTruncatedSegmentSkippedOnOpen(t *testing.T) {
 func TestCorruptManifestSkipped(t *testing.T) {
 	d := testDataset(t, 1)
 	dir := t.TempDir()
-	man, err := openStore(t, dir).IngestDataset(d)
+	man, err := ingestDataset(openStore(t, dir), d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -231,7 +250,7 @@ func TestCorruptManifestSkipped(t *testing.T) {
 func TestStoreBackedJobMatchesPipeline(t *testing.T) {
 	d := testDataset(t, 4)
 	s := openStore(t, t.TempDir())
-	man, err := s.IngestDataset(d)
+	man, err := ingestDataset(s, d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -254,7 +273,7 @@ func TestStoreBackedJobMatchesPipeline(t *testing.T) {
 		t.Fatalf("job state %v (error %q), want done", st.State, st.Error)
 	}
 
-	direct, err := pipeline.Run(pipeline.EncodeDataset(d), pipeline.Config{})
+	direct, err := pipeline.Run(datasetTasks(d), pipeline.Config{})
 	if err != nil {
 		t.Fatalf("direct pipeline run: %v", err)
 	}
@@ -274,7 +293,7 @@ func TestDeleteRemovesDataset(t *testing.T) {
 	d := testDataset(t, 1)
 	dir := t.TempDir()
 	s := openStore(t, dir)
-	man, err := s.IngestDataset(d)
+	man, err := ingestDataset(s, d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
@@ -337,7 +356,7 @@ func TestDuplicateTileRejected(t *testing.T) {
 func TestManifestDigestFoldVerified(t *testing.T) {
 	d := testDataset(t, 1)
 	dir := t.TempDir()
-	man, err := openStore(t, dir).IngestDataset(d)
+	man, err := ingestDataset(openStore(t, dir), d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}

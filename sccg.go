@@ -19,20 +19,14 @@
 package sccg
 
 import (
-	"context"
 	"fmt"
-	"log/slog"
-	"net/http"
 	"runtime"
-	"time"
 
 	"repro/internal/clip"
-	"repro/internal/cluster"
 	"repro/internal/compare"
 	"repro/internal/geom"
 	"repro/internal/gpu"
 	"repro/internal/jaccard"
-	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
@@ -42,7 +36,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/store"
-	"repro/internal/tenant"
 )
 
 // Re-exported core types, so downstream users work entirely through this
@@ -294,218 +287,44 @@ func Corpus() []DatasetSpec { return pathology.Corpus() }
 // oligoastroIII_1.
 func Representative() DatasetSpec { return pathology.Representative() }
 
-// EncodeDataset converts a dataset into pipeline input tasks.
-func EncodeDataset(d *Dataset) []FileTask { return pipeline.EncodeDataset(d) }
+// EncodeDataset converts a dataset into pipeline input tasks (text-encoded
+// tiles, as segmentation emits them).
+func EncodeDataset(d *Dataset) []FileTask {
+	tasks := make([]FileTask, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tasks[i] = FileTask{Image: tp.Image, Tile: tp.Index, RawA: parser.Encode(tp.A), RawB: parser.Encode(tp.B)}
+	}
+	return tasks
+}
 
 // OpenStore opens (creating if needed) the persistent dataset store rooted
 // at dir, recovering previously ingested datasets by re-scanning their
 // manifests.
 func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
 
-// IngestDataset persists a generated dataset into the store and returns its
-// content-addressed manifest. Ingestion is idempotent: identical polygon
-// content maps to the same dataset ID.
+// IngestDataset persists a generated dataset into the store under its spec
+// name and returns its content-addressed manifest. Ingestion is idempotent:
+// identical polygon content maps to the same dataset ID.
 func IngestDataset(st *Store, d *Dataset) (*DatasetManifest, error) {
-	return st.IngestDataset(d)
+	tiles := make([]store.IngestTile, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tiles[i] = store.IngestTile{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
+	}
+	return st.Ingest(d.Spec.Name, tiles)
 }
 
-// ServiceOptions configures the resident cross-comparison job service.
-type ServiceOptions struct {
-	// Devices is the simulated-GPU pool size, one executor slot per GPU; 0
-	// runs one CPU-only slot.
-	Devices int
-	// HybridCPU co-executes PixelBox-CPU aggregators alongside each slot's
-	// GPU, each taking whole tiles.
-	HybridCPU bool
-	// Workers is each shard pipeline's CPU worker count.
-	Workers int
-	// QueueDepth bounds the job queue; 0 selects the scheduler default.
-	QueueDepth int
-	// CacheMaxEntries bounds the HTTP result store in keys; past it the least
-	// recently used key goes, its persisted report included. 0 means
-	// unbounded.
-	CacheMaxEntries int
-	// Store, when set, backs the /datasets endpoints, jobs by dataset ID,
-	// cross-dataset jobs, matrix runs, and content-hash result caching —
-	// including the persisted report cache under the store directory (see
-	// OpenStore).
-	Store *Store
-	// Retention bounds the store: a byte budget over which
-	// least-recently-used unpinned datasets are evicted (datasets referenced
-	// by queued/running jobs are pinned and never evicted), a TTL for unused
-	// datasets, and the background sweep period. The zero value bounds
-	// nothing. Requires Store; Service.Close stops the sweeper.
-	Retention RetentionPolicy
-	// Peers, when non-empty, puts the service in clustered mode: datasets
-	// missing locally are pulled peer-to-peer (digest-verified on arrival),
-	// and the persisted result cache becomes a cluster-wide read-through.
-	// Work computes on the node that was asked, matrix cells included. Each
-	// entry is a peer base URL (host:port accepted).
-	// Requires Store and Advertise.
-	Peers []string
-	// Advertise is this node's own base URL as peers reach it; it anchors the
-	// node's position in the rendezvous hash ring. Required with Peers.
-	Advertise string
-	// QuerylogMaxBytes bounds the persisted query/access log kept under the
-	// store directory. 0 selects the 64 MiB default; negative disables the
-	// log. Requires Store.
-	QuerylogMaxBytes int64
-	// SlowQuery, when positive, logs a structured warning (with the job's
-	// trace summary) for any job slower than this threshold.
-	SlowQuery time.Duration
-	// Tenants is the multi-tenant QoS configuration (token-keyed tenants
-	// with byte/dataset/queued-job quotas); the zero value runs everything
-	// as one unlimited default tenant.
-	Tenants tenant.Config
-}
+// ServiceOptions configures the resident cross-comparison job service; see
+// OpenStore for its Store.
+type ServiceOptions = server.ServiceOptions
 
 // Service is the resident SCCG job service (paper §4 generalised to a
 // device pool): a multi-device scheduler plus its HTTP API. It is what
 // cmd/sccgd serves.
-type Service struct {
-	sched   *sched.Scheduler
-	store   *Store
-	srv     *server.Server
-	cluster *cluster.Node
-}
+type Service = server.Service
 
 // NewService builds a running scheduler and its HTTP server. Close the
 // service when done.
-func NewService(opts ServiceOptions) *Service {
-	// One registry is shared by the scheduler's shard pipelines (per-executor
-	// accounting) and the HTTP server (request counters), so GET /metrics
-	// exposes both.
-	reg := metrics.NewRegistry()
-	sc := sched.New(sched.Config{
-		Devices:    opts.Devices,
-		HybridCPU:  opts.HybridCPU,
-		Workers:    opts.Workers,
-		QueueDepth: opts.QueueDepth,
-		Registry:   reg,
-		// The scheduler enforces per-tenant queued-job quotas atomically at
-		// enqueue; the closure keeps the scheduler tenant-config-agnostic.
-		TenantQueueLimit: opts.Tenants.QueueLimit,
-	})
-	// Clustered mode: the peer node owns placement, peer-pull, and cluster
-	// metrics. A bad peer configuration degrades to single-node operation
-	// rather than failing the service.
-	var node *cluster.Node
-	if len(opts.Peers) > 0 && opts.Store != nil {
-		n, err := cluster.New(cluster.Config{
-			Self:     opts.Advertise,
-			Peers:    opts.Peers,
-			Store:    opts.Store,
-			Registry: reg,
-		})
-		if err != nil {
-			slog.Warn("cluster disabled", "err", err)
-		} else {
-			node = n
-		}
-	}
-	return &Service{
-		sched:   sc,
-		store:   opts.Store,
-		cluster: node,
-		srv: server.New(sc, server.Options{
-			CacheMaxEntries:  opts.CacheMaxEntries,
-			Registry:         reg,
-			Store:            opts.Store,
-			Cluster:          node,
-			QuerylogMaxBytes: opts.QuerylogMaxBytes,
-			SlowQuery:        opts.SlowQuery,
-			Tenants:          opts.Tenants,
-			Retention:        opts.Retention,
-		}),
-	}
-}
-
-// Handler returns the service's HTTP routing table (POST /jobs,
-// GET /jobs/{id}, GET /jobs, POST /compare, GET /metrics, GET /healthz).
-// Finished jobs past the last 1024 are forgotten: their IDs answer 404.
-func (s *Service) Handler() http.Handler { return s.srv.Handler() }
-
-// Scheduler exposes the underlying job scheduler for in-process use.
-func (s *Service) Scheduler() *sched.Scheduler { return s.sched }
-
-// Store exposes the service's dataset store (nil when none is configured).
-func (s *Service) Store() *Store { return s.store }
-
-// SubmitStored queues a job over a stored dataset by content ID, bypassing
-// HTTP (and the result cache). Shards materialize lazily from the store's
-// tile segments; the dataset stays pinned against deletes and retention
-// sweeps until the job's terminal state.
-func (s *Service) SubmitStored(datasetID string) (string, error) {
-	id, _, err := s.srv.SubmitStored(datasetID, datasetID)
-	return id, err
-}
-
-// CompareStored queues a cross-dataset comparison job — dataset idA's set-A
-// polygons against dataset idB's set-B polygons over their shared tile keys
-// — bypassing HTTP (and, like SubmitStored, the result cache), with both
-// datasets pinned until the job's terminal state. The match report says
-// which tiles paired and which exist on only one side; with idA == idB the
-// job is exactly the dataset's own embedded comparison.
-func (s *Service) CompareStored(idA, idB string) (string, CrossMatch, error) {
-	id, match, err := s.srv.SubmitStored(idA, idB)
-	if err != nil {
-		return "", match, fmt.Errorf("sccg: %w", err)
-	}
-	return id, match, nil
-}
-
-// SubmitMatrix starts a K-way similarity matrix run over stored dataset
-// IDs: all K·(K−1)/2 pairwise cells as one cancellable run,
-// deduplicated through the service's result cache. Poll with Matrix.
-func (s *Service) SubmitMatrix(ids []string) (string, error) {
-	return s.srv.SubmitMatrix(MatrixQuery{Datasets: ids})
-}
-
-// SubmitMatrixQuery starts a matrix run from the full request form: a
-// symmetric run over Datasets or a bipartite SetA×SetB run, optionally
-// progressive — TopK asks only for the K highest-similarity cells,
-// MinSimilarity skips cells provably below it (elided cells finish
-// "bounded"/"skipped" with a sound similarity upper bound instead of an
-// exact report). Cells run in descending-bound order, plan order breaking
-// ties. Poll with Matrix or long-poll with WaitMatrix.
-func (s *Service) SubmitMatrixQuery(req MatrixQuery) (string, error) {
-	return s.srv.SubmitMatrix(req)
-}
-
-// Matrix returns a matrix run's status snapshot by ID; finished runs past
-// the last 64 are forgotten (resubmit one to answer its cells from cache).
-func (s *Service) Matrix(id string) (MatrixStatus, bool) { return s.srv.Matrix(id) }
-
-// WaitMatrix blocks until the run's status version exceeds since (pass the
-// last snapshot's Version; 0 waits for anything past the plan phase), the
-// run finishes, or ctx expires, and returns the freshest snapshot.
-func (s *Service) WaitMatrix(ctx context.Context, id string, since int64) (MatrixStatus, bool) {
-	return s.srv.WaitMatrix(ctx, id, since)
-}
-
-// CancelMatrix cancels a matrix run and its remaining member jobs.
-func (s *Service) CancelMatrix(id string) error { return s.srv.CancelMatrix(id) }
-
-// Job returns a job snapshot by ID; finished jobs past the last 1024 are forgotten.
-func (s *Service) Job(id string) (JobStatus, bool) { return s.sched.Job(id) }
-
-// GC runs one retention sweep immediately — evicting TTL-expired and
-// over-budget unpinned datasets and cascading their cached reports — and
-// reports what it evicted. It fails when the service has no dataset store.
-func (s *Service) GC() (RetentionSweep, error) { return s.srv.GC() }
-
-// Close stops matrix orchestration and the scheduler (queued jobs are
-// canceled), then drains background report-persist writes — the scheduler
-// must close first so every job the persisters wait on reaches a terminal
-// state.
-func (s *Service) Close() {
-	s.srv.Close()
-	if s.cluster != nil {
-		s.cluster.Close()
-	}
-	s.sched.Close()
-	s.srv.Drain()
-}
+func NewService(opts ServiceOptions) *Service { return server.NewService(opts) }
 
 // ErrServiceClosed is returned by scheduler submissions after Close.
 var ErrServiceClosed = sched.ErrClosed

@@ -38,6 +38,10 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
+	upload := make([]map[string]any, len(tasks))
+	for i, task := range tasks {
+		upload[i] = map[string]any{"image": task.Image, "tile": task.Tile, "raw_a": task.RawA, "raw_b": task.RawB}
+	}
 	submit := func() (code int, jr struct {
 		ID     string `json:"id"`
 		State  string `json:"state"`
@@ -49,7 +53,7 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 			KernelLaunches int64   `json:"kernel_launches"`
 		} `json:"report"`
 	}) {
-		body, _ := json.Marshal(map[string]any{"spec": spec})
+		body, _ := json.Marshal(map[string]any{"tasks": upload})
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
