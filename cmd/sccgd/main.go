@@ -2,8 +2,8 @@
 // owns a pool of simulated GPUs plus CPU pipeline workers and serves
 // cross-comparison jobs over HTTP (the paper's §4 service generalised to a
 // multi-device node with hybrid CPU+GPU aggregation). Each simulated GPU is
-// one executor slot, and a job splits into one shard per slot; without
-// -devices the daemon runs one CPU-only slot.
+// one tile worker, and workers take jobs' tiles one at a time; without
+// -devices the daemon runs one CPU worker per core.
 //
 //	sccgd -addr :8080 -devices 2 -workers 4 -hybrid-cpu -data-dir /var/lib/sccgd
 //
@@ -91,9 +91,9 @@
 //
 // Multi-tenant QoS: jobs run in three priority bands — interactive (job
 // submissions), batch (matrix cells), ingest (only when a request names it)
-// — under weighted fair sharing at fixed weights 8:2:3, and with two or more
-// slots one slot serves interactive jobs only, so a K-way matrix flood
-// cannot starve an interactive submission. -tenants names token-keyed
+// — under weighted fair sharing at fixed weights 8:2:3, charged per tile, and
+// batch tiles leave one core free, so a K-way matrix flood holds an
+// interactive submission back by at most about one tile time. -tenants names token-keyed
 // tenants with per-tenant byte, dataset, and queued-job quotas (unknown
 // tokens fall into the default tenant); admission control consults the
 // retention engine before accepting bytes, evicting synchronously or
@@ -203,9 +203,9 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	fs := flag.NewFlagSet("sccgd", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "HTTP listen address")
-		devices   = fs.Int("devices", 0, "simulated GPU pool size, one executor slot per GPU (0 = one CPU-only slot)")
-		hybrid    = fs.Bool("hybrid-cpu", false, "co-execute PixelBox-CPU aggregators with each slot's GPU")
-		workers   = fs.Int("workers", 0, "CPU workers per shard pipeline (default GOMAXPROCS/pipeline default)")
+		devices   = fs.Int("devices", 0, "simulated GPUs, one tile worker each (0 = CPU workers only)")
+		hybrid    = fs.Bool("hybrid-cpu", false, "run the CPU workers beside the GPU workers")
+		workers   = fs.Int("workers", 0, "CPU tile workers, when -devices is 0 or with -hybrid-cpu (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 0, "job queue depth (default 64)")
 		dataDir   = fs.String("data-dir", "", "persistent dataset store directory (enables /datasets and jobs by dataset_id)")
 		storeMax  = fs.String("store-max-bytes", "", "store byte budget, e.g. 512MiB or 2GB; LRU-evicts unpinned datasets above it (empty = unbounded; needs -data-dir)")
@@ -237,8 +237,13 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	if pol.Active() && *dataDir == "" {
 		return errors.New("-store-max-bytes/-store-ttl require -data-dir")
 	}
-	if *cacheMax < 0 {
-		return errors.New("-cache-max-entries must not be negative")
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-devices", *devices}, {"-workers", *workers}, {"-queue", *queue}, {"-cache-max-entries", *cacheMax}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s must not be negative", f.name)
+		}
 	}
 	var qlogBytes int64
 	switch *qlogMax {

@@ -216,8 +216,8 @@ func TestDaemonRetentionEndToEnd(t *testing.T) {
 }
 
 // TestRetentionFlagValidation: retention flags demand -data-dir and reject
-// malformed sizes, and the result-store bound rejects negatives, without
-// booting anything.
+// malformed sizes, and the result-store bound and the pool flags reject
+// negatives, without booting anything.
 func TestRetentionFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-store-max-bytes", "1GiB"},
@@ -236,6 +236,17 @@ func TestRetentionFlagValidation(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-cache-max-entries", "-1"}, nil); err == nil {
 		t.Error("negative -cache-max-entries was accepted")
+	}
+	// The pool flags too: a negative count names its flag instead of
+	// quietly meaning CPU-only, GOMAXPROCS workers or the default depth.
+	for _, flag := range []string{"-devices", "-workers", "-queue"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		served := false
+		err := run(ctx, []string{"-addr", "127.0.0.1:0", flag, "-3"}, func(string) { served = true; cancel() })
+		cancel()
+		if served || err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("run(%s -3): served %v, err %v; want an error naming the flag", flag, served, err)
+		}
 	}
 }
 

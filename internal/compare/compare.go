@@ -8,7 +8,7 @@
 // on only one side are reported, never silently dropped), and compares the
 // first dataset's set-A polygons against the second dataset's set-B polygons
 // tile by tile. The pairing is exposed as a lazy scheduler task source whose
-// shards materialize only their own tile pairs from the two segment files,
+// workers materialize only the tile pairs they take from the two segment files,
 // so a cross job over two large stored datasets never holds either dataset
 // whole in memory. With dataset_a == dataset_b the comparison degenerates
 // exactly — bit for bit — to the dataset's own embedded A-vs-B job.
@@ -115,13 +115,11 @@ func OpenPair(st *store.Store, idA, idB string) (name string, src sched.TaskSour
 }
 
 // Source is a lazy scheduler task source over the matched tile pairs of two
-// stored datasets: shards materialize decoded polygon pairs through the
+// stored datasets: workers materialize decoded polygon pairs through the
 // store's cross reader (its decoded-tile cache, else a digest-verified read
 // of the two segment files).
 type Source struct {
 	r     *store.CrossReader
-	manA  *store.Manifest
-	manB  *store.Manifest
 	pairs []MatchedPair
 }
 
@@ -133,24 +131,12 @@ func NewSource(a, b *store.Dataset) (*Source, Match) {
 	m := MatchManifests(a.Manifest(), b.Manifest())
 	return &Source{
 		r:     store.NewCrossReader(a, b),
-		manA:  a.Manifest(),
-		manB:  b.Manifest(),
 		pairs: m.Pairs,
 	}, m
 }
 
 // Len returns the matched tile-pair count.
 func (s *Source) Len() int { return len(s.pairs) }
-
-// Weight returns pair i's sharding weight: the encoded byte size of the two
-// sets actually compared (set A from the first dataset, set B from the
-// second). For a self-comparison this equals the single-dataset source's
-// weight, so the shard split — and therefore the whole report — matches the
-// single-dataset job exactly.
-func (s *Source) Weight(i int) int64 {
-	p := s.pairs[i]
-	return s.manA.Tiles[p.A].LenA + s.manB.Tiles[p.B].LenB
-}
 
 // PolyTask materializes pair i as pipeline input.
 func (s *Source) PolyTask(i int) (pipeline.PolyTask, error) {

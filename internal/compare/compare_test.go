@@ -234,8 +234,5 @@ func TestSourceTaskMatchesPolyTask(t *testing.T) {
 		if len(pt.A) == 0 || len(pt.B) == 0 {
 			t.Fatalf("task %d materialized empty polygon sets", i)
 		}
-		if src.Weight(i) <= 0 {
-			t.Fatalf("Weight(%d) = %d", i, src.Weight(i))
-		}
 	}
 }

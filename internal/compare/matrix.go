@@ -662,7 +662,7 @@ func (r *Run) runCell(c *cell) {
 		case err != nil:
 			// Run canceled, before the submit or while waiting. Cancel already
 			// reached the job if it is owned; record the freshest snapshot
-			// without blocking on in-flight shards.
+			// without blocking on in-flight tiles.
 			r.mu.Lock()
 			jobID := c.jobID
 			r.mu.Unlock()

@@ -240,8 +240,7 @@ type gatedSource struct {
 	task    pipeline.PolyTask
 }
 
-func (g *gatedSource) Len() int         { return 1 }
-func (g *gatedSource) Weight(int) int64 { return 1 }
+func (g *gatedSource) Len() int { return 1 }
 func (g *gatedSource) PolyTask(int) (pipeline.PolyTask, error) {
 	<-g.release
 	return g.task, nil
@@ -520,7 +519,7 @@ func TestStatusSnapshotSelfConsistent(t *testing.T) {
 // hit — that job has other consumers.
 func TestCancelLeavesSharedJobsRunning(t *testing.T) {
 	s := testStore(t)
-	sc := sched.New(sched.Config{})
+	sc := sched.New(sched.Config{Workers: 1})
 	t.Cleanup(sc.Close)
 	release := make(chan struct{})
 	var once sync.Once
@@ -535,7 +534,7 @@ func TestCancelLeavesSharedJobsRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Another submitter's job, gated on the scheduler's only runner, so the
+	// Another submitter's job, gated on the scheduler's only worker, so the
 	// run's own job stays queued and a cancel finalizes it at once.
 	shared, err := sc.SubmitJob(&gatedSource{release: release, task: task}, sched.JobOpts{Name: "someone else's"})
 	if err != nil {

@@ -87,7 +87,7 @@ func BenchmarkProgressiveMatrix(b *testing.B) {
 		name string
 		cfg  sched.Config
 	}{
-		{"slot1", sched.Config{}},
+		{"default", sched.Config{}},
 		{"hybrid2", sched.Config{Devices: 2, HybridCPU: true}},
 	}
 	objectives := []struct {

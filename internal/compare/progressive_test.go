@@ -420,7 +420,7 @@ func TestMatrixBipartite(t *testing.T) {
 // finishes `bounded`, not `canceled` — and the run is still a success.
 func TestMatrixPrunesInFlightCells(t *testing.T) {
 	s := testStore(t)
-	sc := sched.New(sched.Config{})
+	sc := sched.New(sched.Config{Workers: 1})
 	t.Cleanup(sc.Close)
 	release := make(chan struct{})
 	var once sync.Once
@@ -433,7 +433,7 @@ func TestMatrixPrunesInFlightCells(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A gated blocker occupies the scheduler's single runner, so the
+	// A gated blocker occupies the scheduler's single worker, so the
 	// victim's job stays Queued — and a queued job finalizes the moment the
 	// run cancels it, making the prune observable without draining races.
 	if _, err := sc.SubmitJob(&gatedSource{release: release, task: task}, sched.JobOpts{Name: "blocker"}); err != nil {

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"repro/internal/gpu"
-	"repro/internal/metrics"
 	"repro/internal/pixelbox"
 )
 
@@ -248,13 +247,6 @@ func (r *run) claim(e *executor) (batch []pairTask, ok bool) {
 // computes a short run's pairs is decided by which goroutine the scheduler
 // happens to wake first.
 func (r *run) executorWorker(e *executor) {
-	// Batch execution time lands in a per-kind histogram so GPU and CPU batch
-	// latency distributions are separable on /metrics; labelled by kind only
-	// (not executor ID) to bound series cardinality.
-	var batchHist *metrics.Histogram
-	if r.cfg.Registry != nil {
-		batchHist = r.cfg.Registry.Histogram(metrics.Label("sccg_executor_batch_seconds", "kind", e.kind))
-	}
 	if e.kind == ExecCPU {
 		r.gpuClaimed.Wait()
 	}
@@ -288,9 +280,6 @@ func (r *run) executorWorker(e *executor) {
 			off += len(t.pairs)
 		}
 		e.observe(n, elapsed)
-		if batchHist != nil {
-			batchHist.ObserveDuration(elapsed)
-		}
 		atomic.AddInt64(&r.aggBusy, int64(elapsed))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/gpu"
-	"repro/internal/metrics"
 	"repro/internal/pathology"
 )
 
@@ -102,31 +101,6 @@ func TestHybridExecutorAccounting(t *testing.T) {
 	// With tiny batches and two CPU executors, CPUs essentially always get
 	// work; don't hard-require it to avoid scheduling flakes, but the total
 	// must be conserved (checked above).
-}
-
-// TestHybridMetricsPublished checks per-executor accounting lands in the
-// configured registry under labelled names.
-func TestHybridMetricsPublished(t *testing.T) {
-	tasks := hybridDataset(t)
-	reg := metrics.NewRegistry()
-	_, err := Run(tasks, Config{
-		Devices:        devices(1),
-		CPUAggregators: 1,
-		BatchPairs:     64,
-		Registry:       reg,
-		ExecutorLabel:  "t/",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	name := metrics.Label("sccg_executor_pairs_total", "executor", "t/gpu0")
-	if snap[name] <= 0 {
-		t.Errorf("metric %s = %v, want > 0 (snapshot: %v)", name, snap[name], snap)
-	}
-	if _, ok := snap[metrics.Label("sccg_executor_batches_total", "executor", "t/cpu0")]; !ok {
-		t.Errorf("cpu executor metrics missing from registry: %v", snap)
-	}
 }
 
 // TestClaimTargetScalesWithThroughput pins the cost-model policy: claim

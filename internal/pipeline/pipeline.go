@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/gpu"
-	"repro/internal/metrics"
 	"repro/internal/parser"
 	"repro/internal/pixelbox"
 	"repro/internal/rtree"
@@ -112,11 +111,8 @@ type Config struct {
 	CPU pixelbox.CPUConfig
 	// Migration enables the dynamic task migration component (§4.2).
 	Migration bool
-	// Registry, when set, receives per-executor accounting (batches, pairs,
-	// measured throughput) under names labelled with ExecutorLabel+id.
-	Registry *metrics.Registry
-	// ExecutorLabel prefixes executor IDs in Registry metric labels, so
-	// several pipelines (e.g. scheduler shards) stay distinguishable.
+	// ExecutorLabel prefixes executor IDs in Warmth keys, so several
+	// executor sets sharing one memory stay distinguishable.
 	ExecutorLabel string
 	// Warmth, when set, seeds each executor's throughput EWMA from its
 	// remembered measurement (keyed by ExecutorLabel+id) and records the
@@ -226,24 +222,47 @@ func Merge(shards ...Result) Result {
 		m.Stats.Executors = append(m.Stats.Executors, s.Stats.Executors...)
 	}
 	if tileBased {
+		var trs []TileRatio
 		for _, s := range shards {
-			m.TileRatios = append(m.TileRatios, s.TileRatios...)
+			trs = append(trs, s.TileRatios...)
 		}
-		sortTileRatios(m.TileRatios)
-		for _, tr := range m.TileRatios {
-			m.RatioSum += tr.RatioSum
-			m.Intersecting += tr.Intersecting
-		}
-	} else {
-		for _, s := range shards {
-			m.RatioSum += s.RatioSum
-			m.Intersecting += s.Intersecting
-		}
+		f := foldRatios(trs)
+		m.TileRatios, m.RatioSum, m.Intersecting, m.Similarity = f.TileRatios, f.RatioSum, f.Intersecting, f.Similarity
+		return m
+	}
+	for _, s := range shards {
+		m.RatioSum += s.RatioSum
+		m.Intersecting += s.Intersecting
 	}
 	if m.Intersecting > 0 {
 		m.Similarity = m.RatioSum / float64(m.Intersecting)
 	}
 	return m
+}
+
+// foldRatios sorts per-tile partials into canonical (image, tile) order,
+// adds the partials of a key given twice into one in argument order, and
+// sums them: the one fold behind every path's similarity, so its bits never
+// depend on which run, executor or worker computed which tile.
+func foldRatios(trs []TileRatio) Result {
+	sortTileRatios(trs)
+	res := Result{TileRatios: trs[:0]}
+	for _, tr := range trs {
+		if n := len(res.TileRatios) - 1; n >= 0 && res.TileRatios[n].Image == tr.Image && res.TileRatios[n].Tile == tr.Tile {
+			res.TileRatios[n].RatioSum += tr.RatioSum
+			res.TileRatios[n].Intersecting += tr.Intersecting
+		} else {
+			res.TileRatios = append(res.TileRatios, tr)
+		}
+	}
+	for _, tr := range res.TileRatios {
+		res.RatioSum += tr.RatioSum
+		res.Intersecting += tr.Intersecting
+	}
+	if res.Intersecting > 0 {
+		res.Similarity = res.RatioSum / float64(res.Intersecting)
+	}
+	return res
 }
 
 func sortTileRatios(trs []TileRatio) {
@@ -265,38 +284,6 @@ func Run(tasks []FileTask, cfg Config) (Result, error) {
 	cfg = cfg.normalized()
 	p := &run{cfg: cfg}
 	return p.execute(tasks)
-}
-
-// RunParsed compares pre-parsed tile tasks. The store's read path uses it so
-// already-validated datasets never pay the text re-encode/re-parse cost.
-// There are no stages: each executor of the pool Run would build takes the
-// next whole tile and builds any missing tree, joins and counts it in one
-// pass (runTiles). Nil polygons are rejected up front (text parsing can
-// never produce them, so the join and the count assume their absence), and
-// so is a tree that does not index as many polygons as its set holds: the
-// join would pair the wrong polygons or index past the set.
-func RunParsed(tasks []PolyTask, cfg Config) (Result, error) {
-	for _, t := range tasks {
-		for _, set := range [...]struct {
-			name  byte
-			polys []*geom.Polygon
-			tree  *rtree.Tree
-		}{{'A', t.A, t.TreeA}, {'B', t.B, t.TreeB}} {
-			for i, p := range set.polys {
-				if p == nil {
-					return Result{}, fmt.Errorf("pipeline: tile %s/%d set %c polygon %d is nil", t.Image, t.Tile, set.name, i)
-				}
-			}
-			if set.tree != nil && set.tree.Len() != len(set.polys) {
-				return Result{}, fmt.Errorf("pipeline: tile %s/%d set %c tree indexes %d polygons, the set holds %d",
-					t.Image, t.Tile, set.name, set.tree.Len(), len(set.polys))
-			}
-		}
-	}
-	cfg = cfg.normalized()
-	cfg.Warmth = nil
-	p := &run{cfg: cfg}
-	return p.runTiles(tasks), nil
 }
 
 // tileKey identifies one tile's accumulator.
@@ -368,12 +355,7 @@ func (r *run) accumulateTask(t pairTask, results []pixelbox.AreaResult, onGPU bo
 	for _, ar := range results {
 		part.add(ar)
 	}
-	r.addTile(tileKey{image: t.image, tile: t.tile}, part, len(results), onGPU)
-}
-
-// addTile adds one tile's partial, folded in pair order over pairs pairs,
-// to the tile's accumulator.
-func (r *run) addTile(key tileKey, part tileAgg, pairs int, onGPU bool) {
+	key := tileKey{image: t.image, tile: t.tile}
 	r.mu.Lock()
 	agg := r.tiles[key]
 	if agg == nil {
@@ -384,22 +366,10 @@ func (r *run) addTile(key tileKey, part tileAgg, pairs int, onGPU bool) {
 	agg.hits += part.hits
 	r.mu.Unlock()
 	if onGPU {
-		atomic.AddInt64(&r.pairsGPU, int64(pairs))
+		atomic.AddInt64(&r.pairsGPU, int64(len(results)))
 	} else {
-		atomic.AddInt64(&r.pairsCPU, int64(pairs))
+		atomic.AddInt64(&r.pairsCPU, int64(len(results)))
 	}
-}
-
-// begin sets up what both kinds of run share: the tile accumulators, the
-// executor pool and the device counters the run's own accounting starts
-// from.
-func (r *run) begin() (start time.Time, dev0 []gpu.Snapshot) {
-	r.tiles = make(map[tileKey]*tileAgg)
-	r.executors = buildExecutors(r.cfg)
-	for _, dev := range r.cfg.Devices {
-		dev0 = append(dev0, dev.Stats())
-	}
-	return time.Now(), dev0
 }
 
 func (r *run) execute(files []FileTask) (Result, error) {
@@ -408,7 +378,15 @@ func (r *run) execute(files []FileTask) (Result, error) {
 	r.parsedBuf = newBuffer[tileTask](cfg.BufferCap)
 	r.builtBuf = newBuffer[tileTask](cfg.BufferCap)
 	r.pairBuf = newBuffer[pairTask](cfg.BufferCap)
-	start, dev0 := r.begin()
+	r.tiles = make(map[tileKey]*tileAgg)
+	r.executors = buildExecutors(cfg)
+	// A device outlives the run (an Engine's), so its counters are running
+	// totals: the run reports what they gain while it runs.
+	dev0 := make([]gpu.Snapshot, len(cfg.Devices))
+	for i, dev := range cfg.Devices {
+		dev0[i] = dev.Stats()
+	}
+	start := time.Now()
 	total := len(files)
 
 	// core counts the stages that drain the input: parser, builder, filter
@@ -506,23 +484,11 @@ func (r *run) execute(files []FileTask) (Result, error) {
 // result and statistics. Every pair the run filtered has been counted by
 // now, so the candidates are the pairs the executors counted.
 func (r *run) finalize(total int, start time.Time, dev0 []gpu.Snapshot) Result {
-	res := Result{TileRatios: make([]TileRatio, 0, len(r.tiles))}
+	trs := make([]TileRatio, 0, len(r.tiles))
 	for key, agg := range r.tiles {
-		res.TileRatios = append(res.TileRatios, TileRatio{
-			Image:        key.image,
-			Tile:         key.tile,
-			RatioSum:     agg.ratioSum,
-			Intersecting: agg.hits,
-		})
+		trs = append(trs, TileRatio{Image: key.image, Tile: key.tile, RatioSum: agg.ratioSum, Intersecting: agg.hits})
 	}
-	sortTileRatios(res.TileRatios)
-	for _, tr := range res.TileRatios {
-		res.RatioSum += tr.RatioSum
-		res.Intersecting += tr.Intersecting
-	}
-	if res.Intersecting > 0 {
-		res.Similarity = res.RatioSum / float64(res.Intersecting)
-	}
+	res := foldRatios(trs)
 	r.stats.WallTime = time.Since(start)
 	r.stats.PairsOnGPU = int(atomic.LoadInt64(&r.pairsGPU))
 	r.stats.PairsOnCPU = int(atomic.LoadInt64(&r.pairsCPU))
@@ -533,8 +499,6 @@ func (r *run) finalize(total int, start time.Time, dev0 []gpu.Snapshot) Result {
 	r.stats.BuilderBusy = time.Duration(atomic.LoadInt64(&r.builderBusy))
 	r.stats.FilterBusy = time.Duration(atomic.LoadInt64(&r.filterBusy))
 	r.stats.AggregatorBusy = time.Duration(atomic.LoadInt64(&r.aggBusy))
-	// A device outlives the run (a scheduler slot's, an Engine's), so its
-	// counters are running totals: report what they gained during the run.
 	for i, dev := range r.cfg.Devices {
 		d := dev.Stats()
 		r.stats.KernelLaunches += d.Launches - dev0[i].Launches
@@ -543,24 +507,8 @@ func (r *run) finalize(total int, start time.Time, dev0 []gpu.Snapshot) Result {
 	for _, e := range r.executors {
 		r.stats.Executors = append(r.stats.Executors, e.snapshot())
 	}
-	r.publishMetrics()
 	res.Stats = r.stats
 	return res
-}
-
-// publishMetrics surfaces per-executor accounting through the configured
-// metrics registry.
-func (r *run) publishMetrics() {
-	reg := r.cfg.Registry
-	if reg == nil {
-		return
-	}
-	for _, e := range r.executors {
-		id := r.cfg.ExecutorLabel + e.id
-		reg.Counter(metrics.Label("sccg_executor_batches_total", "executor", id)).Add(atomic.LoadInt64(&e.batches))
-		reg.Counter(metrics.Label("sccg_executor_pairs_total", "executor", id)).Add(atomic.LoadInt64(&e.pairs))
-		reg.Gauge(metrics.Label("sccg_executor_pairs_per_sec", "executor", id)).Set(e.throughput())
-	}
 }
 
 // finishParseTask records that one input task has fully left the parser

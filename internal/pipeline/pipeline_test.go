@@ -301,6 +301,38 @@ func TestRunParsedCarriedTrees(t *testing.T) {
 	}
 }
 
+// TestMergeMatchesUnsharded checks Merge against ground truth on
+// partitioned runs.
+func TestMergeMatchesUnsharded(t *testing.T) {
+	spec := pathology.Representative()
+	spec.Tiles = 4
+	d := pathology.Generate(spec)
+	tasks := make([]PolyTask, len(d.Pairs))
+	for i, tp := range d.Pairs {
+		tasks[i] = PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
+	}
+	whole, err := RunParsed(tasks, Config{})
+	if err != nil {
+		t.Fatalf("whole run: %v", err)
+	}
+	half1, err := RunParsed(tasks[:2], Config{})
+	if err != nil {
+		t.Fatalf("half1: %v", err)
+	}
+	half2, err := RunParsed(tasks[2:], Config{})
+	if err != nil {
+		t.Fatalf("half2: %v", err)
+	}
+	merged := Merge(half1, half2)
+	if merged.Intersecting != whole.Intersecting || merged.Candidates != whole.Candidates {
+		t.Errorf("merged counts (%d, %d) != whole (%d, %d)",
+			merged.Intersecting, merged.Candidates, whole.Intersecting, whole.Candidates)
+	}
+	if math.Abs(merged.Similarity-whole.Similarity) > 1e-9 {
+		t.Errorf("merged similarity %.12f != whole %.12f", merged.Similarity, whole.Similarity)
+	}
+}
+
 // textTasks encodes parsed tiles as the text a Run takes.
 func textTasks(tasks []PolyTask) []FileTask {
 	files := make([]FileTask, len(tasks))
@@ -348,7 +380,7 @@ func TestDeviceCountersArePerRun(t *testing.T) {
 }
 
 // TestRunParsedRejectsMalformedTasks: a nil polygon, or a tree that does not
-// index exactly its set, is an error before any stage starts.
+// index exactly its set, fails the run.
 func TestRunParsedRejectsMalformedTasks(t *testing.T) {
 	tp := smallDataset().Pairs[0]
 	good := PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B, TreeA: rtree.Index(tp.A), TreeB: rtree.Index(tp.B)}

@@ -10,8 +10,7 @@ import "fmt"
 type Band int
 
 const (
-	// BandInteractive is the default for ad-hoc jobs: highest weight, and on
-	// a pool of two or more slots a reserved slot no other band may lease.
+	// BandInteractive is the default for ad-hoc jobs: highest weight.
 	BandInteractive Band = iota
 	// BandBatch is bulk analytical work: matrix cells and anything a caller
 	// explicitly marks batch. Lowest weight, but positive: WFQ never starves it.
@@ -53,8 +52,8 @@ func ParseBand(s string) (Band, error) {
 }
 
 // DefaultBandWeights is the scheduler's weighted-fair-sharing ratio between
-// the bands: under full contention interactive gets 8 of every 13
-// dispatches, ingest 3, batch 2. Batch throughput under an idle daemon is
+// the bands: under full contention interactive gets 8 of every 13 tiles
+// handed out, ingest 3, batch 2. Batch throughput under an idle daemon is
 // unaffected — weights only arbitrate when bands compete. Every weight is
 // positive, so no non-empty band starves.
 var DefaultBandWeights = [NumBands]int{BandInteractive: 8, BandBatch: 2, BandIngest: 3}

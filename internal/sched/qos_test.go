@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -10,34 +9,33 @@ import (
 	"repro/internal/pipeline"
 )
 
-// queueJob builds a minimal queued job for white-box banded-queue tests.
-// Only the fields the queue path touches are populated.
+// queueJob builds a minimal one-tile queued job for white-box banded-queue
+// tests. Only the fields the queue path touches are populated.
 func queueJob(band Band, tenant string, submitted time.Time) *job {
-	ctx, cancel := context.WithCancel(context.Background())
 	return &job{
 		band:      band,
 		tenant:    tenant,
-		ctx:       ctx,
-		cancel:    cancel,
+		tiles:     1,
 		done:      make(chan struct{}),
 		state:     Queued,
 		submitted: submitted,
 	}
 }
 
-// drainOrder enqueues the jobs and dequeues everything under one hold of the
-// scheduler lock, so the runners never race the observation. It returns the
-// dequeue order as band values.
+// drainOrder enqueues the jobs and picks every tile under one hold of the
+// scheduler lock, so the workers never race the observation. It returns the
+// pick order as band values.
 func drainOrder(t *testing.T, s *Scheduler, js []*job) []Band {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.batchCap = len(js) // the drain holds every tile it picks: only the clock orders it
 	for _, j := range js {
 		s.enqueueLocked(j)
 	}
 	var order []Band
 	for {
-		j := s.dequeueLocked(false)
+		j, _ := s.pickLocked()
 		if j == nil {
 			break
 		}
@@ -98,12 +96,13 @@ func TestWFQIdleBandCatchesUp(t *testing.T) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.batchCap = 6 // the test holds every tile it picks: only the clock orders it
 	// Batch runs alone for a while: its clock advances.
 	for i := 0; i < 6; i++ {
 		s.enqueueLocked(queueJob(BandBatch, "default", time.Now()))
 	}
 	for i := 0; i < 3; i++ {
-		if j := s.dequeueLocked(false); j == nil || j.band != BandBatch {
+		if j, _ := s.pickLocked(); j == nil || j.band != BandBatch {
 			t.Fatalf("warm-up dequeue %d: got %+v, want batch", i, j)
 		}
 	}
@@ -115,60 +114,30 @@ func TestWFQIdleBandCatchesUp(t *testing.T) {
 		t.Fatalf("interactive vtime = %v after idle return, want >= batch's %v", got, want)
 	}
 	for {
-		if j := s.dequeueLocked(false); j == nil {
-			break
-		}
-	}
-}
-
-// TestReservedSlotDequeuesInteractiveOnly checks the reserved-runner
-// contract: it never serves batch or ingest work, and serving interactive
-// work does not charge the band's fair-share clock.
-func TestReservedSlotDequeuesInteractiveOnly(t *testing.T) {
-	s := New(Config{Devices: 1})
-	defer s.Close()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.enqueueLocked(queueJob(BandBatch, "default", time.Now()))
-	s.enqueueLocked(queueJob(BandIngest, "default", time.Now()))
-	if j := s.dequeueLocked(true); j != nil {
-		t.Fatalf("reserved dequeue returned a %s job, want nil", j.band)
-	}
-	s.enqueueLocked(queueJob(BandInteractive, "default", time.Now()))
-	before := s.vtime[BandInteractive]
-	j := s.dequeueLocked(true)
-	if j == nil || j.band != BandInteractive {
-		t.Fatalf("reserved dequeue = %+v, want the interactive job", j)
-	}
-	if s.vtime[BandInteractive] != before {
-		t.Fatalf("reserved dequeue charged vtime (%v -> %v), want uncharged",
-			before, s.vtime[BandInteractive])
-	}
-	for {
-		if j := s.dequeueLocked(false); j == nil {
+		if j, _ := s.pickLocked(); j == nil {
 			break
 		}
 	}
 }
 
 // gatedSource serves real tiles but blocks every read until release is
-// closed, so a job over it holds its slot for exactly as long as a test needs.
+// closed, so a job over it holds its workers for exactly as long as a test
+// needs.
 type gatedSource struct {
 	tasks   []pipeline.PolyTask
 	release chan struct{}
 }
 
-func (g *gatedSource) Len() int           { return len(g.tasks) }
-func (g *gatedSource) Weight(i int) int64 { return 1 }
+func (g *gatedSource) Len() int { return len(g.tasks) }
 func (g *gatedSource) PolyTask(i int) (pipeline.PolyTask, error) {
 	<-g.release
 	return g.tasks[i], nil
 }
 
-// startFiller submits a job and blocks until it is running, so subsequent
-// submissions stay queued behind the busy slot. The job cannot finish until
-// release is called (a real job could, mid-test, and free the slot).
+// startFiller submits a one-tile job and blocks until it is running, so on
+// a one-worker scheduler subsequent submissions stay queued behind it. The
+// job cannot finish until release is called (a real job could, mid-test,
+// and free the worker).
 func startFiller(t *testing.T, s *Scheduler) (id string, release func()) {
 	t.Helper()
 	src := &gatedSource{tasks: testTasks(t, 1), release: make(chan struct{})}

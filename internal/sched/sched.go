@@ -1,34 +1,37 @@
-// Package sched is the multi-device job scheduler behind the sccgd service:
-// it owns a pool of simulated GPUs plus CPU pipeline workers, accepts
-// cross-comparison jobs (sources of decoded image tiles: each tile's two
-// polygon sets), shards each job's tiles across the executor-slot pool, runs
-// every shard's parsed tiles through pipeline.RunParsed, and merges the
-// shard reports into one job result.
+// Package sched is the job scheduler behind the sccgd service: it owns a
+// fixed set of tile workers — one per simulated GPU, plus PixelBox-CPU
+// workers — and accepts cross-comparison jobs (sources of decoded image
+// tiles: each tile's two polygon sets).
 //
-// This generalises the paper's single-node resident service (one process
-// owning one GPU, §4) to a pool of executor slots: each slot is one
-// exclusive, non-preemptive simulated GTX 580 (plus, with HybridCPU,
-// co-executing PixelBox-CPU workers), or on a pool without devices one
-// CPU pipeline, and it runs exactly one shard at a time. A job splits into
-// at most one shard per slot. Per-slot busy time and launch counts are
-// accounted so a load balancer (or the /metrics endpoint) can see skew, and
-// per-executor pipeline accounting flows into the optional metrics Registry.
+// The tile is the unit of work, as in the paper's framework (§4), which
+// schedules tile-sized tasks dynamically across its CPU and GPU executors. A
+// free worker picks a job, takes that job's next tile, materializes it
+// itself, builds, joins and counts it (pipeline.TilePass) and keeps the
+// tile's partial in the job's slot for it; when the job's last tile returns,
+// the job folds its tiles in canonical order (pipeline.Fold), so the answer
+// is bit-identical whichever worker took which tile. Decode therefore runs
+// on every worker and overlaps compute, and a job holds at most one
+// materialized tile per worker. Per-worker tile counts, busy time and device
+// accounting are kept for /metrics and /healthz.
 //
 // Jobs wait in one queue per QoS band under weighted fair sharing with the
-// fixed DefaultBandWeights; on a pool of two or more slots one slot is
-// reserved for interactive jobs.
+// fixed DefaultBandWeights, charged per tile, so an interactive job waits at
+// most about one tile time behind batch work. Batch tiles never hold more
+// than all cores but one, so a core is always left to interactive tiles and
+// to request handling.
 //
 // Jobs move queued → running → done | failed | canceled. Cancellation is
-// shard-granular: a canceled job stops dispatching new shards immediately,
-// but a shard already on a device runs to completion (kernels are
-// non-preemptive). Only live jobs and the last keepFinishedJobs finished
-// ones are remembered; answers that must outlive them belong to the caller.
+// tile-granular: after a cancel (or a tile's failure) no worker takes
+// another of the job's tiles, and the job ends once its tiles in flight
+// have returned. Only live jobs and the last keepFinishedJobs finished ones
+// are remembered; answers that must outlive them belong to the caller.
 package sched
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,22 +40,17 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
-	"repro/internal/pixelbox"
 	"repro/internal/trace"
 )
 
 // Config wires a scheduler.
 type Config struct {
-	// Devices is the number of simulated GTX 580s in the pool, one executor
-	// slot each. 0 means a CPU-only scheduler (one slot running
-	// PixelBox-CPU).
+	// Devices is the number of simulated GTX 580s, one worker each.
 	Devices int
-	// Workers is each shard pipeline's PixelBox-CPU worker count; 0 uses the
-	// pipeline default.
+	// Workers is the PixelBox-CPU worker count, GOMAXPROCS when 0. CPU
+	// workers run when Devices is 0 or HybridCPU is set.
 	Workers int
-	// HybridCPU co-executes PixelBox-CPU executors alongside each slot's
-	// GPU, each taking whole tiles as the GPU does. The CPU executor count
-	// is Workers, or 2 when Workers is unset.
+	// HybridCPU runs the CPU workers beside the GPU workers.
 	HybridCPU bool
 	// QueueDepth is the queued-job limit before Submit rejects; default 64.
 	// The limit spans all bands.
@@ -61,55 +59,32 @@ type Config struct {
 	// (0 = unlimited). Checked under the queue lock, so two submits racing
 	// one remaining slot resolve atomically: exactly one wins.
 	TenantQueueLimit func(tenant string) int
-	// Registry, when set, receives per-executor pipeline accounting.
+	// Registry, when set, receives the workers' executor series and the job
+	// latency histograms.
 	Registry *metrics.Registry
 }
 
 func (c Config) normalized() Config {
-	if c.Devices < 0 {
-		c.Devices = 0
-	}
+	c.Devices = max(c.Devices, 0)
+	c.Workers = max(c.Workers, 0)
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
 	return c
 }
 
-// slots returns the executor-slot count for a normalized config: one per
-// GPU, or a single CPU-only slot.
-func (c Config) slots() int { return max(c.Devices, 1) }
-
-// reservedSlots is how many slots only interactive jobs lease: one when the
-// pool has two or more, so an interactive job admitted under a batch flood
-// starts on reserved capacity instead of waiting out a non-preemptive shard,
-// and none on a single slot, which every band must be able to use.
-func (c Config) reservedSlots() int { return min(c.slots()-1, 1) }
-
-// cpuAggregators returns the per-shard CPU executor count implied by the
-// config.
-func (c Config) cpuAggregators() int {
-	if !c.HybridCPU {
-		return 0
-	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return 2
-}
-
-// TaskSource hands the scheduler a job's tiles lazily: Len and Weight are
-// cheap metadata reads (a stored dataset serves them straight from its
-// manifest), while PolyTask materializes one tile's decoded polygon sets on
-// demand. Shards therefore carry tile handles, not datasets — each shard
-// goroutine materializes only its own tiles right before running, so a job
-// over a large stored dataset never holds the whole input in memory. Text
-// never reaches the scheduler: it is parsed where it enters the service.
+// TaskSource hands the scheduler a job's tiles lazily: Len is a cheap
+// metadata read (a stored dataset serves it straight from its manifest),
+// while PolyTask materializes one tile's decoded polygon sets on demand. The
+// worker that takes a tile calls PolyTask for it, so a job over a large
+// stored dataset never holds more of its input than one tile per worker.
+// Text never reaches the scheduler: it is parsed where it enters the
+// service.
 type TaskSource interface {
 	// Len is the tile count.
 	Len() int
-	// Weight is tile i's cost proxy for sharding.
-	Weight(i int) int64
-	// PolyTask materializes tile i as pipeline input.
+	// PolyTask materializes tile i as pipeline input. Workers call it
+	// concurrently for different tiles.
 	PolyTask(i int) (pipeline.PolyTask, error)
 }
 
@@ -118,17 +93,15 @@ type TaskSource interface {
 // pinned against retention eviction through it. The scheduler calls Release
 // exactly once, when the job reaches a terminal state (done, failed, or
 // canceled — including jobs canceled while still queued and jobs finalized
-// by Close).
+// by Close), and never while one of the job's PolyTask calls runs.
 type SourceReleaser interface {
 	Release()
 }
 
-// memSource adapts in-memory tiles to the TaskSource contract, weighting
-// each tile by its polygon count.
+// memSource adapts in-memory tiles to the TaskSource contract.
 type memSource []pipeline.PolyTask
 
 func (m memSource) Len() int                                  { return len(m) }
-func (m memSource) Weight(i int) int64                        { return int64(len(m[i].A) + len(m[i].B)) }
 func (m memSource) PolyTask(i int) (pipeline.PolyTask, error) { return m[i], nil }
 
 // Tasks wraps decoded in-memory tiles as a TaskSource.
@@ -177,9 +150,8 @@ type JobStatus struct {
 	Started   time.Time // zero until Running
 	Finished  time.Time // zero until terminal
 	Tiles     int
-	Shards    int   // shards the job was split into (set when Running)
-	DeviceIDs []int // pool devices that executed at least one shard
-	// Report is the merged cross-comparison result, valid when State == Done.
+	DeviceIDs []string // the workers that took at least one of its tiles, in pool order
+	// Report is the folded cross-comparison result, valid when State == Done.
 	Report pipeline.Result
 	Meta   any // the submitter's JobOpts.Meta
 	// Trace is the job's stage-span breakdown, recorded from submission.
@@ -188,15 +160,13 @@ type JobStatus struct {
 	Trace *trace.Trace
 }
 
-// DeviceStats is the accounting for one pool executor slot (its GPU set, or
-// a CPU-only slot).
+// DeviceStats is the accounting for one worker.
 type DeviceStats struct {
-	ID          int
-	Name        string
-	GPUs        int     // simulated GPUs leased by this slot
-	Launches    int64   // kernel launches summed over the slot's GPUs
-	BusySeconds float64 // modelled device busy seconds summed over the slot's GPUs
-	Shards      int64   // shards executed
+	ID          string  // gpu0, gpu1, …, cpu0, …
+	Kind        string  // pipeline.ExecGPU or pipeline.ExecCPU
+	Launches    int64   // kernel launches on the worker's GPU
+	BusySeconds float64 // modelled busy seconds of the worker's GPU
+	Tiles       int64   // tiles run
 	Wall        time.Duration
 }
 
@@ -223,24 +193,18 @@ var (
 
 const keepFinishedJobs = 1024 // finished jobs the scheduler remembers
 
-// device is one pool member: a leased executor slot owning a (possibly
-// empty) set of exclusive GPUs; an empty set is a CPU-only slot.
-type device struct {
-	id     int
-	gpus   []*gpu.Device
-	home   chan *device // the pool this device returns to after a lease
-	shards int64        // atomic
-	wallNS int64        // atomic
-}
-
-// stats sums the slot's cumulative GPU accounting.
-func (d *device) stats() (launches int64, busy float64) {
-	for _, g := range d.gpus {
-		s := g.Stats()
-		launches += s.Launches
-		busy += s.BusySeconds
-	}
-	return launches, busy
+// worker is one executor of the pool — a simulated GPU or a PixelBox-CPU
+// counter — running one tile at a time.
+type worker struct {
+	idx    int
+	id     string
+	kind   string
+	pass   pipeline.TilePass
+	tiles  atomic.Int64
+	wallNS atomic.Int64
+	// The executor series; nil without a Registry.
+	batches, pairs *metrics.Counter
+	batchHist      *metrics.Histogram
 }
 
 type job struct {
@@ -248,10 +212,8 @@ type job struct {
 	name      string
 	band      Band
 	tenant    string
-	src       TaskSource // released on finish; see tiles
+	src       TaskSource // released on finish
 	tiles     int
-	ctx       context.Context
-	cancel    context.CancelFunc
 	done      chan struct{}
 	state     State
 	counted   bool // still held in queue accounting (queuedTotal/queuedTenant)
@@ -259,21 +221,26 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	shards    int
-	devices   map[int]struct{}
 	report    pipeline.Result
 	meta      any
 	trace     *trace.Recorder
+
+	// Tile state, guarded by the scheduler's mu.
+	next     int                      // the next tile to hand out
+	inflight int                      // tiles handed out and not yet returned
+	stopped  bool                     // canceled or failed: hand out no more tiles
+	parts    []pipeline.TileResult    // each tile's pass, kept until the fold
+	execs    []pipeline.ExecutorStats // the job's tiles on each worker
+	mat      time.Duration            // materialize time summed over its tiles
+	exec     time.Duration            // execute time summed over its tiles
 }
 
 // Scheduler is the job service's execution core. Create with New, submit
 // with SubmitJob, observe with Job/Jobs/DeviceStats, stop with
 // Close.
 type Scheduler struct {
-	cfg   Config
-	pool  chan *device // general slots, leased by any band
-	rpool chan *device // reserved slots, leased only by interactive jobs; nil when none
-	devs  []*device
+	cfg     Config
+	workers []*worker
 
 	wg sync.WaitGroup
 
@@ -284,8 +251,9 @@ type Scheduler struct {
 	finished []string // the finished jobs still in jobs, oldest first
 
 	// The banded ready queue: one FIFO per band under weighted fair sharing
-	// (virtual-time WFQ). Terminal jobs (canceled while queued)
-	// stay in their slice until a dequeue skips them; accounting drops them
+	// (virtual-time WFQ, charged per tile). A job stays at its band's head
+	// until its last tile is handed out; jobs that end while queued stay in
+	// their slice until a pick skips them, and accounting drops them
 	// immediately via job.counted.
 	bands         [NumBands][]*job
 	vtime         [NumBands]float64
@@ -294,6 +262,11 @@ type Scheduler struct {
 	runningByBand [NumBands]int
 	queuedTenant  map[string]int
 	runningTenant map[string]int
+	// Batch tiles in flight, and their cap: all cores but one (at least
+	// one), so batch work always leaves a core to interactive tiles and to
+	// request handling.
+	batchInflight int
+	batchCap      int
 
 	// Latency histograms, nil without a Registry.
 	histQueueWait   [NumBands]*metrics.Histogram
@@ -304,7 +277,9 @@ type Scheduler struct {
 	ended     [Canceled + 1]int64 // jobs finished in each terminal state; guarded by mu
 }
 
-// New creates a scheduler and starts its dispatch workers.
+// New creates a scheduler and starts its workers: one per simulated GPU,
+// and Workers (default GOMAXPROCS) CPU workers when there are no GPUs or
+// HybridCPU is set.
 func New(cfg Config) *Scheduler {
 	cfg = cfg.normalized()
 	s := &Scheduler{
@@ -312,9 +287,11 @@ func New(cfg Config) *Scheduler {
 		jobs:          make(map[string]*job),
 		queuedTenant:  make(map[string]int),
 		runningTenant: make(map[string]int),
+		batchCap:      max(runtime.GOMAXPROCS(0)-1, 1),
 	}
 	s.qcond = sync.NewCond(&s.mu)
-	if r := cfg.Registry; r != nil {
+	r := cfg.Registry
+	if r != nil {
 		for b := Band(0); b < NumBands; b++ {
 			s.histQueueWait[b] = r.Histogram(metrics.Label("sccgd_job_queue_wait_seconds", "band", b.String()))
 		}
@@ -324,31 +301,30 @@ func New(cfg Config) *Scheduler {
 			Canceled: r.Histogram(metrics.Label("sccgd_job_duration_seconds", "outcome", "canceled")),
 		}
 	}
-	slots := cfg.slots()
-	general := slots - cfg.reservedSlots()
-	s.pool = make(chan *device, general)
-	if general < slots {
-		s.rpool = make(chan *device, slots-general)
-	}
-	s.devs = make([]*device, slots)
-	for i := 0; i < slots; i++ {
-		d := &device{id: i, home: s.pool}
-		if i >= general {
-			d.home = s.rpool
+	add := func(kind string, n int, dev *gpu.Device) {
+		w := &worker{idx: len(s.workers), id: fmt.Sprintf("%s%d", kind, n), kind: kind, pass: pipeline.TilePass{Device: dev}}
+		if r != nil {
+			w.batches = r.Counter(metrics.Label("sccg_executor_batches_total", "executor", w.id))
+			w.pairs = r.Counter(metrics.Label("sccg_executor_pairs_total", "executor", w.id))
+			w.batchHist = r.Histogram(metrics.Label("sccg_executor_batch_seconds", "kind", kind))
 		}
-		if i < cfg.Devices {
-			d.gpus = []*gpu.Device{gpu.NewDevice(gpu.GTX580())}
-		}
-		s.devs[i] = d
-		d.home <- d
+		s.workers = append(s.workers, w)
 	}
-	// One runner per executor slot: jobs run concurrently as devices free
-	// up, and a single job can still fan its shards across the whole pool.
-	// Runners for reserved slots dequeue only interactive jobs, so a batch
-	// backlog can never occupy every runner either.
-	for i := 0; i < slots; i++ {
+	for i := 0; i < cfg.Devices; i++ {
+		add(pipeline.ExecGPU, i, gpu.NewDevice(gpu.GTX580()))
+	}
+	if cfg.Devices == 0 || cfg.HybridCPU {
+		n := cfg.Workers
+		if n == 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
+		for i := 0; i < n; i++ {
+			add(pipeline.ExecCPU, i, nil)
+		}
+	}
+	for _, w := range s.workers {
 		s.wg.Add(1)
-		go s.runner(i >= general)
+		go s.work(w)
 	}
 	return s
 }
@@ -374,9 +350,9 @@ type JobOpts struct {
 }
 
 // SubmitJob enqueues a cross-comparison job whose tiles are materialized
-// lazily from src (Tasks wraps in-memory tiles; a stored dataset hands out
-// handles, and each shard reads only its own tiles) and returns its ID. Its
-// band picks the weighted-fair queue, its tenant is charged against the
+// lazily from src, each by the worker that takes it (Tasks wraps in-memory
+// tiles; a stored dataset hands out handles), and returns its ID. Its band
+// picks the weighted-fair queue, its tenant is charged against the
 // per-tenant queued-job quota (ErrTenantQueue when at the cap — checked
 // under the queue lock, so concurrent submits racing one remaining slot
 // resolve to exactly one winner).
@@ -394,38 +370,29 @@ func (s *Scheduler) SubmitJob(src TaskSource, opts JobOpts) (string, error) {
 	if rec == nil {
 		rec = trace.NewRecorder()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		name:      opts.Name,
 		band:      opts.Band,
 		tenant:    opts.Tenant,
 		src:       src,
 		tiles:     src.Len(),
-		ctx:       ctx,
-		cancel:    cancel,
 		done:      make(chan struct{}),
 		state:     Queued,
 		submitted: time.Now(),
-		devices:   make(map[int]struct{}),
 		meta:      opts.Meta,
 		trace:     rec,
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		cancel()
 		return "", ErrClosed
 	}
 	if s.queuedTotal >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		cancel()
 		return "", ErrQueueFull
 	}
 	if lim := s.cfg.TenantQueueLimit; lim != nil {
 		if max := lim(j.tenant); max > 0 && s.queuedTenant[j.tenant] >= max {
-			s.mu.Unlock()
-			cancel()
 			return "", fmt.Errorf("%w: tenant %s has %d queued", ErrTenantQueue, j.tenant, max)
 		}
 	}
@@ -433,11 +400,10 @@ func (s *Scheduler) SubmitJob(src TaskSource, opts JobOpts) (string, error) {
 	s.enqueueLocked(j)
 	s.jobs[j.id] = j
 	atomic.AddInt64(&s.submitted, 1)
-	s.mu.Unlock()
 	return j.id, nil
 }
 
-// enqueueLocked appends j to its band's FIFO and wakes the runners. The
+// enqueueLocked appends j to its band's FIFO and wakes the workers. The
 // band's virtual time catches up to the busiest active band when it was
 // idle, so a band returning from idleness gets its fair share, not a burst
 // of banked credit.
@@ -471,7 +437,7 @@ func (s *Scheduler) enqueueLocked(j *job) {
 }
 
 // uncountLocked drops j from queue accounting exactly once, whether it left
-// the queue by dequeue or by being finalized while still queued.
+// the queue by starting or by being finalized while still queued.
 func (s *Scheduler) uncountLocked(j *job) {
 	if !j.counted {
 		return
@@ -486,64 +452,172 @@ func (s *Scheduler) uncountLocked(j *job) {
 	}
 }
 
-// dequeueLocked pops the next runnable job, or nil when nothing is eligible.
-// Reserved-slot runners (interactiveOnly) serve only the interactive band
-// and don't charge its fair-share clock — reserved capacity is dedicated,
-// not part of the weighted split. General runners pick the band by
-// virtual-time WFQ; weights are positive, so every non-empty band is served.
-func (s *Scheduler) dequeueLocked(interactiveOnly bool) *job {
+// pickLocked hands a free worker its next tile: the head job of the band
+// the virtual-time clock picks, and that job's next tile index. The clock
+// is charged one tile; weights are positive, so every non-empty band is
+// served. The batch band waits while batchCap of its tiles are in flight. A
+// job starts at its first tile and leaves its band's FIFO with its last; a
+// job that ended or stopped is dropped from it unserved. Once the scheduler
+// is closed only started jobs hand out tiles. It returns nil when there is
+// no tile to hand out.
+func (s *Scheduler) pickLocked() (*job, int) {
 	for {
 		pick := Band(-1)
-		if interactiveOnly {
-			if len(s.bands[BandInteractive]) == 0 {
-				return nil
+		for b := Band(0); b < NumBands; b++ {
+			if len(s.bands[b]) == 0 || s.closed && s.bands[b][0].state != Running ||
+				b == BandBatch && s.batchInflight >= s.batchCap {
+				continue
 			}
-			pick = BandInteractive
-		} else {
-			for b := Band(0); b < NumBands; b++ {
-				if len(s.bands[b]) == 0 {
-					continue
-				}
-				if pick < 0 || s.vtime[b] < s.vtime[pick] {
-					pick = b
-				}
+			if pick < 0 || s.vtime[b] < s.vtime[pick] {
+				pick = b
 			}
-			if pick < 0 {
-				return nil
-			}
+		}
+		if pick < 0 {
+			return nil, 0
 		}
 		j := s.bands[pick][0]
-		s.bands[pick] = s.bands[pick][1:]
-		s.uncountLocked(j)
-		if j.state.Terminal() {
-			// Canceled while queued; its slot in the FIFO dies here.
+		if j.state.Terminal() || j.stopped {
+			s.bands[pick] = s.bands[pick][1:]
 			continue
 		}
-		if !interactiveOnly {
-			s.vtime[pick] += 1 / float64(DefaultBandWeights[pick])
+		if j.state == Queued {
+			s.startLocked(j)
 		}
-		return j
+		i := j.next
+		j.next++
+		j.inflight++
+		if pick == BandBatch {
+			s.batchInflight++
+		}
+		if j.next == j.tiles {
+			s.bands[pick] = s.bands[pick][1:]
+		}
+		s.vtime[pick] += 1 / float64(DefaultBandWeights[pick])
+		return j, i
 	}
 }
 
-// hasWorkLocked reports whether a runner of the given kind could dequeue
-// something (terminal leftovers count — dequeue discards them cheaply).
-func (s *Scheduler) hasWorkLocked(interactiveOnly bool) bool {
-	if interactiveOnly {
-		return len(s.bands[BandInteractive]) > 0
+// startLocked moves j from queued to running at its first tile.
+func (s *Scheduler) startLocked(j *job) {
+	s.uncountLocked(j)
+	j.state = Running
+	j.started = time.Now()
+	j.parts = make([]pipeline.TileResult, j.tiles)
+	j.execs = make([]pipeline.ExecutorStats, len(s.workers))
+	for i, w := range s.workers {
+		j.execs[i] = pipeline.ExecutorStats{ID: w.id, Kind: w.kind}
 	}
-	for b := Band(0); b < NumBands; b++ {
-		if len(s.bands[b]) > 0 {
-			return true
-		}
+	s.runningByBand[j.band]++
+	s.runningTenant[j.tenant]++
+	// The queue span's detail names the band, so a slow-query trace shows
+	// which class of backlog the job waited behind.
+	j.trace.Add("queue", j.band.String(), j.submitted, j.started)
+	if h := s.histQueueWait[j.band]; h != nil {
+		h.ObserveDuration(j.started.Sub(j.submitted))
 	}
-	return false
 }
 
-// Cancel requests cancellation of a queued or running job. A queued job is
-// finalized immediately (it stays in the queue; the runner that eventually
-// dequeues it skips it); a running job stops dispatching new shards
-// (in-flight shards complete, their work is discarded).
+// work is one worker's loop: pick a tile, materialize and run it outside
+// the lock, return it.
+func (s *Scheduler) work(w *worker) {
+	defer s.wg.Done()
+	s.mu.Lock()
+	for {
+		j, i := s.pickLocked()
+		if j == nil {
+			if s.closed {
+				s.mu.Unlock()
+				return
+			}
+			s.qcond.Wait()
+			continue
+		}
+		src := j.src
+		s.mu.Unlock()
+
+		start := time.Now()
+		t, err := src.PolyTask(i)
+		materialized := time.Now()
+		var r pipeline.TileResult
+		if err != nil {
+			err = fmt.Errorf("materialize tile %d: %w", i, err)
+		} else {
+			r, err = w.pass.Run(t)
+		}
+		end := time.Now()
+		if err == nil {
+			w.tiles.Add(1)
+			w.wallNS.Add(int64(end.Sub(start)))
+			if w.batches != nil {
+				w.batches.Inc()
+				w.pairs.Add(int64(r.Candidates))
+				w.batchHist.ObserveDuration(r.Count)
+			}
+		}
+
+		s.mu.Lock()
+		j.inflight--
+		if j.band == BandBatch {
+			s.batchInflight--
+			s.qcond.Signal() // a worker that found batch capped may take the tile this one leaves
+		}
+		if err != nil {
+			if j.err == nil {
+				j.err = err
+			}
+			j.stopped = true
+		} else {
+			j.parts[i] = r
+			e := &j.execs[w.idx]
+			e.Batches++
+			e.Pairs += int64(r.Candidates)
+			e.Busy += r.Count
+			j.mat += materialized.Sub(start)
+			j.exec += end.Sub(materialized)
+		}
+		if j.inflight == 0 && (j.stopped || j.next == j.tiles) {
+			s.mu.Unlock()
+			s.complete(j)
+			s.mu.Lock()
+		}
+	}
+}
+
+// complete ends a started job whose tiles have all returned: failed on a
+// tile's error, canceled when stopped, otherwise done with its tiles
+// folded.
+func (s *Scheduler) complete(j *job) {
+	s.mu.Lock()
+	err, stopped, parts, execs := j.err, j.stopped, j.parts, j.execs
+	tiles, workers := 0, 0
+	for _, e := range j.execs {
+		tiles += int(e.Batches)
+		workers += min(int(e.Batches), 1)
+	}
+	detail := fmt.Sprintf("%d tiles, %d workers", tiles, workers)
+	j.trace.AddDuration("materialize", detail, j.started, j.mat)
+	j.trace.AddDuration("execute", detail, j.started, j.exec)
+	s.mu.Unlock()
+	switch {
+	case err != nil:
+		s.finish(j, Failed, err, pipeline.Result{})
+	case stopped:
+		s.finish(j, Canceled, nil, pipeline.Result{})
+	default:
+		foldStart := time.Now()
+		report := pipeline.Fold(parts)
+		j.trace.Add("merge", fmt.Sprintf("%d tiles", len(parts)), foldStart, time.Now())
+		report.Stats.WallTime = time.Since(j.started)
+		report.Stats.Executors = execs
+		s.finish(j, Done, nil, report)
+	}
+}
+
+// Cancel requests cancellation of a queued or running job. A queued job, or
+// a running one with no tile in flight, is finalized immediately (a queued
+// one stays in its FIFO until a pick skips it); otherwise no worker takes
+// another of its tiles, and the job ends as canceled once its tiles in
+// flight have returned.
 func (s *Scheduler) Cancel(id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -555,12 +629,12 @@ func (s *Scheduler) Cancel(id string) error {
 		s.mu.Unlock()
 		return ErrTerminal
 	}
-	queued := j.state == Queued
+	j.stopped = true
+	now := j.inflight == 0
 	s.mu.Unlock()
-	j.cancel()
-	if queued {
-		// finish is idempotent, so racing a runner that just dequeued the
-		// job is safe: whoever transitions it first wins.
+	if now {
+		// finish is idempotent, so racing the worker that returned the
+		// job's last tile is safe: whoever transitions it first wins.
 		s.finish(j, Canceled, nil, pipeline.Result{})
 	}
 	return nil
@@ -612,22 +686,20 @@ func (s *Scheduler) Wait(ctx context.Context, id string) (JobStatus, error) {
 	return s.snapshotLocked(j), nil
 }
 
-// DeviceStats returns per-device accounting for the pool.
+// DeviceStats returns per-worker accounting for the pool, GPU workers first.
 func (s *Scheduler) DeviceStats() []DeviceStats {
-	out := make([]DeviceStats, len(s.devs))
-	for i, d := range s.devs {
-		ds := DeviceStats{
-			ID:     d.id,
-			Name:   "cpu",
-			GPUs:   len(d.gpus),
-			Shards: atomic.LoadInt64(&d.shards),
-			Wall:   time.Duration(atomic.LoadInt64(&d.wallNS)),
+	out := make([]DeviceStats, len(s.workers))
+	for i, w := range s.workers {
+		out[i] = DeviceStats{
+			ID:    w.id,
+			Kind:  w.kind,
+			Tiles: w.tiles.Load(),
+			Wall:  time.Duration(w.wallNS.Load()),
 		}
-		if len(d.gpus) > 0 {
-			ds.Name = d.gpus[0].Config().Name
-			ds.Launches, ds.BusySeconds = d.stats()
+		if dev := w.pass.Device; dev != nil {
+			d := dev.Stats()
+			out[i].Launches, out[i].BusySeconds = d.Launches, d.BusySeconds
 		}
-		out[i] = ds
 	}
 	return out
 }
@@ -658,7 +730,7 @@ func (s *Scheduler) Stats() Stats {
 	return st
 }
 
-// Close stops the runners after in-flight jobs finish and cancels queued
+// Close lets running jobs finish, then stops the workers and cancels queued
 // jobs. Submit fails with ErrClosed afterwards.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
@@ -670,7 +742,7 @@ func (s *Scheduler) Close() {
 	s.qcond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
-	// Runners are gone: finalize whatever is still queued.
+	// Workers are gone: finalize whatever is still queued.
 	for {
 		s.mu.Lock()
 		var j *job
@@ -700,15 +772,16 @@ func (s *Scheduler) snapshotLocked(j *job) JobStatus {
 		Started:   j.started,
 		Finished:  j.finished,
 		Tiles:     j.tiles,
-		Shards:    j.shards,
 		Report:    j.report,
 		Meta:      j.meta,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	for id := range j.devices {
-		st.DeviceIDs = append(st.DeviceIDs, id)
+	for _, e := range j.execs {
+		if e.Batches > 0 {
+			st.DeviceIDs = append(st.DeviceIDs, e.ID)
+		}
 	}
 	// The recorder has its own lock and Snapshot takes no scheduler locks,
 	// so snapshotting under s.mu is safe.
@@ -716,211 +789,8 @@ func (s *Scheduler) snapshotLocked(j *job) JobStatus {
 	return st
 }
 
-// runner is one dispatch loop. Reserved-slot runners (interactiveOnly)
-// serve only the interactive band, so even with every general runner deep
-// in a batch job an interactive submission is picked up immediately.
-func (s *Scheduler) runner(interactiveOnly bool) {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		for !s.closed && !s.hasWorkLocked(interactiveOnly) {
-			s.qcond.Wait()
-		}
-		if s.closed {
-			// Close finalizes whatever is still queued after runners exit.
-			s.mu.Unlock()
-			return
-		}
-		j := s.dequeueLocked(interactiveOnly)
-		s.mu.Unlock()
-		if j != nil {
-			s.runJob(j)
-		}
-	}
-}
-
-// runJob executes one job: shard, lease devices, run pipelines, merge.
-func (s *Scheduler) runJob(j *job) {
-	if j.ctx.Err() != nil {
-		s.finish(j, Canceled, nil, pipeline.Result{})
-		return
-	}
-	s.mu.Lock()
-	if j.state.Terminal() {
-		// Cancel finalized the job while it sat in the queue.
-		s.mu.Unlock()
-		return
-	}
-	// Capture the source under the lock: finish() releases j.src on any
-	// terminal transition, and Cancel can finalize the job concurrently with
-	// the shard goroutines below (it saw the job still queued before this
-	// runner marked it running).
-	src := j.src
-	s.mu.Unlock()
-
-	// Sharding scans every task's Weight — O(tiles) over a large stored
-	// dataset — so it must not run under s.mu: every Jobs/Job/Stats
-	// snapshot (and through them /jobs, /metrics, /healthz) would stall
-	// behind it. Len/Weight are in-memory manifest reads on every source, so
-	// scanning outside the lock races nothing but the terminal re-check
-	// below: if Cancel finalized the job while it sharded, the shards are
-	// discarded unstarted exactly as if the cancel had won the queue race.
-	shardStart := time.Now()
-	shards := shardTasks(src, len(s.devs))
-
-	s.mu.Lock()
-	if j.state.Terminal() {
-		s.mu.Unlock()
-		return
-	}
-	j.state = Running
-	j.started = time.Now()
-	j.shards = len(shards)
-	s.runningByBand[j.band]++
-	s.runningTenant[j.tenant]++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.runningByBand[j.band]--
-		if n := s.runningTenant[j.tenant]; n > 1 {
-			s.runningTenant[j.tenant] = n - 1
-		} else {
-			delete(s.runningTenant, j.tenant)
-		}
-		s.mu.Unlock()
-	}()
-	// The queue span's detail names the band, so a slow-query trace shows
-	// which class of backlog the job waited behind.
-	j.trace.Add("queue", j.band.String(), j.submitted, shardStart)
-	j.trace.Add("shard", fmt.Sprintf("%d shards", len(shards)), shardStart, j.started)
-	if h := s.histQueueWait[j.band]; h != nil {
-		h.ObserveDuration(shardStart.Sub(j.submitted))
-	}
-
-	results := make([]pipeline.Result, len(shards))
-	errs := make([]error, len(shards))
-	ran := make([]bool, len(shards))
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		// Lease a device per shard; the lease blocks until a pool member is
-		// free, so a job never oversubscribes an exclusive device. Stop
-		// dispatching as soon as the job is canceled or a shard has failed.
-		if j.ctx.Err() != nil {
-			break
-		}
-		var dev *device
-		if j.band == BandInteractive && s.rpool != nil {
-			// Interactive shards lease from whichever pool frees first; the
-			// reserved slots exist exactly for this moment, when every
-			// general slot is held by a non-preemptive batch shard.
-			select {
-			case dev = <-s.pool:
-			case dev = <-s.rpool:
-			case <-j.ctx.Done():
-			}
-		} else {
-			select {
-			case dev = <-s.pool:
-			case <-j.ctx.Done():
-			}
-		}
-		if dev == nil {
-			break
-		}
-		wg.Add(1)
-		go func(i int, idxs []int, dev *device) {
-			defer wg.Done()
-			defer func() { dev.home <- dev }()
-			start := time.Now()
-			pcfg := pipeline.Config{
-				Devices:        dev.gpus,
-				CPUAggregators: s.cfg.cpuAggregators(),
-				CPU:            pixelbox.CPUConfig{Workers: s.cfg.Workers},
-				Registry:       s.cfg.Registry,
-				ExecutorLabel:  fmt.Sprintf("slot%d/", dev.id),
-			}
-			// Materialize only this shard's tiles from the source — for a
-			// stored dataset that means reading just these tiles out of the
-			// decoded-tile cache or the segment file.
-			res, err, executed := s.runShard(j.trace, fmt.Sprintf("slot%d shard%d", dev.id, i), src, idxs, pcfg)
-			if !executed {
-				// Materialization failure: no pipeline ran at all.
-				errs[i] = err
-				ran[i] = true
-				j.cancel() // fail fast, as with a pipeline error
-				s.mu.Lock()
-				j.devices[dev.id] = struct{}{}
-				s.mu.Unlock()
-				return
-			}
-			atomic.AddInt64(&dev.shards, 1)
-			atomic.AddInt64(&dev.wallNS, int64(time.Since(start)))
-			results[i], errs[i], ran[i] = res, err, true
-			if err != nil {
-				j.cancel() // fail fast: stop dispatching the job's remaining shards
-			}
-			s.mu.Lock()
-			j.devices[dev.id] = struct{}{}
-			s.mu.Unlock()
-		}(i, shard, dev)
-	}
-	wg.Wait()
-
-	var firstErr error
-	complete := true
-	merged := make([]pipeline.Result, 0, len(shards))
-	for i := range shards {
-		if !ran[i] {
-			complete = false
-			continue
-		}
-		if errs[i] != nil && firstErr == nil {
-			firstErr = fmt.Errorf("shard %d/%d: %w", i+1, len(shards), errs[i])
-		}
-		merged = append(merged, results[i])
-	}
-	switch {
-	case firstErr != nil:
-		s.finish(j, Failed, firstErr, pipeline.Result{})
-	case !complete || j.ctx.Err() != nil:
-		// Either shards were never dispatched, or cancellation arrived after
-		// the last shard went out: the work is discarded either way.
-		s.finish(j, Canceled, nil, pipeline.Result{})
-	default:
-		mergeStart := time.Now()
-		report := pipeline.Merge(merged...)
-		j.trace.Add("merge", fmt.Sprintf("%d shards", len(merged)), mergeStart, time.Now())
-		// Merge's WallTime is the max across shards, which assumes they ran
-		// concurrently; with more shards than free devices they serialize,
-		// so report the job's real elapsed time instead.
-		report.Stats.WallTime = time.Since(j.started)
-		s.finish(j, Done, nil, report)
-	}
-}
-
-// runShard materializes one shard's tiles and runs them through the
-// pipeline; executed reports whether a pipeline ran at all (false means
-// materialization failed and err describes the tile). Materialize and
-// execute spans are recorded under detail (slot + shard).
-func (s *Scheduler) runShard(rec *trace.Recorder, detail string, src TaskSource, idxs []int, pcfg pipeline.Config) (res pipeline.Result, err error, executed bool) {
-	matStart := time.Now()
-	shard := make([]pipeline.PolyTask, 0, len(idxs))
-	for _, ix := range idxs {
-		t, terr := src.PolyTask(ix)
-		if terr != nil {
-			return pipeline.Result{}, fmt.Errorf("materialize tile %d: %w", ix, terr), false
-		}
-		shard = append(shard, t)
-	}
-	execStart := time.Now()
-	rec.Add("materialize", detail, matStart, execStart)
-	res, err = pipeline.RunParsed(shard, pcfg)
-	rec.Add("execute", detail, execStart, time.Now())
-	return res, err, true
-}
-
 // finish moves a job to a terminal state. It is idempotent: Cancel can
-// finalize a queued job while a runner races to dequeue it, and only the
+// finalize a job while a worker races to start or complete it, and only the
 // first finisher takes effect.
 func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Result) {
 	s.mu.Lock()
@@ -928,10 +798,20 @@ func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Resul
 		s.mu.Unlock()
 		return
 	}
+	if j.state == Running {
+		s.runningByBand[j.band]--
+		if n := s.runningTenant[j.tenant]; n > 1 {
+			s.runningTenant[j.tenant] = n - 1
+		} else {
+			delete(s.runningTenant, j.tenant)
+		}
+	}
 	j.state = state
 	j.err = err
 	j.finished = time.Now()
 	j.report = report
+	j.stopped = true
+	j.parts = nil
 	// Count the outcome in the section that makes the terminal state
 	// visible, so a client that polls "done" then scrapes /metrics sees it
 	// counted. Job latency is submission → terminal: queue wait included,
@@ -941,7 +821,7 @@ func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Resul
 		h.ObserveDuration(j.finished.Sub(j.submitted))
 	}
 	// A job finalized while still queued leaves quota accounting now; its
-	// FIFO slot is discarded by whichever dequeue reaches it.
+	// FIFO slot is discarded by whichever pick reaches it.
 	s.uncountLocked(j)
 	src := j.src
 	j.src = nil // release the input source
@@ -957,49 +837,5 @@ func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Resul
 		// and only the first finisher sees a non-nil src, so this runs once.
 		rel.Release()
 	}
-	j.cancel()
 	close(j.done)
-}
-
-// shardTasks splits the source's tile indices into at most maxShards
-// shards, never more than one shard per tile, weighting each shard by the
-// source's tile weights so shard finish times even out when tile sizes are
-// skewed (round-robin by count let one segment-heavy shard serialize the
-// job's tail). Longest-processing-time greedy: tiles are considered
-// heaviest first and each goes to the currently lightest shard; ties break
-// on lowest index, keeping the split deterministic for a given source.
-func shardTasks(src TaskSource, maxShards int) [][]int {
-	n := maxShards
-	if n > src.Len() {
-		n = src.Len()
-	}
-	if n < 1 {
-		n = 1
-	}
-	order := make([]int, src.Len())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return src.Weight(order[a]) > src.Weight(order[b])
-	})
-	shards := make([][]int, n)
-	loads := make([]int64, n)
-	for _, ix := range order {
-		lightest := 0
-		for sh := 1; sh < n; sh++ {
-			if loads[sh] < loads[lightest] {
-				lightest = sh
-			}
-		}
-		shards[lightest] = append(shards[lightest], ix)
-		loads[lightest] += src.Weight(ix)
-	}
-	// Tiles within a shard run in index order; determinism of the merged
-	// result never depends on it (tile-canonical folding), but ordered
-	// reads keep store access sequential within each shard.
-	for _, sh := range shards {
-		sort.Ints(sh)
-	}
-	return shards
 }

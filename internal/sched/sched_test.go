@@ -2,8 +2,13 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -24,12 +29,34 @@ func testTasks(t *testing.T, tiles int) []pipeline.PolyTask {
 	return tasks
 }
 
-// TestShardsAcrossDevices is the tentpole correctness test: a job sharded
-// over two devices must produce the same report a single direct pipeline run
-// produces, and both devices must actually execute work.
-func TestShardsAcrossDevices(t *testing.T) {
-	tasks := testTasks(t, 6)
+// pairedSource serves tasks, but holds the first of its tile reads until a
+// second has begun, so two workers each take at least one tile.
+type pairedSource struct {
+	tasks []pipeline.PolyTask
+	calls atomic.Int32
+	both  chan struct{}
+}
 
+func (p *pairedSource) Len() int { return len(p.tasks) }
+func (p *pairedSource) PolyTask(i int) (pipeline.PolyTask, error) {
+	switch p.calls.Add(1) {
+	case 1:
+		select {
+		case <-p.both:
+		case <-time.After(10 * time.Second):
+			return pipeline.PolyTask{}, errors.New("no second worker took a tile")
+		}
+	case 2:
+		close(p.both)
+	}
+	return p.tasks[i], nil
+}
+
+// TestTilesSpreadOverWorkers: a job's tiles spread over two GPU workers give
+// the report of one direct pipeline run, bit for bit, and both workers'
+// devices did work.
+func TestTilesSpreadOverWorkers(t *testing.T) {
+	tasks := testTasks(t, 6)
 	direct, err := pipeline.RunParsed(tasks, pipeline.Config{Devices: []*gpu.Device{gpu.NewDevice(gpu.GTX580())}})
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
@@ -37,7 +64,7 @@ func TestShardsAcrossDevices(t *testing.T) {
 
 	s := New(Config{Devices: 2})
 	defer s.Close()
-	id, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "rep"})
+	id, err := s.SubmitJob(&pairedSource{tasks: tasks, both: make(chan struct{})}, JobOpts{Name: "rep"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -50,25 +77,18 @@ func TestShardsAcrossDevices(t *testing.T) {
 	if st.State != Done {
 		t.Fatalf("job state = %v (err %q), want Done", st.State, st.Error)
 	}
-	if st.Shards != 2 {
-		t.Fatalf("job ran %d shards, want 2", st.Shards)
-	}
-	if len(st.DeviceIDs) < 2 {
-		t.Fatalf("job used devices %v, want 2 distinct devices", st.DeviceIDs)
+	if !reflect.DeepEqual(st.DeviceIDs, []string{"gpu0", "gpu1"}) {
+		t.Fatalf("job ran on workers %v, want [gpu0 gpu1]", st.DeviceIDs)
 	}
 	for _, d := range s.DeviceStats() {
-		if d.Shards == 0 || d.Launches == 0 {
-			t.Errorf("device %d idle (shards=%d launches=%d), want both devices busy",
-				d.ID, d.Shards, d.Launches)
+		if d.Tiles == 0 || d.Launches == 0 {
+			t.Errorf("worker %s idle (tiles=%d launches=%d), want both busy", d.ID, d.Tiles, d.Launches)
 		}
 	}
-
-	if st.Report.Intersecting != direct.Intersecting || st.Report.Candidates != direct.Candidates {
-		t.Errorf("pair counts (%d, %d) != direct (%d, %d)",
-			st.Report.Intersecting, st.Report.Candidates, direct.Intersecting, direct.Candidates)
-	}
-	if math.Abs(st.Report.Similarity-direct.Similarity) > 1e-9 {
-		t.Errorf("similarity %.12f != direct %.12f", st.Report.Similarity, direct.Similarity)
+	if math.Float64bits(st.Report.Similarity) != math.Float64bits(direct.Similarity) ||
+		st.Report.Intersecting != direct.Intersecting || st.Report.Candidates != direct.Candidates {
+		t.Errorf("report (%v, %d, %d) != direct (%v, %d, %d)", st.Report.Similarity, st.Report.Intersecting,
+			st.Report.Candidates, direct.Similarity, direct.Intersecting, direct.Candidates)
 	}
 	if st.Report.Stats.TilesProcessed != len(tasks) {
 		t.Errorf("tiles processed = %d, want %d", st.Report.Stats.TilesProcessed, len(tasks))
@@ -153,8 +173,8 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	// One device, one runner: the second job stays queued while a gated
-	// first job holds the runner, so the cancel always finds it queued.
+	// One device, one worker: the second job stays queued while a gated
+	// first job holds the worker, so the cancel always finds it queued.
 	s := New(Config{Devices: 1})
 	defer s.Close()
 	first, release := startFiller(t, s)
@@ -217,33 +237,39 @@ func TestJobsListingOrder(t *testing.T) {
 // finished jobs the oldest leaves the scheduler, while a running job and a
 // queued one stay however long the flood of finished work runs.
 func TestFinishedJobsForgotten(t *testing.T) {
-	// Two slots: the batch band's gated job holds the only general runner,
-	// so a second batch job stays queued, and the interactive flood runs on
-	// the reserved slot.
+	// Two workers, each holding one of the held job's two gated tiles, so
+	// the batch job is submitted with no worker free to start it. Nothing
+	// keeps a free worker from a batch job while the interactive band is
+	// empty, so it waits out the flood outside its band's queue.
 	s := New(Config{Devices: 2})
 	defer s.Close()
 	tiny := testTasks(t, 1)
 	tiny[0].A, tiny[0].B = tiny[0].A[:1], tiny[0].B[:1]
-	gate := &gatedSource{tasks: tiny, release: make(chan struct{})}
+	gate := &tileGates{task: tiny[0], gates: []chan struct{}{make(chan struct{}), make(chan struct{})}}
 	var once sync.Once
-	release := func() { once.Do(func() { close(gate.release) }) }
+	release := func() { once.Do(func() { close(gate.gates[0]) }) }
 	defer release()
-	running, err := s.SubmitJob(gate, JobOpts{Name: "held", Band: BandBatch})
+	running, err := s.SubmitJob(gate, JobOpts{Name: "held"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		if st, _ := s.Job(running); st.State == Running {
+		if gate.entered.Load() == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the held job never started")
+			t.Fatal("the held job's tiles never both started")
 		}
 	}
 	queued, err := s.SubmitJob(Tasks(tiny), JobOpts{Name: "behind", Band: BandBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.mu.Lock()
+	parked := s.bands[BandBatch]
+	s.bands[BandBatch] = nil
+	s.mu.Unlock()
+	close(gate.gates[1])
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -294,6 +320,10 @@ func TestFinishedJobsForgotten(t *testing.T) {
 	checkJobs(append([]string{running, queued}, ids[forgotten:]...))
 
 	// Once the two live jobs finish, they push the two oldest finished out.
+	s.mu.Lock()
+	s.bands[BandBatch] = append(s.bands[BandBatch], parked...)
+	s.qcond.Broadcast()
+	s.mu.Unlock()
 	release()
 	for _, id := range []string{running, queued} {
 		if st, err := s.Wait(ctx, id); err != nil || st.ID != id || st.State != Done {
@@ -303,120 +333,53 @@ func TestFinishedJobsForgotten(t *testing.T) {
 	checkJobs(append([]string{running, queued}, ids[forgotten+2:]...))
 }
 
-// weightSource is a TaskSource with explicit per-tile weights for shard
-// policy tests.
-type weightSource []int64
-
-func (w weightSource) Len() int           { return len(w) }
-func (w weightSource) Weight(i int) int64 { return w[i] }
-func (w weightSource) PolyTask(i int) (pipeline.PolyTask, error) {
-	return pipeline.PolyTask{Tile: i}, nil
+// tileGates serves one tile per gate, each read held until its gate
+// closes.
+type tileGates struct {
+	task    pipeline.PolyTask
+	gates   []chan struct{}
+	entered atomic.Int32
 }
 
-func TestShardTasks(t *testing.T) {
-	tasks := testTasks(t, 5)
-	shards := shardTasks(Tasks(tasks), 8)
-	if len(shards) != 5 {
-		t.Fatalf("shardTasks over-split: %d shards for 5 tasks", len(shards))
-	}
-	shards = shardTasks(Tasks(tasks), 2)
-	if len(shards) != 2 {
-		t.Fatalf("shardTasks(5, 2) = %d shards, want 2", len(shards))
-	}
-	seen := make(map[int]bool)
-	for _, sh := range shards {
-		for _, ix := range sh {
-			if seen[ix] {
-				t.Fatalf("tile %d assigned to two shards", ix)
-			}
-			seen[ix] = true
-		}
-	}
-	if len(seen) != len(tasks) {
-		t.Fatalf("shards hold %d tiles, want %d", len(seen), len(tasks))
-	}
+func (g *tileGates) Len() int { return len(g.gates) }
+func (g *tileGates) PolyTask(i int) (pipeline.PolyTask, error) {
+	g.entered.Add(1)
+	<-g.gates[i]
+	return g.task, nil
 }
 
-// TestShardTasksWeighted checks the throughput-weighted split: one huge tile
-// plus many small ones must not share a shard with other work, and the byte
-// loads of the shards must come out far more even than a round-robin count
-// split would make them.
-func TestShardTasksWeighted(t *testing.T) {
-	src := weightSource{1000, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10}
-	shards := shardTasks(src, 2)
-	if len(shards) != 2 {
-		t.Fatalf("got %d shards, want 2", len(shards))
-	}
-	loads := make([]int64, len(shards))
-	for i, sh := range shards {
-		for _, ix := range sh {
-			loads[i] += src.Weight(ix)
-		}
-	}
-	// LPT on these weights: the heavy tile alone on one shard, every small
-	// tile on the other — 1000 vs 100.
-	heavy, light := loads[0], loads[1]
-	if heavy < light {
-		heavy, light = light, heavy
-	}
-	if heavy != 1000 || light != 100 {
-		t.Fatalf("weighted shard loads = %v, want [1000 100]", loads)
-	}
-	// Determinism: same source, same split.
-	again := shardTasks(src, 2)
-	for i := range shards {
-		if len(again[i]) != len(shards[i]) {
-			t.Fatalf("shardTasks is not deterministic: %v vs %v", again, shards)
-		}
-		for k := range shards[i] {
-			if again[i][k] != shards[i][k] {
-				t.Fatalf("shardTasks is not deterministic: %v vs %v", again, shards)
-			}
-		}
-	}
-}
-
-// slowWeightSource wraps real tasks with a Weight that blocks until released,
-// simulating a source whose weight scan is expensive (a cross-reader walking
-// tile manifests). started is closed when sharding first asks for a weight.
-type slowWeightSource struct {
+// heldSource serves tasks, but its reads block until release is closed;
+// started is closed at the first read.
+type heldSource struct {
 	tasks   []pipeline.PolyTask
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func (s *slowWeightSource) Len() int { return len(s.tasks) }
-func (s *slowWeightSource) Weight(i int) int64 {
+func (s *heldSource) Len() int { return len(s.tasks) }
+func (s *heldSource) PolyTask(i int) (pipeline.PolyTask, error) {
 	s.once.Do(func() { close(s.started) })
 	<-s.release
-	return 1
+	return s.tasks[i], nil
 }
-func (s *slowWeightSource) PolyTask(i int) (pipeline.PolyTask, error) { return s.tasks[i], nil }
 
-// TestJobsNotBlockedBySlowSharding is the regression test for sharding inside
-// the scheduler lock: while a source's Weight scan stalls shardTasks, the
-// observability surface (Jobs, and through it /jobs, /metrics, /healthz) must
-// still answer.
-func TestJobsNotBlockedBySlowSharding(t *testing.T) {
+// TestJobsNotBlockedBySlowMaterialize: while a worker's tile read stalls,
+// the observability surface (Jobs, and through it /jobs, /metrics,
+// /healthz) still answers — tiles are read outside the scheduler lock.
+func TestJobsNotBlockedBySlowMaterialize(t *testing.T) {
 	s := New(Config{Devices: 1})
 	defer s.Close()
-	src := &slowWeightSource{
-		tasks:   testTasks(t, 2),
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	id, err := s.SubmitJob(src, JobOpts{Name: "slow-shard"})
+	src := &heldSource{tasks: testTasks(t, 2), started: make(chan struct{}), release: make(chan struct{})}
+	id, err := s.SubmitJob(src, JobOpts{Name: "slow-read"})
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
 	select {
 	case <-src.started:
 	case <-time.After(10 * time.Second):
-		t.Fatal("sharding never started")
+		t.Fatal("materialize never started")
 	}
-	// The runner is now inside shardTasks with Weight blocked. Jobs must not
-	// be stuck behind it.
 	got := make(chan []JobStatus, 1)
 	go func() { got <- s.Jobs() }()
 	select {
@@ -424,11 +387,11 @@ func TestJobsNotBlockedBySlowSharding(t *testing.T) {
 		if len(jobs) != 1 || jobs[0].ID != id {
 			t.Fatalf("Jobs() = %+v, want the one submitted job", jobs)
 		}
-		if jobs[0].State != Queued {
-			t.Errorf("job state during sharding = %v, want Queued", jobs[0].State)
+		if jobs[0].State != Running {
+			t.Errorf("job state during its first tile read = %v, want Running", jobs[0].State)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Jobs() blocked while a slow source sharded — shardTasks runs under the scheduler lock")
+		t.Fatal("Jobs() blocked while a slow source materialized a tile — PolyTask runs under the scheduler lock")
 	}
 	close(src.release)
 	st, err := s.Wait(context.Background(), id)
@@ -437,28 +400,27 @@ func TestJobsNotBlockedBySlowSharding(t *testing.T) {
 	}
 }
 
-// TestCancelDuringSharding covers the terminal re-check after sharding moved
-// outside the lock: a job canceled while its source shards must finalize as
-// Canceled with the computed shards discarded unstarted.
-func TestCancelDuringSharding(t *testing.T) {
+// TestCancelDuringMaterialize: a job canceled while a worker reads its
+// first tile takes no further tile and ends Canceled, with no report, once
+// that read returns.
+func TestCancelDuringMaterialize(t *testing.T) {
 	s := New(Config{Devices: 1})
 	defer s.Close()
-	src := &slowWeightSource{
-		tasks:   testTasks(t, 2),
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	id, err := s.SubmitJob(src, JobOpts{Name: "cancel-shard"})
+	src := &heldSource{tasks: testTasks(t, 2), started: make(chan struct{}), release: make(chan struct{})}
+	id, err := s.SubmitJob(src, JobOpts{Name: "cancel-read"})
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
 	select {
 	case <-src.started:
 	case <-time.After(10 * time.Second):
-		t.Fatal("sharding never started")
+		t.Fatal("materialize never started")
 	}
 	if err := s.Cancel(id); err != nil {
 		t.Fatalf("Cancel: %v", err)
+	}
+	if st, _ := s.Job(id); st.State != Running {
+		t.Fatalf("state with a tile in flight = %v, want Running until it returns", st.State)
 	}
 	close(src.release)
 	st, err := s.Wait(context.Background(), id)
@@ -468,33 +430,256 @@ func TestCancelDuringSharding(t *testing.T) {
 	if st.State != Canceled {
 		t.Fatalf("state = %v, want Canceled", st.State)
 	}
-	if st.Shards != 0 {
-		t.Errorf("canceled-during-shard job reports %d shards, want 0 (shards discarded)", st.Shards)
+	if st.Report.Stats.TilesProcessed != 0 {
+		t.Errorf("canceled job reports %d tiles, want no report", st.Report.Stats.TilesProcessed)
+	}
+	if n := s.DeviceStats()[0].Tiles; n > 1 {
+		t.Errorf("the worker ran %d of the canceled job's tiles, want at most the one in flight", n)
 	}
 }
 
-// TestMergeMatchesUnsharded checks pipeline.Merge against ground truth on
-// partitioned runs.
-func TestMergeMatchesUnsharded(t *testing.T) {
-	tasks := testTasks(t, 4)
-	whole, err := pipeline.RunParsed(tasks, pipeline.Config{})
+// delaySource serves n copies of one tile, each read taking delay: a job
+// whose tile time is known.
+type delaySource struct {
+	task  pipeline.PolyTask
+	n     int
+	delay time.Duration
+}
+
+func (d delaySource) Len() int { return d.n }
+func (d delaySource) PolyTask(int) (pipeline.PolyTask, error) {
+	time.Sleep(d.delay)
+	return d.task, nil
+}
+
+// tinyTask is a one-polygon-a-side tile, so a tile's time is its read.
+func tinyTask(t *testing.T) pipeline.PolyTask {
+	task := testTasks(t, 1)[0]
+	task.A, task.B = task.A[:1], task.B[:1]
+	return task
+}
+
+// waitRunning polls until job id is running.
+func waitRunning(t *testing.T, s *Scheduler, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := s.Job(id); st.State == Running {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started", id)
+		}
+	}
+}
+
+// TestInteractiveStartsWithinTiles: on the default config, an interactive
+// job submitted behind running and queued batch jobs starts within a few
+// tile times — as soon as a worker returns a tile — not after a batch job.
+func TestInteractiveStartsWithinTiles(t *testing.T) {
+	const tile = 20 * time.Millisecond
+	s := New(Config{})
+	defer s.Close()
+	batch := delaySource{task: tinyTask(t), n: 30, delay: tile}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		id, err := s.SubmitJob(batch, JobOpts{Name: "batch", Band: BandBatch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	defer func() {
+		for _, id := range ids {
+			s.Cancel(id)
+		}
+	}()
+	waitRunning(t, s, ids[0])
+	time.Sleep(tile)
+	id, err := s.SubmitJob(delaySource{task: tinyTask(t), n: 1, delay: tile}, JobOpts{Name: "probe"})
 	if err != nil {
-		t.Fatalf("whole run: %v", err)
+		t.Fatal(err)
 	}
-	half1, err := pipeline.RunParsed(tasks[:2], pipeline.Config{})
+	st, err := s.Wait(context.Background(), id)
+	if err != nil || st.State != Done {
+		t.Fatalf("probe ended %v (%v)", st.State, err)
+	}
+	if wait := st.Started.Sub(st.Submitted); wait > 5*tile {
+		t.Fatalf("interactive job waited %v behind batch jobs of %v tiles, want at most 5 tile times", wait, tile)
+	}
+}
+
+// concurrencySource serves n copies of one tile, each read taking delay, and
+// records the most reads it saw in flight at once.
+type concurrencySource struct {
+	task         pipeline.PolyTask
+	n            int
+	delay        time.Duration
+	reading, max atomic.Int32
+}
+
+func (c *concurrencySource) Len() int { return c.n }
+func (c *concurrencySource) PolyTask(int) (pipeline.PolyTask, error) {
+	n := c.reading.Add(1)
+	defer c.reading.Add(-1)
+	for m := c.max.Load(); n > m && !c.max.CompareAndSwap(m, n); m = c.max.Load() {
+	}
+	time.Sleep(c.delay)
+	return c.task, nil
+}
+
+// TestBatchLeavesACore: batch tiles in flight stay below the core count
+// even with idle workers, and an interactive job takes a worker they leave.
+func TestBatchLeavesACore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	s := New(Config{Workers: 4})
+	defer s.Close()
+	batch := &concurrencySource{task: tinyTask(t), n: 12, delay: 5 * time.Millisecond}
+	id, err := s.SubmitJob(batch, JobOpts{Name: "batch", Band: BandBatch})
 	if err != nil {
-		t.Fatalf("half1: %v", err)
+		t.Fatal(err)
 	}
-	half2, err := pipeline.RunParsed(tasks[2:], pipeline.Config{})
+	probe := &concurrencySource{task: tinyTask(t), n: 4, delay: 5 * time.Millisecond}
+	pid, err := s.SubmitJob(probe, JobOpts{Name: "probe"})
 	if err != nil {
-		t.Fatalf("half2: %v", err)
+		t.Fatal(err)
 	}
-	merged := pipeline.Merge(half1, half2)
-	if merged.Intersecting != whole.Intersecting || merged.Candidates != whole.Candidates {
-		t.Errorf("merged counts (%d, %d) != whole (%d, %d)",
-			merged.Intersecting, merged.Candidates, whole.Intersecting, whole.Candidates)
+	for _, id := range []string{id, pid} {
+		if st, err := s.Wait(context.Background(), id); err != nil || st.State != Done {
+			t.Fatalf("job %s ended %v (%v)", id, st.State, err)
+		}
 	}
-	if math.Abs(merged.Similarity-whole.Similarity) > 1e-9 {
-		t.Errorf("merged similarity %.12f != whole %.12f", merged.Similarity, whole.Similarity)
+	if got := batch.max.Load(); got != 2 {
+		t.Errorf("%d batch tiles in flight at most, want 2: all 3 cores but one", got)
+	}
+	if got := probe.max.Load(); got < 2 {
+		t.Errorf("%d interactive tiles in flight at most beside the batch job, want the 2 workers it leaves", got)
+	}
+}
+
+// TestCancelRunningJobWithinTiles: canceling a running many-tile job ends
+// it within a few tile times: its workers finish the tiles in hand and take
+// no more.
+func TestCancelRunningJobWithinTiles(t *testing.T) {
+	const tile = 20 * time.Millisecond
+	s := New(Config{})
+	defer s.Close()
+	id, err := s.SubmitJob(delaySource{task: tinyTask(t), n: 100, delay: tile}, JobOpts{Name: "long"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, s, id)
+	time.Sleep(2 * tile)
+	start := time.Now()
+	if err := s.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Wait(context.Background(), id)
+	if err != nil || st.State != Canceled {
+		t.Fatalf("Wait = %v (%v), want Canceled", st.State, err)
+	}
+	if took := time.Since(start); took > 5*tile {
+		t.Fatalf("cancel took %v to end a job of %v tiles, want at most 5 tile times", took, tile)
+	}
+}
+
+// launchCounter is a source whose reads record how many of its tiles had
+// been materialized without yet having been counted on a GPU: the tiles a
+// job holds at once.
+type launchCounter struct {
+	tasks []pipeline.PolyTask
+	s     *Scheduler
+	reads atomic.Int64
+	peak  atomic.Int64
+}
+
+func (c *launchCounter) Len() int { return len(c.tasks) }
+func (c *launchCounter) PolyTask(i int) (pipeline.PolyTask, error) {
+	n := c.reads.Add(1)
+	for _, d := range c.s.DeviceStats() {
+		n -= d.Launches
+	}
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	return c.tasks[i], nil
+}
+
+// TestLiveTilesBoundedByWorkers: a worker materializes a tile only when it
+// has counted its last, so a job never holds more tiles than there are
+// workers, however many tiles it has.
+func TestLiveTilesBoundedByWorkers(t *testing.T) {
+	s := New(Config{Devices: 2})
+	defer s.Close()
+	src := &launchCounter{tasks: testTasks(t, 8), s: s}
+	id, err := s.SubmitJob(src, JobOpts{Name: "live"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Wait(context.Background(), id); err != nil || st.State != Done {
+		t.Fatalf("job ended %v (%v)", st.State, err)
+	}
+	var launches int64
+	for _, d := range s.DeviceStats() {
+		launches += d.Launches
+	}
+	if launches != int64(len(src.tasks)) {
+		t.Fatalf("%d launches for %d tiles: a tile without pairs makes the count meaningless", launches, len(src.tasks))
+	}
+	if peak := src.peak.Load(); peak > 2 {
+		t.Fatalf("%d tiles materialized and not yet counted at once, want at most the 2 workers", peak)
+	}
+}
+
+// releaseWatch counts a source's reads in flight and records a Release that
+// finds one, or a second Release. Its tiles fail from fail on.
+type releaseWatch struct {
+	task     pipeline.PolyTask
+	n, fail  int
+	inflight atomic.Int32
+	released atomic.Int32
+	bad      atomic.Bool
+}
+
+func (r *releaseWatch) Len() int { return r.n }
+func (r *releaseWatch) PolyTask(i int) (pipeline.PolyTask, error) {
+	r.inflight.Add(1)
+	defer r.inflight.Add(-1)
+	time.Sleep(time.Duration(i%4) * 50 * time.Microsecond)
+	if i >= r.fail {
+		return pipeline.PolyTask{}, errors.New("unreadable")
+	}
+	return r.task, nil
+}
+func (r *releaseWatch) Release() {
+	if r.inflight.Load() != 0 || r.released.Add(1) != 1 {
+		r.bad.Store(true)
+	}
+}
+
+// TestReleaseNeverDuringPolyTask: whether a job is canceled while queued,
+// between tiles or with tiles in flight, or fails on a tile, its source is
+// released exactly once and never while one of its reads runs.
+func TestReleaseNeverDuringPolyTask(t *testing.T) {
+	s := New(Config{Workers: 3})
+	defer s.Close()
+	task := tinyTask(t)
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 40; round++ {
+		src := &releaseWatch{task: task, n: 24, fail: 24}
+		if round%4 == 3 {
+			src.fail = rng.Intn(24)
+		}
+		id, err := s.SubmitJob(src, JobOpts{Name: "watch"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(rng.Intn(1500)) * time.Microsecond)
+		s.Cancel(id)
+		st, err := s.Wait(context.Background(), id)
+		if err != nil || !st.State.Terminal() {
+			t.Fatalf("round %d: Wait = %v (%v)", round, st.State, err)
+		}
+		if src.bad.Load() || src.released.Load() != 1 {
+			t.Fatalf("round %d (%v): released %d times, during a read: %v", round, st.State, src.released.Load(), src.bad.Load())
+		}
 	}
 }

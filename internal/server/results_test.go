@@ -209,9 +209,9 @@ func TestSingleFlightDuplicateAttaches(t *testing.T) {
 	st := testStoreAt(t, t.TempDir())
 	hold := ingestSpec(t, st, "hold", 61, 1)
 	x := ingestSpec(t, st, "flight", 62, 1)
-	_, sc, ts := newTestServer(t, sched.Config{}, Options{Store: st})
+	_, sc, ts := newTestServer(t, sched.Config{Workers: 1}, Options{Store: st})
 
-	// A gated job holds the one slot, so X queues behind it.
+	// A gated job holds the one worker, so X queues behind it.
 	ds, err := st.OpenDataset(hold.ID)
 	if err != nil {
 		t.Fatal(err)

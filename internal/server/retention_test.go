@@ -190,8 +190,7 @@ type gatedStoreSource struct {
 	once    sync.Once
 }
 
-func (g *gatedStoreSource) Len() int           { return g.src.Len() }
-func (g *gatedStoreSource) Weight(i int) int64 { return g.src.Weight(i) }
+func (g *gatedStoreSource) Len() int { return g.src.Len() }
 func (g *gatedStoreSource) wait() {
 	g.once.Do(func() { close(g.entered) })
 	<-g.release

@@ -213,10 +213,10 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		st := srv.sched.Stats()
 		e.Counter("sccgd_jobs_submitted_total", float64(st.Submitted))
 		for _, d := range st.Devices {
-			dev := strconv.Itoa(d.ID)
-			e.Counter(metrics.Label("sccgd_device_launches_total", "device", dev), float64(d.Launches))
-			e.Gauge(metrics.Label("sccgd_device_busy_seconds", "device", dev), d.BusySeconds)
-			e.Counter(metrics.Label("sccgd_device_shards_total", "device", dev), float64(d.Shards))
+			if d.Kind == pipeline.ExecGPU {
+				e.Counter(metrics.Label("sccgd_device_launches_total", "device", d.ID), float64(d.Launches))
+				e.Gauge(metrics.Label("sccgd_device_busy_seconds", "device", d.ID), d.BusySeconds)
+			}
 		}
 		// Live matrix runs; a run's own progress is its GET /matrix/{id}.
 		var runs []*compare.Run
@@ -520,8 +520,7 @@ type JobResponse struct {
 	Started   *time.Time     `json:"started,omitempty"`
 	Finished  *time.Time     `json:"finished,omitempty"`
 	Tiles     int            `json:"tiles"`
-	Shards    int            `json:"shards,omitempty"`
-	DeviceIDs []int          `json:"device_ids,omitempty"`
+	DeviceIDs []string       `json:"device_ids,omitempty"`
 	Cross     *CrossPayload  `json:"cross,omitempty"`
 	Report    *ReportPayload `json:"report,omitempty"`
 	Trace     *trace.Trace   `json:"trace,omitempty"`
@@ -541,7 +540,6 @@ func (s *Server) jobResponse(st sched.JobStatus, cached bool) JobResponse {
 		Error:     st.Error,
 		Submitted: st.Submitted,
 		Tiles:     st.Tiles,
-		Shards:    st.Shards,
 		DeviceIDs: st.DeviceIDs,
 	}
 	resp.Band = st.Band.String()
@@ -1000,21 +998,20 @@ func buildRevision() string {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	cfg := s.sched.Config()
 	devs := s.sched.DeviceStats()
-	slots := make([]map[string]any, len(devs))
+	workers := make([]map[string]any, len(devs))
 	for i, d := range devs {
-		slots[i] = map[string]any{"id": d.ID, "name": d.Name, "gpus": d.GPUs}
+		workers[i] = map[string]any{"id": d.ID, "kind": d.Kind}
 	}
 	resp := map[string]any{
 		"ok":             true,
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"started":        s.started.UTC().Format(time.RFC3339),
 		"go_version":     runtime.Version(),
-		"slots":          len(devs),
+		"workers":        len(devs),
 		"gpus":           cfg.Devices,
 		"scheduler": map[string]any{
-			"slots":       slots,
+			"workers":     workers,
 			"hybrid_cpu":  cfg.HybridCPU,
-			"workers":     cfg.Workers,
 			"queue_depth": cfg.QueueDepth,
 		},
 		"qos": map[string]any{

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -154,30 +155,35 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHealthzSlotsAndGPUs: /healthz counts executor slots and GPUs apart —
-// a CPU-only pool is one slot and no GPU — and reports none of the settings
-// that are constants.
+// TestHealthzSlotsAndGPUs: /healthz counts the tile workers and the GPUs
+// apart — a CPU-only pool has CPU workers and no GPU — lists each worker by
+// ID and kind, and reports none of the settings that are constants or gone.
 func TestHealthzSlotsAndGPUs(t *testing.T) {
-	for _, devices := range []int{0, 2} {
-		_, _, ts := newTestServer(t, sched.Config{Devices: devices}, Options{})
+	for _, c := range []struct {
+		devices int
+		workers []any
+	}{
+		{0, []any{map[string]any{"id": "cpu0", "kind": "cpu"}, map[string]any{"id": "cpu1", "kind": "cpu"}}},
+		{2, []any{map[string]any{"id": "gpu0", "kind": "gpu"}, map[string]any{"id": "gpu1", "kind": "gpu"}}},
+	} {
+		_, _, ts := newTestServer(t, sched.Config{Devices: c.devices, Workers: 2}, Options{})
 		var h map[string]any
 		getJSON(t, ts.URL+"/healthz", &h)
-		if h["slots"] != float64(max(devices, 1)) || h["gpus"] != float64(devices) {
-			t.Errorf("-devices %d: healthz slots=%v gpus=%v, want %d and %d",
-				devices, h["slots"], h["gpus"], max(devices, 1), devices)
+		if h["workers"] != float64(2) || h["gpus"] != float64(c.devices) {
+			t.Errorf("-devices %d: healthz workers=%v gpus=%v, want 2 and %d", c.devices, h["workers"], h["gpus"], c.devices)
 		}
 		sc, _ := h["scheduler"].(map[string]any)
 		qos, _ := h["qos"].(map[string]any)
 		if sc == nil || qos == nil {
-			t.Fatalf("-devices %d: healthz lacks the scheduler or qos block: %v", devices, h)
+			t.Fatalf("-devices %d: healthz lacks the scheduler or qos block: %v", c.devices, h)
 		}
-		if slots, _ := sc["slots"].([]any); len(slots) != max(devices, 1) {
-			t.Errorf("-devices %d: scheduler block lists %d slots", devices, len(slots))
+		if !reflect.DeepEqual(sc["workers"], c.workers) {
+			t.Errorf("-devices %d: scheduler block lists workers %v, want %v", c.devices, sc["workers"], c.workers)
 		}
 		for _, gone := range []string{"devices", "gpus_per_shard", "migration", "max_shards",
-			"band_weights", "reserved_slots", "queue_pin_age"} {
+			"band_weights", "reserved_slots", "queue_pin_age", "slots"} {
 			if h[gone] != nil || sc[gone] != nil || qos[gone] != nil {
-				t.Errorf("-devices %d: healthz still reports %q", devices, gone)
+				t.Errorf("-devices %d: healthz still reports %q", c.devices, gone)
 			}
 		}
 	}
@@ -360,7 +366,7 @@ func TestRawTaskSubmission(t *testing.T) {
 func TestCancelEndpoint(t *testing.T) {
 	_, sc, ts := newTestServer(t, sched.Config{Devices: 1}, Options{})
 
-	// A gated job holds the single runner, so the victim is still queued
+	// A gated job holds the single worker, so the victim is still queued
 	// when DELETE lands.
 	spec := pathology.Representative()
 	spec.Tiles = 1
@@ -426,8 +432,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		// before the terminal state is visible.
 		`sccgd_job_duration_seconds_count{outcome="done"} 1`,
 		"sccgd_cache_misses_total 1",
-		`sccgd_device_launches_total{device="0"}`,
-		`sccgd_device_busy_seconds{device="1"}`,
+		`sccgd_device_launches_total{device="gpu0"}`,
+		`sccgd_device_busy_seconds{device="gpu1"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
@@ -485,7 +491,7 @@ func TestMetricsFamiliesNotMixed(t *testing.T) {
 }
 
 // TestCompareEndpoint: /compare is a scheduler job, so it queues like one.
-// With the one slot held by a gated job and the queue full, it answers what
+// With the one worker held by a gated job and the queue full, it answers what
 // POST /jobs answers; once the queue drains it answers the job's counts.
 func TestCompareEndpoint(t *testing.T) {
 	_, sc, ts := newTestServer(t, sched.Config{Devices: 1, QueueDepth: 1}, Options{})

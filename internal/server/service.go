@@ -14,13 +14,12 @@ import (
 
 // ServiceOptions configures the resident cross-comparison job service.
 type ServiceOptions struct {
-	// Devices is the simulated-GPU pool size, one executor slot per GPU; 0
-	// runs one CPU-only slot.
+	// Devices is the simulated-GPU count, one tile worker each; 0 runs CPU
+	// workers only.
 	Devices int
-	// HybridCPU co-executes PixelBox-CPU aggregators alongside each slot's
-	// GPU, each taking whole tiles.
+	// HybridCPU runs the CPU workers beside the GPU workers.
 	HybridCPU bool
-	// Workers is each shard pipeline's CPU worker count.
+	// Workers is the CPU worker count; 0 means GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the job queue; 0 selects the scheduler default.
 	QueueDepth int
@@ -75,7 +74,7 @@ type Service struct {
 // NewService builds a running scheduler and its HTTP server. Close the
 // service when done.
 func NewService(opts ServiceOptions) *Service {
-	// One registry is shared by the scheduler's shard pipelines (per-executor
+	// One registry is shared by the scheduler's workers (per-executor
 	// accounting) and the HTTP server (request counters), so GET /metrics
 	// exposes both.
 	reg := metrics.NewRegistry()

@@ -12,9 +12,9 @@
 // order and text-formatting differences, identical polygon sets deduplicate
 // to one copy, and a result cache keyed on the ID is exact by construction.
 //
-// Readers are lazy and per-tile: a scheduler shard holding a handle to a
-// stored dataset reads only its own tiles' byte ranges, never the whole
-// segment file. Every read from disk re-verifies the tile's content digest
+// Readers are lazy and per-tile: a scheduler worker holding a handle to a
+// stored dataset reads only the byte ranges of the tile it took, never the
+// whole segment file. Every read from disk re-verifies the tile's content digest
 // and re-validates every WKB record; the Store keeps recently decoded sets in
 // a byte-bounded cache keyed by that digest (decoded.go), so a cached set is
 // the decode of bytes that verified. Ingestion is streaming and
@@ -146,7 +146,7 @@ type TileInfo struct {
 	sum [sha256.Size]byte
 }
 
-// Bytes is the tile's total encoded segment size, the sharding weight.
+// Bytes is the tile's total encoded segment size.
 func (ti TileInfo) Bytes() int64 { return ti.LenA + ti.LenB }
 
 // Manifest describes one stored dataset. Treat it as immutable once
@@ -894,7 +894,7 @@ func (m *Manifest) Validate() error {
 
 // Dataset is a lazy reader over one stored dataset: each read that misses the
 // store's decoded cache opens the segment file and reads only that tile's
-// byte ranges, so a scheduler shard touches only its own tiles and deleting a
+// byte ranges, so a scheduler worker touches only the tile it took and deleting a
 // dataset mid-job fails that job cleanly instead of leaking a handle.
 type Dataset struct {
 	st  *Store
@@ -1094,12 +1094,12 @@ func (d *Dataset) decodeSet(ti *TileInfo, set byte, buf []byte, count int) (*dec
 }
 
 // Source returns the dataset as a lazily-materializing task source: the
-// scheduler shards over tile handles (weights come straight from the
-// manifest) and each shard reads only its own tiles' decoded polygon sets.
+// scheduler hands out tile handles and each worker reads only the decoded
+// polygon sets of the tile it took.
 func (d *Dataset) Source() *DatasetSource { return &DatasetSource{d: d} }
 
 // DatasetSource adapts a stored dataset to the scheduler's task-source
-// contract (Len/Weight/PolyTask) without the scheduler importing the store.
+// contract (Len/PolyTask) without the scheduler importing the store.
 // Task serves a tile as canonical polygon text, byte-identical to what
 // parser.Encode makes of the same polygons, for callers of the paper's text
 // pipeline.
@@ -1110,7 +1110,7 @@ type DatasetSource struct {
 // Len returns the tile count.
 func (src *DatasetSource) Len() int { return len(src.d.man.Tiles) }
 
-// Weight returns tile i's encoded byte size, the sharding weight.
+// Weight returns tile i's encoded byte size, a cost proxy from the manifest.
 func (src *DatasetSource) Weight(i int) int64 { return src.d.man.Tiles[i].Bytes() }
 
 // Task materializes tile i as pipeline input.

@@ -244,46 +244,62 @@ func TestCorruptManifestSkipped(t *testing.T) {
 	}
 }
 
-// TestStoreBackedJobMatchesPipeline: a scheduler job running over lazy
-// store tile handles must reproduce a direct in-memory pipeline run of the
-// same dataset bit-for-bit.
+// TestStoreBackedJobMatchesPipeline is the scheduler's differential table:
+// on every worker mix — 1, 2 and GOMAXPROCS CPU workers, a GPU beside CPU
+// workers, two GPUs — a job over lazy store tile handles gives the bits of
+// one pipeline.RunParsed over the same tiles, tile by tile, whether its
+// reads miss the decoded cache or hit it.
 func TestStoreBackedJobMatchesPipeline(t *testing.T) {
-	d := testDataset(t, 4)
-	s := openStore(t, t.TempDir())
-	man, err := ingestDataset(s, d)
+	d := testDataset(t, 6)
+	dir := t.TempDir()
+	man, err := ingestDataset(openStore(t, dir), d)
 	if err != nil {
 		t.Fatalf("IngestDataset: %v", err)
 	}
-	ds, err := s.OpenDataset(man.ID)
-	if err != nil {
-		t.Fatalf("OpenDataset: %v", err)
+	configs := []struct {
+		name string
+		cfg  sched.Config
+	}{
+		{"cpu x1", sched.Config{Workers: 1}},
+		{"cpu x2", sched.Config{Workers: 2}},
+		{"cpu x GOMAXPROCS", sched.Config{}},
+		{"gpu + cpu x2", sched.Config{Devices: 1, HybridCPU: true, Workers: 2}},
+		{"gpu x2", sched.Config{Devices: 2}},
 	}
-
-	sc := sched.New(sched.Config{Devices: 2, Workers: 2})
-	defer sc.Close()
-	id, err := sc.SubmitJob(ds.Source(), sched.JobOpts{Name: man.Name})
-	if err != nil {
-		t.Fatalf("SubmitJob: %v", err)
-	}
-	st, err := sc.Wait(context.Background(), id)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if st.State != sched.Done {
-		t.Fatalf("job state %v (error %q), want done", st.State, st.Error)
-	}
-
-	direct, err := pipeline.Run(datasetTasks(d), pipeline.Config{})
-	if err != nil {
-		t.Fatalf("direct pipeline run: %v", err)
-	}
-	if st.Report.Similarity != direct.Similarity {
-		t.Errorf("store-backed job similarity %v != direct %v (must be bit-identical)",
-			st.Report.Similarity, direct.Similarity)
-	}
-	if st.Report.Intersecting != direct.Intersecting || st.Report.Candidates != direct.Candidates {
-		t.Errorf("store-backed job counts (%d, %d) != direct (%d, %d)",
-			st.Report.Intersecting, st.Report.Candidates, direct.Intersecting, direct.Candidates)
+	for _, c := range configs {
+		s := openStore(t, dir) // an empty decoded cache: the first job misses
+		ds, err := s.OpenDataset(man.ID)
+		if err != nil {
+			t.Fatalf("OpenDataset: %v", err)
+		}
+		tasks := make([]pipeline.PolyTask, ds.Source().Len())
+		for i := range tasks {
+			if tasks[i], err = ds.Source().PolyTask(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := runParsed(t, tasks)
+		s = openStore(t, dir)
+		if ds, err = s.OpenDataset(man.ID); err != nil {
+			t.Fatalf("OpenDataset: %v", err)
+		}
+		sc := sched.New(c.cfg)
+		for _, pass := range []string{"miss", "hit"} {
+			hits := s.decoded.hits.Load()
+			id, err := sc.SubmitJob(ds.Source(), sched.JobOpts{Name: man.Name})
+			if err != nil {
+				t.Fatalf("SubmitJob: %v", err)
+			}
+			st, err := sc.Wait(context.Background(), id)
+			if err != nil || st.State != sched.Done {
+				t.Fatalf("%s, %s: job %v (%v, %q), want done", c.name, pass, st.State, err, st.Error)
+			}
+			if got := s.decoded.hits.Load() - hits; (pass == "hit") != (got == 2*int64(len(tasks))) {
+				t.Fatalf("%s, %s: %d decoded-cache hits for %d tiles", c.name, pass, got, len(tasks))
+			}
+			sameAnswer(t, c.name+", "+pass, st.Report, want)
+		}
+		sc.Close()
 	}
 }
 

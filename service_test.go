@@ -259,15 +259,14 @@ type gatedTile struct {
 	task    pipeline.PolyTask
 }
 
-func (g gatedTile) Len() int         { return 1 }
-func (g gatedTile) Weight(int) int64 { return 1 }
+func (g gatedTile) Len() int { return 1 }
 func (g gatedTile) PolyTask(int) (pipeline.PolyTask, error) {
 	<-g.release
 	return g.task, nil
 }
 
 // checkStoredPins queues a facade submission over stored datasets behind a
-// job that holds the service's one slot, and requires every dataset it reads
+// job that holds the service's one worker, and requires every dataset it reads
 // to refuse a plain delete until the job is done.
 func checkStoredPins(t *testing.T, submit func(svc *sccg.Service, ids []string) (string, error), datasets int) {
 	st, err := sccg.OpenStore(t.TempDir())
@@ -284,7 +283,7 @@ func checkStoredPins(t *testing.T, submit func(svc *sccg.Service, ids []string) 
 		}
 		ids = append(ids, man.ID)
 	}
-	svc := sccg.NewService(sccg.ServiceOptions{Store: st})
+	svc := sccg.NewService(sccg.ServiceOptions{Store: st, Workers: 1})
 	defer svc.Close()
 
 	d := trimmedRep(1)
