@@ -469,8 +469,9 @@ func (n *Node) fetchManifest(ctx context.Context, p *Peer, id string, remote *tr
 }
 
 // fetchSegment streams one peer's segment straight into the local store's
-// Import, which size-checks the copy and verifies and decodes every tile
-// before publishing, and returns how long Import spent after the copy.
+// Import, which size-checks the copy, syncs it beside verifying and decoding
+// every tile, and publishes it, and returns how long Import spent after the
+// copy.
 func (n *Node) fetchSegment(ctx context.Context, p *Peer, man *store.Manifest, remote *trace.Trace) (time.Duration, error) {
 	ctx, cancel := context.WithTimeout(ctx, segmentTimeout)
 	defer cancel()
@@ -509,8 +510,8 @@ func collectHeaderTrace(remote *trace.Trace, resp *http.Response) {
 // PullResult describes a completed peer pull: the bytes copied (0 when the
 // dataset was already local, or when another caller's pull brought it), the
 // peer that served it, the peer's own serving spans for the caller to splice
-// into its trace, and how much of the pull was verifying, decoding and
-// publishing the copy rather than transferring it.
+// into its trace, and how much of the pull was syncing, verifying, decoding
+// and publishing the copy rather than transferring it.
 type PullResult struct {
 	Bytes  int64
 	Peer   string

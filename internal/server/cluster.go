@@ -163,9 +163,9 @@ func (s *Server) recordPull(rec *trace.Recorder, id string, res cluster.PullResu
 // ensureLocal makes every dataset resident in the local store, pulling
 // missing ones from cluster peers (digest-verified on arrival). Each pull is
 // recorded as two back-to-back spans that sum to it: `cluster` for the
-// transfer (manifest, segment copy and fsync), with the serving peer's own
-// spans spliced in beside it, then `verify` for checking, decoding and
-// publishing the copy. A query-log pull record lands either way. Without a
+// transfer (manifest and segment copy), with the serving peer's own spans
+// spliced in beside it, then `verify` for syncing the copy beside checking
+// and decoding its tiles, and publishing it. A query-log pull record lands either way. Without a
 // cluster it is a no-op: absence surfaces through the usual not-found paths.
 func (s *Server) ensureLocal(rec *trace.Recorder, ids ...string) error {
 	if s.cluster == nil || s.store == nil {

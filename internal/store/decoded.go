@@ -29,7 +29,8 @@ import (
 // 0.42 MB masks, 0.09 MB trees), so this holds the benchmark's six-way pool
 // (27 MB decoded at most) with room to spare. A peer import puts every set of
 // the dataset it pulled here, so the job the pull was made for reads no
-// segment bytes; a dataset larger than the bound keeps only its last sets.
+// segment bytes; a dataset larger than the bound keeps only its last sets,
+// and the import holds no more than those while it verifies.
 // A cyclic scan over more than the bound evicts every set before its next use
 // and gets no hits at all.
 const decodedCacheBytes = 32 << 20
@@ -102,6 +103,43 @@ func (c *decodedCache) put(set *decodedSet) {
 	c.bytes += set.bytes
 	for c.bytes > c.max {
 		c.remove(c.order.Back())
+	}
+}
+
+// handOver holds what an import hands the cache: the sets that put, called
+// in tile order on a cache with room for max bytes, keeps of the copy — the
+// longest tile-order suffix whose bytes fit, less any set larger than max.
+// Tiles verify in any order. A set goes as soon as the sets verified at or
+// after it leave it no room, since sets still to come only add to that sum,
+// so an import holds at most max bytes of sets, not its whole copy decoded.
+// A set whose key the cache already holds counts as if put kept it, so then
+// the hand-over may keep fewer of the copy's sets than put would.
+type handOver struct {
+	mu    sync.Mutex
+	max   int64
+	sets  []*decodedSet // tile i's sets at 2i and 2i+1; nil until added, or once dropped
+	bytes []int64       // the bytes of each added set no larger than max
+}
+
+func newHandOver(max int64, tiles int) *handOver {
+	return &handOver{max: max, sets: make([]*decodedSet, 2*tiles), bytes: make([]int64, 2*tiles)}
+}
+
+// add holds tile i's verified sets and drops every held set that the sets
+// verified at or after it have pushed out of the bound.
+func (h *handOver) add(i int, a, b *decodedSet) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for j, set := range [...]*decodedSet{a, b} {
+		if set.bytes <= h.max {
+			h.sets[2*i+j], h.bytes[2*i+j] = set, set.bytes
+		}
+	}
+	var tail int64
+	for j := len(h.sets) - 1; j >= 0; j-- {
+		if tail += h.bytes[j]; tail > h.max {
+			h.sets[j] = nil
+		}
 	}
 }
 

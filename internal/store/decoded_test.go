@@ -3,9 +3,13 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	rtmetrics "runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -599,14 +603,18 @@ func TestDecodedSurvivesLaterCorruption(t *testing.T) {
 }
 
 // TestImportSeedsDecodedCache: Import verifies and decodes every tile of the
-// peer's bytes with the step a read miss uses and hands the sets to the
-// decoded cache, so the first read of the imported dataset is all hits and
-// reads nothing from disk, and what it serves equals a fresh store's decode of
-// the same segment. A copy that fails verification keeps nothing — not even
-// when the cache already holds sets under the corrupted tile's digest — and a
-// delete racing the import leaves no set behind.
+// peer's bytes with the step a read miss uses, on more goroutines than one
+// when it can, and hands the sets to the decoded cache, so the first read of
+// the imported dataset is all hits and reads nothing from disk, and what it
+// serves equals a fresh store's decode of the same segment. Under a bound
+// smaller than the copy, the cache keeps exactly what putting every set in
+// tile order keeps. A copy that fails verification, wherever its bad tile,
+// is refused naming its first bad tile and keeps nothing — not even when the
+// cache already holds sets under the corrupted tile's digest — stops handing
+// out tiles, and leaves no goroutine behind; a delete racing the import
+// leaves no set behind.
 func TestImportSeedsDecodedCache(t *testing.T) {
-	const tiles = 3
+	tiles := max(9, runtime.GOMAXPROCS(0)+1) // more tiles than verifying goroutines
 	d := testDataset(t, tiles)
 	srcDir := t.TempDir()
 	src := openStore(t, srcDir)
@@ -618,6 +626,24 @@ func TestImportSeedsDecodedCache(t *testing.T) {
 	raw, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// want is a fresh store's decode of the same segment: the sets of tile i
+	// at 2i and 2i+1.
+	fresh, err := Open(srcDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshDS, err := fresh.OpenDataset(man.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*decodedSet, 0, 2*tiles)
+	for i := 0; i < tiles; i++ {
+		a, b, err := freshDS.readSets(i, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, a, b)
 	}
 	const tileReads = "sccgd_store_tile_read_seconds_count"
 	wantNothingKept := func(t *testing.T, s *Store, dir string, sets int) {
@@ -638,6 +664,26 @@ func TestImportSeedsDecodedCache(t *testing.T) {
 			t.Fatalf("%d sets cached, want %d", got, sets)
 		}
 	}
+	// refused imports bad into dst and wants the digest mismatch of
+	// man.Tiles[first], with no goroutine of the import still running.
+	refused := func(t *testing.T, dst *Store, man *Manifest, bad []byte, first int) {
+		t.Helper()
+		before := runtime.NumGoroutine()
+		_, _, err := dst.Import(man, bytes.NewReader(bad))
+		ti := man.Tiles[first]
+		name := fmt.Sprintf("tile %s/%d corrupt: content digest mismatch", ti.Image, ti.Tile)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("Import = %v, want %q", err, name)
+		}
+		// A goroutine counts until it has exited, a moment after Import saw
+		// it finish.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after the refused import, %d before", runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	t.Run("hand-over", func(t *testing.T) {
 		dst := openStore(t, t.TempDir())
@@ -646,16 +692,8 @@ func TestImportSeedsDecodedCache(t *testing.T) {
 		if _, verify, err := dst.Import(man, bytes.NewReader(raw)); err != nil || verify <= 0 {
 			t.Fatalf("Import = %v after %v verifying", err, verify)
 		}
-		if got := reg.Snapshot()[tileReads]; got != tiles {
+		if got := reg.Snapshot()[tileReads]; got != float64(tiles) {
 			t.Fatalf("the import observed %v tile reads, want %d", got, tiles)
-		}
-		fresh, err := Open(srcDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.OpenDataset(man.ID)
-		if err != nil {
-			t.Fatal(err)
 		}
 		ds, err := dst.OpenDataset(man.ID)
 		if err != nil {
@@ -667,34 +705,92 @@ func TestImportSeedsDecodedCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantA, wantB, err := want.readSets(i, true, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, pair := range [][2]*decodedSet{{gotA, wantA}, {gotB, wantB}} {
-				got, want := pair[0], pair[1]
+			for j, got := range []*decodedSet{gotA, gotB} {
+				want := want[2*i+j]
 				if !reflect.DeepEqual(got.polys, want.polys) || !reflect.DeepEqual(got.tree, want.tree) || got.bytes != want.bytes {
 					t.Fatalf("tile %d set %c: the imported set differs from a fresh decode of the segment", i, got.key.set)
 				}
 			}
 			wantBands(t, "an imported set", true, gotA.polys, gotB.polys)
 		}
-		wantLookups(t, dst, "one pass over the imported dataset", 2*tiles, 0)
-		if got := reg.Snapshot()[tileReads]; got != tiles {
+		wantLookups(t, dst, "one pass over the imported dataset", int64(2*tiles), 0)
+		if got := reg.Snapshot()[tileReads]; got != float64(tiles) {
 			t.Fatalf("%v tile reads after a pass over the imported dataset, want still %d", got, tiles)
 		}
 	})
 
-	t.Run("corrupt last tile", func(t *testing.T) {
-		bad := append([]byte(nil), raw...)
-		last := man.Tiles[tiles-1]
-		bad[last.OffB+last.LenB/2] ^= 0xff
-		dir := t.TempDir()
-		dst := openStore(t, dir)
-		if _, _, err := dst.Import(man, bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "content digest mismatch") {
-			t.Fatalf("Import of a copy corrupt in its last tile = %v, want the digest mismatch", err)
+	t.Run("bound", func(t *testing.T) {
+		var total, largest int64
+		for _, set := range want {
+			total += set.bytes
+			largest = max(largest, set.bytes)
 		}
-		wantNothingKept(t, dst, dir, 0)
+		// Half the copy, and just under its largest set, which the cache
+		// then skips while it may still keep smaller sets before it.
+		for _, bound := range []int64{total / 2, largest - 1} {
+			serial := newDecodedCache(bound)
+			for _, set := range want {
+				serial.put(set)
+			}
+			dst := openStore(t, t.TempDir())
+			dst.decoded.max = bound
+			if _, _, err := dst.Import(man, bytes.NewReader(raw)); err != nil {
+				t.Fatal(err)
+			}
+			got, sets := dst.decoded.size()
+			if sets == 0 || sets == len(want) || sets != len(serial.entries) || got > bound {
+				t.Fatalf("bound %d: %d sets cached in %d bytes, want the %d a serial put keeps, within the bound",
+					bound, sets, got, len(serial.entries))
+			}
+			for key := range serial.entries {
+				if _, ok := dst.decoded.entries[key]; !ok {
+					t.Fatalf("bound %d: set %c of a tile a serial put keeps is not cached", bound, key.set)
+				}
+			}
+		}
+	})
+
+	for _, c := range []struct {
+		name  string
+		tiles []int // corrupted, lowest first
+	}{
+		{"corrupt first tile", []int{0}},
+		{"corrupt middle tile", []int{tiles / 2}},
+		{"corrupt last tile", []int{tiles - 1}},
+		{"corrupt first two tiles", []int{0, 1}}, // both may be in flight at once
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]byte(nil), raw...)
+			for _, i := range c.tiles {
+				ti := man.Tiles[i]
+				bad[ti.OffB+ti.LenB/2] ^= 0xff
+			}
+			dir := t.TempDir()
+			dst := openStore(t, dir)
+			refused(t, dst, man, bad, c.tiles[0])
+			wantNothingKept(t, dst, dir, 0)
+		})
+	}
+
+	t.Run("failure stops handing out tiles", func(t *testing.T) {
+		const many = 64
+		srcDir := t.TempDir()
+		man, err := ingestDataset(openStore(t, srcDir), testDataset(t, many))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad, err := os.ReadFile(filepath.Join(srcDir, man.ID, segmentFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad[man.Tiles[0].OffA+man.Tiles[0].LenA/2] ^= 0xff
+		dst := openStore(t, t.TempDir())
+		reg := metrics.NewRegistry()
+		dst.SetMetrics(reg)
+		refused(t, dst, man, bad, 0)
+		if got := reg.Snapshot()[tileReads]; got >= many-1 {
+			t.Fatalf("a copy bad in tile 0 read %v of its %d tiles", got, many)
+		}
 	})
 
 	t.Run("corrupt tile cached by another dataset", func(t *testing.T) {
@@ -716,9 +812,7 @@ func TestImportSeedsDecodedCache(t *testing.T) {
 		}
 		bad := append([]byte(nil), raw...)
 		bad[man.Tiles[0].OffA+man.Tiles[0].LenA/2] ^= 0xff
-		if _, _, err := dst.Import(man, bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "content digest mismatch") {
-			t.Fatalf("Import of a corrupt copy of cached tiles = %v, want the digest mismatch", err)
-		}
+		refused(t, dst, man, bad, 0)
 		wantNothingKept(t, dst, dir, 2*(tiles+1))
 	})
 
@@ -749,6 +843,43 @@ func TestImportSeedsDecodedCache(t *testing.T) {
 			wantNothingKept(t, dst, dir, 0)
 		}
 	})
+}
+
+// TestHandOverMatchesSerialPut: whatever order tiles verify in, what an
+// import holds never passes the bound, and once every tile is in it holds
+// exactly the sets that putting them all in tile order keeps, sets larger
+// than the bound skipped.
+func TestHandOverMatchesSerialPut(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		tiles := 1 + rng.Intn(12)
+		bound := int64(1 + rng.Intn(300))
+		sets := make([]*decodedSet, 2*tiles)
+		serial := newDecodedCache(bound)
+		for j := range sets {
+			sets[j] = &decodedSet{key: decodedKey{digest: [32]byte{byte(j)}}, bytes: int64(1 + rng.Intn(100))}
+			serial.put(sets[j])
+		}
+		kept := newHandOver(bound, tiles)
+		for n, i := range rng.Perm(tiles) {
+			kept.add(i, sets[2*i], sets[2*i+1])
+			var held int64
+			for _, set := range kept.sets {
+				if set != nil {
+					held += set.bytes
+				}
+			}
+			if held > bound {
+				t.Fatalf("trial %d: %d bytes held after %d of %d tiles, bound %d", trial, held, n+1, tiles, bound)
+			}
+		}
+		for j, set := range kept.sets {
+			if _, ok := serial.entries[sets[j].key]; ok != (set != nil) {
+				t.Fatalf("trial %d: set %d of %d (%d bytes, bound %d) held %v, kept by a serial put %v",
+					trial, j, len(sets), sets[j].bytes, bound, set != nil, ok)
+			}
+		}
+	}
 }
 
 // TestDecodedMetricsOnScrape: the tile-read histogram counts reads from disk
@@ -896,4 +1027,95 @@ func BenchmarkFilterStoredTiles(b *testing.B) {
 			b.ReportMetric(float64(stages.Microseconds())/float64(b.N), "stages-us/op")
 		})
 	}
+}
+
+// BenchmarkImport imports a stored dataset's manifest and segment into a
+// fresh store each iteration, as a peer pull does once the manifest is in
+// and the segment streams: the benchmark corpus' 32-tile shape and, unless
+// -short, the corpus' largest dataset at 10x and 30x its tiles (440 tiles,
+// whose 31 MB of segment decode to about twice the 32 MiB bound, and 1,320
+// tiles, 93 MB). It reports the whole Import, its verify part (from the copied bytes
+// to the publish: fsync, digests, decode, hand-over) and the peak live heap
+// while it ran.
+func BenchmarkImport(b *testing.B) {
+	small := pathology.Representative()
+	small.Tiles = 32
+	specs := []pathology.DatasetSpec{small}
+	for _, scale := range []int{10, 30} {
+		spec := pathology.Corpus()[17]
+		spec.Tiles *= scale
+		specs = append(specs, spec)
+	}
+	for _, spec := range specs {
+		b.Run(fmt.Sprintf("tiles=%d", spec.Tiles), func(b *testing.B) {
+			if testing.Short() && spec.Tiles > small.Tiles {
+				b.Skip("-short")
+			}
+			dir := b.TempDir()
+			src, err := Open(filepath.Join(dir, "src"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			man, err := ingestDataset(src, pathology.Generate(spec))
+			if err != nil {
+				b.Fatal(err)
+			}
+			segPath := filepath.Join(dir, "src", man.ID, segmentFile)
+			var imported, verify time.Duration
+			var peak uint64
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				dstDir := filepath.Join(dir, "dst")
+				if err := os.RemoveAll(dstDir); err != nil {
+					b.Fatal(err)
+				}
+				dst, err := Open(dstDir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				seg, err := os.Open(segPath)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				stop := sampleHeap(&peak)
+				b.StartTimer()
+				start := time.Now()
+				_, v, err := dst.Import(man, seg)
+				imported += time.Since(start)
+				verify += v
+				b.StopTimer()
+				stop()
+				seg.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+			b.ReportMetric(ms(imported), "import_ms")
+			b.ReportMetric(ms(verify), "verify_ms")
+			b.ReportMetric(float64(peak)/(1<<20), "peak_heap_MB")
+		})
+	}
+}
+
+// sampleHeap records the largest live-object heap seen every millisecond
+// into peak until stop is called.
+func sampleHeap(peak *uint64) (stop func()) {
+	done := make(chan struct{})
+	var finished atomic.Bool
+	go func() {
+		defer close(done)
+		sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		for !finished.Load() {
+			rtmetrics.Read(sample)
+			if v := sample[0].Value.Uint64(); v > *peak {
+				*peak = v
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	return func() { finished.Store(true); <-done }
 }

@@ -6,11 +6,13 @@ package store
 // copy — but an importing store trusts nothing: the manifest must fold back
 // to its own content address and every tile of the copied segment goes
 // through the step a read miss uses — digest check, full WKB validation, band
-// tables, row masks and tree — before the dataset is published. What that
-// step built is then handed to the decoded cache, so the job a pull was made
-// for reads no segment bytes. Any failure removes the temp directory and
-// keeps nothing, so a corrupt or malicious peer can never leave a partial or
-// poisoned dataset on disk or in the cache.
+// tables, row masks and tree — before the dataset is published. Each tile
+// carries its own digest, so the tiles verify in parallel on every core while
+// the segment fsync runs beside them. What that step built, as far as the
+// decoded cache's bound keeps it, is then handed to the cache, so the job a
+// pull was made for reads no segment bytes. Any failure removes the temp
+// directory and keeps nothing, so a corrupt or malicious peer can never leave
+// a partial or poisoned dataset on disk or in the cache.
 
 import (
 	"encoding/json"
@@ -19,6 +21,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -53,15 +58,17 @@ func (s *Store) OpenSegment(id string) (io.ReadCloser, int64, error) {
 // Import copies a dataset — a manifest plus its raw segment stream, as
 // served by another store's export — into this store under the same content
 // address. The manifest is structurally validated (including the
-// digest-fold-equals-ID check), the segment is copied into a temp directory
-// and synced, and then every tile is read back through the handle it was
-// written with and verified and decoded exactly as a read miss is: content
-// digest first, full WKB decode, band tables and tree second. Only a copy that
-// passes all of it is published, with the same atomic rename + directory fsync
-// Commit uses, and its decoded sets go to the decoded cache under the same
-// lock that indexes it. verify is how long that took, from the synced copy to
-// the publish: the part of a peer pull that is not transfer. Importing content
-// the store already holds returns the existing manifest untouched.
+// digest-fold-equals-ID check) and the segment is copied into a temp
+// directory. Then, while the copy syncs, every tile is read back through the
+// handle it was written with and verified and decoded exactly as a read miss
+// is — content digest first, full WKB decode, band tables and tree second — on
+// every core. Only a copy that synced and passed all of it is published, with
+// the same atomic rename + directory fsync Commit uses, and its decoded sets
+// go to the decoded cache, in tile order, under the same lock that indexes
+// it; Import holds no more of them than that hand-over keeps. verify is how
+// long that took, from the copied bytes to the publish: the part of a peer
+// pull that is not transfer. Importing content the store already holds
+// returns the existing manifest untouched.
 func (s *Store) Import(man *Manifest, seg io.Reader) (imported *Manifest, verify time.Duration, err error) {
 	if man == nil {
 		return nil, 0, errors.New("store: import: nil manifest")
@@ -104,22 +111,23 @@ func (s *Store) Import(man *Manifest, seg io.Reader) (imported *Manifest, verify
 	if n != cp.SegmentBytes {
 		return nil, 0, fmt.Errorf("store: import %.12s: segment is %d bytes, manifest says %d", cp.ID, n, cp.SegmentBytes)
 	}
-	if err := f.Sync(); err != nil {
-		return nil, 0, fmt.Errorf("store: import %.12s: sync segment: %w", cp.ID, err)
-	}
 	copied := time.Now()
 
-	// Verify every tile of the copy before publishing, from the peer's bytes:
-	// never through the decoded cache, where another dataset's set under the
-	// same digest would stand in for bytes nobody checked.
+	// The segment syncs while its tiles verify; publish waits for both, so
+	// the rename still follows a successful sync.
+	synced := make(chan error, 1)
+	go func() { synced <- f.Sync() }()
+	// Verify from the peer's bytes, never through the decoded cache, where
+	// another dataset's set under the same digest would stand in for bytes
+	// nobody checked.
 	d := &Dataset{st: s, dir: tmp, man: &cp}
-	sets := make([]*decodedSet, 0, 2*len(cp.Tiles))
-	for i := range cp.Tiles {
-		a, b, err := d.verify(f, &cp.Tiles[i], time.Now(), true, true)
-		if err != nil {
-			return nil, 0, fmt.Errorf("store: import %.12s: %w", cp.ID, err)
-		}
-		sets = append(sets, a, b)
+	kept := newHandOver(s.decoded.max, len(cp.Tiles))
+	err = d.verifyCopy(f, kept)
+	if syncErr := <-synced; err == nil && syncErr != nil {
+		err = fmt.Errorf("sync segment: %w", syncErr)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("store: import %.12s: %w", cp.ID, err)
 	}
 	if err := f.Close(); err != nil {
 		return nil, 0, fmt.Errorf("store: import %.12s: close segment: %w", cp.ID, err)
@@ -151,8 +159,51 @@ func (s *Store) Import(man *Manifest, seg io.Reader) (imported *Manifest, verify
 	s.datasets[cp.ID] = &cp
 	// Under the lock that indexed the dataset, as keepDecoded does for a read:
 	// a remove waits for it and then drops these sets with the rest.
-	for _, set := range sets {
-		s.decoded.put(set)
+	for _, set := range kept.sets {
+		if set != nil {
+			s.decoded.put(set)
+		}
 	}
 	return &cp, time.Since(copied), nil
+}
+
+// verifyCopy verifies and decodes every tile of Import's copy through f, the
+// handle it was written with (ReadAt is safe for concurrent use), on
+// min(GOMAXPROCS, tiles) goroutines sharing one tile cursor, and gives each
+// tile's sets to kept. The first failure stops the handing out of tiles;
+// verifyCopy returns once every goroutine has, with the failure of the lowest
+// tile index — the copy's first bad tile, since every tile below it was
+// handed out earlier and has finished.
+func (d *Dataset) verifyCopy(f *os.File, kept *handOver) error {
+	tiles := d.man.Tiles
+	errs := make([]error, len(tiles))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(tiles)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(tiles) {
+					return
+				}
+				a, b, err := d.verify(f, &tiles[i], time.Now(), true, true)
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+				kept.add(i, a, b)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
