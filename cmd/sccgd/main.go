@@ -210,7 +210,7 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		dataDir   = fs.String("data-dir", "", "persistent dataset store directory (enables /datasets and jobs by dataset_id)")
 		storeMax  = fs.String("store-max-bytes", "", "store byte budget, e.g. 512MiB or 2GB; LRU-evicts unpinned datasets above it (empty = unbounded; needs -data-dir)")
 		storeTTL  = fs.Duration("store-ttl", 0, "evict datasets unused for this long (0 = no TTL; needs -data-dir)")
-		cacheMax  = fs.Int("cache-max-entries", 0, "result store bound in keys, LRU-evicted past it with their entry files (0 = unbounded)")
+		cacheMax  = fs.Int("cache-max-entries", 0, "result store bound in keys, LRU-evicted past it, with a drop record in the results log (0 = unbounded)")
 		sweep     = fs.Duration("store-sweep", 0, "retention sweep interval (default 1m when a retention bound is set)")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it off public interfaces)")

@@ -74,7 +74,7 @@ func BenchmarkStoredJobScale(b *testing.B) {
 			b.ReportMetric(ms(warm), "warm_ms")
 			b.ReportMetric(ms(mat)/2, "materialize_ms/job")
 			b.ReportMetric(ms(exec)/2, "execute_ms/job")
-			b.ReportMetric(float64(peak)/(1<<20), "peak_heap_MB")
+			b.ReportMetric(float64(peak)/(1<<20), "peak_live_MB")
 		})
 	}
 }
@@ -93,14 +93,15 @@ func runStored(b *testing.B, s *Scheduler, src TaskSource) JobStatus {
 	return js
 }
 
-// sampleHeap records the largest live-object heap seen every millisecond
-// into peak until stop is called.
+// sampleHeap records the largest live heap seen every millisecond into peak
+// until stop is called. Live is what the last GC marked reachable; the
+// heap-objects figure would also count unswept garbage (about twice as much).
 func sampleHeap(peak *uint64) (stop func()) {
 	done := make(chan struct{})
 	var finished atomic.Bool
 	go func() {
 		defer close(done)
-		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 		for !finished.Load() {
 			metrics.Read(sample)
 			if v := sample[0].Value.Uint64(); v > *peak {

@@ -222,7 +222,7 @@ func (s *Server) remoteResult(key string) (submission, bool) {
 		if err != nil {
 			continue // miss or peer failure; a lower-ranked peer may still answer
 		}
-		e, err := s.results.adopt(res.resultEntry, key)
+		e, _, err := s.results.adopt(res.resultEntry, key)
 		if err != nil {
 			s.log.Warn("discarding invalid peer result", "peer", hop.Addr, "err", err)
 			continue

@@ -6,8 +6,6 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -224,10 +222,8 @@ func TestPersistedCacheAcrossRestart(t *testing.T) {
 	if first.State != "done" {
 		t.Fatalf("job ended %s: %s", first.State, first.Error)
 	}
-	// The persister runs asynchronously after the job completes; only the
-	// renamed .json counts — its temp file appears in the directory first.
+	// The completion watcher adopts the report after the job completes.
 	waitPersisted(t, dir, 1)
-	cacheDir := filepath.Join(dir, "cache")
 
 	// "Restart": a fresh scheduler and server over the same directory.
 	st2 := testStoreAt(t, dir)
@@ -253,25 +249,23 @@ func TestPersistedCacheAcrossRestart(t *testing.T) {
 	}
 	_ = srv2
 
-	// Corrupt every entry: a third server must skip them and recompute.
-	entries, err := os.ReadDir(cacheDir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("cache dir: %v (%d entries)", err, len(entries))
-	}
-	for _, e := range entries {
-		p := filepath.Join(cacheDir, e.Name())
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
+	// Corrupt every entry record, re-framed with a fresh checksum so decoding
+	// and validate must catch it: a third server must skip them and recompute.
+	entries := 0
+	rewriteLog(t, dir, func(kind byte, payload []byte) []byte {
+		if kind != recEntry {
+			return payload
 		}
+		entries++
 		// Tamper with the report body, keeping valid JSON.
-		tampered := strings.Replace(string(raw), `"Intersecting":`, `"Intersecting": 1e`, 1)
-		if tampered == string(raw) {
-			tampered = "{" + string(raw) // not JSON at all
+		tampered := strings.Replace(string(payload), `"Intersecting":`, `"Intersecting": 1e`, 1)
+		if tampered == string(payload) {
+			tampered = "{" + string(payload) // not JSON at all
 		}
-		if err := os.WriteFile(p, []byte(tampered), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		return []byte(tampered)
+	})
+	if entries == 0 {
+		t.Fatal("the results log holds no entry record")
 	}
 	st3 := testStoreAt(t, dir)
 	_, _, ts3 := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st3})

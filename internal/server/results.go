@@ -10,14 +10,14 @@ package server
 //     duplicate submission arriving mid-run attaches to the in-flight job
 //     instead of recomputing.
 //   - the finished entry every cache-keyed done job leaves, written through
-//     (with a store) to one JSON file per entry under
-//     <data-dir>/cache/ and reloaded on boot, so a restarted daemon answers
+//     (with a store) to one append-only log, <data-dir>/cache/results.log
+//     (resultlog.go), and replayed on boot, so a restarted daemon answers
 //     repeat jobs and matrix cells without recompute. A slot with an entry
 //     and no live job answers cached-<12 hex>.
 //
 // No entry enters the table — a job's own report, a peer's answer, a
-// file found at boot — without passing validate, which re-folds the report's
-// per-tile ratio partials in canonical order and requires the fold to
+// record replayed at boot — without passing validate, which re-folds the
+// report's per-tile ratio partials in canonical order and requires the fold to
 // reproduce the stored aggregate exactly: the invariant that makes sharded
 // execution bit-deterministic also makes a torn, tampered or lying entry
 // detectable. A rejected entry is skipped with a logged reason, never served.
@@ -45,12 +45,11 @@ import (
 	"repro/internal/trace"
 )
 
-// resultEntry is one finished comparison: a slot's on-disk record and,
+// resultEntry is one finished comparison: a slot's log record and,
 // embedded in peerResult, the form peers exchange.
 type resultEntry struct {
-	// Key is the result key (content-hash derived). The entry's file name is
-	// the SHA-256 of this key, and boot rejects a file whose key does not
-	// hash back to its name.
+	// Key is the result key (content-hash derived); a replayed record is
+	// indexed under its own key.
 	Key    string          `json:"key"`
 	Name   string          `json:"name,omitempty"`
 	Cross  *CrossPayload   `json:"cross,omitempty"`
@@ -59,8 +58,8 @@ type resultEntry struct {
 }
 
 // peerResult is the wire form of a comparison exchanged between peers: the
-// entry itself, so the receiver holds it to the standard of its own disk
-// files, plus the serving node's spans.
+// entry itself, so the receiver holds it to the standard of its own log
+// records, plus the serving node's spans.
 type peerResult struct {
 	resultEntry
 	// Trace carries the serving node's spans for splicing into the caller's
@@ -111,10 +110,11 @@ func (e *resultEntry) validate() error {
 	return nil
 }
 
-// entryFile names the file holding key's entry.
-func entryFile(key string) string {
+// cachedID is the response ID of key's entry answered with no live job: stable
+// for the key, not pollable.
+func cachedID(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:]) + ".json"
+	return "cached-" + hex.EncodeToString(sum[:6])
 }
 
 // keyDatasetIDs returns the dataset content IDs a result key references: one
@@ -139,14 +139,15 @@ func keyReferences(key, id string) bool { return slices.Contains(keyDatasetIDs(k
 // A slot holds at least one of the two. used is in-process recency for the
 // bound, which boot seeds from the entry's Saved time.
 type resultSlot struct {
-	jobID string
-	entry *resultEntry
-	used  time.Time
+	jobID  string
+	entry  *resultEntry
+	used   time.Time
+	logged int64 // framed bytes of entry's record in the log; 0 = none
 }
 
 // resultStore is the table the file comment describes.
 type resultStore struct {
-	dir     string       // the entry files; "" = results do not survive a restart
+	wal     *resultLog   // nil = results do not survive a restart
 	max     int          // slot bound; 0 = unbounded
 	ds      *store.Store // dataset liveness and retention clocks; nil without a store
 	job     func(id string) (sched.JobStatus, bool)
@@ -158,8 +159,8 @@ type resultStore struct {
 }
 
 // newResultStore creates the table, bounded to maxEntries slots. With a
-// dataset store to live beside, its entry files are loaded here, before the
-// table is shared.
+// dataset store to live beside, its log is replayed here, before the table is
+// shared.
 func newResultStore(maxEntries int, ds *store.Store, job func(string) (sched.JobStatus, bool), evicted *metrics.Counter, log *slog.Logger) *resultStore {
 	rs := &resultStore{
 		max: maxEntries, ds: ds, job: job, evicted: evicted, log: log,
@@ -172,64 +173,54 @@ func newResultStore(maxEntries int, ds *store.Store, job func(string) (sched.Job
 }
 
 // persistent reports whether finished results survive a restart.
-func (rs *resultStore) persistent() bool { return rs.dir != "" }
+func (rs *resultStore) persistent() bool { return rs.wal != nil }
 
-// load indexes the entry files under dir (creating it if needed) and removes
-// the tmp-* files a crash left between writeFileSynced's create and rename;
-// nothing else writes there before the table is shared. A file that
-// fails validation, or whose key does not hash to its name, is skipped with a
-// logged reason. A file referencing a dataset the store no longer holds is
-// removed — a crash can land between a dataset delete and its cascade, and a
-// restart must not resurrect the report. The bound is enforced only
-// afterwards, so such orphans never hold slots at the expense of live
-// entries.
+// load replays the log under dir (creating both if needed). A record that
+// fails its checksum, decoding or validate is skipped with a logged reason,
+// and a torn tail is cut off. A replayed entry referencing a dataset the store
+// no longer holds gets a drop record — a crash can land between a dataset
+// delete and its cascade, and a restart must not resurrect the report. The
+// bound is enforced only afterwards, so such orphans never hold slots at the
+// expense of live entries. The per-entry *.json files of older daemons are
+// removed; their keys recompute on demand.
 func (rs *resultStore) load(dir string) {
-	des, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		err = os.MkdirAll(dir, 0o755)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		rs.log.Warn("persisted results disabled", "err", err)
+		return
 	}
+	if legacy, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(legacy) > 0 {
+		for _, p := range legacy {
+			os.Remove(p)
+		}
+		rs.log.Info("removed per-entry result files of an older version", "count", len(legacy))
+	}
+	l, live, torn, err := openResultLog(dir, func(off int, err error) {
+		rs.log.Warn("skipped persisted result", "offset", off, "err", err)
+	})
 	if err != nil {
 		rs.log.Warn("persisted results disabled", "err", err)
 		return
 	}
-	rs.dir = dir
+	if torn != nil {
+		rs.log.Warn("truncated the results log's torn tail", "offset", l.size, "err", torn)
+	}
+	rs.wal = l
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	orphans := 0
-	for _, de := range des {
-		name := de.Name()
-		path := filepath.Join(dir, name)
-		if !de.IsDir() && strings.HasPrefix(name, "tmp-") {
-			os.Remove(path)
-			continue
-		}
-		if de.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		var e resultEntry
-		raw, err := os.ReadFile(path)
-		if err == nil {
-			err = json.Unmarshal(raw, &e)
-		}
-		if err == nil {
-			err = e.validate()
-		}
-		if err == nil && entryFile(e.Key) != name {
-			err = errors.New("key does not hash to its file name")
-		}
-		if err != nil {
-			rs.log.Warn("skipped persisted result", "err", fmt.Errorf("cache entry %s: %w", name, err))
-			continue
-		}
-		if !rs.admitLocked(&e, e.Saved) {
-			os.Remove(path)
+	for key, le := range live {
+		if !rs.admitLocked(le.e, le.e.Saved) {
+			rs.logLocked(frame(recDrop, []byte(key)))
 			orphans++
+			continue
 		}
+		rs.chargeLocked(rs.slots[key], le.bytes)
 	}
 	if orphans > 0 {
 		rs.log.Info("dropped persisted results referencing deleted datasets", "count", orphans)
 	}
 	rs.enforceLocked()
+	rs.compactLocked()
 }
 
 // admitLocked puts e in its key's slot unless a dataset the key references
@@ -244,8 +235,61 @@ func (rs *resultStore) admitLocked(e *resultEntry, used time.Time) bool {
 		}
 	}
 	slot := rs.slotLocked(e.Key)
+	rs.chargeLocked(slot, 0) // a replaced entry's record is dead
 	slot.entry, slot.used = e, used
 	return true
+}
+
+// chargeLocked makes n the log bytes slot's entry keeps live.
+func (rs *resultStore) chargeLocked(slot *resultSlot, n int64) {
+	if rs.wal != nil {
+		rs.wal.live += n - slot.logged
+	}
+	slot.logged = n
+}
+
+// logLocked appends rec to the log and returns the batch whose fsync carries
+// it. A failed write is logged, not returned: the table still serves what it
+// holds, it just will not survive a restart.
+func (rs *resultStore) logLocked(rec []byte) *logBatch {
+	b, err := rs.wal.appendLocked(rec)
+	if err != nil {
+		rs.log.Warn("persist result failed", "err", err)
+	}
+	return b
+}
+
+// compactLocked rewrites the log to the table's live entry records once its
+// dead bytes exceed both its live bytes and compactFloor.
+func (rs *resultStore) compactLocked() {
+	if !rs.wal.compactDueLocked() {
+		return
+	}
+	var recs []byte
+	sizes := make(map[*resultSlot]int64, len(rs.slots))
+	for _, slot := range rs.slots {
+		if slot.entry == nil {
+			continue
+		}
+		raw, err := json.Marshal(slot.entry)
+		if err != nil {
+			rs.log.Warn("compact results log", "err", err)
+			return
+		}
+		rec := frame(recEntry, raw)
+		recs = append(recs, rec...)
+		sizes[slot] = int64(len(rec))
+	}
+	err := rs.wal.rewriteLocked(recs)
+	if err == nil {
+		for slot, n := range sizes {
+			slot.logged = n
+		}
+		err = rs.wal.syncDir()
+	}
+	if err != nil {
+		rs.log.Warn("compact results log", "err", err)
+	}
 }
 
 // slotLocked returns key's slot, creating an empty one.
@@ -326,79 +370,61 @@ func (rs *resultStore) record(key, jobID string) {
 
 // adopt is how a finished result — a local job's report or a peer's answer —
 // enters the store: it must carry wantKey and pass validate, exactly like a
-// file found at boot. The returned entry is servable; the error means
+// record replayed at boot. The returned entry is servable; the error means
 // rejected. Adoption is a use of the key's datasets (see lookup).
 //
 // The entry fills its slot (unless admitLocked declines it). When results
-// are persistent it is also written to disk atomically — temp file, fsync,
-// rename. The write runs outside the lock, since lookups must not stall
-// behind an fsync; that is safe because two writers of one key hold
-// bit-identical reports (the key is a content address), so either rename
-// wins harmlessly. A failed write is logged, not returned: the entry still
-// serves this process, it just will not survive a restart.
-func (rs *resultStore) adopt(e resultEntry, wantKey string) (*resultEntry, error) {
+// are persistent its record is appended to the log under the same lock, and
+// adopt returns only once an fsync covering it has — waiting outside the
+// lock, since lookups must not stall behind an fsync. carried is how many
+// records that fsync carried; 0 when nothing was written. A failed write or
+// fsync is logged, not returned: the entry still serves this process, it
+// just may not survive a restart.
+func (rs *resultStore) adopt(e resultEntry, wantKey string) (entry *resultEntry, carried int, err error) {
 	if e.Key != wantKey {
-		return nil, errors.New("result carries the key of a different comparison")
+		return nil, 0, errors.New("result carries the key of a different comparison")
 	}
 	if err := e.validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	rs.touch(e.Key)
-	raw, err := json.MarshalIndent(&e, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("encode cache entry: %w", err)
+	var rec []byte
+	if rs.wal != nil {
+		raw, err := json.Marshal(&e)
+		if err != nil {
+			return nil, 0, fmt.Errorf("encode cache entry: %w", err)
+		}
+		rec = frame(recEntry, raw)
 	}
+	var b *logBatch
 	rs.mu.Lock()
-	admitted := rs.admitLocked(&e, time.Now())
+	if rs.admitLocked(&e, time.Now()) && rec != nil {
+		if b = rs.logLocked(rec); b != nil {
+			rs.chargeLocked(rs.slots[e.Key], int64(len(rec)))
+		}
+	}
 	rs.enforceLocked()
 	rs.mu.Unlock()
-	if !admitted || rs.dir == "" {
-		return &e, nil // its dataset is gone, or there is no disk to write to
+	if b == nil {
+		return &e, 0, nil // its dataset is gone, there is no disk, or the write failed
 	}
-	path := filepath.Join(rs.dir, entryFile(e.Key))
-	if err := writeFileSynced(rs.dir, path, raw); err != nil {
+	carried, err = rs.wal.commit(b, func() {
+		rs.mu.Lock()
+		rs.compactLocked()
+		rs.mu.Unlock()
+	})
+	if err != nil {
 		rs.log.Warn("persist result failed", "name", e.Name, "err", err)
-		return &e, nil
 	}
-	// Reconcile: the entry may have been dropped (delete cascade, clear,
-	// eviction) while the bytes were in flight, in which case the rename just
-	// orphaned a file the table no longer tracks — remove it. A *replaced*
-	// entry (another adopt of the same key) is left alone: the file bytes
-	// serve the new entry exactly.
-	rs.mu.Lock()
-	if slot := rs.slots[e.Key]; slot == nil || slot.entry == nil {
-		os.Remove(path)
-	}
-	rs.mu.Unlock()
-	return &e, nil
+	return &e, carried, nil
 }
 
-// writeFileSynced writes raw to path via a fsynced temp file in dir.
-func writeFileSynced(dir, path string, raw []byte) error {
-	f, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err = f.Write(raw); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
-// removeLocked drops key's slot, and its entry file when it holds an entry.
+// removeLocked drops key's slot; the log gets a drop record when the slot
+// held an entry.
 func (rs *resultStore) removeLocked(key string) {
-	if rs.dir != "" && rs.slots[key].entry != nil {
-		os.Remove(filepath.Join(rs.dir, entryFile(key)))
+	if slot := rs.slots[key]; rs.wal != nil && slot.entry != nil {
+		rs.chargeLocked(slot, 0)
+		rs.logLocked(frame(recDrop, []byte(key)))
 	}
 	delete(rs.slots, key)
 }
@@ -444,15 +470,17 @@ func (rs *resultStore) dropDataset(id string) int {
 	return n
 }
 
-// clear empties the table (entry files included), returning how many slots
-// it held.
+// clear empties the table, with one reset record in the log, returning how
+// many slots it held.
 func (rs *resultStore) clear() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	n := len(rs.slots)
-	for key := range rs.slots {
-		rs.removeLocked(key)
+	if rs.wal != nil && n > 0 {
+		rs.wal.live = 0
+		rs.logLocked(frame(recReset, nil))
 	}
+	clear(rs.slots)
 	return n
 }
 

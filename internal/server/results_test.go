@@ -8,8 +8,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -33,9 +31,10 @@ func foldedEntry(key string) resultEntry {
 }
 
 // TestAdoptRacingDelete: a finished report entering the store while its
-// dataset is deleted never leaves an entry or a file behind, whichever side
-// wins — the liveness gate and the cascade take the same lock, and the
-// post-rename reconcile removes a file whose entry the cascade already took.
+// dataset is deleted never leaves an entry behind, in the table or in the
+// log, whichever side wins — the liveness gate, the append and the cascade's
+// drop record all happen under the same lock, so the log's order is the
+// table's.
 func TestAdoptRacingDelete(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -59,7 +58,7 @@ func TestAdoptRacingDelete(t *testing.T) {
 				man := ingestSpec(t, st, "race", int64(round), 1)
 				key := datasetKey(man.ID)
 				tc.race(func() {
-					if _, err := srv.results.adopt(foldedEntry(key), key); err != nil {
+					if _, _, err := srv.results.adopt(foldedEntry(key), key); err != nil {
 						t.Error(err)
 					}
 				}, func() {
@@ -70,32 +69,34 @@ func TestAdoptRacingDelete(t *testing.T) {
 				if _, _, ok := srv.results.lookup(key); ok {
 					t.Fatalf("round %d: result store kept a report for a deleted dataset", round)
 				}
-				if n := persistedFiles(t, dir); n != 0 {
-					t.Fatalf("round %d: %d entry file(s) outlived the dataset", round, n)
+				if n := persistedEntries(t, dir); n != 0 {
+					t.Fatalf("round %d: %d logged entries outlived the dataset", round, n)
 				}
 			}
 		})
 	}
 }
 
-// TestOneValidateForPeersAndBoot: an entry that is wrong — filed under
-// another comparison's key, tile partials that do not re-fold, partials out
-// of canonical order — is refused the same way whether a peer sent it
-// (adopt) or it was found on disk at boot (load).
+// TestOneValidateForPeersAndBoot: an entry that is wrong — tile partials
+// that do not re-fold, partials out of canonical order — is refused the same
+// way whether a peer sent it (adopt) or boot replayed it from the log (load).
+// An entry filed under another comparison's key is refused by adopt; in the
+// log it is indexed under its own key and never answers the other.
 func TestOneValidateForPeersAndBoot(t *testing.T) {
 	const key = "k-valid"
 	for _, tc := range []struct {
 		name    string
 		corrupt func(e *resultEntry)
 		reject  bool
+		bootKey string // the key boot indexes the record under; "" = rejected
 	}{
-		{"intact", func(e *resultEntry) {}, false},
-		{"wrong key", func(e *resultEntry) { e.Key = "k-other" }, true},
-		{"partial does not re-fold", func(e *resultEntry) { e.Report.TileRatios[1].RatioSum += 1e-12 }, true},
+		{"intact", func(e *resultEntry) {}, false, key},
+		{"wrong key", func(e *resultEntry) { e.Key = "k-other" }, true, "k-other"},
+		{"partial does not re-fold", func(e *resultEntry) { e.Report.TileRatios[1].RatioSum += 1e-12 }, true, ""},
 		{"tiles out of order", func(e *resultEntry) {
 			tr := e.Report.TileRatios
 			tr[0], tr[1] = tr[1], tr[0]
-		}, true},
+		}, true, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -104,7 +105,7 @@ func TestOneValidateForPeersAndBoot(t *testing.T) {
 			tc.corrupt(&e)
 
 			peer := newResultStore(0, st, nil, new(metrics.Counter), slog.Default())
-			_, err := peer.adopt(e, key)
+			_, _, err := peer.adopt(e, key)
 			if (err != nil) != tc.reject {
 				t.Fatalf("adopt error = %v, want rejection %v", err, tc.reject)
 			}
@@ -112,62 +113,38 @@ func TestOneValidateForPeersAndBoot(t *testing.T) {
 				t.Fatalf("after adopt, lookup hit = %v", ok)
 			}
 
-			// The same bytes as a boot file in key's slot.
+			// The same bytes as a record in the log.
 			peer.clear()
 			raw, err := json.Marshal(&e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "cache", entryFile(key)), raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			appendLog(t, dir, frame(recEntry, raw))
 			boot := newResultStore(0, st, nil, new(metrics.Counter), slog.Default())
-			if _, durable := boot.counts(); (durable == 0) != tc.reject {
-				t.Fatalf("boot indexed %d entries, want rejection %v", durable, tc.reject)
+			_, durable := boot.counts()
+			if tc.bootKey == "" {
+				if durable != 0 {
+					t.Fatalf("boot indexed %d entries, want the record rejected", durable)
+				}
+				return
+			}
+			if durable != 1 {
+				t.Fatalf("boot indexed %d entries, want 1", durable)
+			}
+			if _, got, ok := boot.lookup(tc.bootKey); !ok || got.Key != tc.bootKey {
+				t.Fatalf("boot does not answer %q with the record", tc.bootKey)
+			}
+			if tc.bootKey != key {
+				if _, _, ok := boot.lookup(key); ok {
+					t.Fatalf("boot answers %q with a record keyed %q", key, tc.bootKey)
+				}
 			}
 		})
 	}
 }
 
-// TestLoadSweepsCrashedTempFiles: a crash between writeFileSynced's create
-// and rename leaves a tmp-* file in the cache dir, and the next boot removes
-// it while keeping the entry files beside it.
-func TestLoadSweepsCrashedTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	st := testStoreAt(t, dir)
-	cache := filepath.Join(dir, "cache")
-	if err := os.MkdirAll(cache, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	e := foldedEntry("k-kept")
-	raw, err := json.Marshal(&e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFileSynced(cache, filepath.Join(cache, entryFile(e.Key)), raw); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"tmp-123", "tmp-456.json"} {
-		if err := os.WriteFile(filepath.Join(cache, name), raw[:len(raw)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rs := newResultStore(0, st, nil, new(metrics.Counter), slog.Default())
-	if _, durable := rs.counts(); durable != 1 {
-		t.Fatalf("boot indexed %d entries, want 1", durable)
-	}
-	left, err := filepath.Glob(filepath.Join(cache, "tmp-*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("boot left temp files %v", left)
-	}
-}
-
 // TestDropDatasetCoversEveryTier: one dataset delete removes the slots of
-// the dataset's own key and its cross keys (entry files included), leaves
+// the dataset's own key and its cross keys (log records included), leaves
 // the other dataset's untouched, and reports the keys to
 // sccgd_cache_cascade_dropped_total.
 func TestDropDatasetCoversEveryTier(t *testing.T) {
@@ -183,7 +160,7 @@ func TestDropDatasetCoversEveryTier(t *testing.T) {
 	for _, key := range []string{
 		datasetKey(gone.ID), crossKey(gone.ID, kept.ID), crossKey(kept.ID, gone.ID), datasetKey(kept.ID),
 	} {
-		if _, err := rs.adopt(foldedEntry(key), key); err != nil {
+		if _, _, err := rs.adopt(foldedEntry(key), key); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,8 +171,8 @@ func TestDropDatasetCoversEveryTier(t *testing.T) {
 	if slots, entries := rs.counts(); slots != 1 || entries != 1 {
 		t.Fatalf("after the cascade: %d slots, %d entries, want the kept dataset's 1 and 1", slots, entries)
 	}
-	if n := persistedFiles(t, dir); n != 1 {
-		t.Fatalf("%d entry files after the cascade, want 1", n)
+	if n := persistedEntries(t, dir); n != 1 {
+		t.Fatalf("%d logged entries after the cascade, want 1", n)
 	}
 	if got := srv.cascades.Value(); got != 3 {
 		t.Fatalf("sccgd_cache_cascade_dropped_total = %d, want 3 (the keys)", got)

@@ -42,44 +42,31 @@ func doRequest(t *testing.T, method, url string) (*http.Response, []byte) {
 	return resp, raw
 }
 
-// waitPersisted blocks until the persisted cache directory holds n entries.
+// waitPersisted blocks until the results log under dir holds n live entries.
 func waitPersisted(t *testing.T, dir string, n int) {
 	t.Helper()
-	cacheDir := filepath.Join(dir, "cache")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		entries, _ := os.ReadDir(cacheDir)
-		files := 0
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".json") {
-				files++
-			}
-		}
-		if files >= n {
+		got := persistedEntries(t, dir)
+		if got >= n {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("persisted cache never reached %d entries (%d)", n, files)
+			t.Fatalf("persisted cache never reached %d entries (%d)", n, got)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-func persistedFiles(t *testing.T, dir string) int {
+// persistedEntries is how many entries the results log under dir leaves live.
+func persistedEntries(t *testing.T, dir string) int {
 	t.Helper()
-	entries, _ := os.ReadDir(filepath.Join(dir, "cache"))
-	n := 0
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".json") {
-			n++
-		}
-	}
-	return n
+	return len(loggedEntries(t, dir))
 }
 
 // TestDeleteCascadesResultLayers is the first delete regression: deleting a
-// dataset must drop its result slot, its persisted report, and the disk
-// file behind it — a repeat submission answers 404, a restart resurrects
+// dataset must drop its result slot, its persisted report, and the log
+// record behind it — a repeat submission answers 404, a restart resurrects
 // nothing, and re-ingesting the same content recomputes instead of serving
 // the pre-delete report.
 func TestDeleteCascadesResultLayers(t *testing.T) {
@@ -110,11 +97,11 @@ func TestDeleteCascadesResultLayers(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("delete = %d: %s", dresp.StatusCode, draw)
 	}
-	// The cascade emptied every layer: no cached answer, no disk file.
+	// The cascade emptied every layer: no cached answer, no live log record.
 	if resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: man.ID}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("post-delete repeat = %d, want 404 (not a cached report): %s", resp.StatusCode, body)
 	}
-	if n := persistedFiles(t, dir); n != 0 {
+	if n := persistedEntries(t, dir); n != 0 {
 		t.Fatalf("%d persisted entries survived the delete", n)
 	}
 
@@ -176,8 +163,8 @@ func TestBootDropsOrphanedReports(t *testing.T) {
 	if resp, body := postJSON(t, ts2.URL+"/jobs", JobRequest{DatasetID: man.ID}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("orphaned report was served: %d %s", resp.StatusCode, body)
 	}
-	if n := persistedFiles(t, dir); n != 0 {
-		t.Fatalf("boot left %d orphaned entry file(s) on disk", n)
+	if n := persistedEntries(t, dir); n != 0 {
+		t.Fatalf("boot left %d orphaned entries in the log", n)
 	}
 }
 
@@ -363,7 +350,7 @@ func TestCacheAdminAndGC(t *testing.T) {
 	if cleared.Dropped != 1 {
 		t.Fatalf("DELETE /cache dropped %d, want the job's one key", cleared.Dropped)
 	}
-	if n := persistedFiles(t, dir); n != 0 {
+	if n := persistedEntries(t, dir); n != 0 {
 		t.Fatalf("%d persisted files survived DELETE /cache", n)
 	}
 	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: man.ID})
@@ -433,19 +420,19 @@ func TestPersistGateBlocksDeletedDataset(t *testing.T) {
 	}
 	// What finishWhenDone would do after the delete won the race.
 	key := datasetKey(man.ID)
-	if _, err := srv.results.adopt(resultEntry{Key: key, Saved: time.Now().UTC()}, key); err != nil {
+	if _, _, err := srv.results.adopt(resultEntry{Key: key, Saved: time.Now().UTC()}, key); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, ok := srv.results.lookup(key); ok {
 		t.Fatal("result store kept a report for a deleted dataset")
 	}
-	if n := persistedFiles(t, dir); n != 0 {
-		t.Fatalf("%d entry file(s) written for a deleted dataset", n)
+	if n := persistedEntries(t, dir); n != 0 {
+		t.Fatalf("%d logged entries written for a deleted dataset", n)
 	}
 	// Cross keys referencing the deleted dataset are gated too.
 	other := ingestSpec(t, st, "gate-other", 32, 1)
 	key = crossKey(other.ID, man.ID)
-	if _, err := srv.results.adopt(resultEntry{Key: key, Saved: time.Now().UTC()}, key); err != nil {
+	if _, _, err := srv.results.adopt(resultEntry{Key: key, Saved: time.Now().UTC()}, key); err != nil {
 		t.Fatal(err)
 	}
 	if _, durable := srv.results.counts(); durable != 0 {
@@ -454,17 +441,17 @@ func TestPersistGateBlocksDeletedDataset(t *testing.T) {
 }
 
 // TestReportDiskEntryBound: the result table LRU-bounds its entries at adopt
-// time and re-enforces the bound over preexisting entry files at boot.
+// time and re-enforces the bound over the log's entries at boot.
 func TestReportDiskEntryBound(t *testing.T) {
 	dir := t.TempDir()
 	st := testStoreAt(t, dir)
 	rs := newResultStore(2, st, nil, new(metrics.Counter), slog.Default())
 	if !rs.persistent() {
-		t.Fatal("no entry files beside a store")
+		t.Fatal("no results log beside a store")
 	}
 	saved := time.Now().UTC()
 	for i, key := range []string{"k-old", "k-mid", "k-new"} {
-		if _, err := rs.adopt(resultEntry{Key: key, Saved: saved.Add(time.Duration(i) * time.Second)}, key); err != nil {
+		if _, _, err := rs.adopt(resultEntry{Key: key, Saved: saved.Add(time.Duration(i) * time.Second)}, key); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(2 * time.Millisecond) // strictly ordered adopt recency
@@ -480,7 +467,7 @@ func TestReportDiskEntryBound(t *testing.T) {
 	}
 
 	// Boot over the same directory with a tighter cap: load enforces it after
-	// indexing the files (and after dropping orphans).
+	// replaying the log (and after dropping orphans).
 	evicted := new(metrics.Counter)
 	rs2 := newResultStore(1, st, nil, evicted, slog.Default())
 	if _, durable := rs2.counts(); durable != 1 {
@@ -489,8 +476,8 @@ func TestReportDiskEntryBound(t *testing.T) {
 	if _, _, ok := rs2.lookup("k-new"); !ok {
 		t.Error("boot-time bound evicted the newest entry")
 	}
-	if n := persistedFiles(t, dir); n != 1 {
-		t.Fatalf("%d entry files on disk after bounded reopen, want 1", n)
+	if n := persistedEntries(t, dir); n != 1 {
+		t.Fatalf("%d logged entries after bounded reopen, want 1", n)
 	}
 	if got := evicted.Value(); got != 1 {
 		t.Fatalf("boot eviction counted %d, want 1", got)
@@ -498,7 +485,7 @@ func TestReportDiskEntryBound(t *testing.T) {
 }
 
 // TestCacheBoundEvictsAndCounts: the one bound holds what the daemon serves
-// with a store too, and the slot it evicts — entry file included — is
+// with a store too, and the slot it evicts — log record included — is
 // counted in sccgd_cache_evicted_total.
 func TestCacheBoundEvictsAndCounts(t *testing.T) {
 	dir := t.TempDir()
@@ -523,8 +510,8 @@ func TestCacheBoundEvictsAndCounts(t *testing.T) {
 		// evicts a finished entry, not a racing write.
 		waitPersisted(t, dir, 1)
 	}
-	if n := persistedFiles(t, dir); n != 1 {
-		t.Fatalf("%d entry files under a bound of 1", n)
+	if n := persistedEntries(t, dir); n != 1 {
+		t.Fatalf("%d logged entries under a bound of 1", n)
 	}
 	if got := srv.reg.Counter("sccgd_cache_evicted_total").Value(); got != 1 {
 		t.Fatalf("sccgd_cache_evicted_total = %d, want 1", got)

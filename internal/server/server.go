@@ -30,8 +30,8 @@
 // construction. The daemon compares data, it does not make it: datasets
 // arrive through PUT /datasets (or a peer pull), never generated in the
 // request path. Completed cache-keyed reports are additionally written
-// through to JSON files beside the store's manifests and reloaded on boot,
-// so a restarted daemon answers repeats without recompute.
+// through to one append-only log beside the store's manifests and replayed
+// on boot, so a restarted daemon answers repeats without recompute.
 //
 // Cross-dataset jobs ({"dataset_a", "dataset_b"}) compare dataset_a's set-A
 // polygons against dataset_b's set-B polygons over the tile keys the two
@@ -85,13 +85,13 @@ type CompareResult struct {
 // Options configures a Server.
 type Options struct {
 	// CacheMaxEntries bounds the result store (see results.go): past it the
-	// least recently used key goes, entry file included. 0 means unbounded.
+	// least recently used key goes, log record included. 0 means unbounded.
 	CacheMaxEntries int
 	// Registry receives the server's counters; one is created when nil.
 	Registry *metrics.Registry
 	// Store, when set, backs the /datasets endpoints, jobs by dataset_id,
 	// cross-dataset jobs, matrix runs, and content-hash result caching
-	// (including the entry files under <store>/cache). Nil disables
+	// (including the results log under <store>/cache). Nil disables
 	// them (the endpoints answer 501).
 	Store *store.Store
 	// Retention bounds the store (see internal/retention). When a byte
@@ -770,7 +770,7 @@ func entrySubmission(e *resultEntry, outcome string) submission {
 	saved := e.Saved
 	return submission{code: http.StatusOK, report: &e.Report, outcome: outcome,
 		resp: JobResponse{
-			ID:        "cached-" + entryFile(e.Key)[:12],
+			ID:        cachedID(e.Key),
 			Name:      e.Name,
 			State:     sched.Done.String(),
 			Cached:    true,
@@ -784,8 +784,9 @@ func entrySubmission(e *resultEntry, outcome string) submission {
 
 // finishWhenDone waits for a submitted job's terminal state and runs the
 // completion bookkeeping: a cache-keyed Done job's report enters its result
-// slot, with or without an entry file (the file write lands in the trace as
-// a persist span — recorded after the scheduler froze the trace total, so it
+// slot, with or without a log record (the append and the fsync that carried
+// it land in the trace as a persist span, its detail the number of records
+// that fsync carried — recorded after the scheduler froze the trace total, so it
 // shows up in later trace reads without shifting the job's wall time), the
 // query-log record, and the slow-query warning.
 func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID string, req JobRequest) {
@@ -796,9 +797,13 @@ func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID string, req JobR
 	if key != "" && st.State == sched.Done {
 		start := time.Now()
 		cross, _ := st.Meta.(*CrossPayload)
-		_, perr := s.results.adopt(resultEntry{Key: key, Name: st.Name, Cross: cross, Saved: start.UTC(), Report: st.Report}, key)
+		_, carried, perr := s.results.adopt(resultEntry{Key: key, Name: st.Name, Cross: cross, Saved: start.UTC(), Report: st.Report}, key)
 		if s.results.persistent() {
-			rec.Add("persist", "", start, time.Now())
+			detail := ""
+			if carried > 0 {
+				detail = "fsync records=" + strconv.Itoa(carried)
+			}
+			rec.Add("persist", detail, start, time.Now())
 		}
 		if perr != nil {
 			s.log.Warn("job report failed validation, not persisted", "job_id", jobID, "err", perr)

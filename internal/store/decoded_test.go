@@ -1096,19 +1096,20 @@ func BenchmarkImport(b *testing.B) {
 			ms := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
 			b.ReportMetric(ms(imported), "import_ms")
 			b.ReportMetric(ms(verify), "verify_ms")
-			b.ReportMetric(float64(peak)/(1<<20), "peak_heap_MB")
+			b.ReportMetric(float64(peak)/(1<<20), "peak_live_MB")
 		})
 	}
 }
 
-// sampleHeap records the largest live-object heap seen every millisecond
-// into peak until stop is called.
+// sampleHeap records the largest live heap seen every millisecond into peak
+// until stop is called. Live is what the last GC marked reachable; the
+// heap-objects figure would also count unswept garbage (about twice as much).
 func sampleHeap(peak *uint64) (stop func()) {
 	done := make(chan struct{})
 	var finished atomic.Bool
 	go func() {
 		defer close(done)
-		sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		sample := []rtmetrics.Sample{{Name: "/gc/heap/live:bytes"}}
 		for !finished.Load() {
 			rtmetrics.Read(sample)
 			if v := sample[0].Value.Uint64(); v > *peak {
