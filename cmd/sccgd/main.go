@@ -23,8 +23,8 @@
 // It is the only long-lived record: finished jobs past the last 1024, and
 // finished matrix runs past the last 64, are forgotten (their IDs answer 404).
 // See GET /metrics for counters, including per-executor hybrid-aggregator
-// accounting. Without -data-dir only uploaded polygon text ("tasks") and
-// POST /compare run.
+// accounting. Every job names a stored dataset; without -data-dir the store
+// lives in a temporary directory that is removed at exit.
 //
 // Results are cached by content hash (and persisted beside the manifests,
 // so a restart answers repeats without recompute), and a restart recovers
@@ -77,7 +77,7 @@
 //	sccgd -addr :8080 -data-dir /var/lib/sccgd \
 //	      -peers host-b:8080,host-c:8080 -advertise host-a:8080
 //
-// Observability: with -data-dir every job (matrix cells included), ingest,
+// Observability: every job (matrix cells included), ingest,
 // and peer pull appends to a rotation-bounded JSONL query log (GET /querylog serves
 // it filtered); -querylog-max-bytes bounds it and -querylog-max-bytes off disables it.
 // -slow-query 2s warns (with the job's per-stage trace summary) on anything
@@ -207,16 +207,16 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		hybrid    = fs.Bool("hybrid-cpu", false, "run the CPU workers beside the GPU workers")
 		workers   = fs.Int("workers", 0, "CPU tile workers, when -devices is 0 or with -hybrid-cpu (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 0, "job queue depth (default 64)")
-		dataDir   = fs.String("data-dir", "", "persistent dataset store directory (enables /datasets and jobs by dataset_id)")
-		storeMax  = fs.String("store-max-bytes", "", "store byte budget, e.g. 512MiB or 2GB; LRU-evicts unpinned datasets above it (empty = unbounded; needs -data-dir)")
-		storeTTL  = fs.Duration("store-ttl", 0, "evict datasets unused for this long (0 = no TTL; needs -data-dir)")
+		dataDir   = fs.String("data-dir", "", "dataset store directory, kept across restarts (empty = a temporary directory, removed at exit)")
+		storeMax  = fs.String("store-max-bytes", "", "store byte budget, e.g. 512MiB or 2GB; LRU-evicts unpinned datasets above it (empty = unbounded)")
+		storeTTL  = fs.Duration("store-ttl", 0, "evict datasets unused for this long (0 = no TTL)")
 		cacheMax  = fs.Int("cache-max-entries", 0, "result store bound in keys, LRU-evicted past it, with a drop record in the results log (0 = unbounded)")
 		sweep     = fs.Duration("store-sweep", 0, "retention sweep interval (default 1m when a retention bound is set)")
 		logFormat = fs.String("log-format", "text", "log output format: text or json")
 		pprofAddr = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it off public interfaces)")
-		peers     = fs.String("peers", "", "comma-separated peer base URLs; joins a cluster (needs -data-dir and -advertise)")
+		peers     = fs.String("peers", "", "comma-separated peer base URLs; joins a cluster (needs -advertise)")
 		advertise = fs.String("advertise", "", "this node's own base URL as peers reach it (required with -peers)")
-		qlogMax   = fs.String("querylog-max-bytes", "", "query/access log size bound, e.g. 64MiB; 'off' disables the log (default 64MiB; needs -data-dir)")
+		qlogMax   = fs.String("querylog-max-bytes", "", "query/access log size bound, e.g. 64MiB; 'off' disables the log (default 64MiB)")
 		slowQuery = fs.Duration("slow-query", 0, "log a warning with the trace summary for jobs slower than this (0 = disabled)")
 		tenantsFl = fs.String("tenants", "", "multi-tenant config: a JSON file path or inline JSON ({\"default\":{...},\"tenants\":[...]}); empty = one unlimited tenant")
 	)
@@ -233,9 +233,6 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	pol, err := retentionPolicy(*storeMax, *storeTTL, *sweep)
 	if err != nil {
 		return err
-	}
-	if pol.Active() && *dataDir == "" {
-		return errors.New("-store-max-bytes/-store-ttl require -data-dir")
 	}
 	for _, f := range []struct {
 		name string
@@ -259,18 +256,12 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	if *slowQuery < 0 {
 		return errors.New("-slow-query must not be negative")
 	}
-	if qlogBytes > 0 && *dataDir == "" {
-		return errors.New("-querylog-max-bytes requires -data-dir")
-	}
 	tenantCfg, err := tenant.LoadConfig(*tenantsFl)
 	if err != nil {
 		return fmt.Errorf("-tenants: %w", err)
 	}
 	var peerList []string
 	if *peers != "" {
-		if *dataDir == "" {
-			return errors.New("-peers requires -data-dir (clustering replicates stored datasets)")
-		}
 		if *advertise == "" {
 			return errors.New("-peers requires -advertise (this node's position in the hash ring)")
 		}
@@ -285,17 +276,22 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 		}
 	}
 
-	var st *store.Store
-	if *dataDir != "" {
-		var err error
-		st, err = store.Open(*dataDir)
-		if err != nil {
-			return fmt.Errorf("open data dir: %w", err)
+	dir := *dataDir
+	if dir == "" {
+		// Deferred before svc.Close, so it runs after the service has closed.
+		if dir, err = os.MkdirTemp("", "sccgd-"); err != nil {
+			return fmt.Errorf("temporary data dir: %w", err)
 		}
-		logger.Info("data dir opened", "dir", *dataDir, "recovered_datasets", st.Len())
-		for _, serr := range st.Skipped() {
-			logger.Warn("data dir: skipped unrecoverable dataset", "error", serr)
-		}
+		defer os.RemoveAll(dir)
+		logger.Info("no -data-dir: storing datasets in a temporary directory, removed at exit", "dir", dir)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		return fmt.Errorf("open data dir: %w", err)
+	}
+	logger.Info("data dir opened", "dir", dir, "recovered_datasets", st.Len())
+	for _, serr := range st.Skipped() {
+		logger.Warn("data dir: skipped unrecoverable dataset", "error", serr)
 	}
 
 	svc := server.NewService(server.ServiceOptions{

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -53,7 +54,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	d := pathology.Generate(pathology.DatasetSpec{Name: "e2e", Seed: 20260727, Tiles: 4,
 		Gen: pathology.DefaultGenConfig()})
 
-	body, _ := json.Marshal(map[string]any{"tasks": tileObjects(d)})
+	body, _ := json.Marshal(map[string]any{"dataset_id": putDataset(t, base, "e2e", d)})
 	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /jobs: %v", err)
@@ -145,8 +146,112 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// tileObjects is d's polygon text as the tile objects that PUT /datasets and
-// the tasks form of POST /jobs both take.
+// TestDaemonWithoutDataDir: a daemon started without -data-dir still has a
+// store, in a temporary directory. PUT /datasets stores a 2-tile dataset, a
+// job by its ID runs to done, a matrix over two datasets finishes, a body
+// naming inline "tasks" answers 400 naming the field, and after a clean
+// shutdown the directory is gone.
+func TestDaemonWithoutDataDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	base, stop := bootDaemon(t, []string{"-addr", "127.0.0.1:0"})
+	stopped := false
+	defer func() {
+		if !stopped {
+			stop()
+		}
+	}()
+
+	var health struct {
+		Store struct {
+			Dir string `json:"dir"`
+		} `json:"store"`
+	}
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeBody(t, resp, &health, http.StatusOK)
+	dir := health.Store.Dir
+	if !strings.HasPrefix(dir, tmp+string(os.PathSeparator)) {
+		t.Fatalf("store dir %q, want a temporary directory under %s", dir, tmp)
+	}
+
+	gen := func(seed int64) *pathology.Dataset {
+		return pathology.Generate(pathology.DatasetSpec{Name: "no-data-dir", Seed: seed, Tiles: 2,
+			Gen: pathology.DefaultGenConfig()})
+	}
+	ids := []string{putDataset(t, base, "one", gen(1)), putDataset(t, base, "two", gen(2))}
+	body, _ := json.Marshal(map[string]any{"dataset_id": ids[0]})
+	resp, err = http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct {
+		ID    string `json:"id"`
+		State string `json:"state"`
+		Error string `json:"error"`
+		Tiles int    `json:"tiles"`
+	}
+	decodeBody(t, resp, &job, http.StatusAccepted)
+	for deadline := time.Now().Add(time.Minute); job.State != "done"; time.Sleep(10 * time.Millisecond) {
+		if job.State == "failed" || job.State == "canceled" || time.Now().After(deadline) {
+			t.Fatalf("job %s ended %q: %s", job.ID, job.State, job.Error)
+		}
+		resp, err := http.Get(base + "/jobs/" + job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeBody(t, resp, &job, http.StatusOK)
+	}
+	if job.Tiles != 2 {
+		t.Errorf("job read %d tiles, want 2", job.Tiles)
+	}
+
+	body, _ = json.Marshal(map[string]any{"datasets": ids})
+	resp, err = http.Post(base+"/matrix", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mst struct {
+		ID      string `json:"id"`
+		State   string `json:"state"`
+		Version int64  `json:"version"`
+	}
+	decodeBody(t, resp, &mst, http.StatusAccepted)
+	for deadline := time.Now().Add(time.Minute); mst.State == "running"; {
+		if time.Now().After(deadline) {
+			t.Fatalf("matrix %s stuck running", mst.ID)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/matrix/%s?wait=1&since=%d", base, mst.ID, mst.Version))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeBody(t, resp, &mst, http.StatusOK)
+	}
+	if mst.State != "done" {
+		t.Errorf("matrix %s ended %q, want done", mst.ID, mst.State)
+	}
+
+	resp, err = http.Post(base+"/jobs", "application/json",
+		strings.NewReader(`{"tasks":[{"tile":0,"raw_a":"MA==","raw_b":"MA=="}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), `\"tasks\"`) {
+		t.Errorf("POST /jobs with tasks = %d %s, want 400 naming \"tasks\"", resp.StatusCode, raw)
+	}
+
+	stop()
+	stopped = true
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("temporary store %s still there after shutdown (stat: %v)", dir, err)
+	}
+}
+
+// tileObjects is d's polygon text as the tile objects PUT /datasets takes.
 func tileObjects(d *pathology.Dataset) []map[string]any {
 	tasks := sccg.EncodeDataset(d)
 	out := make([]map[string]any, len(tasks))
@@ -561,8 +666,9 @@ func TestDaemonTraceEndToEnd(t *testing.T) {
 
 	d := pathology.Generate(pathology.DatasetSpec{Name: "trace-e2e", Seed: 7, Tiles: 4,
 		Gen: pathology.DefaultGenConfig()})
+	id := putDataset(t, base, "trace-e2e", d)
 	wallStart := time.Now()
-	body, _ := json.Marshal(map[string]any{"tasks": tileObjects(d), "band": "ingest"})
+	body, _ := json.Marshal(map[string]any{"dataset_id": id, "band": "ingest"})
 	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /jobs: %v", err)

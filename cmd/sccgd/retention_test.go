@@ -215,17 +215,22 @@ func TestDaemonRetentionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRetentionFlagValidation: retention flags demand -data-dir and reject
-// malformed sizes, and the result-store bound and the pool flags reject
-// negatives, without booting anything.
+// TestRetentionFlagValidation: retention flags need no -data-dir (the
+// daemon then bounds its temporary store) but reject malformed sizes, and
+// the result-store bound and the pool flags reject negatives without booting
+// anything.
 func TestRetentionFlagValidation(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
 	for _, args := range [][]string{
 		{"-store-max-bytes", "1GiB"},
 		{"-store-ttl", "1h"},
 	} {
-		if err := run(context.Background(), args, nil); err == nil ||
-			!strings.Contains(err.Error(), "-data-dir") {
-			t.Errorf("run(%v) = %v, want a -data-dir requirement error", args, err)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		served := false
+		err := run(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), func(string) { served = true; cancel() })
+		cancel()
+		if !served || err != nil {
+			t.Errorf("run(%v): served %v, err %v; want the daemon to start", args, served, err)
 		}
 	}
 	if err := run(context.Background(), []string{"-store-max-bytes", "wat", "-data-dir", t.TempDir()}, nil); err == nil {

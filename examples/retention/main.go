@@ -66,10 +66,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sw, err := svc.GC()
-		if err != nil {
-			log.Fatal(err)
-		}
+		sw := svc.GC()
 		fmt.Printf("ingested %s -> store %d/%d bytes, %d datasets (evicted %d, pinned skips %d)\n",
 			m.ID[:12], sw.StoreBytes, budget, sw.Datasets, sw.BudgetEvicted, sw.PinnedSkipped)
 		if sw.StoreBytes > budget {
@@ -85,10 +82,7 @@ func main() {
 
 	// Released, it is just another cold dataset: the next sweep may take it.
 	st.Unpin(man.ID)
-	sw, err := svc.GC()
-	if err != nil {
-		log.Fatal(err)
-	}
+	sw := svc.GC()
 	fmt.Printf("after unpin: sweep evicted %d, store %d bytes, %d datasets\n",
 		sw.BudgetEvicted, sw.StoreBytes, sw.Datasets)
 }

@@ -176,14 +176,14 @@ func TestTenantQueueQuotaExact(t *testing.T) {
 
 	tasks := testTasks(t, 1)
 	for i := 0; i < 2; i++ {
-		if _, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "ok", Tenant: "acme"}); err != nil {
+		if _, err := s.SubmitJob(memSource(tasks), JobOpts{Name: "ok", Tenant: "acme"}); err != nil {
 			t.Fatalf("acme submit %d: %v", i, err)
 		}
 	}
-	if _, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "over", Tenant: "acme"}); !errors.Is(err, ErrTenantQueue) {
+	if _, err := s.SubmitJob(memSource(tasks), JobOpts{Name: "over", Tenant: "acme"}); !errors.Is(err, ErrTenantQueue) {
 		t.Fatalf("acme submit over quota: err = %v, want ErrTenantQueue", err)
 	}
-	if _, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "other", Tenant: "globex"}); err != nil {
+	if _, err := s.SubmitJob(memSource(tasks), JobOpts{Name: "other", Tenant: "globex"}); err != nil {
 		t.Fatalf("unlimited tenant blocked by acme's quota: %v", err)
 	}
 	st := s.Stats()
@@ -217,7 +217,7 @@ func TestTenantQueueQuotaRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "racer", Tenant: "race"})
+			_, err := s.SubmitJob(memSource(tasks), JobOpts{Name: "racer", Tenant: "race"})
 			errsCh <- err
 		}()
 	}

@@ -98,15 +98,6 @@ type SourceReleaser interface {
 	Release()
 }
 
-// memSource adapts in-memory tiles to the TaskSource contract.
-type memSource []pipeline.PolyTask
-
-func (m memSource) Len() int                                  { return len(m) }
-func (m memSource) PolyTask(i int) (pipeline.PolyTask, error) { return m[i], nil }
-
-// Tasks wraps decoded in-memory tiles as a TaskSource.
-func Tasks(tasks []pipeline.PolyTask) TaskSource { return memSource(tasks) }
-
 // State is a job's lifecycle position.
 type State int
 
@@ -350,8 +341,8 @@ type JobOpts struct {
 }
 
 // SubmitJob enqueues a cross-comparison job whose tiles are materialized
-// lazily from src, each by the worker that takes it (Tasks wraps in-memory
-// tiles; a stored dataset hands out handles), and returns its ID. Its band
+// lazily from src, each by the worker that takes it (a stored dataset hands
+// out handles), and returns its ID. Its band
 // picks the weighted-fair queue, its tenant is charged against the
 // per-tenant queued-job quota (ErrTenantQueue when at the cap — checked
 // under the queue lock, so concurrent submits racing one remaining slot

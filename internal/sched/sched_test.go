@@ -29,6 +29,12 @@ func testTasks(t *testing.T, tiles int) []pipeline.PolyTask {
 	return tasks
 }
 
+// memSource serves decoded in-memory tiles as a TaskSource.
+type memSource []pipeline.PolyTask
+
+func (m memSource) Len() int                                  { return len(m) }
+func (m memSource) PolyTask(i int) (pipeline.PolyTask, error) { return m[i], nil }
+
 // pairedSource serves tasks, but holds the first of its tile reads until a
 // second has begun, so two workers each take at least one tile.
 type pairedSource struct {
@@ -108,7 +114,7 @@ func TestReportCountersArePerJob(t *testing.T) {
 	var launchesBefore int64
 	var busyBefore float64
 	for i := 0; i < 2; i++ {
-		id, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "again"})
+		id, err := s.SubmitJob(memSource(tasks), JobOpts{Name: "again"})
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -142,7 +148,7 @@ func TestCPUOnlyScheduler(t *testing.T) {
 	tasks := testTasks(t, 2)
 	s := New(Config{Devices: 0})
 	defer s.Close()
-	id, err := s.SubmitJob(Tasks(tasks), JobOpts{Name: "cpu"})
+	id, err := s.SubmitJob(memSource(tasks), JobOpts{Name: "cpu"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -163,11 +169,11 @@ func TestCPUOnlyScheduler(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	s := New(Config{Devices: 1})
-	if _, err := s.SubmitJob(Tasks(nil), JobOpts{Name: "empty"}); err != ErrEmptyJob {
+	if _, err := s.SubmitJob(memSource(nil), JobOpts{Name: "empty"}); err != ErrEmptyJob {
 		t.Errorf("Submit(nil) err = %v, want ErrEmptyJob", err)
 	}
 	s.Close()
-	if _, err := s.SubmitJob(Tasks(testTasks(t, 1)), JobOpts{Name: "late"}); err != ErrClosed {
+	if _, err := s.SubmitJob(memSource(testTasks(t, 1)), JobOpts{Name: "late"}); err != ErrClosed {
 		t.Errorf("Submit after Close err = %v, want ErrClosed", err)
 	}
 }
@@ -180,7 +186,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	first, release := startFiller(t, s)
 	var once sync.Once
 	defer once.Do(release)
-	second, err := s.SubmitJob(Tasks(testTasks(t, 2)), JobOpts{Name: "victim"})
+	second, err := s.SubmitJob(memSource(testTasks(t, 2)), JobOpts{Name: "victim"})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -211,7 +217,7 @@ func TestJobsListingOrder(t *testing.T) {
 	defer s.Close()
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := s.SubmitJob(Tasks(testTasks(t, 1)), JobOpts{Name: "j"})
+		id, err := s.SubmitJob(memSource(testTasks(t, 1)), JobOpts{Name: "j"})
 		if err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -261,7 +267,7 @@ func TestFinishedJobsForgotten(t *testing.T) {
 			t.Fatal("the held job's tiles never both started")
 		}
 	}
-	queued, err := s.SubmitJob(Tasks(tiny), JobOpts{Name: "behind", Band: BandBatch})
+	queued, err := s.SubmitJob(memSource(tiny), JobOpts{Name: "behind", Band: BandBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +282,7 @@ func TestFinishedJobsForgotten(t *testing.T) {
 	const forgotten = 100
 	ids := make([]string, keepFinishedJobs+forgotten)
 	for i := range ids {
-		id, err := s.SubmitJob(Tasks(tiny), JobOpts{Name: "flood"})
+		id, err := s.SubmitJob(memSource(tiny), JobOpts{Name: "flood"})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

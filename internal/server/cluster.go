@@ -168,7 +168,7 @@ func (s *Server) recordPull(rec *trace.Recorder, id string, res cluster.PullResu
 // and decoding its tiles, and publishing it. A query-log pull record lands either way. Without a
 // cluster it is a no-op: absence surfaces through the usual not-found paths.
 func (s *Server) ensureLocal(rec *trace.Recorder, ids ...string) error {
-	if s.cluster == nil || s.store == nil {
+	if s.cluster == nil {
 		return nil
 	}
 	for _, id := range ids {

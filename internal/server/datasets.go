@@ -7,12 +7,13 @@ package server
 //	GET    /datasets/{id}   stat one dataset, tile index included
 //	DELETE /datasets/{id}   remove a dataset
 //
-// Ingestion streams, on the request's own goroutine: the body is a JSON array
-// of tile payloads (the same shape as JobRequest.Tasks) scanned one element
-// at a time (tilescan.go); each tile's raw text is run through the existing
-// parser and appended to the store's segment file before the next element is
-// read, so a dataset bounded only by the request-size cap never materializes
-// whole in memory. The response carries the content-addressed dataset ID:
+// PUT is the daemon's only way in for polygon text: jobs name the dataset it
+// stores. Ingestion streams, on the request's own goroutine: the body is a
+// JSON array of tile payloads (TilePayload, the shape GET /tiles/{n} serves)
+// scanned one element at a time (tilescan.go); each tile's raw text is run
+// through the existing parser and appended to the store's segment file
+// before the next element is read, so a dataset bounded only by the
+// request-size cap never materializes whole in memory. The response carries the content-addressed dataset ID:
 // re-ingesting identical polygon sets (any tile order, any text formatting)
 // yields the same ID and no second copy.
 
@@ -74,19 +75,10 @@ func datasetResponse(man *store.Manifest, withTiles bool) DatasetResponse {
 	return resp
 }
 
-// requireStore answers 501 when the daemon runs without a data directory.
-func (s *Server) requireStore(w http.ResponseWriter) bool {
-	if s.store == nil {
-		s.fail(w, http.StatusNotImplemented, errNoStore)
-		return false
-	}
-	return true
-}
+// maxDatasetTiles bounds the tiles one PUT /datasets may carry.
+const maxDatasetTiles = 65536
 
 func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
-	if !s.requireStore(w) {
-		return
-	}
 	who := s.resolveTenant(r)
 	ingestStart := time.Now()
 	wtr, err := s.store.NewWriter(r.URL.Query().Get("name"))
@@ -120,8 +112,8 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 		if !more {
 			break
 		}
-		if n >= maxTaskCount {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("at most %d tiles per dataset", maxTaskCount))
+		if n >= maxDatasetTiles {
+			s.fail(w, http.StatusBadRequest, fmt.Errorf("at most %d tiles per dataset", maxDatasetTiles))
 			return
 		}
 		if err := sc.tile(&tp); err != nil {
@@ -200,9 +192,7 @@ func parseTile(n int, rawA, rawB []byte) (a, b []*geom.Polygon, err error) {
 // counter, the tenant's byte attribution and the query-log record.
 func (s *Server) recordIngest(who tenant.Quota, man *store.Manifest, start time.Time) {
 	s.ingests.Inc()
-	if s.tusage != nil {
-		s.tusage.Attribute(who.Name, man.ID, man.SegmentBytes)
-	}
+	s.tusage.Attribute(who.Name, man.ID, man.SegmentBytes)
 	if s.qlog != nil {
 		s.qlog.Append(querylog.Record{
 			Kind:       querylog.KindIngest,
@@ -216,9 +206,6 @@ func (s *Server) recordIngest(who tenant.Quota, man *store.Manifest, start time.
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
-	if !s.requireStore(w) {
-		return
-	}
 	mans := s.store.List()
 	out := make([]DatasetResponse, len(mans))
 	for i, man := range mans {
@@ -228,9 +215,6 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatDataset(w http.ResponseWriter, r *http.Request) {
-	if !s.requireStore(w) {
-		return
-	}
 	man, ok := s.store.Get(r.PathValue("id"))
 	if !ok {
 		s.fail(w, http.StatusNotFound, store.ErrNotFound)
@@ -258,9 +242,6 @@ type TilePayload struct {
 // through the store — the decoded-tile cache, else the segment file's byte
 // ranges, digest-verified — and re-encoded as polygon text.
 func (s *Server) handleReadTile(w http.ResponseWriter, r *http.Request) {
-	if !s.requireStore(w) {
-		return
-	}
 	n, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("tile index %q is not a number", r.PathValue("n")))
@@ -302,9 +283,6 @@ func (s *Server) handleReadTile(w http.ResponseWriter, r *http.Request) {
 // jobs holding it with a clear "dataset deleted during job" error. Either
 // way the delete cascades through the result store via the store's hook.
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
-	if !s.requireStore(w) {
-		return
-	}
 	id := r.PathValue("id")
 	force := r.URL.Query().Get("force") == "true" || r.URL.Query().Get("force") == "1"
 	var err error

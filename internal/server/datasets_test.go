@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -27,9 +26,9 @@ func testStore(t *testing.T) *store.Store {
 // datasetPayload encodes a generated dataset as the PUT /datasets body.
 func datasetPayload(t *testing.T, d *pathology.Dataset) []byte {
 	t.Helper()
-	tiles := make([]TaskPayload, len(d.Pairs))
+	tiles := make([]TilePayload, len(d.Pairs))
 	for i, tp := range d.Pairs {
-		tiles[i] = TaskPayload{
+		tiles[i] = TilePayload{
 			Image: tp.Image,
 			Tile:  tp.Index,
 			RawA:  parser.Encode(tp.A),
@@ -177,20 +176,6 @@ func TestDatasetLifecycle(t *testing.T) {
 	}
 }
 
-// TestDatasetEndpointsWithoutStore: a daemon without -data-dir answers 501
-// on the whole dataset surface and on dataset_id jobs.
-func TestDatasetEndpointsWithoutStore(t *testing.T) {
-	_, _, ts := newTestServer(t, sched.Config{Devices: 0}, Options{})
-	if resp := getJSON(t, ts.URL+"/datasets", nil); resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("GET /datasets without store = %d, want 501", resp.StatusCode)
-	}
-	id := strings.Repeat("ab", 32)
-	resp, _ := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: id})
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("dataset_id job without store = %d, want 501", resp.StatusCode)
-	}
-}
-
 // TestPutDatasetValidation: malformed bodies and unparseable polygon text
 // fail with clear statuses and leave nothing behind in the store.
 func TestPutDatasetValidation(t *testing.T) {
@@ -221,10 +206,9 @@ func TestPutDatasetValidation(t *testing.T) {
 
 // TestPixelExtentIsNotComputeJob: two valid six-vertex polygons spanning
 // 2^30 pixels each way, which PUT /datasets accepts, used to pin a CPU
-// executor for half a minute per pair. On a service without devices, both
-// the posted-text job (polygons without band tables) and the stored-dataset
-// job (with them, then once more from the decoded cache) now answer at once,
-// with the pair's closed-form ratio.
+// executor for half a minute per pair. On a service without devices, the
+// stored-dataset job (decoded with band tables, then once more from the
+// decoded cache) now answers at once, with the pair's closed-form ratio.
 func TestPixelExtentIsNotComputeJob(t *testing.T) {
 	st := testStore(t)
 	_, _, ts := newTestServer(t, sched.Config{Devices: 0}, Options{Store: st})
@@ -235,9 +219,9 @@ func TestPixelExtentIsNotComputeJob(t *testing.T) {
 	q := p.Translate(3, 3)
 	inter := (h - 3) * (2*e - h - 3) // piece by piece: (e−3)(h−3) + 3(h−3) + (h−3)(e−h−3)
 	want := float64(inter) / float64(2*p.Area()-inter)
-	tile := TaskPayload{Image: "huge", Tile: 0, RawA: parser.Encode([]*geom.Polygon{p}), RawB: parser.Encode([]*geom.Polygon{q})}
+	tile := TilePayload{Image: "huge", Tile: 0, RawA: parser.Encode([]*geom.Polygon{p}), RawB: parser.Encode([]*geom.Polygon{q})}
 
-	body, err := json.Marshal([]TaskPayload{tile})
+	body, err := json.Marshal([]TilePayload{tile})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +238,6 @@ func TestPixelExtentIsNotComputeJob(t *testing.T) {
 		name string
 		req  JobRequest
 	}{
-		{"posted text", JobRequest{Tasks: []TaskPayload{tile}, NoCache: true}},
 		{"stored dataset, decoded", JobRequest{DatasetID: man.ID, NoCache: true}},
 		{"stored dataset, cached decode", JobRequest{DatasetID: man.ID, NoCache: true}},
 	} {

@@ -2,8 +2,10 @@ package server
 
 // FuzzJobRequest hardens the job-submission surface the same way FuzzParse
 // hardens the polygon text format: arbitrary JSON bodies must never panic
-// the decoder, the validation, or the cache-key hasher, and every accepted
-// request must satisfy the invariants the handlers rely on.
+// the decoder or the validation, and every accepted request must satisfy the
+// invariants the handlers rely on. Bodies naming a generated input ("corpus",
+// "spec") or inline polygon text ("tasks") fail at decode: JobRequest has no
+// such field.
 
 import (
 	"bytes"
@@ -41,18 +43,11 @@ func FuzzJobRequest(f *testing.F) {
 		if err := dec.Decode(&req); err != nil {
 			return // rejected at the decode layer, as the handler would
 		}
-		err := checkRequest(req)
-		// The cache-key hasher runs on pre-validation requests in the
-		// handler path, so it must tolerate anything that decodes.
-		_ = requestKey(req)
-		if err != nil {
+		if err := checkRequest(req); err != nil {
 			return
 		}
 		// Invariants of accepted requests.
 		forms := 0
-		if len(req.Tasks) > 0 {
-			forms++
-		}
 		if req.DatasetID != "" {
 			forms++
 		}
@@ -70,8 +65,8 @@ func FuzzJobRequest(f *testing.F) {
 				t.Fatalf("checkRequest accepted malformed cross pair %q/%q", req.DatasetA, req.DatasetB)
 			}
 		}
-		if len(req.Tasks) > maxTaskCount {
-			t.Fatalf("checkRequest accepted %d tasks", len(req.Tasks))
+		if cacheKey(req) == "" {
+			t.Fatalf("accepted request %+v has no cache key", req)
 		}
 	})
 }

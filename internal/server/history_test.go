@@ -101,16 +101,16 @@ func TestMemoryFollowsConfigNotUptime(t *testing.T) {
 	}
 }
 
-// TestStorelessAnswerOutlivesItsJob: without a store, a keyed job's answer
-// lives in its result slot, so once the scheduler has forgotten the job a
-// repeat still answers 200 cached with the identical report and no new work,
-// while the job's own ID answers 404 naming the rule.
-func TestStorelessAnswerOutlivesItsJob(t *testing.T) {
+// TestDatasetAnswerOutlivesItsJob: a dataset job's answer lives in its
+// result slot, so once the scheduler has forgotten the job a repeat still
+// answers 200 cached with the identical report and no new work, while the
+// job's own ID answers 404 naming the rule.
+func TestDatasetAnswerOutlivesItsJob(t *testing.T) {
 	srv, sc, ts := newTestServer(t, sched.Config{Devices: 1}, Options{})
 	spec := pathology.Representative()
 	spec.Tiles = 1
 	d := pathology.Generate(spec)
-	req := JobRequest{Tasks: uploadTasks(d)}
+	req := JobRequest{DatasetID: putOK(t, ts.URL, "outlives", d).ID}
 	resp, body := postJSON(t, ts.URL+"/jobs", req)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
@@ -134,7 +134,7 @@ func TestStorelessAnswerOutlivesItsJob(t *testing.T) {
 
 	tiny := pipeline.PolyTask{A: d.Pairs[0].A[:1], B: d.Pairs[0].B[:1]}
 	for i := 0; i < keptJobs+76; i++ {
-		id, err := sc.SubmitJob(sched.Tasks([]pipeline.PolyTask{tiny}), sched.JobOpts{Name: "unrelated"})
+		id, err := sc.SubmitJob(memSource([]pipeline.PolyTask{tiny}), sched.JobOpts{Name: "unrelated"})
 		if err != nil {
 			t.Fatal(err)
 		}

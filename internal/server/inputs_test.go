@@ -1,8 +1,8 @@
 package server
 
-// Job input forms: every form a job can arrive in reaches the scheduler as
-// decoded tiles, and all of them answer what the paper's text pipeline
-// answers over the same polygons.
+// Job input forms: every form a job can arrive in names stored datasets,
+// reaches the scheduler as decoded tiles read from the store, and answers
+// what the paper's text pipeline answers over the same polygons.
 
 import (
 	"context"
@@ -19,14 +19,12 @@ import (
 	"repro/internal/store"
 )
 
-// TestInputFormsOneAnswer submits one generated 4-tile corpus in four forms —
-// its polygon text as tasks, its content ID, a cross job pairing its set A
-// with its set B stored in another dataset, and its content ID after a
-// PUT /datasets of its text — and requires each report to equal, bit for bit
-// and tile partials included, pipeline.Run over the corpus's text. The
-// store-backed forms must read their tiles from the store. A fifth form,
-// POST /compare, sends the first tile's text and must answer pipeline.Run
-// over that tile.
+// TestInputFormsOneAnswer submits one generated 4-tile corpus in three
+// forms — its content ID, a cross job pairing its set A with its set B
+// stored in another dataset, and its content ID after a PUT /datasets of its
+// text — and requires each report to equal, bit for bit and tile partials
+// included, pipeline.Run over the corpus's text. Every form must read its
+// tiles from the store.
 func TestInputFormsOneAnswer(t *testing.T) {
 	spec := pathology.Representative()
 	spec.Name = "forms"
@@ -54,16 +52,14 @@ func TestInputFormsOneAnswer(t *testing.T) {
 	}
 
 	cases := []struct {
-		name      string
-		opts      Options
-		req       JobRequest
-		put       bool // PUT the corpus's text first and submit the ID it answers
-		fromStore bool
+		name string
+		opts Options
+		req  JobRequest
+		put  bool // PUT the corpus's text first and submit the ID it answers
 	}{
-		{"tasks", Options{}, JobRequest{Tasks: uploadTasks(d)}, false, false},
-		{"dataset_id", Options{Store: holder}, JobRequest{DatasetID: man.ID}, false, true},
-		{"dataset_a+dataset_b", Options{Store: holder}, JobRequest{DatasetA: man.ID, DatasetB: setB.ID}, false, true},
-		{"PUT then dataset_id", Options{Store: testStoreAt(t, t.TempDir())}, JobRequest{}, true, true},
+		{"dataset_id", Options{Store: holder}, JobRequest{DatasetID: man.ID}, false},
+		{"dataset_a+dataset_b", Options{Store: holder}, JobRequest{DatasetA: man.ID, DatasetB: setB.ID}, false},
+		{"PUT then dataset_id", Options{}, JobRequest{}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -93,26 +89,9 @@ func TestInputFormsOneAnswer(t *testing.T) {
 					got.Similarity, got.Intersecting, got.Candidates, got.TileRatios,
 					want.Similarity, want.Intersecting, want.Candidates, want.TileRatios)
 			}
-			reads := srv.Registry().Snapshot()["sccgd_store_tile_read_seconds_count"]
-			if fromStore := reads > 0; fromStore != c.fromStore {
-				t.Fatalf("%v tiles read from the store, want the job to read from it: %v", reads, c.fromStore)
+			if reads := srv.Registry().Snapshot()["sccgd_store_tile_read_seconds_count"]; reads == 0 {
+				t.Fatal("no tile read from the store, want the job to read from it")
 			}
 		})
 	}
-	t.Run("compare", func(t *testing.T) {
-		one, err := pipeline.Run(files[:1], pipeline.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _, ts := newTestServer(t, sched.Config{Devices: 2}, Options{})
-		resp, body := postJSON(t, ts.URL+"/compare", CompareRequest{RawA: files[0].RawA, RawB: files[0].RawB})
-		var got CompareResult
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &got) != nil {
-			t.Fatalf("compare = %d: %s", resp.StatusCode, body)
-		}
-		if want := (CompareResult{one.Similarity, one.Intersecting, one.Candidates}); got != want {
-			t.Fatalf("compare (%.17g, %d, %d), text pipeline (%.17g, %d, %d)", got.Similarity,
-				got.Intersecting, got.Candidates, want.Similarity, want.Intersecting, want.Candidates)
-		}
-	})
 }

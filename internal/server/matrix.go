@@ -64,16 +64,6 @@ func matrixIDs(req MatrixRequest) []string {
 	return ids
 }
 
-// requireMatrix answers 501 when the daemon runs without a store (matrix
-// runs exist only over stored datasets).
-func (s *Server) requireMatrix(w http.ResponseWriter) bool {
-	if s.matrix == nil {
-		s.fail(w, http.StatusNotImplemented, errNoStore)
-		return false
-	}
-	return true
-}
-
 // startMatrix validates and starts a matrix run; code carries the HTTP
 // status on failure. Shared by the HTTP handler and SubmitMatrix.
 //
@@ -83,9 +73,6 @@ func (s *Server) requireMatrix(w http.ResponseWriter) bool {
 // the window between run start and its last cell's submission, which a
 // retention sweep could otherwise hit.
 func (s *Server) startMatrix(req MatrixRequest, who tenant.Quota) (run *compare.Run, code int, err error) {
-	if s.matrix == nil {
-		return nil, http.StatusNotImplemented, errNoStore
-	}
 	if err := req.Validate(); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -145,9 +132,6 @@ func (s *Server) SubmitMatrixQuery(req MatrixRequest) (string, error) {
 
 // Matrix returns a run's status snapshot.
 func (s *Server) Matrix(id string) (compare.Status, bool) {
-	if s.matrix == nil {
-		return compare.Status{}, false
-	}
 	run, ok := s.matrix.Get(id)
 	if !ok {
 		return compare.Status{}, false
@@ -158,9 +142,6 @@ func (s *Server) Matrix(id string) (compare.Status, bool) {
 // WaitMatrix blocks until the run's version exceeds since (or the run is
 // terminal, or ctx expires) and returns the fresh snapshot.
 func (s *Server) WaitMatrix(ctx context.Context, id string, since int64) (compare.Status, bool) {
-	if s.matrix == nil {
-		return compare.Status{}, false
-	}
 	run, ok := s.matrix.Get(id)
 	if !ok {
 		return compare.Status{}, false
@@ -171,16 +152,10 @@ func (s *Server) WaitMatrix(ctx context.Context, id string, since int64) (compar
 
 // CancelMatrix cancels a run.
 func (s *Server) CancelMatrix(id string) error {
-	if s.matrix == nil {
-		return compare.ErrNoRun
-	}
 	return s.matrix.Cancel(id)
 }
 
 func (s *Server) handleStartMatrix(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMatrix(w) {
-		return
-	}
 	var req MatrixRequest
 	if err := s.decode(w, r, &req); err != nil {
 		return
@@ -194,9 +169,6 @@ func (s *Server) handleStartMatrix(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListMatrices(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMatrix(w) {
-		return
-	}
 	runs := s.matrix.Runs()
 	out := make([]compare.Status, len(runs))
 	for i, run := range runs {
@@ -211,9 +183,6 @@ func (s *Server) handleListMatrices(w http.ResponseWriter, r *http.Request) {
 const matrixWaitTimeout = 25 * time.Second
 
 func (s *Server) handleGetMatrix(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMatrix(w) {
-		return
-	}
 	run, ok := s.matrix.Get(r.PathValue("id"))
 	if !ok {
 		s.fail(w, http.StatusNotFound, compare.ErrNoRun)
@@ -244,9 +213,6 @@ func (s *Server) handleGetMatrix(w http.ResponseWriter, r *http.Request) {
 // cache hit still answers without a job — and the run's status is patched in
 // place. The call blocks until the upgraded cell is terminal.
 func (s *Server) handleMatrixCell(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMatrix(w) {
-		return
-	}
 	run, ok := s.matrix.Get(r.PathValue("id"))
 	if !ok {
 		s.fail(w, http.StatusNotFound, compare.ErrNoRun)
@@ -291,9 +257,6 @@ func (s *Server) handleMatrixCell(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancelMatrix(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMatrix(w) {
-		return
-	}
 	run, ok := s.matrix.Get(r.PathValue("id"))
 	if !ok {
 		s.fail(w, http.StatusNotFound, compare.ErrNoRun)

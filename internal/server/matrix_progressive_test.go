@@ -156,7 +156,7 @@ func TestMatrixRunMetrics(t *testing.T) {
 
 	_, raw := doRequest(t, http.MethodGet, ts.URL+"/metrics")
 	text := string(raw)
-	for _, want := range []string{"\nsccgd_matrix_runs_total 2\n", "\nsccgd_groups_active 0\n"} {
+	for _, want := range []string{"\nsccgd_matrix_runs_total 2\n", "\nsccgd_matrix_runs_active 0\n"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", strings.TrimSpace(want), text)
 		}

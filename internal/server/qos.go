@@ -69,9 +69,6 @@ func (s *Server) admissionRejected(reason string) {
 // an ingest of `need` more bytes. Exactly-at-quota is full: a tenant whose
 // usage+need exceeds MaxBytes gets the 413 before any byte is committed.
 func (s *Server) admitTenantBytes(who tenant.Quota, need int64) *admissionError {
-	if s.tusage == nil {
-		return nil
-	}
 	u := s.tusage.Usage(who.Name)
 	if who.MaxBytes > 0 && u.Bytes+need > int64(who.MaxBytes) {
 		return s.rejectAdmission(who, "tenant_bytes", http.StatusRequestEntityTooLarge,
@@ -91,9 +88,6 @@ func (s *Server) admitTenantBytes(who tenant.Quota, need int64) *admissionError 
 // terminal 413 when the dataset cannot fit even after evicting everything
 // unpinned; a retryable 429 when eviction was blocked (pins) right now.
 func (s *Server) admitStoreBytes(who tenant.Quota, need int64) *admissionError {
-	if s.store == nil || s.retention == nil {
-		return nil
-	}
 	budget := s.retention.Policy().MaxBytes
 	if budget <= 0 {
 		return nil // unbounded store

@@ -2,7 +2,8 @@ package server
 
 // HTTP read surface of the persisted query/access log (internal/querylog):
 // GET /querylog serves filtered records from the JSONL generations. It
-// answers 501 when the log is disabled (no store, or -querylog-max-bytes < 0).
+// answers 501 when the log is disabled (-querylog-max-bytes off) or failed
+// to open.
 
 import (
 	"errors"
@@ -21,7 +22,7 @@ const querylogDefaultLimit = 500
 
 func (s *Server) handleQuerylog(w http.ResponseWriter, r *http.Request) {
 	if s.qlog == nil {
-		s.fail(w, http.StatusNotImplemented, errors.New("query log not enabled (start sccgd with -data-dir)"))
+		s.fail(w, http.StatusNotImplemented, errors.New("query log disabled"))
 		return
 	}
 	q := r.URL.Query()

@@ -10,7 +10,7 @@ package server
 //     duplicate submission arriving mid-run attaches to the in-flight job
 //     instead of recomputing.
 //   - the finished entry every cache-keyed done job leaves, written through
-//     (with a store) to one append-only log, <data-dir>/cache/results.log
+//     to one append-only log, <data-dir>/cache/results.log
 //     (resultlog.go), and replayed on boot, so a restarted daemon answers
 //     repeat jobs and matrix cells without recompute. A slot with an entry
 //     and no live job answers cached-<12 hex>.
@@ -149,7 +149,7 @@ type resultSlot struct {
 type resultStore struct {
 	wal     *resultLog   // nil = results do not survive a restart
 	max     int          // slot bound; 0 = unbounded
-	ds      *store.Store // dataset liveness and retention clocks; nil without a store
+	ds      *store.Store // dataset liveness and retention clocks
 	job     func(id string) (sched.JobStatus, bool)
 	evicted *metrics.Counter // slots the bound evicted
 	log     *slog.Logger
@@ -158,17 +158,14 @@ type resultStore struct {
 	slots map[string]*resultSlot
 }
 
-// newResultStore creates the table, bounded to maxEntries slots. With a
-// dataset store to live beside, its log is replayed here, before the table is
-// shared.
+// newResultStore creates the table, bounded to maxEntries slots, beside the
+// dataset store ds. Its log is replayed here, before the table is shared.
 func newResultStore(maxEntries int, ds *store.Store, job func(string) (sched.JobStatus, bool), evicted *metrics.Counter, log *slog.Logger) *resultStore {
 	rs := &resultStore{
 		max: maxEntries, ds: ds, job: job, evicted: evicted, log: log,
 		slots: make(map[string]*resultSlot),
 	}
-	if ds != nil {
-		rs.load(filepath.Join(ds.Dir(), "cache"))
-	}
+	rs.load(filepath.Join(ds.Dir(), "cache"))
 	return rs
 }
 
@@ -351,9 +348,6 @@ func (rs *resultStore) lookup(key string) (job sched.JobStatus, e *resultEntry, 
 
 // touch advances the retention clock of every dataset key references.
 func (rs *resultStore) touch(key string) {
-	if rs.ds == nil {
-		return
-	}
 	for _, id := range keyDatasetIDs(key) {
 		rs.ds.Touch(id)
 	}

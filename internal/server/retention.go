@@ -37,9 +37,7 @@ func (s *Server) dropDatasetResults(id string) {
 	n := s.results.dropDataset(id)
 	// Tenant attribution releases with the dataset: the owning tenant's
 	// byte/dataset usage frees quota headroom the moment the delete lands.
-	if s.tusage != nil {
-		s.tusage.DropDataset(id)
-	}
+	s.tusage.DropDataset(id)
 	if n > 0 {
 		s.cascades.Add(int64(n))
 	}
@@ -138,9 +136,6 @@ func (s *Server) SubmitStored(id string) (string, error) {
 // Its datasets stay pinned until the job's terminal state, as for every job
 // the HTTP surface submits.
 func (s *Server) CompareStored(idA, idB string) (string, compare.Match, error) {
-	if s.store == nil {
-		return "", compare.Match{}, errNoStore
-	}
 	name, src, match, self, err := s.openPairPinned(idA, idB)
 	if err != nil {
 		return "", match, err
@@ -164,22 +159,11 @@ func releaseSource(src sched.TaskSource) {
 	}
 }
 
-// GC runs one retention sweep immediately. It fails when the server has no
-// store (retention bounds nothing without one).
-func (s *Server) GC() (retention.Sweep, error) {
-	if s.retention == nil {
-		return retention.Sweep{}, errNoStore
-	}
-	return s.retention.Sweep(), nil
-}
+// GC runs one retention sweep immediately.
+func (s *Server) GC() retention.Sweep { return s.retention.Sweep() }
 
 func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
-	sw, err := s.GC()
-	if err != nil {
-		s.fail(w, http.StatusNotImplemented, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sw)
+	writeJSON(w, http.StatusOK, s.GC())
 }
 
 // handleClearCache empties the result store.

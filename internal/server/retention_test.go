@@ -170,6 +170,13 @@ func TestBootDropsOrphanedReports(t *testing.T) {
 
 // gatedStoreSource delays tile materialization until released, keeping a
 // store-backed job deterministically in flight.
+// memSource serves decoded in-memory tiles as a TaskSource: work placed on
+// the scheduler directly, beside the jobs the HTTP surface submits.
+type memSource []pipeline.PolyTask
+
+func (m memSource) Len() int                                  { return len(m) }
+func (m memSource) PolyTask(i int) (pipeline.PolyTask, error) { return m[i], nil }
+
 type gatedStoreSource struct {
 	src     sched.TaskSource
 	release <-chan struct{}
@@ -395,13 +402,8 @@ func TestCacheAdminAndGC(t *testing.T) {
 		}
 	}
 
-	// Without a store the admin GC answers 501; the cache clear still works.
-	_, _, bare := newTestServer(t, sched.Config{}, Options{})
-	if gresp, _ := doRequest(t, http.MethodPost, bare.URL+"/gc"); gresp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("storeless POST /gc = %d, want 501", gresp.StatusCode)
-	}
-	if dresp, _ := doRequest(t, http.MethodDelete, bare.URL+"/cache"); dresp.StatusCode != http.StatusOK {
-		t.Errorf("storeless DELETE /cache = %d, want 200", dresp.StatusCode)
+	if dresp, _ := doRequest(t, http.MethodDelete, ts.URL+"/cache"); dresp.StatusCode != http.StatusOK {
+		t.Errorf("DELETE /cache = %d, want 200", dresp.StatusCode)
 	}
 }
 

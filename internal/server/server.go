@@ -1,8 +1,8 @@
 // Package server exposes the sched job scheduler over HTTP: the API surface
-// of the sccgd daemon. It provides job submission and polling, a synchronous
-// small-comparison endpoint, health and metrics endpoints, and a result store
-// (results.go) so repeated cross-comparisons of the same input are answered
-// without recomputation (and without further GPU launches).
+// of the sccgd daemon. It provides dataset ingest, job submission and
+// polling, health and metrics endpoints, and a result store (results.go) so
+// repeated cross-comparisons of the same input are answered without
+// recomputation (and without further GPU launches).
 //
 //	POST   /jobs                    submit a cross-comparison job
 //	GET    /jobs                    list live jobs plus the last 1024 finished
@@ -18,18 +18,17 @@
 //	GET    /matrix/{id}             poll one matrix run
 //	GET    /matrix/{id}/cells/{i}/{j}  read one cell; ?exact=1 upgrades an elided cell
 //	DELETE /matrix/{id}             cancel a matrix run
-//	POST   /compare                 compare two small polygon sets as one interactive job
 //	POST   /gc                      run one retention sweep now
 //	DELETE /cache                   empty the result store
 //	GET    /metrics                 counters and gauges in Prometheus text format
 //	GET    /healthz                 liveness probe
 //
-// When a store is configured, the result cache keys on dataset *content*
-// hashes: a job by dataset_id and a cross job over the same stored polygons
-// share one entry, and the ID's content addressing makes a hit exact by
-// construction. The daemon compares data, it does not make it: datasets
-// arrive through PUT /datasets (or a peer pull), never generated in the
-// request path. Completed cache-keyed reports are additionally written
+// Every job names a stored dataset, so the result cache keys on dataset
+// *content* hashes: a job by dataset_id and a cross job over the same stored
+// polygons share one entry, and the ID's content addressing makes a hit exact
+// by construction. The daemon compares data, it does not make it: datasets
+// arrive through PUT /datasets (or a peer pull), never generated or parsed in
+// the job path. Completed cache-keyed reports are additionally written
 // through to one append-only log beside the store's manifests and replayed
 // on boot, so a restarted daemon answers repeats without recompute.
 //
@@ -48,12 +47,9 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -75,13 +71,6 @@ import (
 	"repro/internal/trace"
 )
 
-// CompareResult is the synchronous /compare outcome.
-type CompareResult struct {
-	Similarity   float64 `json:"similarity"`
-	Intersecting int     `json:"intersecting"`
-	Candidates   int     `json:"candidates"`
-}
-
 // Options configures a Server.
 type Options struct {
 	// CacheMaxEntries bounds the result store (see results.go): past it the
@@ -89,24 +78,22 @@ type Options struct {
 	CacheMaxEntries int
 	// Registry receives the server's counters; one is created when nil.
 	Registry *metrics.Registry
-	// Store, when set, backs the /datasets endpoints, jobs by dataset_id,
-	// cross-dataset jobs, matrix runs, and content-hash result caching
-	// (including the results log under <store>/cache). Nil disables
-	// them (the endpoints answer 501).
+	// Store holds every dataset a job reads and backs the /datasets
+	// endpoints, matrix runs and the results log under <store>/cache. It is
+	// required: New panics without one.
 	Store *store.Store
 	// Retention bounds the store (see internal/retention). When a byte
 	// budget or TTL is set, New starts a background sweeper that Close
-	// stops; POST /gc sweeps on demand either way. Ignored without a Store.
+	// stops; POST /gc sweeps on demand either way.
 	Retention retention.Policy
 	// Cluster, when set, joins this server to a peer cluster: the internal
 	// peer endpoints are served, missing datasets are pulled peer-to-peer
 	// before jobs and matrix runs start, and the result cache gains a
 	// cluster-wide read-through layer. The caller owns the node's lifecycle.
-	// Requires a Store.
 	Cluster *cluster.Node
 	// QuerylogMaxBytes bounds the persisted query/access log under
 	// <store>/querylog (active + one rotated generation). 0 selects the
-	// 64 MiB default; negative disables the log. Ignored without a Store.
+	// 64 MiB default; negative disables the log.
 	QuerylogMaxBytes int64
 	// SlowQuery, when positive, emits a structured warning (with the job's
 	// trace summary) for any job or cell slower than this threshold.
@@ -128,16 +115,15 @@ type Server struct {
 	// results owns every "is this comparison already known?" answer: the
 	// result table and the delete cascade over it (see results.go).
 	results *resultStore
-	// matrix orchestrates K-way similarity matrix runs; nil without a store.
+	// matrix orchestrates K-way similarity matrix runs.
 	matrix *compare.Manager
-	// retention is the store GC policy engine; nil without a store. Its
-	// background sweeper (started only when the policy bounds something) is
+	// retention is the store GC policy engine. Its background sweeper (started only when the policy bounds something) is
 	// owned by this server: New starts it, Close stops it.
 	retention *retention.Engine
 	// cluster is the peer layer; nil on a single-node daemon (see cluster.go).
 	cluster *cluster.Node
-	// qlog is the persisted query/access log; nil without a store or when
-	// disabled (see querylog_http.go for the routes).
+	// qlog is the persisted query/access log; nil when disabled or when it
+	// failed to open (see querylog_http.go for the routes).
 	qlog      *querylog.Log
 	slowQuery time.Duration
 	reg       *metrics.Registry
@@ -147,7 +133,7 @@ type Server struct {
 	// quotas; the zero config is one unlimited default tenant.
 	tenants tenant.Config
 	// tusage attributes stored bytes/datasets to tenants, persisted beside
-	// the manifests; nil without a store.
+	// the manifests.
 	tusage *tenant.Registry
 
 	// watchWG tracks in-flight finishWhenDone goroutines so shutdown can
@@ -169,14 +155,14 @@ type Server struct {
 	remoteHits *metrics.Counter
 }
 
-// errNoStore answers every store-backed request on a daemon without one.
-var errNoStore = errors.New("no dataset store configured (start sccgd with -data-dir)")
-
 // maxBodyBytes caps request bodies, PUT /datasets included.
 const maxBodyBytes = 32 << 20
 
-// New creates a server over the scheduler.
+// New creates a server over the scheduler and opts.Store, which must be set.
 func New(s *sched.Scheduler, opts Options) *Server {
+	if opts.Store == nil {
+		panic("server: Options.Store is nil; every job reads a stored dataset")
+	}
 	if opts.Registry == nil {
 		opts.Registry = metrics.NewRegistry()
 	}
@@ -219,19 +205,15 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			}
 		}
 		// Live matrix runs; a run's own progress is its GET /matrix/{id}.
-		var runs []*compare.Run
-		if srv.matrix != nil {
-			runs = srv.matrix.Runs()
-		}
 		active := 0
-		for _, run := range runs {
+		for _, run := range srv.matrix.Runs() {
 			select {
 			case <-run.Done():
 			default:
 				active++
 			}
 		}
-		e.Gauge("sccgd_groups_active", float64(active))
+		e.Gauge("sccgd_matrix_runs_active", float64(active))
 		// QoS series: per-band and per-tenant queue/run occupancy from the
 		// same scheduler snapshot, plus per-tenant store attribution. Labels
 		// are band names and configured tenant names — bounded cardinality
@@ -244,22 +226,18 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			e.Gauge(metrics.Label("sccgd_tenant_jobs_queued", "tenant", name), float64(tc.Queued))
 			e.Gauge(metrics.Label("sccgd_tenant_jobs_running", "tenant", name), float64(tc.Running))
 		}
-		if srv.store != nil {
-			e.Gauge("sccgd_datasets", float64(srv.store.Len()))
-		}
-		if srv.tusage != nil {
-			for name, u := range srv.tusage.All() {
-				e.Gauge(metrics.Label("sccgd_tenant_store_bytes", "tenant", name), float64(u.Bytes))
-				e.Gauge(metrics.Label("sccgd_tenant_datasets", "tenant", name), float64(u.Datasets))
-			}
+		e.Gauge("sccgd_datasets", float64(srv.store.Len()))
+		for name, u := range srv.tusage.All() {
+			e.Gauge(metrics.Label("sccgd_tenant_store_bytes", "tenant", name), float64(u.Bytes))
+			e.Gauge(metrics.Label("sccgd_tenant_datasets", "tenant", name), float64(u.Datasets))
 		}
 	})
-	if opts.Cluster != nil && opts.Store != nil {
+	if opts.Cluster != nil {
 		srv.cluster = opts.Cluster
 		srv.remoteHits = opts.Registry.Counter("sccgd_cluster_remote_cache_hits_total")
 	}
 	srv.slowQuery = opts.SlowQuery
-	if srv.store != nil && opts.QuerylogMaxBytes >= 0 {
+	if opts.QuerylogMaxBytes >= 0 {
 		ql, err := querylog.Open(filepath.Join(opts.Store.Dir(), "querylog"), opts.QuerylogMaxBytes)
 		if err != nil {
 			// A broken query log degrades observability only; the daemon runs.
@@ -272,33 +250,31 @@ func New(s *sched.Scheduler, opts Options) *Server {
 			})
 		}
 	}
-	if srv.store != nil {
-		srv.store.SetMetrics(opts.Registry)
-		// Tenant attribution persists beside the manifests so a restarted
-		// daemon still knows whose bytes are whose.
-		srv.tusage = tenant.NewRegistry(opts.Store.Dir())
-		// Every delete path — HTTP, forced, retention sweep — cascades
-		// through the result store via the store's hook.
-		srv.store.SetDeleteHook(srv.dropDatasetResults)
-		srv.retention = retention.New(retention.Config{
-			Store:    srv.store,
-			Policy:   opts.Retention,
-			Registry: opts.Registry,
-			Log: func(format string, args ...any) {
-				srv.log.Info(fmt.Sprintf(format, args...), "subsystem", "retention")
-			},
-		})
-		srv.retention.Start() // no-op unless the policy bounds something
-		srv.matrix = compare.NewManager(compare.ManagerConfig{
-			Scheduler: s,
-			Submit:    srv.submitCell,
-			// The planner's bound reads manifests only and pins nothing —
-			// the run holds pins on all its datasets for its whole lifetime.
-			Bound: func(idA, idB string) (compare.CellBound, error) {
-				return compare.BoundPair(srv.store, idA, idB)
-			},
-		})
-	}
+	srv.store.SetMetrics(opts.Registry)
+	// Tenant attribution persists beside the manifests so a restarted
+	// daemon still knows whose bytes are whose.
+	srv.tusage = tenant.NewRegistry(opts.Store.Dir())
+	// Every delete path — HTTP, forced, retention sweep — cascades
+	// through the result store via the store's hook.
+	srv.store.SetDeleteHook(srv.dropDatasetResults)
+	srv.retention = retention.New(retention.Config{
+		Store:    srv.store,
+		Policy:   opts.Retention,
+		Registry: opts.Registry,
+		Log: func(format string, args ...any) {
+			srv.log.Info(fmt.Sprintf(format, args...), "subsystem", "retention")
+		},
+	})
+	srv.retention.Start() // no-op unless the policy bounds something
+	srv.matrix = compare.NewManager(compare.ManagerConfig{
+		Scheduler: s,
+		Submit:    srv.submitCell,
+		// The planner's bound reads manifests only and pins nothing —
+		// the run holds pins on all its datasets for its whole lifetime.
+		Bound: func(idA, idB string) (compare.CellBound, error) {
+			return compare.BoundPair(srv.store, idA, idB)
+		},
+	})
 	return srv
 }
 
@@ -306,15 +282,9 @@ func New(s *sched.Scheduler, opts Options) *Server {
 // sweeper) and writes out the tenant attribution file; it does not close the
 // scheduler, which the caller owns. Call before closing the scheduler.
 func (s *Server) Close() {
-	if s.matrix != nil {
-		s.matrix.Close()
-	}
-	if s.retention != nil {
-		s.retention.Close()
-	}
-	if s.tusage != nil {
-		s.tusage.Close()
-	}
+	s.matrix.Close()
+	s.retention.Close()
+	s.tusage.Close()
 }
 
 // Drain blocks until background persist writes have finished; submissions
@@ -359,7 +329,6 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /matrix/{id}", s.handleGetMatrix)
 	handle("GET /matrix/{id}/cells/{i}/{j}", s.handleMatrixCell)
 	handle("DELETE /matrix/{id}", s.handleCancelMatrix)
-	handle("POST /compare", s.handleCompare)
 	handle("POST /gc", s.handleGC)
 	handle("DELETE /cache", s.handleClearCache)
 	handle("GET /querylog", s.handleQuerylog)
@@ -400,25 +369,16 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// TaskPayload is one tile's raw polygon files; RawA/RawB are base64 in JSON.
-type TaskPayload struct {
-	Image string `json:"image,omitempty"`
-	Tile  int    `json:"tile"`
-	RawA  []byte `json:"raw_a"`
-	RawB  []byte `json:"raw_b"`
-}
-
-// JobRequest submits one cross-comparison job. Exactly one input form must
-// be set: Tasks (raw tile files), DatasetID (a dataset previously ingested
-// into the store via PUT /datasets), or the DatasetA/DatasetB pair (a
-// cross-dataset comparison of two stored datasets: A's set-A polygons
+// JobRequest submits one cross-comparison job over stored datasets; polygon
+// text enters only through PUT /datasets. Exactly one input form must be
+// set: DatasetID (one dataset's set A against its set B), or the
+// DatasetA/DatasetB pair (a cross-dataset comparison: A's set-A polygons
 // against B's set-B polygons over their shared tile keys).
 type JobRequest struct {
-	Tasks     []TaskPayload `json:"tasks,omitempty"`
-	DatasetID string        `json:"dataset_id,omitempty"`
-	DatasetA  string        `json:"dataset_a,omitempty"`
-	DatasetB  string        `json:"dataset_b,omitempty"`
-	NoCache   bool          `json:"no_cache,omitempty"`
+	DatasetID string `json:"dataset_id,omitempty"`
+	DatasetA  string `json:"dataset_a,omitempty"`
+	DatasetB  string `json:"dataset_b,omitempty"`
+	NoCache   bool   `json:"no_cache,omitempty"`
 	// Band optionally overrides the job's QoS band ("interactive", "batch",
 	// "ingest"); unset runs the job as interactive.
 	Band string `json:"band,omitempty"`
@@ -622,10 +582,6 @@ func (s *Server) submitRequestAs(req JobRequest, who tenant.Quota) (submission, 
 	if err != nil {
 		return submission{code: http.StatusBadRequest}, err
 	}
-	if (req.DatasetID != "" || req.DatasetA != "") && s.store == nil {
-		return submission{code: http.StatusNotImplemented}, errNoStore
-	}
-
 	// Look the request up before materializing it: a cache hit must not pay
 	// for store reads or pins.
 	key := ""
@@ -723,10 +679,8 @@ func (s *Server) requestIO(req JobRequest) []querylog.DatasetIO {
 	out := make([]querylog.DatasetIO, 0, len(ids))
 	for _, id := range ids {
 		io := querylog.DatasetIO{ID: id}
-		if s.store != nil {
-			if man, ok := s.store.Get(id); ok {
-				io.Tiles = len(man.Tiles)
-			}
+		if man, ok := s.store.Get(id); ok {
+			io.Tiles = len(man.Tiles)
 		}
 		out = append(out, io)
 	}
@@ -872,7 +826,7 @@ func cellOutcome(sub submission) compare.SubmitOutcome {
 }
 
 // datasetKey is the result-cache key of a content-addressed dataset: the
-// content hash itself, namespaced apart from request-hash keys.
+// content hash itself, namespaced apart from cross keys.
 func datasetKey(id string) string { return "dataset\x00" + id }
 
 // crossKey is the result-cache key of a cross-dataset comparison. The key
@@ -887,17 +841,13 @@ func crossKey(idA, idB string) string {
 	return "cross\x00" + idA + "\x00" + idB
 }
 
-// cacheKey resolves a request to its result-cache key without materializing
-// anything: dataset jobs key on the content hash directly, uploads on a hash
-// of their bytes.
+// cacheKey resolves a checked request to its result-cache key without
+// materializing anything: every form keys on content hashes directly.
 func cacheKey(req JobRequest) string {
 	if req.DatasetID != "" {
 		return datasetKey(req.DatasetID)
 	}
-	if req.DatasetA != "" {
-		return crossKey(req.DatasetA, req.DatasetB)
-	}
-	return requestKey(req)
+	return crossKey(req.DatasetA, req.DatasetB)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -931,42 +881,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		st, _ := s.sched.Job(r.PathValue("id"))
 		writeJSON(w, http.StatusOK, s.jobResponse(st, false))
 	}
-}
-
-// CompareRequest is the synchronous comparison input: two raw polygon text
-// files (base64 in JSON).
-type CompareRequest struct {
-	RawA []byte `json:"raw_a"`
-	RawB []byte `json:"raw_b"`
-}
-
-// handleCompare runs two raw polygon files as a one-tile no_cache tasks job on
-// the interactive band, under the caller's tenant, and answers once the job is
-// terminal. It queues like any job: a full queue answers what POST /jobs does.
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	var req CompareRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return
-	}
-	who := s.resolveTenant(r)
-	sub, err := s.submitRequestAs(JobRequest{Tasks: []TaskPayload{{RawA: req.RawA, RawB: req.RawB}},
-		NoCache: true, Band: sched.BandInteractive.String()}, who)
-	if err != nil {
-		s.failSubmit(w, who, sub.code, err)
-		return
-	}
-	st, err := s.sched.Wait(r.Context(), sub.jobID)
-	if err != nil {
-		_ = s.sched.Cancel(sub.jobID) // the caller is gone; nobody will read the job
-		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("waiting for job %s: %w", sub.jobID, err))
-		return
-	}
-	if st.State != sched.Done {
-		s.fail(w, http.StatusInternalServerError, fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error))
-		return
-	}
-	writeJSON(w, http.StatusOK, CompareResult{Similarity: st.Report.Similarity,
-		Intersecting: st.Report.Intersecting, Candidates: st.Report.Candidates})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1027,11 +941,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if rev := buildRevision(); rev != "" {
 		resp["revision"] = rev
 	}
-	if s.store != nil {
-		resp["store"] = map[string]any{
-			"datasets": s.store.Len(),
-			"dir":      s.store.Dir(),
-		}
+	resp["store"] = map[string]any{
+		"datasets": s.store.Len(),
+		"dir":      s.store.Dir(),
 	}
 	if s.cluster != nil {
 		resp["cluster"] = s.cluster.Health()
@@ -1055,62 +967,36 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxTaskCount bounds the tiles one tasks upload may carry.
-const maxTaskCount = 65536
-
 // checkRequest validates a JobRequest without materializing it (no store
 // reads), so it is cheap to run before the cache lookup.
 func checkRequest(req JobRequest) error {
 	if (req.DatasetA != "") != (req.DatasetB != "") {
 		return errors.New("dataset_a and dataset_b must be set together")
 	}
-	forms := 0
-	if len(req.Tasks) > 0 {
-		forms++
+	if (req.DatasetID != "") == (req.DatasetA != "") {
+		return errors.New("exactly one of dataset_id, dataset_a+dataset_b must be set")
 	}
 	if req.DatasetID != "" {
-		forms++
-	}
-	if req.DatasetA != "" {
-		forms++
-	}
-	if forms != 1 {
-		return errors.New("exactly one of tasks, dataset_id, dataset_a+dataset_b must be set")
-	}
-	switch {
-	case req.DatasetA != "":
-		if !store.ValidateID(req.DatasetA) {
-			return fmt.Errorf("dataset_a %q is not a content hash (64 lowercase hex digits)", req.DatasetA)
-		}
-		if !store.ValidateID(req.DatasetB) {
-			return fmt.Errorf("dataset_b %q is not a content hash (64 lowercase hex digits)", req.DatasetB)
-		}
-	case req.DatasetID != "":
 		if !store.ValidateID(req.DatasetID) {
 			return fmt.Errorf("dataset_id %q is not a content hash (64 lowercase hex digits)", req.DatasetID)
 		}
-	default:
-		if len(req.Tasks) > maxTaskCount {
-			return fmt.Errorf("at most %d tasks per job", maxTaskCount)
-		}
-		for i, t := range req.Tasks {
-			if len(t.RawA) == 0 || len(t.RawB) == 0 {
-				return fmt.Errorf("task %d: raw_a and raw_b are required", i)
-			}
-		}
+		return nil
+	}
+	if !store.ValidateID(req.DatasetA) {
+		return fmt.Errorf("dataset_a %q is not a content hash (64 lowercase hex digits)", req.DatasetA)
+	}
+	if !store.ValidateID(req.DatasetB) {
+		return fmt.Errorf("dataset_b %q is not a content hash (64 lowercase hex digits)", req.DatasetB)
 	}
 	return nil
 }
 
 // requestForm names a request's input form for log attrs and trace details.
 func requestForm(req JobRequest) string {
-	switch {
-	case req.DatasetA != "":
+	if req.DatasetA != "" {
 		return "cross"
-	case req.DatasetID != "":
-		return "dataset"
 	}
-	return "tasks"
+	return "dataset"
 }
 
 // materialized is the outcome of materializeRequest: the task source to
@@ -1125,8 +1011,7 @@ type materialized struct {
 // materializeRequest turns a checked JobRequest into the task source to
 // run. Dataset jobs come back as lazy store tile handles; cross-dataset
 // jobs as lazy tile-pair handles over the two segment files (cross carries
-// the pairing report); uploaded text is parsed here, so malformed text fails
-// the request instead of the job. Pin acquisition is recorded into rec.
+// the pairing report). Pin acquisition is recorded into rec.
 func (s *Server) materializeRequest(rec *trace.Recorder, req JobRequest) (materialized, error) {
 	if req.DatasetA != "" {
 		// Pin before opening: after Pin succeeds no delete or retention
@@ -1155,43 +1040,17 @@ func (s *Server) materializeRequest(rec *trace.Recorder, req JobRequest) (materi
 		}
 		return m, nil
 	}
-	if req.DatasetID != "" {
-		if err := s.ensureLocal(rec, req.DatasetID); err != nil {
-			return materialized{}, err
-		}
-		pinStart := time.Now()
-		src, man, err := s.openDatasetPinned(req.DatasetID)
-		rec.Add("pin", "dataset", pinStart, time.Now())
-		if err != nil {
-			return materialized{}, err
-		}
-		s.store.Touch(man.ID)
-		return materialized{name: man.DisplayName(), src: src}, nil
+	if err := s.ensureLocal(rec, req.DatasetID); err != nil {
+		return materialized{}, err
 	}
-	tasks := make([]pipeline.PolyTask, len(req.Tasks))
-	for i, t := range req.Tasks {
-		a, b, err := parseTile(i, t.RawA, t.RawB)
-		if err != nil {
-			return materialized{}, err
-		}
-		tasks[i] = pipeline.PolyTask{Image: t.Image, Tile: t.Tile, A: a, B: b}
+	pinStart := time.Now()
+	src, man, err := s.openDatasetPinned(req.DatasetID)
+	rec.Add("pin", "dataset", pinStart, time.Now())
+	if err != nil {
+		return materialized{}, err
 	}
-	return materialized{name: "upload", src: sched.Tasks(tasks)}, nil
-}
-
-// requestKey hashes an upload's tiles — image, tile and raw bytes — into
-// its result-cache key. It reads only the request, so it can run before
-// materialization.
-func requestKey(req JobRequest) string {
-	h := sha256.New()
-	io.WriteString(h, "tasks")
-	for _, t := range req.Tasks {
-		fmt.Fprintf(h, "\x00%s\x00%d\x00", t.Image, t.Tile)
-		h.Write(t.RawA)
-		h.Write([]byte{0})
-		h.Write(t.RawB)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	s.store.Touch(man.ID)
+	return materialized{name: man.DisplayName(), src: src}, nil
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) error {

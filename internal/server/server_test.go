@@ -2,8 +2,8 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -23,8 +22,13 @@ import (
 	"repro/internal/sched"
 )
 
+// newTestServer serves opts over a scheduler built from cfg; a nil
+// opts.Store gets a fresh store in the test's TempDir.
 func newTestServer(t *testing.T, cfg sched.Config, opts Options) (*Server, *sched.Scheduler, *httptest.Server) {
 	t.Helper()
+	if opts.Store == nil {
+		opts.Store = testStore(t)
+	}
 	s := sched.New(cfg)
 	srv := New(s, opts)
 	ts := httptest.NewServer(srv.Handler())
@@ -89,16 +93,6 @@ func pollDone(t *testing.T, base, id string) JobResponse {
 	}
 }
 
-// uploadTasks is d's polygon text in the tasks form of POST /jobs.
-func uploadTasks(d *pathology.Dataset) []TaskPayload {
-	files := pathologytest.Tasks(d)
-	tasks := make([]TaskPayload, len(files))
-	for i, f := range files {
-		tasks[i] = TaskPayload{Image: f.Image, Tile: f.Tile, RawA: f.RawA, RawB: f.RawB}
-	}
-	return tasks
-}
-
 // TestSubmitPollFetchRoundTrip drives the full HTTP lifecycle and checks the
 // served similarity against a direct pipeline run over the same tasks.
 func TestSubmitPollFetchRoundTrip(t *testing.T) {
@@ -112,7 +106,7 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 		t.Fatalf("direct run: %v", err)
 	}
 
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: uploadTasks(d)})
+	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: putOK(t, ts.URL, "roundtrip", d).ID})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 	}
@@ -153,6 +147,19 @@ func TestSubmitPollFetchRoundTrip(t *testing.T) {
 	if health["ok"] != true {
 		t.Errorf("healthz = %v, want ok", health)
 	}
+}
+
+// TestNewRequiresStore: every job reads a stored dataset, so a server built
+// without a store is a wiring fault, refused at construction by name.
+func TestNewRequiresStore(t *testing.T) {
+	sc := sched.New(sched.Config{Workers: 1})
+	defer sc.Close()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Options.Store") {
+			t.Fatalf("New without a store: recovered %v, want a panic naming Options.Store", r)
+		}
+	}()
+	New(sc, Options{})
 }
 
 // TestHealthzSlotsAndGPUs: /healthz counts the tile workers and the GPUs
@@ -263,7 +270,8 @@ func TestSubmitValidation(t *testing.T) {
 	id := strings.Repeat("ab", 32)
 	for i, body := range []string{
 		`{}`, // no input form
-		`{"dataset_id":"` + id + `","tasks":[{"raw_a":"eA==","raw_b":"eQ=="}]}`, // two forms
+		`{"dataset_id":"` + id + `","dataset_a":"` + id + `","dataset_b":"` + id + `"}`, // two forms
+		`{"dataset_id":"` + id + `","tasks":[{"raw_a":"eA==","raw_b":"eQ=="}]}`,
 		`{"tasks":[{"raw_b":"eQ=="}]}`,
 		`{"corpus":"oligoastroIII_1"}`,
 		`{"spec":{"Name":"x","Seed":1,"Tiles":2}}`,
@@ -279,18 +287,18 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	// Uploaded text is parsed at submission: malformed text answers 422
-	// naming the tile and set, as PUT /datasets does, and no job is queued.
-	bad := []TaskPayload{{RawA: []byte("0 POLYGON ((0 0,1 0,1 1,0 1))\n"), RawB: []byte("not a polygon\n")}}
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: bad})
+	// Polygon text is parsed where it enters, at PUT /datasets: malformed
+	// text answers 422 naming the tile and set, and no job is queued.
+	bad, _ := json.Marshal([]TilePayload{{RawA: []byte("0 POLYGON ((0 0,1 0,1 1,0 1))\n"), RawB: []byte("not a polygon\n")}})
+	resp, body := putDataset(t, ts.URL+"/datasets", bad)
 	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "tile 0 set B") {
-		t.Errorf("malformed tasks: status = %d (body %s), want 422 naming tile 0 set B", resp.StatusCode, body)
+		t.Errorf("malformed text: status = %d (body %s), want 422 naming tile 0 set B", resp.StatusCode, body)
 	}
 	var list struct {
 		Jobs []JobResponse `json:"jobs"`
 	}
 	if getJSON(t, ts.URL+"/jobs", &list); len(list.Jobs) != 0 {
-		t.Errorf("malformed tasks queued %d jobs, want none", len(list.Jobs))
+		t.Errorf("malformed text queued %d jobs, want none", len(list.Jobs))
 	}
 
 	if resp := getJSON(t, ts.URL+"/jobs/job-424242", nil); resp.StatusCode != http.StatusNotFound {
@@ -298,10 +306,11 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestGeneratedFormsRefused: the daemon compares data, it does not make it.
-// A POST /jobs body naming a corpus dataset or a generator spec — alone or
+// TestGeneratedFormsRefused: the daemon compares data, it does not make it,
+// and every job reads a stored dataset. A POST /jobs body naming a corpus
+// dataset, a generator spec or inline polygon text ("tasks") — alone or
 // beside a real input form — answers 400 naming the field, and nothing is
-// submitted or stored.
+// submitted or stored. POST /compare is no route at all.
 func TestGeneratedFormsRefused(t *testing.T) {
 	st := testStore(t)
 	_, sc, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st})
@@ -310,6 +319,8 @@ func TestGeneratedFormsRefused(t *testing.T) {
 		{`{"corpus":"oligoastroIII_1"}`, "corpus"},
 		{`{"spec":{"Name":"x","Seed":1,"Tiles":2}}`, "spec"},
 		{`{"dataset_id":"` + id + `","corpus":"oligoastroIII_1"}`, "corpus"},
+		{`{"tasks":[{"tile":0,"raw_a":"MA==","raw_b":"MA=="}]}`, "tasks"},
+		{`{"dataset_id":"` + id + `","tasks":[{"tile":0,"raw_a":"MA==","raw_b":"MA=="}]}`, "tasks"},
 	} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -328,15 +339,22 @@ func TestGeneratedFormsRefused(t *testing.T) {
 	if st.Len() != 0 {
 		t.Errorf("refused bodies stored %d datasets, want none", st.Len())
 	}
+	if resp, body := postJSON(t, ts.URL+"/compare", map[string]string{"raw_a": "MA==", "raw_b": "MA=="}); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /compare = %d %s, want 404", resp.StatusCode, body)
+	}
 }
 
+// TestRawTaskSubmission: raw polygon text PUT once runs as a job by the ID
+// it answers, and the same bytes PUT again name the same dataset, whose
+// repeat job hits the cache.
 func TestRawTaskSubmission(t *testing.T) {
 	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{})
 
 	spec := pathology.Representative()
 	spec.Tiles = 2
-	payload := uploadTasks(pathology.Generate(spec))
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: payload})
+	d := pathology.Generate(spec)
+	man := putOK(t, ts.URL, "raw", d)
+	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: man.ID})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 	}
@@ -350,7 +368,10 @@ func TestRawTaskSubmission(t *testing.T) {
 	}
 
 	// The same bytes resubmitted hit the cache.
-	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: payload})
+	if again := putOK(t, ts.URL, "raw", d); again.ID != man.ID {
+		t.Fatalf("re-PUT of the same text = %s, want %s", again.ID, man.ID)
+	}
+	resp, body = postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: man.ID})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat status = %d, body %s", resp.StatusCode, body)
 	}
@@ -373,14 +394,14 @@ func TestCancelEndpoint(t *testing.T) {
 	d := pathology.Generate(spec)
 	release := make(chan struct{})
 	defer close(release)
-	gated := &gatedStoreSource{src: sched.Tasks([]pipeline.PolyTask{{A: d.Pairs[0].A, B: d.Pairs[0].B}}),
+	gated := &gatedStoreSource{src: memSource([]pipeline.PolyTask{{A: d.Pairs[0].A, B: d.Pairs[0].B}}),
 		release: release, entered: make(chan struct{})}
 	if _, err := sc.SubmitJob(gated, sched.JobOpts{Name: "hold"}); err != nil {
 		t.Fatal(err)
 	}
 	<-gated.entered
 
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: uploadTasks(d)})
+	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: putOK(t, ts.URL, "victim", d).ID})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 	}
@@ -405,7 +426,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	spec := pathology.Representative()
 	spec.Tiles = 2
-	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: uploadTasks(pathology.Generate(spec))})
+	resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: putOK(t, ts.URL, "metrics", pathology.Generate(spec)).ID})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 	}
@@ -449,9 +470,9 @@ func TestMetricsFamiliesNotMixed(t *testing.T) {
 
 	spec := pathology.Representative()
 	spec.Tiles = 2
-	tasks := uploadTasks(pathology.Generate(spec))
+	id := putOK(t, ts.URL, "families", pathology.Generate(spec)).ID
 	for _, band := range []string{"", "batch"} {
-		resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{Tasks: tasks, Band: band, NoCache: true})
+		resp, body := postJSON(t, ts.URL+"/jobs", JobRequest{DatasetID: id, Band: band, NoCache: true})
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 		}
@@ -490,55 +511,6 @@ func TestMetricsFamiliesNotMixed(t *testing.T) {
 	}
 }
 
-// TestCompareEndpoint: /compare is a scheduler job, so it queues like one.
-// With the one worker held by a gated job and the queue full, it answers what
-// POST /jobs answers; once the queue drains it answers the job's counts.
-func TestCompareEndpoint(t *testing.T) {
-	_, sc, ts := newTestServer(t, sched.Config{Devices: 1, QueueDepth: 1}, Options{})
-
-	spec := pathology.Representative()
-	spec.Tiles = 1
-	d := pathology.Generate(spec)
-	tile := sched.Tasks([]pipeline.PolyTask{{A: d.Pairs[0].A, B: d.Pairs[0].B}})
-	release := make(chan struct{})
-	var once sync.Once
-	free := func() { once.Do(func() { close(release) }) }
-	defer free()
-	gated := &gatedStoreSource{src: tile, release: release, entered: make(chan struct{})}
-	if _, err := sc.SubmitJob(gated, sched.JobOpts{Name: "hold"}); err != nil {
-		t.Fatal(err)
-	}
-	<-gated.entered
-	queued, err := sc.SubmitJob(tile, sched.JobOpts{Name: "fill"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	raw := pathologytest.Tasks(d)[0]
-	jobResp, jobBody := postJSON(t, ts.URL+"/jobs", JobRequest{NoCache: true,
-		Tasks: []TaskPayload{{RawA: raw.RawA, RawB: raw.RawB}}})
-	cmpResp, cmpBody := postJSON(t, ts.URL+"/compare", CompareRequest{RawA: raw.RawA, RawB: raw.RawB})
-	if jobResp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("POST /jobs on a full queue = %d: %s, want 503", jobResp.StatusCode, jobBody)
-	}
-	if cmpResp.StatusCode != jobResp.StatusCode || !bytes.Equal(cmpBody, jobBody) {
-		t.Fatalf("POST /compare on a full queue = %d: %s, want what POST /jobs answered: %d: %s",
-			cmpResp.StatusCode, cmpBody, jobResp.StatusCode, jobBody)
-	}
-
-	free()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if _, err := sc.Wait(ctx, queued); err != nil {
-		t.Fatal(err)
-	}
-	cmpResp, cmpBody = postJSON(t, ts.URL+"/compare", CompareRequest{RawA: raw.RawA, RawB: raw.RawB})
-	var res CompareResult
-	if cmpResp.StatusCode != http.StatusOK || json.Unmarshal(cmpBody, &res) != nil || res.Candidates == 0 {
-		t.Fatalf("POST /compare on a drained queue = %d: %s, want 200 with counts", cmpResp.StatusCode, cmpBody)
-	}
-}
-
 // TestCacheLRU: the result table is an LRU over its slots — a lookup
 // refreshes recency, every eviction is counted, and a slot whose job did not
 // finish cleanly is dropped by the lookup that finds it.
@@ -556,7 +528,7 @@ func TestCacheLRU(t *testing.T) {
 		return job.ID, ok
 	}
 	evicted := new(metrics.Counter)
-	c := newResultStore(2, nil, job, evicted, slog.Default())
+	c := newResultStore(2, testStore(t), job, evicted, slog.Default())
 	c.record("a", "job-1")
 	c.record("b", "job-2")
 	c.record("c", "job-3") // evicts a

@@ -27,29 +27,28 @@ type ServiceOptions struct {
 	// recently used key goes, its persisted report included. 0 means
 	// unbounded.
 	CacheMaxEntries int
-	// Store, when set, backs the /datasets endpoints, jobs by dataset ID,
-	// cross-dataset jobs, matrix runs, and content-hash result caching —
-	// including the persisted report cache under the store directory.
+	// Store holds every dataset a job reads, and the persisted report cache
+	// under its directory. It is required: NewService panics without one.
 	Store *store.Store
 	// Retention bounds the store: a byte budget over which
 	// least-recently-used unpinned datasets are evicted (datasets referenced
 	// by queued/running jobs are pinned and never evicted), a TTL for unused
 	// datasets, and the background sweep period. The zero value bounds
-	// nothing. Requires Store; Service.Close stops the sweeper.
+	// nothing. Service.Close stops the sweeper.
 	Retention retention.Policy
 	// Peers, when non-empty, puts the service in clustered mode: datasets
 	// missing locally are pulled peer-to-peer (digest-verified on arrival),
 	// and the persisted result cache becomes a cluster-wide read-through.
 	// Work computes on the node that was asked, matrix cells included. Each
 	// entry is a peer base URL (host:port accepted).
-	// Requires Store and Advertise.
+	// Requires Advertise.
 	Peers []string
 	// Advertise is this node's own base URL as peers reach it; it anchors the
 	// node's position in the rendezvous hash ring. Required with Peers.
 	Advertise string
 	// QuerylogMaxBytes bounds the persisted query/access log kept under the
 	// store directory. 0 selects the 64 MiB default; negative disables the
-	// log. Requires Store.
+	// log.
 	QuerylogMaxBytes int64
 	// SlowQuery, when positive, logs a structured warning (with the job's
 	// trace summary) for any job slower than this threshold.
@@ -92,7 +91,7 @@ func NewService(opts ServiceOptions) *Service {
 	// metrics. A bad peer configuration degrades to single-node operation
 	// rather than failing the service; sccgd validates its addresses first.
 	var node *cluster.Node
-	if len(opts.Peers) > 0 && opts.Store != nil {
+	if len(opts.Peers) > 0 {
 		n, err := cluster.New(cluster.Config{
 			Self:     opts.Advertise,
 			Peers:    opts.Peers,
@@ -124,7 +123,7 @@ func NewService(opts ServiceOptions) *Service {
 // Scheduler exposes the underlying job scheduler for in-process use.
 func (s *Service) Scheduler() *sched.Scheduler { return s.sched }
 
-// Store exposes the service's dataset store (nil when none is configured).
+// Store exposes the service's dataset store, the one ServiceOptions.Store set.
 func (s *Service) Store() *store.Store { return s.Server.store }
 
 // Job returns a job snapshot by ID; finished jobs past the last 1024 are

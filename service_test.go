@@ -33,7 +33,11 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 		t.Fatalf("direct engine run: %v", err)
 	}
 
-	svc := sccg.NewService(sccg.ServiceOptions{Devices: 2})
+	st, err := sccg.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := sccg.NewService(sccg.ServiceOptions{Devices: 2, Store: st})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -41,6 +45,23 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 	upload := make([]map[string]any, len(tasks))
 	for i, task := range tasks {
 		upload[i] = map[string]any{"image": task.Image, "tile": task.Tile, "raw_a": task.RawA, "raw_b": task.RawB}
+	}
+	body, _ := json.Marshal(upload)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/datasets", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&man)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT /datasets = %d (%v)", resp.StatusCode, err)
 	}
 	submit := func() (code int, jr struct {
 		ID     string `json:"id"`
@@ -53,7 +74,7 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 			KernelLaunches int64   `json:"kernel_launches"`
 		} `json:"report"`
 	}) {
-		body, _ := json.Marshal(map[string]any{"tasks": upload})
+		body, _ := json.Marshal(map[string]any{"dataset_id": man.ID})
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -110,57 +131,6 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 	}
 	if launchesAfter != launchesBefore {
 		t.Errorf("cached submission launched kernels: %d -> %d", launchesBefore, launchesAfter)
-	}
-}
-
-// TestServiceCompareEndpoint drives POST /compare, a one-tile scheduler job,
-// against the facade's error-returning CrossComparePolygonsErr.
-func TestServiceCompareEndpoint(t *testing.T) {
-	svc := sccg.NewService(sccg.ServiceOptions{Devices: 1})
-	defer svc.Close()
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-
-	d := trimmedRep(1)
-	rawA := sccg.EncodePolygons(d.Pairs[0].A)
-	rawB := sccg.EncodePolygons(d.Pairs[0].B)
-
-	eng := sccg.NewEngine(sccg.Options{DisableGPU: true})
-	wantSim, wantHits, wantCands, err := eng.CrossComparePolygonsErr(d.Pairs[0].A, d.Pairs[0].B)
-	if err != nil {
-		t.Fatalf("CrossComparePolygonsErr: %v", err)
-	}
-
-	body, _ := json.Marshal(map[string]any{"raw_a": rawA, "raw_b": rawB})
-	resp, err := http.Post(ts.URL+"/compare", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compare status = %d", resp.StatusCode)
-	}
-	var got struct {
-		Similarity   float64 `json:"similarity"`
-		Intersecting int     `json:"intersecting"`
-		Candidates   int     `json:"candidates"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Similarity-wantSim) > 1e-9 || got.Intersecting != wantHits || got.Candidates != wantCands {
-		t.Errorf("compare = %+v, want (%.12f, %d, %d)", got, wantSim, wantHits, wantCands)
-	}
-
-	// Malformed polygon text is rejected through the error path, not a panic.
-	body, _ = json.Marshal(map[string]any{"raw_a": []byte("not a polygon"), "raw_b": rawB})
-	resp2, err := http.Post(ts.URL+"/compare", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("malformed compare status = %d, want 422", resp2.StatusCode)
 	}
 }
 
