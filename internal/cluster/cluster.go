@@ -178,7 +178,7 @@ type Config struct {
 	// Peers lists the other nodes' base URLs (the -peers flag). Self is
 	// filtered out, so every node can be started with the same full list.
 	Peers []string
-	// Store receives peer-pulled datasets; required for PullDatasetCtx.
+	// Store receives peer-pulled datasets; required.
 	Store *store.Store
 	// Registry, when set, receives the sccgd_cluster_* metrics.
 	Registry *metrics.Registry
@@ -214,6 +214,9 @@ type Node struct {
 // New builds a cluster node from static membership. The returned node runs a
 // background health prober until Close.
 func New(cfg Config) (*Node, error) {
+	if cfg.Store == nil {
+		return nil, errors.New("cluster: no store")
+	}
 	self, err := Normalize(cfg.Self)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: advertise address: %w", err)
@@ -539,9 +542,6 @@ type pull struct {
 // transfer: the first leads, and the rest wait for its outcome — its error,
 // or its serving peer with no bytes of their own.
 func (n *Node) PullDatasetCtx(ctx context.Context, id string) (PullResult, error) {
-	if n.store == nil {
-		return PullResult{}, errors.New("cluster: node has no store")
-	}
 	if !store.ValidateID(id) {
 		return PullResult{}, fmt.Errorf("cluster: %q is not a dataset ID", id)
 	}

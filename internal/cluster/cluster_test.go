@@ -65,8 +65,15 @@ func TestParsePeers(t *testing.T) {
 }
 
 // newNode builds a test node with the background prober effectively parked.
+// newNode builds a node over st, or over a fresh temp store when st is nil.
 func newNode(t *testing.T, self string, peers []string, st *store.Store) *cluster.Node {
 	t.Helper()
+	if st == nil {
+		var err error
+		if st, err = store.Open(t.TempDir()); err != nil {
+			t.Fatalf("store.Open: %v", err)
+		}
+	}
 	n, err := cluster.New(cluster.Config{
 		Self:          self,
 		Peers:         peers,
@@ -78,6 +85,18 @@ func newNode(t *testing.T, self string, peers []string, st *store.Store) *cluste
 	}
 	t.Cleanup(n.Close)
 	return n
+}
+
+// TestNewRequiresStore: a node pulls into its store, so one without a store
+// is refused at construction rather than at its first pull.
+func TestNewRequiresStore(t *testing.T) {
+	n, err := cluster.New(cluster.Config{Self: "http://self:1", Peers: []string{"http://peer:2"}, ProbeInterval: time.Hour})
+	if err == nil || !strings.Contains(err.Error(), "store") {
+		if n != nil {
+			n.Close()
+		}
+		t.Fatalf("New without a store: %v, want an error naming the store", err)
+	}
 }
 
 // TestRendezvousAgreement: every node, ranking the same membership, picks the

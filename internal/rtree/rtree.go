@@ -3,10 +3,14 @@
 // "Since polygons are small, Hilbert R-Tree is used to accelerate index
 // building"), and the filter stage runs a pairwise MBR join between the two
 // trees of a tile to produce the candidate polygon-pair array consumed by the
-// aggregator.
+// aggregator. The join descends both trees together and, inside each pair of
+// leaves it reaches, sweeps the two leaves' entries in the MinX order Build
+// keeps with every leaf (Brinkhoff, Kriegel & Seeger, SIGMOD '93), emitting
+// the pairs in the order a nested loop over the two leaves would.
 package rtree
 
 import (
+	"math/bits"
 	"sort"
 	"unsafe"
 
@@ -18,6 +22,11 @@ import (
 // achieve near-100% node utilisation under bulk loading, so a moderate
 // fanout keeps trees shallow without hurting packing.
 const DefaultFanout = 16
+
+// MaxFanout is the widest node Build makes: the leaf join marks an entry's
+// hits in a 64-bit mask over the other leaf's positions. A wider
+// Options.Fanout is clamped to it.
+const MaxFanout = 64
 
 // hilbertOrder is the order of the Hilbert curve used to sort entries. Keys
 // are taken from doubled centres, so 16 bits per axis cover coordinates up to
@@ -36,6 +45,9 @@ type node struct {
 	mbr      geom.MBR
 	children []*node // nil for leaves
 	entries  []Entry // nil for internal nodes
+	// byMinX holds a leaf's entry positions in (MinX, position) order; nil
+	// for internal nodes. All leaves of a tree share one array.
+	byMinX []uint8
 }
 
 // Tree is a bulk-loaded, read-only Hilbert R-tree.
@@ -50,19 +62,23 @@ type Tree struct {
 
 // Options configures tree construction.
 type Options struct {
-	// Fanout is the maximum entries per node; DefaultFanout when zero.
+	// Fanout is the maximum entries per node: DefaultFanout when zero or
+	// less, else clamped to [2, MaxFanout] (one entry a node would never
+	// reach a root).
 	Fanout int
 }
 
 // Build bulk-loads a Hilbert R-tree from entries using the Kamel–Faloutsos
 // packing method: sort by the Hilbert value of each MBR centre, pack runs of
-// `fanout` entries into leaves, then build upper levels the same way.
+// `fanout` entries into leaves, then build upper levels the same way. Each
+// leaf also records its entries' MinX order for the join's sweep.
 // The input slice is sorted in place.
 func Build(entries []Entry, opts Options) *Tree {
 	fanout := opts.Fanout
 	if fanout <= 0 {
 		fanout = DefaultFanout
 	}
+	fanout = min(max(fanout, 2), MaxFanout)
 	t := &Tree{fanout: fanout, size: len(entries)}
 	if len(entries) == 0 {
 		return t
@@ -78,41 +94,54 @@ func Build(entries []Entry, opts Options) *Tree {
 		order[i] = i
 	}
 	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
-	sorted := make([]Entry, len(entries))
-	for i, idx := range order {
-		sorted[i] = entries[idx]
-	}
-	copy(entries, sorted)
-	// Pack leaves.
-	level := make([]*node, 0, (len(entries)+fanout-1)/fanout)
-	for i := 0; i < len(entries); i += fanout {
-		j := i + fanout
-		if j > len(entries) {
-			j = len(entries)
+	// Move each entry to its place, one cycle of the permutation at a time;
+	// order[k] == k marks position k done.
+	for i := range order {
+		e, k := entries[i], i
+		for order[k] != i {
+			entries[k], order[k], k = entries[order[k]], k, order[k]
 		}
-		leaf := &node{entries: entries[i:j:j]}
+		entries[k], order[k] = e, k
+	}
+	// Size every level first: the nodes, and the level slices that point at
+	// them, each take one allocation, laid out leaves first.
+	total := 0
+	for n := len(entries); n > 1 || total == 0; {
+		n = (n + fanout - 1) / fanout
+		total += n
+	}
+	nodes, ptrs := make([]node, total), make([]*node, total)
+	for i := range nodes {
+		ptrs[i] = &nodes[i]
+	}
+	// Pack leaves.
+	byMinX := make([]uint8, len(entries))
+	level := ptrs[:0]
+	for i := 0; i < len(entries); i += fanout {
+		j := min(i+fanout, len(entries))
+		leaf := ptrs[len(level)]
+		leaf.entries, leaf.byMinX = entries[i:j:j], byMinX[i:j:j]
 		leaf.mbr = geom.EmptyMBR()
 		for _, e := range leaf.entries {
 			leaf.mbr = leaf.mbr.Union(e.MBR)
 		}
-		level = append(level, leaf)
+		sortByMinX(leaf.byMinX, leaf.entries)
+		level = level[:len(level)+1]
 	}
 	t.Nodes += len(level)
 	t.Height = 1
 	// Build upper levels until a single root remains.
 	for len(level) > 1 {
-		next := make([]*node, 0, (len(level)+fanout-1)/fanout)
+		next := ptrs[t.Nodes:t.Nodes]
 		for i := 0; i < len(level); i += fanout {
-			j := i + fanout
-			if j > len(level) {
-				j = len(level)
-			}
-			n := &node{children: level[i:j:j]}
+			j := min(i+fanout, len(level))
+			n := ptrs[t.Nodes+len(next)]
+			n.children = level[i:j:j]
 			n.mbr = geom.EmptyMBR()
 			for _, c := range n.children {
 				n.mbr = n.mbr.Union(c.mbr)
 			}
-			next = append(next, n)
+			next = next[:len(next)+1]
 		}
 		level = next
 		t.Nodes += len(level)
@@ -122,9 +151,23 @@ func Build(entries []Entry, opts Options) *Tree {
 	return t
 }
 
+// sortByMinX fills order with the positions of entries, sorted by MinX and
+// ties kept in position order. A leaf holds at most MaxFanout entries, so an
+// insertion sort suffices.
+func sortByMinX(order []uint8, entries []Entry) {
+	for i := range order {
+		p, x := uint8(i), entries[i].MBR.MinX
+		j := i
+		for ; j > 0 && entries[order[j-1]].MBR.MinX > x; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = p
+	}
+}
+
 // Index bulk-loads the tree the pipeline joins over one polygon set: entry i
 // is polys[i]'s MBR under ID i. Build is deterministic in its entries, so a
-// tree kept with the set joins and searches in exactly the order one rebuilt
+// tree kept with the set joins in exactly the order one rebuilt
 // from the set would.
 func Index(polys []*geom.Polygon) *Tree {
 	entries := make([]Entry, len(polys))
@@ -134,10 +177,10 @@ func Index(polys []*geom.Polygon) *Tree {
 	return Build(entries, Options{})
 }
 
-// Bytes returns the memory the tree holds: its entries, its nodes and the
-// level slices that point at them.
+// Bytes returns the memory the tree holds: its entries and their MinX
+// orders, its nodes and the level slices that point at them.
 func (t *Tree) Bytes() int64 {
-	return int64(unsafe.Sizeof(*t)) + int64(t.size)*int64(unsafe.Sizeof(Entry{})) +
+	return int64(unsafe.Sizeof(*t)) + int64(t.size)*int64(unsafe.Sizeof(Entry{})+1) +
 		int64(t.Nodes)*int64(unsafe.Sizeof(node{})+unsafe.Sizeof(&node{}))
 }
 
@@ -172,41 +215,11 @@ func (t *Tree) RootMBR() geom.MBR {
 	return t.root.mbr
 }
 
-// SearchStats counts the node and entry tests performed by queries; the
-// SDBMS profiler charges index-search time from these.
+// SearchStats counts the node pairs a join visits and the entry tests it
+// makes there; the cost models charge index-search time from these.
 type SearchStats struct {
 	NodesVisited  int
 	EntriesTested int
-}
-
-// Search appends to dst the IDs of all entries whose MBR intersects the
-// query window, returning the extended slice and the traversal statistics.
-func (t *Tree) Search(window geom.MBR, dst []int32) ([]int32, SearchStats) {
-	var st SearchStats
-	if t.root == nil {
-		return dst, st
-	}
-	dst = searchNode(t.root, window, dst, &st)
-	return dst, st
-}
-
-func searchNode(n *node, window geom.MBR, dst []int32, st *SearchStats) []int32 {
-	st.NodesVisited++
-	if n.entries != nil {
-		for _, e := range n.entries {
-			st.EntriesTested++
-			if e.MBR.Intersects(window) {
-				dst = append(dst, e.ID)
-			}
-		}
-		return dst
-	}
-	for _, c := range n.children {
-		if c.mbr.Intersects(window) {
-			dst = searchNode(c, window, dst, st)
-		}
-	}
-	return dst
 }
 
 // Pair is a candidate polygon pair produced by the spatial join: indices of
@@ -216,63 +229,122 @@ type Pair struct {
 }
 
 // Join performs a pairwise MBR spatial join between two trees, appending all
-// (a.ID, b.ID) pairs with intersecting MBRs to dst. This implements the
-// filter stage of the pipeline (paper §4.1, stage 3).
+// (a.ID, b.ID) pairs with intersecting MBRs to dst: leaf pair by leaf pair
+// in the order the two trees are descended, and within a leaf pair in a's
+// and then b's leaf order. This implements the filter stage of the pipeline
+// (paper §4.1, stage 3).
 func Join(a, b *Tree, dst []Pair) ([]Pair, SearchStats) {
-	var st SearchStats
 	if a.root == nil || b.root == nil {
-		return dst, st
+		return dst, SearchStats{}
 	}
-	dst = joinNodes(a.root, b.root, dst, &st)
-	return dst, st
+	j := joiner{dst: dst}
+	j.nodes(a.root, b.root)
+	return j.dst, j.st
 }
 
-func joinNodes(x, y *node, dst []Pair, st *SearchStats) []Pair {
+// joiner carries one Join's output, counters and leaf-sweep scratch down
+// the recursion.
+type joiner struct {
+	dst []Pair
+	st  SearchStats
+	// xs and ys hold, in MinX order, the entries of the two leaves being
+	// swept that meet the other leaf's MBR, with their positions in their
+	// leaves; hits[p] marks the positions in y that position p of x meets.
+	xs, ys     [MaxFanout]geom.MBR
+	xpos, ypos [MaxFanout]uint8
+	hits       [MaxFanout]uint64
+}
+
+func (j *joiner) nodes(x, y *node) {
 	if !x.mbr.Intersects(y.mbr) {
-		return dst
+		return
 	}
-	st.NodesVisited++
+	j.st.NodesVisited++
 	switch {
 	case x.entries != nil && y.entries != nil:
-		// Every entry of x lies inside x's MBR, so only y's entries that meet
-		// it can meet any of them. Kept in order, they pair up as a scan of
-		// all of y would.
-		var buf [DefaultFanout]Entry
-		near := buf[:0]
-		for _, eb := range y.entries {
-			st.EntriesTested++
-			if eb.MBR.Intersects(x.mbr) {
-				near = append(near, eb)
-			}
-		}
-		if len(near) == 0 {
-			return dst
-		}
-		for _, ea := range x.entries {
-			if !ea.MBR.Intersects(y.mbr) {
-				continue
-			}
-			for _, eb := range near {
-				st.EntriesTested++
-				if ea.MBR.Intersects(eb.MBR) {
-					dst = append(dst, Pair{A: ea.ID, B: eb.ID})
-				}
-			}
-		}
+		j.leaves(x, y)
 	case x.entries != nil: // descend y
 		for _, c := range y.children {
-			dst = joinNodes(x, c, dst, st)
+			j.nodes(x, c)
 		}
 	case y.entries != nil: // descend x
 		for _, c := range x.children {
-			dst = joinNodes(c, y, dst, st)
+			j.nodes(c, y)
 		}
 	default:
 		for _, cx := range x.children {
 			for _, cy := range y.children {
-				dst = joinNodes(cx, cy, dst, st)
+				j.nodes(cx, cy)
 			}
 		}
 	}
-	return dst
+}
+
+// near copies into mbrs and pos, in MinX order, the entries of leaf l that
+// meet window, and returns how many there are and how many it tested.
+func near(l *node, window geom.MBR, mbrs *[MaxFanout]geom.MBR, pos *[MaxFanout]uint8) (n, tested int) {
+	for ; tested < len(l.byMinX); tested++ {
+		p := l.byMinX[tested]
+		m := l.entries[p].MBR
+		if m.MinX >= window.MaxX {
+			break
+		}
+		if m.Intersects(window) {
+			mbrs[n], pos[n] = m, p
+			n++
+		}
+	}
+	return n, tested
+}
+
+// leaves joins two leaves. Every entry of a leaf lies inside its MBR, so
+// only entries that meet the other leaf's MBR can pair. Both such lists,
+// in MinX order, are swept as one: the entry that starts first is tested
+// against the other list's entries from the sweep front on, up to the
+// first that starts at or past its right edge. The hits, marked by
+// position, are emitted in x's and then y's position order: the pairs, in
+// the order, of a nested loop over the two leaves. EntriesTested counts
+// y's entries tested against x's MBR and the pairs the sweep tests.
+func (j *joiner) leaves(x, y *node) {
+	nx, _ := near(x, y.mbr, &j.xs, &j.xpos)
+	ny, tested := near(y, x.mbr, &j.ys, &j.ypos)
+	j.st.EntriesTested += tested
+	if nx == 0 || ny == 0 {
+		return
+	}
+	xs, ys, xpos, ypos := j.xs[:nx], j.ys[:ny], j.xpos[:nx], j.ypos[:ny]
+	var rows uint64 // positions of x with hits
+	for i, k := 0, 0; i < nx && k < ny; {
+		if xs[i].MinX <= ys[k].MinX {
+			a := &xs[i]
+			l := k
+			for ; l < ny && ys[l].MinX < a.MaxX; l++ {
+				if a.Intersects(ys[l]) {
+					j.hits[xpos[i]] |= 1 << ypos[l]
+					rows |= 1 << xpos[i]
+				}
+			}
+			j.st.EntriesTested += l - k
+			i++
+		} else {
+			b := &ys[k]
+			l := i
+			for ; l < nx && xs[l].MinX < b.MaxX; l++ {
+				if b.Intersects(xs[l]) {
+					j.hits[xpos[l]] |= 1 << ypos[k]
+					rows |= 1 << xpos[l]
+				}
+			}
+			j.st.EntriesTested += l - i
+			k++
+		}
+	}
+	for ; rows != 0; rows &= rows - 1 {
+		p := bits.TrailingZeros64(rows)
+		ida := x.entries[p].ID
+		for hits := j.hits[p]; hits != 0; hits &= hits - 1 {
+			j.dst = append(j.dst, Pair{A: ida, B: y.entries[bits.TrailingZeros64(hits)].ID})
+		}
+		j.hits[p] = 0
+	}
 }

@@ -22,13 +22,23 @@ func randEntries(rng *rand.Rand, n int, space int32) []Entry {
 	return entries
 }
 
+// windowJoin returns the IDs of tr's entries whose MBRs intersect window, in
+// join order: tr joined with a one-entry tree.
+func windowJoin(tr *Tree, window geom.MBR) []int32 {
+	pairs, _ := Join(tr, Build([]Entry{{MBR: window}}, Options{}), nil)
+	ids := make([]int32, 0, len(pairs))
+	for _, pr := range pairs {
+		ids = append(ids, pr.A)
+	}
+	return ids
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := Build(nil, Options{})
 	if tr.Len() != 0 {
 		t.Fatal("empty tree has entries")
 	}
-	ids, _ := tr.Search(geom.MBR{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, nil)
-	if len(ids) != 0 {
+	if ids := windowJoin(tr, geom.MBR{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}); len(ids) != 0 {
 		t.Fatal("empty tree returned results")
 	}
 	other := Build(randEntries(rand.New(rand.NewSource(1)), 10, 100), Options{})
@@ -38,7 +48,7 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
-func TestSearchMatchesLinearScan(t *testing.T) {
+func TestWindowJoinMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	entries := randEntries(rng, 500, 400)
 	// Build sorts entries in place; keep a copy for the oracle.
@@ -52,7 +62,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 		x := rng.Int31n(400)
 		y := rng.Int31n(400)
 		window := geom.MBR{MinX: x, MinY: y, MaxX: x + 1 + rng.Int31n(60), MaxY: y + 1 + rng.Int31n(60)}
-		got, _ := tr.Search(window, nil)
+		got := windowJoin(tr, window)
 		var want []int32
 		for _, e := range oracle {
 			if e.MBR.Intersects(window) {
@@ -185,12 +195,10 @@ func TestTreeShape(t *testing.T) {
 
 func TestSingleEntry(t *testing.T) {
 	tr := Build([]Entry{{MBR: geom.MBR{MinX: 5, MinY: 5, MaxX: 7, MaxY: 7}, ID: 42}}, Options{})
-	got, _ := tr.Search(geom.MBR{MinX: 6, MinY: 6, MaxX: 8, MaxY: 8}, nil)
-	if len(got) != 1 || got[0] != 42 {
+	if got := windowJoin(tr, geom.MBR{MinX: 6, MinY: 6, MaxX: 8, MaxY: 8}); len(got) != 1 || got[0] != 42 {
 		t.Fatalf("got %v", got)
 	}
-	got, _ = tr.Search(geom.MBR{MinX: 8, MinY: 8, MaxX: 9, MaxY: 9}, nil)
-	if len(got) != 0 {
+	if got := windowJoin(tr, geom.MBR{MinX: 8, MinY: 8, MaxX: 9, MaxY: 9}); len(got) != 0 {
 		t.Fatalf("miss returned %v", got)
 	}
 }

@@ -1006,14 +1006,16 @@ func (d *Dataset) load(ti *TileInfo, wantA, wantB bool) (a, b *decodedSet, err e
 // A read miss and Import both come through here, so every set the decoded
 // cache holds was built by this one step; start is when the read began.
 func (d *Dataset) verify(f *os.File, ti *TileInfo, start time.Time, wantA, wantB bool) (a, b *decodedSet, err error) {
-	segA, err := d.readRange(f, ti, 'A', ti.OffA, ti.LenA)
-	if err != nil {
+	bp := tileBufs.Get().(*[]byte)
+	defer tileBufs.Put(bp)
+	if n := int(ti.LenA + ti.LenB); cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	buf := (*bp)[:ti.LenA+ti.LenB]
+	if err := d.readTile(f, ti, buf); err != nil {
 		return nil, nil, err
 	}
-	segB, err := d.readRange(f, ti, 'B', ti.OffB, ti.LenB)
-	if err != nil {
-		return nil, nil, err
-	}
+	segA, segB := buf[:ti.LenA], buf[ti.LenA:]
 	if tileDigest(*ti, segA, segB) != ti.sum {
 		return nil, nil, fmt.Errorf("store: dataset %s tile %s/%d corrupt: content digest mismatch",
 			d.man.ID, ti.Image, ti.Tile)
@@ -1037,13 +1039,36 @@ func (d *Dataset) verify(f *os.File, ti *TileInfo, start time.Time, wantA, wantB
 	return a, b, nil
 }
 
-func (d *Dataset) readRange(f *os.File, ti *TileInfo, set byte, off, ln int64) ([]byte, error) {
-	buf := make([]byte, ln)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("store: dataset %s tile %s/%d set %c corrupt: read %d bytes at %d: %v",
+// tileBufs recycles verify's read buffers. decodeSet copies every vertex it
+// keeps into the set's slab, so no decoded set points into one.
+var tileBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readTile reads tile ti's two sets into buf, A then B: in one read when B
+// follows A in the segment, as Writer lays them out. A failed read names the
+// set it fell in.
+func (d *Dataset) readTile(f *os.File, ti *TileInfo, buf []byte) error {
+	fail := func(set byte, off, ln int64, err error) error {
+		return fmt.Errorf("store: dataset %s tile %s/%d set %c corrupt: read %d bytes at %d: %v",
 			d.man.ID, ti.Image, ti.Tile, set, ln, off, err)
 	}
-	return buf, nil
+	if ti.OffB == ti.OffA+ti.LenA {
+		n, err := f.ReadAt(buf, ti.OffA)
+		switch {
+		case err == nil:
+			return nil
+		case int64(n) < ti.LenA:
+			return fail('A', ti.OffA, ti.LenA, err)
+		default:
+			return fail('B', ti.OffB, ti.LenB, err)
+		}
+	}
+	if _, err := f.ReadAt(buf[:ti.LenA], ti.OffA); err != nil {
+		return fail('A', ti.OffA, ti.LenA, err)
+	}
+	if _, err := f.ReadAt(buf[ti.LenA:], ti.OffB); err != nil {
+		return fail('B', ti.OffB, ti.LenB, err)
+	}
+	return nil
 }
 
 // decodeSet decodes one set's length-prefixed WKB records. It frames and
