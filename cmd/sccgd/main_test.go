@@ -1133,8 +1133,8 @@ func TestDaemonMatrixProgressive(t *testing.T) {
 		}
 	}
 
-	// Shutdown writes into the data dir (tenants.json): it must be over
-	// before the TempDir under it is removed.
+	// Shutdown writes into the data dir (draining result records, closing
+	// the query log): it must be over before the TempDir under it is removed.
 	cancel()
 	select {
 	case err := <-errCh:

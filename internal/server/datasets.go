@@ -172,7 +172,13 @@ func (s *Server) handlePutDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	committed = true
-	s.recordIngest(who, man, ingestStart)
+	if err := s.recordIngest(who, man, ingestStart); err != nil {
+		// The dataset is stored but its owner may not be durable: a retry
+		// dedups and attributes it again.
+		s.ingestFails.Inc()
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("record the dataset's owner: %w", err))
+		return
+	}
 	writeJSON(w, http.StatusOK, datasetResponse(man, true))
 }
 
@@ -188,11 +194,14 @@ func parseTile(n int, rawA, rawB []byte) (a, b []*geom.Polygon, err error) {
 	return a, b, nil
 }
 
-// recordIngest is the bookkeeping after a PUT /datasets commit: the ingest
-// counter, the tenant's byte attribution and the query-log record.
-func (s *Server) recordIngest(who tenant.Quota, man *store.Manifest, start time.Time) {
+// recordIngest is the bookkeeping after a PUT /datasets commit: the tenant's
+// byte attribution, durable when it returns nil, then the ingest counter and
+// the query-log record.
+func (s *Server) recordIngest(who tenant.Quota, man *store.Manifest, start time.Time) error {
+	if err := s.tusage.Attribute(who.Name, man.ID, man.SegmentBytes); err != nil {
+		return err
+	}
 	s.ingests.Inc()
-	s.tusage.Attribute(who.Name, man.ID, man.SegmentBytes)
 	if s.qlog != nil {
 		s.qlog.Append(querylog.Record{
 			Kind:       querylog.KindIngest,
@@ -203,6 +212,7 @@ func (s *Server) recordIngest(who tenant.Quota, man *store.Manifest, start time.
 			Outcome:    querylog.OutcomeIngested,
 		})
 	}
+	return nil
 }
 
 func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {

@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -248,20 +250,23 @@ func TestPutDatasetTenantQuotaEdges(t *testing.T) {
 	}
 }
 
-// TestTenantQuotaSurvivesRestart: attribution is written out lazily, so a
-// daemon that closes and comes back on the same directory must still know what
-// each tenant holds — acme's one-dataset quota is full after the restart.
+// TestTenantQuotaSurvivesRestart: a PUT answers only once its owner is
+// durable, so a daemon that stops without Close, as in a crash, and comes
+// back on the same directory still knows what each tenant holds: acme's
+// one-dataset quota is full after the restart.
 func TestTenantQuotaSurvivesRestart(t *testing.T) {
 	cfg := testTenants(t, `{"tenants": [{"name": "acme", "token": "tok-acme", "max_datasets": 1}]}`)
 	dir := t.TempDir()
-	srv, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: testStoreAt(t, dir), Tenants: cfg})
+	_, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: testStoreAt(t, dir), Tenants: cfg})
 	d1 := pathology.Generate(qosSpec("restart-1", 21, 1))
 	if resp, body := putDatasetAs(t, ts.URL+"/datasets", "tok-acme", datasetPayload(t, d1)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("acme ingest = %d: %s", resp.StatusCode, body)
 	}
-	srv.Close()
 
-	_, _, ts2 := newTestServer(t, sched.Config{Devices: 1}, Options{Store: testStoreAt(t, dir), Tenants: cfg})
+	srv2, _, ts2 := newTestServer(t, sched.Config{Devices: 1}, Options{Store: testStoreAt(t, dir), Tenants: cfg})
+	if u := srv2.tusage.Usage("acme"); u.Datasets != 1 {
+		t.Fatalf("acme usage after restart = %+v, want the one dataset", u)
+	}
 	d2 := pathology.Generate(qosSpec("restart-2", 22, 1))
 	resp, body := putDatasetAs(t, ts2.URL+"/datasets", "tok-acme", datasetPayload(t, d2))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -269,6 +274,49 @@ func TestTenantQuotaSurvivesRestart(t *testing.T) {
 	}
 	if code, who := admissionBody(t, body); code != "tenant_datasets" || who != "acme" {
 		t.Fatalf("rejection = code %q tenant %q, want tenant_datasets/acme", code, who)
+	}
+}
+
+// TestDeleteBeforeAttributionChargesNoOne: a DELETE that lands between an
+// ingest's commit and its bookkeeping leaves the tenant charged for nothing,
+// and the restarted daemon agrees.
+func TestDeleteBeforeAttributionChargesNoOne(t *testing.T) {
+	cfg := testTenants(t, `{"tenants": [{"name": "acme", "token": "tok-acme", "max_datasets": 1}]}`)
+	dir := t.TempDir()
+	st := testStoreAt(t, dir)
+	srv, _, _ := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st, Tenants: cfg})
+	acme, _ := cfg.ByName("acme")
+	man := ingestSpec(t, st, "raced", 23, 1)
+	if err := st.Delete(man.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.recordIngest(acme, man, time.Now()); err != nil {
+		t.Fatalf("recordIngest: %v", err)
+	}
+	if u := srv.tusage.Usage("acme"); u != (tenant.Usage{}) {
+		t.Fatalf("acme usage = %+v after its dataset was deleted", u)
+	}
+	srv2, _, _ := newTestServer(t, sched.Config{Devices: 1}, Options{Store: testStoreAt(t, dir), Tenants: cfg})
+	if u := srv2.tusage.Usage("acme"); u != (tenant.Usage{}) {
+		t.Fatalf("acme usage after restart = %+v", u)
+	}
+}
+
+// TestPutFailsWhenOwnerNotDurable: a PUT whose owner record cannot be
+// written answers 500, not 200, and charges no one.
+func TestPutFailsWhenOwnerNotDurable(t *testing.T) {
+	dir := t.TempDir()
+	st := testStoreAt(t, dir)
+	if err := os.Mkdir(filepath.Join(dir, "tenants.log"), 0o755); err != nil { // the log cannot open
+		t.Fatal(err)
+	}
+	srv, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st})
+	d := pathology.Generate(qosSpec("undurable", 24, 1))
+	if resp, body := putDatasetAs(t, ts.URL+"/datasets", "", datasetPayload(t, d)); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("ingest with no tenant log = %d: %s", resp.StatusCode, body)
+	}
+	if u := srv.tusage.Usage(tenant.DefaultName); u != (tenant.Usage{}) {
+		t.Fatalf("default usage = %+v", u)
 	}
 }
 

@@ -24,20 +24,46 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/wal"
 )
 
-func logPath(dir string) string { return filepath.Join(dir, "cache", logName) }
+func logPath(dir string) string { return filepath.Join(dir, "cache", "results.log") }
 
 // loggedEntries replays the results log under dir without touching it and
 // returns the entries it leaves live.
-func loggedEntries(t testing.TB, dir string) map[string]loggedEntry {
+func loggedEntries(t testing.TB, dir string) map[string]*resultEntry {
 	t.Helper()
 	raw, err := os.ReadFile(logPath(dir))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		t.Fatal(err)
 	}
-	live, _, _ := replayLog(raw, func(int, error) {})
+	rs := &resultStore{slots: make(map[string]*resultSlot)}
+	wal.Replay(raw, rs.applyRecord, func(int64, error) {})
+	live := make(map[string]*resultEntry)
+	for key, slot := range rs.slots {
+		live[key] = slot.entry
+	}
 	return live
+}
+
+// logRecords returns the kind, payload and offset of every record of the
+// results log under dir, failing on a damaged one.
+func logRecords(t *testing.T, dir string) (kinds []byte, payloads [][]byte, offs []int) {
+	t.Helper()
+	raw, err := os.ReadFile(logPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	end, torn := wal.Replay(raw, func(kind byte, payload []byte, n int64) error {
+		kinds, payloads, offs = append(kinds, kind), append(payloads, payload), append(offs, off)
+		off += int(n)
+		return nil
+	}, func(off int64, err error) { t.Fatalf("record at %d: %v", off, err) })
+	if torn != nil || end != int64(len(raw)) {
+		t.Fatalf("log ends at %d of %d: %v", end, len(raw), torn)
+	}
+	return kinds, payloads, offs
 }
 
 // appendLog appends raw records to the results log under dir.
@@ -58,18 +84,10 @@ func appendLog(t *testing.T, dir string, recs []byte) {
 // checksum.
 func rewriteLog(t *testing.T, dir string, edit func(kind byte, payload []byte) []byte) {
 	t.Helper()
-	raw, err := os.ReadFile(logPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
+	kinds, payloads, _ := logRecords(t, dir)
 	var out []byte
-	for off := 0; off < len(raw); {
-		kind, payload, n, err := readRecord(raw[off:])
-		if err != nil {
-			t.Fatalf("record at %d: %v", off, err)
-		}
-		out = append(out, frame(kind, edit(kind, payload))...)
-		off += n
+	for i, kind := range kinds {
+		out = append(out, wal.Frame(kind, edit(kind, payloads[i]))...)
 	}
 	if err := os.WriteFile(logPath(dir), out, 0o644); err != nil {
 		t.Fatal(err)
@@ -79,19 +97,7 @@ func rewriteLog(t *testing.T, dir string, edit func(kind byte, payload []byte) [
 // recordOffsets returns where each record of the results log under dir starts.
 func recordOffsets(t *testing.T, dir string) []int {
 	t.Helper()
-	raw, err := os.ReadFile(logPath(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offs []int
-	for off := 0; off < len(raw); {
-		_, _, n, err := readRecord(raw[off:])
-		if err != nil {
-			t.Fatalf("record at %d: %v", off, err)
-		}
-		offs = append(offs, off)
-		off += n
-	}
+	_, _, offs := logRecords(t, dir)
 	return offs
 }
 
@@ -130,8 +136,8 @@ func tableEntries(rs *resultStore) map[string]string {
 func logTable(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	m := make(map[string]string)
-	for key, le := range loggedEntries(t, dir) {
-		raw, _ := json.Marshal(le.e)
+	for key, e := range loggedEntries(t, dir) {
+		raw, _ := json.Marshal(e)
 		m[key] = string(raw)
 	}
 	return m
@@ -155,11 +161,20 @@ func TestConcurrentAdoptsShareFsyncs(t *testing.T) {
 	rs := newResultStore(0, st, nil, new(metrics.Counter), slog.Default())
 	l := rs.wal
 
-	// Hold the committer's role, as an fsync in flight does: every adopter
-	// appends its record and waits.
-	l.mu.Lock()
-	l.syncing = true
-	l.mu.Unlock()
+	// Hold the committer's role, as an fsync in flight does: a commit whose
+	// compaction step waits. Every adopter appends its record and waits.
+	rs.mu.Lock()
+	held, err := l.Append(wal.Frame(recDrop, []byte("hold")))
+	rs.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	holding, release, committed := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(committed)
+		l.Commit(held, func() { close(holding); <-release })
+	}()
+	<-holding
 	var returned atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -171,9 +186,7 @@ func TestConcurrentAdoptsShareFsyncs(t *testing.T) {
 		}(i)
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		l.mu.Lock()
-		appended := l.open.n
-		l.mu.Unlock()
+		appended := len(loggedEntries(t, dir))
 		if appended == n {
 			break
 		}
@@ -184,13 +197,12 @@ func TestConcurrentAdoptsShareFsyncs(t *testing.T) {
 	if r := returned.Load(); r != 0 {
 		t.Fatalf("%d adopts returned before an fsync covered their record", r)
 	}
-	l.mu.Lock()
-	l.syncing = false
-	l.cond.Broadcast()
-	l.mu.Unlock()
+	syncs := l.Syncs()
+	close(release)
 	wg.Wait()
+	<-committed
 
-	if syncs := l.syncs.Load(); syncs >= n {
+	if syncs = l.Syncs() - syncs; syncs >= n {
 		t.Fatalf("%d adopts took %d fsyncs; one fsync must carry many", n, syncs)
 	}
 	boot := newResultStore(0, st, nil, new(metrics.Counter), slog.Default())
@@ -346,23 +358,27 @@ func TestCompactionKeepsLiveSet(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		adoptEntry(t, rs, cellEntry(fmt.Sprintf("live-%d", i), 2000))
 	}
-	// Dead records past the floor: each entry record is about 100 KiB.
-	for i := 0; l.size-l.live <= compactFloor; i++ {
+	// Dead records past the floor and the live ones: each entry record is
+	// about 100 KiB.
+	for i := 0; !l.CompactDue(); i++ {
 		key := fmt.Sprintf("dead-%d", i)
 		adoptEntry(t, rs, cellEntry(key, 2000))
 		rs.mu.Lock()
 		rs.removeLocked(key)
 		rs.mu.Unlock()
 	}
-	before := l.size
-	adoptEntry(t, rs, cellEntry("live-3", 2000)) // its commit compacts
-
 	fi, err := os.Stat(logPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() >= before || fi.Size() != l.live || l.size != l.live {
-		t.Fatalf("after the commit the log is %d bytes (%d before), %d live", fi.Size(), before, l.live)
+	before := fi.Size()
+	adoptEntry(t, rs, cellEntry("live-3", 2000)) // its commit compacts
+
+	if fi, err = os.Stat(logPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() >= before || fi.Size() != l.Live {
+		t.Fatalf("after the commit the log is %d bytes (%d before), %d live", fi.Size(), before, l.Live)
 	}
 	want := tableEntries(rs)
 	if len(want) != 4 {
@@ -403,9 +419,9 @@ func TestLogBoundedAcrossResets(t *testing.T) {
 			t.Fatal(err)
 		}
 		rs.mu.Lock()
-		live := l.live
+		live := l.Live
 		rs.mu.Unlock()
-		if fi.Size() > 2*live+compactFloor {
+		if fi.Size() > 2*live+wal.CompactFloor {
 			t.Fatalf("matrix %d: log %d bytes, live %d", m, fi.Size(), live)
 		}
 		rs.clear()
@@ -439,7 +455,7 @@ func BenchmarkAdopt(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 			b.ReportMetric(float64(time.Since(start).Microseconds())/float64(b.N), "us/adopt")
-			b.ReportMetric(float64(rs.wal.syncs.Load())/float64(b.N), "fsyncs/record")
+			b.ReportMetric(float64(rs.wal.Syncs())/float64(b.N), "fsyncs/record")
 		})
 	}
 }

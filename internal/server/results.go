@@ -10,10 +10,12 @@ package server
 //     duplicate submission arriving mid-run attaches to the in-flight job
 //     instead of recomputing.
 //   - the finished entry every cache-keyed done job leaves, written through
-//     to one append-only log, <data-dir>/cache/results.log
-//     (resultlog.go), and replayed on boot, so a restarted daemon answers
-//     repeat jobs and matrix cells without recompute. A slot with an entry
-//     and no live job answers cached-<12 hex>.
+//     to the table's record log (internal/wal), <data-dir>/cache/results.log,
+//     and replayed on boot, so a restarted daemon answers repeat jobs and
+//     matrix cells without recompute. A slot with an entry and no live job
+//     answers cached-<12 hex>. Drops and resets ride on the next commit: a
+//     crash that loses one brings back entries that are still exact
+//     answers, and boot's liveness gate keeps a deleted dataset's out.
 //
 // No entry enters the table — a job's own report, a peer's answer, a
 // record replayed at boot — without passing validate, which re-folds the
@@ -43,6 +45,14 @@ import (
 	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/trace"
+	"repro/internal/wal"
+)
+
+// The results log's records.
+const (
+	recEntry = 'e' // an entry's compact JSON: the entry's key now holds it
+	recDrop  = 'd' // a key: the key's entry is gone (eviction, delete cascade)
+	recReset = 'r' // empty: every entry before it is gone (DELETE /cache)
 )
 
 // resultEntry is one finished comparison: a slot's log record and,
@@ -147,7 +157,7 @@ type resultSlot struct {
 
 // resultStore is the table the file comment describes.
 type resultStore struct {
-	wal     *resultLog   // nil = results do not survive a restart
+	wal     *wal.Log     // a log that failed to open refuses every append
 	max     int          // slot bound; 0 = unbounded
 	ds      *store.Store // dataset liveness and retention clocks
 	job     func(id string) (sched.JobStatus, bool)
@@ -169,9 +179,6 @@ func newResultStore(maxEntries int, ds *store.Store, job func(string) (sched.Job
 	return rs
 }
 
-// persistent reports whether finished results survive a restart.
-func (rs *resultStore) persistent() bool { return rs.wal != nil }
-
 // load replays the log under dir (creating both if needed). A record that
 // fails its checksum, decoding or validate is skipped with a logged reason,
 // and a torn tail is cut off. A replayed entry referencing a dataset the store
@@ -179,39 +186,33 @@ func (rs *resultStore) persistent() bool { return rs.wal != nil }
 // delete and its cascade, and a restart must not resurrect the report. The
 // bound is enforced only afterwards, so such orphans never hold slots at the
 // expense of live entries. The per-entry *.json files of older daemons are
-// removed; their keys recompute on demand.
+// removed; their keys recompute on demand. A log that cannot be opened
+// leaves the table empty, and its finished entries serve this process only.
 func (rs *resultStore) load(dir string) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		rs.log.Warn("persisted results disabled", "err", err)
-		return
-	}
 	if legacy, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(legacy) > 0 {
 		for _, p := range legacy {
 			os.Remove(p)
 		}
 		rs.log.Info("removed per-entry result files of an older version", "count", len(legacy))
 	}
-	l, live, torn, err := openResultLog(dir, func(off int, err error) {
+	var err error
+	rs.wal, err = wal.Open(filepath.Join(dir, "results.log"), rs.applyRecord, func(off int64, err error) {
 		rs.log.Warn("skipped persisted result", "offset", off, "err", err)
 	})
 	if err != nil {
+		clear(rs.slots)
 		rs.log.Warn("persisted results disabled", "err", err)
 		return
 	}
-	if torn != nil {
-		rs.log.Warn("truncated the results log's torn tail", "offset", l.size, "err", torn)
-	}
-	rs.wal = l
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	orphans := 0
-	for key, le := range live {
-		if !rs.admitLocked(le.e, le.e.Saved) {
-			rs.logLocked(frame(recDrop, []byte(key)))
+	for key, slot := range rs.slots {
+		rs.wal.Live += slot.logged
+		if !rs.datasetsHeld(key) {
+			rs.removeLocked(key)
 			orphans++
-			continue
 		}
-		rs.chargeLocked(rs.slots[key], le.bytes)
 	}
 	if orphans > 0 {
 		rs.log.Info("dropped persisted results referencing deleted datasets", "count", orphans)
@@ -220,16 +221,47 @@ func (rs *resultStore) load(dir string) {
 	rs.compactLocked()
 }
 
+// applyRecord folds one replayed record into the table. An entry record
+// must decode and pass validate, like every other way into the table.
+func (rs *resultStore) applyRecord(kind byte, payload []byte, n int64) error {
+	switch kind {
+	case recEntry:
+		e := new(resultEntry)
+		if err := json.Unmarshal(payload, e); err != nil {
+			return err
+		}
+		if err := e.validate(); err != nil {
+			return fmt.Errorf("cache entry %q: %w", e.Key, err)
+		}
+		rs.slots[e.Key] = &resultSlot{entry: e, used: e.Saved, logged: n}
+	case recDrop:
+		delete(rs.slots, string(payload))
+	case recReset:
+		clear(rs.slots)
+	default:
+		return fmt.Errorf("unknown record kind %q", kind)
+	}
+	return nil
+}
+
+// datasetsHeld reports whether the store holds every dataset key references.
+func (rs *resultStore) datasetsHeld(key string) bool {
+	for _, id := range keyDatasetIDs(key) {
+		if _, ok := rs.ds.Get(id); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // admitLocked puts e in its key's slot unless a dataset the key references
 // is gone. Callers hold mu — the lock dropDataset takes — so an entry racing
 // a dataset delete can never land behind the cascade: if the delete
 // committed first the gate sees the dataset gone; if the entry won, the
 // cascade drops it.
 func (rs *resultStore) admitLocked(e *resultEntry, used time.Time) bool {
-	for _, id := range keyDatasetIDs(e.Key) {
-		if _, ok := rs.ds.Get(id); !ok {
-			return false
-		}
+	if !rs.datasetsHeld(e.Key) {
+		return false
 	}
 	slot := rs.slotLocked(e.Key)
 	rs.chargeLocked(slot, 0) // a replaced entry's record is dead
@@ -239,17 +271,15 @@ func (rs *resultStore) admitLocked(e *resultEntry, used time.Time) bool {
 
 // chargeLocked makes n the log bytes slot's entry keeps live.
 func (rs *resultStore) chargeLocked(slot *resultSlot, n int64) {
-	if rs.wal != nil {
-		rs.wal.live += n - slot.logged
-	}
+	rs.wal.Live += n - slot.logged
 	slot.logged = n
 }
 
 // logLocked appends rec to the log and returns the batch whose fsync carries
 // it. A failed write is logged, not returned: the table still serves what it
 // holds, it just will not survive a restart.
-func (rs *resultStore) logLocked(rec []byte) *logBatch {
-	b, err := rs.wal.appendLocked(rec)
+func (rs *resultStore) logLocked(rec []byte) *wal.Batch {
+	b, err := rs.wal.Append(rec)
 	if err != nil {
 		rs.log.Warn("persist result failed", "err", err)
 	}
@@ -257,9 +287,9 @@ func (rs *resultStore) logLocked(rec []byte) *logBatch {
 }
 
 // compactLocked rewrites the log to the table's live entry records once its
-// dead bytes exceed both its live bytes and compactFloor.
+// dead bytes exceed both its live bytes and wal.CompactFloor.
 func (rs *resultStore) compactLocked() {
-	if !rs.wal.compactDueLocked() {
+	if !rs.wal.CompactDue() {
 		return
 	}
 	var recs []byte
@@ -273,19 +303,16 @@ func (rs *resultStore) compactLocked() {
 			rs.log.Warn("compact results log", "err", err)
 			return
 		}
-		rec := frame(recEntry, raw)
+		rec := wal.Frame(recEntry, raw)
 		recs = append(recs, rec...)
 		sizes[slot] = int64(len(rec))
 	}
-	err := rs.wal.rewriteLocked(recs)
-	if err == nil {
-		for slot, n := range sizes {
-			slot.logged = n
-		}
-		err = rs.wal.syncDir()
-	}
-	if err != nil {
+	if err := rs.wal.Rewrite(recs); err != nil {
 		rs.log.Warn("compact results log", "err", err)
+		return
+	}
+	for slot, n := range sizes {
+		slot.logged = n
 	}
 }
 
@@ -367,10 +394,10 @@ func (rs *resultStore) record(key, jobID string) {
 // record replayed at boot. The returned entry is servable; the error means
 // rejected. Adoption is a use of the key's datasets (see lookup).
 //
-// The entry fills its slot (unless admitLocked declines it). When results
-// are persistent its record is appended to the log under the same lock, and
-// adopt returns only once an fsync covering it has — waiting outside the
-// lock, since lookups must not stall behind an fsync. carried is how many
+// The entry fills its slot (unless admitLocked declines it), and its record
+// is appended to the log under the same lock; adopt returns only once an
+// fsync covering it has — waiting outside the lock, since lookups must not
+// stall behind an fsync. carried is how many
 // records that fsync carried; 0 when nothing was written. A failed write or
 // fsync is logged, not returned: the entry still serves this process, it
 // just may not survive a restart.
@@ -382,17 +409,14 @@ func (rs *resultStore) adopt(e resultEntry, wantKey string) (entry *resultEntry,
 		return nil, 0, err
 	}
 	rs.touch(e.Key)
-	var rec []byte
-	if rs.wal != nil {
-		raw, err := json.Marshal(&e)
-		if err != nil {
-			return nil, 0, fmt.Errorf("encode cache entry: %w", err)
-		}
-		rec = frame(recEntry, raw)
+	raw, err := json.Marshal(&e)
+	if err != nil {
+		return nil, 0, fmt.Errorf("encode cache entry: %w", err)
 	}
-	var b *logBatch
+	rec := wal.Frame(recEntry, raw)
+	var b *wal.Batch
 	rs.mu.Lock()
-	if rs.admitLocked(&e, time.Now()) && rec != nil {
+	if rs.admitLocked(&e, time.Now()) {
 		if b = rs.logLocked(rec); b != nil {
 			rs.chargeLocked(rs.slots[e.Key], int64(len(rec)))
 		}
@@ -400,9 +424,9 @@ func (rs *resultStore) adopt(e resultEntry, wantKey string) (entry *resultEntry,
 	rs.enforceLocked()
 	rs.mu.Unlock()
 	if b == nil {
-		return &e, 0, nil // its dataset is gone, there is no disk, or the write failed
+		return &e, 0, nil // its dataset is gone, or the write failed
 	}
-	carried, err = rs.wal.commit(b, func() {
+	carried, err = rs.wal.Commit(b, func() {
 		rs.mu.Lock()
 		rs.compactLocked()
 		rs.mu.Unlock()
@@ -416,9 +440,9 @@ func (rs *resultStore) adopt(e resultEntry, wantKey string) (entry *resultEntry,
 // removeLocked drops key's slot; the log gets a drop record when the slot
 // held an entry.
 func (rs *resultStore) removeLocked(key string) {
-	if slot := rs.slots[key]; rs.wal != nil && slot.entry != nil {
+	if slot := rs.slots[key]; slot.entry != nil {
 		rs.chargeLocked(slot, 0)
-		rs.logLocked(frame(recDrop, []byte(key)))
+		rs.logLocked(wal.Frame(recDrop, []byte(key)))
 	}
 	delete(rs.slots, key)
 }
@@ -470,9 +494,9 @@ func (rs *resultStore) clear() int {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	n := len(rs.slots)
-	if rs.wal != nil && n > 0 {
-		rs.wal.live = 0
-		rs.logLocked(frame(recReset, nil))
+	if n > 0 {
+		rs.wal.Live = 0
+		rs.logLocked(wal.Frame(recReset, nil))
 	}
 	clear(rs.slots)
 	return n

@@ -15,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
+	"repro/internal/wal"
 )
 
 // foldedEntry is an entry whose two tile partials fold exactly to its
@@ -119,7 +120,7 @@ func TestOneValidateForPeersAndBoot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			appendLog(t, dir, frame(recEntry, raw))
+			appendLog(t, dir, wal.Frame(recEntry, raw))
 			boot := newResultStore(0, st, nil, new(metrics.Counter), slog.Default())
 			_, durable := boot.counts()
 			if tc.bootKey == "" {

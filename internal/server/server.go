@@ -132,8 +132,8 @@ type Server struct {
 	// tenants resolves request tokens, and matrix runs' tenant names, to
 	// quotas; the zero config is one unlimited default tenant.
 	tenants tenant.Config
-	// tusage attributes stored bytes/datasets to tenants, persisted beside
-	// the manifests.
+	// tusage attributes stored bytes/datasets to tenants, in its own record
+	// log beside the manifests.
 	tusage *tenant.Registry
 
 	// watchWG tracks in-flight finishWhenDone goroutines so shutdown can
@@ -193,9 +193,7 @@ func New(s *sched.Scheduler, opts Options) *Server {
 	opts.Registry.OnScrape(func(e *metrics.Emitter) {
 		slots, entries := srv.results.counts()
 		e.Gauge("sccgd_cache_entries", float64(slots))
-		if srv.results.persistent() {
-			e.Gauge("sccgd_cache_persisted_entries", float64(entries))
-		}
+		e.Gauge("sccgd_cache_persisted_entries", float64(entries))
 		st := srv.sched.Stats()
 		e.Counter("sccgd_jobs_submitted_total", float64(st.Submitted))
 		for _, d := range st.Devices {
@@ -251,9 +249,13 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		}
 	}
 	srv.store.SetMetrics(opts.Registry)
-	// Tenant attribution persists beside the manifests so a restarted
-	// daemon still knows whose bytes are whose.
-	srv.tusage = tenant.NewRegistry(opts.Store.Dir())
+	// Tenant attribution is logged beside the manifests so a restarted
+	// daemon still knows whose bytes are whose; an owner is only ever
+	// charged for a dataset the store holds.
+	srv.tusage = tenant.Open(opts.Store.Dir(), func(id string) bool {
+		_, ok := srv.store.Get(id)
+		return ok
+	}, opts.Logger)
 	// Every delete path — HTTP, forced, retention sweep — cascades
 	// through the result store via the store's hook.
 	srv.store.SetDeleteHook(srv.dropDatasetResults)
@@ -279,12 +281,11 @@ func New(s *sched.Scheduler, opts Options) *Server {
 }
 
 // Close stops background orchestration (matrix runs, the retention
-// sweeper) and writes out the tenant attribution file; it does not close the
-// scheduler, which the caller owns. Call before closing the scheduler.
+// sweeper); it does not close the scheduler, which the caller owns. Call
+// before closing the scheduler.
 func (s *Server) Close() {
 	s.matrix.Close()
 	s.retention.Close()
-	s.tusage.Close()
 }
 
 // Drain blocks until background persist writes have finished; submissions
@@ -752,13 +753,11 @@ func (s *Server) finishWhenDone(rec *trace.Recorder, key, jobID string, req JobR
 		start := time.Now()
 		cross, _ := st.Meta.(*CrossPayload)
 		_, carried, perr := s.results.adopt(resultEntry{Key: key, Name: st.Name, Cross: cross, Saved: start.UTC(), Report: st.Report}, key)
-		if s.results.persistent() {
-			detail := ""
-			if carried > 0 {
-				detail = "fsync records=" + strconv.Itoa(carried)
-			}
-			rec.Add("persist", detail, start, time.Now())
+		detail := ""
+		if carried > 0 {
+			detail = "fsync records=" + strconv.Itoa(carried)
 		}
+		rec.Add("persist", detail, start, time.Now())
 		if perr != nil {
 			s.log.Warn("job report failed validation, not persisted", "job_id", jobID, "err", perr)
 		}

@@ -34,7 +34,7 @@ func newTestServer(t *testing.T, cfg sched.Config, opts Options) (*Server, *sche
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		srv.Close() // flushes tenants.json before the TempDir under it goes
+		srv.Close()
 		s.Close()
 		// Completion watchers write result files into the test's TempDir;
 		// they must finish before its cleanup removes the directory.

@@ -11,21 +11,24 @@
 // ingesting tenant; a dataset two tenants both ingested is charged to both
 // (content addressing dedups the bytes on disk, but a tenant can never
 // free-ride under another tenant's upload), and deleting the dataset
-// releases every tenant's charge.
+// releases every tenant's charge. Attribution is kept in the node's record
+// log (internal/wal), in its own file, <data-dir>/tenants.log: a charge is
+// durable before the ingest that made it answers.
 package tenant
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/retention"
+	"repro/internal/wal"
 )
 
 // DefaultName is the tenant unknown and anonymous tokens resolve to.
@@ -223,101 +226,195 @@ type Usage struct {
 	Datasets int   `json:"datasets"`
 }
 
-// usageFile is the persisted attribution map: schema-tagged so a future
-// layout change can migrate it.
-type usageFile struct {
-	Schema string                      `json:"schema"`
-	Owners map[string]map[string]int64 `json:"owners"` // dataset ID → tenant → bytes
+// The records of <data-dir>/tenants.log, the registry's file of the node's
+// record log (internal/wal).
+const (
+	recOwner   = 'o' // an owner's compact JSON: its tenant is charged its bytes
+	recRelease = 'r' // a dataset ID, on every delete: every charge for it is gone
+)
+
+// owner is an owner record's payload.
+type owner struct {
+	Dataset string `json:"dataset"`
+	Tenant  string `json:"tenant"`
+	Bytes   int64  `json:"bytes"`
 }
 
-const usageSchema = "sccg-tenants/1"
+func (o owner) record() []byte {
+	raw, _ := json.Marshal(o) // strings and an int: cannot fail
+	return wal.Frame(recOwner, raw)
+}
 
-// flushDelay is how long a change to the attribution map may wait before
-// tenants.json is rewritten. The file is advisory and never fsynced, and
-// rewriting it means marshalling every dataset's owners: once per delay bounds
-// that cost however fast datasets come and go, and a crash loses at most this
-// much attribution.
-const flushDelay = time.Second
-
-// Registry tracks which tenant ingested which dataset and the byte charge,
-// persisting the attribution next to the store so quotas survive a restart.
-// Changes reach the file within flushDelay, or when Close is called. All
-// methods are safe for concurrent use.
+// Registry tracks which tenant ingested which dataset and the byte charge.
+// All methods are safe for concurrent use.
 type Registry struct {
+	live func(datasetID string) bool // does the store hold the dataset?
+	log  *slog.Logger
+
 	mu     sync.Mutex
-	path   string // "" = in-memory only
-	owners map[string]map[string]int64
-	// flush is the pending write; nil when the file holds what owners does.
-	flush *time.Timer
-	// closed makes every later change write through: no timer outlives Close.
-	closed bool
+	wal    *wal.Log
+	owners map[string]map[string]int64 // dataset ID → tenant → bytes
 }
 
-// NewRegistry creates a usage registry. When dir is non-empty, attribution
-// is persisted to dir/tenants.json and reloaded from it; load errors start
-// the registry empty (attribution is advisory accounting, never worth
-// refusing boot over).
-func NewRegistry(dir string) *Registry {
-	r := &Registry{owners: make(map[string]map[string]int64)}
-	if dir == "" {
-		return r
-	}
-	r.path = filepath.Join(dir, "tenants.json")
-	data, err := os.ReadFile(r.path)
+// Open replays dir/tenants.log, imports an older version's tenants.json once,
+// and releases every owner of a dataset the store no longer holds. Damaged
+// records are skipped with a logged reason. If the log cannot be opened,
+// every Attribute fails. live is called under the registry's lock, so it
+// must not call into the registry.
+func Open(dir string, live func(datasetID string) bool, log *slog.Logger) *Registry {
+	r := &Registry{live: live, log: log, owners: make(map[string]map[string]int64)}
+	var err error
+	r.wal, err = wal.Open(filepath.Join(dir, "tenants.log"), r.apply, func(off int64, err error) {
+		log.Warn("skipped tenant record", "offset", off, "err", err)
+	})
 	if err != nil {
+		log.Warn("tenant attribution log unavailable: uploads fail", "err", err)
 		return r
 	}
-	var f usageFile
-	if json.Unmarshal(data, &f) == nil && f.Schema == usageSchema && f.Owners != nil {
-		r.owners = f.Owners
+	r.wal.Live = int64(len(r.recordsLocked()))
+	r.importLegacy(filepath.Join(dir, "tenants.json"))
+	released := 0
+	for id := range r.owners {
+		if !live(id) {
+			r.DropDataset(id)
+			released++
+		}
 	}
+	if released > 0 {
+		log.Info("released tenant charges for datasets the store no longer holds", "count", released)
+	}
+	r.compact()
 	return r
 }
 
-// Attribute charges the dataset's bytes to the tenant. Re-attributing the
-// same dataset to the same tenant updates the charge (content addressing
-// makes re-ingest idempotent, so the charge must be too).
-func (r *Registry) Attribute(tenantName, datasetID string, bytes int64) {
-	if tenantName == "" || datasetID == "" {
-		return
+// importLegacy charges the owners of an older version's whole-map file at
+// path, one durable Attribute each, and then removes the file.
+func (r *Registry) importLegacy(path string) {
+	var legacy struct {
+		Schema string                      `json:"schema"`
+		Owners map[string]map[string]int64 `json:"owners"`
 	}
+	data, err := os.ReadFile(path)
+	if err != nil || json.Unmarshal(data, &legacy) != nil || legacy.Schema != "sccg-tenants/1" {
+		return // none, or not ours: an operator's file of that name stays
+	}
+	for id, m := range legacy.Owners {
+		for name, bytes := range m {
+			if err := r.Attribute(name, id, bytes); err != nil {
+				r.log.Warn("import tenants.json", "err", err)
+				return
+			}
+		}
+	}
+	if err := os.Remove(path); err != nil {
+		// Harmless: the next boot imports the same charges again.
+		r.log.Warn("remove imported tenants.json", "err", err)
+	}
+	r.log.Info("imported the tenants.json of an older version into tenants.log", "datasets", len(legacy.Owners))
+}
+
+// apply folds one replayed record into owners.
+func (r *Registry) apply(kind byte, payload []byte, _ int64) error {
+	switch kind {
+	case recOwner:
+		var o owner
+		if err := json.Unmarshal(payload, &o); err != nil {
+			return err
+		}
+		if o.Dataset == "" || !ValidName(o.Tenant) || o.Bytes < 0 {
+			return fmt.Errorf("invalid owner record %+v", o)
+		}
+		r.setLocked(o)
+	case recRelease:
+		delete(r.owners, string(payload))
+	default:
+		return fmt.Errorf("unknown record kind %q", kind)
+	}
+	return nil
+}
+
+func (r *Registry) setLocked(o owner) {
+	if r.owners[o.Dataset] == nil {
+		r.owners[o.Dataset] = make(map[string]int64)
+	}
+	r.owners[o.Dataset][o.Tenant] = o.Bytes
+}
+
+// loggedLocked is the framed size of the record holding name's charge for
+// id, 0 when there is none.
+func (r *Registry) loggedLocked(id, name string) int64 {
+	if b, ok := r.owners[id][name]; ok {
+		return int64(len(owner{id, name, b}.record()))
+	}
+	return 0
+}
+
+// Attribute charges the dataset's bytes to the tenant and returns once the
+// charge is durable. Re-attributing updates the charge (re-ingest is
+// idempotent, so the charge must be too) and logs it again, so a retry after
+// a failed fsync makes it durable. A dataset the store no longer holds is
+// charged to no one: the check runs under the lock DropDataset takes, so an
+// ingest racing a delete either sees the dataset gone or lands before its
+// release.
+func (r *Registry) Attribute(tenantName, datasetID string, bytes int64) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.owners[datasetID]
-	if m == nil {
-		m = make(map[string]int64)
-		r.owners[datasetID] = m
+	if !r.live(datasetID) {
+		r.mu.Unlock()
+		return nil
 	}
-	m[tenantName] = bytes
-	r.saveLocked()
+	o := owner{datasetID, tenantName, bytes}
+	rec := o.record()
+	b, err := r.wal.Append(rec)
+	if err == nil {
+		r.wal.Live += int64(len(rec)) - r.loggedLocked(datasetID, tenantName)
+		r.setLocked(o)
+	}
+	r.mu.Unlock()
+	if err == nil {
+		_, err = r.wal.Commit(b, r.compact)
+	}
+	return err
 }
 
 // DropDataset releases every tenant's charge for the dataset — wired into
 // the store's delete hook so eviction, DELETE /datasets, and GC all release
-// quota in the same stroke.
+// quota in the same stroke. The next commit carries its record.
 func (r *Registry) DropDataset(datasetID string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.owners[datasetID]; !ok {
-		return
+	for name := range r.owners[datasetID] {
+		r.wal.Live -= r.loggedLocked(datasetID, name)
 	}
 	delete(r.owners, datasetID)
-	r.saveLocked()
+	if _, err := r.wal.Append(wal.Frame(recRelease, []byte(datasetID))); err != nil {
+		r.log.Warn("record tenant release", "dataset", datasetID, "err", err)
+	}
+}
+
+// compact rewrites the log to the owner records once it is due.
+func (r *Registry) compact() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.wal.CompactDue() {
+		return
+	}
+	if err := r.wal.Rewrite(r.recordsLocked()); err != nil {
+		r.log.Warn("compact tenants log", "err", err)
+	}
+}
+
+// recordsLocked frames every current charge.
+func (r *Registry) recordsLocked() (recs []byte) {
+	for id, m := range r.owners {
+		for name, b := range m {
+			recs = append(recs, owner{id, name, b}.record()...)
+		}
+	}
+	return recs
 }
 
 // Usage returns the tenant's accounted footprint.
-func (r *Registry) Usage(tenantName string) Usage {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var u Usage
-	for _, m := range r.owners {
-		if b, ok := m[tenantName]; ok {
-			u.Bytes += b
-			u.Datasets++
-		}
-	}
-	return u
-}
+func (r *Registry) Usage(tenantName string) Usage { return r.All()[tenantName] }
 
 // All returns every tenant with non-zero usage, for gauges and the admin
 // listing.
@@ -334,50 +431,4 @@ func (r *Registry) All() map[string]Usage {
 		}
 	}
 	return out
-}
-
-// saveLocked schedules the attribution map to be persisted, unless a write is
-// pending already.
-func (r *Registry) saveLocked() {
-	switch {
-	case r.path == "":
-	case r.closed:
-		r.writeLocked()
-	case r.flush == nil:
-		r.flush = time.AfterFunc(flushDelay, func() {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			if r.flush != nil { // else Close got there first
-				r.flush = nil
-				r.writeLocked()
-			}
-		})
-	}
-}
-
-// Close writes any pending change. The registry stays usable; changes made
-// after Close are written as they happen.
-func (r *Registry) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-	if r.flush != nil {
-		r.flush.Stop()
-		r.flush = nil
-		r.writeLocked()
-	}
-}
-
-// writeLocked persists the attribution map atomically (tmp + rename),
-// best-effort: accounting must never fail the ingest that triggered it.
-func (r *Registry) writeLocked() {
-	data, err := json.Marshal(usageFile{Schema: usageSchema, Owners: r.owners})
-	if err != nil {
-		return
-	}
-	tmp := r.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, r.path)
 }

@@ -1,14 +1,10 @@
 package tenant
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 const sampleConfig = `{
@@ -110,45 +106,6 @@ func TestLoadConfigInlineAndFile(t *testing.T) {
 	}
 }
 
-func TestRegistryAttributionLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRegistry(dir)
-	r.Attribute("acme", "ds-1", 100)
-	r.Attribute("acme", "ds-2", 50)
-	r.Attribute("globex", "ds-1", 100) // shared dataset, charged to both
-
-	if u := r.Usage("acme"); u.Bytes != 150 || u.Datasets != 2 {
-		t.Fatalf("acme usage = %+v", u)
-	}
-	if u := r.Usage("globex"); u.Bytes != 100 || u.Datasets != 1 {
-		t.Fatalf("globex usage = %+v", u)
-	}
-	// Re-ingest is idempotent: the charge updates, it doesn't accumulate.
-	r.Attribute("acme", "ds-1", 100)
-	if u := r.Usage("acme"); u.Bytes != 150 {
-		t.Fatalf("acme usage after re-attribute = %+v", u)
-	}
-
-	// Attribution survives a restart.
-	r.Close()
-	r2 := NewRegistry(dir)
-	if u := r2.Usage("acme"); u.Bytes != 150 || u.Datasets != 2 {
-		t.Fatalf("reloaded acme usage = %+v", u)
-	}
-
-	// Deleting the dataset releases every tenant's charge.
-	r2.DropDataset("ds-1")
-	if u := r2.Usage("acme"); u.Bytes != 50 || u.Datasets != 1 {
-		t.Fatalf("acme usage after DropDataset = %+v", u)
-	}
-	if u := r2.Usage("globex"); u.Bytes != 0 || u.Datasets != 0 {
-		t.Fatalf("globex usage after DropDataset = %+v", u)
-	}
-	if all := r2.All(); len(all) != 1 || all["acme"] != (Usage{Bytes: 50, Datasets: 1}) {
-		t.Fatalf("All() = %v", all)
-	}
-}
-
 // FuzzTenantConfig checks ParseConfig never panics and every accepted config
 // upholds its invariants: valid names, unique names and tokens, non-negative
 // quotas, and a token on every non-default tenant.
@@ -194,79 +151,4 @@ func FuzzTenantConfig(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestRegistryCloseFlushes: changes are not written one by one, and Close
-// writes them all — a reload sees exactly the map the registry held.
-func TestRegistryCloseFlushes(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRegistry(dir)
-	for i := 0; i < 50; i++ {
-		r.Attribute("acme", fmt.Sprintf("ds-%d", i), int64(i))
-		r.Attribute("globex", fmt.Sprintf("ds-%d", i), int64(i))
-	}
-	for i := 0; i < 50; i += 2 {
-		r.DropDataset(fmt.Sprintf("ds-%d", i))
-	}
-	if _, err := os.Stat(filepath.Join(dir, "tenants.json")); err == nil {
-		t.Fatal("tenants.json written before the flush delay or Close")
-	}
-	r.Close()
-	r2 := NewRegistry(dir)
-	if got, want := r2.All(), r.All(); !reflect.DeepEqual(got, want) || len(want) != 2 {
-		t.Fatalf("reloaded usage = %v, want %v", got, want)
-	}
-	if got, want := r2.Usage("acme"), r.Usage("acme"); got != want || want.Datasets != 25 {
-		t.Fatalf("reloaded acme usage = %+v, want %+v", got, want)
-	}
-	// A closed registry writes through.
-	r.Attribute("acme", "late", 7)
-	if u := NewRegistry(dir).Usage("acme"); u != r.Usage("acme") {
-		t.Fatalf("usage after a post-Close change reloads as %+v, want %+v", u, r.Usage("acme"))
-	}
-}
-
-// TestRegistryFlushesOnItsOwn: without Close, a change reaches the file once
-// the flush delay has passed.
-func TestRegistryFlushesOnItsOwn(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRegistry(dir)
-	defer r.Close()
-	r.Attribute("acme", "ds-1", 100)
-	deadline := time.Now().Add(10 * flushDelay)
-	for NewRegistry(dir).Usage("acme").Bytes != 100 {
-		if time.Now().After(deadline) {
-			t.Fatal("change never reached tenants.json")
-		}
-		time.Sleep(flushDelay / 20)
-	}
-}
-
-// TestRegistryConcurrentChanges: ingests, evictions and Close from several
-// goroutines; the file ends up holding the final map.
-func TestRegistryConcurrentChanges(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRegistry(dir)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				id := fmt.Sprintf("ds-%d-%d", g, i)
-				r.Attribute("acme", id, 1)
-				if i%3 == 0 {
-					r.DropDataset(id)
-				}
-				if g == 0 && i == 50 {
-					r.Close()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	r.Close()
-	if got, want := NewRegistry(dir).Usage("acme"), r.Usage("acme"); got != want || want.Datasets != 4*66 {
-		t.Fatalf("reloaded usage = %+v, want %+v", got, want)
-	}
 }
