@@ -21,7 +21,6 @@ import (
 	"repro"
 	"repro/internal/experiments"
 	"repro/internal/gpu"
-	"repro/internal/metrics"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/pixelbox"
@@ -106,7 +105,7 @@ func runFig7(d *pathology.Dataset) {
 	header("Fig. 7 — GEOS vs PixelBox-CPU-S vs PixelBox")
 	res := experiments.Fig7(d)
 	cpuS, gpuBox := res.Speedups()
-	t := metrics.NewTable("system", "time", "speedup over GEOS")
+	t := experiments.NewTable("system", "time", "speedup over GEOS")
 	t.AddRow("GEOS (sweep overlay)", fmt.Sprintf("%.3fs", res.GEOSSecs), 1.0)
 	t.AddRow("PixelBox-CPU-S", fmt.Sprintf("%.3fs", res.PixelBoxCPUSSecs), cpuS)
 	t.AddRow("PixelBox (GTX 580 model)", fmt.Sprintf("%.6fs", res.PixelBoxSecs), gpuBox)
@@ -117,7 +116,7 @@ func runFig7(d *pathology.Dataset) {
 func runFig8(pairs []pixelbox.Pair) {
 	header("Fig. 8 — sampling boxes and indirect union vs pixelization only")
 	rows := experiments.Fig8(pairs, 5)
-	t := metrics.NewTable("SF", "PixelOnly", "PixelBox-NoSep", "PixelBox", "GEOS ref")
+	t := experiments.NewTable("SF", "PixelOnly", "PixelBox-NoSep", "PixelBox", "GEOS ref")
 	for _, r := range rows {
 		t.AddRow(r.ScaleFactor,
 			fmt.Sprintf("%.2fms", r.PixelOnlySecs*1e3),
@@ -133,7 +132,7 @@ func runFig8(pairs []pixelbox.Pair) {
 func runFig9(pairs []pixelbox.Pair) {
 	header("Fig. 9 — implementation optimisation ladder (speedup over NoOpt)")
 	rows := experiments.Fig9(pairs, []int{1, 3, 5})
-	t := metrics.NewTable("SF", "NoOpt", "NBC", "NBC-UR", "NBC-UR-SM")
+	t := experiments.NewTable("SF", "NoOpt", "NBC", "NBC-UR", "NBC-UR-SM")
 	for _, r := range rows {
 		nbc, nbcur, nbcursm := r.Speedups()
 		t.AddRow(r.ScaleFactor, 1.0, nbc, nbcur, nbcursm)
@@ -150,7 +149,7 @@ func runFig10(pairs []pixelbox.Pair) {
 	for _, T := range thresholds {
 		head = append(head, fmt.Sprintf("%d", T))
 	}
-	t := metrics.NewTable(head...)
+	t := experiments.NewTable(head...)
 	for _, s := range series {
 		row := []interface{}{s.ScaleFactor}
 		for _, p := range s.Points {
@@ -173,7 +172,7 @@ func runTable1(d *pathology.Dataset, cal experiments.Calibration) {
 		log.Fatal(err)
 	}
 	s, m, p := res.Speedups()
-	t := metrics.NewTable("scheme", "time", "speedup")
+	t := experiments.NewTable("scheme", "time", "speedup")
 	t.AddRow("PostGIS-S", fmt.Sprintf("%.3fs", res.PostGISSecs), 1.0)
 	t.AddRow("NoPipe-S", fmt.Sprintf("%.3fs", res.NoPipeS.Seconds), s)
 	t.AddRow("NoPipe-M", fmt.Sprintf("%.3fs", res.NoPipeM.Seconds), m)
@@ -190,7 +189,7 @@ func runFig11(cal experiments.Calibration) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	t := metrics.NewTable("configuration", "norm. throughput", "to GPU", "to CPU")
+	t := experiments.NewTable("configuration", "norm. throughput", "to GPU", "to CPU")
 	for _, r := range rows {
 		t.AddRow(r.Config, r.NormThroughput, r.On.MigratedToGPU, r.On.MigratedToCPU)
 	}
@@ -217,7 +216,7 @@ func runHybrid(d *pathology.Dataset, gpus, cpuAggs int) {
 			pipeline.Config{Devices: devices(gpus), CPUAggregators: cpuAggs, BatchPairs: 256}},
 	}
 
-	t := metrics.NewTable("configuration", "wall", "pairs/s", "pairs GPU", "pairs CPU", "J'")
+	t := experiments.NewTable("configuration", "wall", "pairs/s", "pairs GPU", "pairs CPU", "J'")
 	var base, hybridSecs float64
 	var baseSim float64
 	identical := true
@@ -242,7 +241,7 @@ func runHybrid(d *pathology.Dataset, gpus, cpuAggs int) {
 	}
 	fmt.Print(t.String())
 	fmt.Printf("\nhybrid speedup over GPU-only: %.2fx; similarity bit-identical: %v\n",
-		metrics.Speedup(base, hybridSecs), identical)
+		experiments.Speedup(base, hybridSecs), identical)
 }
 
 func runFig12() {
@@ -251,7 +250,7 @@ func runFig12() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	t := metrics.NewTable("dataset", "tiles", "pairs", "PostGIS-M", "SCCG", "speedup", "J'")
+	t := experiments.NewTable("dataset", "tiles", "pairs", "PostGIS-M", "SCCG", "speedup", "J'")
 	for _, r := range rows {
 		t.AddRow(r.Dataset, r.Tiles, r.Pairs,
 			fmt.Sprintf("%.3fs", r.PostGISMSecs),

@@ -1,5 +1,5 @@
 // Command sccgd is the resident SCCG cross-comparison service: a daemon that
-// owns a pool of simulated GPUs plus CPU pipeline workers and serves
+// owns a pool of simulated GPUs plus PixelBox-CPU workers and serves
 // cross-comparison jobs over HTTP (the paper's §4 service generalised to a
 // multi-device node with hybrid CPU+GPU aggregation). Each simulated GPU is
 // one tile worker, and workers take jobs' tiles one at a time; without

@@ -589,7 +589,10 @@ func TestDaemonMatrixEndToEnd(t *testing.T) {
 			if i > j {
 				a, b = j, i
 			}
-			sim, hits, cands := eng.CrossComparePolygons(datasets[a].Pairs[0].A, datasets[b].Pairs[0].B)
+			sim, hits, cands, err := eng.CrossComparePolygons(datasets[a].Pairs[0].A, datasets[b].Pairs[0].B)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if c.Similarity != sim || c.Intersect != hits || c.Candidates != cands {
 				t.Errorf("cell [%d][%d] = (%.17g, %d, %d), CrossComparePolygons = (%.17g, %d, %d); must be exact",
 					i, j, c.Similarity, c.Intersect, c.Candidates, sim, hits, cands)
@@ -1093,7 +1096,10 @@ func TestDaemonMatrixProgressive(t *testing.T) {
 	k := 0
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
-			sim, hits, cands := eng.CrossComparePolygons(datasets[i].Pairs[0].A, datasets[j].Pairs[0].B)
+			sim, hits, cands, err := eng.CrossComparePolygons(datasets[i].Pairs[0].A, datasets[j].Pairs[0].B)
+			if err != nil {
+				t.Fatal(err)
+			}
 			oracle[k] = sim
 			k++
 			c := mst.Cells[i][j]

@@ -55,7 +55,10 @@ func main() {
 			}
 			var sum float64
 			for t := 0; t < tiles; t++ {
-				sim, _, _ := eng.CrossComparePolygons(results[i][t], results[j][t])
+				sim, _, _, err := eng.CrossComparePolygons(results[i][t], results[j][t])
+				if err != nil {
+					panic(err)
+				}
 				sum += sim
 			}
 			fmt.Printf("%-10.3f", sum/tiles)

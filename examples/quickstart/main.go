@@ -22,7 +22,10 @@ func main() {
 	fmt.Printf("tile: %d polygons in set A, %d in set B\n", len(tile.A), len(tile.B))
 
 	// Filter: every pair with intersecting MBRs.
-	pairs := sccg.MatchPairs(tile.A, tile.B)
+	pairs, _, err := sccg.MatchPairs(tile.A, tile.B)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("filter: %d candidate pairs\n\n", len(pairs))
 
 	// 1. Exact sweep overlay (the GEOS/SDBMS way).
@@ -40,7 +43,10 @@ func main() {
 
 	// 3. PixelBox on the simulated GTX 580.
 	eng := sccg.NewEngine(sccg.Options{})
-	gpuRes := eng.ComputeAreas(pairs)
+	gpuRes, err := eng.ComputeAreas(pairs)
+	if err != nil {
+		panic(err)
+	}
 	gpuTime := eng.Device().BusySeconds()
 
 	// All three must agree bit-for-bit (paper §3.4: pixelization loses no
@@ -53,7 +59,10 @@ func main() {
 	}
 	fmt.Println("sweep, PixelBox-CPU and PixelBox(GPU) agree on every pair ✓")
 
-	sim, hits, cands := eng.CrossComparePolygons(tile.A, tile.B)
+	sim, hits, cands, err := eng.CrossComparePolygons(tile.A, tile.B)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("\nJaccard similarity J' = %.4f (%d intersecting of %d candidates)\n", sim, hits, cands)
 	fmt.Printf("\nsweep overlay : %v\n", sweepTime)
 	fmt.Printf("PixelBox-CPU  : %v\n", cpuTime)

@@ -34,7 +34,10 @@ func main() {
 		var simSum float64
 		var hitSum, candSum int
 		for i := 0; i < tiles; i++ {
-			sim, hits, cands := eng.CrossComparePolygons(reference[i], variant[i])
+			sim, hits, cands, err := eng.CrossComparePolygons(reference[i], variant[i])
+			if err != nil {
+				panic(err)
+			}
 			simSum += sim
 			hitSum += hits
 			candSum += cands

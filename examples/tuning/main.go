@@ -21,7 +21,11 @@ func main() {
 	var pairs []sccg.Pair
 	for t := 0; t < 3; t++ {
 		tp := pathology.GenerateTilePair(rng, "tuning", t, pathology.DefaultGenConfig())
-		pairs = append(pairs, sccg.MatchPairs(tp.A, tp.B)...)
+		tilePairs, _, err := sccg.MatchPairs(tp.A, tp.B)
+		if err != nil {
+			panic(err)
+		}
+		pairs = append(pairs, tilePairs...)
 	}
 	pairs = experiments.ScalePairs(pairs, 3)
 	fmt.Printf("workload: %d polygon pairs at scale factor 3\n\n", len(pairs))

@@ -24,9 +24,9 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/tilepass"
 )
 
 // TileKey identifies one tile within a dataset.
@@ -138,7 +138,7 @@ func NewSource(a, b *store.Dataset) (*Source, Match) {
 // Len returns the matched tile-pair count.
 func (s *Source) Len() int { return len(s.pairs) }
 
-// PolyTask materializes pair i as pipeline input.
-func (s *Source) PolyTask(i int) (pipeline.PolyTask, error) {
+// PolyTask materializes pair i as tile-pass input.
+func (s *Source) PolyTask(i int) (tilepass.PolyTask, error) {
 	return s.r.PolyTask(s.pairs[i].A, s.pairs[i].B)
 }

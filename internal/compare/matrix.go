@@ -40,9 +40,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/tilepass"
 	"repro/internal/trace"
 )
 
@@ -83,7 +83,7 @@ type SubmitOutcome struct {
 	Trace *trace.Trace
 	// Report is set when the cell was answered terminal-immediately from a
 	// persisted report; the run records it without waiting on any job.
-	Report *pipeline.Result
+	Report *tilepass.Result
 	// Tiles and the unmatched counts describe the cell's tile pairing.
 	Tiles      int
 	UnmatchedA int
@@ -350,7 +350,7 @@ type cell struct {
 	tiles      int
 	unmatchedA int
 	unmatchedB int
-	report     *pipeline.Result // set when state == done
+	report     *tilepass.Result // set when state == done
 	// bound is the plan phase's similarity upper bound; boundSet marks it
 	// computed (a run without a Bound hook plans none).
 	bound    float64

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/tilepass"
 )
 
 // directSubmit is a cache-less cell submitter over a store and scheduler.
@@ -131,7 +131,7 @@ func TestMatrixSymmetricAndExact(t *testing.T) {
 func TestMatrixCachedCells(t *testing.T) {
 	sc := sched.New(sched.Config{})
 	t.Cleanup(sc.Close)
-	rep := pipeline.Result{Similarity: 0.5, RatioSum: 1, Intersecting: 2, Candidates: 3}
+	rep := tilepass.Result{Similarity: 0.5, RatioSum: 1, Intersecting: 2, Candidates: 3}
 	m := NewManager(ManagerConfig{
 		Scheduler: sc,
 		Submit: func(idA, idB, _ string) (SubmitOutcome, error) {
@@ -169,7 +169,7 @@ func TestMatrixCachedCells(t *testing.T) {
 func TestFinishedRunsForgotten(t *testing.T) {
 	sc := sched.New(sched.Config{})
 	t.Cleanup(sc.Close)
-	rep := pipeline.Result{Similarity: 0.5, RatioSum: 1, Intersecting: 2, Candidates: 3}
+	rep := tilepass.Result{Similarity: 0.5, RatioSum: 1, Intersecting: 2, Candidates: 3}
 	hold := make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(hold) }) }
@@ -237,11 +237,11 @@ func testID(b byte) string {
 // cancellation timing deterministic.
 type gatedSource struct {
 	release <-chan struct{}
-	task    pipeline.PolyTask
+	task    tilepass.PolyTask
 }
 
 func (g *gatedSource) Len() int { return 1 }
-func (g *gatedSource) PolyTask(int) (pipeline.PolyTask, error) {
+func (g *gatedSource) PolyTask(int) (tilepass.PolyTask, error) {
 	<-g.release
 	return g.task, nil
 }

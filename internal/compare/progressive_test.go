@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"repro/internal/pathology"
-	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/tilepass"
 )
 
 // ingestShifted stores a generated variant whose polygons are translated by
@@ -326,7 +326,7 @@ func TestPlanOrder(t *testing.T) {
 	idA := testID('a')
 	cols := []string{testID('b'), testID('c'), testID('d'), testID('e')}
 	bounds := map[string]float64{cols[0]: 0.2, cols[1]: 0.9, cols[2]: 0.9, cols[3]: 0}
-	rep := pipeline.Result{Similarity: 0.15}
+	rep := tilepass.Result{Similarity: 0.15}
 	var mu sync.Mutex
 	var submitted []string
 	m := NewManager(ManagerConfig{
@@ -443,7 +443,7 @@ func TestMatrixPrunesInFlightCells(t *testing.T) {
 	idA, idB, idC := testID('a'), testID('b'), testID('c')
 	bounds := map[string]float64{idB: 0.9, idC: 0.6}
 	runCh := make(chan *Run, 1)
-	rep := pipeline.Result{Similarity: 0.8}
+	rep := tilepass.Result{Similarity: 0.8}
 
 	m := NewManager(ManagerConfig{
 		Scheduler:   sc,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/pathology"
 	"repro/internal/pipesim"
 	"repro/internal/pixelbox"
@@ -50,7 +49,7 @@ func Fig2(d *pathology.Dataset) (Fig2Result, error) {
 
 // Render prints the decomposition as percentage rows.
 func (r Fig2Result) Render() string {
-	t := metrics.NewTable("component", "unoptimized", "optimized")
+	t := NewTable("component", "unoptimized", "optimized")
 	u, o := r.Unoptimized.Profile, r.Optimized.Profile
 	ut, ot := float64(u.Total()), float64(o.Total())
 	uc, oc := u.Components(), o.Components()
@@ -74,7 +73,7 @@ type Fig7Result struct {
 
 // Speedups returns the Fig. 7 right-hand panel: speedups over GEOS.
 func (r Fig7Result) Speedups() (cpuS, gpuBox float64) {
-	return metrics.Speedup(r.GEOSSecs, r.PixelBoxCPUSSecs), metrics.Speedup(r.GEOSSecs, r.PixelBoxSecs)
+	return Speedup(r.GEOSSecs, r.PixelBoxCPUSSecs), Speedup(r.GEOSSecs, r.PixelBoxSecs)
 }
 
 // Fig7 measures all three systems over every filtered pair of the dataset.
@@ -84,11 +83,11 @@ func Fig7(d *pathology.Dataset) Fig7Result {
 	var out Fig7Result
 	out.Pairs = len(pairs)
 
-	sw := metrics.Start()
+	sw := Start()
 	SweepAreas(encoded)
 	out.GEOSSecs = sw.ElapsedSeconds()
 
-	sw = metrics.Start()
+	sw = Start()
 	LiteralCPU(pairs)
 	out.PixelBoxCPUSSecs = sw.ElapsedSeconds()
 
@@ -112,7 +111,7 @@ func Fig8(pairs []pixelbox.Pair, maxSF int) []Fig8Row {
 	for sf := 1; sf <= maxSF; sf++ {
 		scaled := ScalePairs(pairs, int32(sf))
 		encoded := EncodePairs(scaled)
-		sw := metrics.Start()
+		sw := Start()
 		SweepAreas(encoded)
 		rows = append(rows, Fig8Row{
 			ScaleFactor:   sf,
@@ -137,9 +136,9 @@ type Fig9Row struct {
 
 // Speedups returns each variant's speedup over NoOpt.
 func (r Fig9Row) Speedups() (nbc, nbcur, nbcursm float64) {
-	return metrics.Speedup(r.NoOptSecs, r.NBCSecs),
-		metrics.Speedup(r.NoOptSecs, r.NBCURSecs),
-		metrics.Speedup(r.NoOptSecs, r.NBCURSMSecs)
+	return Speedup(r.NoOptSecs, r.NBCSecs),
+		Speedup(r.NoOptSecs, r.NBCURSecs),
+		Speedup(r.NoOptSecs, r.NBCURSMSecs)
 }
 
 // Fig9 measures the optimisation ladder at the given scale factors (the
@@ -212,9 +211,9 @@ type Table1Result struct {
 
 // Speedups returns the Table 1 row: each scheme's speedup over PostGIS-S.
 func (r Table1Result) Speedups() (s, m, p float64) {
-	return metrics.Speedup(r.PostGISSecs, r.NoPipeS.Seconds),
-		metrics.Speedup(r.PostGISSecs, r.NoPipeM.Seconds),
-		metrics.Speedup(r.PostGISSecs, r.Pipelined.Seconds)
+	return Speedup(r.PostGISSecs, r.NoPipeS.Seconds),
+		Speedup(r.PostGISSecs, r.NoPipeM.Seconds),
+		Speedup(r.PostGISSecs, r.Pipelined.Seconds)
 }
 
 // Table1 measures the SDBMS baseline on the host core and simulates the
@@ -230,7 +229,7 @@ func Table1(d *pathology.Dataset, cal Calibration) (Table1Result, error) {
 	if _, err := db.CreateTable("t2", b); err != nil {
 		return out, err
 	}
-	sw := metrics.Start()
+	sw := Start()
 	if _, err := db.CrossCompare("t1", "t2", sdbms.Optimized); err != nil {
 		return out, err
 	}
@@ -337,7 +336,7 @@ func Fig12(specs []pathology.DatasetSpec) ([]Fig12Row, error) {
 		if _, err := db.CreateTable("b", b); err != nil {
 			return nil, err
 		}
-		sw := metrics.Start()
+		sw := Start()
 		res, err := db.CrossCompare("a", "b", sdbms.Optimized)
 		if err != nil {
 			return nil, err
@@ -369,7 +368,7 @@ func Fig12(specs []pathology.DatasetSpec) ([]Fig12Row, error) {
 			Pairs:        cal.TotalPairs,
 			PostGISMSecs: postgisM.Seconds(),
 			SCCGSecs:     sccg.Seconds,
-			Speedup:      metrics.Speedup(postgisM.Seconds(), sccg.Seconds),
+			Speedup:      Speedup(postgisM.Seconds(), sccg.Seconds),
 			Similarity:   res.Similarity,
 		})
 	}
@@ -383,7 +382,7 @@ func Fig12GeoMean(rows []Fig12Row) float64 {
 	for i, r := range rows {
 		vals[i] = r.Speedup
 	}
-	return metrics.GeoMean(vals)
+	return GeoMean(vals)
 }
 
 // durationSeconds formats a seconds value as a duration for tables.

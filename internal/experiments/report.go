@@ -1,8 +1,9 @@
-// Package metrics provides the measurement and reporting helpers shared by
-// the experiment drivers: monotonic stopwatches, speedup and geometric-mean
-// arithmetic (Fig. 12 reports the geometric mean of per-dataset speedups),
-// and fixed-width table rendering for paper-style output.
-package metrics
+package experiments
+
+// The experiments' measurement and reporting helpers: monotonic stopwatches,
+// speedup and geometric-mean arithmetic (Fig. 12 reports the geometric mean
+// of per-dataset speedups), and fixed-width table rendering for paper-style
+// output.
 
 import (
 	"fmt"

@@ -1,3 +1,7 @@
+// Package metrics is the daemon's metrics registry: counters, gauges and
+// histograms keyed by rendered series name, scrape-time emitters (OnScrape),
+// and the Prometheus text exposition that GET /metrics serves. The
+// paper-figure experiments' stopwatches and tables live in internal/experiments.
 package metrics
 
 import (

@@ -5,9 +5,9 @@
 // WKT-like syntax. Parsing transforms text into the binary polygon
 // representation; the paper implements it as a finite state machine and
 // notes (§4.2, citing Asanovic et al.) that FSMs parallelise poorly — the
-// GPU port of the parser only matches CPU speed, which is exactly what makes
-// the parser stage a useful migration target when the GPU would otherwise
-// idle.
+// GPU port of the parser (modelled in internal/pipeline) only matches CPU
+// speed, which is exactly what makes the parser stage a useful migration
+// target when the GPU would otherwise idle.
 //
 // Parse is also the front half of PUT /datasets, where it is most of what an
 // upload costs, so it touches each byte once and allocates per file, not per
@@ -23,8 +23,16 @@ import (
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/gpu"
 )
+
+// FileTask is one image tile's two result sets as polygon files in the text
+// format: the input of the paper's text pipeline.
+type FileTask struct {
+	Image string
+	Tile  int
+	RawA  []byte
+	RawB  []byte
+}
 
 // Encode serialises polygons into the text format, one per line:
 //
@@ -251,38 +259,4 @@ func unexpected(line, pos int, c byte) error {
 
 func outOfRange(line, pos int) error {
 	return fmt.Errorf("parser: line %d: coordinate outside int32 at byte %d", line, pos)
-}
-
-// GPUParse parses a polygon file "on the GPU": the decoding runs on the
-// host (results identical to Parse), while the virtual device is charged
-// time equivalent to the host's single-core parsing throughput.
-//
-// This parity is the paper's own measurement (§4.2): the GPU parser — an FSM
-// whose warps fully serialise on per-character divergence and whose byte
-// loads cannot coalesce — achieves performance "only comparable to its CPU
-// counterpart". hostBytesPerSec is the calibrated CPU parser throughput.
-func GPUParse(dev *gpu.Device, data []byte, hostBytesPerSec float64) ([]*geom.Polygon, float64, error) {
-	polys, err := Parse(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	if hostBytesPerSec <= 0 {
-		hostBytesPerSec = 100e6
-	}
-	cfg := dev.Config()
-	targetSecs := float64(len(data)) / hostBytesPerSec
-	// Express the cost as a kernel over 4 KiB chunks whose per-byte charge
-	// realises the target throughput, so device accounting (busy time,
-	// launches) stays consistent with other kernels.
-	const chunk = 4096
-	blocks := (len(data) + chunk - 1) / chunk
-	if blocks == 0 {
-		blocks = 1
-	}
-	cyclesPerBlock := targetSecs * cfg.ClockHz * float64(cfg.SMs) / float64(blocks)
-	res := dev.Launch(blocks, 32, 0, func(b *gpu.Block) {
-		b.Uniform(int(cyclesPerBlock))
-	})
-	xfer := dev.Transfer(int64(len(data)))
-	return polys, res.DeviceSeconds + xfer, nil
 }

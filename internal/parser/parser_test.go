@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/geomtest"
-	"repro/internal/gpu"
 	"repro/internal/parser"
 	"repro/internal/pathology"
 )
@@ -122,36 +121,6 @@ func TestEncodeFormat(t *testing.T) {
 	want := "0 POLYGON ((1 2,3 2,3 4,1 4))\n"
 	if string(data) != want {
 		t.Fatalf("encoded %q, want %q", data, want)
-	}
-}
-
-func TestGPUParseMatchesCPUAndChargesDevice(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var polys []*geom.Polygon
-	for len(polys) < 30 {
-		if p := geomtest.RandomPolygon(rng, 30); p != nil {
-			polys = append(polys, p)
-		}
-	}
-	data := parser.Encode(polys)
-	dev := gpu.NewDevice(gpu.GTX580())
-	got, secs, err := parser.GPUParse(dev, data, 200e6)
-	if err != nil {
-		t.Fatalf("gpu parse: %v", err)
-	}
-	if len(got) != len(polys) {
-		t.Fatalf("gpu parsed %d, want %d", len(got), len(polys))
-	}
-	if secs <= 0 {
-		t.Fatal("gpu parse charged no device time")
-	}
-	if dev.Launches() != 1 {
-		t.Fatalf("launches = %d", dev.Launches())
-	}
-	// Device throughput should be within 2x of the requested host parity.
-	modelBPS := float64(len(data)) / secs
-	if modelBPS > 500e6 {
-		t.Fatalf("GPU parser throughput %e B/s implausibly above host parity", modelBPS)
 	}
 }
 

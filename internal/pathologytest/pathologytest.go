@@ -7,15 +7,14 @@ package pathologytest
 import (
 	"repro/internal/parser"
 	"repro/internal/pathology"
-	"repro/internal/pipeline"
 	"repro/internal/store"
 )
 
 // Tasks encodes d's tiles as pipeline text tasks, as segmentation emits them.
-func Tasks(d *pathology.Dataset) []pipeline.FileTask {
-	tasks := make([]pipeline.FileTask, len(d.Pairs))
+func Tasks(d *pathology.Dataset) []parser.FileTask {
+	tasks := make([]parser.FileTask, len(d.Pairs))
 	for i, tp := range d.Pairs {
-		tasks[i] = pipeline.FileTask{Image: tp.Image, Tile: tp.Index, RawA: parser.Encode(tp.A), RawB: parser.Encode(tp.B)}
+		tasks[i] = parser.FileTask{Image: tp.Image, Tile: tp.Index, RawA: parser.Encode(tp.A), RawB: parser.Encode(tp.B)}
 	}
 	return tasks
 }

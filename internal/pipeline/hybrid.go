@@ -15,7 +15,7 @@ package pipeline
 //
 // The stealing policy, its EWMA claim sizing and ThroughputMemory drive Run
 // only. RunParsed builds the same pool but hands each executor whole tiles
-// (tiles.go); the EWMA is then only reported.
+// (tilepass.TilePass); the EWMA is then only reported.
 
 import (
 	"fmt"
@@ -26,12 +26,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/pixelbox"
-)
-
-// Executor kinds.
-const (
-	ExecGPU = "gpu"
-	ExecCPU = "cpu"
+	"repro/internal/tilepass"
 )
 
 // ThroughputMemory carries measured executor throughput (EWMA pairs/sec)
@@ -67,19 +62,6 @@ func (m *ThroughputMemory) Record(id string, pairsPerSec float64) {
 	m.mu.Unlock()
 }
 
-// ExecutorStats reports one hybrid-aggregator executor's work. In a
-// RunParsed run one batch is one tile and Busy is the time spent counting.
-type ExecutorStats struct {
-	ID      string
-	Kind    string // ExecGPU or ExecCPU
-	Batches int64
-	Pairs   int64
-	Busy    time.Duration
-	// PairsPerSec is the executor's final measured throughput (EWMA over
-	// its batches) — the quantity the stealing policy sizes claims with.
-	PairsPerSec float64
-}
-
 // Throughput priors seed the cost model before an executor has processed a
 // batch. Only their ratio matters (it sets the first claim sizes); both
 // estimates converge to measurements after the first batch. The 8:1 ratio
@@ -94,8 +76,8 @@ const (
 type executor struct {
 	id   string
 	kind string
-	dev  *gpu.Device        // ExecGPU only
-	cpu  pixelbox.CPUConfig // ExecCPU only
+	dev  *gpu.Device        // tilepass.ExecGPU only
+	cpu  pixelbox.CPUConfig // tilepass.ExecCPU only
 
 	tpBits  uint64 // atomic float64 bits: EWMA pairs/sec
 	batches int64  // atomic
@@ -121,8 +103,8 @@ func (e *executor) observe(pairs int, elapsed time.Duration) {
 	atomic.StoreUint64(&e.tpBits, math.Float64bits(next))
 }
 
-func (e *executor) snapshot() ExecutorStats {
-	return ExecutorStats{
+func (e *executor) snapshot() tilepass.ExecutorStats {
+	return tilepass.ExecutorStats{
 		ID:          e.id,
 		Kind:        e.kind,
 		Batches:     atomic.LoadInt64(&e.batches),
@@ -154,7 +136,7 @@ func buildExecutors(cfg Config) []*executor {
 		id := fmt.Sprintf("gpu%d", i)
 		execs = append(execs, &executor{
 			id:     id,
-			kind:   ExecGPU,
+			kind:   tilepass.ExecGPU,
 			dev:    dev,
 			tpBits: prior(id, gpuThroughputPrior),
 		})
@@ -170,7 +152,7 @@ func buildExecutors(cfg Config) []*executor {
 		id := fmt.Sprintf("cpu%d", i)
 		execs = append(execs, &executor{
 			id:     id,
-			kind:   ExecCPU,
+			kind:   tilepass.ExecCPU,
 			cpu:    cpuCfg,
 			tpBits: prior(id, cpuThroughputPrior),
 		})
@@ -208,7 +190,7 @@ func (r *run) claimTarget(e *executor) int {
 // steal the smallest tasks first, mirroring the §4.2 migrator's "select the
 // smallest tasks" rule. ok is false when the pair buffer has drained.
 func (r *run) claim(e *executor) (batch []pairTask, ok bool) {
-	stealSmallest := e.kind == ExecCPU && len(r.executors) > 1
+	stealSmallest := e.kind == tilepass.ExecCPU && len(r.executors) > 1
 	want := r.claimTarget(e)
 	var t pairTask
 	if stealSmallest {
@@ -247,12 +229,12 @@ func (r *run) claim(e *executor) (batch []pairTask, ok bool) {
 // computes a short run's pairs is decided by which goroutine the scheduler
 // happens to wake first.
 func (r *run) executorWorker(e *executor) {
-	if e.kind == ExecCPU {
+	if e.kind == tilepass.ExecCPU {
 		r.gpuClaimed.Wait()
 	}
 	for {
 		batch, ok := r.claim(e)
-		if e.kind == ExecGPU {
+		if e.kind == tilepass.ExecGPU {
 			r.gpuClaimedOnce.Do(r.gpuClaimed.Done)
 		}
 		if !ok {
@@ -268,7 +250,7 @@ func (r *run) executorWorker(e *executor) {
 		}
 		start := time.Now()
 		var results []pixelbox.AreaResult
-		if e.kind == ExecGPU {
+		if e.kind == tilepass.ExecGPU {
 			results, _, _ = pixelbox.RunGPU(e.dev, flat, r.cfg.PixelBox)
 		} else {
 			results = pixelbox.RunCPUParallel(flat, e.cpu)
@@ -276,7 +258,7 @@ func (r *run) executorWorker(e *executor) {
 		elapsed := time.Since(start)
 		off := 0
 		for _, t := range batch {
-			r.accumulateTask(t, results[off:off+len(t.pairs)], e.kind == ExecGPU)
+			r.accumulateTask(t, results[off:off+len(t.pairs)], e.kind == tilepass.ExecGPU)
 			off += len(t.pairs)
 		}
 		e.observe(n, elapsed)

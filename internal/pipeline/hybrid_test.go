@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/pathology"
+	"repro/internal/tilepass"
 )
 
 func hybridDataset(t *testing.T) []FileTask {
@@ -77,9 +78,9 @@ func TestHybridExecutorAccounting(t *testing.T) {
 	var pairs int64
 	for _, e := range ex {
 		switch e.Kind {
-		case ExecGPU:
+		case tilepass.ExecGPU:
 			gpus++
-		case ExecCPU:
+		case tilepass.ExecCPU:
 			cpus++
 		default:
 			t.Errorf("unknown executor kind %q", e.Kind)
@@ -108,8 +109,8 @@ func TestHybridExecutorAccounting(t *testing.T) {
 // [1, BatchPairs].
 func TestClaimTargetScalesWithThroughput(t *testing.T) {
 	cfg := Config{BatchPairs: 1000}.normalized()
-	fast := &executor{id: "gpu0", kind: ExecGPU}
-	slow := &executor{id: "cpu0", kind: ExecCPU}
+	fast := &executor{id: "gpu0", kind: tilepass.ExecGPU}
+	slow := &executor{id: "cpu0", kind: tilepass.ExecCPU}
 	r := &run{cfg: cfg, executors: []*executor{fast, slow}}
 
 	// Converge the EWMAs onto 1e6 and 1e5 pairs/s.

@@ -17,16 +17,17 @@
 //
 // The stages exist to overlap slow text parsing with the rest (Run). Tiles
 // that arrive parsed (RunParsed) have nothing to overlap with, so each
-// executor of the same pool takes whole tiles and builds, joins and counts
-// each in one pass (tiles.go). Because PixelBox areas are exact integer pixel
-// counts and Jaccard ratios are accumulated per tile in canonical order, the
-// reported similarity is bit-identical no matter which executors computed
-// which tiles, on either path.
+// executor of the same pool takes whole tiles and runs the tile pass of
+// internal/tilepass on each, as the sccgd scheduler does. Because PixelBox
+// areas are exact integer pixel counts and both paths fold their per-tile
+// ratio partials with tilepass.FoldRatios in canonical order, the reported
+// similarity is bit-identical no matter which executors computed which
+// tiles, on either path.
 package pipeline
 
 import (
 	"fmt"
-	"sort"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,34 +37,19 @@ import (
 	"repro/internal/parser"
 	"repro/internal/pixelbox"
 	"repro/internal/rtree"
+	"repro/internal/tilepass"
 )
 
 // FileTask is the pipeline input: the raw text polygon files of one tile's
 // two result sets.
-type FileTask struct {
-	Image string
-	Tile  int
-	RawA  []byte
-	RawB  []byte
-}
+type FileTask = parser.FileTask
 
 // PolyTask is the pre-parsed pipeline input: one tile's two result sets as
-// decoded polygon slices. Stored datasets, whose WKB records were fully
-// validated at ingest, enter through RunParsed with PolyTasks and are never
-// parsed — the polygons are the same values text parsing would produce, so
-// the report stays bit-identical to the FileTask path.
-//
-// TreeA and TreeB are optional: rtree.Index(A) and rtree.Index(B), which the
-// store builds once per decoded set and keeps with it. A task that carries a
-// tree is not indexed again for that set; the tree is the one the run would
-// have built, so the candidate pairs and their order are the same either
-// way.
-type PolyTask struct {
-	Image        string
-	Tile         int
-	A, B         []*geom.Polygon
-	TreeA, TreeB *rtree.Tree
-}
+// decoded polygon slices, with the trees a stored tile carries.
+type PolyTask = tilepass.PolyTask
+
+// Result is a run's cross-comparison outcome.
+type Result = tilepass.Result
 
 // tileTask is one tile between the parser and the filter: the parser stage
 // emits it without trees, the builder stage builds them.
@@ -141,53 +127,6 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// Stats reports what the pipeline did.
-type Stats struct {
-	TilesProcessed int
-	PairsFiltered  int
-	PairsOnGPU     int
-	PairsOnCPU     int
-	TasksToCPU     int64 // aggregator tasks migrated GPU -> CPU
-	TasksToGPU     int64 // parser tasks migrated CPU -> GPU
-	KernelLaunches int64
-	DeviceSeconds  float64 // modelled GPU busy time
-	WallTime       time.Duration
-	ParserBusy     time.Duration
-	BuilderBusy    time.Duration
-	FilterBusy     time.Duration
-	AggregatorBusy time.Duration
-	// Executors is the per-executor accounting of the hybrid aggregator.
-	Executors []ExecutorStats
-}
-
-// TileRatio is one tile's contribution to J': the tile's Jaccard ratio sum
-// folded in pair order. Keeping per-tile partials lets any combination of
-// runs and shards recompute the dataset similarity in one canonical order,
-// making the result bit-identical across executor configurations.
-type TileRatio struct {
-	Image        string
-	Tile         int
-	RatioSum     float64
-	Intersecting int
-}
-
-// Result is the cross-comparison outcome for one image's two result sets.
-type Result struct {
-	// Similarity is J' (Eq. 1) aggregated over all tiles.
-	Similarity float64
-	// RatioSum is the raw sum of per-pair Jaccard ratios (the numerator of
-	// J'), folded over TileRatios in canonical tile order.
-	RatioSum float64
-	// Intersecting and Candidates count truly-intersecting and
-	// MBR-intersecting pairs.
-	Intersecting int
-	Candidates   int
-	// TileRatios holds the per-tile partial sums in canonical (image, tile)
-	// order; Merge uses them to keep shard merging bit-exact.
-	TileRatios []TileRatio
-	Stats      Stats
-}
-
 // Merge combines the results of several pipeline runs over disjoint tile
 // shards of one comparison into the result a single run over the union would
 // have produced. Similarity is recomputed from the per-tile ratio partials
@@ -222,11 +161,11 @@ func Merge(shards ...Result) Result {
 		m.Stats.Executors = append(m.Stats.Executors, s.Stats.Executors...)
 	}
 	if tileBased {
-		var trs []TileRatio
+		var trs []tilepass.TileRatio
 		for _, s := range shards {
 			trs = append(trs, s.TileRatios...)
 		}
-		f := foldRatios(trs)
+		f := tilepass.FoldRatios(trs)
 		m.TileRatios, m.RatioSum, m.Intersecting, m.Similarity = f.TileRatios, f.RatioSum, f.Intersecting, f.Similarity
 		return m
 	}
@@ -240,43 +179,6 @@ func Merge(shards ...Result) Result {
 	return m
 }
 
-// foldRatios sorts per-tile partials into canonical (image, tile) order,
-// adds the partials of a key given twice into one in argument order, and
-// sums them: the one fold behind every path's similarity, so its bits never
-// depend on which run, executor or worker computed which tile.
-func foldRatios(trs []TileRatio) Result {
-	sortTileRatios(trs)
-	res := Result{TileRatios: trs[:0]}
-	for _, tr := range trs {
-		if n := len(res.TileRatios) - 1; n >= 0 && res.TileRatios[n].Image == tr.Image && res.TileRatios[n].Tile == tr.Tile {
-			res.TileRatios[n].RatioSum += tr.RatioSum
-			res.TileRatios[n].Intersecting += tr.Intersecting
-		} else {
-			res.TileRatios = append(res.TileRatios, tr)
-		}
-	}
-	for _, tr := range res.TileRatios {
-		res.RatioSum += tr.RatioSum
-		res.Intersecting += tr.Intersecting
-	}
-	if res.Intersecting > 0 {
-		res.Similarity = res.RatioSum / float64(res.Intersecting)
-	}
-	return res
-}
-
-func sortTileRatios(trs []TileRatio) {
-	// Stable so that duplicate (image, tile) keys — which disjoint shards
-	// never produce, but hand-built results might — keep their argument
-	// order and the float fold stays deterministic.
-	sort.SliceStable(trs, func(i, j int) bool {
-		if trs[i].Image != trs[j].Image {
-			return trs[i].Image < trs[j].Image
-		}
-		return trs[i].Tile < trs[j].Tile
-	})
-}
-
 // Run executes the full pipeline over tasks and returns the image
 // similarity and execution statistics. It is safe to call concurrently with
 // distinct Configs/devices.
@@ -286,25 +188,61 @@ func Run(tasks []FileTask, cfg Config) (Result, error) {
 	return p.execute(tasks)
 }
 
-// tileKey identifies one tile's accumulator.
-type tileKey struct {
-	image string
-	tile  int
-}
-
-// tileAgg is one tile's ratio partial, folded in pair order by whichever
-// executor processed the tile.
-type tileAgg struct {
-	ratioSum float64
-	hits     int
-}
-
-// add folds one pair's areas into the partial.
-func (a *tileAgg) add(ar pixelbox.AreaResult) {
-	if ratio, ok := ar.Ratio(); ok {
-		a.ratioSum += ratio
-		a.hits++
+// RunParsed compares pre-parsed tile tasks, which pay no text re-encode or
+// re-parse. There are no stages: each executor of the pool Run would build
+// takes the next whole tile off one cursor and runs its tile pass — one
+// goroutine per device, one per CPU executor of a hybrid pool, and
+// CPU.Workers (default GOMAXPROCS) for the lone CPU executor of a CPU-only
+// run. A malformed tile (see tilepass.TilePass.Run) fails the run. In the
+// executor stats one batch is one tile and Busy its count.
+func RunParsed(tasks []PolyTask, cfg Config) (Result, error) {
+	cfg = cfg.normalized()
+	cfg.Warmth = nil
+	start := time.Now()
+	execs := buildExecutors(cfg)
+	parts := make([]tilepass.TileResult, len(tasks))
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	for _, e := range execs {
+		workers := 1
+		if e.kind == tilepass.ExecCPU {
+			workers = e.cpu.Workers
+			if workers <= 0 {
+				workers = runtime.GOMAXPROCS(0)
+			}
+		}
+		for w := min(workers, len(tasks)); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pass := tilepass.TilePass{Device: e.dev, PixelBox: cfg.PixelBox}
+				for i := next.Add(1) - 1; i < int64(len(tasks)); i = next.Add(1) - 1 {
+					r, err := pass.Run(tasks[i])
+					if err != nil {
+						errOnce.Do(func() { firstErr = err })
+						next.Store(int64(len(tasks))) // hand out no more tiles
+						return
+					}
+					parts[i] = r
+					e.observe(r.Candidates, r.Count)
+				}
+			}()
+		}
 	}
+	wg.Wait()
+	if firstErr != nil {
+		return Result{}, firstErr
+	}
+	res := tilepass.Fold(parts)
+	res.Stats.WallTime = time.Since(start)
+	for _, e := range execs {
+		res.Stats.Executors = append(res.Stats.Executors, e.snapshot())
+	}
+	return res, nil
 }
 
 // run carries one pipeline execution's shared state.
@@ -323,7 +261,7 @@ type run struct {
 	gpuClaimedOnce sync.Once
 
 	mu       sync.Mutex
-	tiles    map[tileKey]*tileAgg
+	tiles    []tilepass.TileRatio // each pair task's partial, folded by finalize
 	firstErr error
 
 	// pendingParse counts input tasks not yet pushed past the parser
@@ -331,7 +269,7 @@ type run struct {
 	// parser workers and the parser migrator interchangeable producers.
 	pendingParse int64
 
-	stats Stats
+	stats tilepass.Stats
 
 	parserBusy, builderBusy, filterBusy, aggBusy int64 // atomic nanoseconds
 	pairsGPU, pairsCPU                           int64
@@ -346,24 +284,18 @@ func (r *run) fail(err error) {
 }
 
 // accumulateTask folds one whole tile task's pair results into the tile's
-// accumulator. The fold runs in the task's pair order and tasks never split
+// partial. The fold runs in the task's pair order and tasks never split
 // tiles, so each tile's partial sum is independent of which executor
 // computed it and of batch composition — the root of the pipeline's
 // bit-exact determinism.
 func (r *run) accumulateTask(t pairTask, results []pixelbox.AreaResult, onGPU bool) {
-	var part tileAgg
+	var part tilepass.TileRatio
 	for _, ar := range results {
-		part.add(ar)
+		part.Add(ar)
 	}
-	key := tileKey{image: t.image, tile: t.tile}
+	part.Image, part.Tile = t.image, t.tile
 	r.mu.Lock()
-	agg := r.tiles[key]
-	if agg == nil {
-		agg = &tileAgg{}
-		r.tiles[key] = agg
-	}
-	agg.ratioSum += part.ratioSum
-	agg.hits += part.hits
+	r.tiles = append(r.tiles, part)
 	r.mu.Unlock()
 	if onGPU {
 		atomic.AddInt64(&r.pairsGPU, int64(len(results)))
@@ -378,7 +310,7 @@ func (r *run) execute(files []FileTask) (Result, error) {
 	r.parsedBuf = newBuffer[tileTask](cfg.BufferCap)
 	r.builtBuf = newBuffer[tileTask](cfg.BufferCap)
 	r.pairBuf = newBuffer[pairTask](cfg.BufferCap)
-	r.tiles = make(map[tileKey]*tileAgg)
+	r.tiles = make([]tilepass.TileRatio, 0, len(files))
 	r.executors = buildExecutors(cfg)
 	// A device outlives the run (an Engine's), so its counters are running
 	// totals: the run reports what they gain while it runs.
@@ -484,11 +416,7 @@ func (r *run) execute(files []FileTask) (Result, error) {
 // result and statistics. Every pair the run filtered has been counted by
 // now, so the candidates are the pairs the executors counted.
 func (r *run) finalize(total int, start time.Time, dev0 []gpu.Snapshot) Result {
-	trs := make([]TileRatio, 0, len(r.tiles))
-	for key, agg := range r.tiles {
-		trs = append(trs, TileRatio{Image: key.image, Tile: key.tile, RatioSum: agg.ratioSum, Intersecting: agg.hits})
-	}
-	res := foldRatios(trs)
+	res := tilepass.FoldRatios(r.tiles)
 	r.stats.WallTime = time.Since(start)
 	r.stats.PairsOnGPU = int(atomic.LoadInt64(&r.pairsGPU))
 	r.stats.PairsOnCPU = int(atomic.LoadInt64(&r.pairsCPU))
@@ -624,8 +552,8 @@ func (r *run) parserMigrator(done chan struct{}) {
 			continue
 		}
 		atomic.AddInt64(&r.stats.TasksToGPU, 1)
-		a, _, errA := parser.GPUParse(dev, task.RawA, 150e6)
-		b, _, errB := parser.GPUParse(dev, task.RawB, 150e6)
+		a, _, errA := GPUParse(dev, task.RawA, 150e6)
+		b, _, errB := GPUParse(dev, task.RawB, 150e6)
 		if errA != nil || errB != nil {
 			if errA == nil {
 				errA = errB
@@ -637,4 +565,38 @@ func (r *run) parserMigrator(done chan struct{}) {
 		r.parsedBuf.put(tileTask{image: task.Image, tile: task.Tile, a: a, b: b})
 		r.finishParseTask()
 	}
+}
+
+// GPUParse parses a polygon file "on the GPU": the decoding runs on the
+// host (results identical to Parse), while the virtual device is charged
+// time equivalent to the host's single-core parsing throughput.
+//
+// This parity is the paper's own measurement (§4.2): the GPU parser — an FSM
+// whose warps fully serialise on per-character divergence and whose byte
+// loads cannot coalesce — achieves performance "only comparable to its CPU
+// counterpart". hostBytesPerSec is the calibrated CPU parser throughput.
+func GPUParse(dev *gpu.Device, data []byte, hostBytesPerSec float64) ([]*geom.Polygon, float64, error) {
+	polys, err := parser.Parse(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	if hostBytesPerSec <= 0 {
+		hostBytesPerSec = 100e6
+	}
+	cfg := dev.Config()
+	targetSecs := float64(len(data)) / hostBytesPerSec
+	// Express the cost as a kernel over 4 KiB chunks whose per-byte charge
+	// realises the target throughput, so device accounting (busy time,
+	// launches) stays consistent with other kernels.
+	const chunk = 4096
+	blocks := (len(data) + chunk - 1) / chunk
+	if blocks == 0 {
+		blocks = 1
+	}
+	cyclesPerBlock := targetSecs * cfg.ClockHz * float64(cfg.SMs) / float64(blocks)
+	res := dev.Launch(blocks, 32, 0, func(b *gpu.Block) {
+		b.Uniform(int(cyclesPerBlock))
+	})
+	xfer := dev.Transfer(int64(len(data)))
+	return polys, res.DeviceSeconds + xfer, nil
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/clip"
 	"repro/internal/geom"
+	"repro/internal/geomtest"
 	"repro/internal/gpu"
 	"repro/internal/parser"
 	"repro/internal/pathology"
@@ -379,25 +381,50 @@ func TestDeviceCountersArePerRun(t *testing.T) {
 	}
 }
 
-// TestRunParsedRejectsMalformedTasks: a nil polygon, or a tree that does not
-// index exactly its set, fails the run.
+// TestRunParsedRejectsMalformedTasks: a malformed tile (the tile pass's
+// checks are tilepass's TestTilePassRejectsMalformedTasks) fails the run.
 func TestRunParsedRejectsMalformedTasks(t *testing.T) {
 	tp := smallDataset().Pairs[0]
 	good := PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B, TreeA: rtree.Index(tp.A), TreeB: rtree.Index(tp.B)}
 	if _, err := RunParsed([]PolyTask{good}, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	holed := append(append([]*geom.Polygon{}, tp.B...), nil)
-	for want, bad := range map[string]func(*PolyTask){
-		"set B polygon":                 func(t *PolyTask) { t.B, t.TreeB = holed, nil },
-		"set A tree indexes":            func(t *PolyTask) { t.TreeA = rtree.Index(tp.A[1:]) },
-		"set B tree indexes 0 polygons": func(t *PolyTask) { t.TreeB = rtree.Index(nil) },
-	} {
-		task := good
-		bad(&task)
-		if _, err := RunParsed([]PolyTask{good, task}, Config{}); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("RunParsed = %v, want an error naming %q", err, want)
+	bad := good
+	bad.B, bad.TreeB = append(append([]*geom.Polygon{}, tp.B...), nil), nil
+	if _, err := RunParsed([]PolyTask{good, bad}, Config{}); err == nil || !strings.Contains(err.Error(), "set B polygon") {
+		t.Errorf("RunParsed = %v, want an error naming %q", err, "set B polygon")
+	}
+}
+
+// TestGPUParseMatchesCPUAndChargesDevice: the parser migrator's GPU parse
+// yields what Parse does and charges the device about the host's parse time.
+func TestGPUParseMatchesCPUAndChargesDevice(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var polys []*geom.Polygon
+	for len(polys) < 30 {
+		if p := geomtest.RandomPolygon(rng, 30); p != nil {
+			polys = append(polys, p)
 		}
+	}
+	data := parser.Encode(polys)
+	dev := gpu.NewDevice(gpu.GTX580())
+	got, secs, err := GPUParse(dev, data, 200e6)
+	if err != nil {
+		t.Fatalf("gpu parse: %v", err)
+	}
+	if len(got) != len(polys) {
+		t.Fatalf("gpu parsed %d, want %d", len(got), len(polys))
+	}
+	if secs <= 0 {
+		t.Fatal("gpu parse charged no device time")
+	}
+	if dev.Launches() != 1 {
+		t.Fatalf("launches = %d", dev.Launches())
+	}
+	// Device throughput should be within 2x of the requested host parity.
+	modelBPS := float64(len(data)) / secs
+	if modelBPS > 500e6 {
+		t.Fatalf("GPU parser throughput %e B/s implausibly above host parity", modelBPS)
 	}
 }
 

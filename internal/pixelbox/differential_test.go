@@ -18,6 +18,7 @@ import (
 	"repro/internal/pathologytest"
 	"repro/internal/pipeline"
 	"repro/internal/pixelbox"
+	"repro/internal/tilepass"
 )
 
 func TestDifferentialGPUvsCPUvsExact(t *testing.T) {
@@ -88,7 +89,7 @@ func TestHybridPipelineBitIdenticalAcrossExecutors(t *testing.T) {
 	spec.Tiles = 5
 	tasks := pathologytest.Tasks(pathology.Generate(spec))
 
-	runWith := func(cfg pipeline.Config) pipeline.Result {
+	runWith := func(cfg pipeline.Config) tilepass.Result {
 		t.Helper()
 		res, err := pipeline.Run(tasks, cfg)
 		if err != nil {
@@ -114,7 +115,7 @@ func TestHybridPipelineBitIdenticalAcrossExecutors(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		res  pipeline.Result
+		res  tilepass.Result
 	}{{"cpu-only", cpuOnly}, {"hybrid", hybrid}, {"hybrid+migration", hybridMig}} {
 		if tc.res.Similarity != gpuOnly.Similarity || tc.res.RatioSum != gpuOnly.RatioSum {
 			t.Errorf("%s: similarity %.17g / ratio %.17g, gpu-only %.17g / %.17g (must be bit-identical)",

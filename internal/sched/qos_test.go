@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pipeline"
+	"repro/internal/tilepass"
 )
 
 // queueJob builds a minimal one-tile queued job for white-box banded-queue
@@ -124,12 +124,12 @@ func TestWFQIdleBandCatchesUp(t *testing.T) {
 // closed, so a job over it holds its workers for exactly as long as a test
 // needs.
 type gatedSource struct {
-	tasks   []pipeline.PolyTask
+	tasks   []tilepass.PolyTask
 	release chan struct{}
 }
 
 func (g *gatedSource) Len() int { return len(g.tasks) }
-func (g *gatedSource) PolyTask(i int) (pipeline.PolyTask, error) {
+func (g *gatedSource) PolyTask(i int) (tilepass.PolyTask, error) {
 	<-g.release
 	return g.tasks[i], nil
 }

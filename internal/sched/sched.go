@@ -6,13 +6,14 @@
 // The tile is the unit of work, as in the paper's framework (§4), which
 // schedules tile-sized tasks dynamically across its CPU and GPU executors. A
 // free worker picks a job, takes that job's next tile, materializes it
-// itself, builds, joins and counts it (pipeline.TilePass) and keeps the
+// itself, builds, joins and counts it (tilepass.TilePass) and keeps the
 // tile's partial in the job's slot for it; when the job's last tile returns,
-// the job folds its tiles in canonical order (pipeline.Fold), so the answer
+// the job folds its tiles in canonical order (tilepass.Fold), so the answer
 // is bit-identical whichever worker took which tile. Decode therefore runs
 // on every worker and overlaps compute, and a job holds at most one
 // materialized tile per worker. Per-worker tile counts, busy time and device
-// accounting are kept for /metrics and /healthz.
+// accounting are kept for /metrics and /healthz. The paper's staged text
+// pipeline (internal/pipeline) is not linked: it has no text to overlap.
 //
 // Jobs wait in one queue per QoS band under weighted fair sharing with the
 // fixed DefaultBandWeights, charged per tile, so an interactive job waits at
@@ -39,7 +40,7 @@ import (
 
 	"repro/internal/gpu"
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
+	"repro/internal/tilepass"
 	"repro/internal/trace"
 )
 
@@ -83,9 +84,9 @@ func (c Config) normalized() Config {
 type TaskSource interface {
 	// Len is the tile count.
 	Len() int
-	// PolyTask materializes tile i as pipeline input. Workers call it
+	// PolyTask materializes tile i for a tile pass. Workers call it
 	// concurrently for different tiles.
-	PolyTask(i int) (pipeline.PolyTask, error)
+	PolyTask(i int) (tilepass.PolyTask, error)
 }
 
 // SourceReleaser is an optional TaskSource extension for sources holding
@@ -143,7 +144,7 @@ type JobStatus struct {
 	Tiles     int
 	DeviceIDs []string // the workers that took at least one of its tiles, in pool order
 	// Report is the folded cross-comparison result, valid when State == Done.
-	Report pipeline.Result
+	Report tilepass.Result
 	Meta   any // the submitter's JobOpts.Meta
 	// Trace is the job's stage-span breakdown, recorded from submission.
 	// Snapshots of a live job show the spans so far; after the job finishes
@@ -154,7 +155,7 @@ type JobStatus struct {
 // DeviceStats is the accounting for one worker.
 type DeviceStats struct {
 	ID          string  // gpu0, gpu1, …, cpu0, …
-	Kind        string  // pipeline.ExecGPU or pipeline.ExecCPU
+	Kind        string  // tilepass.ExecGPU or tilepass.ExecCPU
 	Launches    int64   // kernel launches on the worker's GPU
 	BusySeconds float64 // modelled busy seconds of the worker's GPU
 	Tiles       int64   // tiles run
@@ -190,7 +191,7 @@ type worker struct {
 	idx    int
 	id     string
 	kind   string
-	pass   pipeline.TilePass
+	pass   tilepass.TilePass
 	tiles  atomic.Int64
 	wallNS atomic.Int64
 	// The executor series; nil without a Registry.
@@ -212,7 +213,7 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	report    pipeline.Result
+	report    tilepass.Result
 	meta      any
 	trace     *trace.Recorder
 
@@ -220,8 +221,8 @@ type job struct {
 	next     int                      // the next tile to hand out
 	inflight int                      // tiles handed out and not yet returned
 	stopped  bool                     // canceled or failed: hand out no more tiles
-	parts    []pipeline.TileResult    // each tile's pass, kept until the fold
-	execs    []pipeline.ExecutorStats // the job's tiles on each worker
+	parts    []tilepass.TileResult    // each tile's pass, kept until the fold
+	execs    []tilepass.ExecutorStats // the job's tiles on each worker
 	mat      time.Duration            // materialize time summed over its tiles
 	exec     time.Duration            // execute time summed over its tiles
 }
@@ -293,7 +294,7 @@ func New(cfg Config) *Scheduler {
 		}
 	}
 	add := func(kind string, n int, dev *gpu.Device) {
-		w := &worker{idx: len(s.workers), id: fmt.Sprintf("%s%d", kind, n), kind: kind, pass: pipeline.TilePass{Device: dev}}
+		w := &worker{idx: len(s.workers), id: fmt.Sprintf("%s%d", kind, n), kind: kind, pass: tilepass.TilePass{Device: dev}}
 		if r != nil {
 			w.batches = r.Counter(metrics.Label("sccg_executor_batches_total", "executor", w.id))
 			w.pairs = r.Counter(metrics.Label("sccg_executor_pairs_total", "executor", w.id))
@@ -302,7 +303,7 @@ func New(cfg Config) *Scheduler {
 		s.workers = append(s.workers, w)
 	}
 	for i := 0; i < cfg.Devices; i++ {
-		add(pipeline.ExecGPU, i, gpu.NewDevice(gpu.GTX580()))
+		add(tilepass.ExecGPU, i, gpu.NewDevice(gpu.GTX580()))
 	}
 	if cfg.Devices == 0 || cfg.HybridCPU {
 		n := cfg.Workers
@@ -310,7 +311,7 @@ func New(cfg Config) *Scheduler {
 			n = runtime.GOMAXPROCS(0)
 		}
 		for i := 0; i < n; i++ {
-			add(pipeline.ExecCPU, i, nil)
+			add(tilepass.ExecCPU, i, nil)
 		}
 	}
 	for _, w := range s.workers {
@@ -493,10 +494,10 @@ func (s *Scheduler) startLocked(j *job) {
 	s.uncountLocked(j)
 	j.state = Running
 	j.started = time.Now()
-	j.parts = make([]pipeline.TileResult, j.tiles)
-	j.execs = make([]pipeline.ExecutorStats, len(s.workers))
+	j.parts = make([]tilepass.TileResult, j.tiles)
+	j.execs = make([]tilepass.ExecutorStats, len(s.workers))
 	for i, w := range s.workers {
-		j.execs[i] = pipeline.ExecutorStats{ID: w.id, Kind: w.kind}
+		j.execs[i] = tilepass.ExecutorStats{ID: w.id, Kind: w.kind}
 	}
 	s.runningByBand[j.band]++
 	s.runningTenant[j.tenant]++
@@ -529,7 +530,7 @@ func (s *Scheduler) work(w *worker) {
 		start := time.Now()
 		t, err := src.PolyTask(i)
 		materialized := time.Now()
-		var r pipeline.TileResult
+		var r tilepass.TileResult
 		if err != nil {
 			err = fmt.Errorf("materialize tile %d: %w", i, err)
 		} else {
@@ -591,12 +592,12 @@ func (s *Scheduler) complete(j *job) {
 	s.mu.Unlock()
 	switch {
 	case err != nil:
-		s.finish(j, Failed, err, pipeline.Result{})
+		s.finish(j, Failed, err, tilepass.Result{})
 	case stopped:
-		s.finish(j, Canceled, nil, pipeline.Result{})
+		s.finish(j, Canceled, nil, tilepass.Result{})
 	default:
 		foldStart := time.Now()
-		report := pipeline.Fold(parts)
+		report := tilepass.Fold(parts)
 		j.trace.Add("merge", fmt.Sprintf("%d tiles", len(parts)), foldStart, time.Now())
 		report.Stats.WallTime = time.Since(j.started)
 		report.Stats.Executors = execs
@@ -626,7 +627,7 @@ func (s *Scheduler) Cancel(id string) error {
 	if now {
 		// finish is idempotent, so racing the worker that returned the
 		// job's last tile is safe: whoever transitions it first wins.
-		s.finish(j, Canceled, nil, pipeline.Result{})
+		s.finish(j, Canceled, nil, tilepass.Result{})
 	}
 	return nil
 }
@@ -748,7 +749,7 @@ func (s *Scheduler) Close() {
 		if j == nil {
 			return
 		}
-		s.finish(j, Canceled, nil, pipeline.Result{})
+		s.finish(j, Canceled, nil, tilepass.Result{})
 	}
 }
 
@@ -783,7 +784,7 @@ func (s *Scheduler) snapshotLocked(j *job) JobStatus {
 // finish moves a job to a terminal state. It is idempotent: Cancel can
 // finalize a job while a worker races to start or complete it, and only the
 // first finisher takes effect.
-func (s *Scheduler) finish(j *job, state State, err error, report pipeline.Result) {
+func (s *Scheduler) finish(j *job, state State, err error, report tilepass.Result) {
 	s.mu.Lock()
 	if j.state.Terminal() {
 		s.mu.Unlock()

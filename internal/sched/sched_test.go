@@ -15,42 +15,43 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
+	"repro/internal/tilepass"
 )
 
-func testTasks(t *testing.T, tiles int) []pipeline.PolyTask {
+func testTasks(t *testing.T, tiles int) []tilepass.PolyTask {
 	t.Helper()
 	spec := pathology.Representative()
 	spec.Tiles = tiles
 	d := pathology.Generate(spec)
-	tasks := make([]pipeline.PolyTask, len(d.Pairs))
+	tasks := make([]tilepass.PolyTask, len(d.Pairs))
 	for i, tp := range d.Pairs {
-		tasks[i] = pipeline.PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
+		tasks[i] = tilepass.PolyTask{Image: tp.Image, Tile: tp.Index, A: tp.A, B: tp.B}
 	}
 	return tasks
 }
 
 // memSource serves decoded in-memory tiles as a TaskSource.
-type memSource []pipeline.PolyTask
+type memSource []tilepass.PolyTask
 
 func (m memSource) Len() int                                  { return len(m) }
-func (m memSource) PolyTask(i int) (pipeline.PolyTask, error) { return m[i], nil }
+func (m memSource) PolyTask(i int) (tilepass.PolyTask, error) { return m[i], nil }
 
 // pairedSource serves tasks, but holds the first of its tile reads until a
 // second has begun, so two workers each take at least one tile.
 type pairedSource struct {
-	tasks []pipeline.PolyTask
+	tasks []tilepass.PolyTask
 	calls atomic.Int32
 	both  chan struct{}
 }
 
 func (p *pairedSource) Len() int { return len(p.tasks) }
-func (p *pairedSource) PolyTask(i int) (pipeline.PolyTask, error) {
+func (p *pairedSource) PolyTask(i int) (tilepass.PolyTask, error) {
 	switch p.calls.Add(1) {
 	case 1:
 		select {
 		case <-p.both:
 		case <-time.After(10 * time.Second):
-			return pipeline.PolyTask{}, errors.New("no second worker took a tile")
+			return tilepass.PolyTask{}, errors.New("no second worker took a tile")
 		}
 	case 2:
 		close(p.both)
@@ -342,13 +343,13 @@ func TestFinishedJobsForgotten(t *testing.T) {
 // tileGates serves one tile per gate, each read held until its gate
 // closes.
 type tileGates struct {
-	task    pipeline.PolyTask
+	task    tilepass.PolyTask
 	gates   []chan struct{}
 	entered atomic.Int32
 }
 
 func (g *tileGates) Len() int { return len(g.gates) }
-func (g *tileGates) PolyTask(i int) (pipeline.PolyTask, error) {
+func (g *tileGates) PolyTask(i int) (tilepass.PolyTask, error) {
 	g.entered.Add(1)
 	<-g.gates[i]
 	return g.task, nil
@@ -357,14 +358,14 @@ func (g *tileGates) PolyTask(i int) (pipeline.PolyTask, error) {
 // heldSource serves tasks, but its reads block until release is closed;
 // started is closed at the first read.
 type heldSource struct {
-	tasks   []pipeline.PolyTask
+	tasks   []tilepass.PolyTask
 	started chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
 func (s *heldSource) Len() int { return len(s.tasks) }
-func (s *heldSource) PolyTask(i int) (pipeline.PolyTask, error) {
+func (s *heldSource) PolyTask(i int) (tilepass.PolyTask, error) {
 	s.once.Do(func() { close(s.started) })
 	<-s.release
 	return s.tasks[i], nil
@@ -447,19 +448,19 @@ func TestCancelDuringMaterialize(t *testing.T) {
 // delaySource serves n copies of one tile, each read taking delay: a job
 // whose tile time is known.
 type delaySource struct {
-	task  pipeline.PolyTask
+	task  tilepass.PolyTask
 	n     int
 	delay time.Duration
 }
 
 func (d delaySource) Len() int { return d.n }
-func (d delaySource) PolyTask(int) (pipeline.PolyTask, error) {
+func (d delaySource) PolyTask(int) (tilepass.PolyTask, error) {
 	time.Sleep(d.delay)
 	return d.task, nil
 }
 
 // tinyTask is a one-polygon-a-side tile, so a tile's time is its read.
-func tinyTask(t *testing.T) pipeline.PolyTask {
+func tinyTask(t *testing.T) tilepass.PolyTask {
 	task := testTasks(t, 1)[0]
 	task.A, task.B = task.A[:1], task.B[:1]
 	return task
@@ -517,14 +518,14 @@ func TestInteractiveStartsWithinTiles(t *testing.T) {
 // concurrencySource serves n copies of one tile, each read taking delay, and
 // records the most reads it saw in flight at once.
 type concurrencySource struct {
-	task         pipeline.PolyTask
+	task         tilepass.PolyTask
 	n            int
 	delay        time.Duration
 	reading, max atomic.Int32
 }
 
 func (c *concurrencySource) Len() int { return c.n }
-func (c *concurrencySource) PolyTask(int) (pipeline.PolyTask, error) {
+func (c *concurrencySource) PolyTask(int) (tilepass.PolyTask, error) {
 	n := c.reading.Add(1)
 	defer c.reading.Add(-1)
 	for m := c.max.Load(); n > m && !c.max.CompareAndSwap(m, n); m = c.max.Load() {
@@ -592,14 +593,14 @@ func TestCancelRunningJobWithinTiles(t *testing.T) {
 // been materialized without yet having been counted on a GPU: the tiles a
 // job holds at once.
 type launchCounter struct {
-	tasks []pipeline.PolyTask
+	tasks []tilepass.PolyTask
 	s     *Scheduler
 	reads atomic.Int64
 	peak  atomic.Int64
 }
 
 func (c *launchCounter) Len() int { return len(c.tasks) }
-func (c *launchCounter) PolyTask(i int) (pipeline.PolyTask, error) {
+func (c *launchCounter) PolyTask(i int) (tilepass.PolyTask, error) {
 	n := c.reads.Add(1)
 	for _, d := range c.s.DeviceStats() {
 		n -= d.Launches
@@ -638,7 +639,7 @@ func TestLiveTilesBoundedByWorkers(t *testing.T) {
 // releaseWatch counts a source's reads in flight and records a Release that
 // finds one, or a second Release. Its tiles fail from fail on.
 type releaseWatch struct {
-	task     pipeline.PolyTask
+	task     tilepass.PolyTask
 	n, fail  int
 	inflight atomic.Int32
 	released atomic.Int32
@@ -646,12 +647,12 @@ type releaseWatch struct {
 }
 
 func (r *releaseWatch) Len() int { return r.n }
-func (r *releaseWatch) PolyTask(i int) (pipeline.PolyTask, error) {
+func (r *releaseWatch) PolyTask(i int) (tilepass.PolyTask, error) {
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
 	time.Sleep(time.Duration(i%4) * 50 * time.Microsecond)
 	if i >= r.fail {
-		return pipeline.PolyTask{}, errors.New("unreadable")
+		return tilepass.PolyTask{}, errors.New("unreadable")
 	}
 	return r.task, nil
 }

@@ -19,8 +19,8 @@ import (
 	"time"
 
 	"repro/internal/pathology"
-	"repro/internal/pipeline"
 	"repro/internal/sched"
+	"repro/internal/tilepass"
 )
 
 // keptJobs is the scheduler's keepFinishedJobs.
@@ -132,9 +132,9 @@ func TestDatasetAnswerOutlivesItsJob(t *testing.T) {
 		}
 	}
 
-	tiny := pipeline.PolyTask{A: d.Pairs[0].A[:1], B: d.Pairs[0].B[:1]}
+	tiny := tilepass.PolyTask{A: d.Pairs[0].A[:1], B: d.Pairs[0].B[:1]}
 	for i := 0; i < keptJobs+76; i++ {
-		id, err := sc.SubmitJob(memSource([]pipeline.PolyTask{tiny}), sched.JobOpts{Name: "unrelated"})
+		id, err := sc.SubmitJob(memSource([]tilepass.PolyTask{tiny}), sched.JobOpts{Name: "unrelated"})
 		if err != nil {
 			t.Fatal(err)
 		}

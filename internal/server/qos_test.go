@@ -302,6 +302,78 @@ func TestDeleteBeforeAttributionChargesNoOne(t *testing.T) {
 	}
 }
 
+// TestReingestDuringDeleteHookKeepsCharge: a PUT of a dataset's bytes that
+// races the dataset's delete does not publish the ID until the delete's hook
+// (which releases the old copy's tenant charge) has returned, so the stored
+// copy stays charged to its tenant.
+func TestReingestDuringDeleteHookKeepsCharge(t *testing.T) {
+	st := testStoreAt(t, t.TempDir())
+	srv, _, ts := newTestServer(t, sched.Config{Devices: 1}, Options{Store: st})
+	body := datasetPayload(t, pathology.Generate(qosSpec("rehook", 25, 1)))
+	resp, out := putDatasetAs(t, ts.URL+"/datasets", "", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", resp.StatusCode, out)
+	}
+	var got struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(out, &got); err != nil {
+		t.Fatal(err)
+	}
+	man, ok := st.Get(got.ID)
+	if !ok {
+		t.Fatalf("ingested dataset %q is not stored", got.ID)
+	}
+	want := tenant.Usage{Bytes: man.SegmentBytes, Datasets: 1}
+	if u := srv.tusage.Usage(tenant.DefaultName); u != want {
+		t.Fatalf("usage after ingest = %+v, want %+v", u, want)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	st.SetDeleteHook(func(id string) {
+		close(entered)
+		<-release
+		srv.dropDatasetResults(id)
+	})
+	deleted := make(chan error, 1)
+	go func() { deleted <- st.Delete(man.ID) }()
+	<-entered
+	put := make(chan int, 1)
+	go func() {
+		code := 0
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/datasets", bytes.NewReader(body))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+				code = resp.StatusCode
+			}
+		}
+		put <- code
+	}()
+	// Without the wait a PUT of one tile answers well inside this window
+	// (and the hook then releases its charge); with it, no PUT can answer.
+	select {
+	case code := <-put:
+		t.Errorf("re-PUT answered %d while the delete's hook still ran", code)
+		put <- code
+	case <-time.After(300 * time.Millisecond):
+	}
+	close(release)
+	if err := <-deleted; err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	if code := <-put; code != http.StatusOK {
+		t.Fatalf("re-PUT = %d", code)
+	}
+	if _, ok := st.Get(man.ID); !ok {
+		t.Fatal("re-PUT dataset is not stored")
+	}
+	if u := srv.tusage.Usage(tenant.DefaultName); u != want {
+		t.Fatalf("usage with the dataset stored again = %+v, want %+v", u, want)
+	}
+}
+
 // TestPutFailsWhenOwnerNotDurable: a PUT whose owner record cannot be
 // written answers 500, not 200, and charges no one.
 func TestPutFailsWhenOwnerNotDurable(t *testing.T) {

@@ -21,9 +21,9 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/tilepass"
 	"repro/internal/wal"
 )
 
@@ -107,7 +107,7 @@ func cellEntry(key string, tiles int) resultEntry {
 	e := resultEntry{Key: key, Name: "cell", Saved: time.Now().UTC()}
 	r := &e.Report
 	for i := 0; i < tiles; i++ {
-		tr := pipeline.TileRatio{Image: "img", Tile: i, RatioSum: 0.5 + float64(i%7)/8, Intersecting: 1 + i%3}
+		tr := tilepass.TileRatio{Image: "img", Tile: i, RatioSum: 0.5 + float64(i%7)/8, Intersecting: 1 + i%3}
 		r.TileRatios = append(r.TileRatios, tr)
 		r.RatioSum += tr.RatioSum
 		r.Intersecting += tr.Intersecting

@@ -41,9 +41,9 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/tilepass"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -64,7 +64,7 @@ type resultEntry struct {
 	Name   string          `json:"name,omitempty"`
 	Cross  *CrossPayload   `json:"cross,omitempty"`
 	Saved  time.Time       `json:"saved"`
-	Report pipeline.Result `json:"report"`
+	Report tilepass.Result `json:"report"`
 }
 
 // peerResult is the wire form of a comparison exchanged between peers: the
@@ -77,7 +77,7 @@ type peerResult struct {
 	Trace *trace.Trace `json:"trace,omitempty"`
 }
 
-// validate rejects reports the pipeline cannot have produced: the per-tile
+// validate rejects reports a tile fold cannot have produced: the per-tile
 // partials must re-fold, in canonical order, to the stored aggregate exactly.
 func (e *resultEntry) validate() error {
 	if e.Key == "" {

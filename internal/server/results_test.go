@@ -13,20 +13,20 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
 	"repro/internal/sched"
+	"repro/internal/tilepass"
 	"repro/internal/wal"
 )
 
 // foldedEntry is an entry whose two tile partials fold exactly to its
 // aggregate, the way a pipeline report does.
 func foldedEntry(key string) resultEntry {
-	tiles := []pipeline.TileRatio{
+	tiles := []tilepass.TileRatio{
 		{Image: "img", Tile: 0, RatioSum: 0.75, Intersecting: 1},
 		{Image: "img", Tile: 1, RatioSum: 1.25, Intersecting: 2},
 	}
 	sum := tiles[0].RatioSum + tiles[1].RatioSum
-	return resultEntry{Key: key, Name: "folded", Saved: time.Now().UTC(), Report: pipeline.Result{
+	return resultEntry{Key: key, Name: "folded", Saved: time.Now().UTC(), Report: tilepass.Result{
 		Similarity: sum / 3, RatioSum: sum, Intersecting: 3, Candidates: 4, TileRatios: tiles,
 	}}
 }

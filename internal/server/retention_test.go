@@ -19,9 +19,9 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
 	"repro/internal/retention"
 	"repro/internal/sched"
+	"repro/internal/tilepass"
 )
 
 func doRequest(t *testing.T, method, url string) (*http.Response, []byte) {
@@ -172,10 +172,10 @@ func TestBootDropsOrphanedReports(t *testing.T) {
 // store-backed job deterministically in flight.
 // memSource serves decoded in-memory tiles as a TaskSource: work placed on
 // the scheduler directly, beside the jobs the HTTP surface submits.
-type memSource []pipeline.PolyTask
+type memSource []tilepass.PolyTask
 
 func (m memSource) Len() int                                  { return len(m) }
-func (m memSource) PolyTask(i int) (pipeline.PolyTask, error) { return m[i], nil }
+func (m memSource) PolyTask(i int) (tilepass.PolyTask, error) { return m[i], nil }
 
 type gatedStoreSource struct {
 	src     sched.TaskSource
@@ -189,7 +189,7 @@ func (g *gatedStoreSource) wait() {
 	g.once.Do(func() { close(g.entered) })
 	<-g.release
 }
-func (g *gatedStoreSource) PolyTask(i int) (pipeline.PolyTask, error) {
+func (g *gatedStoreSource) PolyTask(i int) (tilepass.PolyTask, error) {
 	g.wait()
 	return g.src.PolyTask(i)
 }

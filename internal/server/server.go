@@ -62,12 +62,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compare"
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
 	"repro/internal/querylog"
 	"repro/internal/retention"
 	"repro/internal/sched"
 	"repro/internal/store"
 	"repro/internal/tenant"
+	"repro/internal/tilepass"
 	"repro/internal/trace"
 )
 
@@ -197,7 +197,7 @@ func New(s *sched.Scheduler, opts Options) *Server {
 		st := srv.sched.Stats()
 		e.Counter("sccgd_jobs_submitted_total", float64(st.Submitted))
 		for _, d := range st.Devices {
-			if d.Kind == pipeline.ExecGPU {
+			if d.Kind == tilepass.ExecGPU {
 				e.Counter(metrics.Label("sccgd_device_launches_total", "device", d.ID), float64(d.Launches))
 				e.Gauge(metrics.Label("sccgd_device_busy_seconds", "device", d.ID), d.BusySeconds)
 			}
@@ -427,7 +427,7 @@ type ExecutorPayload struct {
 	PairsPerSec float64 `json:"pairs_per_sec"`
 }
 
-// ReportPayload is the JSON projection of a merged pipeline result.
+// ReportPayload is the JSON projection of a folded comparison result.
 type ReportPayload struct {
 	Similarity     float64           `json:"similarity"`
 	Intersecting   int               `json:"intersecting"`
@@ -443,7 +443,7 @@ type ReportPayload struct {
 	Executors      []ExecutorPayload `json:"executors,omitempty"`
 }
 
-func reportPayload(r pipeline.Result) *ReportPayload {
+func reportPayload(r tilepass.Result) *ReportPayload {
 	p := &ReportPayload{
 		Similarity:     r.Similarity,
 		Intersecting:   r.Intersecting,
@@ -562,8 +562,8 @@ type submission struct {
 	// jobID is the live scheduler job behind resp; empty when a persisted
 	// report answered without one.
 	jobID string
-	// report is the full pipeline result for persisted-cache answers.
-	report *pipeline.Result
+	// report is the full comparison result for persisted-cache answers.
+	report *tilepass.Result
 	// outcome is the querylog classification of how this submission was
 	// answered (querylog.Outcome*); peer is set for cluster-cache answers.
 	outcome string

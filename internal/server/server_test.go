@@ -20,6 +20,7 @@ import (
 	"repro/internal/pathologytest"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
+	"repro/internal/tilepass"
 )
 
 // newTestServer serves opts over a scheduler built from cfg; a nil
@@ -394,7 +395,7 @@ func TestCancelEndpoint(t *testing.T) {
 	d := pathology.Generate(spec)
 	release := make(chan struct{})
 	defer close(release)
-	gated := &gatedStoreSource{src: memSource([]pipeline.PolyTask{{A: d.Pairs[0].A, B: d.Pairs[0].B}}),
+	gated := &gatedStoreSource{src: memSource([]tilepass.PolyTask{{A: d.Pairs[0].A, B: d.Pairs[0].B}}),
 		release: release, entered: make(chan struct{})}
 	if _, err := sc.SubmitJob(gated, sched.JobOpts{Name: "hold"}); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ package store
 
 import (
 	"repro/internal/geom"
-	"repro/internal/pipeline"
+	"repro/internal/tilepass"
 )
 
 // CrossReader reads matched tile pairs across two stored datasets. Each
@@ -33,17 +33,17 @@ func (r *CrossReader) A() *Dataset { return r.a }
 func (r *CrossReader) B() *Dataset { return r.b }
 
 // PolyTask reads the cross pair (set A of the first dataset's tile ia, set B
-// of the second dataset's tile ib) as pipeline input under the first tile's
+// of the second dataset's tile ib) as tile-pass input under the first tile's
 // key: each set comes with the tree its own dataset's read built for it. Like
 // ReadTile's, the polygons may be shared with other readers.
-func (r *CrossReader) PolyTask(ia, ib int) (pipeline.PolyTask, error) {
+func (r *CrossReader) PolyTask(ia, ib int) (tilepass.PolyTask, error) {
 	a, _, err := r.a.readSets(ia, true, false)
 	if err != nil {
-		return pipeline.PolyTask{}, err
+		return tilepass.PolyTask{}, err
 	}
 	_, b, err := r.b.readSets(ib, false, true)
 	if err != nil {
-		return pipeline.PolyTask{}, err
+		return tilepass.PolyTask{}, err
 	}
 	return polyTask(&r.a.man.Tiles[ia], a, b), nil
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/rtree"
+	"repro/internal/tilepass"
 )
 
 // seededDataset generates a dataset whose tile keys depend only on name and
@@ -48,16 +49,16 @@ func ingestOpen(t *testing.T, s *Store, d *pathology.Dataset) *Dataset {
 
 // oracle is the benchmark's reference: the CPU-only pipeline over polygons
 // that never went near the store.
-func oracle(t *testing.T, a, b *pathology.Dataset) pipeline.Result {
+func oracle(t *testing.T, a, b *pathology.Dataset) tilepass.Result {
 	t.Helper()
-	tasks := make([]pipeline.PolyTask, len(a.Pairs))
+	tasks := make([]tilepass.PolyTask, len(a.Pairs))
 	for i := range a.Pairs {
-		tasks[i] = pipeline.PolyTask{Image: a.Pairs[i].Image, Tile: a.Pairs[i].Index, A: a.Pairs[i].A, B: b.Pairs[i].B}
+		tasks[i] = tilepass.PolyTask{Image: a.Pairs[i].Image, Tile: a.Pairs[i].Index, A: a.Pairs[i].A, B: b.Pairs[i].B}
 	}
 	return runParsed(t, tasks)
 }
 
-func runParsed(t *testing.T, tasks []pipeline.PolyTask) pipeline.Result {
+func runParsed(t *testing.T, tasks []tilepass.PolyTask) tilepass.Result {
 	t.Helper()
 	res, err := pipeline.RunParsed(tasks, pipeline.Config{})
 	if err != nil {
@@ -66,7 +67,7 @@ func runParsed(t *testing.T, tasks []pipeline.PolyTask) pipeline.Result {
 	return res
 }
 
-func sameAnswer(t *testing.T, what string, got, want pipeline.Result) {
+func sameAnswer(t *testing.T, what string, got, want tilepass.Result) {
 	t.Helper()
 	if got.Similarity != want.Similarity || got.Candidates != want.Candidates || got.Intersecting != want.Intersecting {
 		t.Fatalf("%s: (%v, %d, %d) != oracle (%v, %d, %d)", what,
@@ -82,9 +83,9 @@ func sameAnswer(t *testing.T, what string, got, want pipeline.Result) {
 // trees built on the spot, and that the job's bits — with the kept trees, as a
 // raw PolyTask without them, and through the text path — are the oracle's,
 // tile by tile.
-func sameOnEveryPath(t *testing.T, what string, tasks []pipeline.PolyTask, want pipeline.Result) {
+func sameOnEveryPath(t *testing.T, what string, tasks []tilepass.PolyTask, want tilepass.Result) {
 	t.Helper()
-	raw := make([]pipeline.PolyTask, len(tasks))
+	raw := make([]tilepass.PolyTask, len(tasks))
 	files := make([]pipeline.FileTask, len(tasks))
 	for i, task := range tasks {
 		if task.TreeA == nil || task.TreeB == nil || task.TreeA.Len() != len(task.A) || task.TreeB.Len() != len(task.B) {
@@ -95,7 +96,7 @@ func sameOnEveryPath(t *testing.T, what string, tasks []pipeline.PolyTask, want 
 		if len(kept) == 0 || !reflect.DeepEqual(kept, built) {
 			t.Fatalf("%s, tile %d: kept trees join %d candidates, rebuilt ones %d, or in another order", what, i, len(kept), len(built))
 		}
-		raw[i] = pipeline.PolyTask{Image: task.Image, Tile: task.Tile, A: task.A, B: task.B}
+		raw[i] = tilepass.PolyTask{Image: task.Image, Tile: task.Tile, A: task.A, B: task.B}
 		files[i] = pipeline.FileTask{Image: task.Image, Tile: task.Tile, RawA: parser.Encode(task.A), RawB: parser.Encode(task.B)}
 	}
 	sameAnswer(t, what, runParsed(t, tasks), want)
@@ -127,8 +128,8 @@ func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	dx, dy := ingestOpen(t, s, x), ingestOpen(t, s, y)
 
-	read := func(what string, task func(i int) (pipeline.PolyTask, error)) []pipeline.PolyTask {
-		tasks := make([]pipeline.PolyTask, tiles)
+	read := func(what string, task func(i int) (tilepass.PolyTask, error)) []tilepass.PolyTask {
+		tasks := make([]tilepass.PolyTask, tiles)
 		for i := range tasks {
 			var err error
 			if tasks[i], err = task(i); err != nil {
@@ -137,10 +138,10 @@ func TestDecodedHitMatchesMissAndOracle(t *testing.T) {
 		}
 		return tasks
 	}
-	self := func() []pipeline.PolyTask { return read("PolyTask", dx.Source().PolyTask) }
-	cross := func() []pipeline.PolyTask {
+	self := func() []tilepass.PolyTask { return read("PolyTask", dx.Source().PolyTask) }
+	cross := func() []tilepass.PolyTask {
 		cr := NewCrossReader(dx, dy)
-		return read("CrossReader.PolyTask", func(i int) (pipeline.PolyTask, error) { return cr.PolyTask(i, i) })
+		return read("CrossReader.PolyTask", func(i int) (tilepass.PolyTask, error) { return cr.PolyTask(i, i) })
 	}
 
 	wantSelf, wantCross := oracle(t, x, x), oracle(t, x, y)
@@ -250,7 +251,7 @@ func TestDecodedEvictionHoldsByteBound(t *testing.T) {
 	}
 	s.decoded.max = tileBytes[5] + tileBytes[6] + tileBytes[7]
 
-	var first [tiles]pipeline.PolyTask
+	var first [tiles]tilepass.PolyTask
 	for i := 0; i < tiles; i++ {
 		var err error
 		if first[i], err = ds.Source().PolyTask(i); err != nil {
@@ -465,7 +466,7 @@ func TestDecodedFirstDecodeRacesJobs(t *testing.T) {
 						return
 					}
 				}
-				got, err := pipeline.RunParsed([]pipeline.PolyTask{task}, pipeline.Config{})
+				got, err := pipeline.RunParsed([]tilepass.PolyTask{task}, pipeline.Config{})
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
@@ -510,7 +511,7 @@ func TestDecodedTreesSharedAcrossDelete(t *testing.T) {
 			}
 			cr := NewCrossReader(dx, other)
 			for n := 0; ; n++ {
-				var shard []pipeline.PolyTask
+				var shard []tilepass.PolyTask
 				for i := 0; i < tiles; i++ {
 					task, err := cr.PolyTask(i, i)
 					if err != nil {
@@ -1109,18 +1110,18 @@ func BenchmarkReadTileHit(b *testing.B) {
 // stages-us/op is the builder and filter stages' busy time alone.
 func BenchmarkFilterStoredTiles(b *testing.B) {
 	_, ds := benchDataset(b)
-	kept := make([]pipeline.PolyTask, len(ds.man.Tiles))
-	built := make([]pipeline.PolyTask, len(ds.man.Tiles))
+	kept := make([]tilepass.PolyTask, len(ds.man.Tiles))
+	built := make([]tilepass.PolyTask, len(ds.man.Tiles))
 	for i := range kept {
 		var err error
 		if kept[i], err = ds.Source().PolyTask(i); err != nil {
 			b.Fatal(err)
 		}
-		built[i] = pipeline.PolyTask{Image: kept[i].Image, Tile: kept[i].Tile, A: kept[i].A, B: kept[i].B}
+		built[i] = tilepass.PolyTask{Image: kept[i].Image, Tile: kept[i].Tile, A: kept[i].A, B: kept[i].B}
 	}
 	for _, c := range []struct {
 		name  string
-		tasks []pipeline.PolyTask
+		tasks []tilepass.PolyTask
 	}{{"kept", kept}, {"built", built}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -143,6 +143,7 @@ func (s *Store) Import(man *Manifest, seg io.Reader) (imported *Manifest, verify
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waitDeleteHookLocked(cp.ID)
 	if existing, ok := s.datasets[cp.ID]; ok {
 		return existing, time.Since(copied), nil // raced a concurrent ingest/import; deferred cleanup drops the copy
 	}

@@ -44,8 +44,8 @@ import (
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/parser"
-	"repro/internal/pipeline"
 	"repro/internal/rtree"
+	"repro/internal/tilepass"
 	"repro/internal/wkb"
 )
 
@@ -205,6 +205,10 @@ type Store struct {
 	// onDelete, when set, is called after every successful delete (outside
 	// the lock) — the server hooks it to cascade cached results.
 	onDelete func(id string)
+	// deleting holds the IDs whose delete hook still runs; Commit and Import
+	// wait on hookDone (on mu) before publishing one again.
+	deleting map[string]bool
+	hookDone *sync.Cond
 	// tileReadHist, when set via SetMetrics, observes every verified tile
 	// read's wall latency (open + range reads + digest + WKB decode).
 	tileReadHist atomic.Pointer[metrics.Histogram]
@@ -225,8 +229,10 @@ func Open(dir string) (*Store, error) {
 		datasets:     make(map[string]*Manifest),
 		pins:         make(map[string]int),
 		persistedUse: make(map[string]time.Time),
+		deleting:     make(map[string]bool),
 		decoded:      newDecodedCache(decodedCacheBytes),
 	}
+	s.hookDone = sync.NewCond(&s.mu)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: scan %s: %w", dir, err)
@@ -341,10 +347,18 @@ func (s *Store) remove(id string, force bool) error {
 	delete(s.datasets, id)
 	delete(s.persistedUse, id)
 	hook := s.onDelete
+	if hook != nil {
+		s.deleting[id] = true
+	}
 	s.mu.Unlock()
 	if hook != nil {
-		// Outside the lock: the hook walks the server's cache layers.
+		// Outside the lock: the hook walks the server's cache layers (and
+		// the tenant registry, which takes its lock before this one's).
 		hook(id)
+		s.mu.Lock()
+		delete(s.deleting, id)
+		s.hookDone.Broadcast()
+		s.mu.Unlock()
 	}
 	// Out of the namespace; a crash mid-removal leaves only a tmp- dir the
 	// next Open sweeps away.
@@ -352,6 +366,15 @@ func (s *Store) remove(id string, force bool) error {
 		return fmt.Errorf("store: delete %s: %w", id, err)
 	}
 	return nil
+}
+
+// waitDeleteHookLocked returns, with s.mu held, once no delete of id is
+// running its hook: published earlier, the ID's new copy could be attributed
+// to its tenant and then released by the old copy's hook.
+func (s *Store) waitDeleteHookLocked(id string) {
+	for s.deleting[id] {
+		s.hookDone.Wait()
+	}
 }
 
 // SetDeleteHook registers fn to run after every successful delete (plain,
@@ -746,6 +769,7 @@ func (w *Writer) Commit() (*Manifest, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waitDeleteHookLocked(id)
 	if existing, ok := s.datasets[id]; ok {
 		return existing, nil // content already stored; deferred Abort drops the temp copy
 	}
@@ -1125,9 +1149,9 @@ func (d *Dataset) Source() *DatasetSource { return &DatasetSource{d: d} }
 
 // DatasetSource adapts a stored dataset to the scheduler's task-source
 // contract (Len/PolyTask) without the scheduler importing the store.
-// Task serves a tile as canonical polygon text, byte-identical to what
-// parser.Encode makes of the same polygons, for callers of the paper's text
-// pipeline.
+// Weight and Task serve callers of the paper's text pipeline only, not the
+// daemon: Task serves a tile as canonical polygon text, byte-identical to
+// what parser.Encode makes of the same polygons.
 type DatasetSource struct {
 	d *Dataset
 }
@@ -1138,14 +1162,14 @@ func (src *DatasetSource) Len() int { return len(src.d.man.Tiles) }
 // Weight returns tile i's encoded byte size, a cost proxy from the manifest.
 func (src *DatasetSource) Weight(i int) int64 { return src.d.man.Tiles[i].Bytes() }
 
-// Task materializes tile i as pipeline input.
-func (src *DatasetSource) Task(i int) (pipeline.FileTask, error) {
+// Task materializes tile i as text pipeline input.
+func (src *DatasetSource) Task(i int) (parser.FileTask, error) {
 	a, b, err := src.d.ReadTile(i)
 	if err != nil {
-		return pipeline.FileTask{}, err
+		return parser.FileTask{}, err
 	}
 	ti := src.d.man.Tiles[i]
-	return pipeline.FileTask{
+	return parser.FileTask{
 		Image: ti.Image,
 		Tile:  ti.Tile,
 		RawA:  parser.Encode(a),
@@ -1153,22 +1177,22 @@ func (src *DatasetSource) Task(i int) (pipeline.FileTask, error) {
 	}, nil
 }
 
-// PolyTask materializes tile i as pre-parsed pipeline input: the store
+// PolyTask materializes tile i as pre-parsed tile-pass input: the store
 // validated every WKB record at ingest (and re-validates on every decode),
 // so stored tiles skip the text re-encode/re-parse round trip entirely. The
 // decoded polygons are exactly what parsing the canonical text would yield,
 // and the trees kept with them exactly what the builder stage would build,
 // keeping reports bit-identical to the FileTask path.
-func (src *DatasetSource) PolyTask(i int) (pipeline.PolyTask, error) {
+func (src *DatasetSource) PolyTask(i int) (tilepass.PolyTask, error) {
 	a, b, err := src.d.readSets(i, true, true)
 	if err != nil {
-		return pipeline.PolyTask{}, err
+		return tilepass.PolyTask{}, err
 	}
 	return polyTask(&src.d.man.Tiles[i], a, b), nil
 }
 
-// polyTask is the pipeline input comparing set a against set b under tile
+// polyTask is the tile-pass input comparing set a against set b under tile
 // ti's key, with the trees the sets were kept with.
-func polyTask(ti *TileInfo, a, b *decodedSet) pipeline.PolyTask {
-	return pipeline.PolyTask{Image: ti.Image, Tile: ti.Tile, A: a.polys, B: b.polys, TreeA: a.tree, TreeB: b.tree}
+func polyTask(ti *TileInfo, a, b *decodedSet) tilepass.PolyTask {
+	return tilepass.PolyTask{Image: ti.Image, Tile: ti.Tile, A: a.polys, B: b.polys, TreeA: a.tree, TreeB: b.tree}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/pathology"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
+	"repro/internal/tilepass"
 	"repro/internal/wkb"
 )
 
@@ -272,7 +273,7 @@ func TestStoreBackedJobMatchesPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenDataset: %v", err)
 		}
-		tasks := make([]pipeline.PolyTask, ds.Source().Len())
+		tasks := make([]tilepass.PolyTask, ds.Source().Len())
 		for i := range tasks {
 			if tasks[i], err = ds.Source().PolyTask(i); err != nil {
 				t.Fatal(err)

@@ -6,8 +6,10 @@
 // their Jaccard similarity J' — the mean ratio of intersection area to union
 // area over truly-intersecting polygon pairs. The heavy lifting is done by
 // the PixelBox algorithm (internal/pixelbox) running on a simulated GPU
-// (internal/gpu) or on CPU workers, orchestrated by a four-stage pipeline
-// with dynamic task migration (internal/pipeline).
+// (internal/gpu) or on CPU workers. CrossCompareDataset runs the paper's
+// four-stage text pipeline with dynamic task migration (internal/pipeline);
+// the job service (NewService, what cmd/sccgd serves) runs each stored tile
+// in one pass and folds the tiles (internal/tilepass), to the same bits.
 //
 // Quick start:
 //
@@ -36,6 +38,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/store"
+	"repro/internal/tilepass"
 )
 
 // Re-exported core types, so downstream users work entirely through this
@@ -55,7 +58,7 @@ type (
 	// FileTask is one image tile's raw text input to the pipeline.
 	FileTask = pipeline.FileTask
 	// Report is a pipeline run's outcome.
-	Report = pipeline.Result
+	Report = tilepass.Result
 	// DatasetSpec describes a synthetic dataset.
 	DatasetSpec = pathology.DatasetSpec
 	// Dataset is a generated dataset.
@@ -179,21 +182,14 @@ func (e *Engine) CrossCompareDataset(tasks []FileTask) (Report, error) {
 }
 
 // CrossComparePolygons compares two in-memory result sets directly (index,
-// filter, aggregate; no text parsing) and returns J' with pair counts.
-func (e *Engine) CrossComparePolygons(a, b []*Polygon) (similarity float64, intersecting, candidates int) {
-	sim, hits, cands, _ := e.CrossComparePolygonsErr(a, b)
-	return sim, hits, cands
-}
-
-// CrossComparePolygonsErr is the error-reporting variant of
-// CrossComparePolygons: it rejects nil polygons instead of panicking deep in
-// the aggregation kernel.
-func (e *Engine) CrossComparePolygonsErr(a, b []*Polygon) (similarity float64, intersecting, candidates int, err error) {
-	pairs, _, err := MatchPairsErr(a, b)
+// filter, aggregate; no text parsing) and returns J' with pair counts. A nil
+// polygon is an error.
+func (e *Engine) CrossComparePolygons(a, b []*Polygon) (similarity float64, intersecting, candidates int, err error) {
+	pairs, _, err := MatchPairs(a, b)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	results, err := e.ComputeAreasErr(pairs)
+	results, err := e.ComputeAreas(pairs)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -204,21 +200,8 @@ func (e *Engine) CrossComparePolygonsErr(a, b []*Polygon) (similarity float64, i
 }
 
 // ComputeAreas computes exact intersection/union areas for polygon pairs
-// using the configured backend. Invalid input (a nil polygon in a pair) is
-// silently tolerated here for backward compatibility; new code should call
-// ComputeAreasErr.
-func (e *Engine) ComputeAreas(pairs []Pair) []AreaResult {
-	results, err := e.ComputeAreasErr(pairs)
-	if err != nil {
-		return nil
-	}
-	return results
-}
-
-// ComputeAreasErr is the validating variant of ComputeAreas: it rejects
-// pairs containing nil polygons up front rather than crashing inside the
-// kernel.
-func (e *Engine) ComputeAreasErr(pairs []Pair) ([]AreaResult, error) {
+// using the configured backend. A pair holding a nil polygon is an error.
+func (e *Engine) ComputeAreas(pairs []Pair) ([]AreaResult, error) {
 	for i, pr := range pairs {
 		if pr.P == nil || pr.Q == nil {
 			return nil, fmt.Errorf("sccg: pair %d contains a nil polygon", i)
@@ -232,20 +215,9 @@ func (e *Engine) ComputeAreasErr(pairs []Pair) ([]AreaResult, error) {
 }
 
 // MatchPairs builds Hilbert R-trees over both result sets and returns every
-// pair with intersecting MBRs (the filter stage). Join statistics and input
-// validation are discarded; new code should call MatchPairsErr.
-func MatchPairs(a, b []*Polygon) []Pair {
-	pairs, _, err := MatchPairsErr(a, b)
-	if err != nil {
-		return nil
-	}
-	return pairs
-}
-
-// MatchPairsErr is the validating variant of MatchPairs: it rejects nil
-// polygons and returns the join's R-tree search statistics instead of
-// dropping them.
-func MatchPairsErr(a, b []*Polygon) ([]Pair, SearchStats, error) {
+// pair with intersecting MBRs (the filter stage) and the join's R-tree
+// search statistics. A nil polygon is an error.
+func MatchPairs(a, b []*Polygon) ([]Pair, SearchStats, error) {
 	ea := make([]rtree.Entry, len(a))
 	for i, p := range a {
 		if p == nil {

@@ -19,8 +19,14 @@ func TestEngineGPUAndCPUAgree(t *testing.T) {
 	gpu := sccg.NewEngine(sccg.Options{})
 	cpu := sccg.NewEngine(sccg.Options{DisableGPU: true})
 	for _, tp := range d.Pairs {
-		gs, gi, gc := gpu.CrossComparePolygons(tp.A, tp.B)
-		cs, ci, cc := cpu.CrossComparePolygons(tp.A, tp.B)
+		gs, gi, gc, err := gpu.CrossComparePolygons(tp.A, tp.B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, ci, cc, err := cpu.CrossComparePolygons(tp.A, tp.B)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if gi != ci || gc != cc || math.Abs(gs-cs) > 1e-12 {
 			t.Fatalf("backends disagree: gpu %v/%d/%d vs cpu %v/%d/%d", gs, gi, gc, cs, ci, cc)
 		}
@@ -48,7 +54,10 @@ func TestEnginePipelineMatchesDirect(t *testing.T) {
 	var wantHits int
 	direct := sccg.NewEngine(sccg.Options{})
 	for _, tp := range d.Pairs {
-		_, hits, _ := direct.CrossComparePolygons(tp.A, tp.B)
+		_, hits, _, err := direct.CrossComparePolygons(tp.A, tp.B)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantHits += hits
 	}
 	if report.Intersecting != wantHits {
@@ -71,12 +80,15 @@ func TestParseEncodeRoundTrip(t *testing.T) {
 func TestExactAreasAgainstMatchPairs(t *testing.T) {
 	d := trimmedRep(1)
 	tp := d.Pairs[0]
-	pairs := sccg.MatchPairs(tp.A, tp.B)
-	if len(pairs) == 0 {
-		t.Fatal("no pairs")
+	pairs, _, err := sccg.MatchPairs(tp.A, tp.B)
+	if err != nil || len(pairs) == 0 {
+		t.Fatalf("MatchPairs = %d pairs, %v", len(pairs), err)
 	}
 	eng := sccg.NewEngine(sccg.Options{})
-	got := eng.ComputeAreas(pairs)
+	got, err := eng.ComputeAreas(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, pr := range pairs {
 		if got[i] != sccg.ExactAreas(pr.P, pr.Q) {
 			t.Fatalf("pair %d: PixelBox disagrees with exact overlay", i)

@@ -13,9 +13,9 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/store"
+	"repro/internal/tilepass"
 )
 
 // TestServiceMatchesDirectEngine is the PR's acceptance test: a job served
@@ -134,37 +134,37 @@ func TestServiceMatchesDirectEngine(t *testing.T) {
 	}
 }
 
-// TestErrVariants checks the validating facade variants reject nil polygons
-// and surface previously-discarded join statistics.
+// TestErrVariants checks the facade's functions reject nil polygons with an
+// error and surface the join statistics.
 func TestErrVariants(t *testing.T) {
 	d := trimmedRep(1)
 	a, b := d.Pairs[0].A, d.Pairs[0].B
 
-	pairs, stats, err := sccg.MatchPairsErr(a, b)
+	pairs, stats, err := sccg.MatchPairs(a, b)
 	if err != nil {
-		t.Fatalf("MatchPairsErr: %v", err)
+		t.Fatalf("MatchPairs: %v", err)
 	}
 	if len(pairs) == 0 || stats.EntriesTested == 0 {
-		t.Errorf("MatchPairsErr = %d pairs, stats %+v; want pairs and join stats", len(pairs), stats)
-	}
-	if got := sccg.MatchPairs(a, b); len(got) != len(pairs) {
-		t.Errorf("legacy MatchPairs returned %d pairs, Err variant %d", len(got), len(pairs))
+		t.Errorf("MatchPairs = %d pairs, stats %+v; want pairs and join stats", len(pairs), stats)
 	}
 
-	if _, _, err := sccg.MatchPairsErr([]*sccg.Polygon{nil}, b); err == nil {
-		t.Error("MatchPairsErr accepted a nil polygon")
+	if _, _, err := sccg.MatchPairs([]*sccg.Polygon{nil}, b); err == nil {
+		t.Error("MatchPairs accepted a nil polygon")
 	}
 
 	eng := sccg.NewEngine(sccg.Options{DisableGPU: true})
-	if _, err := eng.ComputeAreasErr([]sccg.Pair{{P: nil, Q: nil}}); err == nil {
-		t.Error("ComputeAreasErr accepted a nil pair")
+	if _, err := eng.ComputeAreas([]sccg.Pair{{P: nil, Q: nil}}); err == nil {
+		t.Error("ComputeAreas accepted a nil pair")
 	}
-	results, err := eng.ComputeAreasErr(pairs)
+	if _, _, _, err := eng.CrossComparePolygons(a, []*sccg.Polygon{nil}); err == nil {
+		t.Error("CrossComparePolygons accepted a nil polygon")
+	}
+	results, err := eng.ComputeAreas(pairs)
 	if err != nil {
-		t.Fatalf("ComputeAreasErr: %v", err)
+		t.Fatalf("ComputeAreas: %v", err)
 	}
 	if len(results) != len(pairs) {
-		t.Errorf("ComputeAreasErr returned %d results for %d pairs", len(results), len(pairs))
+		t.Errorf("ComputeAreas returned %d results for %d pairs", len(results), len(pairs))
 	}
 }
 
@@ -206,7 +206,10 @@ func TestStoreBackedJobMatchesCrossCompare(t *testing.T) {
 	}
 
 	eng := sccg.NewEngine(sccg.Options{})
-	sim, hits, cands := eng.CrossComparePolygons(d.Pairs[0].A, d.Pairs[0].B)
+	sim, hits, cands, err := eng.CrossComparePolygons(d.Pairs[0].A, d.Pairs[0].B)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if job.Report.Similarity != sim {
 		t.Errorf("store-backed similarity %.17g != CrossComparePolygons %.17g (must be exact)",
 			job.Report.Similarity, sim)
@@ -226,11 +229,11 @@ func TestStoreBackedJobMatchesCrossCompare(t *testing.T) {
 // release is closed, so a job over it holds its slot as long as a test needs.
 type gatedTile struct {
 	release chan struct{}
-	task    pipeline.PolyTask
+	task    tilepass.PolyTask
 }
 
 func (g gatedTile) Len() int { return 1 }
-func (g gatedTile) PolyTask(int) (pipeline.PolyTask, error) {
+func (g gatedTile) PolyTask(int) (tilepass.PolyTask, error) {
 	<-g.release
 	return g.task, nil
 }
@@ -257,7 +260,7 @@ func checkStoredPins(t *testing.T, submit func(svc *sccg.Service, ids []string) 
 	defer svc.Close()
 
 	d := trimmedRep(1)
-	gate := gatedTile{release: make(chan struct{}), task: pipeline.PolyTask{Image: d.Pairs[0].Image, A: d.Pairs[0].A, B: d.Pairs[0].B}}
+	gate := gatedTile{release: make(chan struct{}), task: tilepass.PolyTask{Image: d.Pairs[0].Image, A: d.Pairs[0].A, B: d.Pairs[0].B}}
 	var once sync.Once
 	open := func() { once.Do(func() { close(gate.release) }) }
 	defer open()
